@@ -6,7 +6,10 @@
 //!
 //! The analysis runs through the *parallel* pipeline (2 workers, 5
 //! shards), so this also pins the parallel path to the snapshotted serial
-//! numbers. To regenerate after an intentional change:
+//! numbers. A second fixture per trace pins the online windowed engine's
+//! per-window trajectory (kept edges, re-coloring, stability, phase
+//! changes), which no whole-trace number reflects. To regenerate after an
+//! intentional change:
 //!
 //! ```text
 //! BWSA_UPDATE_GOLDEN=1 cargo test --test golden_regression
@@ -19,6 +22,8 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 const SCALE: f64 = 0.01;
+/// Reset interval of the windowed fixtures, in dynamic branches.
+const WINDOW: u64 = 1000;
 const FIXTURES: &[(Benchmark, InputSet)] = &[
     (Benchmark::Li, InputSet::A),
     (Benchmark::Compress, InputSet::A),
@@ -34,15 +39,23 @@ fn golden_dir() -> PathBuf {
 /// The Table 2 / Table 3-shaped summary of one benchmark run, as stable
 /// text. Only integer counts and 2-decimal fixed-point values, so the
 /// snapshot is byte-reproducible.
+/// The paper's threshold of 100 scaled like the bench harness does, so
+/// the scaled-down run thresholds proportionally.
+fn scaled_threshold() -> u64 {
+    ((100.0 * SCALE).round() as u64).max(2)
+}
+
+fn scaled_pipeline() -> AnalysisPipeline {
+    AnalysisPipeline {
+        conflict: ConflictConfig::with_threshold(scaled_threshold()).unwrap(),
+        ..AnalysisPipeline::new()
+    }
+}
+
 fn snapshot(bench: Benchmark, set: InputSet) -> String {
     let trace = bench.generate_scaled(set, SCALE);
-    // Scale the paper's threshold of 100 like the bench harness does, so
-    // the scaled-down run thresholds proportionally.
-    let threshold = ((100.0 * SCALE).round() as u64).max(2);
-    let pipeline = AnalysisPipeline {
-        conflict: ConflictConfig::with_threshold(threshold).unwrap(),
-        ..AnalysisPipeline::new()
-    };
+    let threshold = scaled_threshold();
+    let pipeline = scaled_pipeline();
     let cfg = ParallelConfig {
         jobs: NonZeroUsize::new(2).unwrap(),
         shards: NonZeroUsize::new(5),
@@ -102,15 +115,65 @@ fn snapshot(bench: Benchmark, set: InputSet) -> String {
     out
 }
 
+/// The windowed engine's trajectory over one benchmark run, as stable
+/// text: per window its records, cumulative kept edges, whether the
+/// re-colorer ran, its stability and the phase-change flag; then the run
+/// totals.
+fn windowed_snapshot(bench: Benchmark, set: InputSet) -> String {
+    let trace = bench.generate_scaled(set, SCALE);
+    let session = Session::new(&trace)
+        .with_pipeline(scaled_pipeline())
+        .with_windowing(WindowConfig::branches(WINDOW).unwrap());
+    let result = session.windowed().unwrap();
+
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "fixture {}_{} scale={} window={} threshold={}",
+        bench.name(),
+        set.suffix(),
+        SCALE,
+        WINDOW,
+        scaled_threshold()
+    );
+    for w in &result.windows {
+        let _ = writeln!(
+            out,
+            "window {}: records={} kept={} recolored={} stability={:.6} phase_change={}",
+            w.index,
+            w.records,
+            w.cumulative_edges_kept,
+            w.recolor.recolored,
+            w.recolor.stability,
+            w.phase_change
+        );
+    }
+    let _ = writeln!(
+        out,
+        "totals: windows={} records={} recolors={} mean_stability={:.6} phase_changes={}",
+        result.windows.len(),
+        result.records,
+        result.recolors,
+        result.mean_stability,
+        result.phase_changes
+    );
+    out
+}
+
 #[test]
 fn golden_fixtures_match() {
     let update = std::env::var_os("BWSA_UPDATE_GOLDEN").is_some();
     let dir = golden_dir();
     let mut failures = Vec::new();
-    for &(bench, set) in FIXTURES {
-        let name = format!("{}_{}.txt", bench.name(), set.suffix());
+    let fixtures = FIXTURES.iter().flat_map(|&(bench, set)| {
+        let stem = format!("{}_{}", bench.name(), set.suffix());
+        [
+            (format!("{stem}.txt"), snapshot(bench, set)),
+            (format!("{stem}.windows.txt"), windowed_snapshot(bench, set)),
+        ]
+    });
+    for (name, actual) in fixtures {
         let path = dir.join(&name);
-        let actual = snapshot(bench, set);
         if update {
             std::fs::create_dir_all(&dir).unwrap();
             std::fs::write(&path, &actual).unwrap();
@@ -136,4 +199,5 @@ fn golden_fixtures_match() {
 fn snapshots_are_deterministic_across_runs() {
     let (bench, set) = FIXTURES[0];
     assert_eq!(snapshot(bench, set), snapshot(bench, set));
+    assert_eq!(windowed_snapshot(bench, set), windowed_snapshot(bench, set));
 }
