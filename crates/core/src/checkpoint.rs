@@ -17,7 +17,6 @@
 use crate::error::CoreError;
 use crate::interleave::StreamingInterleave;
 use crate::pipeline::{Analysis, AnalysisPipeline};
-use crate::{classify::classify_with, conflict::ConflictAnalysis, working_set::working_sets};
 use bwsa_graph::GraphBuilder;
 use bwsa_trace::codec::{self, Cursor};
 use bwsa_trace::profile::{BranchProfile, BranchStats};
@@ -147,38 +146,11 @@ impl StreamingAnalysis {
             ..
         } = self;
         let (builder, _table) = interleave.finish();
-        let profile = BranchProfile::from_parts(stats, records_consumed);
-        let raw = builder.build();
-        obs.add("core.interleave_pairs", raw.edge_count() as u64);
-        obs.add("core.interleave_weight", raw.total_weight());
-        let conflict = {
-            let _span = obs.span("conflict_prune");
-            bwsa_resilience::failpoint!("core.conflict_prune");
-            ConflictAnalysis::of_raw_graph(raw, pipeline.conflict)
-        };
-        obs.add("core.graph_edges_raw", conflict.raw_edge_count as u64);
-        obs.add("core.graph_edges_kept", conflict.graph.edge_count() as u64);
-        let working = {
-            let _span = obs.span("working_sets");
-            bwsa_resilience::failpoint!("core.working_sets");
-            working_sets(&conflict.graph, &profile, pipeline.definition)
-        };
-        let classification = {
-            let _span = obs.span("classify");
-            bwsa_resilience::failpoint!("core.classify");
-            classify_with(
-                &profile,
-                pipeline.taken_threshold,
-                pipeline.not_taken_threshold,
-            )
-        };
-        obs.sample_peak_rss();
-        Analysis {
-            profile,
-            conflict,
-            working_sets: working,
-            classification,
-        }
+        pipeline.assemble(
+            BranchProfile::from_parts(stats, records_consumed),
+            builder.build(),
+            obs,
+        )
     }
 
     /// [`StreamingAnalysis::save`] with the serialisation time recorded

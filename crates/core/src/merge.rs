@@ -29,8 +29,10 @@
 use crate::conflict::{ConflictAnalysis, ConflictConfig};
 use crate::interleave::interleave_into;
 use crate::interleave_counts;
+use crate::pipeline::{Analysis, AnalysisPipeline};
 use bwsa_graph::GraphBuilder;
-use bwsa_trace::profile::BranchStats;
+use bwsa_obs::Obs;
+use bwsa_trace::profile::{BranchProfile, BranchStats};
 use bwsa_trace::{BranchTable, Trace};
 
 /// An accumulating multi-input conflict profile.
@@ -238,7 +240,16 @@ impl ShardDelta {
 
     /// Folds a *later* shard's contribution onto this one.
     pub fn merge(&mut self, later: &ShardDelta) -> &mut Self {
-        self.builder.merge(&later.builder);
+        self.merge_with(later, |_, _, _, _| {})
+    }
+
+    /// [`ShardDelta::merge`], reporting edges as [`GraphBuilder::merge_with`].
+    pub(crate) fn merge_with(
+        &mut self,
+        later: &ShardDelta,
+        on_edge: impl FnMut(u32, u32, u64, u64),
+    ) -> &mut Self {
+        self.builder.merge_with(&later.builder, on_edge);
         if self.stats.len() < later.stats.len() {
             self.stats.resize(later.stats.len(), BranchStats::default());
         }
@@ -266,6 +277,13 @@ impl ShardDelta {
     /// Compiles the accumulated interleave edges into an immutable graph.
     pub fn into_graph(self) -> bwsa_graph::ConflictGraph {
         self.builder.build()
+    }
+
+    /// The whole-trace [`Analysis`] of a fully folded delta, through the
+    /// observed assembly step every engine shares.
+    pub(crate) fn into_analysis(self, pipeline: &AnalysisPipeline, obs: &Obs) -> Analysis {
+        let profile = BranchProfile::from_parts(self.stats, self.records);
+        pipeline.assemble(profile, self.builder.build(), obs)
     }
 }
 

@@ -26,13 +26,10 @@
 //! index and are sorted after the scope joins, so scheduling order never
 //! leaks into the output.
 
-use crate::conflict::ConflictAnalysis;
 use crate::merge::{ShardBoundary, ShardDelta};
 use crate::pipeline::{Analysis, AnalysisPipeline};
-use crate::{classify::classify_with, working_set::working_sets};
 use bwsa_obs::Obs;
 use bwsa_resilience::supervisor::{catch, Backoff, ResilienceError};
-use bwsa_trace::profile::BranchProfile;
 use bwsa_trace::{Trace, TraceShard};
 use crossbeam::queue::SegQueue;
 use std::num::NonZeroUsize;
@@ -366,43 +363,7 @@ fn analyze_parallel_with<M: ShardMapper>(
     for delta in &deltas {
         total.merge(delta);
     }
-    let ShardDelta {
-        builder,
-        stats,
-        records,
-    } = total;
-    let profile = BranchProfile::from_parts(stats, records);
-    let raw = builder.build();
-    obs.add("core.interleave_pairs", raw.edge_count() as u64);
-    obs.add("core.interleave_weight", raw.total_weight());
-    let conflict = {
-        let _span = obs.span("conflict_prune");
-        bwsa_resilience::failpoint!("core.conflict_prune");
-        ConflictAnalysis::of_raw_graph(raw, pipeline.conflict)
-    };
-    obs.add("core.graph_edges_raw", conflict.raw_edge_count as u64);
-    obs.add("core.graph_edges_kept", conflict.graph.edge_count() as u64);
-    let working = {
-        let _span = obs.span("working_sets");
-        bwsa_resilience::failpoint!("core.working_sets");
-        working_sets(&conflict.graph, &profile, pipeline.definition)
-    };
-    let classification = {
-        let _span = obs.span("classify");
-        bwsa_resilience::failpoint!("core.classify");
-        classify_with(
-            &profile,
-            pipeline.taken_threshold,
-            pipeline.not_taken_threshold,
-        )
-    };
-    obs.sample_peak_rss();
-    Ok(Analysis {
-        profile,
-        conflict,
-        working_sets: working,
-        classification,
-    })
+    Ok(total.into_analysis(pipeline, obs))
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@ use crate::error::Error;
 use crate::session::Classified;
 use crate::working_set::{working_sets, WorkingSetDefinition, WorkingSets};
 use crate::CoreError;
+use bwsa_graph::ConflictGraph;
 use bwsa_obs::Obs;
 use bwsa_trace::{profile::BranchProfile, Trace};
 use serde::{Deserialize, Serialize};
@@ -132,6 +133,18 @@ impl AnalysisPipeline {
             bwsa_resilience::failpoint!("core.interleave");
             crate::interleave_counts(trace).build()
         };
+        self.assemble(profile, raw, obs)
+    }
+
+    /// The observed tail every engine shares after detection: prune,
+    /// working sets and classify, with their spans, the `core.interleave_*`
+    /// and `core.graph_edges_*` counters, and a peak-RSS sample.
+    pub(crate) fn assemble(
+        &self,
+        profile: BranchProfile,
+        raw: ConflictGraph,
+        obs: &Obs,
+    ) -> Analysis {
         obs.add("core.interleave_pairs", raw.edge_count() as u64);
         obs.add("core.interleave_weight", raw.total_weight());
         let conflict = {

@@ -129,7 +129,9 @@ impl<'t> Session<'t> {
     /// Enables online windowed analysis: [`Session::windowed`] replays
     /// the trace through a [`WindowedAnalysis`] at `config`'s reset
     /// interval, emitting per-window summaries whose fold is bit-identical
-    /// to [`Session::run`]'s whole-trace answer.
+    /// to the whole-trace answer. [`Session::run`] then returns that fold,
+    /// so the trace is detected once, serially: the [`Execution`] choice
+    /// and the supervisor's retry and degradation ladder do not apply.
     pub fn with_windowing(mut self, config: WindowConfig) -> Self {
         self.windowing = Some(config);
         self
@@ -163,7 +165,8 @@ impl<'t> Session<'t> {
     }
 
     /// Runs the pipeline (validating the configuration first), or returns
-    /// the cached result of an earlier call.
+    /// the cached result of an earlier call. A windowed session answers
+    /// with [`Session::windowed`]'s folded [`WindowedResult::analysis`].
     ///
     /// # Errors
     ///
@@ -172,6 +175,9 @@ impl<'t> Session<'t> {
     /// returns [`Error::Resilience`] when the whole degradation ladder
     /// fails.
     pub fn run(&self) -> Result<&Analysis, Error> {
+        if self.windowing.is_some() {
+            return self.windowed().map(|windowed| &windowed.analysis);
+        }
         if let Some(analysis) = self.analysis.get() {
             return Ok(analysis);
         }
@@ -202,10 +208,10 @@ impl<'t> Session<'t> {
 
     /// Runs the online windowed analysis configured by
     /// [`Session::with_windowing`], or returns the cached result of an
-    /// earlier call. The windowed path is its own serial replay of the
-    /// trace — it does not consume or populate [`Session::run`]'s cache —
-    /// but its folded [`WindowedResult::analysis`] is bit-identical to
-    /// what [`Session::run`] computes.
+    /// earlier call. The windowed path is one serial replay of the trace,
+    /// and its folded [`WindowedResult::analysis`] — bit-identical to the
+    /// whole-trace answer of any engine — is also what [`Session::run`]
+    /// and everything built on it return for this session.
     ///
     /// # Errors
     ///

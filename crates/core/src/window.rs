@@ -23,22 +23,22 @@
 //! `crates/core/tests/windowed_equiv.rs` pins this across arbitrary
 //! traces, window sizes, and `--jobs` values.
 //!
-//! **Incremental re-coloring.** After each window merge the cumulative
-//! thresholded graph is re-colored into the configured BHT only when it
-//! actually changed: edge weights only ever grow, so an unchanged
-//! `(nodes, kept edges, kept weight)` signature proves the pruned graph
-//! is literally identical and the previous assignment is still *the*
-//! coloring — the skip is exact, not approximate. Each re-coloring
-//! reports a **stability** metric: the fraction of previously assigned
-//! branches that kept their BHT entry.
+//! **Incremental re-coloring.** Edge weights only ever grow, so an edge
+//! crosses the threshold at most once: each merge keeps the cumulative
+//! pruned graph's edge set and its `(nodes, kept edges, kept weight)`
+//! signature current in time proportional to the window. An unchanged
+//! signature proves the pruned graph identical, so the previous
+//! assignment is still *the* coloring (the skip is exact); a moved one
+//! compiles the pruned graph from the kept set and re-colors it. Each
+//! re-coloring reports a **stability** metric: the fraction of
+//! previously assigned branches that kept their BHT entry.
 
-use crate::conflict::ConflictAnalysis;
 use crate::error::{CoreError, Error};
 use crate::merge::{ShardBoundary, ShardDelta};
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use crate::working_set::{working_sets, WorkingSetReport};
 use bwsa_graph::coloring::{color_graph, ColoringOptions};
-use bwsa_graph::ConflictGraph;
+use bwsa_graph::GraphBuilder;
 use bwsa_obs::json::Json;
 use bwsa_obs::Obs;
 use bwsa_trace::profile::BranchProfile;
@@ -245,40 +245,56 @@ impl WindowSummary {
 struct Recolorer {
     table_size: usize,
     options: ColoringOptions,
+    threshold: u64,
     assignment: Vec<u32>,
+    /// The cumulative pruned graph: every edge at or above the threshold.
+    kept: GraphBuilder,
+    kept_weight: u64,
     /// `(nodes, kept edges, kept weight)` of the last colored graph.
     /// Cumulative edge weights grow monotonically, so an unchanged
     /// signature proves the pruned graph is identical — the skip is
     /// exact.
-    signature: Option<(usize, usize, u64)>,
+    signature: Option<(u32, usize, u64)>,
     recolors: u64,
 }
 
 impl Recolorer {
-    fn new(table_size: usize, options: ColoringOptions) -> Self {
+    fn new(table_size: usize, pipeline: &AnalysisPipeline) -> Self {
         Recolorer {
             table_size,
-            options,
+            options: pipeline.allocation.coloring,
+            threshold: pipeline.conflict.threshold,
             assignment: Vec::new(),
+            kept: GraphBuilder::new(0),
+            kept_weight: 0,
             signature: None,
             recolors: 0,
         }
     }
 
-    fn observe(&mut self, pruned: &ConflictGraph) -> RecolorStats {
-        let signature = (
-            pruned.node_count(),
-            pruned.edge_count(),
-            pruned.total_weight(),
-        );
+    /// Folds one merged edge's weight change into the kept set. Weights
+    /// only grow: an edge enters once, and later merges add their gain.
+    fn track(&mut self, a: u32, b: u32, before: u64, after: u64) {
+        let counted = if before >= self.threshold { before } else { 0 };
+        if after >= self.threshold {
+            self.kept.add_edge(a, b, after - counted);
+            self.kept_weight += after - counted;
+        }
+    }
+
+    /// Re-colors the kept edges unless they are unchanged since the last
+    /// coloring.
+    fn observe(&mut self) -> RecolorStats {
+        let kept = &self.kept;
+        let signature = (kept.node_count(), kept.edge_count(), self.kept_weight);
         if self.signature == Some(signature) {
             return RecolorStats {
                 recolored: false,
                 stability: 1.0,
             };
         }
-        let next = color_graph(pruned, self.table_size, &self.options).assignment;
-        let kept = self
+        let next = color_graph(&kept.build(), self.table_size, &self.options).assignment;
+        let unchanged = self
             .assignment
             .iter()
             .zip(&next)
@@ -287,7 +303,7 @@ impl Recolorer {
         let stability = if self.assignment.is_empty() {
             1.0
         } else {
-            kept as f64 / self.assignment.len() as f64
+            unchanged as f64 / self.assignment.len() as f64
         };
         self.assignment = next;
         self.signature = Some(signature);
@@ -395,7 +411,7 @@ impl WindowedAnalysis {
     /// An engine with no records pushed yet.
     pub fn new(config: WindowConfig, pipeline: AnalysisPipeline) -> Self {
         WindowedAnalysis {
-            recolorer: Recolorer::new(config.table_size, pipeline.allocation.coloring),
+            recolorer: Recolorer::new(config.table_size, &pipeline),
             config,
             pipeline,
             obs: Obs::noop(),
@@ -509,18 +525,17 @@ impl WindowedAnalysis {
         let phase_change = self.prev_executed.is_some() && jaccard < PHASE_JACCARD;
 
         bwsa_resilience::failpoint!(crate::failpoints::WINDOW_MERGE);
-        self.cumulative.merge(&delta);
+        let recolorer = &mut self.recolorer;
+        recolorer.kept.ensure_nodes(nodes as u32);
+        self.cumulative.merge_with(&delta, |a, b, before, after| {
+            recolorer.track(a, b, before, after);
+        });
         self.carry.join(&boundary);
 
         bwsa_resilience::failpoint!(crate::failpoints::RECOLOR);
-        let (cumulative_kept, recolor) = {
+        let recolor = {
             let _span = self.obs.span("recolor");
-            let pruned = self
-                .cumulative
-                .builder
-                .build()
-                .pruned(self.pipeline.conflict.threshold);
-            (pruned.edge_count(), self.recolorer.observe(&pruned))
+            self.recolorer.observe()
         };
 
         self.obs.add("core.windows_flushed", 1);
@@ -541,7 +556,7 @@ impl WindowedAnalysis {
             executed_branches: executed.len(),
             interleave_pairs: window_graph.edge_count(),
             interleave_weight: window_graph.total_weight(),
-            cumulative_edges_kept: cumulative_kept,
+            cumulative_edges_kept: self.recolorer.kept.edge_count(),
             working_sets: window_sets.report,
             jaccard,
             phase_change,
@@ -568,28 +583,12 @@ impl WindowedAnalysis {
                 .sum::<f64>()
                 / self.windows.len() as f64
         };
-        let ShardDelta {
-            builder,
-            stats,
-            records,
-        } = self.cumulative;
-        let profile = BranchProfile::from_parts(stats, records);
-        let conflict = ConflictAnalysis::of_raw_graph(builder.build(), self.pipeline.conflict);
-        let working = working_sets(&conflict.graph, &profile, self.pipeline.definition);
-        let classification = crate::classify::classify_with(
-            &profile,
-            self.pipeline.taken_threshold,
-            self.pipeline.not_taken_threshold,
-        );
+        let records = self.cumulative.record_count();
+        let analysis = self.cumulative.into_analysis(&self.pipeline, &self.obs);
         WindowedResult {
             config: self.config,
             windows: self.windows,
-            analysis: Analysis {
-                profile,
-                conflict,
-                working_sets: working,
-                classification,
-            },
+            analysis,
             assignment,
             recolors,
             mean_stability,

@@ -15,7 +15,9 @@
 //!    mirroring the `interleave_counts_naive` discipline.
 //! 3. The incremental re-coloring equals a from-scratch coloring of the
 //!    cumulative pruned graph at **every** flush, not just the last —
-//!    so the signature-gated skip is provably lossless.
+//!    so the signature-gated skip is provably lossless. The kept-edge
+//!    count and the recolor decision match a from-scratch prune at every
+//!    flush too, across thresholds where edges cross between flushes.
 //! 4. `WindowConfig` parsing is total: no input panics, the grammar
 //!    roundtrips, and zero intervals are typed errors.
 
@@ -25,6 +27,7 @@ use bwsa_core::{
     WindowedAnalysis, WindowedResult,
 };
 use bwsa_graph::coloring::{color_graph, ColoringOptions};
+use bwsa_obs::Obs;
 use bwsa_trace::{Trace, TraceBuilder};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
@@ -48,8 +51,12 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
 
 /// Low-threshold pipeline so small property traces keep conflict edges.
 fn sensitive_pipeline() -> AnalysisPipeline {
+    pipeline_with_threshold(1)
+}
+
+fn pipeline_with_threshold(threshold: u64) -> AnalysisPipeline {
     AnalysisPipeline {
-        conflict: ConflictConfig::with_threshold(1).unwrap(),
+        conflict: ConflictConfig::with_threshold(threshold).unwrap(),
         ..AnalysisPipeline::new()
     }
 }
@@ -151,16 +158,22 @@ proptest! {
         trace in arb_trace(),
         window in 1u64..60,
         table in 1usize..8,
+        threshold in 1u64..=4,
     ) {
         // The oracle: after each flush, a from-scratch naive interleave
         // pass over the records consumed so far, pruned and colored
         // fresh, must agree with the engine's incrementally maintained
         // assignment — including flushes where the signature gate
-        // skipped the exact re-coloring.
+        // skipped the exact re-coloring. Its kept-edge count must match
+        // the engine's kept set, and the engine must re-color exactly
+        // when the scratch graph's signature moved. Thresholds above 1
+        // let an edge cross the threshold in a later window than the one
+        // that created it.
         let config = WindowConfig::branches(window).unwrap().with_table_size(table);
-        let mut engine = WindowedAnalysis::new(config, sensitive_pipeline());
+        let mut engine = WindowedAnalysis::new(config, pipeline_with_threshold(threshold));
         let mut consumed: Vec<(u64, bool, u64)> = Vec::new();
         let mut flushes = 0usize;
+        let mut previous_signature = None;
         for (id, r) in trace.indexed_records() {
             engine.push(id.as_u32(), r.time.get(), r.is_taken());
             consumed.push((r.pc.addr(), r.is_taken(), r.time.get()));
@@ -173,9 +186,17 @@ proptest! {
                 b.record(pc, taken, t);
             }
             let prefix = b.finish();
-            let pruned = interleave_counts_naive(&prefix).build().pruned(1);
+            let pruned = interleave_counts_naive(&prefix).build().pruned(threshold);
             let scratch = color_graph(&pruned, table, &ColoringOptions::default());
             prop_assert_eq!(engine.assignment(), &scratch.assignment[..]);
+            let flushed = &engine.windows()[flushes - 1];
+            prop_assert_eq!(flushed.cumulative_edges_kept, pruned.edge_count());
+            let signature = (pruned.node_count(), pruned.edge_count(), pruned.total_weight());
+            prop_assert_eq!(
+                flushed.recolor.recolored,
+                previous_signature != Some(signature)
+            );
+            previous_signature = Some(signature);
         }
     }
 
@@ -272,4 +293,36 @@ fn an_empty_trace_yields_zero_windows_in_both_units() {
         assert_eq!(result.records, 0);
         assert_eq!(&result.analysis, Session::new(&trace).run().unwrap());
     }
+}
+
+#[test]
+fn windowed_sessions_detect_once_and_run_returns_the_fold() {
+    let mut b = TraceBuilder::new("busy");
+    for i in 0..600u64 {
+        b.record(0x1000 + (i * 7 % 11) * 4, i % 3 == 0, i + 1);
+    }
+    let trace = b.finish();
+    let session = Session::new(&trace)
+        .with_execution(parallel(2))
+        .with_windowing(WindowConfig::branches(100).unwrap())
+        .with_observer(Obs::recording());
+    let analysis = session.run().unwrap();
+    assert_eq!(analysis, Session::new(&trace).run().unwrap());
+    assert!(std::ptr::eq(
+        analysis,
+        &session.windowed().unwrap().analysis
+    ));
+
+    // One serial detection pass, and the whole-trace stages and counters
+    // still reported from the fold.
+    let metrics = session.metrics().unwrap();
+    assert_eq!(metrics.stage("windowed_analysis").unwrap().count, 1);
+    assert!(metrics.stage("shard_detect").is_none());
+    for stage in ["conflict_prune", "working_sets", "classify"] {
+        assert_eq!(metrics.stage(stage).unwrap().count, 1, "{stage}");
+    }
+    assert_eq!(
+        metrics.counter("core.graph_edges_kept"),
+        analysis.conflict.graph.edge_count() as u64
+    );
 }

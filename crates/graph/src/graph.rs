@@ -1,7 +1,6 @@
 //! Immutable CSR conflict graph.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// An immutable weighted undirected simple graph in compressed sparse row
@@ -34,10 +33,6 @@ pub struct ConflictGraph {
 }
 
 impl ConflictGraph {
-    pub(crate) fn from_edge_map(nodes: u32, edges: &HashMap<(u32, u32), u64>) -> Self {
-        Self::from_edge_iter(nodes, edges.iter().map(|(&(a, b), &w)| (a, b, w)))
-    }
-
     /// Builds the CSR form from any restartable `(a, b, weight)` edge
     /// source with `a < b` — two passes: degree count, then fill.
     pub(crate) fn from_edge_iter<I>(nodes: u32, edges: I) -> Self
@@ -89,6 +84,29 @@ impl ConflictGraph {
                 graph.weights[range.start + i] = w;
             }
         }
+        graph
+    }
+
+    /// The graph with only the edges `keep(a, b, weight)` accepts, asked
+    /// with `a < b`: one linear pass over the CSR. Filtering an already
+    /// sorted adjacency slice keeps it sorted, so nothing is re-sorted.
+    fn filter_edges(&self, keep: impl Fn(u32, u32, u64) -> bool) -> ConflictGraph {
+        let mut graph = ConflictGraph {
+            offsets: vec![0],
+            neighbors: Vec::with_capacity(self.neighbors.len()),
+            weights: Vec::with_capacity(self.weights.len()),
+        };
+        for a in 0..self.node_count() as u32 {
+            for (b, w) in self.neighbor_weights(a) {
+                if keep(a.min(b), a.max(b), w) {
+                    graph.neighbors.push(b);
+                    graph.weights.push(w);
+                }
+            }
+            graph.offsets.push(graph.neighbors.len());
+        }
+        graph.neighbors.shrink_to_fit();
+        graph.weights.shrink_to_fit();
         graph
     }
 
@@ -187,12 +205,7 @@ impl ConflictGraph {
     /// any edge with a smaller count than the threshold is eliminated"
     /// (they use 100 and note 500/1000 make no significant difference).
     pub fn pruned(&self, threshold: u64) -> ConflictGraph {
-        let edges: HashMap<(u32, u32), u64> = self
-            .iter_edges()
-            .filter(|&(_, _, w)| w >= threshold)
-            .map(|(a, b, w)| ((a, b), w))
-            .collect();
-        ConflictGraph::from_edge_map(self.node_count() as u32, &edges)
+        self.filter_edges(|_, _, w| w >= threshold)
     }
 
     /// Returns a copy with the given edges removed (endpoints in either
@@ -202,23 +215,13 @@ impl ConflictGraph {
     /// of the same highly-biased class are ignored "even if [the interleave
     /// count] is above a threshold value".
     pub fn without_edges(&self, remove: impl Fn(u32, u32) -> bool) -> ConflictGraph {
-        let edges: HashMap<(u32, u32), u64> = self
-            .iter_edges()
-            .filter(|&(a, b, _)| !remove(a, b))
-            .map(|(a, b, w)| ((a, b), w))
-            .collect();
-        ConflictGraph::from_edge_map(self.node_count() as u32, &edges)
+        self.filter_edges(|a, b, _| !remove(a, b))
     }
 
     /// Returns the subgraph induced on `keep` (node ids preserved; edges
     /// with an endpoint outside `keep` dropped).
     pub fn induced(&self, keep: impl Fn(u32) -> bool) -> ConflictGraph {
-        let edges: HashMap<(u32, u32), u64> = self
-            .iter_edges()
-            .filter(|&(a, b, _)| keep(a) && keep(b))
-            .map(|(a, b, w)| ((a, b), w))
-            .collect();
-        ConflictGraph::from_edge_map(self.node_count() as u32, &edges)
+        self.filter_edges(|a, b, _| keep(a) && keep(b))
     }
 
     /// Returns `true` if `set` forms a clique (every pair adjacent).

@@ -74,6 +74,19 @@ grep -q '"windows"' "$report_tmp/windows.json"
 "$bwsa" analyze "$report_tmp/pgp.bwst" --window 500 \
     --metrics "$report_tmp/windowed.json" > /dev/null
 "$bwsa" validate-report "$report_tmp/windowed.json"
+# The windowed fold is the run's analysis, so its report keeps the
+# whole-trace stages and counters.
+for stage in conflict_prune working_sets classify; do
+    grep -q "\"name\": \"$stage\"" "$report_tmp/windowed.json" \
+        || { echo "windowed report lacks the $stage stage"; exit 1; }
+done
+grep -q '"core.graph_edges_kept": ' "$report_tmp/windowed.json" \
+    || { echo "windowed report lacks core.graph_edges_kept"; exit 1; }
+# --jobs does not change a windowed run: stdout and sidecar are identical.
+"$bwsa" analyze "$report_tmp/pgp.bwst" --window 500 --jobs 2 \
+    --emit-windows "$report_tmp/windows-j2.json" > "$report_tmp/windowed-j2.out"
+cmp "$report_tmp/windowed.out" "$report_tmp/windowed-j2.out"
+cmp "$report_tmp/windows.json" "$report_tmp/windows-j2.json"
 # Malformed --window values are usage errors (exit 2) before any I/O.
 if "$bwsa" analyze /no/such.bwst --window 0 2> /dev/null; then
     echo "--window 0 unexpectedly succeeded"; exit 1

@@ -240,9 +240,10 @@ serial run. Checkpointed streaming analysis is inherently sequential, so
 --window N analyzes the trace in online windows of N dynamic branches
 (Ni: N instructions), printing per-window working sets, conflict-graph
 deltas, phase-change signals, and incremental BHT re-coloring stability;
-the windows provably fold into the exact whole-trace answer. --emit-windows
-writes the per-window summaries as JSON. Windowed runs materialise the
-trace, so they reject --checkpoint/--resume.
+the windows provably fold into the exact whole-trace answer, computed in
+one serial pass, so --jobs does not change a windowed run's work.
+--emit-windows writes the per-window summaries as JSON. Windowed runs
+materialise the trace, so they reject --checkpoint/--resume.
 
 --retries/--max-seconds/--max-rss-mb run the analysis under supervision:
 failed workers are isolated and retried N times with backoff, a run over
@@ -250,7 +251,9 @@ the wall-clock deadline is cancelled cooperatively, and a run over the
 memory budget drops to the low-memory engine. A supervised run degrades
 gracefully (parallel -> serial -> streaming, recorded in the run report)
 and its result is bit-identical to an unsupervised run whenever any
-engine succeeds. Checkpoints rotate the previous good file to FILE.prev,
+engine succeeds. Streaming and windowed runs have no ladder to descend:
+--max-seconds bounds the whole run, and --retries/--max-rss-mb have
+nothing to act on. Checkpoints rotate the previous good file to FILE.prev,
 and --resume falls back to it when FILE is corrupt.
 
 --report json prints a versioned run report (stage wall times, counters,
@@ -1022,7 +1025,7 @@ fn window_spec(p: &Parsed) -> Result<Option<(WindowConfig, Option<String>)>, Cli
 
 /// The in-memory `analyze` path: a [`Session`] over the sharded parallel
 /// pipeline (bit-identical to serial for any worker count) plus the
-/// report printout.
+/// report printout; a windowed session answers with its windowed fold.
 fn analyze_in_memory(
     trace: &Trace,
     pipeline: &AnalysisPipeline,
@@ -1042,6 +1045,12 @@ fn analyze_in_memory(
     if let Some((config, _)) = windowing {
         session = session.with_windowing(*config);
     }
+    // A windowed run has no ladder to supervise: as on the streaming
+    // paths, only the deadline applies, observed at every window flush.
+    let _watchdog = supervisor
+        .and_then(|c| c.max_wall)
+        .filter(|_| windowing.is_some())
+        .map(|wall| watchdog::arm(Instant::now() + wall));
     let analysis = session.run().map_err(|e| runtime_err(e.to_string()))?;
     if !spec.json_only() {
         println!("{trace}");
@@ -1054,8 +1063,6 @@ fn analyze_in_memory(
         print_analysis(analysis, pipeline);
     }
     if let Some((config, emit)) = windowing {
-        // Computed before run_report so the report's v3 `windows`
-        // section reflects this run.
         let windowed = session.windowed().map_err(|e| runtime_err(e.to_string()))?;
         if !spec.json_only() {
             println!(

@@ -1,8 +1,9 @@
 //! Exit-code and output contract for `analyze --window`, exercised
 //! against the real binary: 2 on malformed/misused flags before any
 //! I/O, 0 with a `windows:` summary line on success, a valid JSON
-//! sidecar from `--emit-windows`, and a whole-trace summary that is
-//! byte-identical to the unwindowed run.
+//! sidecar from `--emit-windows`, a whole-trace summary that is
+//! byte-identical to the unwindowed run, and a typed timeout exit when
+//! the windowed replay outlives `--max-seconds`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -142,4 +143,32 @@ fn emit_windows_writes_parseable_json_with_one_entry_per_window() {
         bwsa::obs::json::Json::Array(items) => assert_eq!(items.len() as u64, count),
         other => panic!("windows is not an array: {other:?}"),
     }
+}
+
+#[test]
+fn a_slow_window_flush_is_cut_short_by_max_seconds() {
+    let path = fixture_trace("deadline", "bwst");
+    // Every flush stalls 50 ms and the trace has dozens of 100-branch
+    // windows, so only a deadline on the windowed replay itself stops the
+    // run within its 0.2 s budget.
+    let out = Command::new(env!("CARGO_BIN_EXE_bwsa"))
+        .args([
+            "analyze",
+            path.to_str().unwrap(),
+            "--threshold",
+            "3",
+            "--window",
+            "100",
+            "--max-seconds",
+            "0.2",
+        ])
+        .env("BWSA_FAILPOINTS", "core.window_flush=delay(50)")
+        .output()
+        .expect("bwsa binary runs");
+    assert_eq!(exit_code(&out), 1, "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("deadline exceeded") && err.contains("core.window_flush"),
+        "{err}"
+    );
 }
