@@ -10,9 +10,10 @@
 //! kind 2, CRC32 trailer; simulation checkpoints use kind 1, see
 //! [`bwsa_predictor::SimCheckpoint`]); [`StreamingAnalysis::load`] rebuilds
 //! the engine from it. Feeding the remaining records afterwards yields an
-//! [`Analysis`] bit-identical to an uninterrupted run: the recency index is
-//! the only state not serialised, and it is fully derivable from the
-//! latest-timestamp table.
+//! [`Analysis`] bit-identical to an uninterrupted run. The edge counts are
+//! saved merged, in increasing `(a, b)` order, and restored into the
+//! detector's spill table; the recency index is not saved at all, since
+//! it is fully derivable from the latest-timestamp table.
 
 use crate::error::CoreError;
 use crate::interleave::StreamingInterleave;
@@ -145,10 +146,9 @@ impl StreamingAnalysis {
             records_consumed,
             ..
         } = self;
-        let (builder, _table) = interleave.finish();
         pipeline.assemble(
             BranchProfile::from_parts(stats, records_consumed),
-            builder.build(),
+            interleave.detector.into_graph(),
             obs,
         )
     }
@@ -197,15 +197,16 @@ impl StreamingAnalysis {
             codec::put_varint(&mut buf, s.last_time.get());
         }
         // Latest stamp per branch; stamp+1 so 0 encodes "never executed".
-        codec::put_varint(&mut buf, self.interleave.last_stamp.len() as u64);
-        for stamp in &self.interleave.last_stamp {
+        let detector = &self.interleave.detector;
+        codec::put_varint(&mut buf, detector.last_stamps().len() as u64);
+        for stamp in detector.last_stamps() {
             codec::put_varint(&mut buf, stamp.map_or(0, |t| t + 1));
         }
-        // Accumulated interleave edges, sorted for a deterministic
-        // encoding (the builder stores them hashed).
-        let mut edges: Vec<(u32, u32, u64)> = self.interleave.builder.edges().collect();
-        edges.sort_unstable();
-        codec::put_varint(&mut buf, edges.len() as u64);
+        // Accumulated interleave edges in increasing (a, b) order, for a
+        // deterministic encoding.
+        let spill = detector.sorted_spill();
+        let edges = detector.sorted_edges(&spill);
+        codec::put_varint(&mut buf, edges.clone().count() as u64);
         for (a, b, w) in edges {
             codec::put_varint(&mut buf, u64::from(a));
             codec::put_varint(&mut buf, u64::from(b));

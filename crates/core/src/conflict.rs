@@ -1,7 +1,8 @@
 //! Step 2: the branch conflict graph and its threshold refinement
 //! (§4.1–4.2).
 
-use crate::{interleave_counts, CoreError};
+use crate::interleave::detect;
+use crate::CoreError;
 use bwsa_graph::ConflictGraph;
 use bwsa_trace::Trace;
 use serde::{Deserialize, Serialize};
@@ -72,8 +73,7 @@ impl ConflictAnalysis {
     /// Runs interleaving analysis (step 1) and thresholding (step 2) on a
     /// trace.
     pub fn of_trace(trace: &Trace, config: ConflictConfig) -> Self {
-        let raw = interleave_counts(trace).build();
-        Self::of_raw_graph(raw, config)
+        Self::of_raw_graph(detect(trace).into_graph(), config)
     }
 
     /// Thresholds an already-built raw interleave graph (used by the

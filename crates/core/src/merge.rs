@@ -27,8 +27,7 @@
 //!   checks exhaustively.
 
 use crate::conflict::{ConflictAnalysis, ConflictConfig};
-use crate::interleave::interleave_into;
-use crate::interleave_counts;
+use crate::interleave::{detect, Detector};
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use bwsa_graph::GraphBuilder;
 use bwsa_obs::Obs;
@@ -101,7 +100,7 @@ impl CumulativeProfile {
             })
             .collect();
         self.builder.ensure_nodes(self.table.len() as u32);
-        let local = interleave_counts(trace).build();
+        let local = detect(trace).into_graph();
         for (a, b, w) in local.iter_edges() {
             self.builder
                 .add_edge(remap[a as usize], remap[b as usize], w);
@@ -215,27 +214,27 @@ impl ShardDelta {
         carry: &ShardBoundary,
         records: impl Iterator<Item = (u32, u64, bool)>,
     ) -> Self {
-        let mut delta = Self::empty(nodes);
         let mut last_stamp = carry.stamps.clone();
         last_stamp.resize(nodes, None);
-        let stats = &mut delta.stats;
-        let counted = &mut delta.records;
-        interleave_into(
-            &mut delta.builder,
-            &mut last_stamp,
-            records.map(|(node, t, taken)| {
-                let s = &mut stats[node as usize];
-                if s.executions == 0 {
-                    s.first_time = t.into();
-                }
-                s.executions += 1;
-                s.taken += taken as u64;
-                s.last_time = t.into();
-                *counted += 1;
-                (node, t)
-            }),
-        );
-        delta
+        let mut detector = Detector::resume(last_stamp, GraphBuilder::new(nodes as u32));
+        let mut stats = vec![BranchStats::default(); nodes];
+        let mut counted = 0u64;
+        for (node, t, taken) in records {
+            let s = &mut stats[node as usize];
+            if s.executions == 0 {
+                s.first_time = t.into();
+            }
+            s.executions += 1;
+            s.taken += taken as u64;
+            s.last_time = t.into();
+            counted += 1;
+            detector.push(node, t);
+        }
+        ShardDelta {
+            builder: detector.into_builder(),
+            stats,
+            records: counted,
+        }
     }
 
     /// Folds a *later* shard's contribution onto this one.
@@ -290,6 +289,7 @@ impl ShardDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interleave_counts;
     use bwsa_trace::TraceBuilder;
 
     fn pair_trace(pc_a: u64, pc_b: u64, rounds: u64) -> Trace {

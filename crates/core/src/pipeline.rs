@@ -131,7 +131,7 @@ impl AnalysisPipeline {
         let raw = {
             let _span = obs.span("interleave");
             bwsa_resilience::failpoint!("core.interleave");
-            crate::interleave_counts(trace).build()
+            crate::interleave::detect(trace).into_graph()
         };
         self.assemble(profile, raw, obs)
     }

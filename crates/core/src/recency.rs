@@ -42,11 +42,6 @@ pub(crate) struct RecencyRing {
 }
 
 impl RecencyRing {
-    /// An empty index.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Rebuilds the index from per-branch latest stamps — the checkpoint
     /// resume path. Entry `(last_stamp[b], b)` exists for every executed
     /// branch, exactly the state an incremental run would hold.
@@ -69,17 +64,24 @@ impl RecencyRing {
         }
     }
 
-    /// Pushes every branch whose latest stamp is *strictly greater* than
-    /// `prev` — except `node` itself — into `hits`.
+    /// Whether any entry is stamped after `prev`: `false` proves that a
+    /// scan from `prev` finds nothing, as for a branch that re-executes
+    /// back to back.
+    pub(crate) fn any_after(&self, prev: u64) -> bool {
+        self.entries.last().is_some_and(|&(last, _)| last > prev)
+    }
+
+    /// Calls `visit` with every branch whose latest stamp is *strictly
+    /// greater* than `prev`, except `node` itself, in stamp order.
     ///
     /// Using a partition point instead of a `(prev + 1, _)..` range bound
     /// makes `prev == u64::MAX` a naturally empty scan rather than an
     /// integer overflow.
-    pub(crate) fn collect_after(&self, prev: u64, node: u32, hits: &mut Vec<u32>) {
+    pub(crate) fn for_each_after(&self, prev: u64, node: u32, mut visit: impl FnMut(u32)) {
         let start = self.entries.partition_point(|&(s, _)| s <= prev);
         for (i, &(_, b)) in self.entries.iter().enumerate().skip(start) {
             if b != node && self.slot[b as usize] == i {
-                hits.push(b);
+                visit(b);
             }
         }
     }
@@ -151,14 +153,14 @@ mod tests {
 
     fn hits(ring: &RecencyRing, prev: u64, node: u32) -> Vec<u32> {
         let mut v = Vec::new();
-        ring.collect_after(prev, node, &mut v);
+        ring.for_each_after(prev, node, |b| v.push(b));
         v.sort_unstable();
         v
     }
 
     #[test]
     fn scan_returns_strictly_later_live_branches() {
-        let mut r = RecencyRing::new();
+        let mut r = RecencyRing::default();
         r.record(0, 5);
         r.record(1, 10);
         r.record(2, 15);
@@ -169,7 +171,7 @@ mod tests {
 
     #[test]
     fn reexecution_supersedes_the_old_entry() {
-        let mut r = RecencyRing::new();
+        let mut r = RecencyRing::default();
         r.record(0, 5);
         r.record(1, 10);
         r.record(0, 20);
@@ -185,7 +187,7 @@ mod tests {
 
     #[test]
     fn max_stamp_scan_is_empty_not_overflowing() {
-        let mut r = RecencyRing::new();
+        let mut r = RecencyRing::default();
         r.record(0, u64::MAX);
         r.record(1, u64::MAX);
         assert_eq!(hits(&r, u64::MAX, 0), Vec::<u32>::new());
@@ -193,8 +195,19 @@ mod tests {
     }
 
     #[test]
+    fn any_after_is_false_only_when_the_scan_is_empty() {
+        let mut r = RecencyRing::default();
+        assert!(!r.any_after(0));
+        r.record(0, 5);
+        r.record(1, 9);
+        assert!(r.any_after(5));
+        assert!(!r.any_after(9), "the tail is the latest stamp");
+        assert_eq!(hits(&r, 9, 2), Vec::<u32>::new());
+    }
+
+    #[test]
     fn compaction_preserves_scan_results() {
-        let mut r = RecencyRing::new();
+        let mut r = RecencyRing::default();
         // Two branches alternating for long enough to trigger compaction
         // many times over.
         for i in 0..10_000u64 {
@@ -207,7 +220,7 @@ mod tests {
 
     #[test]
     fn out_of_order_insert_keeps_the_index_exact() {
-        let mut r = RecencyRing::new();
+        let mut r = RecencyRing::default();
         r.record(0, 10);
         r.record(1, 20);
         r.record(2, 30);
@@ -223,7 +236,7 @@ mod tests {
     fn from_stamps_matches_incremental_construction() {
         let stamps = vec![Some(7u64), None, Some(3), Some(7), None, Some(12)];
         let rebuilt = RecencyRing::from_stamps(&stamps);
-        let mut incremental = RecencyRing::new();
+        let mut incremental = RecencyRing::default();
         incremental.record(2, 3);
         incremental.record(0, 7);
         incremental.record(3, 7);

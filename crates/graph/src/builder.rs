@@ -13,17 +13,17 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Accumulates weighted undirected edges, then compiles them into an
 /// immutable CSR [`ConflictGraph`].
 ///
-/// Adding the same edge repeatedly sums the weights, which is exactly what
-/// the interleaving analysis needs: each detection event contributes one
-/// increment to the pair's interleave counter.
+/// Adding the same edge repeatedly sums the weights. The interleave
+/// detector counts most pairs in dense per-branch rows and keeps only the
+/// rest here, so the builder is mainly the merge currency: shard and
+/// window deltas fold into one, and [`GraphBuilder::merge`] combines them.
 ///
 /// Internally the edge map is an open-addressed flat table keyed by the
 /// packed canonical pair `(min << 32) | max`, with Fibonacci hashing,
-/// power-of-two capacity, and linear probing — one cache line per lookup
-/// on the interleave hot path instead of a `HashMap`'s SipHash plus
-/// bucket indirection. Iteration order is arbitrary either way;
-/// [`GraphBuilder::build`] sorts adjacency lists and checkpoint code
-/// sorts [`GraphBuilder::edges`], so no output changes.
+/// power-of-two capacity, and linear probing: one cache line per lookup
+/// instead of a `HashMap`'s SipHash plus bucket indirection. Iteration
+/// order is arbitrary; [`GraphBuilder::build`] sorts adjacency lists, so
+/// no output depends on it.
 ///
 /// # Example
 ///

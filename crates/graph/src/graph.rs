@@ -34,8 +34,71 @@ pub struct ConflictGraph {
 
 impl ConflictGraph {
     /// Builds the CSR form from any restartable `(a, b, weight)` edge
-    /// source with `a < b` — two passes: degree count, then fill.
+    /// source with `a < b`, in any order: the two-pass fill of
+    /// [`ConflictGraph::from_sorted_edges`], then a sort per node.
     pub(crate) fn from_edge_iter<I>(nodes: u32, edges: I) -> Self
+    where
+        I: Iterator<Item = (u32, u32, u64)> + Clone,
+    {
+        let n = nodes as usize;
+        let mut graph = Self::fill(nodes, edges);
+        // Sort each adjacency slice by neighbor id (weights stay parallel).
+        for node in 0..n {
+            let range = graph.offsets[node]..graph.offsets[node + 1];
+            let mut pairs: Vec<(u32, u64)> = graph.neighbors[range.clone()]
+                .iter()
+                .copied()
+                .zip(graph.weights[range.clone()].iter().copied())
+                .collect();
+            pairs.sort_unstable_by_key(|&(nb, _)| nb);
+            for (i, (nb, w)) in pairs.into_iter().enumerate() {
+                graph.neighbors[range.start + i] = nb;
+                graph.weights[range.start + i] = w;
+            }
+        }
+        graph
+    }
+
+    /// Builds the CSR form from a restartable source of `(a, b, weight)`
+    /// edges with `a < b`, yielded in increasing `(a, b)` order.
+    ///
+    /// Two passes, degree count then fill, and no sort: node `x` receives
+    /// its neighbors below `x` while the rows before it are filled, in
+    /// increasing order, then its neighbors above `x` from its own row,
+    /// so every adjacency slice comes out sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source breaks that order or repeats a pair, which
+    /// leaves some adjacency slice unsorted.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use bwsa_graph::ConflictGraph;
+    ///
+    /// let edges = [(0u32, 1u32, 4u64), (0, 2, 6), (1, 2, 1)];
+    /// let g = ConflictGraph::from_sorted_edges(3, edges.iter().copied());
+    /// assert_eq!(g.neighbors(2), &[0, 1]);
+    /// assert_eq!(g.edge_weight(2, 0), Some(6));
+    /// ```
+    pub fn from_sorted_edges<I>(nodes: u32, edges: I) -> Self
+    where
+        I: Iterator<Item = (u32, u32, u64)> + Clone,
+    {
+        let graph = Self::fill(nodes, edges);
+        for node in 0..nodes {
+            assert!(
+                graph.neighbors(node).windows(2).all(|w| w[0] < w[1]),
+                "edges are not in strictly increasing (a, b) order at node {node}"
+            );
+        }
+        graph
+    }
+
+    /// The two-pass CSR fill shared by both constructors: degree count,
+    /// then each edge written into both endpoints' slices in source order.
+    fn fill<I>(nodes: u32, edges: I) -> Self
     where
         I: Iterator<Item = (u32, u32, u64)> + Clone,
     {
@@ -65,48 +128,42 @@ impl ConflictGraph {
             weights[cb] = w;
             cursor[b as usize] += 1;
         }
-        // Sort each adjacency slice by neighbor id (weights stay parallel).
-        let mut graph = ConflictGraph {
+        ConflictGraph {
             offsets,
             neighbors,
             weights,
-        };
-        for node in 0..n {
-            let range = graph.offsets[node]..graph.offsets[node + 1];
-            let mut pairs: Vec<(u32, u64)> = graph.neighbors[range.clone()]
-                .iter()
-                .copied()
-                .zip(graph.weights[range.clone()].iter().copied())
-                .collect();
-            pairs.sort_unstable_by_key(|&(nb, _)| nb);
-            for (i, (nb, w)) in pairs.into_iter().enumerate() {
-                graph.neighbors[range.start + i] = nb;
-                graph.weights[range.start + i] = w;
-            }
         }
-        graph
     }
 
     /// The graph with only the edges `keep(a, b, weight)` accepts, asked
     /// with `a < b`: one linear pass over the CSR. Filtering an already
     /// sorted adjacency slice keeps it sorted, so nothing is re-sorted.
+    ///
+    /// The kept edges are counted first, so each array is allocated once
+    /// at its final size: reserving the source's size and shrinking
+    /// afterwards fragments the heap across the repeated filters of a
+    /// required-size search and raises peak RSS.
     fn filter_edges(&self, keep: impl Fn(u32, u32, u64) -> bool) -> ConflictGraph {
-        let mut graph = ConflictGraph {
-            offsets: vec![0],
-            neighbors: Vec::with_capacity(self.neighbors.len()),
-            weights: Vec::with_capacity(self.weights.len()),
+        let nodes = self.node_count() as u32;
+        let keep = &keep;
+        let kept = |a: u32| {
+            self.neighbor_weights(a)
+                .filter(move |&(b, w)| keep(a.min(b), a.max(b), w))
         };
-        for a in 0..self.node_count() as u32 {
-            for (b, w) in self.neighbor_weights(a) {
-                if keep(a.min(b), a.max(b), w) {
-                    graph.neighbors.push(b);
-                    graph.weights.push(w);
-                }
+        let total = (0..nodes).map(|a| kept(a).count()).sum();
+        let mut graph = ConflictGraph {
+            offsets: Vec::with_capacity(self.offsets.len()),
+            neighbors: Vec::with_capacity(total),
+            weights: Vec::with_capacity(total),
+        };
+        graph.offsets.push(0);
+        for a in 0..nodes {
+            for (b, w) in kept(a) {
+                graph.neighbors.push(b);
+                graph.weights.push(w);
             }
             graph.offsets.push(graph.neighbors.len());
         }
-        graph.neighbors.shrink_to_fit();
-        graph.weights.shrink_to_fit();
         graph
     }
 
@@ -340,6 +397,24 @@ mod tests {
         assert_eq!(g.degree(1), 0);
         assert_eq!(g.neighbors(1), &[] as &[u32]);
         assert_eq!(g.total_weight(), 0);
+    }
+
+    #[test]
+    fn sorted_edges_build_the_same_graph_without_sorting() {
+        let g = triangle_plus_tail();
+        let mut edges: Vec<_> = g.iter_edges().collect();
+        edges.sort_unstable();
+        assert_eq!(
+            ConflictGraph::from_sorted_edges(4, edges.iter().copied()),
+            g
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn unsorted_edges_are_rejected() {
+        let edges = [(1u32, 2u32, 1u64), (0, 2, 1)];
+        ConflictGraph::from_sorted_edges(3, edges.iter().copied());
     }
 
     #[test]

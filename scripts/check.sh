@@ -9,6 +9,11 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> kernel unit tests (bwsa-core and bwsa-graph --lib)"
+# One test thread until the failpoint registry is test-safe: its
+# process-global state leaks between unit tests running concurrently.
+cargo test -q -p bwsa-core -p bwsa-graph --lib -- --test-threads=1
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -95,7 +100,7 @@ else
     [ "$rc" -eq 2 ] || { echo "--window 0: expected exit 2, got $rc"; exit 1; }
 fi
 
-echo "==> columnar convert smoke (BWSS3 round-trip, analysis byte-identical)"
+echo "==> convert smoke (BWSS3 round-trip; analysis byte-identical across formats, jobs, resume)"
 convert_dir="$report_tmp/convert"
 mkdir -p "$convert_dir"
 "$bwsa" generate li --scale 0.01 -o "$convert_dir/li.bwst" > /dev/null
@@ -112,6 +117,24 @@ cmp "$convert_dir/bwst.out" "$convert_dir/bws3.out"
 "$bwsa" analyze "$convert_dir/li.bws3" --window 500 \
     --emit-windows "$convert_dir/bws3-windows.json" > /dev/null
 cmp "$convert_dir/bwst-windows.json" "$convert_dir/bws3-windows.json"
+# gcc at 0.1 (1026 static branches): BWST in memory, BWSS2 and BWSS3
+# streaming and a 2-job run print the same bytes, and so does a
+# checkpointed BWSS2 run and a run resumed from its rotated checkpoint.
+"$bwsa" generate gcc --scale 0.1 -o "$convert_dir/gcc.bwst" > /dev/null
+"$bwsa" convert "$convert_dir/gcc.bwst" "$convert_dir/gcc.bwss" > /dev/null
+"$bwsa" convert "$convert_dir/gcc.bwst" "$convert_dir/gcc.bws3" > /dev/null
+"$bwsa" analyze "$convert_dir/gcc.bwst" --jobs 1 > "$convert_dir/gcc.out"
+"$bwsa" analyze "$convert_dir/gcc.bwss" > "$convert_dir/gcc-bwss.out"
+"$bwsa" analyze "$convert_dir/gcc.bws3" > "$convert_dir/gcc-bws3.out"
+"$bwsa" analyze "$convert_dir/gcc.bwst" --jobs 2 > "$convert_dir/gcc-j2.out"
+"$bwsa" analyze "$convert_dir/gcc.bwss" --checkpoint "$convert_dir/gcc.ck" \
+    --checkpoint-every 4 > "$convert_dir/gcc-ck.out"
+[ -f "$convert_dir/gcc.ck.prev" ] || { echo "no rotated checkpoint"; exit 1; }
+"$bwsa" analyze "$convert_dir/gcc.bwss" --resume "$convert_dir/gcc.ck.prev" \
+    > "$convert_dir/gcc-resumed.out"
+for run in bwss bws3 j2 ck resumed; do
+    cmp "$convert_dir/gcc.out" "$convert_dir/gcc-$run.out"
+done
 
 echo "==> corpus smoke (manifest batch → fleet summary validates, order-invariant)"
 corpus_dir="$report_tmp/corpus"
