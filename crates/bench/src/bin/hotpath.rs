@@ -1,28 +1,24 @@
-//! Hot-path wall-time benchmark: the flat engines (monotonic recency
-//! ring, open-addressed edge table, fused predictor loop) against the
-//! frozen legacy replicas they replaced, over pinned-seed synthetic
-//! workloads at three trace sizes.
+//! Hot-path wall-time benchmark: the analysis engines and the fused
+//! predictor loop over pinned-seed synthetic workloads at three trace
+//! sizes.
 //!
 //! ```text
 //! cargo run --release -p bwsa-bench --bin hotpath -- \
-//!     [--iters N] [--quick] [--engine flat|legacy|both] [--out FILE]
+//!     [--iters N] [--quick] [--out FILE]
 //! cargo run --release -p bwsa-bench --bin hotpath -- --validate FILE
 //! ```
 //!
 //! Measures, per size (median of `--iters` runs, default 5):
 //!
-//! * `analysis_serial` — [`bwsa_core::interleave_counts`] + CSR build,
-//!   for both engines; this pair is the headline speedup.
-//! * `analysis_streaming` — record-by-record
-//!   [`bwsa_core::StreamingInterleave`] + build (flat only).
-//! * `analysis_parallel` — the full sharded pipeline at 2 workers
-//!   (flat only).
+//! * `analysis_serial` — [`bwsa_core::interleave_counts`] + CSR build.
+//! * `analysis_streaming` — the whole pipeline through a record-by-record
+//!   [`bwsa_core::StreamingAnalysis`].
+//! * `analysis_parallel` — the full sharded pipeline at 2 workers.
 //! * `analysis_windowed` — the online [`bwsa_core::WindowedAnalysis`]
-//!   engine at a 4096-branch reset interval (flat only); its checksum is
-//!   the final folded conflict-graph weight, which `--validate` checks
-//!   against `analysis_parallel` — same answer, different engine.
-//! * `pag_simulate` — the paper-baseline PAg over the trace: the fused
-//!   `observe` loop vs the legacy split predict/update loop.
+//!   engine at a 4096-branch reset interval; its checksum is the final
+//!   folded conflict-graph weight, which `--validate` checks against
+//!   `analysis_parallel` — same answer, different engine.
+//! * `pag_simulate` — the paper-baseline PAg over the trace.
 //!
 //! Each size also carries a `windowed` object (window count, re-colors,
 //! mean stability, phase changes) from the timed windowed run.
@@ -33,37 +29,18 @@
 //! checks every measurement has positive time and throughput (the CI
 //! smoke step).
 
-use bwsa_bench::legacy;
 use bwsa_core::{
-    analyze_parallel, AnalysisPipeline, ParallelConfig, StreamingInterleave, WindowConfig,
+    analyze_parallel, AnalysisPipeline, ParallelConfig, StreamingAnalysis, WindowConfig,
     WindowedAnalysis,
 };
 use bwsa_obs::json::Json;
-use bwsa_predictor::{simulate, BranchPredictor, Pag};
-use bwsa_trace::Trace;
+use bwsa_predictor::{simulate, Pag};
 use bwsa_workload::suite::{Benchmark, InputSet};
 use std::time::Instant;
-
-#[derive(Clone, Copy, PartialEq)]
-enum Engine {
-    Flat,
-    Legacy,
-    Both,
-}
-
-impl Engine {
-    fn runs_flat(self) -> bool {
-        self != Engine::Legacy
-    }
-    fn runs_legacy(self) -> bool {
-        self != Engine::Flat
-    }
-}
 
 struct Args {
     iters: usize,
     quick: bool,
-    engine: Engine,
     out: Option<String>,
     validate: Option<String>,
 }
@@ -72,7 +49,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         iters: 5,
         quick: false,
-        engine: Engine::Both,
         out: None,
         validate: None,
     };
@@ -87,15 +63,6 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--quick" => args.quick = true,
-            "--engine" => {
-                let v = it.next().ok_or("--engine needs a value")?;
-                args.engine = match v.as_str() {
-                    "flat" => Engine::Flat,
-                    "legacy" => Engine::Legacy,
-                    "both" => Engine::Both,
-                    other => return Err(format!("unknown engine {other:?}")),
-                };
-            }
             "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
             "--validate" => args.validate = Some(it.next().ok_or("--validate needs a path")?),
             other => return Err(format!("unknown argument {other:?}")),
@@ -104,10 +71,10 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// One timed measurement: median wall time over `iters` runs of `f`,
-/// which returns a checksum kept in the output so the work cannot be
-/// optimised away.
-fn measure(iters: usize, branches: u64, mut f: impl FnMut() -> u64) -> Json {
+/// One timed measurement named `label`: median wall time over `iters`
+/// runs of `f`, which returns a checksum kept in the output so the work
+/// cannot be optimised away.
+fn measure(label: &str, iters: usize, branches: u64, mut f: impl FnMut() -> u64) -> Json {
     let mut times: Vec<u128> = Vec::with_capacity(iters);
     let mut checksum = 0u64;
     for _ in 0..iters {
@@ -119,30 +86,11 @@ fn measure(iters: usize, branches: u64, mut f: impl FnMut() -> u64) -> Json {
     let median_ns = times[times.len() / 2].max(1) as u64;
     let throughput = branches as f64 * 1e9 / median_ns as f64;
     Json::object([
+        ("name", Json::from(label)),
         ("median_ns", Json::from(median_ns)),
         ("throughput_branches_per_sec", Json::from(throughput)),
         ("checksum", Json::from(checksum)),
     ])
-}
-
-fn median_ns(measurement: &Json) -> u64 {
-    measurement
-        .get("median_ns")
-        .and_then(Json::as_u64)
-        .expect("measurement has median_ns")
-}
-
-/// The legacy simulation loop: split predict-then-update calls, exactly
-/// what `simulate` did before the fused `observe` path.
-fn simulate_split(predictor: &mut Pag, trace: &Trace) -> u64 {
-    let mut mispredictions = 0u64;
-    for (id, rec) in trace.indexed_records() {
-        if predictor.predict(rec.pc, id) != rec.direction {
-            mispredictions += 1;
-        }
-        predictor.update(rec.pc, id, rec.direction);
-    }
-    mispredictions
 }
 
 fn bench_size(name: &str, bench: Benchmark, scale: f64, args: &Args) -> Json {
@@ -152,144 +100,61 @@ fn bench_size(name: &str, bench: Benchmark, scale: f64, args: &Args) -> Json {
         "[{name}] {}@{scale}: {branches} dynamic branches",
         bench.name()
     );
-    let mut measurements: Vec<Json> = Vec::new();
-    let mut push = |label: &str, engine: &str, m: Json| {
-        measurements.push(Json::object([
-            ("name", Json::from(label)),
-            ("engine", Json::from(engine)),
-            ("median_ns", m.get("median_ns").expect("median").clone()),
-            (
-                "throughput_branches_per_sec",
-                m.get("throughput_branches_per_sec")
-                    .expect("throughput")
-                    .clone(),
-            ),
-            ("checksum", m.get("checksum").expect("checksum").clone()),
-        ]));
-    };
-
-    if args.engine.runs_flat() {
-        push(
-            "analysis_serial",
-            "flat",
-            measure(args.iters, branches, || {
-                let g = bwsa_core::interleave_counts(&trace).build();
-                g.total_weight() ^ g.edge_count() as u64
-            }),
-        );
-    }
-    if args.engine.runs_legacy() {
-        push(
-            "analysis_serial",
-            "legacy",
-            measure(args.iters, branches, || {
-                let g = legacy::interleave_counts(&trace).build();
-                g.total_weight() ^ g.edge_count() as u64
-            }),
-        );
-    }
-    if args.engine.runs_flat() {
-        push(
-            "analysis_streaming",
-            "flat",
-            measure(args.iters, branches, || {
-                let mut engine = StreamingInterleave::new();
-                for rec in trace.records() {
-                    engine.push(rec);
-                }
-                let g = engine.finish().0.build();
-                g.total_weight() ^ g.edge_count() as u64
-            }),
-        );
-        push(
-            "analysis_parallel",
-            "flat",
-            measure(args.iters, branches, || {
-                let analysis = analyze_parallel(
-                    &AnalysisPipeline::new(),
-                    &trace,
-                    &ParallelConfig::with_jobs(2),
-                );
-                analysis.conflict.graph.total_weight()
-            }),
-        );
-        push(
-            "pag_simulate",
-            "flat",
-            measure(args.iters, branches, || {
-                simulate(&mut Pag::paper_baseline(), &trace).mispredictions
-            }),
-        );
-    }
+    let iters = args.iters;
+    let mut measurements = vec![
+        measure("analysis_serial", iters, branches, || {
+            let g = bwsa_core::interleave_counts(&trace).build();
+            g.total_weight() ^ g.edge_count() as u64
+        }),
+        measure("analysis_streaming", iters, branches, || {
+            let mut engine = StreamingAnalysis::new(&trace.meta().name);
+            for rec in trace.records() {
+                engine.push(rec);
+            }
+            let analysis = engine.finish(&AnalysisPipeline::new());
+            analysis.conflict.graph.total_weight()
+        }),
+        measure("analysis_parallel", iters, branches, || {
+            let analysis = analyze_parallel(
+                &AnalysisPipeline::new(),
+                &trace,
+                &ParallelConfig::with_jobs(2),
+            );
+            analysis.conflict.graph.total_weight()
+        }),
+        measure("pag_simulate", iters, branches, || {
+            simulate(&mut Pag::paper_baseline(), &trace).mispredictions
+        }),
+    ];
     // Online windowed engine at a 4096-branch reset interval (shrunk
     // under --quick so small smoke traces still flush several windows).
     // Checksum is the folded conflict-graph weight: identical work to
     // analysis_parallel, so --validate cross-checks the two engines.
-    let mut windowed_stats: Option<Json> = None;
-    if args.engine.runs_flat() {
-        let interval = if args.quick { 256 } else { 4096 };
-        let config = WindowConfig::branches(interval).expect("nonzero interval");
-        push(
-            "analysis_windowed",
-            "flat",
-            measure(args.iters, branches, || {
-                let mut engine = WindowedAnalysis::new(config, AnalysisPipeline::new());
-                for (id, rec) in trace.indexed_records() {
-                    engine.push(id.as_u32(), rec.time.get(), rec.is_taken());
-                }
-                let result = engine.finish();
-                windowed_stats = Some(Json::object([
-                    ("interval", Json::from(interval)),
-                    ("windows", Json::from(result.windows.len() as u64)),
-                    ("recolors", Json::from(result.recolors)),
-                    ("mean_stability", Json::from(result.mean_stability)),
-                    ("phase_changes", Json::from(result.phase_changes)),
-                ]));
-                result.analysis.conflict.graph.total_weight()
-            }),
-        );
-    }
-    if args.engine.runs_legacy() {
-        push(
-            "pag_simulate",
-            "legacy",
-            measure(args.iters, branches, || {
-                simulate_split(&mut Pag::paper_baseline(), &trace)
-            }),
-        );
-    }
-
-    let mut fields = vec![
-        ("name".to_string(), Json::from(name)),
-        (
-            "workload".to_string(),
-            Json::from(format!("{}@{scale}", bench.name())),
-        ),
-        ("branches".to_string(), Json::from(branches)),
-        (
-            "measurements".to_string(),
-            Json::Array(measurements.clone()),
-        ),
-    ];
-    if let Some(stats) = windowed_stats {
-        fields.push(("windowed".to_string(), stats));
-    }
-    // With both engines present, report legacy/flat speedups.
-    if args.engine == Engine::Both {
-        for metric in ["analysis_serial", "pag_simulate"] {
-            let of = |engine: &str| {
-                measurements.iter().find(|m| {
-                    m.get("name").and_then(Json::as_str) == Some(metric)
-                        && m.get("engine").and_then(Json::as_str) == Some(engine)
-                })
-            };
-            if let (Some(flat), Some(legacy)) = (of("flat"), of("legacy")) {
-                let speedup = median_ns(legacy) as f64 / median_ns(flat) as f64;
-                fields.push((format!("speedup_{metric}"), Json::from(speedup)));
-            }
+    let interval = if args.quick { 256 } else { 4096 };
+    let config = WindowConfig::branches(interval).expect("nonzero interval");
+    let mut windowed_stats = Json::Null;
+    measurements.push(measure("analysis_windowed", iters, branches, || {
+        let mut engine = WindowedAnalysis::new(config, AnalysisPipeline::new());
+        for (id, rec) in trace.indexed_records() {
+            engine.push(id.as_u32(), rec.time.get(), rec.is_taken());
         }
-    }
-    Json::Object(fields)
+        let result = engine.finish();
+        windowed_stats = Json::object([
+            ("interval", Json::from(interval)),
+            ("windows", Json::from(result.windows.len() as u64)),
+            ("recolors", Json::from(result.recolors)),
+            ("mean_stability", Json::from(result.mean_stability)),
+            ("phase_changes", Json::from(result.phase_changes)),
+        ]);
+        result.analysis.conflict.graph.total_weight()
+    }));
+    Json::object([
+        ("name", Json::from(name)),
+        ("workload", Json::from(format!("{}@{scale}", bench.name()))),
+        ("branches", Json::from(branches)),
+        ("measurements", Json::Array(measurements)),
+        ("windowed", windowed_stats),
+    ])
 }
 
 /// Validates a previously written report: schema tag, and positive time
@@ -389,10 +254,7 @@ fn main() {
         Ok(args) => args,
         Err(msg) => {
             eprintln!("error: {msg}");
-            eprintln!(
-                "usage: hotpath [--iters N] [--quick] [--engine flat|legacy|both] \
-                 [--out FILE] | --validate FILE"
-            );
+            eprintln!("usage: hotpath [--iters N] [--quick] [--out FILE] | --validate FILE");
             std::process::exit(2);
         }
     };

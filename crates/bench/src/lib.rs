@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod legacy;
 pub mod paper;
 pub mod text;
 
@@ -132,34 +131,12 @@ where
     T: Send,
     F: Fn(I) -> T + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let mut results: Vec<Option<T>> = items.iter().map(|_| None).collect();
-    let max = jobs.unwrap_or_else(|| {
+    let jobs = jobs.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
     });
-    let chunk_size = (items.len() + max - 1) / max.max(1);
-    let mut work: Vec<(&mut Option<T>, I)> =
-        results.iter_mut().zip(items.iter().copied()).collect();
-    crossbeam::thread::scope(|scope| {
-        for chunk in work.chunks_mut(chunk_size) {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (slot, item) in chunk.iter_mut() {
-                    **slot = Some(f(*item));
-                }
-            });
-        }
-    })
-    .expect("worker panicked");
-    drop(work);
-    results
-        .into_iter()
-        .map(|r| r.expect("all slots filled"))
-        .collect()
+    bwsa_core::parallel_map(items.to_vec(), jobs, |_, item| f(item))
 }
 
 #[cfg(test)]

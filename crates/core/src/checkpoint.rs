@@ -16,11 +16,12 @@
 //! it is fully derivable from the latest-timestamp table.
 
 use crate::error::CoreError;
-use crate::interleave::StreamingInterleave;
+use crate::interleave::Accumulator;
+use crate::merge::ShardDelta;
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use bwsa_graph::GraphBuilder;
 use bwsa_trace::codec::{self, Cursor};
-use bwsa_trace::profile::{BranchProfile, BranchStats};
+use bwsa_trace::profile::BranchStats;
 use bwsa_trace::{BranchRecord, BranchTable, TraceError};
 
 /// Magic prefix shared by all checkpoint files in the workspace.
@@ -63,9 +64,9 @@ pub const CHECKPOINT_KIND_ANALYSIS: u8 = 2;
 #[derive(Debug, Clone)]
 pub struct StreamingAnalysis {
     trace_name: String,
-    interleave: StreamingInterleave,
-    stats: Vec<BranchStats>,
-    records_consumed: u64,
+    /// The pc interner: ids in first-appearance order.
+    table: BranchTable,
+    acc: Accumulator,
 }
 
 impl StreamingAnalysis {
@@ -73,9 +74,8 @@ impl StreamingAnalysis {
     pub fn new(trace_name: impl Into<String>) -> Self {
         StreamingAnalysis {
             trace_name: trace_name.into(),
-            interleave: StreamingInterleave::new(),
-            stats: Vec::new(),
-            records_consumed: 0,
+            table: BranchTable::new(),
+            acc: Accumulator::new(0),
         }
     }
 
@@ -86,30 +86,19 @@ impl StreamingAnalysis {
 
     /// Dynamic branches consumed so far.
     pub fn records_consumed(&self) -> u64 {
-        self.records_consumed
+        self.acc.records
     }
 
     /// Distinct static branches seen so far.
     pub fn static_branch_count(&self) -> usize {
-        self.interleave.branch_count()
+        self.table.len()
     }
 
-    /// Consumes one dynamic branch record, updating the interleave engine
-    /// and the per-branch statistics exactly as
-    /// [`bwsa_trace::profile::BranchProfile::from_trace`] would.
+    /// Consumes one dynamic branch record: interns its pc and counts it
+    /// exactly as [`AnalysisPipeline::run_observed`] counts a trace's.
     pub fn push(&mut self, rec: &BranchRecord) {
-        let id = self.interleave.push(rec);
-        if id.index() >= self.stats.len() {
-            self.stats.resize(id.index() + 1, BranchStats::default());
-        }
-        let s = &mut self.stats[id.index()];
-        if s.executions == 0 {
-            s.first_time = rec.time;
-        }
-        s.executions += 1;
-        s.taken += rec.is_taken() as u64;
-        s.last_time = rec.time;
-        self.records_consumed += 1;
+        let id = self.table.intern(rec.pc);
+        self.acc.push(id.as_u32(), rec.time.get(), rec.is_taken());
     }
 
     /// Drains a fallible record source (e.g. a
@@ -140,17 +129,7 @@ impl StreamingAnalysis {
     /// counters reported into `obs`. The result is bit-identical either
     /// way.
     pub fn finish_observed(self, pipeline: &AnalysisPipeline, obs: &bwsa_obs::Obs) -> Analysis {
-        let StreamingAnalysis {
-            interleave,
-            stats,
-            records_consumed,
-            ..
-        } = self;
-        pipeline.assemble(
-            BranchProfile::from_parts(stats, records_consumed),
-            interleave.detector.into_graph(),
-            obs,
-        )
+        self.acc.into_analysis(pipeline, obs)
     }
 
     /// [`StreamingAnalysis::save`] with the serialisation time recorded
@@ -181,23 +160,23 @@ impl StreamingAnalysis {
         buf.push(CHECKPOINT_KIND_ANALYSIS);
         codec::put_varint(&mut buf, self.trace_name.len() as u64);
         buf.extend_from_slice(self.trace_name.as_bytes());
-        codec::put_varint(&mut buf, self.records_consumed);
+        codec::put_varint(&mut buf, self.acc.records);
         // Interned pcs in id order — interning them again in this order
         // reproduces the table.
-        codec::put_varint(&mut buf, self.interleave.table.len() as u64);
-        for (_, pc) in self.interleave.table.iter() {
+        codec::put_varint(&mut buf, self.table.len() as u64);
+        for (_, pc) in self.table.iter() {
             codec::put_varint(&mut buf, pc.addr());
         }
         // Per-branch statistics, parallel to the table.
-        codec::put_varint(&mut buf, self.stats.len() as u64);
-        for s in &self.stats {
+        codec::put_varint(&mut buf, self.acc.stats.len() as u64);
+        for s in &self.acc.stats {
             codec::put_varint(&mut buf, s.executions);
             codec::put_varint(&mut buf, s.taken);
             codec::put_varint(&mut buf, s.first_time.get());
             codec::put_varint(&mut buf, s.last_time.get());
         }
         // Latest stamp per branch; stamp+1 so 0 encodes "never executed".
-        let detector = &self.interleave.detector;
+        let detector = &self.acc.detector;
         codec::put_varint(&mut buf, detector.last_stamps().len() as u64);
         for stamp in detector.last_stamps() {
             codec::put_varint(&mut buf, stamp.map_or(0, |t| t + 1));
@@ -343,11 +322,15 @@ impl StreamingAnalysis {
                 cur.remaining()
             )));
         }
+        let counted = ShardDelta {
+            builder,
+            stats,
+            records: records_consumed,
+        };
         Ok(StreamingAnalysis {
             trace_name,
-            interleave: StreamingInterleave::from_parts(table, builder, last_stamp),
-            stats,
-            records_consumed,
+            table,
+            acc: Accumulator::resume(last_stamp, counted),
         })
     }
 }
@@ -369,8 +352,16 @@ mod tests {
         b.finish()
     }
 
-    fn run_streaming(trace: &Trace, split: usize) -> Analysis {
-        let pipeline = AnalysisPipeline::new();
+    /// Threshold 1 keeps every edge, so an analysis' graph is its raw
+    /// graph and equal analyses have equal interleave counts.
+    fn keep_all() -> AnalysisPipeline {
+        AnalysisPipeline {
+            conflict: crate::ConflictConfig::with_threshold(1).unwrap(),
+            ..AnalysisPipeline::new()
+        }
+    }
+
+    fn run_streaming(trace: &Trace, split: usize, pipeline: &AnalysisPipeline) -> Analysis {
         let mut first = StreamingAnalysis::new(&trace.meta().name);
         for r in &trace.records()[..split] {
             first.push(r);
@@ -382,16 +373,76 @@ mod tests {
         for r in &trace.records()[split..] {
             resumed.push(r);
         }
-        resumed.finish(&pipeline)
+        resumed.finish(pipeline)
     }
 
     #[test]
     fn checkpointed_run_matches_in_memory_pipeline_at_any_split() {
         let trace = busy_trace(800);
-        let expected = AnalysisPipeline::new().run_observed(&trace, &bwsa_obs::Obs::noop());
+        let pipeline = AnalysisPipeline::new();
+        let expected = pipeline.run_observed(&trace, &bwsa_obs::Obs::noop());
         for split in [0, 1, 399, 400, 799, 800] {
-            assert_eq!(run_streaming(&trace, split), expected, "split {split}");
+            assert_eq!(
+                run_streaming(&trace, split, &pipeline),
+                expected,
+                "split {split}"
+            );
         }
+    }
+
+    #[test]
+    fn suspended_and_resumed_engine_matches_straight_run() {
+        let mut t = TraceBuilder::new("resume");
+        let pcs = [0xa, 0xb, 0xa, 0xc, 0xb, 0xa, 0xd, 0xc, 0xa, 0xb, 0xc, 0xd];
+        for (i, pc) in pcs.into_iter().enumerate() {
+            t.record(pc, i % 2 == 0, (i as u64 + 1) * 3);
+        }
+        let trace = t.finish();
+        let expected = keep_all().run_observed(&trace, &bwsa_obs::Obs::noop());
+        assert!(expected.conflict.graph.edge_count() > 0);
+        for split in 0..=trace.len() {
+            assert_eq!(
+                run_streaming(&trace, split, &keep_all()),
+                expected,
+                "split at {split}"
+            );
+        }
+    }
+
+    #[test]
+    fn streaming_push_handles_max_stamp_reexecution() {
+        let mut a = StreamingAnalysis::new("max");
+        for (pc, t) in [(0xa, u64::MAX), (0xb, u64::MAX), (0xa, u64::MAX)] {
+            a.push(&BranchRecord::from_raw(pc, true, t));
+        }
+        let analysis = a.finish(&keep_all());
+        assert_eq!(
+            analysis.conflict.raw_edge_count, 0,
+            "equal stamps never interleave"
+        );
+        assert_eq!(analysis.profile.total_dynamic(), 3);
+    }
+
+    #[test]
+    fn streaming_from_stream_reader_roundtrip() {
+        use bwsa_trace::stream::{StreamReader, StreamWriter};
+        let mut t = TraceBuilder::new("s");
+        for i in 0..500u64 {
+            t.record(0x100 + (i % 5) * 4, i % 3 == 0, i + 1);
+        }
+        let trace = t.finish();
+        let mut buf = Vec::new();
+        let mut w = StreamWriter::new(&mut buf, "s").unwrap();
+        for r in trace.records() {
+            w.push(*r).unwrap();
+        }
+        w.finish(0).unwrap();
+        let mut a = StreamingAnalysis::new("s");
+        a.consume(StreamReader::new(&buf[..]).unwrap()).unwrap();
+        assert_eq!(
+            a.finish(&keep_all()),
+            keep_all().run_observed(&trace, &bwsa_obs::Obs::noop())
+        );
     }
 
     #[test]

@@ -14,18 +14,16 @@
 //!
 //! [`analyze_columnar_stream`] is the constant-memory alternative: it
 //! walks blocks through [`bwsa_trace::columnar::BlockDecoder`]'s
-//! reusable SoA scratch and feeds the flat engines record by record,
-//! never materialising the trace.
+//! reusable SoA scratch and feeds their columns to the record
+//! accumulator, never materialising the trace.
 
-use crate::checkpoint::StreamingAnalysis;
+use crate::interleave::Accumulator;
 use crate::parallel::parallel_map;
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use bwsa_obs::Obs;
-use bwsa_trace::columnar::{BlockDecoder, ColumnarFile};
+use bwsa_trace::columnar::{ColumnarFile, FirstSeen, Footer};
 use bwsa_trace::stream::{RecoveryPolicy, SalvageReport};
-use bwsa_trace::{
-    BranchId, BranchRecord, BranchTable, Direction, InstrCount, Pc, Trace, TraceError, TraceMeta,
-};
+use bwsa_trace::{BranchId, BranchRecord, BranchTable, Pc, Trace, TraceError, TraceMeta};
 use std::ops::Range;
 
 /// Record count below which [`decode_columnar`] decodes serially even
@@ -80,9 +78,11 @@ pub fn plan_block_shards(blocks: &[(u64, u32)], shards: usize) -> Vec<Range<usiz
 /// over `jobs` workers when the footer's block index allows it.
 ///
 /// Footerless (torn) files and `jobs <= 1` fall back to the serial
-/// decoder under the given policy; the parallel path requires an intact
-/// footer and is strict per block (a corrupt block fails the decode, as
-/// serial strict would). The result is identical to
+/// decoder under the given policy. The parallel path requires an intact
+/// footer and decodes every block strictly: a damaged block fails a
+/// strict decode, as the serial decoder would, and sends a salvage
+/// decode back to the serial decoder, which skips the damaged blocks and
+/// renumbers the surviving branches. The result is identical to
 /// [`bwsa_trace::columnar::read_columnar`] for every job count.
 ///
 /// # Errors
@@ -105,6 +105,18 @@ pub fn decode_columnar(
     if jobs <= 1 || footer.blocks.len() < 2 || footer.record_count < PARALLEL_DECODE_MIN_RECORDS {
         return file.decode(policy);
     }
+    match decode_in_parallel(&file, footer, jobs) {
+        Err(_) if policy == RecoveryPolicy::Salvage => file.decode(policy),
+        decoded => decoded,
+    }
+}
+
+/// The strict block-parallel decode of a file with an intact footer.
+fn decode_in_parallel(
+    file: &ColumnarFile<'_>,
+    footer: &Footer,
+    jobs: usize,
+) -> Result<(Trace, SalvageReport), TraceError> {
     let plan = plan_block_shards(&footer.blocks, jobs);
     let decoded = parallel_map(plan, jobs, |_, range| {
         let span: usize = footer.blocks[range.clone()]
@@ -144,7 +156,11 @@ pub fn decode_columnar(
 
 /// Runs the full analysis pipeline over a `BWSS3` buffer block-at-a-time
 /// without materialising the trace: each block is decoded into reusable
-/// SoA scratch and its records stream straight into the flat engines.
+/// SoA scratch and its id, time and taken columns go straight into the
+/// record accumulator. No per-record struct is built and no pc is
+/// hashed: ids are renumbered by first appearance ([`FirstSeen`]), which
+/// is the writer's own numbering on an undamaged file and the numbering
+/// of a trace of the surviving records after a dropped block.
 ///
 /// Memory stays bounded by one block plus the engine state. The result
 /// is bit-identical to decoding the whole trace and running
@@ -162,61 +178,16 @@ pub fn analyze_columnar_stream(
     obs: &Obs,
 ) -> Result<(Analysis, SalvageReport), TraceError> {
     let file = ColumnarFile::parse(bytes)?;
-    if policy == RecoveryPolicy::Strict && file.footer().is_none() {
-        return Err(TraceError::format(
-            "torn columnar file: footer missing or corrupt (retry with salvage)",
-        ));
-    }
-    let mut report = SalvageReport::default();
-    let mut analysis = StreamingAnalysis::new(file.name());
-    let mut decoder = BlockDecoder::new(&file);
-    let mut last_time = 0u64;
-    loop {
-        match decoder.next_block() {
-            Ok(None) => break,
-            Ok(Some(view)) => {
-                if view.times.first().is_some_and(|&first| first < last_time) {
-                    let e = TraceError::Corrupt {
-                        chunk: decoder.blocks_seen() - 1,
-                        reason: "out-of-order block".into(),
-                    };
-                    if policy == RecoveryPolicy::Strict {
-                        return Err(e);
-                    }
-                    report.chunks_dropped += 1;
-                    if report.first_error.is_none() {
-                        report.first_error = Some(e.to_string());
-                    }
-                    continue;
-                }
-                last_time = view.times.last().copied().unwrap_or(last_time);
-                report.chunks_ok += 1;
-                report.records_recovered += view.ids.len() as u64;
-                for ((&id, &taken), &time) in view.ids.iter().zip(view.taken).zip(view.times) {
-                    analysis.push(&BranchRecord::new(
-                        Pc::new(view.pcs[id as usize]),
-                        Direction::from_taken(taken),
-                        InstrCount::new(time),
-                    ));
-                }
-            }
-            Err(e) => {
-                if policy == RecoveryPolicy::Strict {
-                    return Err(e);
-                }
-                report.chunks_dropped += 1;
-                if report.first_error.is_none() {
-                    report.first_error = Some(e.to_string());
-                }
-                if !decoder.can_continue() {
-                    break;
-                }
-            }
+    let mut acc = Accumulator::new(0);
+    let mut first_seen = FirstSeen::default();
+    let (report, _) = file.walk(policy, |view| {
+        for ((&id, &taken), &time) in view.ids.iter().zip(view.taken).zip(view.times) {
+            acc.push(first_seen.id(id), time, taken);
         }
-    }
+    })?;
     obs.add("trace.records_read", report.records_recovered);
     obs.add("trace.chunks_ok", report.chunks_ok);
-    Ok((analysis.finish_observed(pipeline, obs), report))
+    Ok((acc.into_analysis(pipeline, obs), report))
 }
 
 #[cfg(test)]
@@ -322,6 +293,73 @@ mod tests {
         }
         let expected = pipeline.run_observed(&b.finish(), &Obs::noop());
         assert_eq!(streamed, expected);
+    }
+
+    /// `n` records in blocks of `block`, five branches cycling, where
+    /// block `victim` holds the only records of one branch and the first
+    /// of another that runs again every 50 records afterwards. Returns
+    /// the file with that block's payload damaged, and the trace of the
+    /// records that survive it.
+    fn damaged_middle_block(n: u64, block: u64, victim: u64) -> (Vec<u8>, Trace) {
+        let mut all = TraceBuilder::new("remap");
+        let mut survivors = TraceBuilder::new("remap");
+        for i in 0..n {
+            let in_victim = i / block == victim;
+            let pc = match i % block {
+                0 if in_victim => 0x9000,
+                1 if in_victim => 0x9004,
+                _ if i / block > victim && i % 50 == 0 => 0x9004,
+                _ => 0x4000 + (i * 7 % 5) * 4,
+            };
+            all.record(pc, i % 3 == 0, 2 * i + 1);
+            if !in_victim {
+                survivors.record(pc, i % 3 == 0, 2 * i + 1);
+            }
+        }
+        let mut buf = encode(&all.finish(), block as usize);
+        let offset = ColumnarFile::parse(&buf).unwrap().footer().unwrap().blocks[victim as usize].0;
+        buf[offset as usize + 40] ^= 0x40; // a payload byte: the block CRC fails
+        (buf, survivors.finish())
+    }
+
+    #[test]
+    fn a_dropped_block_renumbers_the_surviving_branches_by_first_appearance() {
+        let (buf, survivors) = damaged_middle_block(3000, 256, 4);
+        let pipeline = AnalysisPipeline {
+            conflict: crate::ConflictConfig::with_threshold(2).unwrap(),
+            ..AnalysisPipeline::new()
+        };
+        let expected = pipeline.run_observed(&survivors, &Obs::noop());
+        let (streamed, report) =
+            analyze_columnar_stream(&pipeline, &buf, RecoveryPolicy::Salvage, &Obs::noop())
+                .unwrap();
+        assert_eq!(report.chunks_dropped, 1);
+        assert_eq!(
+            streamed.conflict.graph.node_count(),
+            survivors.static_branch_count()
+        );
+        assert_eq!(streamed, expected);
+        // The in-memory decode numbers the survivors the same way.
+        let (decoded, _) = read_columnar(&buf, RecoveryPolicy::Salvage).unwrap();
+        assert_eq!(decoded.records(), survivors.records());
+        assert_eq!(decoded.record_ids(), survivors.record_ids());
+        assert_eq!(decoded.table(), survivors.table());
+        assert_eq!(pipeline.run_observed(&decoded, &Obs::noop()), expected);
+    }
+
+    #[test]
+    fn parallel_salvage_of_a_damaged_block_falls_back_to_serial_salvage() {
+        let (buf, survivors) = damaged_middle_block(PARALLEL_DECODE_MIN_RECORDS + 4096, 4096, 5);
+        assert!(decode_columnar(&buf, RecoveryPolicy::Strict, 2).is_err());
+        let serial = read_columnar(&buf, RecoveryPolicy::Salvage).unwrap();
+        let (parallel, report) = decode_columnar(&buf, RecoveryPolicy::Salvage, 2).unwrap();
+        assert_eq!(report, serial.1);
+        assert_eq!(report.chunks_dropped, 1);
+        assert_eq!(parallel, serial.0);
+        assert_eq!(
+            parallel.static_branch_count(),
+            survivors.static_branch_count()
+        );
     }
 
     #[test]

@@ -7,14 +7,17 @@
 //! then, and each such pair's interleave counter is incremented once — the
 //! paper's Figure 1 procedure, verbatim.
 //!
-//! One kernel, `Detector`, runs the procedure for every engine: the
-//! serial pipeline, [`StreamingInterleave`] (BWSS2 and BWSS3 streaming,
-//! checkpoint/resume), and the parallel shards and window flushes of
-//! [`crate::merge::ShardDelta`]. It finds the branches to credit with a
-//! recency index of `(latest timestamp, branch)` pairs (`RecencyRing`):
-//! a binary search plus a scan over exactly the branches involved,
-//! `O(k + log n)` per dynamic branch where `k` is the instantaneous
-//! working-set size, the very quantity the paper shows stays small.
+//! One kernel, `Detector`, runs the procedure for every engine. The
+//! serial pipeline drives it directly; every engine fed one record at a
+//! time (BWSS2 and BWSS3 streaming, checkpoint/resume, the supervisor's
+//! streaming rung, the parallel shards and window flushes of
+//! [`crate::merge::ShardDelta`]) goes through `Accumulator`, which pairs
+//! it with the per-branch execution statistics of the same records. The
+//! detector finds the branches to credit with a recency index of
+//! `(latest timestamp, branch)` pairs (`RecencyRing`): a binary search
+//! plus a scan over exactly the branches involved, `O(k + log n)` per
+//! dynamic branch where `k` is the instantaneous working-set size, the
+//! very quantity the paper shows stays small.
 //!
 //! The credits of one re-execution of branch `a` all land in `a`'s own
 //! dense row of `u32` counters, so the ~300 increments a record costs on
@@ -27,8 +30,12 @@
 //! [`GraphBuilder`], the merge currency. [`interleave_counts_naive`] is an
 //! independent linear-scan oracle used by the tests.
 
+use crate::merge::ShardDelta;
+use crate::pipeline::{Analysis, AnalysisPipeline};
 use crate::recency::RecencyRing;
 use bwsa_graph::{ConflictGraph, GraphBuilder};
+use bwsa_obs::Obs;
+use bwsa_trace::profile::{BranchProfile, BranchStats};
 use bwsa_trace::Trace;
 use std::cmp::Ordering;
 use std::iter::Peekable;
@@ -462,110 +469,67 @@ pub fn interleave_counts_naive(trace: &Trace) -> GraphBuilder {
     builder
 }
 
-/// Streaming variant of [`interleave_counts`]: consumes any fallible
-/// record iterator (e.g. a [`bwsa_trace::stream::StreamReader`] over a
-/// trace file) without materialising the trace, interning static
-/// branches by pc on the fly.
+/// The one record accumulator behind every engine that is fed a record
+/// at a time: the [`Detector`] for the Figure 1 credits, the per-branch
+/// [`BranchStats`] behind the §5.2 bias classes and Table 2's dynamic
+/// sizes, and the record count. BWSS2 streaming and checkpoints (through
+/// [`crate::StreamingAnalysis`], which interns pcs first), BWSS3
+/// streaming, the supervisor's streaming rung, and every shard and window
+/// delta push pre-interned `(id, stamp, taken)` records into it.
 ///
-/// Returns the interleave-count builder together with the pc ↔ id
-/// interner needed to relate graph nodes back to branches.
-///
-/// Memory use is `O(static branches + edges)` — independent of trace
-/// length — so arbitrarily long profiling runs can be analysed.
-///
-/// # Errors
-///
-/// Propagates the first error the record source yields.
-///
-/// # Example
-///
-/// ```
-/// use bwsa_core::interleave::interleave_counts_streaming;
-/// use bwsa_trace::BranchRecord;
-///
-/// # fn main() -> Result<(), bwsa_trace::TraceError> {
-/// let records = [(0xa, 5), (0xb, 10), (0xc, 15), (0xa, 20)]
-///     .map(|(pc, t)| Ok(BranchRecord::from_raw(pc, true, t)));
-/// let (builder, table) = interleave_counts_streaming(records)?;
-/// let g = builder.build();
-/// assert_eq!(table.len(), 3);
-/// assert_eq!(g.edge_weight(0, 1), Some(1)); // A–B
-/// assert_eq!(g.edge_weight(0, 2), Some(1)); // A–C
-/// # Ok(())
-/// # }
-/// ```
-pub fn interleave_counts_streaming<I>(
-    records: I,
-) -> Result<(GraphBuilder, bwsa_trace::BranchTable), bwsa_trace::TraceError>
-where
-    I: IntoIterator<Item = Result<bwsa_trace::BranchRecord, bwsa_trace::TraceError>>,
-{
-    let mut engine = StreamingInterleave::new();
-    for record in records {
-        engine.push(&record?);
-    }
-    Ok(engine.finish())
-}
-
-/// Incremental interleave-detection engine — the state behind
-/// [`interleave_counts_streaming`], exposed as a struct so it can be
-/// driven record-by-record, suspended into a checkpoint, and resumed
-/// (see [`crate::StreamingAnalysis`]).
-///
-/// Feeding every record of a trace through [`StreamingInterleave::push`]
-/// and calling [`StreamingInterleave::finish`] produces exactly the
-/// builder/table pair of [`interleave_counts_streaming`].
+/// Every id pushed grows the accumulator to cover it, so an accumulator
+/// started empty ends with exactly the branches it saw.
 #[derive(Debug, Clone)]
-pub struct StreamingInterleave {
-    pub(crate) table: bwsa_trace::BranchTable,
+pub(crate) struct Accumulator {
     pub(crate) detector: Detector,
+    pub(crate) stats: Vec<BranchStats>,
+    pub(crate) records: u64,
 }
 
-impl StreamingInterleave {
-    /// Creates an empty engine with no branches seen.
-    pub fn new() -> Self {
-        StreamingInterleave {
-            table: bwsa_trace::BranchTable::new(),
-            detector: Detector::new(0),
+impl Accumulator {
+    /// An empty accumulator over `nodes` branches.
+    pub(crate) fn new(nodes: usize) -> Self {
+        Self::resume(vec![None; nodes], ShardDelta::empty(nodes))
+    }
+
+    /// An accumulator that continues from per-branch latest stamps plus
+    /// already-counted edges, stats and records: a checkpoint, or (with
+    /// an empty delta) the carry-in of a shard or window.
+    pub(crate) fn resume(last_stamp: Vec<Option<u64>>, counted: ShardDelta) -> Self {
+        Accumulator {
+            detector: Detector::resume(last_stamp, counted.builder),
+            stats: counted.stats,
+            records: counted.records,
         }
     }
 
-    /// Reassembles an engine from checkpointed state: the pc interner,
-    /// the accumulated edge builder, and the per-branch latest stamps.
-    pub(crate) fn from_parts(
-        table: bwsa_trace::BranchTable,
-        builder: GraphBuilder,
-        last_stamp: Vec<Option<u64>>,
-    ) -> Self {
-        StreamingInterleave {
-            table,
-            detector: Detector::resume(last_stamp, builder),
+    /// Consumes one record of branch `id` at `stamp`.
+    #[inline]
+    pub(crate) fn push(&mut self, id: u32, stamp: u64, taken: bool) {
+        let i = id as usize;
+        if i >= self.stats.len() {
+            self.stats.resize(i + 1, BranchStats::default());
         }
+        self.stats[i].record(stamp.into(), taken);
+        self.records += 1;
+        self.detector.push(id, stamp);
     }
 
-    /// Number of distinct static branches seen so far.
-    pub fn branch_count(&self) -> usize {
-        self.table.len()
+    /// The whole-trace [`Analysis`]: the CSR compiled from the rows, then
+    /// the observed assembly every engine shares.
+    pub(crate) fn into_analysis(self, pipeline: &AnalysisPipeline, obs: &Obs) -> Analysis {
+        let profile = BranchProfile::from_parts(self.stats, self.records);
+        pipeline.assemble(profile, self.detector.into_graph(), obs)
     }
 
-    /// Consumes one dynamic branch record, interning its pc and crediting
-    /// an interleave to every branch executed since this branch's previous
-    /// instance. Returns the record's static branch id.
-    pub fn push(&mut self, rec: &bwsa_trace::BranchRecord) -> bwsa_trace::BranchId {
-        let id = self.table.intern(rec.pc);
-        self.detector.push(id.as_u32(), rec.time.get());
-        id
-    }
-
-    /// Yields the accumulated interleave counts and the pc ↔ id interner.
-    pub fn finish(self) -> (GraphBuilder, bwsa_trace::BranchTable) {
-        (self.detector.into_builder(), self.table)
-    }
-}
-
-impl Default for StreamingInterleave {
-    fn default() -> Self {
-        StreamingInterleave::new()
+    /// The accumulated records as a [`ShardDelta`], the currency of shard
+    /// and window merges.
+    pub(crate) fn into_delta(self) -> ShardDelta {
+        ShardDelta {
+            builder: self.detector.into_builder(),
+            stats: self.stats,
+            records: self.records,
+        }
     }
 }
 
@@ -677,53 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_in_memory_on_a_real_trace() {
-        let mut t = TraceBuilder::new("s");
-        let pcs = [0xa, 0xb, 0xa, 0xc, 0xb, 0xa, 0xd, 0xc, 0xa, 0xb];
-        for (i, pc) in pcs.into_iter().enumerate() {
-            t.record(pc, i % 2 == 0, (i as u64 + 1) * 3);
-        }
-        let trace = t.finish();
-        let in_memory = interleave_counts(&trace).build();
-        let records = trace.records().iter().map(|r| Ok(*r));
-        let (builder, table) = interleave_counts_streaming(records).unwrap();
-        assert_eq!(builder.build(), in_memory);
-        assert_eq!(table.len(), trace.static_branch_count());
-        // Interning order matches the trace's.
-        for (id, pc) in trace.table().iter() {
-            assert_eq!(table.id_of(pc), Some(id));
-        }
-    }
-
-    #[test]
-    fn streaming_propagates_source_errors() {
-        let records = vec![
-            Ok(bwsa_trace::BranchRecord::from_raw(0xa, true, 1)),
-            Err(bwsa_trace::TraceError::format("boom")),
-        ];
-        assert!(interleave_counts_streaming(records).is_err());
-    }
-
-    #[test]
-    fn streaming_from_stream_reader_roundtrip() {
-        use bwsa_trace::stream::{StreamReader, StreamWriter};
-        let mut t = TraceBuilder::new("s");
-        for i in 0..500u64 {
-            t.record(0x100 + (i % 5) * 4, i % 3 == 0, i + 1);
-        }
-        let trace = t.finish();
-        let mut buf = Vec::new();
-        let mut w = StreamWriter::new(&mut buf, "s").unwrap();
-        for r in trace.records() {
-            w.push(*r).unwrap();
-        }
-        w.finish(0).unwrap();
-        let reader = StreamReader::new(&buf[..]).unwrap();
-        let (builder, _) = interleave_counts_streaming(reader).unwrap();
-        assert_eq!(builder.build(), interleave_counts(&trace).build());
-    }
-
-    #[test]
     fn max_stamp_reexecution_does_not_overflow() {
         // Regression: the old recency index scanned `(prev + 1, 0)..`,
         // which overflowed (release-checked panic) when a branch stamped
@@ -741,16 +658,6 @@ mod tests {
             weights(&interleave_counts(&trace)),
             weights(&interleave_counts_naive(&trace))
         );
-    }
-
-    #[test]
-    fn streaming_push_handles_max_stamp_reexecution() {
-        let mut engine = StreamingInterleave::new();
-        for (pc, t) in [(0xa, u64::MAX), (0xb, u64::MAX), (0xa, u64::MAX)] {
-            engine.push(&bwsa_trace::BranchRecord::from_raw(pc, true, t));
-        }
-        let (builder, _) = engine.finish();
-        assert_eq!(builder.edge_count(), 0, "equal stamps never interleave");
     }
 
     #[test]
@@ -811,37 +718,5 @@ mod tests {
         let b = interleave_counts(&bwsa_trace::Trace::new("empty"));
         assert_eq!(b.node_count(), 0);
         assert_eq!(b.edge_count(), 0);
-    }
-
-    #[test]
-    fn suspended_and_resumed_engine_matches_straight_run() {
-        let mut t = TraceBuilder::new("resume");
-        let pcs = [0xa, 0xb, 0xa, 0xc, 0xb, 0xa, 0xd, 0xc, 0xa, 0xb, 0xc, 0xd];
-        for (i, pc) in pcs.into_iter().enumerate() {
-            t.record(pc, i % 2 == 0, (i as u64 + 1) * 3);
-        }
-        let trace = t.finish();
-        let records = trace.records();
-        for split in 0..records.len() {
-            // Run the first `split` records, tear the engine down to the
-            // parts a checkpoint stores, rebuild, and finish the rest.
-            let mut first = StreamingInterleave::new();
-            for r in &records[..split] {
-                first.push(r);
-            }
-            let StreamingInterleave { table, detector } = first;
-            let last_stamp = detector.last_stamps().to_vec();
-            let mut resumed =
-                StreamingInterleave::from_parts(table, detector.into_builder(), last_stamp);
-            for r in &records[split..] {
-                resumed.push(r);
-            }
-            let (resumed_builder, _) = resumed.finish();
-            assert_eq!(
-                weights(&resumed_builder),
-                weights(&interleave_counts(&trace)),
-                "split at {split}"
-            );
-        }
     }
 }

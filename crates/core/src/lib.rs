@@ -125,7 +125,7 @@ pub use checkpoint::StreamingAnalysis;
 pub use classify::{classify, BiasClass, Classification};
 pub use conflict::{ConflictAnalysis, ConflictConfig};
 pub use error::{CoreError, Error};
-pub use interleave::{interleave_counts, interleave_counts_naive, StreamingInterleave};
+pub use interleave::{interleave_counts, interleave_counts_naive};
 pub use parallel::{
     analyze_parallel, analyze_parallel_observed, analyze_parallel_supervised, parallel_map,
     ParallelConfig, ShardRetryPolicy,

@@ -27,7 +27,7 @@
 //!   checks exhaustively.
 
 use crate::conflict::{ConflictAnalysis, ConflictConfig};
-use crate::interleave::{detect, Detector};
+use crate::interleave::{detect, Accumulator};
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use bwsa_graph::GraphBuilder;
 use bwsa_obs::Obs;
@@ -216,25 +216,11 @@ impl ShardDelta {
     ) -> Self {
         let mut last_stamp = carry.stamps.clone();
         last_stamp.resize(nodes, None);
-        let mut detector = Detector::resume(last_stamp, GraphBuilder::new(nodes as u32));
-        let mut stats = vec![BranchStats::default(); nodes];
-        let mut counted = 0u64;
+        let mut acc = Accumulator::resume(last_stamp, ShardDelta::empty(nodes));
         for (node, t, taken) in records {
-            let s = &mut stats[node as usize];
-            if s.executions == 0 {
-                s.first_time = t.into();
-            }
-            s.executions += 1;
-            s.taken += taken as u64;
-            s.last_time = t.into();
-            counted += 1;
-            detector.push(node, t);
+            acc.push(node, t, taken);
         }
-        ShardDelta {
-            builder: detector.into_builder(),
-            stats,
-            records: counted,
-        }
+        acc.into_delta()
     }
 
     /// Folds a *later* shard's contribution onto this one.

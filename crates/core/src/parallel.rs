@@ -21,21 +21,20 @@
 //! and any worker count — a property the test suite checks against
 //! arbitrary traces (`crates/core/tests/parallel_prop.rs`).
 //!
-//! Workers are plain scoped threads fed from a shared
-//! [`crossbeam::queue::SegQueue`] of shard indices; results carry their
-//! index and are sorted after the scope joins, so scheduling order never
-//! leaks into the output.
+//! Workers are [`parallel_map`]'s scoped threads fed from a shared queue
+//! of shard indices; results carry their index and are sorted after the
+//! scope joins, so scheduling order never leaks into the output.
 
 use crate::merge::{ShardBoundary, ShardDelta};
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use bwsa_obs::Obs;
 use bwsa_resilience::supervisor::{catch, Backoff, ResilienceError};
 use bwsa_trace::{Trace, TraceShard};
-use crossbeam::queue::SegQueue;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
+
+pub use bwsa_resilience::parallel_map;
 
 /// How a parallel analysis splits and schedules its work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,49 +78,6 @@ impl Default for ParallelConfig {
     fn default() -> Self {
         Self::available()
     }
-}
-
-/// Applies `f` to every item on `jobs` worker threads, returning results
-/// in item order regardless of how the work was scheduled.
-///
-/// Items are pulled from a shared queue, so uneven per-item cost balances
-/// across workers; each worker accumulates `(index, result)` pairs locally
-/// and merges them under one lock when its queue runs dry.
-///
-/// # Panics
-///
-/// Propagates a panic from any invocation of `f`.
-pub fn parallel_map<T, R, F>(items: Vec<T>, jobs: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let workers = jobs.clamp(1, items.len().max(1));
-    if workers <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-    let queue: SegQueue<(usize, T)> = items.into_iter().enumerate().collect();
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::new());
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| {
-                let mut local = Vec::new();
-                while let Some((i, item)) = queue.pop() {
-                    local.push((i, f(i, item)));
-                }
-                collected.lock().expect("results poisoned").extend(local);
-            });
-        }
-    })
-    .expect("parallel_map worker panicked");
-    let mut results = collected.into_inner().expect("results poisoned");
-    results.sort_unstable_by_key(|&(i, _)| i);
-    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Retry policy for supervised shard execution.
@@ -370,6 +326,7 @@ fn analyze_parallel_with<M: ShardMapper>(
 mod tests {
     use super::*;
     use bwsa_trace::TraceBuilder;
+    use std::sync::Mutex;
 
     fn busy_trace(n: u64) -> Trace {
         let mut b = TraceBuilder::new("busy");
@@ -381,23 +338,6 @@ mod tests {
             b.record(0x4000 + (lcg >> 44) % 13 * 4, (lcg >> 21) & 1 == 1, i + 1);
         }
         b.finish()
-    }
-
-    #[test]
-    fn parallel_map_preserves_item_order() {
-        let squares = parallel_map((0u64..100).collect(), 4, |i, v| {
-            assert_eq!(i as u64, v);
-            v * v
-        });
-        assert_eq!(squares, (0u64..100).map(|v| v * v).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_and_oversubscribed() {
-        let empty: Vec<u32> = parallel_map(Vec::new(), 8, |_, v| v);
-        assert!(empty.is_empty());
-        let tiny = parallel_map(vec![5], 8, |_, v: i32| v + 1);
-        assert_eq!(tiny, vec![6]);
     }
 
     #[test]

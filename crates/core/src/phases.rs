@@ -14,11 +14,10 @@
 //! [`bwsa_predictor::clustering`] burst statistics.
 
 use bwsa_trace::Trace;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Statistics of one timeline window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowStats {
     /// Index of the window's first dynamic branch in the trace.
     pub start_index: usize,
@@ -35,7 +34,7 @@ pub struct WindowStats {
 }
 
 /// A windowed working-set timeline of a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTimeline {
     /// Per-window statistics, in time order.
     pub windows: Vec<WindowStats>,

@@ -20,10 +20,9 @@ use crate::CoreError;
 use bwsa_graph::ConflictGraph;
 use bwsa_obs::Obs;
 use bwsa_trace::{profile::BranchProfile, Trace};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the end-to-end analysis pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalysisPipeline {
     /// Conflict-graph thresholding (§4.2; default 100).
     pub conflict: ConflictConfig,
@@ -50,7 +49,7 @@ impl Default for AnalysisPipeline {
 }
 
 /// Everything the paper computes about one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Analysis {
     /// Per-branch execution statistics.
     pub profile: BranchProfile,

@@ -19,7 +19,7 @@
 //! constant factor.
 //!
 //! Out-of-order stamps cannot arrive from any in-repo producer, but
-//! [`crate::StreamingInterleave::push`] is a public API, so a regressing
+//! [`crate::StreamingAnalysis::push`] is a public API, so a regressing
 //! stamp takes a correct (if slow) sorted-insert path rather than
 //! corrupting the index. Equivalence with the previous tree-based engine
 //! — including ties and stamps at `u64::MAX` — is property-tested in

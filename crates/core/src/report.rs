@@ -4,11 +4,9 @@
 //! tests, and EXPERIMENTS.md generation so that every consumer agrees on
 //! what a "row" of each experiment contains.
 
-use serde::{Deserialize, Serialize};
-
 /// One row of Table 1: benchmark, input, and coverage of the analysed
 /// branch subset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -23,7 +21,7 @@ pub struct Table1Row {
 }
 
 /// One row of Table 2: working-set counts and sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -40,7 +38,7 @@ pub struct Table2Row {
 }
 
 /// One row of Table 3 or Table 4: the required-BHT-size search result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequiredSizeRow {
     /// Benchmark label (`perl_a`, `ss_b`, ...).
     pub benchmark: String,
@@ -59,7 +57,7 @@ pub struct RequiredSizeRow {
 
 /// One bar group of Figure 3 or Figure 4: misprediction rates of every
 /// scheme on one benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureRow {
     /// Benchmark label.
     pub benchmark: String,

@@ -9,8 +9,9 @@
 //!    ([`crate::parallel::analyze_parallel_supervised`]).
 //! 2. **Serial** — the reference implementation, whole-run attempts with
 //!    exponential backoff between retries.
-//! 3. **Streaming** — [`crate::StreamingAnalysis`], the last resort and
-//!    the low-memory path.
+//! 3. **Streaming** — the record-at-a-time accumulator behind
+//!    [`crate::StreamingAnalysis`], the last resort and the low-memory
+//!    path.
 //!
 //! Every rung produces a bit-identical [`Analysis`] when it succeeds
 //! (the workspace's serial-equivalence guarantees), so downgrading
@@ -29,10 +30,10 @@
 //! skips straight to the streaming rung.
 
 use crate::error::Error;
+use crate::interleave::Accumulator;
 use crate::parallel::{analyze_parallel_supervised, ParallelConfig, ShardRetryPolicy};
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use crate::session::Execution;
-use crate::StreamingAnalysis;
 use bwsa_obs::Obs;
 use bwsa_resilience::supervisor::{catch, Backoff, ResilienceError};
 use bwsa_resilience::watchdog;
@@ -110,12 +111,15 @@ impl Rung {
     }
 }
 
+/// The streaming rung: the trace's records pushed one at a time into the
+/// accumulator the streaming engines share, past neither the
+/// `core.profile` nor the `core.interleave` site.
 fn streaming_replay(pipeline: &AnalysisPipeline, trace: &Trace, obs: &Obs) -> Analysis {
-    let mut streaming = StreamingAnalysis::new(&trace.meta().name);
-    for record in trace.records() {
-        streaming.push(record);
+    let mut acc = Accumulator::new(trace.static_branch_count());
+    for (id, record) in trace.indexed_records() {
+        acc.push(id.as_u32(), record.time.get(), record.is_taken());
     }
-    streaming.finish_observed(pipeline, obs)
+    acc.into_analysis(pipeline, obs)
 }
 
 /// Runs the pipeline under supervision, walking the degradation ladder.

@@ -2,9 +2,9 @@
 //! oracle: for arbitrary monotone-timestamp traces — including runs of
 //! equal stamps and stamps pressed against `u64::MAX` — the ring-indexed
 //! [`bwsa_core::interleave_counts`], the record-by-record
-//! [`bwsa_core::StreamingInterleave`], and the linear-scan
-//! [`bwsa_core::interleave_counts_naive`] must produce identical edge
-//! sets.
+//! [`bwsa_core::StreamingAnalysis`] (its graph at threshold 1), and the
+//! linear-scan [`bwsa_core::interleave_counts_naive`] must produce
+//! identical edge sets.
 //!
 //! The naive oracle shares nothing with the fast engine but the paper's
 //! strictly-greater rule itself, so agreement here is evidence about the
@@ -19,7 +19,7 @@
 use bwsa_core::pipeline::AnalysisPipeline;
 use bwsa_core::{
     analyze_parallel, interleave_counts, interleave_counts_naive, Analysis, ConflictConfig,
-    ParallelConfig, StreamingAnalysis, StreamingInterleave, WindowConfig, WindowedAnalysis,
+    ParallelConfig, StreamingAnalysis, WindowConfig, WindowedAnalysis,
 };
 use bwsa_graph::ConflictGraph;
 use bwsa_trace::{Trace, TraceBuilder};
@@ -66,13 +66,9 @@ proptest! {
         let naive = interleave_counts_naive(&trace);
         prop_assert_eq!(sorted_edges(&fast), sorted_edges(&naive));
 
-        let mut streaming = StreamingInterleave::new();
-        for rec in trace.records() {
-            streaming.push(rec);
-        }
-        let (builder, table) = streaming.finish();
-        prop_assert_eq!(table.len(), trace.static_branch_count());
-        prop_assert_eq!(sorted_edges(&builder), sorted_edges(&naive));
+        let streamed = streaming(&trace);
+        prop_assert_eq!(streamed.profile.static_count(), trace.static_branch_count());
+        prop_assert_eq!(streamed.conflict.graph, naive.build());
     }
 
     #[test]
@@ -129,6 +125,14 @@ fn keep_all() -> AnalysisPipeline {
     }
 }
 
+fn streaming(trace: &Trace) -> Analysis {
+    let mut engine = StreamingAnalysis::new("sweep");
+    for rec in trace.records() {
+        engine.push(rec);
+    }
+    engine.finish(&keep_all())
+}
+
 fn checkpointed(trace: &Trace, split: usize) -> Analysis {
     let mut first = StreamingAnalysis::new("sweep");
     for rec in &trace.records()[..split] {
@@ -168,12 +172,7 @@ fn every_engine_agrees_with_the_oracle_above_the_dense_cap() {
     let serial = keep_all().run_observed(&trace, &bwsa_obs::Obs::noop());
     assert_eq!(serial.conflict.graph, expected, "pipeline CSR");
 
-    let mut streaming = StreamingInterleave::new();
-    for rec in trace.records() {
-        streaming.push(rec);
-    }
-    let (builder, _) = streaming.finish();
-    assert_eq!(sorted_edges(&builder), sorted_edges(&naive), "streaming");
+    assert_eq!(streaming(&trace), serial, "streaming");
 
     assert_eq!(checkpointed(&trace, trace.len() * 3 / 5), serial, "resumed");
     for jobs in [2, 3] {

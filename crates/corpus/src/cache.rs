@@ -45,7 +45,7 @@ use crate::fleet::{EntryRecord, EntryStatus};
 /// Bump whenever analysis semantics change (pipeline defaults, conflict
 /// algebra, required-size search); every existing cell then becomes
 /// unaddressable and ages out.
-pub const ENGINE_VERSION: u64 = 1;
+pub const ENGINE_VERSION: u64 = 2;
 
 /// Version of the on-disk cell framing. A cell with any other value is
 /// a miss.

@@ -15,12 +15,11 @@
 //! neighbors — zero when a conflict-free color exists.
 
 use crate::ConflictGraph;
-use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, VecDeque};
 
 /// How the optimistic (merge) candidate is chosen when no node has degree
 /// below K.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MergeOrder {
     /// Fewest weighted conflicts first — the paper's choice.
     #[default]
@@ -32,14 +31,14 @@ pub enum MergeOrder {
 }
 
 /// Options controlling [`color_graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ColoringOptions {
     /// Merge-candidate selection heuristic.
     pub merge_order: MergeOrder,
 }
 
 /// A color assignment of every node of a graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Coloring {
     /// Number of colors the coloring was asked to use.
     pub colors: usize,

@@ -1,7 +1,6 @@
 //! Branch history shift registers.
 
 use bwsa_trace::Direction;
-use serde::{Deserialize, Serialize};
 
 /// A fixed-width branch-outcome shift register.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// h.push(Direction::Taken);
 /// assert_eq!(h.value(), 0b101);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct HistoryRegister {
     value: u64,
     width: u32,

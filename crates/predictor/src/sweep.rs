@@ -5,9 +5,10 @@
 //! independent trace-driven simulations — each cell pairs one predictor
 //! configuration with one workload trace. The cells share nothing, so
 //! they parallelise trivially; what needs care is keeping the *output*
-//! independent of scheduling. [`sweep`] pulls cells from a shared queue
-//! (so slow cells don't serialise behind a fixed partition), tags every
-//! result with its input index, and sorts before returning — the returned
+//! independent of scheduling. [`sweep`] runs them on
+//! [`bwsa_resilience::parallel_map`], which pulls cells from a shared
+//! queue (so slow cells don't serialise behind a fixed partition), tags
+//! every result with its input index, and sorts before returning — the returned
 //! `Vec` is always in cell order, and a failing sweep always reports the
 //! lowest-index error, no matter which worker hit it first.
 //!
@@ -24,8 +25,6 @@ use crate::predictor::BranchPredictor;
 use crate::sim::{simulate, simulate_resumable, SimCheckpoint, SimResult};
 use bwsa_obs::Obs;
 use bwsa_trace::Trace;
-use crossbeam::queue::SegQueue;
-use std::sync::Mutex;
 
 /// One deferred cell of a simulation sweep.
 pub struct SweepCell<'a> {
@@ -134,7 +133,7 @@ pub fn sweep_observed(
     jobs: usize,
     obs: &Obs,
 ) -> Result<Vec<SimResult>, PredictorError> {
-    let execute_observed = |cell: SweepCell<'_>| {
+    bwsa_resilience::parallel_map(cells, jobs, |_, cell| {
         let span = obs.span(format!("sweep:{}", cell.label()));
         let label = cell.label().to_string();
         // Containment boundary: a cell that unwinds (a genuine panic or
@@ -151,37 +150,9 @@ pub fn sweep_observed(
             obs.add("predictor.mispredicts", result.mispredictions);
         }
         outcome
-    };
-    let workers = jobs.clamp(1, cells.len().max(1));
-    let outcomes: Vec<(usize, Result<SimResult, PredictorError>)> = if workers <= 1 {
-        cells
-            .into_iter()
-            .enumerate()
-            .map(|(i, cell)| (i, execute_observed(cell)))
-            .collect()
-    } else {
-        let queue: SegQueue<(usize, SweepCell<'_>)> = cells.into_iter().enumerate().collect();
-        let collected = Mutex::new(Vec::new());
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| {
-                    let mut local = Vec::new();
-                    while let Some((i, cell)) = queue.pop() {
-                        local.push((i, execute_observed(cell)));
-                    }
-                    collected.lock().expect("results poisoned").extend(local);
-                });
-            }
-        })
-        .expect("sweep worker panicked");
-        collected.into_inner().expect("results poisoned")
-    };
-    let mut outcomes = outcomes;
-    outcomes.sort_unstable_by_key(|&(i, _)| i);
-    outcomes
-        .into_iter()
-        .map(|(_, outcome)| outcome)
-        .collect::<Result<Vec<_>, _>>()
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]

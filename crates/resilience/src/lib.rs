@@ -2,7 +2,7 @@
 //!
 //! This crate sits **below** every other `bwsa-*` crate (it depends only
 //! on `std`) so that any layer can host failpoint sites and any harness
-//! can supervise them. It provides four things:
+//! can supervise them. It provides five things:
 //!
 //! - [`failpoint!`]: a zero-cost-when-disabled injection point. Disabled,
 //!   a site costs two relaxed atomic loads; armed (via
@@ -18,6 +18,8 @@
 //! - [`fault`]: the byte-corruption fault model ([`Fault`], [`FaultPlan`],
 //!   [`FaultyReader`]) shared by the trace-salvage property tests and the
 //!   chaos suite, driven by the dependency-free deterministic [`DetRng`].
+//! - [`parallel_map`]: the workspace's one worker pool, which maps items
+//!   on scoped threads and returns the results in input order.
 //!
 //! The failpoint registry, watchdog, and hit counters are **process
 //! globals**: tests that arm them must serialise against each other (the
@@ -30,9 +32,11 @@
 pub mod det;
 pub mod failpoint;
 pub mod fault;
+pub mod parallel;
 pub mod supervisor;
 pub mod watchdog;
 
 pub use det::DetRng;
 pub use fault::{Fault, FaultPlan, FaultyReader};
+pub use parallel::parallel_map;
 pub use supervisor::{Backoff, InjectedFault, ResilienceError};

@@ -61,7 +61,10 @@
 //! salvage keeps the valid block prefix instead: a damaged block also
 //! loses the new-pc assignments later blocks depend on, so the prefix
 //! is the sound recovery boundary. [`RecoveryPolicy::Strict`] requires
-//! an intact footer.
+//! an intact footer. After a dropped block the recovered records'
+//! branches are numbered by first appearance ([`FirstSeen`]), so a
+//! salvaged file reads exactly like a clean file of the surviving
+//! records.
 //!
 //! # Example
 //!
@@ -484,25 +487,19 @@ impl<'a> ColumnarFile<'a> {
         self.footer.as_ref()
     }
 
-    /// Decodes the whole file into a [`Trace`] under `policy`.
+    /// Decodes the whole file into a [`Trace`] under `policy`, with the
+    /// salvage rules of [`ColumnarFile::walk`].
     ///
-    /// With a valid footer, salvage skips corrupt blocks (the directory
-    /// survives in the footer); without one, salvage keeps the valid
-    /// block prefix. Strict requires an intact footer and fails on the
-    /// first inconsistency.
+    /// When a block is dropped, the recovered records' branches are
+    /// numbered by first appearance, so a branch seen only in a dropped
+    /// block is gone and the trace equals one written from the surviving
+    /// records alone. An undamaged file keeps the writer's numbering,
+    /// which is first-appearance order too.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Corrupt`] (strict) on a damaged block, or
-    /// [`TraceError::Format`] for structural damage.
+    /// Those of [`ColumnarFile::walk`].
     pub fn decode(&self, policy: RecoveryPolicy) -> Result<(Trace, SalvageReport), TraceError> {
-        if policy == RecoveryPolicy::Strict && self.footer.is_none() {
-            return Err(TraceError::format(
-                "torn columnar file: footer missing or corrupt (retry with salvage)",
-            ));
-        }
-        let mut report = SalvageReport::default();
-        let mut decoder = BlockDecoder::new(self);
         let mut ids: Vec<BranchId> = Vec::new();
         let mut records: Vec<BranchRecord> = Vec::new();
         if let Some(footer) = &self.footer {
@@ -512,6 +509,61 @@ impl<'a> ColumnarFile<'a> {
             ids.reserve(cap);
             records.reserve(cap);
         }
+        let mut last_time = 0u64;
+        let (report, mut table) = self.walk(policy, |view| {
+            last_time = view.times.last().copied().unwrap_or(last_time);
+            append_block(view, &mut ids, &mut records);
+        })?;
+        if report.chunks_dropped > 0 {
+            let mut first_seen = FirstSeen::default();
+            for id in &mut ids {
+                *id = BranchId::new(first_seen.id(id.as_u32()));
+            }
+            let pcs = first_seen
+                .order()
+                .iter()
+                .map(|&old| table.pc_of(BranchId::new(old)));
+            table = BranchTable::from_pcs(pcs)?;
+        }
+        let meta = TraceMeta {
+            name: self.name.clone(),
+            total_instructions: self
+                .footer
+                .as_ref()
+                .map_or(last_time, |f| f.total_instructions),
+        };
+        Ok((Trace::from_parts(meta, table, ids, records)?, report))
+    }
+
+    /// Decodes every block under `policy` and hands each one that
+    /// survives to `sink`, in file order: the one block walk behind
+    /// [`ColumnarFile::decode`] and the streaming analysis, so both
+    /// recover the same records.
+    ///
+    /// With a valid footer, salvage skips damaged and out-of-order blocks
+    /// (the directory survives in the footer); without one, salvage keeps
+    /// the valid block prefix. Strict requires an intact footer, fails on
+    /// the first inconsistency, and holds the blocks to the footer's
+    /// record count. Returns the salvage report and the id → pc
+    /// directory, whose pcs must be distinct.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Corrupt`] (strict) on a damaged block, or
+    /// [`TraceError::Format`] for structural damage or a duplicated
+    /// directory pc.
+    pub fn walk(
+        &self,
+        policy: RecoveryPolicy,
+        mut sink: impl FnMut(&BlockView<'_>),
+    ) -> Result<(SalvageReport, BranchTable), TraceError> {
+        if policy == RecoveryPolicy::Strict && self.footer.is_none() {
+            return Err(TraceError::format(
+                "torn columnar file: footer missing or corrupt (retry with salvage)",
+            ));
+        }
+        let mut report = SalvageReport::default();
+        let mut decoder = BlockDecoder::new(self);
         let mut last_time = 0u64;
         loop {
             let block_no = decoder.blocks_seen();
@@ -526,7 +578,7 @@ impl<'a> ColumnarFile<'a> {
                     last_time = view.times.last().copied().unwrap_or(last_time);
                     report.chunks_ok += 1;
                     report.records_recovered += view.ids.len() as u64;
-                    append_block(&view, &mut ids, &mut records);
+                    sink(&view);
                 }
                 Err(e) => {
                     absorb(policy, &mut report, e)?;
@@ -537,23 +589,15 @@ impl<'a> ColumnarFile<'a> {
             }
         }
         let table = BranchTable::from_pcs(decoder.directory().iter().map(|&pc| Pc::new(pc)))?;
-        let total_instructions = match &self.footer {
-            Some(f) => {
-                if policy == RecoveryPolicy::Strict && report.records_recovered != f.record_count {
-                    return Err(TraceError::format(format!(
-                        "footer promises {} records, blocks held {}",
-                        f.record_count, report.records_recovered
-                    )));
-                }
-                f.total_instructions
+        if let Some(f) = &self.footer {
+            if policy == RecoveryPolicy::Strict && report.records_recovered != f.record_count {
+                return Err(TraceError::format(format!(
+                    "footer promises {} records, blocks held {}",
+                    f.record_count, report.records_recovered
+                )));
             }
-            None => last_time,
-        };
-        let meta = TraceMeta {
-            name: self.name.clone(),
-            total_instructions,
-        };
-        Ok((Trace::from_parts(meta, table, ids, records)?, report))
+        }
+        Ok((report, table))
     }
 
     /// Strictly decodes the footer-indexed blocks in `range`, appending
@@ -631,6 +675,42 @@ fn block_corrupt(block: u64, reason: impl Into<String>) -> TraceError {
     TraceError::Corrupt {
         chunk: block,
         reason: reason.into(),
+    }
+}
+
+/// Directory ids renumbered in order of first appearance — how BWSS3
+/// ingest numbers the branches of records that survive a dropped block.
+/// On an undamaged file it is the identity, since the writer assigns ids
+/// in first-appearance order.
+#[derive(Debug, Default)]
+pub struct FirstSeen {
+    /// `new[old]`, or [`FirstSeen::UNSEEN`].
+    new: Vec<u32>,
+    /// The old ids in new-id order.
+    order: Vec<u32>,
+}
+
+impl FirstSeen {
+    const UNSEEN: u32 = u32::MAX;
+
+    /// The new id of directory id `old`, assigning the next one on first
+    /// sight.
+    #[inline]
+    pub fn id(&mut self, old: u32) -> u32 {
+        let i = old as usize;
+        if i >= self.new.len() {
+            self.new.resize(i + 1, Self::UNSEEN);
+        }
+        if self.new[i] == Self::UNSEEN {
+            self.new[i] = self.order.len() as u32;
+            self.order.push(old);
+        }
+        self.new[i]
+    }
+
+    /// The directory ids seen so far, in new-id order.
+    pub fn order(&self) -> &[u32] {
+        &self.order
     }
 }
 

@@ -7,11 +7,10 @@
 //! numbers it reports are exactly Table 1's last three columns.
 
 use crate::{BranchId, InstrCount, Trace};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Statistics for one static branch, accumulated over a trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchStats {
     /// Number of dynamic executions.
     pub executions: u64,
@@ -24,6 +23,18 @@ pub struct BranchStats {
 }
 
 impl BranchStats {
+    /// Counts one dynamic execution at `time`: the one per-record update
+    /// behind every profile, stream, shard and window.
+    #[inline]
+    pub fn record(&mut self, time: InstrCount, taken: bool) {
+        if self.executions == 0 {
+            self.first_time = time;
+        }
+        self.executions += 1;
+        self.taken += u64::from(taken);
+        self.last_time = time;
+    }
+
     /// Fraction of executions that were taken, in `[0, 1]`.
     ///
     /// Returns 0 for a branch that never executed.
@@ -53,7 +64,7 @@ impl BranchStats {
 /// assert_eq!(prof.stats(id).executions, 2);
 /// assert_eq!(prof.stats(id).taken_rate(), 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BranchProfile {
     stats: Vec<BranchStats>,
     total_dynamic: u64,
@@ -64,13 +75,7 @@ impl BranchProfile {
     pub fn from_trace(trace: &Trace) -> Self {
         let mut stats = vec![BranchStats::default(); trace.static_branch_count()];
         for (id, rec) in trace.indexed_records() {
-            let s = &mut stats[id.index()];
-            if s.executions == 0 {
-                s.first_time = rec.time;
-            }
-            s.executions += 1;
-            s.taken += rec.is_taken() as u64;
-            s.last_time = rec.time;
+            stats[id.index()].record(rec.time, rec.is_taken());
         }
         BranchProfile {
             total_dynamic: trace.len() as u64,
@@ -83,8 +88,9 @@ impl BranchProfile {
     ///
     /// This is the constructor used by streaming/checkpointed analyses,
     /// which accumulate [`BranchStats`] incrementally instead of holding
-    /// the trace in memory. Feeding it the per-record accumulation that
-    /// [`BranchProfile::from_trace`] performs yields an identical profile.
+    /// the trace in memory. Feeding it the [`BranchStats::record`] updates
+    /// that [`BranchProfile::from_trace`] performs yields an identical
+    /// profile.
     pub fn from_parts(stats: Vec<BranchStats>, total_dynamic: u64) -> Self {
         BranchProfile {
             stats,
@@ -131,7 +137,7 @@ impl BranchProfile {
 }
 
 /// Strategy for choosing which static branches to retain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FrequencyFilter {
     /// Keep the fewest top-frequency branches whose executions cover at
     /// least this fraction of all dynamic branches (e.g. `0.999`).
@@ -144,7 +150,7 @@ pub enum FrequencyFilter {
 
 /// Result of applying a [`FrequencyFilter`]: the retained set and the
 /// Table-1 coverage accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilterOutcome {
     /// Retained static branch ids.
     pub kept: HashSet<BranchId>,

@@ -1,7 +1,6 @@
 //! A single dynamic branch instance.
 
 use crate::{InstrCount, Pc};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The resolved direction of a conditional branch.
@@ -15,7 +14,7 @@ use std::fmt;
 /// assert_eq!(Direction::from_taken(false), Direction::NotTaken);
 /// assert_eq!(Direction::Taken.flipped(), Direction::NotTaken);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Direction {
     /// The branch was not taken (fall-through).
     NotTaken,
@@ -83,7 +82,7 @@ impl From<bool> for Direction {
 /// assert!(r.direction.is_taken());
 /// assert_eq!(r.time.get(), 5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchRecord {
     /// Address of the static branch instruction.
     pub pc: Pc,

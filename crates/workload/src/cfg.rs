@@ -15,24 +15,23 @@
 use crate::behavior::BranchBehavior;
 use crate::WorkloadError;
 use bwsa_trace::Pc;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
 /// Index of a basic block within a [`Program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u32);
 
 /// Index of a function within a [`Program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FuncId(pub u32);
 
 /// Index of a static branch declaration within a [`Program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BranchRef(pub u32);
 
 /// Declaration of one static conditional branch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BranchDecl {
     /// Unique address of the branch instruction.
     pub pc: Pc,
@@ -41,7 +40,7 @@ pub struct BranchDecl {
 }
 
 /// How control leaves a basic block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Terminator {
     /// Unconditional jump.
     Jump(BlockId),
@@ -68,7 +67,7 @@ pub enum Terminator {
 }
 
 /// A basic block: straight-line instructions plus a terminator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Block {
     /// Number of non-control instructions executed before the terminator.
     pub instr_count: u32,
@@ -77,7 +76,7 @@ pub struct Block {
 }
 
 /// A function: a named entry block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Function {
     /// Human-readable name (for diagnostics only).
     pub name: String,
@@ -108,7 +107,7 @@ pub struct Function {
 /// p.set_main(main);
 /// assert!(p.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     blocks: Vec<Block>,
     branches: Vec<BranchDecl>,

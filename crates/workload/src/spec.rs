@@ -20,10 +20,9 @@ use crate::WorkloadError;
 use bwsa_trace::Trace;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Fractions of body branches that are highly biased.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BiasMix {
     /// Fraction biased towards taken (taken rate ≈ 0.995).
     pub taken: f64,
@@ -47,7 +46,7 @@ impl BiasMix {
 }
 
 /// How the phase schedule walks between regions.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ScheduleModel {
     /// Each visit picks a region independently by popularity weight.
     #[default]
@@ -62,7 +61,7 @@ pub enum ScheduleModel {
 }
 
 /// Description of a synthetic benchmark family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Benchmark name.
     pub name: String,
@@ -88,7 +87,6 @@ pub struct WorkloadSpec {
     /// Dynamic conditional-branch budget per generated trace.
     pub target_dynamic_branches: u64,
     /// Phase-schedule model (defaults to independent draws).
-    #[serde(default)]
     pub schedule: ScheduleModel,
 }
 
@@ -224,7 +222,7 @@ impl WorkloadSpec {
 }
 
 /// Parameters identifying one profiling/evaluation input.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InputParams {
     /// Input-set label appended to the trace name (e.g. `"ref.in"`).
     pub name: String,

@@ -28,11 +28,10 @@
 
 use crate::spec::{BiasMix, InputParams, ScheduleModel, Workload, WorkloadSpec};
 use bwsa_trace::Trace;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which profiling/evaluation input to run a benchmark with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InputSet {
     /// The primary input (the one named in Table 1).
     A,
@@ -51,7 +50,7 @@ impl InputSet {
 }
 
 /// One of the thirteen paper benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Benchmark {
     Compress,

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates the checked-in benchmark reports:
 #
-#   BENCH_hotpath.json — hot-path wall-time over pinned-seed synthetic
-#       workloads at three trace sizes, flat engines vs frozen legacy
-#       replicas.
+#   BENCH_hotpath.json — hot-path wall-time of the analysis engines and
+#       the PAg loop over pinned-seed synthetic workloads at three trace
+#       sizes.
 #   BENCH_server.json  — daemon throughput (req/sec, p50/p99 latency)
 #       and deterministic overload shedding with retry-after recovery.
 #   BENCH_corpus.json  — corpus batch analytics: BWSS2-vs-BWSS3 cold

@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> benchmark harness builds (perfbench sits outside the workspace)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -132,7 +135,12 @@ cmp "$convert_dir/bwst-windows.json" "$convert_dir/bws3-windows.json"
 [ -f "$convert_dir/gcc.ck.prev" ] || { echo "no rotated checkpoint"; exit 1; }
 "$bwsa" analyze "$convert_dir/gcc.bwss" --resume "$convert_dir/gcc.ck.prev" \
     > "$convert_dir/gcc-resumed.out"
-for run in bwss bws3 j2 ck resumed; do
+# --salvage on the undamaged file changes nothing, streamed or through
+# the block-parallel decoder (250,000 records is past its threshold).
+"$bwsa" analyze "$convert_dir/gcc.bws3" --salvage > "$convert_dir/gcc-salvage.out"
+"$bwsa" analyze "$convert_dir/gcc.bws3" --salvage --jobs 2 \
+    > "$convert_dir/gcc-salvage-j2.out"
+for run in bwss bws3 j2 ck resumed salvage salvage-j2; do
     cmp "$convert_dir/gcc.out" "$convert_dir/gcc-$run.out"
 done
 

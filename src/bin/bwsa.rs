@@ -110,7 +110,7 @@ use bwsa::trace::mmap::TraceBytes;
 use bwsa::trace::stream::{
     RecoveryPolicy, SalvageReport, StreamReader, StreamWriter, DEFAULT_CHUNK_RECORDS,
 };
-use bwsa::trace::{io as trace_io, stats::trace_stats, Trace};
+use bwsa::trace::{io as trace_io, stats::trace_stats, Trace, TraceError};
 use bwsa::workload::suite::{Benchmark, InputSet};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -895,34 +895,12 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
             "--window runs the trace in memory and cannot combine with --checkpoint/--resume",
         ));
     }
-    match detect_format(path)? {
-        TraceFormat::Bwst => {
-            if wants_checkpointing {
-                return Err(usage_err(
-                    "--checkpoint/--resume need a BWSS stream trace (see `bwsa generate --format bwss`)",
-                ));
-            }
-            let (trace, _) = load_trace(path, RecoveryPolicy::Strict, &obs)?;
-            analyze_in_memory(&trace, &pipeline, jobs, supervisor, &windowing, &spec, &obs)?;
-        }
-        // A BWSS stream stays on the constant-memory sequential path
-        // unless --jobs explicitly asks for workers or --window asks for
-        // per-window summaries, both of which materialise the trace.
-        TraceFormat::Bwss
-            if !wants_checkpointing && (jobs.is_some_and(|j| j > 1) || windowing.is_some()) =>
-        {
-            let (trace, report) = load_trace(path, recovery_policy(&p), &obs)?;
-            warn_salvage(path, &report);
-            analyze_in_memory(&trace, &pipeline, jobs, supervisor, &windowing, &spec, &obs)?;
-        }
-        TraceFormat::Bwss => {
-            // Streaming is already the bottom of the degradation ladder;
-            // supervision here means only the cooperative deadline (each
-            // record decode is a cancellation point).
-            let _watchdog = supervisor
-                .and_then(|c| c.max_wall)
-                .map(|wall| watchdog::arm(Instant::now() + wall));
-            analyze_stream(path, &p, &pipeline, &spec, &obs)?
+    let format = detect_format(path)?;
+    match format {
+        TraceFormat::Bwst if wants_checkpointing => {
+            return Err(usage_err(
+                "--checkpoint/--resume need a BWSS stream trace (see `bwsa generate --format bwss`)",
+            ));
         }
         TraceFormat::Bwss3 if wants_checkpointing => {
             return Err(usage_err(
@@ -930,81 +908,23 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
                  is fast enough to restart (see `bwsa convert`)",
             ));
         }
-        // Windowed or explicitly parallel runs materialise the trace via
-        // the block-parallel decoder; otherwise blocks stream straight
-        // into the flat engines with no per-record materialisation.
-        TraceFormat::Bwss3 if jobs.is_some_and(|j| j > 1) || windowing.is_some() => {
-            let (trace, report) = load_trace(path, recovery_policy(&p), &obs)?;
-            warn_salvage(path, &report);
-            analyze_in_memory(&trace, &pipeline, jobs, supervisor, &windowing, &spec, &obs)?;
-        }
-        TraceFormat::Bwss3 => {
-            let _watchdog = supervisor
-                .and_then(|c| c.max_wall)
-                .map(|wall| watchdog::arm(Instant::now() + wall));
-            analyze_columnar(path, &p, &pipeline, &spec, &obs)?
-        }
+        _ => {}
     }
-    Ok(())
-}
-
-/// Streaming analysis of a BWSS3 columnar trace: blocks decode into a
-/// reusable scratch and feed the streaming engine record-by-record, so
-/// memory stays constant in the trace length and the file bytes come
-/// straight off the memory map.
-fn analyze_columnar(
-    path: &str,
-    p: &Parsed,
-    pipeline: &AnalysisPipeline,
-    spec: &ReportSpec,
-    obs: &Obs,
-) -> Result<(), CliError> {
-    let bytes = TraceBytes::open(path.as_ref())
-        .map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-    let file =
-        ColumnarFile::parse(&bytes).map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-    let trace_name = file.name().to_owned();
-    let instructions = file.footer().map(|f| f.total_instructions);
-    let (result, report) =
-        bwsa::core::columnar::analyze_columnar_stream(pipeline, &bytes, recovery_policy(p), obs)
-            .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-    warn_salvage(path, &report);
-    let n = report.records_recovered;
-    let static_count = result.profile.iter().count();
-    if !spec.json_only() {
-        println!(
-            "trace '{}': {} dynamic branches over {} static sites, {} instructions",
-            trace_name,
-            n,
-            static_count,
-            instructions.map_or_else(|| "unknown".to_owned(), |t| t.to_string())
-        );
-        let taken: u64 = result.profile.iter().map(|(_, s)| s.taken).sum();
-        let density = match instructions {
-            Some(t) if t > 0 => n as f64 / t as f64,
-            _ => 0.0,
-        };
-        let taken_rate = if n > 0 { taken as f64 / n as f64 } else { 0.0 };
-        println!(
-            "density {:.3} branches/instr, dynamic taken rate {:.1}%",
-            density,
-            taken_rate * 100.0
-        );
-        print_analysis(&result, pipeline);
+    // A BWST file runs in memory, and so does a stream when --jobs asks
+    // for workers or --window for per-window summaries; otherwise BWSS
+    // and BWSS3 stream in constant memory.
+    if format == TraceFormat::Bwst || jobs.is_some_and(|j| j > 1) || windowing.is_some() {
+        let (trace, report) = load_trace(path, recovery_policy(&p), &obs)?;
+        warn_salvage(path, &report);
+        return analyze_in_memory(&trace, &pipeline, jobs, supervisor, &windowing, &spec, &obs);
     }
-    if let Some(metrics) = obs.snapshot() {
-        let mut report = RunReport::new(
-            "analyze",
-            trace_name,
-            n,
-            static_count as u64,
-            stream_config_json(pipeline),
-            &metrics,
-        );
-        push_analysis_digests(&mut report, &result);
-        spec.emit(&report)?;
-    }
-    Ok(())
+    // Streaming is already the bottom of the degradation ladder;
+    // supervision here means only the cooperative deadline, observed at
+    // every failpoint site the run passes.
+    let _watchdog = supervisor
+        .and_then(|c| c.max_wall)
+        .map(|wall| watchdog::arm(Instant::now() + wall));
+    analyze_streaming(path, format, &p, &pipeline, &spec, &obs)
 }
 
 /// `--window N[i]` / `--emit-windows FILE` for `analyze`: the parsed
@@ -1110,79 +1030,93 @@ fn stream_config_json(pipeline: &AnalysisPipeline) -> Json {
     ])
 }
 
-/// Streaming analysis of a BWSS trace: constant memory in the trace
-/// length, with optional salvage and checkpoint/resume.
-fn analyze_stream(
+/// Streaming `analyze` of a BWSS or BWSS3 trace, in constant memory:
+/// BWSS3 blocks go straight off the memory map into the record
+/// accumulator, and a BWSS stream is read record by record into a
+/// [`StreamingAnalysis`], with checkpoint/resume. Both honour --salvage.
+fn analyze_streaming(
     path: &str,
+    format: TraceFormat,
     p: &Parsed,
     pipeline: &AnalysisPipeline,
     spec: &ReportSpec,
     obs: &Obs,
 ) -> Result<(), CliError> {
-    let file = File::open(path).map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-    let mut reader = StreamReader::with_recovery(BufReader::new(file), recovery_policy(p))
-        .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?
-        .with_observer(obs.clone());
-    let mut analysis = match p.value("resume") {
-        Some(ck_path) => {
-            let a = load_checkpoint_with_fallback(ck_path, |bytes| {
-                StreamingAnalysis::load_observed(bytes, obs).map_err(|e| format!("{ck_path}: {e}"))
-            })?;
-            if a.trace_name() != reader.name() {
-                return Err(runtime_err(format!(
-                    "{ck_path} is a checkpoint of trace {:?}, not {:?}",
-                    a.trace_name(),
-                    reader.name()
-                )));
+    let cannot_read = |e: TraceError| runtime_err(format!("cannot read {path}: {e}"));
+    let policy = recovery_policy(p);
+    let (trace_name, instructions, result) = if format == TraceFormat::Bwss3 {
+        let bytes = TraceBytes::open(path.as_ref())
+            .map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
+        let file = ColumnarFile::parse(&bytes).map_err(cannot_read)?;
+        let (result, report) =
+            bwsa::core::columnar::analyze_columnar_stream(pipeline, &bytes, policy, obs)
+                .map_err(cannot_read)?;
+        warn_salvage(path, &report);
+        let instructions = file.footer().map(|f| f.total_instructions);
+        (file.name().to_owned(), instructions, result)
+    } else {
+        let file = File::open(path).map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
+        let mut reader = StreamReader::with_recovery(BufReader::new(file), policy)
+            .map_err(cannot_read)?
+            .with_observer(obs.clone());
+        let mut analysis = match p.value("resume") {
+            Some(ck_path) => {
+                let a = load_checkpoint_with_fallback(ck_path, |bytes| {
+                    StreamingAnalysis::load_observed(bytes, obs)
+                        .map_err(|e| format!("{ck_path}: {e}"))
+                })?;
+                if a.trace_name() != reader.name() {
+                    return Err(runtime_err(format!(
+                        "{ck_path} is a checkpoint of trace {:?}, not {:?}",
+                        a.trace_name(),
+                        reader.name()
+                    )));
+                }
+                a
             }
-            a
+            None => StreamingAnalysis::new(reader.name()),
+        };
+        let cadence = checkpoint_cadence(p)?;
+        let to_skip = analysis.records_consumed();
+        let mut skipped = 0u64;
+        let mut next_checkpoint_at = cadence.as_ref().map(|(_, every)| to_skip + every);
+        let ingest_span = obs.span("ingest");
+        for item in reader.by_ref() {
+            let rec = item.map_err(cannot_read)?;
+            if skipped < to_skip {
+                skipped += 1;
+                continue;
+            }
+            analysis.push(&rec);
+            if let (Some((ck_path, every)), Some(at)) = (&cadence, next_checkpoint_at) {
+                if analysis.records_consumed() >= at {
+                    write_checkpoint(ck_path, &analysis.save_observed(obs)).map_err(runtime_err)?;
+                    next_checkpoint_at = Some(analysis.records_consumed() + every);
+                }
+            }
         }
-        None => StreamingAnalysis::new(reader.name()),
-    };
-    let cadence = checkpoint_cadence(p)?;
-    let to_skip = analysis.records_consumed();
-    let mut skipped = 0u64;
-    let mut next_checkpoint_at = cadence
-        .as_ref()
-        .map(|(_, every)| analysis.records_consumed() + every);
-    let ingest_span = obs.span("ingest");
-    for item in reader.by_ref() {
-        let rec = item.map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
+        ingest_span.finish();
         if skipped < to_skip {
-            skipped += 1;
-            continue;
+            return Err(runtime_err(format!(
+                "checkpoint consumed {to_skip} records but {path} only has {skipped}"
+            )));
         }
-        analysis.push(&rec);
-        if let (Some((ck_path, every)), Some(at)) = (&cadence, next_checkpoint_at) {
-            if analysis.records_consumed() >= at {
-                write_checkpoint(ck_path, &analysis.save_observed(obs)).map_err(runtime_err)?;
-                next_checkpoint_at = Some(analysis.records_consumed() + every);
-            }
-        }
-    }
-    ingest_span.finish();
-    if skipped < to_skip {
-        return Err(runtime_err(format!(
-            "checkpoint consumed {to_skip} records but {path} only has {skipped}"
-        )));
-    }
-    warn_salvage(path, reader.salvage_report());
+        warn_salvage(path, reader.salvage_report());
+        let instructions = reader.total_instructions();
+        let result = analysis.finish_observed(pipeline, obs);
+        (reader.name().to_owned(), instructions, result)
+    };
 
-    let n = analysis.records_consumed();
-    let static_count = analysis.static_branch_count();
-    let instructions = reader.total_instructions();
+    let n = result.profile.total_dynamic();
+    let static_count = result.profile.static_count();
     if !spec.json_only() {
         println!(
             "trace '{}': {} dynamic branches over {} static sites, {} instructions",
-            reader.name(),
+            trace_name,
             n,
             static_count,
             instructions.map_or_else(|| "unknown".to_owned(), |t| t.to_string())
         );
-    }
-    let trace_name = reader.name().to_owned();
-    let result = analysis.finish_observed(pipeline, obs);
-    if !spec.json_only() {
         let taken: u64 = result.profile.iter().map(|(_, s)| s.taken).sum();
         let density = match instructions {
             Some(t) if t > 0 => n as f64 / t as f64,

@@ -186,6 +186,74 @@ fn corrupted_stream_fails_strict_but_salvages_to_the_reduced_report() {
     std::fs::remove_file(rest_path).ok();
 }
 
+/// A BWSS3 file with one damaged block recovers, on every ingest path,
+/// exactly the analysis of a clean file holding the surviving records.
+/// The file is past the block-parallel decode threshold, and the damaged
+/// block holds the only records of one branch and the first records of
+/// another that runs again later, so the survivors' branch numbering
+/// differs from the file's directory.
+#[test]
+fn damaged_columnar_block_salvages_to_the_same_answer_on_every_path() {
+    const RECORDS: u64 = 150_000;
+    const BLOCK: u64 = bwsa::trace::columnar::DEFAULT_BLOCK_RECORDS as u64;
+    const VICTIM: u64 = 5;
+    let record = |i: u64| {
+        let pc = match (i / BLOCK == VICTIM, i % BLOCK) {
+            (true, 10) => 0x9000,
+            (true, 11) => 0x9004,
+            (false, _) if i / BLOCK > VICTIM && i.is_multiple_of(97) => 0x9004,
+            // Small working sets that shift every 8192 records.
+            _ => 0x4000 + (i / 8192 % 3) * 0x100 + (i % 4) * 4,
+        };
+        BranchRecord::from_raw(pc, !i.is_multiple_of(5), 3 * i + 1)
+    };
+    let write = |path: &PathBuf, keep: &dyn Fn(u64) -> bool| {
+        let mut bytes = Vec::new();
+        let mut w = bwsa::trace::columnar::ColumnarWriter::new(&mut bytes, "salvage3").unwrap();
+        for i in (0..RECORDS).filter(|&i| keep(i)) {
+            w.push(record(i)).unwrap();
+        }
+        w.finish(3 * RECORDS + 10).unwrap();
+        std::fs::write(path, &bytes).unwrap();
+        bytes
+    };
+    let bad_path = temp_path("damaged.bws3");
+    let mut bad = write(&bad_path, &|_| true);
+    let offset = bwsa::trace::columnar::ColumnarFile::parse(&bad)
+        .unwrap()
+        .footer()
+        .unwrap()
+        .blocks[VICTIM as usize]
+        .0;
+    bad[offset as usize + 40] ^= 0x40;
+    std::fs::write(&bad_path, &bad).unwrap();
+    let clean_path = temp_path("survivors.bws3");
+    write(&clean_path, &|i| i / BLOCK != VICTIM);
+
+    let run = |args: &[&str]| {
+        let out = bwsa().args(args).arg(&bad_path).output().unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?} --salvage: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let streamed = run(&["analyze", "--salvage"]);
+    let parallel = run(&["analyze", "--salvage", "--jobs", "2"]);
+    run(&["allocate", "--salvage"]);
+
+    let clean = bwsa().arg("analyze").arg(&clean_path).output().unwrap();
+    assert_eq!(clean.status.code(), Some(0));
+    let clean = String::from_utf8(clean.stdout).unwrap();
+    assert_eq!(streamed, clean, "streaming salvage");
+    assert_eq!(parallel, clean, "in-memory salvage");
+
+    std::fs::remove_file(bad_path).ok();
+    std::fs::remove_file(clean_path).ok();
+}
+
 #[test]
 fn simulation_killed_after_a_checkpoint_resumes_to_the_same_result() {
     // Compress at 0.05 ≈ 20k records: checkpoints at each 4096-record
