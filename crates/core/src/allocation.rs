@@ -129,9 +129,7 @@ pub fn allocate_classified(
         table_size >= 3,
         "classified allocation needs 2 reserved entries plus at least 1"
     );
-    let refined = classification.refine_graph(graph);
-    let mixed_only =
-        refined.induced(|n| classification.class(BranchId::new(n)) == BiasClass::Mixed);
+    let mixed_only = mixed_graph(&classification.refine_graph(graph), classification);
     let coloring = color_graph(&mixed_only, table_size - 2, &config.coloring);
     let entries = (0..graph.node_count())
         .map(|i| {
@@ -187,6 +185,8 @@ pub struct RequiredSize {
     pub achieved_mass: u64,
 }
 
+/// The smallest size in `min_size..=max_size` whose mass is at most
+/// `target_mass`, coloring each probed size at most once.
 fn search_required(
     min_size: usize,
     max_size: usize,
@@ -197,15 +197,23 @@ fn search_required(
     // perfectly monotone in the table size, so the found boundary is
     // verified and nudged if needed.
     let mut lo = min_size; // invariant: mass(lo) may exceed target
-    if mass_at(lo) <= target_mass {
+    let lo_mass = mass_at(lo);
+    if lo_mass <= target_mass {
         return RequiredSize {
             size: lo,
             target_mass,
-            achieved_mass: mass_at(lo),
+            achieved_mass: lo_mass,
         };
     }
+    // `hi`'s mass once probed; only a size at or below the target is.
+    let mut hi_mass = None;
     let mut hi = (lo * 2).max(lo + 1);
-    while hi < max_size && mass_at(hi) > target_mass {
+    while hi < max_size {
+        let mass = mass_at(hi);
+        if mass <= target_mass {
+            hi_mass = Some(mass);
+            break;
+        }
         lo = hi;
         hi *= 2;
     }
@@ -213,8 +221,10 @@ fn search_required(
     // Binary search on the predicate mass(k) <= target.
     while lo + 1 < hi {
         let mid = lo + (hi - lo) / 2;
-        if mass_at(mid) <= target_mass {
+        let mass = mass_at(mid);
+        if mass <= target_mass {
             hi = mid;
+            hi_mass = Some(mass);
         } else {
             lo = mid;
         }
@@ -222,7 +232,7 @@ fn search_required(
     RequiredSize {
         size: hi,
         target_mass,
-        achieved_mass: mass_at(hi),
+        achieved_mass: hi_mass.unwrap_or_else(|| mass_at(hi)),
     }
 }
 
@@ -242,7 +252,7 @@ pub fn required_bht_size(
     let target = conventional_conflict_mass(graph, table, baseline_size);
     let n = graph.node_count().max(1);
     search_required(1, n + 1, target, |k| {
-        allocate(graph, k, config).conflict_mass
+        color_graph(graph, k, &config.coloring).conflict_mass
     })
 }
 
@@ -267,10 +277,20 @@ pub fn required_bht_size_classified(
 ) -> RequiredSize {
     let refined = classification.refine_graph(graph);
     let target = conventional_conflict_mass(&refined, table, baseline_size);
+    // The graph `allocate_classified` colors; the table size does not
+    // change it.
+    let mixed_only = mixed_graph(&refined, classification);
+    drop(refined);
     let n = graph.node_count().max(1);
     search_required(3, n + 3, target, |k| {
-        allocate_classified(graph, classification, k, config).conflict_mass
+        color_graph(&mixed_only, k - 2, &config.coloring).conflict_mass
     })
+}
+
+/// The refined graph's mixed branches: the only ones classified
+/// allocation colors.
+fn mixed_graph(refined: &ConflictGraph, classification: &Classification) -> ConflictGraph {
+    refined.induced(|n| classification.class(BranchId::new(n)) == BiasClass::Mixed)
 }
 
 #[cfg(test)]
@@ -432,6 +452,69 @@ mod tests {
     fn classified_allocation_needs_three_entries() {
         let (g, c, _) = classified_fixture();
         allocate_classified(&g, &c, 2, &AllocationConfig::default());
+    }
+
+    #[test]
+    fn the_search_colors_each_size_once_and_finds_the_same_size() {
+        // The reference: the same search, free to color a size again.
+        fn reprobing(
+            min: usize,
+            max: usize,
+            target: u64,
+            mass: impl Fn(usize) -> u64,
+        ) -> RequiredSize {
+            let mut lo = min;
+            if mass(lo) <= target {
+                return RequiredSize {
+                    size: lo,
+                    target_mass: target,
+                    achieved_mass: mass(lo),
+                };
+            }
+            let mut hi = (lo * 2).max(lo + 1);
+            while hi < max && mass(hi) > target {
+                lo = hi;
+                hi *= 2;
+            }
+            let mut hi = hi.min(max);
+            while lo + 1 < hi {
+                let mid = lo + (hi - lo) / 2;
+                if mass(mid) <= target {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            RequiredSize {
+                size: hi,
+                target_mass: target,
+                achieved_mass: mass(hi),
+            }
+        }
+        // Falling masses with bumps, so the boundary is not monotone.
+        let mass = |k: usize| (200u64.saturating_sub(k as u64 * 9)) + (k as u64 % 5) * 4;
+        for (min, max) in [(1, 2), (1, 40), (3, 43), (1, 9)] {
+            for target in [0, 3, 10, 40, 90, 150, 500] {
+                let mut probed = Vec::new();
+                let found = search_required(min, max, target, |k| {
+                    probed.push(k);
+                    mass(k)
+                });
+                assert_eq!(
+                    found,
+                    reprobing(min, max, target, mass),
+                    "{min}..{max}, {target}"
+                );
+                let mut unique = probed.clone();
+                unique.sort_unstable();
+                unique.dedup();
+                assert_eq!(
+                    unique.len(),
+                    probed.len(),
+                    "{min}..{max}, {target}: {probed:?}"
+                );
+            }
+        }
     }
 
     #[test]

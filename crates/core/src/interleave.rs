@@ -10,9 +10,9 @@
 //! One kernel, `Detector`, runs the procedure for every engine. The
 //! serial pipeline drives it directly; every engine fed one record at a
 //! time (BWSS2 and BWSS3 streaming, checkpoint/resume, the supervisor's
-//! streaming rung, the parallel shards and window flushes of
-//! [`crate::merge::ShardDelta`]) goes through `Accumulator`, which pairs
-//! it with the per-branch execution statistics of the same records. The
+//! streaming rung, the parallel shards of [`crate::merge::ShardDelta`]
+//! and the windowed engine) goes through `Accumulator`, which pairs it
+//! with the per-branch execution statistics of the same records. The
 //! detector finds the branches to credit with a recency index of
 //! `(latest timestamp, branch)` pairs (`RecencyRing`): a binary search
 //! plus a scan over exactly the branches involved, `O(k + log n)` per
@@ -26,9 +26,12 @@
 //! `DENSE_NODES` (4096); pairs with an endpoint above it, folded rows and
 //! edges restored from a checkpoint live in a [`GraphBuilder`], the spill
 //! table. Whole-trace engines compile the CSR graph straight from rows
-//! and spill in sorted order; shard and window deltas fold into a
-//! [`GraphBuilder`], the merge currency. [`interleave_counts_naive`] is an
-//! independent linear-scan oracle used by the tests.
+//! and spill in sorted order; shard deltas fold into a [`GraphBuilder`],
+//! the merge currency. A windowed run keeps one detector for the whole
+//! trace and reads each window out of it: a row is copied at its first
+//! credit in the window, and the flush walks the touched rows' differences
+//! from those copies. [`interleave_counts_naive`] is an independent
+//! linear-scan oracle used by the tests.
 
 use crate::merge::ShardDelta;
 use crate::pipeline::{Analysis, AnalysisPipeline};
@@ -98,6 +101,63 @@ struct Row {
     counts: Vec<u32>,
     /// Re-executions counted into `counts`, which bounds every counter.
     reexecs: u32,
+    /// The row's entry in [`Window::copies`], valid while `epoch` is the
+    /// open window's.
+    copy: u32,
+    /// The window epoch of the row's last copy; 0 for never copied.
+    epoch: u64,
+}
+
+/// A row's counts as they stood at its first credit in the open window:
+/// `Window::counts[start..start + len]`. A copy shorter than its row
+/// reads as zeros past its end, so an empty copy stands for a row's
+/// whole count.
+#[derive(Debug, Clone)]
+struct RowCopy {
+    row: u32,
+    start: usize,
+    len: usize,
+}
+
+/// What a windowed run needs to read one window out of the detector.
+#[derive(Debug, Clone, Default)]
+struct Window {
+    /// The open window's epoch; 0 while no window is tracked, which is
+    /// every engine but the windowed one.
+    epoch: u64,
+    /// One copy per row the open window credited, in first-credit order.
+    copies: Vec<RowCopy>,
+    /// The copied counts, back to back.
+    counts: Vec<u32>,
+    /// The open window's credits to pairs outside the dense rows, plus
+    /// the window's part of any row folded during it.
+    spill: GraphBuilder,
+}
+
+impl Window {
+    /// Copies `row` (branch `id`) unless the open window already did.
+    #[inline]
+    fn copy(&mut self, id: u32, row: &mut Row) {
+        if row.epoch == self.epoch {
+            return;
+        }
+        row.epoch = self.epoch;
+        row.copy = self.copies.len() as u32;
+        self.copies.push(RowCopy {
+            row: id,
+            start: self.counts.len(),
+            len: row.counts.len(),
+        });
+        self.counts.extend_from_slice(&row.counts);
+    }
+
+    /// Starts the next window over `nodes` branches.
+    fn open(&mut self, nodes: u32) {
+        self.epoch += 1;
+        self.copies.clear();
+        self.counts.clear();
+        self.spill = GraphBuilder::new(nodes);
+    }
 }
 
 /// The Figure 1 detection kernel over pre-interned `(branch, stamp)`
@@ -126,6 +186,8 @@ pub(crate) struct Detector {
     /// Re-executions at which a row folds into `spill`, before any of its
     /// `u32` counters can overflow. Only unit tests lower it.
     fold_at: u32,
+    /// The open window's row copies and spill credits, when tracked.
+    window: Window,
 }
 
 impl Detector {
@@ -135,8 +197,8 @@ impl Detector {
     }
 
     /// A detector that continues from per-branch latest stamps and
-    /// already-counted edges: a checkpoint, or the carry-in of a shard or
-    /// window. The recency index is rebuilt from `last_stamp`, whose
+    /// already-counted edges: a checkpoint, or the carry-in of a shard.
+    /// The recency index is rebuilt from `last_stamp`, whose
     /// entries are exactly `(last_stamp[b], b)` for every executed branch.
     pub(crate) fn resume(last_stamp: Vec<Option<u64>>, mut edges: GraphBuilder) -> Self {
         edges.ensure_nodes(last_stamp.len() as u32);
@@ -147,12 +209,51 @@ impl Detector {
             allocated: Vec::new(),
             spill: edges,
             fold_at: u32::MAX,
+            window: Window::default(),
         }
     }
 
     /// Per-branch latest stamps, indexed by branch id.
     pub(crate) fn last_stamps(&self) -> &[Option<u64>] {
         &self.last_stamp
+    }
+
+    /// Starts reading windows out of this detector: from here on each
+    /// row is copied at its first credit in a window, and spill credits
+    /// are also counted per window. Every other engine leaves this off.
+    pub(crate) fn track_windows(&mut self) {
+        self.window.open(self.last_stamp.len() as u32);
+    }
+
+    /// Calls `f(a, b, window weight, cumulative weight)` once per pair the
+    /// open window credited, with `a < b`, in increasing `(a, b)` order,
+    /// then opens the next window. Only the touched rows' differences
+    /// from their copies and the window's spill credits are read. Returns
+    /// how many rows the window touched.
+    pub(crate) fn flush_window(&mut self, mut f: impl FnMut(u32, u32, u64, u64)) -> usize {
+        debug_assert!(self.window.epoch != 0, "windows are not tracked");
+        self.window.copies.sort_unstable_by_key(|copy| copy.row);
+        let mut spill: Vec<_> = self.window.spill.edges().collect();
+        spill.sort_unstable();
+        let width = self.last_stamp.len().min(DENSE_NODES);
+        let pairs = MergeSorted {
+            left: RowPairs::new(&self.rows, &self.window.copies, &self.window.counts, width)
+                .peekable(),
+            right: spill.into_iter().peekable(),
+        };
+        for (a, b, w) in pairs {
+            f(a, b, w, self.pair_weight(a, b));
+        }
+        let touched = self.window.copies.len();
+        self.window.open(self.last_stamp.len() as u32);
+        touched
+    }
+
+    /// The weight pair `{a, b}` has accumulated so far, `a < b`.
+    pub(crate) fn pair_weight(&self, a: u32, b: u32) -> u64 {
+        u64::from(row_count(&self.rows, a as usize, b as usize))
+            + u64::from(row_count(&self.rows, b as usize, a as usize))
+            + self.spill.edge_weight(a, b).unwrap_or(0)
     }
 
     /// Consumes one record: when `node` re-executes, every branch whose
@@ -164,6 +265,7 @@ impl Detector {
         if i >= self.last_stamp.len() {
             self.last_stamp.resize(i + 1, None);
             self.spill.ensure_nodes(node + 1);
+            self.window.spill.ensure_nodes(node + 1);
         }
         if let Some(prev) = self.last_stamp[i] {
             self.credit(node, prev);
@@ -184,12 +286,18 @@ impl Detector {
             allocated,
             spill,
             fold_at,
+            window,
             ..
         } = self;
+        let tracked = window.epoch != 0;
         let i = node as usize;
         if i >= DENSE_NODES {
+            let mut local = tracked.then_some(&mut window.spill);
             recency.for_each_after(prev, node, |b| {
                 spill.add_edge(node, b, 1);
+                if let Some(local) = &mut local {
+                    local.add_edge(node, b, 1);
+                }
             });
             return;
         }
@@ -197,8 +305,13 @@ impl Detector {
             rows.resize_with(i + 1, Row::default);
         }
         let row = &mut rows[i];
+        if tracked {
+            // Copy the counts as the window found them, before any of its
+            // increments.
+            window.copy(node, row);
+        }
         if row.reexecs == *fold_at {
-            fold_row(spill, node, row);
+            fold_row(spill, node, row, window);
         }
         if row.counts.len() < width {
             if row.counts.is_empty() {
@@ -212,17 +325,21 @@ impl Detector {
         // The row spans every seen branch below DENSE_NODES, so a hit
         // outside it is a pair for the spill table.
         let counts = &mut row.counts[..];
+        let mut local = tracked.then_some(&mut window.spill);
         recency.for_each_after(prev, node, |b| match counts.get_mut(b as usize) {
             Some(count) => *count += 1,
             None => {
                 spill.add_edge(node, b, 1);
+                if let Some(local) = &mut local {
+                    local.add_edge(node, b, 1);
+                }
             }
         });
     }
 
     /// Every accumulated edge folded into one [`GraphBuilder`], sized once
     /// for the spill edges plus each dense pair. Only allocated rows are
-    /// visited, so a window that re-executed few branches folds cheaply.
+    /// visited, so a shard that re-executed few branches folds cheaply.
     pub(crate) fn into_builder(self) -> GraphBuilder {
         let mut pairs = 0;
         self.for_each_dense_pair(|_, _, _| pairs += 1);
@@ -290,18 +407,37 @@ impl Detector {
 
     /// Lowers the fold point so tests can drive rows through it.
     #[cfg(test)]
-    fn with_fold_at(mut self, reexecs: u32) -> Self {
+    pub(crate) fn with_fold_at(mut self, reexecs: u32) -> Self {
         self.fold_at = reexecs;
         self
     }
 }
 
-/// Moves a row's counts into the spill table and zeroes it.
+/// Moves a row's counts into the spill table and zeroes it. When the open
+/// window copied the row, the window's part of each count (count minus
+/// copy) moves into the window's spill and the copy is zeroed, so the
+/// row's difference from its copy stays exactly the window's credits.
 #[cold]
-fn fold_row(spill: &mut GraphBuilder, a: u32, row: &mut Row) {
+fn fold_row(spill: &mut GraphBuilder, a: u32, row: &mut Row, window: &mut Window) {
+    let Window {
+        epoch,
+        copies,
+        counts: copied,
+        spill: local,
+    } = window;
+    let mut copy = (*epoch != 0 && row.epoch == *epoch).then(|| {
+        let copy = &copies[row.copy as usize];
+        &mut copied[copy.start..copy.start + copy.len]
+    });
     for (b, count) in row.counts.iter_mut().enumerate() {
         if *count > 0 {
             spill.add_edge(a, b as u32, u64::from(*count));
+            if let Some(copy) = &mut copy {
+                let before = copy.get_mut(b).map_or(0, std::mem::take);
+                if *count > before {
+                    local.add_edge(a, b as u32, u64::from(*count - before));
+                }
+            }
             *count = 0;
         }
     }
@@ -325,40 +461,70 @@ fn sorted_edges<'a>(
     spill: &'a [(u32, u32, u64)],
 ) -> impl Iterator<Item = (u32, u32, u64)> + Clone + 'a {
     let width = (nodes as usize).min(DENSE_NODES);
+    // Every allocated row, each with an empty copy: whole counts.
+    let mut listed: Vec<RowCopy> = allocated
+        .iter()
+        .map(|&row| RowCopy {
+            row,
+            start: 0,
+            len: 0,
+        })
+        .collect();
+    listed.sort_unstable_by_key(|copy| copy.row);
     MergeSorted {
-        left: DensePairs::new(rows, allocated, width).peekable(),
+        left: RowPairs::new(rows, listed, &[], width).peekable(),
         right: spill.iter().copied().peekable(),
     }
 }
 
-/// The dense pairs `(a, b, row[a][b] + row[b][a])` with `a < b < width`
-/// and a nonzero weight, in increasing `(a, b)` order. Row `a` is read in
-/// place; column `a` of the allocated rows after it is gathered once per
-/// `a`, and an `a` with neither a row nor a column entry is skipped.
+/// The dense pairs `(a, b, weight)` with `a < b < width` and a nonzero
+/// weight, in increasing `(a, b)` order, read from the listed rows only.
+/// A pair's weight is what rows `a` and `b` counted since their copies,
+/// `row[a][b] − copy[a][b] + row[b][a] − copy[b][a]`, and an unlisted row
+/// counts nothing. The whole-trace compile lists every allocated row with
+/// an empty copy; a window flush lists the rows the window touched.
+///
+/// Row `a` is read in place; column `a` of the listed rows after it is
+/// gathered once per `a`, and an `a` with neither a listed row nor a
+/// column entry is skipped.
 #[derive(Clone)]
-struct DensePairs<'a> {
+struct RowPairs<'a, C> {
     rows: &'a [Row],
-    allocated: &'a [u32],
+    /// The listed rows' copies, in increasing row order, all below
+    /// `width`.
+    copies: C,
+    /// The counts the copies index.
+    copied: &'a [u32],
     width: usize,
     a: usize,
     b: usize,
-    /// `column[b] = row[b][a]` for the current `a` and every allocated
-    /// `b > a`; other entries are never read.
+    /// The first copy of a row at or above `a`.
+    next: usize,
+    /// Row `a` and its copy, when row `a` is listed.
+    own: Option<(&'a [u32], &'a [u32])>,
+    /// `column[b]` = row `b`'s count of `a` since its copy, for every
+    /// listed `b > a`; other entries are never read.
     column: Vec<u32>,
     /// Whether `column` holds a nonzero entry.
     column_live: bool,
+    /// The next copy whose column entry an unlisted `a` reads.
+    cursor: usize,
 }
 
-impl<'a> DensePairs<'a> {
-    fn new(rows: &'a [Row], allocated: &'a [u32], width: usize) -> Self {
-        let mut pairs = DensePairs {
+impl<'a, C: AsRef<[RowCopy]>> RowPairs<'a, C> {
+    fn new(rows: &'a [Row], copies: C, copied: &'a [u32], width: usize) -> Self {
+        let mut pairs = RowPairs {
             rows,
-            allocated,
+            copies,
+            copied,
             width,
             a: 0,
             b: 1,
+            next: 0,
+            own: None,
             column: vec![0; width],
             column_live: false,
+            cursor: 0,
         };
         pairs.gather();
         pairs
@@ -366,31 +532,62 @@ impl<'a> DensePairs<'a> {
 
     fn gather(&mut self) {
         let a = self.a;
+        let copies = self.copies.as_ref();
+        while copies.get(self.next).is_some_and(|c| (c.row as usize) < a) {
+            self.next += 1;
+        }
+        let mut above = self.next;
+        self.own = None;
+        if copies.get(above).is_some_and(|c| c.row as usize == a) {
+            self.own = Some(sides(self.rows, self.copied, &copies[above]));
+            above += 1;
+        }
+        self.cursor = above;
         self.column_live = false;
-        for &b in self.allocated {
-            let b = b as usize;
-            if b > a && b < self.width {
-                let count = row_count(self.rows, b, a);
-                self.column[b] = count;
-                self.column_live |= count > 0;
-            }
+        for copy in &copies[above..] {
+            let (counts, copied) = sides(self.rows, self.copied, copy);
+            let count = difference(counts, copied, a);
+            self.column[copy.row as usize] = count;
+            self.column_live |= count > 0;
         }
     }
 }
 
-impl Iterator for DensePairs<'_> {
+/// Row `copy.row` and its copy.
+fn sides<'a>(rows: &'a [Row], copied: &'a [u32], copy: &RowCopy) -> (&'a [u32], &'a [u32]) {
+    (
+        &rows[copy.row as usize].counts,
+        &copied[copy.start..copy.start + copy.len],
+    )
+}
+
+/// `counts[b] - copied[b]`, either side zero past its end.
+#[inline]
+fn difference(counts: &[u32], copied: &[u32], b: usize) -> u32 {
+    counts.get(b).copied().unwrap_or(0) - copied.get(b).copied().unwrap_or(0)
+}
+
+impl<C: AsRef<[RowCopy]>> Iterator for RowPairs<'_, C> {
     type Item = (u32, u32, u64);
 
     fn next(&mut self) -> Option<Self::Item> {
         while self.a < self.width {
-            let own = self.rows.get(self.a).map_or(&[][..], |row| &row.counts[..]);
-            if !own.is_empty() || self.column_live {
+            if let Some((counts, copied)) = self.own {
                 while self.b < self.width {
                     let b = self.b;
                     self.b += 1;
-                    let w = u64::from(own.get(b).copied().unwrap_or(0)) + u64::from(self.column[b]);
+                    let w = u64::from(difference(counts, copied, b)) + u64::from(self.column[b]);
                     if w > 0 {
                         return Some((self.a as u32, b as u32, w));
+                    }
+                }
+            } else if self.column_live {
+                // Only the listed rows after `a` can pair with it.
+                while let Some(copy) = self.copies.as_ref().get(self.cursor) {
+                    self.cursor += 1;
+                    let w = self.column[copy.row as usize];
+                    if w > 0 {
+                        return Some((self.a as u32, copy.row, u64::from(w)));
                     }
                 }
             }
@@ -474,8 +671,8 @@ pub fn interleave_counts_naive(trace: &Trace) -> GraphBuilder {
 /// [`BranchStats`] behind the §5.2 bias classes and Table 2's dynamic
 /// sizes, and the record count. BWSS2 streaming and checkpoints (through
 /// [`crate::StreamingAnalysis`], which interns pcs first), BWSS3
-/// streaming, the supervisor's streaming rung, and every shard and window
-/// delta push pre-interned `(id, stamp, taken)` records into it.
+/// streaming, the supervisor's streaming rung, every shard delta and the
+/// windowed engine push pre-interned `(id, stamp, taken)` records into it.
 ///
 /// Every id pushed grows the accumulator to cover it, so an accumulator
 /// started empty ends with exactly the branches it saw.
@@ -494,7 +691,7 @@ impl Accumulator {
 
     /// An accumulator that continues from per-branch latest stamps plus
     /// already-counted edges, stats and records: a checkpoint, or (with
-    /// an empty delta) the carry-in of a shard or window.
+    /// an empty delta) the carry-in of a shard.
     pub(crate) fn resume(last_stamp: Vec<Option<u64>>, counted: ShardDelta) -> Self {
         Accumulator {
             detector: Detector::resume(last_stamp, counted.builder),
@@ -523,7 +720,7 @@ impl Accumulator {
     }
 
     /// The accumulated records as a [`ShardDelta`], the currency of shard
-    /// and window merges.
+    /// merges.
     pub(crate) fn into_delta(self) -> ShardDelta {
         ShardDelta {
             builder: self.detector.into_builder(),

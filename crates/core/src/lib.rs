@@ -98,7 +98,8 @@ pub mod failpoints {
     pub const CHECKPOINT_RESTORE: &str = "core.checkpoint_restore";
     /// Fires when a [`crate::WindowedAnalysis`] window flushes.
     pub const WINDOW_FLUSH: &str = "core.window_flush";
-    /// Fires before a flushed window merges into the cumulative state.
+    /// Fires before a flushed window's pairs enter the cumulative kept
+    /// graph.
     pub const WINDOW_MERGE: &str = "core.window_merge";
     /// Fires before the incremental re-coloring of the cumulative graph.
     pub const RECOLOR: &str = "core.recolor";

@@ -225,16 +225,7 @@ impl ShardDelta {
 
     /// Folds a *later* shard's contribution onto this one.
     pub fn merge(&mut self, later: &ShardDelta) -> &mut Self {
-        self.merge_with(later, |_, _, _, _| {})
-    }
-
-    /// [`ShardDelta::merge`], reporting edges as [`GraphBuilder::merge_with`].
-    pub(crate) fn merge_with(
-        &mut self,
-        later: &ShardDelta,
-        on_edge: impl FnMut(u32, u32, u64, u64),
-    ) -> &mut Self {
-        self.builder.merge_with(&later.builder, on_edge);
+        self.builder.merge(&later.builder);
         if self.stats.len() < later.stats.len() {
             self.stats.resize(later.stats.len(), BranchStats::default());
         }

@@ -12,36 +12,42 @@
 //! (Jaccard similarity vs. the previous window) and a phase-change
 //! signal.
 //!
-//! **Exactness.** Each window is summarised with the PR 2 merge algebra:
-//! the window's records run through [`ShardDelta::of_shard`] seeded with
-//! the [`ShardBoundary`] carry of everything before the window, and the
-//! deltas merge associatively into the cumulative whole-trace state.
-//! Because that algebra is exactly the one the parallel engine uses,
-//! `fold(windows) == whole_trace` *bit-for-bit* — interleave counts,
-//! graph edges, working sets, classification, and the final coloring all
-//! match a from-scratch serial (or sharded) run. The property suite
+//! **Exactness.** One whole-trace [`Accumulator`] consumes every record,
+//! the same one the streaming engines feed, and each window is read out
+//! of it: the detector copies a row at its first credit in the window,
+//! and the flush walks the touched rows' differences from those copies
+//! in sorted order. That walk yields the window's own pairs and weights
+//! plus each pair's cumulative weight before and after the window, and
+//! costs what the window touched. The windows therefore partition the
+//! serial pass's credits, and [`WindowedAnalysis::finish`] is the
+//! streaming engines' own tail, so `fold(windows) == whole_trace`
+//! *bit-for-bit* — interleave counts, graph edges, working sets,
+//! classification, and the final coloring all match a from-scratch
+//! serial (or sharded) run. The property suite
 //! `crates/core/tests/windowed_equiv.rs` pins this across arbitrary
 //! traces, window sizes, and `--jobs` values.
 //!
 //! **Incremental re-coloring.** Edge weights only ever grow, so an edge
-//! crosses the threshold at most once: each merge keeps the cumulative
-//! pruned graph's edge set and its `(nodes, kept edges, kept weight)`
+//! crosses the threshold at most once: the walk hands each crossing to
+//! the re-colorer, which keeps the cumulative pruned graph as per-node
+//! sorted neighbor lists and its `(nodes, kept edges, kept weight)`
 //! signature current in time proportional to the window. An unchanged
 //! signature proves the pruned graph identical, so the previous
 //! assignment is still *the* coloring (the skip is exact); a moved one
-//! compiles the pruned graph from the kept set and re-colors it. Each
-//! re-coloring reports a **stability** metric: the fraction of
-//! previously assigned branches that kept their BHT entry.
+//! compiles the pruned graph from the lists, with weights read from the
+//! rows, and re-colors it. Each re-coloring reports a **stability**
+//! metric: the fraction of previously assigned branches that kept their
+//! BHT entry.
 
 use crate::error::{CoreError, Error};
-use crate::merge::{ShardBoundary, ShardDelta};
+use crate::interleave::{Accumulator, Detector};
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use crate::working_set::{working_sets, WorkingSetReport};
 use bwsa_graph::coloring::{color_graph, ColoringOptions};
-use bwsa_graph::GraphBuilder;
+use bwsa_graph::ConflictGraph;
 use bwsa_obs::json::Json;
 use bwsa_obs::Obs;
-use bwsa_trace::profile::BranchProfile;
+use bwsa_trace::profile::{BranchProfile, BranchStats};
 
 /// Jaccard similarity below which a window is flagged as a phase change.
 const PHASE_JACCARD: f64 = 0.5;
@@ -178,9 +184,9 @@ pub struct WindowSummary {
     pub new_branches: usize,
     /// Distinct branches executed in this window.
     pub executed_branches: usize,
-    /// Interleave pairs detected within this window (the conflict-graph
-    /// delta's edge count; edges here carry the exact seeded carry-in
-    /// state, so deltas sum to the whole-trace graph).
+    /// Interleave pairs detected within this window: the pairs whose
+    /// weight it raised. Every window continues the one whole-trace
+    /// detector, so the windows' weights sum to the whole-trace graph's.
     pub interleave_pairs: usize,
     /// Total interleave weight detected within this window.
     pub interleave_weight: u64,
@@ -247,8 +253,13 @@ struct Recolorer {
     options: ColoringOptions,
     threshold: u64,
     assignment: Vec<u32>,
-    /// The cumulative pruned graph: every edge at or above the threshold.
-    kept: GraphBuilder,
+    /// The cumulative pruned graph, every edge at or above the threshold:
+    /// `neighbors[a]` lists `a`'s kept neighbors, ascending except for
+    /// the lists named in `unsorted`. Lists only grow.
+    neighbors: Vec<Vec<u32>>,
+    /// Lists that received an id below their last since the last build.
+    unsorted: Vec<u32>,
+    kept_edges: usize,
     kept_weight: u64,
     /// `(nodes, kept edges, kept weight)` of the last colored graph.
     /// Cumulative edge weights grow monotonically, so an unchanged
@@ -263,37 +274,68 @@ impl Recolorer {
         Recolorer {
             table_size,
             options: pipeline.allocation.coloring,
-            threshold: pipeline.conflict.threshold,
+            // A zero threshold keeps the same edges as 1: every counted
+            // pair has a credit.
+            threshold: pipeline.conflict.threshold.max(1),
             assignment: Vec::new(),
-            kept: GraphBuilder::new(0),
+            neighbors: Vec::new(),
+            unsorted: Vec::new(),
+            kept_edges: 0,
             kept_weight: 0,
             signature: None,
             recolors: 0,
         }
     }
 
-    /// Folds one merged edge's weight change into the kept set. Weights
-    /// only grow: an edge enters once, and later merges add their gain.
+    /// Folds one pair's weight change into the kept graph. Weights only
+    /// grow: an edge enters once, when it crosses the threshold, and
+    /// later windows add their gain.
     fn track(&mut self, a: u32, b: u32, before: u64, after: u64) {
-        let counted = if before >= self.threshold { before } else { 0 };
-        if after >= self.threshold {
-            self.kept.add_edge(a, b, after - counted);
-            self.kept_weight += after - counted;
+        if after < self.threshold {
+            return;
         }
+        if before >= self.threshold {
+            self.kept_weight += after - before;
+            return;
+        }
+        self.kept_weight += after;
+        self.kept_edges += 1;
+        self.link(a, b);
+        self.link(b, a);
     }
 
-    /// Re-colors the kept edges unless they are unchanged since the last
-    /// coloring.
-    fn observe(&mut self) -> RecolorStats {
-        let kept = &self.kept;
-        let signature = (kept.node_count(), kept.edge_count(), self.kept_weight);
+    fn link(&mut self, a: u32, b: u32) {
+        let i = a as usize;
+        if i >= self.neighbors.len() {
+            self.neighbors.resize_with(i + 1, Vec::new);
+        }
+        let list = &mut self.neighbors[i];
+        if list.last().is_some_and(|&last| last > b) {
+            self.unsorted.push(a);
+        }
+        list.push(b);
+    }
+
+    /// Re-colors the kept graph over `nodes` branches unless it is
+    /// unchanged since the last coloring, reading each kept edge's weight
+    /// from `detector`.
+    fn observe(&mut self, nodes: u32, detector: &Detector) -> RecolorStats {
+        let signature = (nodes, self.kept_edges, self.kept_weight);
         if self.signature == Some(signature) {
             return RecolorStats {
                 recolored: false,
                 stability: 1.0,
             };
         }
-        let next = color_graph(&kept.build(), self.table_size, &self.options).assignment;
+        self.unsorted.sort_unstable();
+        self.unsorted.dedup();
+        for a in self.unsorted.drain(..) {
+            self.neighbors[a as usize].sort_unstable();
+        }
+        let kept = ConflictGraph::from_neighbor_lists(nodes, &self.neighbors, |a, b| {
+            detector.pair_weight(a, b)
+        });
+        let next = color_graph(&kept, self.table_size, &self.options).assignment;
         let unchanged = self
             .assignment
             .iter()
@@ -390,14 +432,17 @@ pub struct WindowedAnalysis {
     config: WindowConfig,
     pipeline: AnalysisPipeline,
     obs: Obs,
-    /// Dense node-id space observed so far (max pushed id + 1).
-    nodes: usize,
-    /// Latest stamp per branch over everything before the open window.
-    carry: ShardBoundary,
-    /// The folded whole-trace state over all flushed windows.
-    cumulative: ShardDelta,
-    /// Records of the currently open window.
-    buffer: Vec<(u32, u64, bool)>,
+    /// Every record pushed so far; windows are read out of its detector.
+    acc: Accumulator,
+    /// Per-branch statistics of the open window's records, indexed by id.
+    stats: Vec<BranchStats>,
+    /// Ids the open window executed, in first-execution order.
+    executed: Vec<u32>,
+    /// Records in the open window.
+    records: u64,
+    /// Timestamps of the open window's first and last records.
+    first_time: u64,
+    last_time: u64,
     /// Exclusive end of the open instruction window (instruction unit
     /// only; saturates at `u64::MAX`).
     window_end: Option<u64>,
@@ -410,15 +455,19 @@ pub struct WindowedAnalysis {
 impl WindowedAnalysis {
     /// An engine with no records pushed yet.
     pub fn new(config: WindowConfig, pipeline: AnalysisPipeline) -> Self {
+        let mut acc = Accumulator::new(0);
+        acc.detector.track_windows();
         WindowedAnalysis {
             recolorer: Recolorer::new(config.table_size, &pipeline),
             config,
             pipeline,
             obs: Obs::noop(),
-            nodes: 0,
-            carry: ShardBoundary::empty(0),
-            cumulative: ShardDelta::empty(0),
-            buffer: Vec::new(),
+            acc,
+            stats: Vec::new(),
+            executed: Vec::new(),
+            records: 0,
+            first_time: 0,
+            last_time: 0,
             window_end: None,
             prev_executed: None,
             windows: Vec::new(),
@@ -472,74 +521,84 @@ impl WindowedAnalysis {
                 Some(_) => {}
             }
         }
-        self.nodes = self.nodes.max(id as usize + 1);
-        self.buffer.push((id, time, taken));
-        if self.config.unit == WindowUnit::DynamicBranches
-            && self.buffer.len() as u64 >= self.config.interval
-        {
+        let i = id as usize;
+        if i >= self.stats.len() {
+            self.stats.resize(i + 1, BranchStats::default());
+        }
+        if self.stats[i].executions == 0 {
+            self.executed.push(id);
+        }
+        self.stats[i].record(time.into(), taken);
+        if self.records == 0 {
+            self.first_time = time;
+        }
+        self.last_time = time;
+        self.records += 1;
+        self.acc.push(id, time, taken);
+        if self.config.unit == WindowUnit::DynamicBranches && self.records >= self.config.interval {
             self.flush();
         }
     }
 
     /// Flushes the open window (no-op when it holds no records).
     fn flush(&mut self) {
-        if self.buffer.is_empty() {
+        if self.records == 0 {
             return;
         }
         bwsa_resilience::failpoint!(crate::failpoints::WINDOW_FLUSH);
         let _span = self.obs.span("window_flush");
-        let nodes = self.nodes;
-        let delta = ShardDelta::of_shard(nodes, &self.carry, self.buffer.iter().copied());
-        let boundary =
-            ShardBoundary::of_records(nodes, self.buffer.iter().map(|&(id, t, _)| (id, t)));
-        let first_time = self.buffer.first().map_or(0, |r| r.1);
-        let last_time = self.buffer.last().map_or(0, |r| r.1);
-        self.buffer.clear();
+        let nodes = self.acc.stats.len() as u32;
+        let threshold = self.recolorer.threshold;
 
-        let executed: Vec<u32> = delta
-            .stats
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.executions > 0)
-            .map(|(i, _)| i as u32)
-            .collect();
+        bwsa_resilience::failpoint!(crate::failpoints::WINDOW_MERGE);
+        let mut interleave_pairs = 0;
+        let mut interleave_weight = 0;
+        let (window_sets, rows_touched) = {
+            let _span = self.obs.span("window_diff");
+            let mut kept = Vec::new();
+            let recolorer = &mut self.recolorer;
+            let rows_touched = self.acc.detector.flush_window(|a, b, w, after| {
+                interleave_pairs += 1;
+                interleave_weight += w;
+                if w >= threshold {
+                    kept.push((a, b, w));
+                }
+                recolorer.track(a, b, after - w, after);
+            });
+            let pruned_window = ConflictGraph::from_sorted_edges(nodes, kept.iter().copied());
+            let profile = BranchProfile::from_parts(self.stats.clone(), self.records);
+            let sets = working_sets(&pruned_window, &profile, self.pipeline.definition);
+            (sets, rows_touched)
+        };
+
+        let mut executed = std::mem::take(&mut self.executed);
+        executed.sort_unstable();
         let new_branches = executed
             .iter()
             .filter(|&&id| {
-                self.cumulative
-                    .stats
-                    .get(id as usize)
-                    .is_none_or(|s| s.executions == 0)
+                self.acc.stats[id as usize].executions == self.stats[id as usize].executions
             })
             .count();
-
-        let window_graph = delta.builder.build();
-        let pruned_window = window_graph.pruned(self.pipeline.conflict.threshold);
-        let window_profile = BranchProfile::from_parts(delta.stats.clone(), delta.record_count());
-        let window_sets = working_sets(&pruned_window, &window_profile, self.pipeline.definition);
-
+        for &id in &executed {
+            self.stats[id as usize] = BranchStats::default();
+        }
         let jaccard = match &self.prev_executed {
             None => 1.0,
             Some(prev) => jaccard_sorted(prev, &executed),
         };
         let phase_change = self.prev_executed.is_some() && jaccard < PHASE_JACCARD;
 
-        bwsa_resilience::failpoint!(crate::failpoints::WINDOW_MERGE);
-        let recolorer = &mut self.recolorer;
-        recolorer.kept.ensure_nodes(nodes as u32);
-        self.cumulative.merge_with(&delta, |a, b, before, after| {
-            recolorer.track(a, b, before, after);
-        });
-        self.carry.join(&boundary);
-
         bwsa_resilience::failpoint!(crate::failpoints::RECOLOR);
         let recolor = {
             let _span = self.obs.span("recolor");
-            self.recolorer.observe()
+            self.recolorer.observe(nodes, &self.acc.detector)
         };
 
+        let records = std::mem::take(&mut self.records);
         self.obs.add("core.windows_flushed", 1);
-        self.obs.add("core.window_records", delta.record_count());
+        self.obs.add("core.window_records", records);
+        self.obs
+            .add("core.window_rows_touched", rows_touched as u64);
         if recolor.recolored {
             self.obs.add("core.recolors", 1);
         }
@@ -549,14 +608,14 @@ impl WindowedAnalysis {
 
         self.windows.push(WindowSummary {
             index: self.windows.len(),
-            records: delta.record_count(),
-            first_time,
-            last_time,
+            records,
+            first_time: self.first_time,
+            last_time: self.last_time,
             new_branches,
             executed_branches: executed.len(),
-            interleave_pairs: window_graph.edge_count(),
-            interleave_weight: window_graph.total_weight(),
-            cumulative_edges_kept: self.recolorer.kept.edge_count(),
+            interleave_pairs,
+            interleave_weight,
+            cumulative_edges_kept: self.recolorer.kept_edges,
             working_sets: window_sets.report,
             jaccard,
             phase_change,
@@ -566,9 +625,10 @@ impl WindowedAnalysis {
     }
 
     /// Flushes the trailing partial window and folds everything into the
-    /// whole-trace [`Analysis`] — bit-identical to a from-scratch run
-    /// over the same records (the associativity of the PR 2 merge
-    /// algebra; pinned by `crates/core/tests/windowed_equiv.rs`).
+    /// whole-trace [`Analysis`] — the streaming engines' own tail over
+    /// the one accumulator every window was read from, so bit-identical
+    /// to a from-scratch run over the same records (pinned by
+    /// `crates/core/tests/windowed_equiv.rs`).
     pub fn finish(mut self) -> WindowedResult {
         self.flush();
         let recolors = self.recolorer.recolors;
@@ -583,8 +643,8 @@ impl WindowedAnalysis {
                 .sum::<f64>()
                 / self.windows.len() as f64
         };
-        let records = self.cumulative.record_count();
-        let analysis = self.cumulative.into_analysis(&self.pipeline, &self.obs);
+        let records = self.acc.records;
+        let analysis = self.acc.into_analysis(&self.pipeline, &self.obs);
         WindowedResult {
             config: self.config,
             windows: self.windows,
@@ -797,6 +857,74 @@ mod tests {
             other => panic!("windows not an array: {other:?}"),
         };
         assert_eq!(first.get("records").and_then(Json::as_u64), Some(150));
+    }
+
+    /// `(a, b) -> weight` of the naive oracle over `records`.
+    fn naive_weights(records: &[(u64, u64)]) -> std::collections::BTreeMap<(u32, u32), u64> {
+        let mut b = TraceBuilder::new("prefix");
+        for &(pc, t) in records {
+            b.record(pc, true, t);
+        }
+        let graph = crate::interleave_counts_naive(&b.finish()).build();
+        graph.iter_edges().map(|(a, b, w)| ((a, b), w)).collect()
+    }
+
+    #[test]
+    fn folded_rows_keep_every_window_exact() {
+        // A fold point of a few re-executions folds rows mid-window, after
+        // the window copied them. Every window's pairs must still be the
+        // naive oracle's weights up to its end minus those up to its
+        // start, and each cumulative weight the oracle's up to its end.
+        let mut lcg: u64 = 11;
+        let records: Vec<(u64, u64)> = (0..900u64)
+            .map(|i| {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (0x4000 + (lcg >> 40) % 19 * 4, i + 1 + i / 7)
+            })
+            .collect();
+        let trace = {
+            let mut b = TraceBuilder::new("fold");
+            for &(pc, t) in &records {
+                b.record(pc, true, t);
+            }
+            b.finish()
+        };
+        let ids: Vec<u32> = trace.indexed_records().map(|(id, _)| id.as_u32()).collect();
+        for window in [3, 40, 300] {
+            let ends: Vec<usize> = (window..records.len())
+                .step_by(window)
+                .chain([records.len()])
+                .collect();
+            let prefixes: Vec<_> = ends
+                .iter()
+                .map(|&end| naive_weights(&records[..end]))
+                .collect();
+            for fold_at in [1, 2, 3, 7] {
+                let mut detector = Detector::new(0).with_fold_at(fold_at);
+                detector.track_windows();
+                let mut start = 0;
+                let empty = std::collections::BTreeMap::new();
+                for (index, (&end, after)) in ends.iter().zip(&prefixes).enumerate() {
+                    for i in start..end {
+                        detector.push(ids[i], records[i].1);
+                    }
+                    let before = index.checked_sub(1).map_or(&empty, |i| &prefixes[i]);
+                    let mut got = Vec::new();
+                    detector.flush_window(|a, b, w, cumulative| got.push((a, b, w, cumulative)));
+                    let want: Vec<_> = after
+                        .iter()
+                        .filter_map(|(&(a, b), &w)| {
+                            let gained = w - before.get(&(a, b)).copied().unwrap_or(0);
+                            (gained > 0).then_some((a, b, gained, w))
+                        })
+                        .collect();
+                    assert_eq!(got, want, "fold_at {fold_at}, window {window} at {start}");
+                    start = end;
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// Adding the same edge repeatedly sums the weights. The interleave
 /// detector counts most pairs in dense per-branch rows and keeps only the
-/// rest here, so the builder is mainly the merge currency: shard and
-/// window deltas fold into one, and [`GraphBuilder::merge`] combines them.
+/// rest here, so the builder is mainly the merge currency: shard deltas
+/// fold into one, and [`GraphBuilder::merge`] combines them.
 ///
 /// Internally the edge map is an open-addressed flat table keyed by the
 /// packed canonical pair `(min << 32) | max`, with Fibonacci hashing,
@@ -97,6 +97,23 @@ impl GraphBuilder {
         self
     }
 
+    /// The weight accumulated on the undirected edge `{a, b}`, if any.
+    pub fn edge_weight(&self, a: u32, b: u32) -> Option<u64> {
+        if self.len == 0 || a == b {
+            return None;
+        }
+        let key = pack(a.min(b), a.max(b));
+        let mask = self.keys.len() - 1;
+        let mut i = (key.wrapping_mul(FIB) >> self.shift) as usize;
+        loop {
+            match self.keys[i] {
+                k if k == key => return Some(self.weights[i]),
+                EMPTY => return None,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
     /// Adds `weight` to the undirected edge `{a, b}`.
     ///
     /// # Panics
@@ -131,10 +148,9 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Adds `weight` under `key`, growing the table as needed; returns the
-    /// weight `key` held before (zero for a new edge).
+    /// Adds `weight` under `key`, growing the table as needed.
     #[inline]
-    fn accumulate(&mut self, key: u64, weight: u64) -> u64 {
+    fn accumulate(&mut self, key: u64, weight: u64) {
         // Keep the load factor at or below 7/8 so probe chains stay short.
         if (self.len + 1) * 8 > self.keys.len() * 7 {
             self.rehash((self.keys.len() * 2).max(16));
@@ -145,13 +161,13 @@ impl GraphBuilder {
             let k = self.keys[i];
             if k == key {
                 self.weights[i] += weight;
-                return self.weights[i] - weight;
+                return;
             }
             if k == EMPTY {
                 self.keys[i] = key;
                 self.weights[i] = weight;
                 self.len += 1;
-                return 0;
+                return;
             }
             i = (i + 1) & mask;
         }
@@ -204,17 +220,6 @@ impl GraphBuilder {
     /// parallel engine, so it takes the fast path: packed keys move
     /// straight between tables with no unpack/repack or validation.
     pub fn merge(&mut self, other: &GraphBuilder) -> &mut Self {
-        self.merge_with(other, |_, _, _, _| {})
-    }
-
-    /// [`GraphBuilder::merge`] that reports every merged edge as
-    /// `on_edge(a, b, before, after)` with `a < b`: its weights before and
-    /// after, read from the one probe the merge makes.
-    pub fn merge_with(
-        &mut self,
-        other: &GraphBuilder,
-        mut on_edge: impl FnMut(u32, u32, u64, u64),
-    ) -> &mut Self {
         self.nodes = self.nodes.max(other.nodes);
         let combined = self.len + other.len;
         if combined > 0 && self.keys.len() * 7 < combined * 8 {
@@ -222,9 +227,7 @@ impl GraphBuilder {
         }
         for (&key, &weight) in other.keys.iter().zip(&other.weights) {
             if key != EMPTY {
-                let before = self.accumulate(key, weight);
-                let (a, b) = unpack(key);
-                on_edge(a, b, before, before + weight);
+                self.accumulate(key, weight);
             }
         }
         self
@@ -286,19 +289,6 @@ mod tests {
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_weight(0, 1), Some(15));
         assert_eq!(g.edge_weight(2, 3), Some(1));
-    }
-
-    #[test]
-    fn merge_with_reports_weights_before_and_after() {
-        let mut a = GraphBuilder::new(3);
-        a.add_edge(0, 1, 10);
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(1, 0, 5).add_edge(2, 1, 1);
-        let mut seen = Vec::new();
-        a.merge_with(&b, |x, y, before, after| seen.push((x, y, before, after)));
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(0, 1, 10, 15), (1, 2, 0, 1)]);
-        assert_eq!(a.build().edge_weight(0, 1), Some(15));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! neighbors — zero when a conflict-free color exists.
 
 use crate::ConflictGraph;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 /// How the optimistic (merge) candidate is chosen when no node has degree
 /// below K.
@@ -221,26 +221,48 @@ pub fn try_color_graph(
     // packing every working set into the same low entries (distinct
     // working sets rarely conflict *above threshold*, but sharing an
     // entry still costs a history warm-up at every phase change).
+    //
+    // That is the minimum of `(cost, usage, color)`, found in
+    // O(degree + log k): cost accumulates only on the neighbors' colors,
+    // and the colors are kept ordered by `(usage, color)`, so the winner
+    // is the first color in that order with no cost. It lies within the
+    // first `degree + 1`, unless every color has a cost.
     const UNCOLORED: u32 = u32::MAX;
     let mut assignment = vec![UNCOLORED; n];
     let mut usage = vec![0u32; k];
+    let mut by_usage: BTreeSet<(u32, u32)> = (0..k as u32).map(|c| (0, c)).collect();
     let mut cost = vec![0u64; k];
+    let mut costly: Vec<u32> = Vec::new();
     while let Some(v) = stack.pop() {
-        cost.iter_mut().for_each(|c| *c = 0);
         for (nb, w) in graph.neighbor_weights(v) {
             let c = assignment[nb as usize];
-            if c != UNCOLORED {
+            if c != UNCOLORED && w > 0 {
+                if cost[c as usize] == 0 {
+                    costly.push(c);
+                }
                 cost[c as usize] += w;
             }
         }
-        let best = cost
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &c)| (c, usage[i], i))
-            .map(|(i, _)| i as u32)
-            .expect("k > 0");
+        let best = if costly.len() < k {
+            by_usage
+                .iter()
+                .find(|&&(_, c)| cost[c as usize] == 0)
+                .map(|&(_, c)| c)
+        } else {
+            costly
+                .iter()
+                .copied()
+                .min_by_key(|&c| (cost[c as usize], usage[c as usize], c))
+        }
+        .expect("k > 0");
+        for c in costly.drain(..) {
+            cost[c as usize] = 0;
+        }
+        let uses = &mut usage[best as usize];
+        by_usage.remove(&(*uses, best));
+        *uses += 1;
+        by_usage.insert((*uses, best));
         assignment[v as usize] = best;
-        usage[best as usize] += 1;
     }
 
     let (conflict_mass, conflicting_edges) = self::conflict_mass(graph, &assignment);

@@ -2,8 +2,11 @@
 
 #![recursion_limit = "256"]
 
-use bwsa_graph::{clique, coloring, components, GraphBuilder};
+use bwsa_graph::coloring::{ColoringOptions, MergeOrder};
+use bwsa_graph::{clique, coloring, components, ConflictGraph, GraphBuilder};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Random simple graph on up to 24 nodes.
 fn arb_graph() -> impl Strategy<Value = bwsa_graph::ConflictGraph> {
@@ -182,7 +185,107 @@ proptest! {
             let mut got: Vec<_> = builder.edges().collect();
             got.sort_unstable();
             prop_assert_eq!(&got, &want);
+            for a in 0..n {
+                for b in 0..n {
+                    let key = (a.min(b), a.max(b));
+                    let expect = reference.get(&key).copied().filter(|_| a != b);
+                    prop_assert_eq!(builder.edge_weight(a, b), expect);
+                }
+            }
         }
         prop_assert_eq!(plain.build(), sized.build());
+    }
+}
+
+/// Random simple graph on up to 24 nodes whose edges may weigh zero.
+fn arb_graph_with_zero_weights() -> impl Strategy<Value = ConflictGraph> {
+    (
+        1u32..24,
+        prop::collection::vec((any::<u32>(), any::<u32>(), 0u64..40), 0..150),
+    )
+        .prop_map(|(n, raw)| {
+            let mut b = GraphBuilder::new(n);
+            for (a, bb, w) in raw {
+                let (a, bb) = (a % n, bb % n);
+                if a != bb {
+                    b.add_edge(a, bb, w);
+                }
+            }
+            b.build()
+        })
+}
+
+/// The reference coloring: the same simplify phase, then a select phase
+/// that scans all k colors per node for the minimum
+/// `(cost, usage, color)`.
+fn color_by_scan(graph: &ConflictGraph, k: usize, order: MergeOrder) -> Vec<u32> {
+    let n = graph.node_count();
+    let mut cur_deg: Vec<usize> = (0..n as u32).map(|v| graph.degree(v)).collect();
+    let mut removed = vec![false; n];
+    let mut stack = Vec::with_capacity(n);
+    let mut low: VecDeque<u32> = (0..n as u32).filter(|&v| cur_deg[v as usize] < k).collect();
+    let score = |v: u32| match order {
+        MergeOrder::MinWeightedDegree => graph.weighted_degree(v),
+        MergeOrder::MinDegree => graph.degree(v) as u64,
+        MergeOrder::MaxWeightedDegree => u64::MAX - graph.weighted_degree(v),
+    };
+    let mut heap: BinaryHeap<Reverse<(u64, u32)>> =
+        (0..n as u32).map(|v| Reverse((score(v), v))).collect();
+    while stack.len() < n {
+        let v = loop {
+            let v = match low.pop_front() {
+                Some(v) => v,
+                None => heap.pop().unwrap().0 .1,
+            };
+            if !removed[v as usize] {
+                break v;
+            }
+        };
+        removed[v as usize] = true;
+        stack.push(v);
+        for &nb in graph.neighbors(v) {
+            if !removed[nb as usize] {
+                cur_deg[nb as usize] -= 1;
+                if cur_deg[nb as usize] + 1 == k {
+                    low.push_back(nb);
+                }
+            }
+        }
+    }
+    let mut assignment = vec![u32::MAX; n];
+    let mut usage = vec![0u32; k];
+    while let Some(v) = stack.pop() {
+        let mut cost = vec![0u64; k];
+        for (nb, w) in graph.neighbor_weights(v) {
+            if let Some(&c) = assignment.get(nb as usize).filter(|&&c| c != u32::MAX) {
+                cost[c as usize] += w;
+            }
+        }
+        let best = (0..k).min_by_key(|&c| (cost[c], usage[c], c)).unwrap();
+        assignment[v as usize] = best as u32;
+        usage[best] += 1;
+    }
+    assignment
+}
+
+proptest! {
+    /// The sparse select phase picks exactly what scanning every color
+    /// picks, for every merge order and every k from 1 (below most
+    /// degrees, where every color can carry a cost) to n + 2.
+    #[test]
+    fn sparse_select_matches_the_full_color_scan(g in arb_graph_with_zero_weights()) {
+        for merge_order in [
+            MergeOrder::MinWeightedDegree,
+            MergeOrder::MinDegree,
+            MergeOrder::MaxWeightedDegree,
+        ] {
+            for k in 1..=g.node_count() + 2 {
+                let c = coloring::color_graph(&g, k, &ColoringOptions { merge_order });
+                let reference = color_by_scan(&g, k, merge_order);
+                let (mass, edges) = coloring::conflict_mass(&g, &reference);
+                prop_assert_eq!((merge_order, k, &c.assignment), (merge_order, k, &reference));
+                prop_assert_eq!((c.conflict_mass, c.conflicting_edges), (mass, edges));
+            }
+        }
     }
 }

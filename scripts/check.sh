@@ -140,7 +140,16 @@ cmp "$convert_dir/bwst-windows.json" "$convert_dir/bws3-windows.json"
 "$bwsa" analyze "$convert_dir/gcc.bws3" --salvage > "$convert_dir/gcc-salvage.out"
 "$bwsa" analyze "$convert_dir/gcc.bws3" --salvage --jobs 2 \
     > "$convert_dir/gcc-salvage-j2.out"
-for run in bwss bws3 j2 ck resumed salvage salvage-j2; do
+# A windowed run folds its windows into the streaming answer: without
+# its windows line it prints the same bytes, and --jobs 2 leaves the
+# per-window sidecar unchanged.
+"$bwsa" analyze "$convert_dir/gcc.bws3" --window 4096 \
+    --emit-windows "$convert_dir/gcc-windows.json" \
+    | grep -v '^windows: ' > "$convert_dir/gcc-window.out"
+"$bwsa" analyze "$convert_dir/gcc.bws3" --window 4096 --jobs 2 \
+    --emit-windows "$convert_dir/gcc-windows-j2.json" > /dev/null
+cmp "$convert_dir/gcc-windows.json" "$convert_dir/gcc-windows-j2.json"
+for run in bwss bws3 j2 ck resumed salvage salvage-j2 window; do
     cmp "$convert_dir/gcc.out" "$convert_dir/gcc-$run.out"
 done
 

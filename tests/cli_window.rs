@@ -172,3 +172,44 @@ fn a_slow_window_flush_is_cut_short_by_max_seconds() {
         "{err}"
     );
 }
+
+#[test]
+fn a_windowed_metrics_report_attributes_the_window_walk() {
+    let path = fixture_trace("metrics", "bwss");
+    let report = path.parent().unwrap().join("metrics.json");
+    let out = bwsa(&[
+        "analyze",
+        path.to_str().unwrap(),
+        "--threshold",
+        "3",
+        "--window",
+        "100",
+        "--metrics",
+        report.to_str().unwrap(),
+    ]);
+    assert_eq!(exit_code(&out), 0, "{out:?}");
+    let text = std::fs::read_to_string(&report).expect("report written");
+    let json = bwsa::obs::json::Json::parse(&text).expect("report parses");
+    let windows = json
+        .get("counters")
+        .and_then(|c| c.get("core.windows_flushed"))
+        .and_then(bwsa::obs::json::Json::as_u64)
+        .expect("windows flushed");
+    let stage = |name: &str| match json.get("stages") {
+        Some(bwsa::obs::json::Json::Array(stages)) => stages
+            .iter()
+            .find(|s| s.get("name").and_then(bwsa::obs::json::Json::as_str) == Some(name))
+            .and_then(|s| s.get("count"))
+            .and_then(bwsa::obs::json::Json::as_u64),
+        other => panic!("stages is not an array: {other:?}"),
+    };
+    // One walk per flush, inside the flush.
+    assert_eq!(stage("window_diff"), Some(windows), "{text}");
+    assert_eq!(stage("window_flush"), Some(windows), "{text}");
+    let touched = json
+        .get("counters")
+        .and_then(|c| c.get("core.window_rows_touched"))
+        .and_then(bwsa::obs::json::Json::as_u64)
+        .expect("rows touched counted");
+    assert!(touched > 0, "{text}");
+}

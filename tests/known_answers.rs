@@ -18,6 +18,10 @@
 //! rows end and its spill table begins. The loops run over the highest
 //! ids, after a prefix of branches that run once, so a loop straddles the
 //! cap while its graph stays small enough for a debug build.
+//!
+//! A windowed run is also checked window by window, on two disjoint loops
+//! that alternate in phases: what each record credits follows from its
+//! phase, round and slot alone (see [`Alternating`]).
 
 use bwsa::core::columnar::analyze_columnar_stream;
 use bwsa::core::pipeline::AnalysisPipeline;
@@ -28,6 +32,7 @@ use bwsa::obs::Obs;
 use bwsa::trace::columnar::ColumnarWriter;
 use bwsa::trace::stream::RecoveryPolicy;
 use bwsa::trace::{Trace, TraceBuilder};
+use std::collections::BTreeSet;
 use std::num::NonZeroUsize;
 
 /// Static branch counts on both sides of the dense-row cap.
@@ -205,6 +210,206 @@ fn phases_that_never_revisit_share_no_edge() {
             for (a, b, _) in c.graph.iter_edges() {
                 assert_eq!(phase(a), phase(b), "{case}: cross edge ({a}, {b})");
             }
+        }
+    }
+}
+
+/// Two disjoint round-robin loops of `m` branches that alternate in
+/// phases of `rounds` rounds, after `cold` branches that run once: loop
+/// A (ids `cold..cold + m`) in even phases, loop B (the next `m` ids) in
+/// odd ones, one stamp per record.
+///
+/// A record of branch `x` in round `r` of phase `p` credits, by Figure 1,
+/// every branch that ran since `x`'s previous record:
+///
+/// * `r ≥ 1`: the other `m − 1` branches of its loop, which ran since
+///   `x`'s previous round;
+/// * `r = 0`, `p ≥ 2`: those, plus all `m` branches of the other loop,
+///   which ran in phase `p − 1`, after `x`'s last round in phase `p − 2`;
+/// * `r = 0`, `p < 2`: nothing — `x` runs for the first time.
+///
+/// The once-run branches are never credited: every stamp they hold is
+/// older than any loop branch's previous record.
+struct Alternating {
+    cold: u64,
+    m: u64,
+    rounds: u64,
+    phases: u64,
+}
+
+impl Alternating {
+    fn len(&self) -> u64 {
+        self.cold + self.phases * self.rounds * self.m
+    }
+
+    fn phase_len(&self) -> u64 {
+        self.rounds * self.m
+    }
+
+    /// `(phase, round, slot)` of loop record `i`.
+    fn position(&self, i: u64) -> (u64, u64, u64) {
+        let j = i - self.cold;
+        let pos = j % self.phase_len();
+        (j / self.phase_len(), pos / self.m, pos % self.m)
+    }
+
+    /// First id of the loop that runs in phase `p`.
+    fn base(&self, p: u64) -> u64 {
+        self.cold + (p % 2) * self.m
+    }
+
+    /// The branch id of record `i`: ids follow first appearance.
+    fn id(&self, i: u64) -> u64 {
+        if i < self.cold {
+            return i;
+        }
+        let (p, _, x) = self.position(i);
+        self.base(p) + x
+    }
+
+    /// The pairs record `i` credits, each once, as `(low id, high id)`.
+    fn credits(&self, i: u64) -> Vec<(u64, u64)> {
+        if i < self.cold {
+            return Vec::new();
+        }
+        let (p, r, x) = self.position(i);
+        if r == 0 && p < 2 {
+            return Vec::new();
+        }
+        let own = self.base(p) + x;
+        let mut seen: Vec<u64> = (0..self.m)
+            .filter(|&y| y != x)
+            .map(|y| self.base(p) + y)
+            .collect();
+        if r == 0 {
+            seen.extend((0..self.m).map(|y| self.base(p + 1) + y));
+        }
+        seen.into_iter().map(|b| (own.min(b), own.max(b))).collect()
+    }
+
+    /// Whether record `i` is its branch's first.
+    fn first_run(&self, i: u64) -> bool {
+        if i < self.cold {
+            return true;
+        }
+        let (p, r, _) = self.position(i);
+        p < 2 && r == 0
+    }
+
+    fn trace(&self) -> Trace {
+        let mut shape = Shape::after_cold(self.cold);
+        for p in 0..self.phases {
+            shape.round_robin(self.base(p), self.m, self.rounds);
+        }
+        shape.trace.finish()
+    }
+}
+
+/// What a window of records `start..end` must report, from the credit
+/// rule alone: `(records, new, executed ids, pairs, weight)`.
+fn expected_window(
+    alt: &Alternating,
+    start: u64,
+    end: u64,
+) -> (u64, usize, BTreeSet<u64>, usize, u64) {
+    let mut executed = BTreeSet::new();
+    let mut pairs = BTreeSet::new();
+    let (mut new, mut weight) = (0, 0);
+    for i in start..end {
+        executed.insert(alt.id(i));
+        new += usize::from(alt.first_run(i));
+        let credits = alt.credits(i);
+        weight += credits.len() as u64;
+        pairs.extend(credits);
+    }
+    (end - start, new, executed, pairs.len(), weight)
+}
+
+/// Drives `alt` through `window`-record windows and checks every window
+/// against [`expected_window`]; returns the number of windows.
+fn check_windows(alt: &Alternating, window: u64) -> usize {
+    let trace = alt.trace();
+    assert_eq!(trace.len() as u64, alt.len());
+    let config = WindowConfig::branches(window).unwrap().with_table_size(16);
+    let mut engine = WindowedAnalysis::new(config, pipeline(1));
+    for (id, rec) in trace.indexed_records() {
+        engine.push(id.as_u32(), rec.time.get(), rec.is_taken());
+    }
+    let result = engine.finish();
+    assert_eq!(result.windows.len() as u64, alt.len().div_ceil(window));
+    let mut previous: Option<BTreeSet<u64>> = None;
+    for (index, w) in result.windows.iter().enumerate() {
+        let start = index as u64 * window;
+        let end = (start + window).min(alt.len());
+        let (records, new, executed, pairs, weight) = expected_window(alt, start, end);
+        let case = format!("cold {}, window {window}, #{index}", alt.cold);
+        assert_eq!(w.records, records, "{case}: records");
+        assert_eq!(w.new_branches, new, "{case}: new branches");
+        assert_eq!(w.executed_branches, executed.len(), "{case}: executed");
+        assert_eq!(w.interleave_pairs, pairs, "{case}: pairs");
+        assert_eq!(w.interleave_weight, weight, "{case}: weight");
+        let phase_change = previous.as_ref().is_some_and(|prev| {
+            let shared = prev.intersection(&executed).count();
+            let union = prev.len() + executed.len() - shared;
+            2 * shared < union // Jaccard below one half
+        });
+        assert_eq!(w.phase_change, phase_change, "{case}: phase change");
+        previous = Some(executed);
+    }
+    result.windows.len()
+}
+
+#[test]
+fn alternating_loops_give_each_window_its_closed_form() {
+    // Loops of 6 over 5 rounds: 30-record phases. Windows of one phase
+    // and half a phase line up with the phases; 11 and 45 cut through
+    // them, so one window holds the end of a phase and the start of the
+    // next, whose first round is where the cross-loop credits fall.
+    let alt = Alternating {
+        cold: 0,
+        m: 6,
+        rounds: 5,
+        phases: 6,
+    };
+    for window in [30, 15, 11, 45] {
+        check_windows(&alt, window);
+    }
+    // With windows of one phase the credit rule reduces to closed form:
+    // phase p holds (rounds − 1)·m·(m − 1) credits to its own loop's
+    // m(m − 1)/2 pairs, plus, from phase 2 on, m(2m − 1) at its first
+    // round, m² of them to the other loop's pairs.
+    let (m, rounds) = (alt.m, alt.rounds);
+    for p in 0..alt.phases {
+        let (records, new, executed, pairs, weight) =
+            expected_window(&alt, p * alt.phase_len(), (p + 1) * alt.phase_len());
+        let returning = u64::from(p >= 2);
+        assert_eq!(records, rounds * m);
+        assert_eq!(new as u64, m * u64::from(p < 2));
+        assert_eq!(executed.len() as u64, m);
+        assert_eq!(pairs as u64, m * (m - 1) / 2 + returning * m * m);
+        assert_eq!(
+            weight,
+            (rounds - 1) * m * (m - 1) + returning * m * (2 * m - 1)
+        );
+    }
+}
+
+#[test]
+fn alternating_loops_above_the_dense_cap_give_each_window_its_closed_form() {
+    // The same phases after 4110 once-run branches (137 phases' worth),
+    // so both loops sit above 4096: every credit goes through the spill
+    // path, and each window's pairs come from its own spill credits. A
+    // prefix of 4090 puts loop A below the cap and loop B above it, so
+    // the cross-loop pairs spill from both sides.
+    for (cold, windows) in [(4110, &[30, 45][..]), (4090, &[45])] {
+        let alt = Alternating {
+            cold,
+            m: 6,
+            rounds: 5,
+            phases: 6,
+        };
+        for &window in windows {
+            check_windows(&alt, window);
         }
     }
 }
