@@ -13,7 +13,7 @@
 //! * `analysis_serial` — [`bwsa_core::interleave_counts`] + CSR build.
 //! * `analysis_streaming` — the whole pipeline through a record-by-record
 //!   [`bwsa_core::StreamingAnalysis`].
-//! * `analysis_parallel` — the full sharded pipeline at 2 workers.
+//! * `analysis_parallel` — the full parallel pipeline at 2 workers.
 //! * `analysis_windowed` — the online [`bwsa_core::WindowedAnalysis`]
 //!   engine at a 4096-branch reset interval; its checksum is the final
 //!   folded conflict-graph weight, which `--validate` checks against
@@ -202,7 +202,7 @@ fn validate(path: &str) -> Result<(), String> {
             checked += 1;
         }
         // Cross-engine checksum discipline: the windowed fold and the
-        // sharded parallel engine both end at the folded conflict-graph
+        // parallel engine both end at the folded conflict-graph
         // weight, so their checksums must be identical.
         let checksum_of = |metric: &str| {
             measurements

@@ -17,7 +17,6 @@
 
 use crate::error::CoreError;
 use crate::interleave::Accumulator;
-use crate::merge::ShardDelta;
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use bwsa_graph::GraphBuilder;
 use bwsa_trace::codec::{self, Cursor};
@@ -322,15 +321,10 @@ impl StreamingAnalysis {
                 cur.remaining()
             )));
         }
-        let counted = ShardDelta {
-            builder,
-            stats,
-            records: records_consumed,
-        };
         Ok(StreamingAnalysis {
             trace_name,
             table,
-            acc: Accumulator::resume(last_stamp, counted),
+            acc: Accumulator::resume(last_stamp, builder, stats, records_consumed),
         })
     }
 }

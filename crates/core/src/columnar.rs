@@ -180,11 +180,14 @@ pub fn analyze_columnar_stream(
     let file = ColumnarFile::parse(bytes)?;
     let mut acc = Accumulator::new(0);
     let mut first_seen = FirstSeen::default();
-    let (report, _) = file.walk(policy, |view| {
-        for ((&id, &taken), &time) in view.ids.iter().zip(view.taken).zip(view.times) {
-            acc.push(first_seen.id(id), time, taken);
-        }
-    })?;
+    let (report, _) = {
+        let _span = obs.span("ingest");
+        file.walk(policy, |view| {
+            for ((&id, &taken), &time) in view.ids.iter().zip(view.taken).zip(view.times) {
+                acc.push(first_seen.id(id), time, taken);
+            }
+        })?
+    };
     obs.add("trace.records_read", report.records_recovered);
     obs.add("trace.chunks_ok", report.chunks_ok);
     Ok((acc.into_analysis(pipeline, obs), report))

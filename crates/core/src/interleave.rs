@@ -8,16 +8,16 @@
 //! paper's Figure 1 procedure, verbatim.
 //!
 //! One kernel, `Detector`, runs the procedure for every engine. The
-//! serial pipeline drives it directly; every engine fed one record at a
-//! time (BWSS2 and BWSS3 streaming, checkpoint/resume, the supervisor's
-//! streaming rung, the parallel shards of [`crate::merge::ShardDelta`]
-//! and the windowed engine) goes through `Accumulator`, which pairs it
-//! with the per-branch execution statistics of the same records. The
-//! detector finds the branches to credit with a recency index of
-//! `(latest timestamp, branch)` pairs (`RecencyRing`): a binary search
-//! plus a scan over exactly the branches involved, `O(k + log n)` per
-//! dynamic branch where `k` is the instantaneous working-set size, the
-//! very quantity the paper shows stays small.
+//! serial pipeline and the ownership-parallel workers of
+//! [`crate::parallel`] drive it directly; every engine fed one record at
+//! a time (BWSS2 and BWSS3 streaming, checkpoint/resume, the supervisor's
+//! streaming rung and the windowed engine) goes through `Accumulator`,
+//! which pairs it with the per-branch execution statistics of the same
+//! records. The detector finds the branches to credit with a recency
+//! index of `(latest timestamp, branch)` pairs (`RecencyRing`): a binary
+//! search plus a scan over exactly the branches involved, `O(k + log n)`
+//! per dynamic branch where `k` is the instantaneous working-set size,
+//! the very quantity the paper shows stays small.
 //!
 //! The credits of one re-execution of branch `a` all land in `a`'s own
 //! dense row of `u32` counters, so the ~300 increments a record costs on
@@ -25,15 +25,15 @@
 //! probing a hash table that has outgrown the cache. Rows cover ids below
 //! `DENSE_NODES` (4096); pairs with an endpoint above it, folded rows and
 //! edges restored from a checkpoint live in a [`GraphBuilder`], the spill
-//! table. Whole-trace engines compile the CSR graph straight from rows
-//! and spill in sorted order; shard deltas fold into a [`GraphBuilder`],
-//! the merge currency. A windowed run keeps one detector for the whole
-//! trace and reads each window out of it: a row is copied at its first
-//! credit in the window, and the flush walks the touched rows' differences
-//! from those copies. [`interleave_counts_naive`] is an independent
-//! linear-scan oracle used by the tests.
+//! table. Every engine compiles the CSR graph straight from rows and
+//! spill in sorted order; a parallel run first moves its workers' rows,
+//! which credit disjoint branches, into one detector. A windowed run
+//! keeps one detector for the whole trace and reads each window out of
+//! it: a row is copied at its first credit in the window, and the flush
+//! walks the touched rows' differences from those copies.
+//! [`interleave_counts_naive`] is an independent linear-scan oracle used
+//! by the tests.
 
-use crate::merge::ShardDelta;
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use crate::recency::RecencyRing;
 use bwsa_graph::{ConflictGraph, GraphBuilder};
@@ -197,9 +197,9 @@ impl Detector {
     }
 
     /// A detector that continues from per-branch latest stamps and
-    /// already-counted edges: a checkpoint, or the carry-in of a shard.
-    /// The recency index is rebuilt from `last_stamp`, whose
-    /// entries are exactly `(last_stamp[b], b)` for every executed branch.
+    /// already-counted edges, as a checkpoint restores it. The recency
+    /// index is rebuilt from `last_stamp`, whose entries are exactly
+    /// `(last_stamp[b], b)` for every executed branch.
     pub(crate) fn resume(last_stamp: Vec<Option<u64>>, mut edges: GraphBuilder) -> Self {
         edges.ensure_nodes(last_stamp.len() as u32);
         Detector {
@@ -261,17 +261,43 @@ impl Detector {
     /// interleaved with it since then and gets one credit.
     #[inline]
     pub(crate) fn push(&mut self, node: u32, t: u64) {
+        if let Some(&Some(prev)) = self.last_stamp.get(node as usize) {
+            self.credit(node, prev);
+        }
+        self.pass(node, t);
+    }
+
+    /// Consumes one record without crediting it: only `node`'s latest
+    /// stamp moves. A parallel worker passes the records of branches
+    /// another worker owns, so the branches it owns still see them.
+    #[inline]
+    pub(crate) fn pass(&mut self, node: u32, t: u64) {
         let i = node as usize;
         if i >= self.last_stamp.len() {
             self.last_stamp.resize(i + 1, None);
             self.spill.ensure_nodes(node + 1);
             self.window.spill.ensure_nodes(node + 1);
         }
-        if let Some(prev) = self.last_stamp[i] {
-            self.credit(node, prev);
-        }
         self.recency.record(node, t);
         self.last_stamp[i] = Some(t);
+    }
+
+    /// Moves `other`'s rows and spill credits into this detector. Both
+    /// walked the same records and credited disjoint sets of branches, as
+    /// the workers of a parallel run do, so each of `other`'s rows moves
+    /// whole into an empty slot and the spill entries of a pair whose two
+    /// branches have different owners add.
+    pub(crate) fn absorb(&mut self, mut other: Detector) {
+        self.spill.merge(&other.spill);
+        for a in other.allocated {
+            let i = a as usize;
+            if i >= self.rows.len() {
+                self.rows.resize_with(i + 1, Row::default);
+            }
+            debug_assert!(self.rows[i].counts.is_empty(), "row {a} has two owners");
+            self.rows[i] = std::mem::take(&mut other.rows[i]);
+            self.allocated.push(a);
+        }
     }
 
     /// Credits `node`'s re-execution to every branch executed after `prev`.
@@ -339,7 +365,7 @@ impl Detector {
 
     /// Every accumulated edge folded into one [`GraphBuilder`], sized once
     /// for the spill edges plus each dense pair. Only allocated rows are
-    /// visited, so a shard that re-executed few branches folds cheaply.
+    /// visited.
     pub(crate) fn into_builder(self) -> GraphBuilder {
         let mut pairs = 0;
         self.for_each_dense_pair(|_, _, _| pairs += 1);
@@ -671,8 +697,8 @@ pub fn interleave_counts_naive(trace: &Trace) -> GraphBuilder {
 /// [`BranchStats`] behind the §5.2 bias classes and Table 2's dynamic
 /// sizes, and the record count. BWSS2 streaming and checkpoints (through
 /// [`crate::StreamingAnalysis`], which interns pcs first), BWSS3
-/// streaming, the supervisor's streaming rung, every shard delta and the
-/// windowed engine push pre-interned `(id, stamp, taken)` records into it.
+/// streaming, the supervisor's streaming rung and the windowed engine
+/// push pre-interned `(id, stamp, taken)` records into it.
 ///
 /// Every id pushed grows the accumulator to cover it, so an accumulator
 /// started empty ends with exactly the branches it saw.
@@ -686,17 +712,26 @@ pub(crate) struct Accumulator {
 impl Accumulator {
     /// An empty accumulator over `nodes` branches.
     pub(crate) fn new(nodes: usize) -> Self {
-        Self::resume(vec![None; nodes], ShardDelta::empty(nodes))
+        Self::resume(
+            vec![None; nodes],
+            GraphBuilder::new(nodes as u32),
+            vec![BranchStats::default(); nodes],
+            0,
+        )
     }
 
-    /// An accumulator that continues from per-branch latest stamps plus
-    /// already-counted edges, stats and records: a checkpoint, or (with
-    /// an empty delta) the carry-in of a shard.
-    pub(crate) fn resume(last_stamp: Vec<Option<u64>>, counted: ShardDelta) -> Self {
+    /// An accumulator that continues from a checkpoint's parts: per-branch
+    /// latest stamps, already-counted edges, stats and records.
+    pub(crate) fn resume(
+        last_stamp: Vec<Option<u64>>,
+        edges: GraphBuilder,
+        stats: Vec<BranchStats>,
+        records: u64,
+    ) -> Self {
         Accumulator {
-            detector: Detector::resume(last_stamp, counted.builder),
-            stats: counted.stats,
-            records: counted.records,
+            detector: Detector::resume(last_stamp, edges),
+            stats,
+            records,
         }
     }
 
@@ -716,17 +751,11 @@ impl Accumulator {
     /// the observed assembly every engine shares.
     pub(crate) fn into_analysis(self, pipeline: &AnalysisPipeline, obs: &Obs) -> Analysis {
         let profile = BranchProfile::from_parts(self.stats, self.records);
-        pipeline.assemble(profile, self.detector.into_graph(), obs)
-    }
-
-    /// The accumulated records as a [`ShardDelta`], the currency of shard
-    /// merges.
-    pub(crate) fn into_delta(self) -> ShardDelta {
-        ShardDelta {
-            builder: self.detector.into_builder(),
-            stats: self.stats,
-            records: self.records,
-        }
+        let raw = {
+            let _span = obs.span("compile");
+            self.detector.into_graph()
+        };
+        pipeline.assemble(profile, raw, obs)
     }
 }
 

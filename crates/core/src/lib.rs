@@ -22,9 +22,9 @@
 //!   branches to BHT entries, the required-table-size search of Tables
 //!   3–4, and construction of the [`bwsa_predictor::AllocatedIndex`]
 //!   consumed by the PAg simulator for Figures 3–4.
-//! * [`merge`] — cumulative multi-input profiles (§5.2) and the
-//!   associative shard-combine types behind parallel analysis.
-//! * [`parallel`] — sharded multi-threaded execution of the pipeline,
+//! * [`merge`] — cumulative multi-input profiles (§5.2).
+//! * [`parallel`] — multi-threaded execution of the pipeline, the static
+//!   branches split among workers that each read the whole trace,
 //!   bit-identical to the serial pass.
 //! * [`columnar`] — `BWSS3` ingest: footer-driven shard planning,
 //!   parallel block-range decode, and block-wise streaming into the
@@ -86,11 +86,9 @@ pub mod failpoints {
     pub const WORKING_SETS: &str = "core.working_sets";
     /// Fires at the start of the branch-classification stage.
     pub const CLASSIFY: &str = "core.classify";
-    /// Fires inside every shard of the parallel summarise pass.
-    pub const SHARD_SUMMARIZE: &str = "core.shard_summarize";
-    /// Fires inside every shard of the parallel detect pass.
+    /// Fires inside every worker of the parallel detect pass.
     pub const SHARD_DETECT: &str = "core.shard_detect";
-    /// Fires before the serial shard-delta merge fold.
+    /// Fires before the workers' rows are stitched into one detector.
     pub const SHARD_MERGE: &str = "core.shard_merge";
     /// Fires when a [`crate::StreamingAnalysis`] checkpoint is saved.
     pub const CHECKPOINT_SAVE: &str = "core.checkpoint_save";
@@ -110,7 +108,6 @@ pub mod failpoints {
         CONFLICT_PRUNE,
         WORKING_SETS,
         CLASSIFY,
-        SHARD_SUMMARIZE,
         SHARD_DETECT,
         SHARD_MERGE,
         CHECKPOINT_SAVE,

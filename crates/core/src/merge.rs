@@ -1,37 +1,18 @@
-//! Associative merges: cumulative multi-input profiles (§5.2) and the
-//! shard-combine types behind the parallel analysis engine.
+//! Cumulative multi-input profiles (§5.2).
 //!
-//! Two independent merge problems live here:
-//!
-//! * **Across inputs** — a profile-based technique is only as good as its
-//!   profile's coverage. The paper observes that profiles from different
-//!   inputs exercise different program regions (`ss_a` vs `ss_b`) and
-//!   proposes merging "the branch conflict graphs of several profiles from
-//!   different input data ... until the resulting graph indicates that most
-//!   part of the program has been exercised". Because each trace interns
-//!   its own dense branch ids, merging goes through program counters:
-//!   [`CumulativeProfile`] maintains a union [`BranchTable`] and remaps
-//!   every per-trace interleave graph into it.
-//!
-//! * **Across shards of one trace** — [`crate::parallel`] splits a trace
-//!   into time-contiguous shards and analyses them concurrently. The
-//!   interleave engine is stateful (each detection compares against every
-//!   branch's *latest* stamp), so shards cannot simply be analysed
-//!   independently; instead [`ShardBoundary`] summarises the latest stamp
-//!   each shard leaves per branch (an associative join), a cheap serial
-//!   prefix-combine turns those summaries into an exact carry-in state for
-//!   every shard, and [`ShardDelta`] runs the seeded engine over one shard
-//!   and merges associatively into the whole-trace result. Both joins are
-//!   pure integer max/sum operations, so the sharded run is bit-identical
-//!   to the serial one — the property `crates/core/tests/parallel_prop.rs`
-//!   checks exhaustively.
+//! A profile-based technique is only as good as its profile's coverage.
+//! The paper observes that profiles from different inputs exercise
+//! different program regions (`ss_a` vs `ss_b`) and proposes merging "the
+//! branch conflict graphs of several profiles from different input data
+//! ... until the resulting graph indicates that most part of the program
+//! has been exercised". Because each trace interns its own dense branch
+//! ids, merging goes through program counters: [`CumulativeProfile`]
+//! maintains a union [`BranchTable`] and remaps every per-trace
+//! interleave graph into it.
 
 use crate::conflict::{ConflictAnalysis, ConflictConfig};
-use crate::interleave::{detect, Accumulator};
-use crate::pipeline::{Analysis, AnalysisPipeline};
+use crate::interleave::detect;
 use bwsa_graph::GraphBuilder;
-use bwsa_obs::Obs;
-use bwsa_trace::profile::{BranchProfile, BranchStats};
 use bwsa_trace::{BranchTable, Trace};
 
 /// An accumulating multi-input conflict profile.
@@ -121,148 +102,6 @@ impl CumulativeProfile {
     }
 }
 
-/// The latest-stamp summary a time-contiguous shard leaves behind: for
-/// each static branch, the timestamp of its last execution *within the
-/// shard*, or `None` if the shard never executed it.
-///
-/// Joining boundaries left-to-right reproduces exactly the `last_stamp`
-/// state the serial engine holds after consuming those shards in order,
-/// because "latest stamp after A then B" is "B's stamp where B executed
-/// the branch, else A's". The join is associative, which is what lets
-/// shard summaries be computed concurrently and combined in a cheap
-/// serial prefix pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardBoundary {
-    stamps: Vec<Option<u64>>,
-}
-
-impl ShardBoundary {
-    /// The empty summary (no branch executed) over `nodes` branches —
-    /// the identity of [`ShardBoundary::join`].
-    pub fn empty(nodes: usize) -> Self {
-        ShardBoundary {
-            stamps: vec![None; nodes],
-        }
-    }
-
-    /// Summarises one shard's records, given as pre-interned
-    /// `(branch id, timestamp)` pairs over a `nodes`-branch trace.
-    pub fn of_records(nodes: usize, records: impl Iterator<Item = (u32, u64)>) -> Self {
-        let mut b = Self::empty(nodes);
-        for (node, t) in records {
-            b.stamps[node as usize] = Some(t);
-        }
-        b
-    }
-
-    /// Folds a *later* shard's summary onto this one: wherever the later
-    /// shard executed a branch, its stamp supersedes ours.
-    pub fn join(&mut self, later: &ShardBoundary) -> &mut Self {
-        if self.stamps.len() < later.stamps.len() {
-            self.stamps.resize(later.stamps.len(), None);
-        }
-        for (mine, theirs) in self.stamps.iter_mut().zip(&later.stamps) {
-            if theirs.is_some() {
-                *mine = *theirs;
-            }
-        }
-        self
-    }
-
-    /// The latest stamp per branch, indexed by branch id.
-    pub fn stamps(&self) -> &[Option<u64>] {
-        &self.stamps
-    }
-}
-
-/// One shard's contribution to the whole-trace analysis: the interleave
-/// edges its records detect (given the exact pre-shard engine state) plus
-/// its per-branch execution statistics.
-///
-/// Merging deltas left-to-right is a pure integer sum per edge and per
-/// stat counter, so the combined result is bit-identical to a serial pass
-/// — u64 addition is associative and the first/last timestamps compose by
-/// taking the earliest/latest populated entry.
-#[derive(Debug, Clone)]
-pub struct ShardDelta {
-    pub(crate) builder: GraphBuilder,
-    pub(crate) stats: Vec<BranchStats>,
-    pub(crate) records: u64,
-}
-
-impl ShardDelta {
-    /// The empty contribution over `nodes` branches — the identity of
-    /// [`ShardDelta::merge`].
-    pub fn empty(nodes: usize) -> Self {
-        ShardDelta {
-            builder: GraphBuilder::new(nodes as u32),
-            stats: vec![BranchStats::default(); nodes],
-            records: 0,
-        }
-    }
-
-    /// Runs the Figure 1 engine over one shard's records, seeded with the
-    /// latest-stamp state `carry` accumulated by every earlier shard.
-    ///
-    /// `records` yields pre-interned `(branch id, timestamp, taken)`
-    /// triples in trace order. Because the carry-in is exactly the state
-    /// the serial engine would hold at the shard's first record, the edges
-    /// detected here are exactly the edges the serial pass detects over
-    /// the same record range.
-    pub fn of_shard(
-        nodes: usize,
-        carry: &ShardBoundary,
-        records: impl Iterator<Item = (u32, u64, bool)>,
-    ) -> Self {
-        let mut last_stamp = carry.stamps.clone();
-        last_stamp.resize(nodes, None);
-        let mut acc = Accumulator::resume(last_stamp, ShardDelta::empty(nodes));
-        for (node, t, taken) in records {
-            acc.push(node, t, taken);
-        }
-        acc.into_delta()
-    }
-
-    /// Folds a *later* shard's contribution onto this one.
-    pub fn merge(&mut self, later: &ShardDelta) -> &mut Self {
-        self.builder.merge(&later.builder);
-        if self.stats.len() < later.stats.len() {
-            self.stats.resize(later.stats.len(), BranchStats::default());
-        }
-        for (mine, theirs) in self.stats.iter_mut().zip(&later.stats) {
-            if theirs.executions == 0 {
-                continue;
-            }
-            if mine.executions == 0 {
-                *mine = *theirs;
-            } else {
-                mine.executions += theirs.executions;
-                mine.taken += theirs.taken;
-                mine.last_time = theirs.last_time;
-            }
-        }
-        self.records += later.records;
-        self
-    }
-
-    /// Dynamic records this delta accounts for.
-    pub fn record_count(&self) -> u64 {
-        self.records
-    }
-
-    /// Compiles the accumulated interleave edges into an immutable graph.
-    pub fn into_graph(self) -> bwsa_graph::ConflictGraph {
-        self.builder.build()
-    }
-
-    /// The whole-trace [`Analysis`] of a fully folded delta, through the
-    /// observed assembly step every engine shares.
-    pub(crate) fn into_analysis(self, pipeline: &AnalysisPipeline, obs: &Obs) -> Analysis {
-        let profile = BranchProfile::from_parts(self.stats, self.records);
-        pipeline.assemble(profile, self.builder.build(), obs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,73 +180,5 @@ mod tests {
         let cp = CumulativeProfile::new();
         assert_eq!(cp.raw_graph().node_count(), 0);
         assert_eq!(cp.traces_merged(), 0);
-    }
-
-    fn shard_inputs(t: &Trace) -> Vec<(u32, u64, bool)> {
-        t.indexed_records()
-            .map(|(id, r)| (id.as_u32(), r.time.get(), r.is_taken()))
-            .collect()
-    }
-
-    #[test]
-    fn boundary_join_matches_sequential_scan() {
-        let t = pair_trace(0x100, 0x104, 50);
-        let all = shard_inputs(&t);
-        let n = t.static_branch_count();
-        for split in [0, 1, 37, all.len()] {
-            let (lo, hi) = all.split_at(split);
-            let mut joined = ShardBoundary::of_records(n, lo.iter().map(|&(b, t, _)| (b, t)));
-            joined.join(&ShardBoundary::of_records(
-                n,
-                hi.iter().map(|&(b, t, _)| (b, t)),
-            ));
-            let whole = ShardBoundary::of_records(n, all.iter().map(|&(b, t, _)| (b, t)));
-            assert_eq!(joined, whole, "split {split}");
-        }
-    }
-
-    #[test]
-    fn seeded_shard_deltas_reassemble_the_serial_graph() {
-        let t = pair_trace(0x100, 0x104, 80);
-        let all = shard_inputs(&t);
-        let n = t.static_branch_count();
-        let serial = interleave_counts(&t).build();
-        for split in [0, 1, 79, all.len()] {
-            let (lo, hi) = all.split_at(split);
-            let mut acc = ShardDelta::of_shard(n, &ShardBoundary::empty(n), lo.iter().copied());
-            let carry = ShardBoundary::of_records(n, lo.iter().map(|&(b, t, _)| (b, t)));
-            acc.merge(&ShardDelta::of_shard(n, &carry, hi.iter().copied()));
-            assert_eq!(acc.builder.build(), serial, "split {split}");
-            assert_eq!(acc.record_count(), t.len() as u64);
-        }
-    }
-
-    #[test]
-    fn delta_merge_accumulates_stats_like_a_serial_profile() {
-        let t = pair_trace(0x100, 0x104, 30);
-        let all = shard_inputs(&t);
-        let n = t.static_branch_count();
-        let expected = bwsa_trace::profile::BranchProfile::from_trace(&t);
-        let (lo, hi) = all.split_at(17);
-        let mut acc = ShardDelta::of_shard(n, &ShardBoundary::empty(n), lo.iter().copied());
-        let carry = ShardBoundary::of_records(n, lo.iter().map(|&(b, t, _)| (b, t)));
-        acc.merge(&ShardDelta::of_shard(n, &carry, hi.iter().copied()));
-        for id in 0..n as u32 {
-            let got = acc.stats[id as usize];
-            let want = *expected.stats(bwsa_trace::BranchId::new(id));
-            assert_eq!(got, want, "branch {id}");
-        }
-    }
-
-    #[test]
-    fn empty_shard_is_the_merge_identity() {
-        let t = pair_trace(0x100, 0x104, 10);
-        let n = t.static_branch_count();
-        let base = ShardDelta::of_shard(n, &ShardBoundary::empty(n), shard_inputs(&t).into_iter());
-        let mut with_identity = base.clone();
-        with_identity.merge(&ShardDelta::empty(n));
-        assert_eq!(with_identity.builder.build(), base.builder.build());
-        assert_eq!(with_identity.stats, base.stats);
-        assert_eq!(with_identity.records, base.records);
     }
 }

@@ -127,10 +127,14 @@ impl AnalysisPipeline {
             bwsa_resilience::failpoint!("core.profile");
             BranchProfile::from_trace(trace)
         };
-        let raw = {
+        let detector = {
             let _span = obs.span("interleave");
             bwsa_resilience::failpoint!("core.interleave");
-            crate::interleave::detect(trace).into_graph()
+            crate::interleave::detect(trace)
+        };
+        let raw = {
+            let _span = obs.span("compile");
+            detector.into_graph()
         };
         self.assemble(profile, raw, obs)
     }

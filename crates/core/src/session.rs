@@ -5,11 +5,10 @@
 //!
 //! A [`Session`] replaces the 0.4-era pairs of pipeline methods
 //! (deleted in 0.9.0) with configuration values: [`Execution`] picks
-//! serial or sharded parallel
-//! execution and [`Classified`] picks plain §5.1 or classified §5.2
-//! allocation. The analysis is computed once on first use and cached for
-//! the session's lifetime, so interleaved `allocate`/`required_bht_size`
-//! calls never re-run the pipeline.
+//! serial or ownership-parallel execution and [`Classified`] picks plain
+//! §5.1 or classified §5.2 allocation. The analysis is computed once on
+//! first use and cached for the session's lifetime, so interleaved
+//! `allocate`/`required_bht_size` calls never re-run the pipeline.
 //!
 //! ```
 //! use bwsa_core::{Classified, Execution, Session};
@@ -63,8 +62,8 @@ pub enum Execution {
     /// Single-threaded, the reference implementation.
     #[default]
     Serial,
-    /// Sharded across worker threads; bit-identical to serial for every
-    /// jobs/shards choice (see [`crate::parallel`]).
+    /// The static branches split among worker threads; bit-identical to
+    /// serial for every worker count (see [`crate::parallel`]).
     Parallel(ParallelConfig),
 }
 
@@ -290,18 +289,13 @@ impl<'t> Session<'t> {
     }
 
     /// The session's configuration as an ordered JSON object — the
-    /// `config` echo embedded in run reports.
+    /// `config` echo embedded in run reports. A windowed session echoes
+    /// the one serial replay it runs, whatever its [`Execution`].
     pub fn config_json(&self) -> Json {
-        let (mode, jobs, shards) = match &self.execution {
-            Execution::Serial => ("serial", 1u64, Json::Null),
-            Execution::Parallel(c) => (
-                "parallel",
-                c.jobs.get() as u64,
-                match c.shards {
-                    Some(s) => Json::UInt(s.get() as u64),
-                    None => Json::Null,
-                },
-            ),
+        let (mode, jobs) = match (&self.windowing, &self.execution) {
+            (Some(_), _) => ("windowed", 1),
+            (None, Execution::Serial) => ("serial", 1),
+            (None, Execution::Parallel(c)) => ("parallel", c.jobs.get() as u64),
         };
         Json::object([
             (
@@ -322,7 +316,6 @@ impl<'t> Session<'t> {
             ),
             ("execution", Json::from(mode)),
             ("jobs", Json::UInt(jobs)),
-            ("shards", shards),
             (
                 "window_interval",
                 match &self.windowing {

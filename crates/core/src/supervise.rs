@@ -4,8 +4,8 @@
 //! A supervised run walks a **degradation ladder** instead of trusting
 //! one engine:
 //!
-//! 1. **Parallel** (only when the session asked for it) — the sharded
-//!    engine with per-shard fault isolation and retry
+//! 1. **Parallel** (only when the session asked for it) — the
+//!    ownership-split engine with per-worker fault isolation and retry
 //!    ([`crate::parallel::analyze_parallel_supervised`]).
 //! 2. **Serial** — the reference implementation, whole-run attempts with
 //!    exponential backoff between retries.
@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 /// Limits and retry policy for a supervised run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
-    /// Additional attempts per rung (and per shard on the parallel
+    /// Additional attempts per rung (and per worker on the parallel
     /// rung) before downgrading.
     pub retries: u32,
     /// Base delay for exponential backoff between retries.
@@ -85,7 +85,7 @@ pub struct Downgrade {
 pub struct ResilienceSummary {
     /// Whole-rung attempts made (min 1 for a run that executed).
     pub attempts: u64,
-    /// Retries granted, counting both whole-rung retries and per-shard
+    /// Retries granted, counting both whole-rung retries and per-worker
     /// retries inside the parallel rung.
     pub retries: u64,
     /// Each drop down the degradation ladder, in order.
@@ -176,7 +176,7 @@ pub(crate) fn run_supervised(
             }
         }
 
-        // The parallel rung retries at shard granularity inside the
+        // The parallel rung retries at worker granularity inside the
         // mapper; whole-rung retries apply to the serial rungs.
         let rung_retries = match rung {
             Rung::Parallel(_) => 0,
@@ -191,8 +191,8 @@ pub(crate) fn run_supervised(
                 .max_wall
                 .map(|wall| watchdog::arm(Instant::now() + wall));
             let outcome: Result<Analysis, ResilienceError> = match rung {
-                // The outer catch contains faults raised outside the shard
-                // mapper (the merge fold and the post-merge tail stages).
+                // The outer catch contains faults raised outside the worker
+                // mapper (the stitch and the tail stages after it).
                 Rung::Parallel(c) => catch(|| {
                     analyze_parallel_supervised(pipeline, trace, &c, obs, &policy, &shard_retries)
                 })
@@ -240,7 +240,6 @@ mod tests {
     use super::*;
     use bwsa_resilience::failpoint;
     use bwsa_trace::TraceBuilder;
-    use std::num::NonZeroUsize;
     use std::sync::Mutex;
 
     /// Serialises failpoint-driven tests; the registry is process-global.
@@ -274,10 +273,7 @@ mod tests {
         let plain = pipeline.run_observed(&trace, &Obs::noop());
         for execution in [
             Execution::Serial,
-            Execution::Parallel(ParallelConfig {
-                jobs: NonZeroUsize::new(3).unwrap(),
-                shards: NonZeroUsize::new(4),
-            }),
+            Execution::Parallel(ParallelConfig::with_jobs(3)),
         ] {
             let (result, summary) =
                 run_supervised(&pipeline, &trace, &execution, &quick_config(), &Obs::noop());

@@ -23,7 +23,7 @@
 //! streaming engines' own tail, so `fold(windows) == whole_trace`
 //! *bit-for-bit* — interleave counts, graph edges, working sets,
 //! classification, and the final coloring all match a from-scratch
-//! serial (or sharded) run. The property suite
+//! serial (or parallel) run. The property suite
 //! `crates/core/tests/windowed_equiv.rs` pins this across arbitrary
 //! traces, window sizes, and `--jobs` values.
 //!

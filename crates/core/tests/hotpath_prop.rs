@@ -176,8 +176,8 @@ fn every_engine_agrees_with_the_oracle_above_the_dense_cap() {
 
     assert_eq!(checkpointed(&trace, trace.len() * 3 / 5), serial, "resumed");
     for jobs in [2, 3] {
-        let sharded = analyze_parallel(&keep_all(), &trace, &ParallelConfig::with_jobs(jobs));
-        assert_eq!(sharded, serial, "{jobs} jobs");
+        let parallel = analyze_parallel(&keep_all(), &trace, &ParallelConfig::with_jobs(jobs));
+        assert_eq!(parallel, serial, "{jobs} jobs");
     }
     assert_eq!(windowed(&trace, 2_000), serial, "windowed");
 }

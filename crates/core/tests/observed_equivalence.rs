@@ -12,7 +12,6 @@ use bwsa_core::{
 use bwsa_obs::Obs;
 use bwsa_trace::{Trace, TraceBuilder};
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 
 fn arb_trace() -> impl Strategy<Value = Trace> {
     prop::collection::vec((0u8..12, any::<bool>(), 0u64..3), 1..300).prop_map(|steps| {
@@ -46,7 +45,8 @@ proptest! {
 
         // And the observation is complete: every serial stage has a span.
         let metrics = obs.snapshot().unwrap();
-        for stage in ["profile", "interleave", "conflict_prune", "working_sets", "classify"] {
+        for stage in ["profile", "interleave", "compile", "conflict_prune", "working_sets",
+                      "classify"] {
             prop_assert!(metrics.stage(stage).is_some(), "missing span {}", stage);
         }
         prop_assert_eq!(
@@ -64,12 +64,8 @@ proptest! {
         trace in arb_trace(),
         pipeline in arb_pipeline(),
         jobs in 1usize..5,
-        shards in 1usize..20,
     ) {
-        let cfg = ParallelConfig {
-            jobs: NonZeroUsize::new(jobs).unwrap(),
-            shards: NonZeroUsize::new(shards),
-        };
+        let cfg = ParallelConfig::with_jobs(jobs);
         let obs = Obs::recording();
         let observed = analyze_parallel_observed(&pipeline, &trace, &cfg, &obs);
         let plain = analyze_parallel_observed(&pipeline, &trace, &cfg, &Obs::noop());
@@ -77,11 +73,12 @@ proptest! {
         prop_assert_eq!(&observed, &pipeline.run_observed(&trace, &Obs::noop()));
 
         let metrics = obs.snapshot().unwrap();
-        for stage in ["shard_summarize", "shard_combine", "shard_detect",
+        for stage in ["profile", "shard_detect", "compile",
                       "conflict_prune", "working_sets", "classify"] {
             prop_assert!(metrics.stage(stage).is_some(), "missing span {}", stage);
         }
-        prop_assert_eq!(metrics.counter("core.shards_merged"), shards as u64);
+        let workers = jobs.min(trace.static_branch_count());
+        prop_assert_eq!(metrics.counter("core.shards_merged"), workers as u64);
     }
 
     #[test]
@@ -126,6 +123,7 @@ proptest! {
         let metrics = obs.snapshot().unwrap();
         prop_assert!(metrics.stage("checkpoint_save").is_some());
         prop_assert!(metrics.stage("checkpoint_restore").is_some());
+        prop_assert!(metrics.stage("compile").is_some());
     }
 
     #[test]

@@ -1,22 +1,20 @@
-//! Property tests for the parallel sharded engine: for arbitrary traces,
-//! shard counts, and worker counts, the parallel pipeline must be
-//! **bit-identical** to the serial one — same `Analysis`, same conflict
-//! graph, same allocation tables — and the shard-combine operations must
-//! be associative.
+//! Property tests for the ownership-parallel engine: for arbitrary traces
+//! and worker counts, the parallel pipeline must be **bit-identical** to
+//! the serial one — same `Analysis`, same conflict graph, same allocation
+//! tables — including when there are more workers than static branches.
 //!
 //! Timestamps here may repeat (`dt` can be 0), deliberately: equal stamps
-//! do NOT interleave under the paper's strictly-greater rule, and a shard
-//! boundary falling between two equal-stamp records is exactly where a
-//! sloppy carry would miscount.
+//! do NOT interleave under the paper's strictly-greater rule, and a worker
+//! that stamps another worker's branch must apply the same rule.
 
 use bwsa_core::allocation::AllocationConfig;
-use bwsa_core::merge::{ShardBoundary, ShardDelta};
 use bwsa_core::pipeline::AnalysisPipeline;
-use bwsa_core::{analyze_parallel, parallel_map, Classified, ParallelConfig};
+use bwsa_core::{
+    analyze_parallel, analyze_parallel_observed, parallel_map, Classified, ParallelConfig,
+};
 use bwsa_obs::Obs;
 use bwsa_trace::{Trace, TraceBuilder};
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 
 /// Traces with up to 10 static branches and repeatable timestamps.
 fn arb_trace() -> impl Strategy<Value = Trace> {
@@ -31,30 +29,15 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
     })
 }
 
-fn config(jobs: usize, shards: usize) -> ParallelConfig {
-    ParallelConfig {
-        jobs: NonZeroUsize::new(jobs).unwrap(),
-        shards: NonZeroUsize::new(shards),
-    }
-}
-
-fn triples(trace: &Trace) -> Vec<(u32, u64, bool)> {
-    trace
-        .indexed_records()
-        .map(|(id, r)| (id.as_u32(), r.time.get(), r.is_taken()))
-        .collect()
-}
-
 proptest! {
     #[test]
     fn parallel_analysis_is_bit_identical_to_serial(
         trace in arb_trace(),
-        jobs in 1usize..6,
-        shards in 1usize..40,
+        jobs in 1usize..13,
     ) {
         let pipeline = AnalysisPipeline::new();
         let serial = pipeline.run_observed(&trace, &Obs::noop());
-        let parallel = analyze_parallel(&pipeline, &trace, &config(jobs, shards));
+        let parallel = analyze_parallel(&pipeline, &trace, &ParallelConfig::with_jobs(jobs));
         prop_assert_eq!(&parallel, &serial);
         // The conflict graphs compare above as part of Analysis, but make
         // the edge-level identity explicit for the raw (unthresholded)
@@ -63,18 +46,6 @@ proptest! {
             parallel.conflict.raw_edge_count,
             serial.conflict.raw_edge_count
         );
-    }
-
-    #[test]
-    fn degenerate_shard_counts_are_exact(trace in arb_trace(), jobs in 1usize..5) {
-        // One shard (pure serial) and more shards than records (most
-        // shards empty) are the boundary cases of the split.
-        let pipeline = AnalysisPipeline::new();
-        let serial = pipeline.run_observed(&trace, &Obs::noop());
-        for shards in [1, trace.len(), trace.len() + 7] {
-            let cfg = config(jobs, shards.max(1));
-            prop_assert_eq!(analyze_parallel(&pipeline, &trace, &cfg), serial.clone());
-        }
     }
 
     #[test]
@@ -89,7 +60,7 @@ proptest! {
         };
         let cfg = AllocationConfig::default();
         let serial = pipeline.run_observed(&trace, &Obs::noop());
-        let parallel = analyze_parallel(&pipeline, &trace, &config(jobs, jobs * 2));
+        let parallel = analyze_parallel(&pipeline, &trace, &ParallelConfig::with_jobs(jobs));
         prop_assert_eq!(
             parallel.allocation(Classified(false), table, &cfg).unwrap(),
             serial.allocation(Classified(false), table, &cfg).unwrap()
@@ -98,59 +69,6 @@ proptest! {
             parallel.allocation(Classified(true), table.max(3), &cfg).unwrap(),
             serial.allocation(Classified(true), table.max(3), &cfg).unwrap()
         );
-    }
-
-    #[test]
-    fn boundary_join_is_associative(trace in arb_trace(), a in 1usize..100, b in 1usize..100) {
-        let all = triples(&trace);
-        let n = trace.static_branch_count();
-        // Split into three ranges [0, x), [x, y), [y, len).
-        let x = a % (all.len() + 1);
-        let y = x + b % (all.len() - x + 1);
-        let summarise = |r: &[(u32, u64, bool)]| {
-            ShardBoundary::of_records(n, r.iter().map(|&(b, t, _)| (b, t)))
-        };
-        let (p, q, r) = (summarise(&all[..x]), summarise(&all[x..y]), summarise(&all[y..]));
-        let mut left = p.clone();
-        left.join(&q);
-        left.join(&r);
-        let mut qr = q.clone();
-        qr.join(&r);
-        let mut right = p.clone();
-        right.join(&qr);
-        prop_assert_eq!(&left, &right);
-        prop_assert_eq!(&left, &summarise(&all));
-    }
-
-    #[test]
-    fn delta_merge_is_associative(trace in arb_trace(), a in 1usize..100, b in 1usize..100) {
-        let all = triples(&trace);
-        let n = trace.static_branch_count();
-        let x = a % (all.len() + 1);
-        let y = x + b % (all.len() - x + 1);
-        let summarise = |r: &[(u32, u64, bool)]| {
-            ShardBoundary::of_records(n, r.iter().map(|&(b, t, _)| (b, t)))
-        };
-        let mut carry_x = ShardBoundary::empty(n);
-        carry_x.join(&summarise(&all[..x]));
-        let mut carry_y = carry_x.clone();
-        carry_y.join(&summarise(&all[x..y]));
-        let p = ShardDelta::of_shard(n, &ShardBoundary::empty(n), all[..x].iter().copied());
-        let q = ShardDelta::of_shard(n, &carry_x, all[x..y].iter().copied());
-        let r = ShardDelta::of_shard(n, &carry_y, all[y..].iter().copied());
-        let mut left = p.clone();
-        left.merge(&q);
-        left.merge(&r);
-        let mut qr = q.clone();
-        qr.merge(&r);
-        let mut right = p.clone();
-        right.merge(&qr);
-        prop_assert_eq!(left.record_count(), right.record_count());
-        prop_assert_eq!(left.record_count(), all.len() as u64);
-        // Compiled graphs and serial reference agree for both groupings.
-        let serial = bwsa_core::interleave_counts(&trace).build();
-        prop_assert_eq!(left.into_graph(), serial.clone());
-        prop_assert_eq!(right.into_graph(), serial);
     }
 
     #[test]
@@ -167,7 +85,6 @@ proptest! {
     fn supervised_shard_mapper_is_identical_when_no_faults_fire(
         trace in arb_trace(),
         jobs in 1usize..6,
-        shards in 1usize..20,
     ) {
         use bwsa_core::{analyze_parallel_supervised, ShardRetryPolicy};
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -177,7 +94,7 @@ proptest! {
         let supervised = analyze_parallel_supervised(
             &pipeline,
             &trace,
-            &config(jobs, shards),
+            &ParallelConfig::with_jobs(jobs),
             &Obs::noop(),
             &ShardRetryPolicy::default(),
             &retries,
@@ -201,5 +118,50 @@ proptest! {
             SweepCell::plain(Gshare::new(8), &trace),
         ];
         prop_assert_eq!(sweep(cells, jobs).unwrap(), serial);
+    }
+}
+
+/// The parallel run of `trace` on `jobs` workers equals the serial run,
+/// and reports `workers` of them as merged.
+fn assert_parallel_matches_serial(trace: &Trace, jobs: usize, workers: u64) {
+    let pipeline = AnalysisPipeline::new();
+    let obs = Obs::recording();
+    let config = ParallelConfig::with_jobs(jobs);
+    let parallel = analyze_parallel_observed(&pipeline, trace, &config, &obs);
+    let serial = pipeline.run_observed(trace, &Obs::noop());
+    assert_eq!(parallel, serial, "jobs {jobs}");
+    let merged = obs.snapshot().unwrap().counter("core.shards_merged");
+    assert_eq!(merged, workers, "jobs {jobs}");
+}
+
+#[test]
+fn more_jobs_than_branches_run_one_worker_per_branch() {
+    let mut b = TraceBuilder::new("three");
+    for i in 0..90u64 {
+        b.record(0x40 + i % 3 * 4, i % 2 == 0, i + 1);
+    }
+    let trace = b.finish();
+    for jobs in [3, 4, 16] {
+        assert_parallel_matches_serial(&trace, jobs, 3);
+    }
+}
+
+#[test]
+fn one_branch_runs_one_worker() {
+    let mut b = TraceBuilder::new("one");
+    for i in 0..50u64 {
+        b.record(0x40, i % 3 == 0, i + 1);
+    }
+    let trace = b.finish();
+    for jobs in [1, 2, 5] {
+        assert_parallel_matches_serial(&trace, jobs, 1);
+    }
+}
+
+#[test]
+fn an_empty_trace_runs_no_worker() {
+    let trace = TraceBuilder::new("empty").finish();
+    for jobs in [1, 4] {
+        assert_parallel_matches_serial(&trace, jobs, 0);
     }
 }

@@ -31,7 +31,6 @@ use bwsa_obs::Obs;
 use bwsa_trace::{Trace, TraceBuilder};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
-use std::num::NonZeroUsize;
 
 /// Traces with up to 10 static branches and repeatable timestamps
 /// (`dt = 0` keeps the previous stamp: equal stamps must NOT interleave
@@ -70,10 +69,7 @@ fn drive(trace: &Trace, config: WindowConfig, pipeline: AnalysisPipeline) -> Win
 }
 
 fn parallel(jobs: usize) -> Execution {
-    Execution::Parallel(ParallelConfig {
-        jobs: NonZeroUsize::new(jobs).unwrap(),
-        shards: NonZeroUsize::new(5),
-    })
+    Execution::Parallel(ParallelConfig::with_jobs(jobs))
 }
 
 proptest! {
@@ -94,9 +90,9 @@ proptest! {
         // Identical to the serial whole-trace run...
         let serial = Session::new(&trace);
         prop_assert_eq!(&result.analysis, serial.run().unwrap());
-        // ...and to the sharded parallel engine for any worker count.
-        let sharded = Session::new(&trace).with_execution(parallel(jobs));
-        prop_assert_eq!(&result.analysis, sharded.run().unwrap());
+        // ...and to the parallel engine for any worker count.
+        let owned = Session::new(&trace).with_execution(parallel(jobs));
+        prop_assert_eq!(&result.analysis, owned.run().unwrap());
 
         // The windows partition the trace: every record lands in exactly
         // one window, and the final cumulative graph is the whole answer.
@@ -209,7 +205,7 @@ proptest! {
         // re-executes, every *other* branch whose latest stamp is
         // strictly greater than this branch's previous stamp interleaved
         // with it once. The `seen` map carries across window boundaries
-        // exactly like the engine's ShardBoundary carry.
+        // exactly like the engine's one whole-trace detector.
         let mut seen: HashMap<u32, u64> = HashMap::new();
         let mut expected: Vec<(usize, u64)> = Vec::new();
         let mut pairs: BTreeSet<(u32, u32)> = BTreeSet::new();

@@ -10,8 +10,7 @@
 //! in the same (canonical) order, percentile selection always indexes
 //! the same sorted vector, and serial vs parallel fan-out or any input
 //! permutation produce the same JSON bytes. Property tests in
-//! `tests/fleet_prop.rs` pin this, in the spirit of the shard merge
-//! algebra (DESIGN.md §8): associativity + canonical finish ⇒
+//! `tests/fleet_prop.rs` pin this: associativity + canonical finish ⇒
 //! schedule-independence.
 //!
 //! Nothing time- or host-dependent goes into a summary (no wall times,

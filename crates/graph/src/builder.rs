@@ -15,8 +15,8 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// Adding the same edge repeatedly sums the weights. The interleave
 /// detector counts most pairs in dense per-branch rows and keeps only the
-/// rest here, so the builder is mainly the merge currency: shard deltas
-/// fold into one, and [`GraphBuilder::merge`] combines them.
+/// rest here, its spill table; [`GraphBuilder::merge`] adds the spill
+/// tables of parallel workers and the graphs of cumulative profiles.
 ///
 /// Internally the edge map is an open-addressed flat table keyed by the
 /// packed canonical pair `(min << 32) | max`, with Fibonacci hashing,
@@ -216,9 +216,9 @@ impl GraphBuilder {
     /// This is the graph-level primitive behind the paper's §5.2 cumulative
     /// profiles: conflict graphs from several profiling runs are merged
     /// "until the resulting graph indicates that most part of the program
-    /// has been exercised". It is also the shard-delta combine of the
-    /// parallel engine, so it takes the fast path: packed keys move
-    /// straight between tables with no unpack/repack or validation.
+    /// has been exercised". It also adds the parallel workers' spill
+    /// tables, so it takes the fast path: packed keys move straight
+    /// between tables with no unpack/repack or validation.
     pub fn merge(&mut self, other: &GraphBuilder) -> &mut Self {
         self.nodes = self.nodes.max(other.nodes);
         let combined = self.len + other.len;

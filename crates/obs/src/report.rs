@@ -55,7 +55,7 @@ pub struct ResilienceReport {
     pub supervised: bool,
     /// Whole-engine attempts made.
     pub attempts: u64,
-    /// Retries granted (whole-engine and per-shard combined).
+    /// Retries granted (whole-engine and per-worker combined).
     pub retries: u64,
     /// Each drop down the degradation ladder, in order.
     pub downgrades: Vec<DowngradeReport>,

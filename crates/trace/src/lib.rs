@@ -77,4 +77,4 @@ pub mod failpoints {
 pub use error::TraceError;
 pub use id::{BranchId, InstrCount, Pc};
 pub use record::{BranchRecord, Direction};
-pub use trace::{BranchTable, Trace, TraceBuilder, TraceMeta, TraceShard};
+pub use trace::{BranchTable, Trace, TraceBuilder, TraceMeta};

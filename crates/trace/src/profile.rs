@@ -24,7 +24,7 @@ pub struct BranchStats {
 
 impl BranchStats {
     /// Counts one dynamic execution at `time`: the one per-record update
-    /// behind every profile, stream, shard and window.
+    /// behind every profile, stream and window.
     #[inline]
     pub fn record(&mut self, time: InstrCount, taken: bool) {
         if self.executions == 0 {

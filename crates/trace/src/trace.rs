@@ -304,52 +304,6 @@ impl Trace {
         out
     }
 
-    /// Splits the trace into `n` time-contiguous shards of near-equal
-    /// record count (the first `len % n` shards hold one extra record).
-    ///
-    /// Shards are borrowed views, cheap to create, and cover every record
-    /// exactly once in execution order — the unit of work for the parallel
-    /// analysis engine. When `n` exceeds the record count the surplus
-    /// shards are empty, so any shard count is valid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use bwsa_trace::TraceBuilder;
-    ///
-    /// let mut b = TraceBuilder::new("s");
-    /// for i in 0..7u64 {
-    ///     b.record(0x40, true, i + 1);
-    /// }
-    /// let t = b.finish();
-    /// let shards = t.shards(3);
-    /// assert_eq!(shards.len(), 3);
-    /// assert_eq!(shards.iter().map(|s| s.len()).collect::<Vec<_>>(), [3, 2, 2]);
-    /// assert_eq!(shards[1].start, 3);
-    /// ```
-    pub fn shards(&self, n: usize) -> Vec<TraceShard<'_>> {
-        assert!(n > 0, "shard count must be positive");
-        let len = self.records.len();
-        let base = len / n;
-        let extra = len % n;
-        let mut shards = Vec::with_capacity(n);
-        let mut start = 0usize;
-        for i in 0..n {
-            let size = base + usize::from(i < extra);
-            shards.push(TraceShard {
-                start,
-                ids: &self.ids[start..start + size],
-                records: &self.records[start..start + size],
-            });
-            start += size;
-        }
-        shards
-    }
-
     /// Concatenates another trace onto this one, shifting its timestamps to
     /// start after this trace ends. Static branches with equal pcs are
     /// identified with each other.
@@ -367,39 +321,6 @@ impl Trace {
             );
             self.push(shifted).expect("shifted timestamps are ordered");
         }
-    }
-}
-
-/// A time-contiguous segment of a [`Trace`], produced by
-/// [`Trace::shards`].
-///
-/// `ids` and `records` are parallel slices; record `i` of the shard is
-/// record `start + i` of the source trace, with its pc already interned
-/// into the trace's [`BranchTable`].
-#[derive(Debug, Clone, Copy)]
-pub struct TraceShard<'a> {
-    /// Index of the shard's first record in the source trace.
-    pub start: usize,
-    /// Interned static branch id of each record, parallel to `records`.
-    pub ids: &'a [BranchId],
-    /// The shard's dynamic branch records, in execution order.
-    pub records: &'a [BranchRecord],
-}
-
-impl TraceShard<'_> {
-    /// Number of dynamic branch records in the shard.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Returns `true` if the shard holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Iterates over `(static id, record)` pairs in execution order.
-    pub fn indexed_records(&self) -> impl Iterator<Item = (BranchId, &BranchRecord)> + '_ {
-        self.ids.iter().copied().zip(self.records.iter())
     }
 }
 
@@ -572,41 +493,6 @@ mod tests {
         assert_eq!(a.static_branch_count(), 3, "pcs shared, not duplicated");
         assert_eq!(a.records()[4].time.get(), 25, "shifted by 20");
         assert_eq!(a.meta().total_instructions, 40);
-    }
-
-    #[test]
-    fn shards_cover_every_record_exactly_once() {
-        let t = small();
-        for n in 1..=8 {
-            let shards = t.shards(n);
-            assert_eq!(shards.len(), n);
-            let mut index = 0usize;
-            for s in &shards {
-                assert_eq!(s.start, index);
-                assert_eq!(s.ids.len(), s.records.len());
-                for (k, (id, rec)) in s.indexed_records().enumerate() {
-                    assert_eq!(id, t.record_ids()[s.start + k]);
-                    assert_eq!(*rec, t.records()[s.start + k]);
-                }
-                index += s.len();
-            }
-            assert_eq!(index, t.len(), "{n} shards");
-        }
-    }
-
-    #[test]
-    fn surplus_shards_are_empty() {
-        let t = small();
-        let shards = t.shards(10);
-        assert_eq!(shards.len(), 10);
-        assert!(shards[4..].iter().all(TraceShard::is_empty));
-        assert_eq!(shards.iter().map(TraceShard::len).sum::<usize>(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_shards_rejected() {
-        small().shards(0);
     }
 
     #[test]

@@ -121,8 +121,9 @@ cmp "$convert_dir/bwst.out" "$convert_dir/bws3.out"
     --emit-windows "$convert_dir/bws3-windows.json" > /dev/null
 cmp "$convert_dir/bwst-windows.json" "$convert_dir/bws3-windows.json"
 # gcc at 0.1 (1026 static branches): BWST in memory, BWSS2 and BWSS3
-# streaming and a 2-job run print the same bytes, and so does a
-# checkpointed BWSS2 run and a run resumed from its rotated checkpoint.
+# streaming and runs splitting the static branches among 2 and 3 workers
+# (an uneven split) print the same bytes, and so does a checkpointed
+# BWSS2 run and a run resumed from its rotated checkpoint.
 "$bwsa" generate gcc --scale 0.1 -o "$convert_dir/gcc.bwst" > /dev/null
 "$bwsa" convert "$convert_dir/gcc.bwst" "$convert_dir/gcc.bwss" > /dev/null
 "$bwsa" convert "$convert_dir/gcc.bwst" "$convert_dir/gcc.bws3" > /dev/null
@@ -130,6 +131,7 @@ cmp "$convert_dir/bwst-windows.json" "$convert_dir/bws3-windows.json"
 "$bwsa" analyze "$convert_dir/gcc.bwss" > "$convert_dir/gcc-bwss.out"
 "$bwsa" analyze "$convert_dir/gcc.bws3" > "$convert_dir/gcc-bws3.out"
 "$bwsa" analyze "$convert_dir/gcc.bwst" --jobs 2 > "$convert_dir/gcc-j2.out"
+"$bwsa" analyze "$convert_dir/gcc.bwst" --jobs 3 > "$convert_dir/gcc-j3.out"
 "$bwsa" analyze "$convert_dir/gcc.bwss" --checkpoint "$convert_dir/gcc.ck" \
     --checkpoint-every 4 > "$convert_dir/gcc-ck.out"
 [ -f "$convert_dir/gcc.ck.prev" ] || { echo "no rotated checkpoint"; exit 1; }
@@ -149,7 +151,7 @@ cmp "$convert_dir/bwst-windows.json" "$convert_dir/bws3-windows.json"
 "$bwsa" analyze "$convert_dir/gcc.bws3" --window 4096 --jobs 2 \
     --emit-windows "$convert_dir/gcc-windows-j2.json" > /dev/null
 cmp "$convert_dir/gcc-windows.json" "$convert_dir/gcc-windows-j2.json"
-for run in bwss bws3 j2 ck resumed salvage salvage-j2 window; do
+for run in bwss bws3 j2 j3 ck resumed salvage salvage-j2 window; do
     cmp "$convert_dir/gcc.out" "$convert_dir/gcc-$run.out"
 done
 

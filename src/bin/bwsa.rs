@@ -13,8 +13,9 @@
 //!              [--checkpoint FILE [--checkpoint-every N]] [--resume FILE]
 //!     Run branch working set analysis on a trace file and print the
 //!     working-set report, classification counts, and trace statistics.
-//!     In-memory traces are sharded across --jobs worker threads (default:
-//!     all hardware threads) with output bit-identical to a serial run.
+//!     In memory, --jobs N splits the static branches among N worker
+//!     threads (default: all hardware threads), each reading the whole
+//!     trace, with output bit-identical to a serial run.
 //!     BWSS streams are analysed without materialising the trace unless
 //!     --jobs requests parallelism; --salvage recovers what it can from a
 //!     corrupted stream, and --checkpoint/--resume make long runs
@@ -232,10 +233,12 @@ result over the converted file is byte-identical to the original. BWSS3
 files memory-map on ingest and decode column blocks straight into the
 analysis engines — the recommended format for large cold corpora.
 
---jobs N runs analysis shards or simulation grid cells on N worker
-threads (default: all hardware threads); results are bit-identical to a
-serial run. Checkpointed streaming analysis is inherently sequential, so
-`analyze --checkpoint/--resume` rejects --jobs above 1.
+--jobs N splits an in-memory analysis's static branches among N worker
+threads, each reading the whole trace, or runs simulation grid cells on
+N worker threads (default: all hardware threads); results are
+bit-identical to a serial run. Checkpointed streaming analysis is
+inherently sequential, so `analyze --checkpoint/--resume` rejects --jobs
+above 1.
 
 --window N analyzes the trace in online windows of N dynamic branches
 (Ni: N instructions), printing per-window working sets, conflict-graph
@@ -943,7 +946,7 @@ fn window_spec(p: &Parsed) -> Result<Option<(WindowConfig, Option<String>)>, Cli
     }
 }
 
-/// The in-memory `analyze` path: a [`Session`] over the sharded parallel
+/// The in-memory `analyze` path: a [`Session`] over the ownership-parallel
 /// pipeline (bit-identical to serial for any worker count) plus the
 /// report printout; a windowed session answers with its windowed fold.
 fn analyze_in_memory(
@@ -1026,7 +1029,6 @@ fn stream_config_json(pipeline: &AnalysisPipeline) -> Json {
         ),
         ("execution", Json::from("streaming")),
         ("jobs", Json::UInt(1)),
-        ("shards", Json::Null),
     ])
 }
 
@@ -2360,39 +2362,43 @@ mod tests {
     fn analyze_report_times_every_pipeline_stage() {
         let dir = std::env::temp_dir().join("bwsa_cli_stage_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let trace = dir.join("t.bwst");
-        let trace_s = trace.to_str().unwrap().to_owned();
-        run(&strs(&[
-            "generate", "pgp", "--scale", "0.01", "-o", &trace_s,
-        ]))
-        .unwrap();
-        let metrics = dir.join("m.json");
-        let metrics_s = metrics.to_str().unwrap().to_owned();
-        run(&strs(&["analyze", &trace_s, "--metrics", &metrics_s])).unwrap();
-        let doc = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-        let stages: Vec<String> = match doc.get("stages") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .filter_map(|s| s.get("name").and_then(Json::as_str).map(str::to_owned))
-                .collect(),
-            other => panic!("stages missing: {other:?}"),
-        };
-        for required in [
-            "ingest",
-            "shard_summarize",
-            "shard_combine",
-            "shard_detect",
-            "conflict_prune",
-            "working_sets",
-            "classify",
-        ] {
-            assert!(
-                stages.iter().any(|s| s == required),
-                "missing {required} in {stages:?}"
-            );
+        // BWST runs the parallel engine in memory; BWSS3 streams its blocks
+        // into the detector inside `ingest`.
+        let parallel: &[&str] = &["profile", "shard_detect"];
+        for (format, engine) in [("bwst", parallel), ("bwss3", &[])] {
+            let trace = dir.join(format!("t.{format}"));
+            let trace_s = trace.to_str().unwrap().to_owned();
+            run(&strs(&[
+                "generate", "pgp", "--scale", "0.01", "--format", format, "-o", &trace_s,
+            ]))
+            .unwrap();
+            let metrics = dir.join("m.json");
+            let metrics_s = metrics.to_str().unwrap().to_owned();
+            run(&strs(&["analyze", &trace_s, "--metrics", &metrics_s])).unwrap();
+            let doc = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+            let stages: Vec<String> = match doc.get("stages") {
+                Some(Json::Array(items)) => items
+                    .iter()
+                    .filter_map(|s| s.get("name").and_then(Json::as_str).map(str::to_owned))
+                    .collect(),
+                other => panic!("stages missing: {other:?}"),
+            };
+            let shared = [
+                "ingest",
+                "compile",
+                "conflict_prune",
+                "working_sets",
+                "classify",
+            ];
+            for required in shared.iter().chain(engine) {
+                assert!(
+                    stages.iter().any(|s| s == required),
+                    "{format}: missing {required} in {stages:?}"
+                );
+            }
+            std::fs::remove_file(metrics).unwrap();
+            std::fs::remove_file(trace).unwrap();
         }
-        std::fs::remove_file(metrics).unwrap();
-        std::fs::remove_file(trace).unwrap();
     }
 
     #[test]

@@ -29,7 +29,6 @@ use bwsa::server::{
 };
 use bwsa::trace::stream::{StreamReader, StreamWriter};
 use bwsa::trace::{Trace, TraceBuilder};
-use std::num::NonZeroUsize;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -122,10 +121,7 @@ impl Harness {
             // reaching them.
             "core.profile" | "core.interleave" => self.drive_session(Execution::Serial),
             other if other.starts_with("core.") => {
-                self.drive_session(Execution::Parallel(ParallelConfig {
-                    jobs: NonZeroUsize::new(2).unwrap(),
-                    shards: NonZeroUsize::new(5),
-                }))
+                self.drive_session(Execution::Parallel(ParallelConfig::with_jobs(2)))
             }
             "corpus.ingest_decode" => self.drive_corpus_ingest(),
             other if other.starts_with("corpus.") => self.drive_corpus(),
@@ -134,7 +130,7 @@ impl Harness {
     }
 
     /// Supervised session over the degradation ladder; covers all
-    /// pipeline-stage and shard sites.
+    /// pipeline-stage and parallel-worker sites.
     fn drive_session(&self, execution: Execution) -> Result<String, String> {
         let session = Session::new(&self.trace)
             .with_execution(execution)
@@ -403,7 +399,7 @@ fn transient_faults_are_absorbed_by_retry_and_degradation() {
     failpoint::clear();
     let harness = Harness::new();
     // One-shot faults on every supervised core stage: whether the ladder
-    // recovers by shard retry, rung retry, or downgrade, the output must
+    // recovers by worker retry, rung retry, or downgrade, the output must
     // be the fault-free output.
     for site in bwsa::core::failpoints::SITES {
         if site.starts_with("core.checkpoint")

@@ -184,12 +184,20 @@ fn a_windowed_metrics_report_attributes_the_window_walk() {
         "3",
         "--window",
         "100",
+        "--jobs",
+        "2",
         "--metrics",
         report.to_str().unwrap(),
     ]);
     assert_eq!(exit_code(&out), 0, "{out:?}");
     let text = std::fs::read_to_string(&report).expect("report written");
     let json = bwsa::obs::json::Json::parse(&text).expect("report parses");
+    // The windows replay serially whatever --jobs says, and the echo says so.
+    let config = json.get("config").expect("config echo");
+    let echo = |key: &str| config.get(key).cloned();
+    assert_eq!(echo("execution"), Some("windowed".into()), "{text}");
+    assert_eq!(echo("jobs"), Some(bwsa::obs::json::Json::UInt(1)), "{text}");
+    assert_eq!(echo("shards"), None, "{text}");
     let windows = json
         .get("counters")
         .and_then(|c| c.get("core.windows_flushed"))

@@ -4,9 +4,8 @@
 //! working-set extraction, classification, or allocation that alters the
 //! numbers shows up as a readable text diff.
 //!
-//! The analysis runs through the *parallel* pipeline (2 workers, 5
-//! shards), so this also pins the parallel path to the snapshotted serial
-//! numbers. A second fixture per trace pins the online windowed engine's
+//! The analysis runs through the *parallel* pipeline (2 workers), so
+//! this also pins the parallel path to the snapshotted serial numbers. A second fixture per trace pins the online windowed engine's
 //! per-window trajectory (kept edges, re-coloring, stability, phase
 //! changes), which no whole-trace number reflects. To regenerate after an
 //! intentional change:
@@ -18,7 +17,6 @@
 use bwsa::core::analyze_parallel_observed;
 use bwsa::prelude::*;
 use std::fmt::Write as _;
-use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 const SCALE: f64 = 0.01;
@@ -56,10 +54,7 @@ fn snapshot(bench: Benchmark, set: InputSet) -> String {
     let trace = bench.generate_scaled(set, SCALE);
     let threshold = scaled_threshold();
     let pipeline = scaled_pipeline();
-    let cfg = ParallelConfig {
-        jobs: NonZeroUsize::new(2).unwrap(),
-        shards: NonZeroUsize::new(5),
-    };
+    let cfg = ParallelConfig::with_jobs(2);
     let analysis = analyze_parallel_observed(&pipeline, &trace, &cfg, &Obs::noop());
 
     let mut out = String::new();

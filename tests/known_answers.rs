@@ -13,7 +13,8 @@
 //! * two phases that never revisit each other give no cross edge.
 //!
 //! The engines are the serial pipeline, the BWSS3 block stream, the
-//! sharded parallel pass and the windowed fold. Each trace has `k` static
+//! parallel pass on 2 and 3 workers and the windowed fold. Each trace has
+//! `k` static
 //! branches, with `k` on both sides of 4096, where the detector's dense
 //! rows end and its spill table begins. The loops run over the highest
 //! ids, after a prefix of branches that run once, so a loop straddles the
@@ -33,7 +34,6 @@ use bwsa::trace::columnar::ColumnarWriter;
 use bwsa::trace::stream::RecoveryPolicy;
 use bwsa::trace::{Trace, TraceBuilder};
 use std::collections::BTreeSet;
-use std::num::NonZeroUsize;
 
 /// Static branch counts on both sides of the dense-row cap.
 const SIZES: [u64; 4] = [2, 4095, 4096, 4097];
@@ -82,8 +82,8 @@ impl Shape {
     }
 }
 
-/// The analysis of `trace` from each engine, labelled. Shards and windows
-/// are `split` records long, so a boundary can fall inside a loop.
+/// The analysis of `trace` from each engine, labelled. Windows are
+/// `split` records long, so a boundary can fall inside a loop.
 fn every_engine(
     trace: &Trace,
     pipeline: &AnalysisPipeline,
@@ -102,13 +102,6 @@ fn every_engine(
     let (streamed, _) =
         analyze_columnar_stream(pipeline, &bytes, RecoveryPolicy::Strict, &Obs::noop()).unwrap();
 
-    let shards = (trace.len() as u64).div_ceil(split) as usize;
-    let parallel = ParallelConfig {
-        jobs: NonZeroUsize::new(2).unwrap(),
-        shards: NonZeroUsize::new(shards),
-    };
-    let sharded = analyze_parallel(pipeline, trace, &parallel);
-
     let config = WindowConfig::branches(split).unwrap();
     let mut windowed = WindowedAnalysis::new(config, *pipeline);
     for (id, rec) in trace.indexed_records() {
@@ -117,7 +110,14 @@ fn every_engine(
     vec![
         ("serial", serial),
         ("bwss3 stream", streamed),
-        ("sharded", sharded),
+        (
+            "2 workers",
+            analyze_parallel(pipeline, trace, &ParallelConfig::with_jobs(2)),
+        ),
+        (
+            "3 workers",
+            analyze_parallel(pipeline, trace, &ParallelConfig::with_jobs(3)),
+        ),
         ("windowed", windowed.finish().analysis),
     ]
 }

@@ -1,7 +1,7 @@
 //! Fast tier-1 variant of `shape_full_scale`: the same paper-shape
 //! assertions on 5%-scale workloads, running in seconds instead of
 //! minutes, with the analysis on the parallel path (2 workers) so every
-//! default test run exercises sharded execution end to end.
+//! default test run exercises parallel execution end to end.
 //!
 //! The full-scale versions stay `#[ignore]`d in `shape_full_scale.rs`;
 //! the bands here were calibrated on the scaled traces (which have
@@ -11,7 +11,6 @@
 use bwsa::core::analyze_parallel_observed;
 use bwsa::prelude::*;
 use bwsa::trace::profile::FrequencyFilter;
-use std::num::NonZeroUsize;
 
 const SCALE: f64 = 0.05;
 
@@ -26,10 +25,7 @@ fn quick_analysis(bench: Benchmark) -> (bwsa::trace::Trace, bwsa::core::pipeline
         conflict: ConflictConfig::with_threshold(threshold).unwrap(),
         ..AnalysisPipeline::new()
     };
-    let cfg = ParallelConfig {
-        jobs: NonZeroUsize::new(2).unwrap(),
-        shards: None,
-    };
+    let cfg = ParallelConfig::with_jobs(2);
     let analysis = analyze_parallel_observed(&pipeline, &trace, &cfg, &Obs::noop());
     // The parallel path must agree with the serial one bit for bit.
     assert_eq!(
