@@ -33,13 +33,12 @@
 //! refuses to run in a debug build. `--validate` re-parses a written
 //! report and checks the invariants (the CI smoke step).
 
-use bwsa_core::columnar::decode_columnar;
 use bwsa_core::{AnalysisPipeline, WindowConfig, WindowedAnalysis};
 use bwsa_corpus::{Corpus, EntryStatus, FleetAccumulator, FleetSummary};
 use bwsa_obs::json::Json;
 use bwsa_obs::Obs;
 use bwsa_predictor::{simulate, BhtIndexer, Pag};
-use bwsa_trace::columnar::write_columnar;
+use bwsa_trace::columnar::{read_columnar, write_columnar};
 use bwsa_trace::mmap::TraceBytes;
 use bwsa_trace::stream::{RecoveryPolicy, StreamReader, StreamWriter};
 use bwsa_trace::Trace;
@@ -213,7 +212,7 @@ fn ingest_floor(quick: bool) -> f64 {
 
 /// Phase 1: cold decode-only ingest, BWSS2 stream vs BWSS3 columnar
 /// (mmap'd and buffered).
-fn bench_ingest(pair: &CorpusPair, jobs: usize, quick: bool) -> Json {
+fn bench_ingest(pair: &CorpusPair, quick: bool) -> Json {
     let bwss_files = trace_files(&pair.bwss_manifest);
     let bws3_files = trace_files(&pair.bws3_manifest);
     let iters = if quick { 3 } else { 5 };
@@ -227,7 +226,7 @@ fn bench_ingest(pair: &CorpusPair, jobs: usize, quick: bool) -> Json {
             .map(|p| {
                 let bytes = TraceBytes::open(p).expect("mmap trace");
                 let (trace, _) =
-                    decode_columnar(&bytes, RecoveryPolicy::Strict, jobs).expect("decode columnar");
+                    read_columnar(&bytes, RecoveryPolicy::Strict).expect("decode columnar");
                 trace.len() as u64
             })
             .sum()
@@ -238,7 +237,7 @@ fn bench_ingest(pair: &CorpusPair, jobs: usize, quick: bool) -> Json {
             .map(|p| {
                 let bytes = TraceBytes::from_vec(std::fs::read(p).expect("read trace"));
                 let (trace, _) =
-                    decode_columnar(&bytes, RecoveryPolicy::Strict, jobs).expect("decode columnar");
+                    read_columnar(&bytes, RecoveryPolicy::Strict).expect("decode columnar");
                 trace.len() as u64
             })
             .sum()
@@ -274,7 +273,6 @@ fn bench_ingest(pair: &CorpusPair, jobs: usize, quick: bool) -> Json {
         ("records", Json::from(pair.records)),
         ("bwss_bytes", Json::from(pair.bwss_bytes)),
         ("bws3_bytes", Json::from(pair.bws3_bytes)),
-        ("decode_jobs", Json::from(jobs as u64)),
         ("bwss2_ns", Json::from(bwss_ns)),
         ("bws3_mmap_ns", Json::from(mmap_ns)),
         ("bws3_buffered_ns", Json::from(buffered_ns)),
@@ -288,7 +286,7 @@ fn bench_ingest(pair: &CorpusPair, jobs: usize, quick: bool) -> Json {
 
 /// Phase 2: the cross-format identity contract — every downstream path
 /// must render byte-identical results over both encodings.
-fn bench_identity(pair: &CorpusPair, jobs: usize) -> Json {
+fn bench_identity(pair: &CorpusPair) -> Json {
     let bwss_files = trace_files(&pair.bwss_manifest);
     let bws3_files = trace_files(&pair.bws3_manifest);
     let path_pairs: Vec<(Trace, Trace)> = bwss_files
@@ -297,7 +295,7 @@ fn bench_identity(pair: &CorpusPair, jobs: usize) -> Json {
         .map(|(s, c)| {
             let bytes = TraceBytes::open(c).expect("mmap trace");
             let (columnar, _) =
-                decode_columnar(&bytes, RecoveryPolicy::Strict, jobs).expect("decode columnar");
+                read_columnar(&bytes, RecoveryPolicy::Strict).expect("decode columnar");
             (decode_bwss(s), columnar)
         })
         .collect();
@@ -628,8 +626,8 @@ fn main() {
         pair.bws3_bytes,
         dir.display()
     );
-    let ingest = bench_ingest(&pair, args.jobs, args.quick);
-    let identity = bench_identity(&pair, args.jobs);
+    let ingest = bench_ingest(&pair, args.quick);
+    let identity = bench_identity(&pair);
     let (batch, summary) = bench_batch(&args, &pair.bwss_manifest, pair.bwss_bytes);
     let aggregation = bench_aggregation(&summary);
     let cache = bench_cache(&pair.bwss_manifest, pair.bwss_bytes);

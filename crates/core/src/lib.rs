@@ -26,9 +26,8 @@
 //! * [`parallel`] — multi-threaded execution of the pipeline, the static
 //!   branches split among workers that each read the whole trace,
 //!   bit-identical to the serial pass.
-//! * [`columnar`] — `BWSS3` ingest: footer-driven shard planning,
-//!   parallel block-range decode, and block-wise streaming into the
-//!   flat engines.
+//! * [`columnar`] — `BWSS3` analysis that streams blocks into the
+//!   record accumulator without materialising the trace.
 //! * [`phases`] — working sets over time (transition detection).
 //! * [`pipeline`] — the pipeline engine and its products.
 //! * [`session`] — the [`Session`] entry point: trace + configuration +

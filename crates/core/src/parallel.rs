@@ -334,7 +334,6 @@ fn analyze_parallel_with<M: ShardMapper>(
 mod tests {
     use super::*;
     use bwsa_trace::TraceBuilder;
-    use std::sync::Mutex;
 
     fn busy_trace(n: u64) -> Trace {
         let mut b = TraceBuilder::new("busy");
@@ -435,14 +434,8 @@ mod tests {
         }
     }
 
-    /// Serialises the failpoint-using tests below: the registry is
-    /// process-global, so concurrent scoped configurations would stomp
-    /// each other.
-    static FAILPOINT_TESTS: Mutex<()> = Mutex::new(());
-
     #[test]
     fn supervised_run_retries_injected_shard_faults_and_matches_serial() {
-        let _serialised = FAILPOINT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         let trace = busy_trace(400);
         let pipeline = AnalysisPipeline::new();
         let serial = pipeline.run_observed(&trace, &Obs::noop());
@@ -463,7 +456,6 @@ mod tests {
 
     #[test]
     fn exhausted_shard_retries_surface_a_typed_fault() {
-        let _serialised = FAILPOINT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         let trace = busy_trace(100);
         let pipeline = AnalysisPipeline::new();
         let cfg = ParallelConfig::with_jobs(2);

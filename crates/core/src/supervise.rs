@@ -22,9 +22,10 @@
 //! run surface a typed [`Error`] — a supervised run never escapes as a
 //! raw panic.
 //!
-//! Deadlines are cooperative: [`SupervisorConfig::max_wall`] arms the
-//! process-wide [`bwsa_resilience::watchdog`], and every failpoint site
-//! doubles as a cancellation point. Memory budgets are soft: before each
+//! Deadlines are cooperative: [`SupervisorConfig::max_wall`] arms a
+//! [`bwsa_resilience::watchdog`] deadline for the calling thread and the
+//! workers it starts, and every failpoint site doubles as a cancellation
+//! point. Memory budgets are soft: before each
 //! non-final rung the peak RSS is compared against
 //! [`SupervisorConfig::max_rss_bytes`], and a run already over budget
 //! skips straight to the streaming rung.
@@ -240,10 +241,6 @@ mod tests {
     use super::*;
     use bwsa_resilience::failpoint;
     use bwsa_trace::TraceBuilder;
-    use std::sync::Mutex;
-
-    /// Serialises failpoint-driven tests; the registry is process-global.
-    static FAILPOINT_TESTS: Mutex<()> = Mutex::new(());
 
     fn busy_trace(n: u64) -> Trace {
         let mut b = TraceBuilder::new("busy");
@@ -267,7 +264,6 @@ mod tests {
 
     #[test]
     fn fault_free_supervision_matches_the_plain_pipeline() {
-        let _serialised = FAILPOINT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         let trace = busy_trace(500);
         let pipeline = AnalysisPipeline::new();
         let plain = pipeline.run_observed(&trace, &Obs::noop());
@@ -287,7 +283,6 @@ mod tests {
 
     #[test]
     fn a_serial_only_fault_downgrades_to_streaming_bit_identically() {
-        let _serialised = FAILPOINT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         let trace = busy_trace(400);
         let pipeline = AnalysisPipeline::new();
         let plain = pipeline.run_observed(&trace, &Obs::noop());
@@ -317,7 +312,6 @@ mod tests {
 
     #[test]
     fn a_fault_on_every_rung_surfaces_typed_not_as_a_panic() {
-        let _serialised = FAILPOINT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         let trace = busy_trace(200);
         let pipeline = AnalysisPipeline::new();
         // conflict_prune runs on every rung: serial, parallel tail, and
@@ -342,7 +336,6 @@ mod tests {
 
     #[test]
     fn a_deadline_is_not_retried_on_the_same_rung() {
-        let _serialised = FAILPOINT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         let trace = busy_trace(300);
         let pipeline = AnalysisPipeline::new();
         let plain = pipeline.run_observed(&trace, &Obs::noop());
@@ -369,7 +362,6 @@ mod tests {
 
     #[test]
     fn an_exhausted_memory_budget_skips_to_the_streaming_rung() {
-        let _serialised = FAILPOINT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         let trace = busy_trace(300);
         let pipeline = AnalysisPipeline::new();
         let plain = pipeline.run_observed(&trace, &Obs::noop());

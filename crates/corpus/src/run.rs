@@ -9,8 +9,8 @@
 //! Each entry gets its own degradation ladder, so one corrupt trace
 //! never sinks the batch:
 //!
-//! 1. **Ingest** reads BWSS2 streams and BWSS3 columnar files under
-//!    [`RecoveryPolicy::Salvage`] — damaged chunks or blocks are
+//! 1. **Ingest** decodes every trace format with [`bwsa_trace::decode`]
+//!    under [`RecoveryPolicy::Salvage`] — damaged chunks or blocks are
 //!    dropped and counted, not fatal.
 //! 2. **Analysis** runs under the session supervisor (configurable via
 //!    [`CorpusSession::with_supervisor`]), inheriting the
@@ -24,9 +24,9 @@ use bwsa_core::parallel::parallel_map;
 use bwsa_core::{AnalysisPipeline, Classified, ConflictConfig, Session, SupervisorConfig};
 use bwsa_obs::Obs;
 use bwsa_resilience::supervisor;
-use bwsa_trace::stream::{RecoveryPolicy, StreamReader};
-use bwsa_trace::{codec, columnar};
-use bwsa_trace::{io as trace_io, Trace};
+use bwsa_trace::codec;
+use bwsa_trace::stream::RecoveryPolicy;
+use bwsa_trace::Trace;
 
 use crate::cache::{CacheKey, CacheStats, ResultCache, DEFAULT_CACHE_BUDGET};
 use crate::error::CorpusError;
@@ -406,34 +406,14 @@ impl CorpusSession<'_> {
     }
 }
 
-/// Decodes one trace's bytes by magic (BWST in-memory binary, BWSS3
-/// columnar, or BWSS2 stream), salvaging damaged stream chunks or
-/// columnar blocks. Returns the trace and the number of chunks/blocks
-/// salvage had to drop. The caller reads the file once; with a cache
-/// enabled the same bytes also feed the content digest.
+/// Decodes one trace's bytes in whichever format they hold, salvaging
+/// damaged stream chunks or columnar blocks. Returns the trace and the
+/// number of chunks/blocks salvage had to drop. The caller reads the
+/// file once; with a cache enabled the same bytes also feed the content
+/// digest.
 fn load_trace_bytes(bytes: &[u8], path: &Path) -> Result<(Trace, u64), String> {
     bwsa_resilience::failpoint!(failpoints::INGEST_DECODE);
-    if columnar::is_columnar(bytes) {
-        let (trace, report) = columnar::read_columnar(bytes, RecoveryPolicy::Salvage)
-            .map_err(|e| format!("cannot decode {}: {e}", path.display()))?;
-        return Ok((trace, report.chunks_dropped));
-    }
-    if bytes.starts_with(b"BWST") {
-        let trace = trace_io::decode_binary(bytes)
-            .map_err(|e| format!("cannot decode {}: {e}", path.display()))?;
-        return Ok((trace, 0));
-    }
-    let mut reader = StreamReader::with_recovery(bytes, RecoveryPolicy::Salvage)
+    let (trace, report) = bwsa_trace::decode(bytes, RecoveryPolicy::Salvage)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let mut trace = Trace::new(reader.name().to_owned());
-    for item in reader.by_ref() {
-        let record = item.map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        trace
-            .push(record)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    }
-    if let Some(total) = reader.total_instructions() {
-        trace.meta_mut().total_instructions = total;
-    }
-    Ok((trace, reader.salvage_report().chunks_dropped))
+    Ok((trace, report.chunks_dropped))
 }

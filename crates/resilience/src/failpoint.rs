@@ -1,10 +1,10 @@
 //! The failpoint registry: named injection points, armed by spec.
 //!
 //! Pipeline code marks its fault boundaries with
-//! `bwsa_resilience::failpoint!("stage.site")`. With nothing configured,
-//! a site costs two relaxed atomic loads (registry armed? watchdog
-//! armed?) — cheap enough for per-record paths. Arming happens through
-//! [`configure`] / [`configure_from_env`] with a spec string:
+//! `bwsa_resilience::failpoint!("stage.site")`. With nothing armed, a
+//! site costs two relaxed atomic loads (any registry armed? any deadline
+//! armed?) — cheap enough for per-record paths. Arming takes a spec
+//! string:
 //!
 //! ```text
 //! site=ACTION[;site=ACTION...]
@@ -22,15 +22,27 @@
 //! ([`crate::supervisor::catch`]) converts them to typed errors, so
 //! infallible pipeline signatures stay infallible.
 //!
-//! Every site traversal while the registry is armed is counted
+//! Every site traversal while a registry is armed is counted
 //! ([`hits`]), so the chaos suite can assert a sweep actually exercised
 //! each site.
+//!
+//! # Scope
+//!
+//! [`scoped`] arms a registry for the calling thread only, and for the
+//! [`parallel_map`](crate::parallel_map) workers it starts; every other
+//! thread runs as if nothing were armed, so unit tests that arm
+//! failpoints run side by side with tests that arm none. [`configure`]
+//! and [`configure_from_env`] (the `BWSA_FAILPOINTS` variable) arm the
+//! process-wide registry instead, which every thread without a scoped
+//! registry obeys: that is how a fault reaches a daemon's connection
+//! threads. [`clear`] disarms it.
 
 use crate::supervisor::InjectedFault;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 /// What an armed failpoint does when execution reaches it.
@@ -73,51 +85,95 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 #[derive(Debug, Default)]
-struct Site {
+pub(crate) struct Site {
     action: FailAction,
     /// How many more times the action fires; `None` is unlimited.
     remaining: Option<u64>,
     hits: u64,
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+/// Sites by name, with their actions and hit counters.
+pub(crate) type Registry = Mutex<HashMap<String, Site>>;
 
-fn registry() -> &'static Mutex<HashMap<String, Site>> {
-    static CELL: OnceLock<Mutex<HashMap<String, Site>>> = OnceLock::new();
+/// Armed registries: one while the process-wide registry is armed, plus
+/// one per thread running under a scoped registry. While it is zero a
+/// site costs this one load. `Relaxed` is enough: the registries sit
+/// behind their own locks, and a thread that armed a scoped registry
+/// always sees its own increment.
+static ARMED: AtomicUsize = AtomicUsize::new(0);
+/// Whether the process-wide registry is armed.
+static GLOBAL_ARMED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// The scoped registry this thread runs under, if any.
+    static SCOPED: RefCell<Option<Arc<Registry>>> = const { RefCell::new(None) };
+}
+
+fn global() -> &'static Registry {
+    static CELL: OnceLock<Registry> = OnceLock::new();
     CELL.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 // Failpoints unwind threads that may hold this lock; recover from
 // poisoning instead of propagating it.
-fn lock_registry() -> MutexGuard<'static, HashMap<String, Site>> {
-    registry()
+fn lock(registry: &Registry) -> MutexGuard<'_, HashMap<String, Site>> {
+    registry
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Whether any failpoint is configured.
-#[inline]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
+/// The scoped registry the calling thread runs under, for the workers
+/// it starts to [`adopt`].
+pub(crate) fn inherit() -> Option<Arc<Registry>> {
+    SCOPED.with(|s| s.borrow().clone())
 }
 
-/// Arms `site` with `action`, firing at most `count` times (`None` is
-/// unlimited).
+/// Runs the calling thread under `registry` (an [`inherit`]ed one)
+/// until the guard drops.
+pub(crate) fn adopt(registry: Option<Arc<Registry>>) -> ScopedFailpoints {
+    let counted = registry.is_some();
+    if counted {
+        ARMED.fetch_add(1, Ordering::Relaxed);
+    }
+    let previous = SCOPED.with(|s| s.replace(registry));
+    ScopedFailpoints { previous, counted }
+}
+
+/// Whether any failpoint is armed for the calling thread.
+#[inline]
+pub fn armed() -> bool {
+    ARMED.load(Ordering::Relaxed) > 0
+        && (GLOBAL_ARMED.load(Ordering::Relaxed) || SCOPED.with(|s| s.borrow().is_some()))
+}
+
+/// Arms `site` process-wide with `action`, firing at most `count` times
+/// (`None` is unlimited).
 pub fn configure_site(site: impl Into<String>, action: FailAction, count: Option<u64>) {
-    let mut reg = lock_registry();
+    let mut reg = lock(global());
     let entry = reg.entry(site.into()).or_default();
     entry.action = action;
     entry.remaining = count;
-    ARMED.store(true, Ordering::Relaxed);
+    if !GLOBAL_ARMED.swap(true, Ordering::Relaxed) {
+        ARMED.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
-/// Arms failpoints from a `site=ACTION;site=ACTION` spec string.
+/// Arms failpoints process-wide from a `site=ACTION;site=ACTION` spec
+/// string.
 ///
 /// # Errors
 ///
 /// Returns [`ParseError`] on a malformed spec; no sites are armed in
 /// that case.
 pub fn configure(spec: &str) -> Result<(), ParseError> {
+    for (site, action, count) in parse(spec)? {
+        configure_site(site, action, count);
+    }
+    Ok(())
+}
+
+/// The `(site, action, count)` entries of a spec string.
+fn parse(spec: &str) -> Result<Vec<(String, FailAction, Option<u64>)>, ParseError> {
     let mut parsed = Vec::new();
     for entry in spec.split(';') {
         let entry = entry.trim();
@@ -136,14 +192,11 @@ pub fn configure(spec: &str) -> Result<(), ParseError> {
         let (action, count) = parse_action(action_spec.trim())?;
         parsed.push((site.to_string(), action, count));
     }
-    for (site, action, count) in parsed {
-        configure_site(site, action, count);
-    }
-    Ok(())
+    Ok(parsed)
 }
 
-/// Arms failpoints from the `BWSA_FAILPOINTS` environment variable;
-/// returns whether anything was configured.
+/// Arms failpoints process-wide from the `BWSA_FAILPOINTS` environment
+/// variable; returns whether anything was configured.
 ///
 /// # Errors
 ///
@@ -202,38 +255,63 @@ fn parse_action(spec: &str) -> Result<(FailAction, Option<u64>), ParseError> {
     Ok((action, count))
 }
 
-/// Disarms every failpoint and clears all hit counters.
+/// Disarms the process-wide registry and clears its hit counters.
+/// Scoped registries are untouched: they end with their guards.
 pub fn clear() {
-    ARMED.store(false, Ordering::Relaxed);
-    lock_registry().clear();
+    lock(global()).clear();
+    if GLOBAL_ARMED.swap(false, Ordering::Relaxed) {
+        ARMED.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
-/// How many times execution traversed `site` while the registry was
-/// armed (whether or not the site was configured to act).
+/// How many times execution traversed `site` while its registry was
+/// armed (whether or not the site was configured to act). Reads the
+/// calling thread's scoped registry if it has one, else the
+/// process-wide one.
 pub fn hits(site: &str) -> u64 {
-    lock_registry().get(site).map_or(0, |s| s.hits)
+    let scoped = inherit();
+    let registry = lock(scoped.as_deref().unwrap_or(global()));
+    registry.get(site).map_or(0, |s| s.hits)
 }
 
-/// Arms a spec and returns a guard that [`clear`]s the registry when
-/// dropped — the safe way for tests to scope failpoints.
+/// Arms a spec for the calling thread, and the
+/// [`parallel_map`](crate::parallel_map) workers it starts, until the
+/// returned guard drops. Other threads never see it, so tests that arm
+/// failpoints this way need no lock against each other.
 ///
 /// # Errors
 ///
 /// Returns [`ParseError`] on a malformed spec.
 pub fn scoped(spec: &str) -> Result<ScopedFailpoints, ParseError> {
-    configure(spec)?;
-    Ok(ScopedFailpoints { _private: () })
+    let mut sites = HashMap::new();
+    for (site, action, remaining) in parse(spec)? {
+        sites.insert(
+            site,
+            Site {
+                action,
+                remaining,
+                hits: 0,
+            },
+        );
+    }
+    Ok(adopt(Some(Arc::new(Mutex::new(sites)))))
 }
 
-/// Clears the failpoint registry on drop; returned by [`scoped`].
+/// Ends a thread's scoped arming on drop, restoring whatever the thread
+/// ran under before; returned by [`scoped`].
 #[derive(Debug)]
 pub struct ScopedFailpoints {
-    _private: (),
+    previous: Option<Arc<Registry>>,
+    counted: bool,
 }
 
 impl Drop for ScopedFailpoints {
     fn drop(&mut self) {
-        clear();
+        let previous = self.previous.take();
+        SCOPED.with(|s| *s.borrow_mut() = previous);
+        if self.counted {
+            ARMED.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -241,7 +319,7 @@ impl Drop for ScopedFailpoints {
 /// the macro, not this, at injection sites.
 #[inline]
 pub fn check(site: &str) {
-    if armed() {
+    if ARMED.load(Ordering::Relaxed) > 0 {
         check_armed(site);
     }
     crate::watchdog::observe(site);
@@ -249,8 +327,14 @@ pub fn check(site: &str) {
 
 #[cold]
 fn check_armed(site: &str) {
+    let scoped = inherit();
+    let registry = match scoped.as_deref() {
+        Some(registry) => registry,
+        None if GLOBAL_ARMED.load(Ordering::Relaxed) => global(),
+        None => return,
+    };
     let action = {
-        let mut reg = lock_registry();
+        let mut reg = lock(registry);
         let entry = reg.entry(site.to_string()).or_default();
         entry.hits += 1;
         match entry.remaining {
@@ -292,7 +376,8 @@ mod tests {
     use super::*;
     use crate::supervisor::{catch, ResilienceError};
 
-    // The registry is a process global; serialise the tests that arm it.
+    // Only the process-wide registry is shared; serialise the tests that
+    // arm or read it. Scoped arming needs no lock.
     fn serial() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|p| p.into_inner())
@@ -308,7 +393,6 @@ mod tests {
 
     #[test]
     fn error_mode_unwinds_with_a_typed_payload() {
-        let _serial = serial();
         let _guard = scoped("tests.site=error(bad block)").unwrap();
         let err = catch(|| failpoint!("tests.site")).unwrap_err();
         assert_eq!(
@@ -323,7 +407,6 @@ mod tests {
 
     #[test]
     fn panic_mode_unwinds_with_a_message() {
-        let _serial = serial();
         let _guard = scoped("tests.site=panic(kaput)").unwrap();
         let err = catch(|| failpoint!("tests.site")).unwrap_err();
         match err {
@@ -336,7 +419,6 @@ mod tests {
 
     #[test]
     fn counted_actions_exhaust() {
-        let _serial = serial();
         let _guard = scoped("tests.site=2*error").unwrap();
         assert!(catch(|| failpoint!("tests.site")).is_err());
         assert!(catch(|| failpoint!("tests.site")).is_err());
@@ -346,7 +428,6 @@ mod tests {
 
     #[test]
     fn unconfigured_sites_count_hits_while_armed() {
-        let _serial = serial();
         let _guard = scoped("tests.other=off").unwrap();
         failpoint!("tests.site");
         assert_eq!(hits("tests.site"), 1);
@@ -354,7 +435,6 @@ mod tests {
 
     #[test]
     fn delay_mode_sleeps_then_passes() {
-        let _serial = serial();
         let _guard = scoped("tests.site=delay(15)").unwrap();
         let start = std::time::Instant::now();
         failpoint!("tests.site");
@@ -362,18 +442,38 @@ mod tests {
     }
 
     #[test]
+    fn scoped_arming_reaches_parallel_map_workers_and_no_other_thread() {
+        let guard = scoped("tests.scope=error(worker fault)").unwrap();
+        let faulted = crate::parallel_map(vec![(); 4], 2, |_, ()| {
+            catch(|| failpoint!("tests.scope")).is_err()
+        });
+        assert_eq!(faulted, [true; 4]);
+        std::thread::scope(|s| {
+            s.spawn(|| failpoint!("tests.scope"))
+                .join()
+                .expect("a thread outside the scope passes the site");
+        });
+        assert_eq!(hits("tests.scope"), 4, "only the scope's traversals count");
+        drop(guard);
+        assert!(
+            catch(|| failpoint!("tests.scope")).is_ok(),
+            "disarmed on drop"
+        );
+    }
+
+    #[test]
     fn multi_site_specs_and_whitespace_parse() {
-        let _serial = serial();
-        let _guard = scoped(" a.b = panic ; c.d = 3*delay(7) ; ").unwrap();
-        let reg = lock_registry();
-        assert!(matches!(reg["a.b"].action, FailAction::Panic { .. }));
-        assert_eq!(reg["c.d"].action, FailAction::Delay { millis: 7 });
-        assert_eq!(reg["c.d"].remaining, Some(3));
+        let parsed = parse(" a.b = panic ; c.d = 3*delay(7) ; ").unwrap();
+        assert_eq!(parsed.len(), 2);
+        assert!(matches!(parsed[0].1, FailAction::Panic { .. }));
+        assert_eq!(
+            parsed[1],
+            ("c.d".to_owned(), FailAction::Delay { millis: 7 }, Some(3))
+        );
     }
 
     #[test]
     fn malformed_specs_are_rejected() {
-        let _serial = serial();
         for bad in [
             "no-equals",
             "=panic",
@@ -382,9 +482,9 @@ mod tests {
             "a.b=delay(ms)",
             "a.b=panic(unterminated",
         ] {
+            assert!(scoped(bad).is_err(), "accepted {bad:?}");
             assert!(configure(bad).is_err(), "accepted {bad:?}");
         }
-        clear();
     }
 
     #[test]

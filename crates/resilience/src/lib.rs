@@ -6,9 +6,10 @@
 //!
 //! - [`failpoint!`]: a zero-cost-when-disabled injection point. Disabled,
 //!   a site costs two relaxed atomic loads; armed (via
-//!   [`failpoint::configure`] or the `BWSA_FAILPOINTS` environment
-//!   variable), a site can panic, raise a typed [`InjectedFault`], or
-//!   delay — deterministically, with optional trigger counts.
+//!   [`failpoint::scoped`], [`failpoint::configure`] or the
+//!   `BWSA_FAILPOINTS` environment variable), a site can panic, raise a
+//!   typed [`InjectedFault`], or delay — deterministically, with optional
+//!   trigger counts.
 //! - [`watchdog`]: a cooperative deadline. Every failpoint site doubles
 //!   as a cancellation point, so an armed deadline unwinds a stuck stage
 //!   at its next site instead of requiring killable threads.
@@ -21,10 +22,12 @@
 //! - [`parallel_map`]: the workspace's one worker pool, which maps items
 //!   on scoped threads and returns the results in input order.
 //!
-//! The failpoint registry, watchdog, and hit counters are **process
-//! globals**: tests that arm them must serialise against each other (the
-//! chaos suite takes a lock) and clear state when done (use
-//! [`failpoint::scoped`]).
+//! [`failpoint::scoped`] arming and [`watchdog::arm`] deadlines belong to
+//! the calling thread and the [`parallel_map`] workers it starts, so
+//! tests that arm them run side by side. Only the process-wide registry
+//! ([`failpoint::configure`], `BWSA_FAILPOINTS`) reaches every thread;
+//! tests that arm it serialise against each other (the chaos suite takes
+//! a lock) and [`failpoint::clear`] it when done.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

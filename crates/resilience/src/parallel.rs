@@ -6,6 +6,11 @@ use std::sync::{Mutex, PoisonError};
 /// Applies `f` to every item on `jobs` worker threads, returning results
 /// in item order regardless of how the work was scheduled.
 ///
+/// Workers run under the calling thread's
+/// [`failpoint::scoped`](crate::failpoint::scoped) arming and
+/// [`watchdog`](crate::watchdog) deadline, so a run's faults and
+/// cancellation reach every thread that does its work.
+///
 /// Items are pulled from a shared queue, so uneven per-item cost balances
 /// across workers; each worker keeps its `(index, result)` pairs and the
 /// pairs are sorted once every worker has joined.
@@ -35,7 +40,10 @@ where
             .collect();
     }
     let queue = Mutex::new(items.into_iter().enumerate());
+    let (failpoints, deadline) = (crate::failpoint::inherit(), crate::watchdog::deadline());
     let worker = || {
+        let _failpoints = crate::failpoint::adopt(failpoints.clone());
+        let _deadline = deadline.map(crate::watchdog::arm);
         let mut local = Vec::new();
         loop {
             // Only `next` on a vector iterator runs under the lock, and it

@@ -1,12 +1,18 @@
 //! A cooperative deadline watchdog.
 //!
 //! Safe Rust cannot kill a stuck thread, so the watchdog is cooperative:
-//! the supervisor [`arm`]s a process-wide deadline, and every
+//! the supervisor [`arm`]s a deadline, and every
 //! [`failpoint!`](crate::failpoint) site doubles as a cancellation point
 //! that [`observe`]s it. When the deadline has passed, the observing
 //! thread unwinds with a [`DeadlineExceeded`] payload, which
 //! [`supervisor::catch`](crate::supervisor::catch) converts into
 //! [`ResilienceError::Timeout`](crate::ResilienceError::Timeout).
+//!
+//! A deadline belongs to the thread that armed it and to the
+//! [`parallel_map`](crate::parallel_map) workers that thread starts, the
+//! same scope as [`failpoint::scoped`](crate::failpoint::scoped): a run's
+//! workers are cancelled with it, while concurrent runs — a daemon's
+//! requests, or unit tests side by side — keep their own budgets.
 //!
 //! Granularity therefore equals failpoint-site density: a stage with no
 //! sites in its inner loop is only cancelled at its boundaries. Delay-mode
@@ -17,132 +23,68 @@
 
 use crate::supervisor::DeadlineExceeded;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-/// How many threads currently hold a local (per-thread) deadline; lets
-/// [`observe`] skip the thread-local read entirely when nobody does.
-static LOCAL_ARMED: AtomicUsize = AtomicUsize::new(0);
+/// How many threads hold a deadline; lets [`observe`] skip the
+/// thread-local read entirely when none does. `Relaxed` is enough: the
+/// count publishes no data, and a thread that armed a deadline always
+/// sees its own increment.
+static ARMED: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    static LOCAL_DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
+    static DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
 }
 
-fn deadline_cell() -> &'static Mutex<Option<Instant>> {
-    static CELL: OnceLock<Mutex<Option<Instant>>> = OnceLock::new();
-    CELL.get_or_init(|| Mutex::new(None))
-}
-
-// The watchdog unwinds threads that may hold this lock; recover the
-// guard from poisoning instead of propagating it.
-fn lock_deadline() -> MutexGuard<'static, Option<Instant>> {
-    deadline_cell()
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Arms the process-wide deadline; returns a guard that disarms it when
+/// Arms a deadline for the calling thread and the
+/// [`parallel_map`](crate::parallel_map) workers it starts; returns a
+/// guard that restores the thread's previous deadline, if any, when
 /// dropped (including during an unwind).
 ///
-/// Arming while already armed replaces the previous deadline.
+/// A deadline armed under another can only shorten it: the thread runs
+/// under the earlier of the two until the guard drops.
 #[must_use = "the deadline is disarmed when the guard drops"]
 pub fn arm(deadline: Instant) -> WatchdogGuard {
-    *lock_deadline() = Some(deadline);
-    ARMED.store(true, Ordering::Relaxed);
-    WatchdogGuard { _private: () }
+    let previous =
+        DEADLINE.with(|c| c.replace(Some(c.get().map_or(deadline, |d| d.min(deadline)))));
+    if previous.is_none() {
+        ARMED.fetch_add(1, Ordering::Relaxed);
+    }
+    WatchdogGuard { previous }
 }
 
-/// Disarms the deadline immediately.
-pub fn disarm() {
-    ARMED.store(false, Ordering::Relaxed);
-    *lock_deadline() = None;
-}
-
-/// Disarms the watchdog on drop; returned by [`arm`].
+/// Restores the thread's previous deadline on drop; returned by [`arm`].
 #[derive(Debug)]
 pub struct WatchdogGuard {
-    _private: (),
+    previous: Option<Instant>,
 }
 
 impl Drop for WatchdogGuard {
     fn drop(&mut self) {
-        disarm();
-    }
-}
-
-/// Arms a deadline **for the calling thread only**; returns a guard that
-/// disarms it when dropped (including during an unwind).
-///
-/// Where [`arm`] is process-wide (one supervisor, many workers), a local
-/// deadline isolates concurrent supervised tasks from each other: a
-/// multi-tenant server gives every request thread its own budget without
-/// the requests clobbering one shared deadline. Cancellation points
-/// ([`observe`]) check the local deadline first, then the global one.
-///
-/// Local deadlines do not nest — arming while a local deadline is armed
-/// on this thread replaces it, and the guard clears it entirely.
-#[must_use = "the local deadline is disarmed when the guard drops"]
-pub fn arm_local(deadline: Instant) -> LocalWatchdogGuard {
-    let replaced = LOCAL_DEADLINE.with(|c| c.replace(Some(deadline)));
-    if replaced.is_none() {
-        LOCAL_ARMED.fetch_add(1, Ordering::SeqCst);
-    }
-    LocalWatchdogGuard { _private: () }
-}
-
-/// Disarms the calling thread's local deadline on drop; returned by
-/// [`arm_local`].
-#[derive(Debug)]
-pub struct LocalWatchdogGuard {
-    _private: (),
-}
-
-impl Drop for LocalWatchdogGuard {
-    fn drop(&mut self) {
-        if LOCAL_DEADLINE.with(|c| c.replace(None)).is_some() {
-            LOCAL_ARMED.fetch_sub(1, Ordering::SeqCst);
+        DEADLINE.with(|c| c.set(self.previous));
+        if self.previous.is_none() {
+            ARMED.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
 
-/// Time left before the armed deadline; `None` when disarmed, zero when
-/// already past.
-pub fn remaining() -> Option<Duration> {
-    if !ARMED.load(Ordering::Relaxed) {
-        return None;
-    }
-    (*lock_deadline()).map(|d| d.saturating_duration_since(Instant::now()))
+/// The calling thread's deadline, for the workers it starts to [`arm`].
+pub(crate) fn deadline() -> Option<Instant> {
+    DEADLINE.with(Cell::get)
 }
 
-/// Cancellation point: unwinds with [`DeadlineExceeded`] if the armed
-/// deadline has passed. Every failpoint site calls this.
+/// Cancellation point: unwinds with [`DeadlineExceeded`] if the calling
+/// thread's deadline has passed. Every failpoint site calls this.
 #[inline]
 pub fn observe(site: &str) {
-    if LOCAL_ARMED.load(Ordering::Relaxed) > 0 {
-        observe_local(site);
-    }
-    if ARMED.load(Ordering::Relaxed) {
+    if ARMED.load(Ordering::Relaxed) > 0 {
         observe_armed(site);
     }
 }
 
 #[cold]
-fn observe_local(site: &str) {
-    let expired = LOCAL_DEADLINE.with(|c| matches!(c.get(), Some(d) if Instant::now() >= d));
-    if expired {
-        std::panic::panic_any(DeadlineExceeded {
-            site: site.to_string(),
-        });
-    }
-}
-
-#[cold]
 fn observe_armed(site: &str) {
-    let expired = matches!(*lock_deadline(), Some(d) if Instant::now() >= d);
-    if expired {
+    if deadline().is_some_and(|d| Instant::now() >= d) {
         std::panic::panic_any(DeadlineExceeded {
             site: site.to_string(),
         });
@@ -169,23 +111,14 @@ mod tests {
     use super::*;
     use crate::supervisor::{catch, ResilienceError};
 
-    // The watchdog is a process global; serialise the tests that arm it.
-    fn serial() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     #[test]
     fn disarmed_observe_is_a_no_op() {
-        let _serial = serial();
-        disarm();
         observe("any.site");
-        assert_eq!(remaining(), None);
+        assert_eq!(deadline(), None);
     }
 
     #[test]
     fn expired_deadline_unwinds_as_timeout() {
-        let _serial = serial();
         let result = catch(|| {
             let _guard = arm(Instant::now() - Duration::from_millis(1));
             observe("core.interleave");
@@ -196,67 +129,63 @@ mod tests {
                 site: "core.interleave".into()
             })
         );
-        assert!(!ARMED.load(Ordering::Relaxed), "guard disarmed on unwind");
+        assert_eq!(deadline(), None, "guard disarmed on unwind");
     }
 
     #[test]
     fn future_deadline_lets_work_proceed() {
-        let _serial = serial();
         let guard = arm(Instant::now() + Duration::from_secs(60));
         observe("core.interleave");
-        assert!(remaining().is_some_and(|d| d > Duration::from_secs(30)));
+        assert!(deadline().is_some_and(|d| d > Instant::now() + Duration::from_secs(30)));
         drop(guard);
-        assert_eq!(remaining(), None);
+        assert_eq!(deadline(), None);
     }
 
     #[test]
-    fn local_deadlines_are_per_thread() {
-        let _serial = serial();
-        disarm();
-        // This thread's local deadline is already past…
-        let result = catch(|| {
-            let _guard = arm_local(Instant::now() - Duration::from_millis(1));
-            observe("server.dispatch");
+    fn deadlines_are_per_thread_and_reach_parallel_map_workers() {
+        // This thread's deadline is already past…
+        let _expired = arm(Instant::now() - Duration::from_millis(1));
+        // …and the workers it starts inherit it…
+        let timed_out = crate::parallel_map(vec![(); 4], 2, |_, ()| {
+            catch(|| observe("core.shard_detect")).is_err()
         });
-        assert!(matches!(result, Err(ResilienceError::Timeout { .. })));
-        assert_eq!(
-            LOCAL_ARMED.load(Ordering::SeqCst),
-            0,
-            "guard disarmed on unwind"
-        );
-        // …while another thread with its own healthy budget is untouched,
-        // even while this thread holds an expired local deadline.
-        let _expired = arm_local(Instant::now() - Duration::from_millis(1));
+        assert_eq!(timed_out, [true; 4]);
+        // …while a thread it did not start through the pool keeps its
+        // own healthy budget, or none at all.
         std::thread::scope(|s| {
             s.spawn(|| {
-                let _guard = arm_local(Instant::now() + Duration::from_secs(60));
+                let _guard = arm(Instant::now() + Duration::from_secs(60));
                 observe("server.dispatch"); // must not unwind
             })
             .join()
             .expect("the sibling thread's deadline is its own");
-            s.spawn(|| {
-                observe("server.dispatch"); // no local deadline at all
-            })
-            .join()
-            .expect("threads without a local deadline are unaffected");
+            s.spawn(|| observe("server.dispatch"))
+                .join()
+                .expect("threads without a deadline are unaffected");
         });
     }
 
     #[test]
-    fn rearming_a_local_deadline_replaces_it() {
-        let _serial = serial();
-        disarm();
-        let _first = arm_local(Instant::now() - Duration::from_millis(1));
-        let second = arm_local(Instant::now() + Duration::from_secs(60));
-        observe("server.dispatch"); // replaced deadline is in the future
-        drop(second);
-        assert_eq!(LOCAL_ARMED.load(Ordering::SeqCst), 0);
-        observe("server.dispatch"); // fully disarmed, no TLS re-read
+    fn a_nested_deadline_can_only_shorten_the_outer_one() {
+        let expired = Instant::now() - Duration::from_millis(1);
+        let healthy = Instant::now() + Duration::from_secs(60);
+        for (outer, inner) in [(expired, healthy), (healthy, expired)] {
+            let outer_guard = arm(outer);
+            let inner_guard = arm(inner);
+            assert!(
+                catch(|| observe("server.dispatch")).is_err(),
+                "the earlier deadline holds while both are armed"
+            );
+            drop(inner_guard);
+            assert_eq!(deadline(), Some(outer), "the outer deadline is back");
+            drop(outer_guard);
+        }
+        observe("server.dispatch");
+        assert_eq!(deadline(), None);
     }
 
     #[test]
     fn observed_sleep_aborts_at_the_deadline() {
-        let _serial = serial();
         let start = Instant::now();
         let result = catch(|| {
             let _guard = arm(Instant::now() + Duration::from_millis(20));

@@ -122,7 +122,8 @@ impl Client {
         self.request(Request::Ping)
     }
 
-    /// Uploads BWSS2 bytes for analysis.
+    /// Uploads a trace file's bytes (any of the three formats) for
+    /// analysis.
     ///
     /// # Errors
     ///
@@ -135,7 +136,7 @@ impl Client {
         self.request(Request::Analyze { threshold, trace })
     }
 
-    /// Uploads BWSS2 bytes for analysis plus BHT allocation.
+    /// Uploads a trace file's bytes for analysis plus BHT allocation.
     ///
     /// # Errors
     ///
@@ -155,8 +156,8 @@ impl Client {
         })
     }
 
-    /// Uploads BWSS2 bytes for analysis and asks for the versioned
-    /// RunReport of that run instead of the result summary.
+    /// Uploads a trace file's bytes for analysis and asks for the
+    /// versioned RunReport of that run instead of the result summary.
     ///
     /// # Errors
     ///
@@ -169,11 +170,11 @@ impl Client {
         self.request(Request::Report { threshold, trace })
     }
 
-    /// Uploads BWSS2 bytes for windowed analysis, invoking `on_window`
-    /// with each window-summary JSON document as it arrives, and returns
-    /// the terminal response — for a healthy subscription, `Response::Ok`
-    /// holding the same whole-trace summary [`Client::analyze`] would
-    /// answer for this trace.
+    /// Uploads a trace file's bytes for windowed analysis, invoking
+    /// `on_window` with each window-summary JSON document as it arrives,
+    /// and returns the terminal response — for a healthy subscription,
+    /// `Response::Ok` holding the same whole-trace summary
+    /// [`Client::analyze`] would answer for this trace.
     ///
     /// `window` is the reset interval, counted in instructions when
     /// `instructions` is `true`, dynamic branches otherwise.

@@ -2,11 +2,12 @@
 //! analysis daemon.
 //!
 //! The batch CLI answers one trace per process; this crate serves many
-//! tenants from one process that must never die. It accepts BWSS2 trace
-//! payloads over a Unix-domain socket speaking the BWSF length-prefixed
-//! [`frame`] protocol (request IDs, CRC32-checked payloads), multiplexes
-//! concurrent requests, and answers with analysis / allocation results
-//! and live metrics.
+//! tenants from one process that must never die. It accepts trace
+//! payloads in any of the three formats (BWST, BWSS2, BWSS3, decoded by
+//! [`bwsa_trace::decode`]) over a Unix-domain socket speaking the BWSF
+//! length-prefixed [`frame`] protocol (request IDs, CRC32-checked
+//! payloads), multiplexes concurrent requests, and answers with
+//! analysis / allocation results and live metrics.
 //!
 //! Robustness is the architecture, layered bottom-up:
 //!
@@ -17,8 +18,8 @@
 //!   a poisoned trace or an injected fault yields a typed
 //!   [`proto::Response::Error`] frame on that request — never a crashed
 //!   daemon, never a wedged sibling request. Per-request wall deadlines
-//!   use [`bwsa_resilience::watchdog::arm_local`], so concurrent
-//!   requests' budgets cannot clobber each other.
+//!   ([`bwsa_resilience::watchdog::arm`]) cover only the request's own
+//!   threads, so concurrent requests' budgets cannot clobber each other.
 //! * **Per-tenant quotas** — [`quota::QuotaLedger`] bounds each tenant's
 //!   concurrent requests and bytes in flight; the error path releases
 //!   exactly what the admit path charged (property-tested: the ledger

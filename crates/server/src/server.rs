@@ -15,10 +15,10 @@
 //!    jittered retry-after past the watermark.
 //! 3. **Supervision** — the handler body runs inside
 //!    [`bwsa_resilience::supervisor::catch`] with the
-//!    [`crate::failpoints::DISPATCH`] site at its head, a thread-local
-//!    wall deadline ([`bwsa_resilience::watchdog::arm_local`]), and the
-//!    [`Session`] degradation ladder under it. Whatever goes wrong
-//!    becomes a typed error frame on that request ID.
+//!    [`crate::failpoints::DISPATCH`] site at its head, a wall deadline
+//!    for the request's own threads ([`bwsa_resilience::watchdog::arm`]),
+//!    and the [`Session`] degradation ladder under it. Whatever goes
+//!    wrong becomes a typed error frame on that request ID.
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionError};
 use crate::frame::{self, Frame, DEFAULT_MAX_FRAME_BYTES};
@@ -33,7 +33,7 @@ use bwsa_obs::json::Json;
 use bwsa_obs::Obs;
 use bwsa_resilience::supervisor::{catch, ResilienceError};
 use bwsa_resilience::watchdog;
-use bwsa_trace::stream::StreamReader;
+use bwsa_trace::stream::RecoveryPolicy;
 use bwsa_trace::Trace;
 use std::fmt;
 use std::io;
@@ -57,8 +57,8 @@ pub struct ServerConfig {
     pub admission: AdmissionConfig,
     /// Supervision policy for each request's analysis run. `max_wall`
     /// should stay `None` here — per-request deadlines come from
-    /// [`ServerConfig::request_deadline`] via the thread-local watchdog,
-    /// so concurrent requests cannot clobber one process-global deadline.
+    /// [`ServerConfig::request_deadline`], which a `max_wall` deadline
+    /// could only shorten.
     pub supervisor: SupervisorConfig,
     /// Wall-clock budget per request (`None` = unbounded).
     pub request_deadline: Option<Duration>,
@@ -348,14 +348,7 @@ fn serve_connection(stream: UnixStream, ctx: &Arc<Ctx>) {
             Ok(request_frame) => {
                 let id = request_frame.request_id;
                 let tenant = request_frame.tenant.clone();
-                // A subscription is the one multi-frame exchange: its
-                // window frames are written from inside the handler, so
-                // it cannot go through the single-response path.
-                let response = if request_frame.kind == crate::proto::kind::REQ_SUBSCRIBE {
-                    handle_subscription(request_frame, ctx, &mut writer)
-                } else {
-                    handle_frame(request_frame, ctx)
-                };
+                let response = handle_frame(request_frame, ctx, &mut writer);
                 let closing = ctx.shutdown.requested();
                 respond_best_effort(&mut writer, id, &tenant, response);
                 if closing {
@@ -377,11 +370,7 @@ fn serve_connection(stream: UnixStream, ctx: &Arc<Ctx>) {
                     &mut writer,
                     0,
                     "",
-                    Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: e.to_string(),
-                        retry_after_ms: None,
-                    },
+                    error(ErrorCode::Malformed, e.to_string()),
                 );
                 return;
             }
@@ -389,28 +378,43 @@ fn serve_connection(stream: UnixStream, ctx: &Arc<Ctx>) {
     }
 }
 
-/// Dispatches one decoded frame to a typed response. Never panics: the
-/// fallible/unwindable interior runs behind `catch`.
-fn handle_frame(frame: Frame, ctx: &Arc<Ctx>) -> Response {
+/// A typed error response with no retry hint.
+fn error(code: ErrorCode, message: impl Into<String>) -> Response {
+    Response::Error {
+        code,
+        message: message.into(),
+        retry_after_ms: None,
+    }
+}
+
+/// The typed answer for a fault that `catch` contained.
+fn contained(fault: ResilienceError) -> Response {
+    error(
+        ErrorCode::Fault,
+        format!("request fault contained: {fault}"),
+    )
+}
+
+/// Dispatches one decoded frame to a typed response, counting it. Never
+/// panics: the fallible/unwindable interior runs behind `catch`. A
+/// subscription, the one multi-frame exchange, writes its window frames
+/// to `writer` from inside; every terminal response goes back to the
+/// caller to write.
+fn handle_frame(frame: Frame, ctx: &Arc<Ctx>, writer: &mut UnixStream) -> Response {
     let tenant = frame.tenant.clone();
     ctx.obs.add("server.requests", 1);
+    if frame.kind == crate::proto::kind::REQ_SUBSCRIBE {
+        ctx.obs.add("server.subscriptions", 1);
+    }
     if !tenant.is_empty() {
         ctx.obs.add(&format!("server.tenant.{tenant}.requests"), 1);
     }
-    let outcome = catch(|| dispatch(frame, ctx));
-    let response = match outcome {
-        Ok(response) => response,
-        // An unwind that escaped the dispatch body (an injected fault at
-        // the dispatch site, a genuine bug) is contained right here; the
-        // quota and admission guards released during the unwind.
-        Err(fault) => Response::Error {
-            code: ErrorCode::Fault,
-            message: format!("request fault contained: {fault}"),
-            retry_after_ms: None,
-        },
-    };
+    // An unwind that escaped the dispatch body (an injected fault at the
+    // dispatch site, a genuine bug) is contained right here; the quota
+    // and admission guards released during the unwind.
+    let response = catch(|| dispatch(frame, ctx, writer)).unwrap_or_else(contained);
     match &response {
-        // Single-response handlers never answer with a Window frame;
+        // Window frames never come back as the terminal response;
         // counting one as ok keeps the arm total if that ever changes.
         Response::Ok(_) | Response::Window(_) => {
             ctx.obs.add("server.responses_ok", 1);
@@ -430,7 +434,7 @@ fn handle_frame(frame: Frame, ctx: &Arc<Ctx>) -> Response {
 }
 
 /// The unwindable interior of request handling.
-fn dispatch(frame: Frame, ctx: &Arc<Ctx>) -> Response {
+fn dispatch(frame: Frame, ctx: &Arc<Ctx>, writer: &mut UnixStream) -> Response {
     bwsa_resilience::failpoint!(crate::failpoints::DISPATCH);
     let decoded = {
         bwsa_resilience::failpoint!(crate::failpoints::FRAME_DECODE);
@@ -438,14 +442,9 @@ fn dispatch(frame: Frame, ctx: &Arc<Ctx>) -> Response {
     };
     let request = match decoded {
         Ok(request) => request,
-        Err(e) => {
-            return Response::Error {
-                code: ErrorCode::Malformed,
-                message: e.to_string(),
-                retry_after_ms: None,
-            }
-        }
+        Err(e) => return error(ErrorCode::Malformed, e.to_string()),
     };
+    let tenant = frame.tenant.as_str();
     match request {
         Request::Ping => Response::Ok("{\"pong\": true}".to_owned()),
         Request::Status => Response::Ok(status_json(ctx).to_pretty_string()),
@@ -455,7 +454,7 @@ fn dispatch(frame: Frame, ctx: &Arc<Ctx>) -> Response {
             Response::Ok("{\"draining\": true}".to_owned())
         }
         Request::Analyze { threshold, trace } => {
-            analysis_request(ctx, &frame.tenant, threshold, &trace, Action::Summary)
+            analysis_request(ctx, tenant, threshold, &trace, Action::Summary)
         }
         Request::Allocate {
             threshold,
@@ -464,108 +463,60 @@ fn dispatch(frame: Frame, ctx: &Arc<Ctx>) -> Response {
             trace,
         } => analysis_request(
             ctx,
-            &frame.tenant,
+            tenant,
             threshold,
             &trace,
             Action::Allocate { table, classified },
         ),
         Request::Report { threshold, trace } => {
-            analysis_request(ctx, &frame.tenant, threshold, &trace, Action::Report)
+            analysis_request(ctx, tenant, threshold, &trace, Action::Report)
+        }
+        Request::Subscribe {
+            threshold,
+            window,
+            instructions,
+            trace,
+        } => {
+            let config = if instructions {
+                WindowConfig::instructions(window)
+            } else {
+                WindowConfig::branches(window)
+            };
+            admitted(ctx, tenant, trace.len() as u64, || {
+                let pipeline = pipeline_for(threshold)?;
+                let config = config.map_err(|e| error(ErrorCode::Malformed, e.to_string()))?;
+                let trace = parse_trace(&trace)?;
+                subscription(ctx, &frame, pipeline, config, &trace, writer)
+            })
         }
         Request::Corpus {
             threshold,
             jobs,
             manifest,
-        } => corpus_request(ctx, &frame.tenant, threshold, jobs, &manifest),
-        // Subscriptions are routed by kind byte in `serve_connection`
-        // before dispatch; reaching here means a caller bypassed that.
-        Request::Subscribe { .. } => Response::Error {
-            code: ErrorCode::Malformed,
-            message: "subscribe requires a streaming connection".to_owned(),
-            retry_after_ms: None,
-        },
+        } => corpus_request(ctx, tenant, threshold, jobs, &manifest),
     }
 }
 
-/// The multi-frame `subscribe` exchange: counters and containment mirror
-/// [`handle_frame`], but each flushed window goes to `writer` as a
-/// [`Response::Window`] frame before the terminal response (returned to
-/// the caller, which writes it like any other).
-fn handle_subscription(frame: Frame, ctx: &Arc<Ctx>, writer: &mut UnixStream) -> Response {
-    let tenant = frame.tenant.clone();
-    ctx.obs.add("server.requests", 1);
-    ctx.obs.add("server.subscriptions", 1);
-    if !tenant.is_empty() {
-        ctx.obs.add(&format!("server.tenant.{tenant}.requests"), 1);
-    }
-    let outcome = catch(|| subscription_dispatch(frame, ctx, writer));
-    let response = match outcome {
-        Ok(response) => response,
-        Err(fault) => Response::Error {
-            code: ErrorCode::Fault,
-            message: format!("request fault contained: {fault}"),
-            retry_after_ms: None,
-        },
-    };
-    match &response {
-        Response::Ok(_) | Response::Window(_) => {
-            ctx.obs.add("server.responses_ok", 1);
-            if !tenant.is_empty() {
-                ctx.obs.add(&format!("server.tenant.{tenant}.ok"), 1);
-            }
-        }
-        Response::Error { code, .. } => {
-            ctx.obs.add("server.responses_err", 1);
-            ctx.obs.add(&format!("server.errors.{}", code.label()), 1);
-            if !tenant.is_empty() {
-                ctx.obs.add(&format!("server.tenant.{tenant}.err"), 1);
-            }
-        }
-    }
-    response
-}
-
-/// The unwindable interior of a subscription: quota → admission →
-/// deadline → windowed Session run, writing one window frame per flush
-/// and returning the terminal whole-trace summary — byte-identical to
-/// what `Analyze` answers for the same trace and threshold.
-fn subscription_dispatch(frame: Frame, ctx: &Arc<Ctx>, writer: &mut UnixStream) -> Response {
-    bwsa_resilience::failpoint!(crate::failpoints::DISPATCH);
-    let decoded = {
-        bwsa_resilience::failpoint!(crate::failpoints::FRAME_DECODE);
-        Request::from_frame(&frame)
-    };
-    let (threshold, window, instructions, trace_bytes) = match decoded {
-        Ok(Request::Subscribe {
-            threshold,
-            window,
-            instructions,
-            trace,
-        }) => (threshold, window, instructions, trace),
-        Ok(_) => {
-            return Response::Error {
-                code: ErrorCode::Malformed,
-                message: "subscription handler got a non-subscribe frame".to_owned(),
-                retry_after_ms: None,
-            }
-        }
-        Err(e) => {
-            return Response::Error {
-                code: ErrorCode::Malformed,
-                message: e.to_string(),
-                retry_after_ms: None,
-            }
-        }
-    };
-    let _quota = match ctx.quota.try_admit(&frame.tenant, trace_bytes.len() as u64) {
+/// Quota → admission → deadline → `catch`: the one path every request
+/// that does work takes. `charge` bytes count against the tenant's quota
+/// while `work` runs, and `work` answers `Err` for an early typed
+/// refusal.
+///
+/// The deadline covers this request's own threads and no one else's,
+/// so concurrent requests keep their budgets. The whole deadline-covered
+/// region runs behind its own catch, so an expiry observed anywhere
+/// inside — even while parsing the uploaded trace, outside the Session's
+/// own supervision — comes back as a typed analysis failure rather than
+/// a generic fault.
+fn admitted(
+    ctx: &Ctx,
+    tenant: &str,
+    charge: u64,
+    work: impl FnOnce() -> Result<Response, Response>,
+) -> Response {
+    let _quota = match ctx.quota.try_admit(tenant, charge) {
         Ok(guard) => guard,
-        Err(e) => {
-            return Response::Error {
-                code: ErrorCode::Quota,
-                message: e.to_string(),
-                retry_after_ms: None,
-            }
-        }
+        Err(e) => return error(ErrorCode::Quota, e.to_string()),
     };
     let _slot = match ctx.admission.enter() {
         Ok(guard) => guard,
@@ -578,96 +529,55 @@ fn subscription_dispatch(frame: Frame, ctx: &Arc<Ctx>, writer: &mut UnixStream) 
             };
         }
         Err(AdmissionError::ShuttingDown) => {
-            return Response::Error {
-                code: ErrorCode::Shutdown,
-                message: "daemon is draining".to_owned(),
-                retry_after_ms: None,
-            }
+            return error(ErrorCode::Shutdown, "daemon is draining")
         }
     };
     let _deadline = ctx
         .request_deadline
-        .map(|budget| watchdog::arm_local(Instant::now() + budget));
-    let outcome = catch(|| {
-        let pipeline = match pipeline_for(threshold) {
-            Ok(p) => p,
-            Err(message) => {
-                return Response::Error {
-                    code: ErrorCode::Malformed,
-                    message,
-                    retry_after_ms: None,
-                }
-            }
-        };
-        let config = if instructions {
-            WindowConfig::instructions(window)
-        } else {
-            WindowConfig::branches(window)
-        };
-        let config = match config {
-            Ok(c) => c,
-            Err(e) => {
-                return Response::Error {
-                    code: ErrorCode::Malformed,
-                    message: e.to_string(),
-                    retry_after_ms: None,
-                }
-            }
-        };
-        let trace = match parse_trace(&trace_bytes) {
-            Ok(t) => t,
-            Err(message) => {
-                return Response::Error {
-                    code: ErrorCode::Malformed,
-                    message,
-                    retry_after_ms: None,
-                }
-            }
-        };
-        let session = Session::new(&trace)
-            .with_pipeline(pipeline)
-            .with_execution(Execution::Serial)
-            .with_supervisor(ctx.supervisor)
-            .with_observer(ctx.obs.clone())
-            .with_windowing(config);
-        match session.windowed() {
-            Ok(windowed) => {
-                for summary in &windowed.windows {
-                    let window_frame = Response::Window(summary.to_json().to_pretty_string())
-                        .into_frame(frame.request_id, &frame.tenant);
-                    if frame::write_frame(writer, &window_frame).is_err() {
-                        return Response::Error {
-                            code: ErrorCode::Fault,
-                            message: "subscriber connection lost mid-stream".to_owned(),
-                            retry_after_ms: None,
-                        };
-                    }
-                    ctx.obs.add("server.windows_emitted", 1);
-                }
-                Response::Ok(windowed.analysis.summary_json().to_pretty_string())
-            }
-            Err(e) => Response::Error {
-                code: ErrorCode::Analysis,
-                message: e.to_string(),
-                retry_after_ms: None,
-            },
-        }
-    });
-    match outcome {
-        Ok(response) => response,
+        .map(|budget| watchdog::arm(Instant::now() + budget));
+    match catch(work) {
+        Ok(Ok(response) | Err(response)) => response,
         Err(e @ (ResilienceError::Timeout { .. } | ResilienceError::MemoryBudget { .. })) => {
-            Response::Error {
-                code: ErrorCode::Analysis,
-                message: e.to_string(),
-                retry_after_ms: None,
-            }
+            error(ErrorCode::Analysis, e.to_string())
         }
-        Err(e) => Response::Error {
-            code: ErrorCode::Fault,
-            message: format!("request fault contained: {e}"),
-            retry_after_ms: None,
-        },
+        Err(e) => contained(e),
     }
+}
+
+/// A windowed Session run that writes one window frame per flush and
+/// answers the whole-trace summary — byte-identical to what `Analyze`
+/// answers for the same trace and threshold.
+fn subscription(
+    ctx: &Ctx,
+    frame: &Frame,
+    pipeline: AnalysisPipeline,
+    config: WindowConfig,
+    trace: &Trace,
+    writer: &mut UnixStream,
+) -> Result<Response, Response> {
+    let session = Session::new(trace)
+        .with_pipeline(pipeline)
+        .with_execution(Execution::Serial)
+        .with_supervisor(ctx.supervisor)
+        .with_observer(ctx.obs.clone())
+        .with_windowing(config);
+    let windowed = session
+        .windowed()
+        .map_err(|e| error(ErrorCode::Analysis, e.to_string()))?;
+    for summary in &windowed.windows {
+        let window_frame = Response::Window(summary.to_json().to_pretty_string())
+            .into_frame(frame.request_id, &frame.tenant);
+        if frame::write_frame(writer, &window_frame).is_err() {
+            return Err(error(
+                ErrorCode::Fault,
+                "subscriber connection lost mid-stream",
+            ));
+        }
+        ctx.obs.add("server.windows_emitted", 1);
+    }
+    Ok(Response::Ok(
+        windowed.analysis.summary_json().to_pretty_string(),
+    ))
 }
 
 /// What an admitted analysis-class request answers with.
@@ -686,72 +596,18 @@ enum Action {
     Report,
 }
 
-/// Quota → admission → supervised Session run for analyze/allocate/report.
+/// A supervised Session run over an uploaded trace, for
+/// analyze/allocate/report.
 fn analysis_request(
-    ctx: &Arc<Ctx>,
+    ctx: &Ctx,
     tenant: &str,
     threshold: Option<u64>,
     trace_bytes: &[u8],
     action: Action,
 ) -> Response {
-    let _quota = match ctx.quota.try_admit(tenant, trace_bytes.len() as u64) {
-        Ok(guard) => guard,
-        Err(e) => {
-            return Response::Error {
-                code: ErrorCode::Quota,
-                message: e.to_string(),
-                retry_after_ms: None,
-            }
-        }
-    };
-    let _slot = match ctx.admission.enter() {
-        Ok(guard) => guard,
-        Err(AdmissionError::Shed { retry_after }) => {
-            ctx.obs.add("server.requests_shed", 1);
-            return Response::Error {
-                code: ErrorCode::Overload,
-                message: "admission queue at the shed watermark".to_owned(),
-                retry_after_ms: Some(retry_after.as_millis().min(u128::from(u64::MAX)) as u64),
-            };
-        }
-        Err(AdmissionError::ShuttingDown) => {
-            return Response::Error {
-                code: ErrorCode::Shutdown,
-                message: "daemon is draining".to_owned(),
-                retry_after_ms: None,
-            }
-        }
-    };
-    // The deadline is thread-local: it covers this request on this
-    // thread without constraining concurrent requests. The whole
-    // deadline-covered region runs behind its own catch so an expiry
-    // observed anywhere inside — even while parsing the uploaded trace,
-    // outside the Session's own supervision — comes back as a typed
-    // analysis failure rather than a generic fault.
-    let _deadline = ctx
-        .request_deadline
-        .map(|budget| watchdog::arm_local(Instant::now() + budget));
-    let outcome = catch(|| {
-        let pipeline = match pipeline_for(threshold) {
-            Ok(p) => p,
-            Err(message) => {
-                return Response::Error {
-                    code: ErrorCode::Malformed,
-                    message,
-                    retry_after_ms: None,
-                }
-            }
-        };
-        let trace = match parse_trace(trace_bytes) {
-            Ok(t) => t,
-            Err(message) => {
-                return Response::Error {
-                    code: ErrorCode::Malformed,
-                    message,
-                    retry_after_ms: None,
-                }
-            }
-        };
+    admitted(ctx, tenant, trace_bytes.len() as u64, || {
+        let pipeline = pipeline_for(threshold)?;
+        let trace = parse_trace(trace_bytes)?;
         // Report requests get their own recording observer so the
         // answered RunReport covers exactly this run, not the daemon's
         // cumulative counters.
@@ -778,33 +634,13 @@ fn analysis_request(
                     .to_json_string()
             }),
         };
-        match result {
-            Ok(doc) => Response::Ok(doc),
-            Err(e) => Response::Error {
-                code: ErrorCode::Analysis,
-                message: e.to_string(),
-                retry_after_ms: None,
-            },
-        }
-    });
-    match outcome {
-        Ok(response) => response,
-        Err(e @ (ResilienceError::Timeout { .. } | ResilienceError::MemoryBudget { .. })) => {
-            Response::Error {
-                code: ErrorCode::Analysis,
-                message: e.to_string(),
-                retry_after_ms: None,
-            }
-        }
-        Err(e) => Response::Error {
-            code: ErrorCode::Fault,
-            message: format!("request fault contained: {e}"),
-            retry_after_ms: None,
-        },
-    }
+        result
+            .map(Response::Ok)
+            .map_err(|e| error(ErrorCode::Analysis, e.to_string()))
+    })
 }
 
-/// Quota → admission → fanned corpus run for a server-local manifest.
+/// A fanned corpus run over a server-local manifest.
 ///
 /// The manifest travels as a path (the traces it names are already on
 /// the server's filesystem), so validation happens *before* quota is
@@ -812,7 +648,7 @@ fn analysis_request(
 /// then charged by the summed on-disk size of every trace the manifest
 /// names: the batch's real in-flight bytes, same currency as uploads.
 fn corpus_request(
-    ctx: &Arc<Ctx>,
+    ctx: &Ctx,
     tenant: &str,
     threshold: Option<u64>,
     jobs: u64,
@@ -821,15 +657,12 @@ fn corpus_request(
     let corpus = match bwsa_corpus::Corpus::open(Path::new(manifest)) {
         Ok(c) => c,
         Err(e) => {
-            return Response::Error {
-                code: if e.is_usage() {
-                    ErrorCode::Malformed
-                } else {
-                    ErrorCode::Analysis
-                },
-                message: e.to_string(),
-                retry_after_ms: None,
-            }
+            let code = if e.is_usage() {
+                ErrorCode::Malformed
+            } else {
+                ErrorCode::Analysis
+            };
+            return error(code, e.to_string());
         }
     };
     // With a server-local result cache, entries that will replay from
@@ -864,47 +697,8 @@ fn corpus_request(
         .filter(|e| !probe_hit(e))
         .map(|e| std::fs::metadata(&e.path).map_or(0, |m| m.len()))
         .sum();
-    let _quota = match ctx.quota.try_admit(tenant, corpus_bytes) {
-        Ok(guard) => guard,
-        Err(e) => {
-            return Response::Error {
-                code: ErrorCode::Quota,
-                message: e.to_string(),
-                retry_after_ms: None,
-            }
-        }
-    };
-    let _slot = match ctx.admission.enter() {
-        Ok(guard) => guard,
-        Err(AdmissionError::Shed { retry_after }) => {
-            ctx.obs.add("server.requests_shed", 1);
-            return Response::Error {
-                code: ErrorCode::Overload,
-                message: "admission queue at the shed watermark".to_owned(),
-                retry_after_ms: Some(retry_after.as_millis().min(u128::from(u64::MAX)) as u64),
-            };
-        }
-        Err(AdmissionError::ShuttingDown) => {
-            return Response::Error {
-                code: ErrorCode::Shutdown,
-                message: "daemon is draining".to_owned(),
-                retry_after_ms: None,
-            }
-        }
-    };
-    let _deadline = ctx
-        .request_deadline
-        .map(|budget| watchdog::arm_local(Instant::now() + budget));
-    let outcome = catch(|| {
-        if let Some(t) = threshold {
-            if let Err(e) = ConflictConfig::with_threshold(t) {
-                return Response::Error {
-                    code: ErrorCode::Malformed,
-                    message: e.to_string(),
-                    retry_after_ms: None,
-                };
-            }
-        }
+    admitted(ctx, tenant, corpus_bytes, || {
+        pipeline_for(threshold)?;
         ctx.obs.add("server.corpus_runs", 1);
         let mut session = corpus
             .session()
@@ -922,56 +716,28 @@ fn corpus_request(
         // run_all is infallible: per-entry failures are degraded/failed
         // rows in the summary, exactly the containment this daemon
         // promises per request.
-        Response::Ok(session.run_all().to_json().to_pretty_string())
-    });
-    match outcome {
-        Ok(response) => response,
-        Err(e @ (ResilienceError::Timeout { .. } | ResilienceError::MemoryBudget { .. })) => {
-            Response::Error {
-                code: ErrorCode::Analysis,
-                message: e.to_string(),
-                retry_after_ms: None,
-            }
-        }
-        Err(e) => Response::Error {
-            code: ErrorCode::Fault,
-            message: format!("request fault contained: {e}"),
-            retry_after_ms: None,
-        },
-    }
+        Ok(Response::Ok(session.run_all().to_json().to_pretty_string()))
+    })
 }
 
-/// Builds the per-request pipeline (threshold override or defaults).
-fn pipeline_for(threshold: Option<u64>) -> Result<AnalysisPipeline, String> {
+/// Builds the per-request pipeline (threshold override or defaults); a
+/// bad threshold is a typed `Malformed` refusal.
+fn pipeline_for(threshold: Option<u64>) -> Result<AnalysisPipeline, Response> {
     let mut pipeline = AnalysisPipeline::default();
     if let Some(t) = threshold {
-        pipeline.conflict = ConflictConfig::with_threshold(t).map_err(|e| e.to_string())?;
+        pipeline.conflict = ConflictConfig::with_threshold(t)
+            .map_err(|e| error(ErrorCode::Malformed, e.to_string()))?;
     }
     Ok(pipeline)
 }
 
-/// Materialises an uploaded trace payload (BWSS2 stream or BWSS3
-/// columnar file) into a [`Trace`]. Uploads decode strictly: a tenant's
-/// damaged payload is a typed error, not a silent partial result.
-fn parse_trace(bytes: &[u8]) -> Result<Trace, String> {
-    if bwsa_trace::columnar::is_columnar(bytes) {
-        let (trace, _) =
-            bwsa_trace::columnar::read_columnar(bytes, bwsa_trace::stream::RecoveryPolicy::Strict)
-                .map_err(|e| format!("bad trace payload: {e}"))?;
-        return Ok(trace);
-    }
-    let mut reader = StreamReader::new(bytes).map_err(|e| format!("bad trace payload: {e}"))?;
-    let mut trace = Trace::new(reader.name().to_owned());
-    for item in reader.by_ref() {
-        let record = item.map_err(|e| format!("bad trace payload: {e}"))?;
-        trace
-            .push(record)
-            .map_err(|e| format!("bad trace payload: {e}"))?;
-    }
-    if let Some(total) = reader.total_instructions() {
-        trace.meta_mut().total_instructions = total;
-    }
-    Ok(trace)
+/// Materialises an uploaded trace payload in any of the three formats
+/// into a [`Trace`]. Uploads decode strictly: a tenant's damaged payload
+/// is a typed `Malformed` refusal, not a silent partial result.
+fn parse_trace(bytes: &[u8]) -> Result<Trace, Response> {
+    bwsa_trace::decode(bytes, RecoveryPolicy::Strict)
+        .map(|(trace, _)| trace)
+        .map_err(|e| error(ErrorCode::Malformed, format!("bad trace payload: {e}")))
 }
 
 /// The JSON body for an allocate response.

@@ -10,8 +10,8 @@ use bwsa_server::{AdmissionConfig, QuotaError};
 use bwsa_server::{
     Client, ErrorCode, Frame, QuotaLedger, Response, Server, ServerHandle, TenantQuotas,
 };
-use bwsa_trace::stream::StreamWriter;
-use bwsa_trace::{BranchRecord, Trace};
+use bwsa_trace::stream::{RecoveryPolicy, StreamWriter};
+use bwsa_trace::{BranchRecord, Format, Trace};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -44,17 +44,9 @@ fn trace_bytes(name: &str, n: u64) -> Vec<u8> {
     buf
 }
 
-/// Materialises BWSS2 bytes exactly the way the server does.
+/// Materialises uploaded bytes exactly the way the server does.
 fn trace_of(bytes: &[u8]) -> Trace {
-    let mut reader = bwsa_trace::stream::StreamReader::new(bytes).unwrap();
-    let mut trace = Trace::new(reader.name().to_owned());
-    for item in reader.by_ref() {
-        trace.push(item.unwrap()).unwrap();
-    }
-    if let Some(total) = reader.total_instructions() {
-        trace.meta_mut().total_instructions = total;
-    }
-    trace
+    bwsa_trace::decode(bytes, RecoveryPolicy::Strict).unwrap().0
 }
 
 fn spawn_server(tag: &str, tweak: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
@@ -96,6 +88,46 @@ fn served_analysis_is_bit_identical_to_a_direct_session_run() {
     let alloc = expect_ok(client.allocate(bytes, None, 16, true).unwrap());
     let doc = Json::parse(&alloc).unwrap();
     assert_eq!(doc.get("table_size").and_then(Json::as_u64), Some(16));
+
+    handle.begin_shutdown();
+    handle.join().unwrap();
+}
+
+#[test]
+fn every_trace_format_uploads_as_is_and_answers_byte_identically() {
+    let handle = spawn_server("formats", |_| {});
+    let bwss = trace_bytes("formats", 900);
+    let trace = trace_of(&bwss);
+    let mut client = Client::connect(handle.socket(), "acme").unwrap();
+    let mut answers = Vec::new();
+    for format in Format::ALL {
+        let mut bytes = Vec::new();
+        format.write(&trace, &mut bytes).unwrap();
+        if format == Format::Bwss {
+            assert_eq!(bytes, bwss, "the BWSS2 upload is the stream itself");
+        }
+        let analyze = expect_ok(client.analyze(bytes.clone(), None).unwrap());
+        let allocate = expect_ok(client.allocate(bytes.clone(), None, 16, true).unwrap());
+        let mut windows = Vec::new();
+        let subscribed = client
+            .subscribe(bytes, None, 128, false, |json| {
+                windows.push(json.to_owned())
+            })
+            .unwrap();
+        answers.push((format, analyze, allocate, windows, expect_ok(subscribed)));
+    }
+    let (_, analyze, allocate, windows, subscribed) = &answers[1];
+    assert_eq!(windows.len(), 8, "900 records at 128/window: 7 full + tail");
+    assert_eq!(
+        subscribed, analyze,
+        "the subscription folds to the analysis"
+    );
+    for (format, a, b, w, s) in &answers {
+        assert_eq!(a, analyze, "{format:?} analyze");
+        assert_eq!(b, allocate, "{format:?} allocate");
+        assert_eq!(w, windows, "{format:?} subscribe windows");
+        assert_eq!(s, subscribed, "{format:?} subscribe answer");
+    }
 
     handle.begin_shutdown();
     handle.join().unwrap();

@@ -53,9 +53,9 @@
 //!
 //! Every block carries its own CRC, record count, and absolute time
 //! anchor, and its columns are self-delimiting — blocks are
-//! independently decodable and shard-addressable. The footer's block
-//! index turns shard planning into O(1) seeks, and its directory makes
-//! the id → pc mapping available without replaying earlier blocks,
+//! independently decodable. The footer's block index locates every
+//! block without a scan, and its directory makes the id → pc mapping
+//! available without replaying earlier blocks,
 //! which is what permits *skipping* a corrupt block under
 //! [`RecoveryPolicy::Salvage`]. Without a valid footer (a torn tail),
 //! salvage keeps the valid block prefix instead: a damaged block also
@@ -96,10 +96,9 @@ use crate::{
 };
 use std::collections::HashMap;
 use std::io::Write;
-use std::ops::Range;
 
 /// File magic of the columnar format.
-pub const MAGIC: &[u8; 4] = b"BWS3";
+pub(crate) const MAGIC: &[u8; 4] = b"BWS3";
 /// Current columnar format version.
 const VERSION: u16 = 1;
 /// Block sync marker, distinct from the `BWSS2` chunk marker.
@@ -120,11 +119,6 @@ pub const DEFAULT_BLOCK_RECORDS: usize = 4096;
 const MAX_BLOCK_RECORDS: u32 = 1 << 22;
 /// A reader rejects column sections longer than this.
 const MAX_SECTION: u32 = 1 << 24;
-
-/// Returns `true` when `bytes` start with the `BWSS3` magic.
-pub fn is_columnar(bytes: &[u8]) -> bool {
-    bytes.starts_with(MAGIC)
-}
 
 /// Decodes a whole `BWSS3` buffer into a [`Trace`].
 ///
@@ -359,7 +353,7 @@ pub fn write_columnar<W: Write>(trace: &Trace, sink: W) -> Result<(), TraceError
 }
 
 /// The parsed footer of a finished `BWSS3` file: the id → pc directory
-/// plus the block index that makes shard planning O(1).
+/// plus the block index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Footer {
     /// Total records across every block.
@@ -512,7 +506,19 @@ impl<'a> ColumnarFile<'a> {
         let mut last_time = 0u64;
         let (report, mut table) = self.walk(policy, |view| {
             last_time = view.times.last().copied().unwrap_or(last_time);
-            append_block(view, &mut ids, &mut records);
+            // The three column slices are equal length by construction,
+            // so the zipped loops compile without bounds checks and
+            // autovectorize (see DESIGN.md §16).
+            ids.extend(view.ids.iter().map(|&id| BranchId::new(id)));
+            records.extend(view.ids.iter().zip(view.taken).zip(view.times).map(
+                |((&id, &taken), &time)| {
+                    BranchRecord::new(
+                        Pc::new(view.pcs[id as usize]),
+                        Direction::from_taken(taken),
+                        InstrCount::new(time),
+                    )
+                },
+            ));
         })?;
         if report.chunks_dropped > 0 {
             let mut first_seen = FirstSeen::default();
@@ -599,60 +605,6 @@ impl<'a> ColumnarFile<'a> {
         }
         Ok((report, table))
     }
-
-    /// Strictly decodes the footer-indexed blocks in `range`, appending
-    /// records (with pre-interned ids) to the sinks. This is the shard
-    /// primitive behind parallel columnar ingest: the block index makes
-    /// the seek O(1) and the footer directory resolves ids without
-    /// replaying earlier blocks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Format`] when the file has no footer or the
-    /// range is out of bounds, and [`TraceError::Corrupt`] for a damaged
-    /// block.
-    pub fn decode_range(
-        &self,
-        range: Range<usize>,
-        ids: &mut Vec<BranchId>,
-        records: &mut Vec<BranchRecord>,
-    ) -> Result<(), TraceError> {
-        let footer = self
-            .footer
-            .as_ref()
-            .ok_or_else(|| TraceError::format("range decode needs an intact footer"))?;
-        if range.end > footer.blocks.len() {
-            return Err(TraceError::format(format!(
-                "block range {range:?} exceeds {} indexed blocks",
-                footer.blocks.len()
-            )));
-        }
-        let mut decoder = BlockDecoder::new(self);
-        decoder.seek(range.start);
-        for _ in range {
-            match decoder.next_block()? {
-                Some(view) => append_block(&view, ids, records),
-                None => return Err(TraceError::format("block index points past the data")),
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Extends the row-wise sinks from one decoded block. The three column
-/// slices are equal length by construction, so the zipped loops compile
-/// without bounds checks and autovectorize (see DESIGN.md §16).
-fn append_block(view: &BlockView<'_>, ids: &mut Vec<BranchId>, records: &mut Vec<BranchRecord>) {
-    ids.extend(view.ids.iter().map(|&id| BranchId::new(id)));
-    records.extend(view.ids.iter().zip(view.taken).zip(view.times).map(
-        |((&id, &taken), &time)| {
-            BranchRecord::new(
-                Pc::new(view.pcs[id as usize]),
-                Direction::from_taken(taken),
-                InstrCount::new(time),
-            )
-        },
-    ));
 }
 
 /// Salvage bookkeeping for one damaged block; strict mode re-raises.
@@ -733,9 +685,9 @@ pub struct BlockView<'a> {
 /// one set of SoA scratch buffers for every block: the constant-memory
 /// ingest path, with no per-record struct materialised on the heap.
 ///
-/// With a footer the decoder walks the block index (and can
-/// [`BlockDecoder::seek`]); without one it scans sequentially and stops
-/// at the first damage (the torn-tail prefix rule).
+/// With a footer the decoder walks the block index; without one it
+/// scans sequentially and stops at the first damage (the torn-tail
+/// prefix rule).
 #[derive(Debug)]
 pub struct BlockDecoder<'a> {
     bytes: &'a [u8],
@@ -794,14 +746,6 @@ impl<'a> BlockDecoder<'a> {
     /// once a footerless scan hits its first bad block.
     pub fn can_continue(&self) -> bool {
         !self.stopped
-    }
-
-    /// Positions the decoder at footer-indexed block `block`. No-op
-    /// without a footer.
-    pub fn seek(&mut self, block: usize) {
-        if self.index.is_some() {
-            self.next_index = block;
-        }
     }
 
     /// Decodes the next block into the scratch buffers and returns a
@@ -1140,24 +1084,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_range_matches_serial_decode() {
-        let trace = sample_trace(100);
-        let buf = encode(&trace, 16);
-        let file = ColumnarFile::parse(&buf).unwrap();
-        let blocks = file.footer().unwrap().blocks.len();
-        let mut ids = Vec::new();
-        let mut records = Vec::new();
-        file.decode_range(0..3, &mut ids, &mut records).unwrap();
-        file.decode_range(3..blocks, &mut ids, &mut records)
-            .unwrap();
-        assert_eq!(records, trace.records());
-        assert_eq!(ids, trace.record_ids());
-        assert!(file
-            .decode_range(0..blocks + 1, &mut ids, &mut records)
-            .is_err());
-    }
-
-    #[test]
     fn writer_rejects_out_of_order_records() {
         let mut w = ColumnarWriter::new(Vec::new(), "x").unwrap();
         w.push(BranchRecord::from_raw(0x10, true, 10)).unwrap();
@@ -1175,12 +1101,5 @@ mod tests {
         w.finish(0).unwrap();
         buf[4] = 0xFF; // version low byte
         assert!(ColumnarFile::parse(&buf).is_err());
-    }
-
-    #[test]
-    fn is_columnar_detects_magic() {
-        assert!(is_columnar(b"BWS3rest"));
-        assert!(!is_columnar(b"BWSS"));
-        assert!(!is_columnar(b""));
     }
 }

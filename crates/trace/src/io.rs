@@ -44,7 +44,7 @@ use crate::codec::{self, Cursor};
 use crate::{Trace, TraceBuilder, TraceError};
 use std::io::{Read, Write};
 
-const MAGIC: &[u8; 4] = b"BWST";
+pub(crate) const MAGIC: &[u8; 4] = b"BWST";
 const VERSION: u16 = 1;
 
 /// Encodes a trace into the `BWST1` binary format.
@@ -89,18 +89,19 @@ pub fn write_binary<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceError>
 /// Returns [`TraceError::Io`] on read failure and [`TraceError::Format`]
 /// when the bytes are not a valid `BWST1` stream.
 pub fn read_binary<R: Read>(mut r: R) -> Result<Trace, TraceError> {
-    bwsa_resilience::failpoint!("trace.read_binary");
     let mut raw = Vec::new();
     r.read_to_end(&mut raw)?;
     decode_binary(&raw)
 }
 
-/// Decodes a trace from an in-memory `BWST1` buffer.
+/// Decodes a trace from an in-memory `BWST1` buffer. Every `BWST` decode
+/// passes the `trace.read_binary` failpoint here.
 ///
 /// # Errors
 ///
 /// Returns [`TraceError::Format`] when the bytes are malformed.
 pub fn decode_binary(raw: &[u8]) -> Result<Trace, TraceError> {
+    bwsa_resilience::failpoint!(crate::failpoints::READ_BINARY);
     let mut buf = Cursor::new(raw);
     if raw.len() < 4 || &raw[..4] != MAGIC {
         return Err(TraceError::format_at("bad magic (expected \"BWST\")", 0));

@@ -11,6 +11,12 @@
 //!
 //! # Contents
 //!
+//! * [`Format`] and [`decode`] — the one place the three on-disk
+//!   encodings are told apart: [`Format::sniff`] names a file's encoding
+//!   by its magic, [`decode`] reads any of them into a [`Trace`] under a
+//!   [`stream::RecoveryPolicy`], and [`Format::write`] writes any of
+//!   them. The CLI, the corpus runner and the daemon all read traces
+//!   through these.
 //! * [`BranchRecord`] — a single dynamic branch instance.
 //! * [`Trace`] — an in-memory trace with interned static-branch identities
 //!   ([`BranchId`]) and summary metadata.
@@ -22,9 +28,9 @@
 //!   corruption salvage, plus the legacy `BWSS1` read path.
 //! * [`columnar`] — the columnar block format (`BWSS3`): SoA column
 //!   blocks with per-block CRCs and a directory/index footer, built for
-//!   cold-ingest throughput and O(1) shard planning.
+//!   cold-ingest throughput.
 //! * [`mmap`] — zero-copy file bytes (memory map with buffered-read
-//!   fallback) feeding the columnar decoder.
+//!   fallback) that [`decode`] and the streaming columnar analysis read.
 //! * [`codec`] — the shared varint/zigzag/CRC32 primitives under all of
 //!   them.
 //! * [`fault`] — deterministic fault injection for durability testing.
@@ -55,6 +61,7 @@ pub mod codec;
 pub mod columnar;
 mod error;
 pub mod fault;
+mod format;
 mod id;
 pub mod io;
 pub mod mmap;
@@ -68,13 +75,16 @@ mod trace;
 pub mod failpoints {
     /// Fires once per record pulled through a [`crate::stream::StreamReader`].
     pub const DECODE_RECORD: &str = "trace.decode_record";
-    /// Fires when [`crate::io::read_binary`] starts ingesting a `BWST` file.
+    /// Fires when [`crate::io::decode_binary`] starts decoding a `BWST`
+    /// buffer, so every `BWST` decode passes it: [`crate::decode`],
+    /// [`crate::io::read_binary`] and direct calls alike.
     pub const READ_BINARY: &str = "trace.read_binary";
     /// Every site in this crate, for chaos-sweep enumeration.
     pub const SITES: &[&str] = &[DECODE_RECORD, READ_BINARY];
 }
 
 pub use error::TraceError;
+pub use format::{decode, Format};
 pub use id::{BranchId, InstrCount, Pc};
 pub use record::{BranchRecord, Direction};
 pub use trace::{BranchTable, Trace, TraceBuilder, TraceMeta};

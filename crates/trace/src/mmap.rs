@@ -2,11 +2,10 @@
 //! fallback.
 //!
 //! [`TraceBytes::open`] memory-maps a regular file read-only on Unix so
-//! the columnar decoder scans pages straight out of the page cache — no
-//! copy into a heap buffer and no read-ahead of blocks a range decode
-//! never touches. Pipes, empty files, non-Unix targets, and any mmap
-//! failure fall back to an ordinary whole-file read; callers only ever
-//! see a byte slice.
+//! [`crate::decode`] and the streaming columnar analysis scan pages
+//! straight out of the page cache, with no copy into a heap buffer.
+//! Pipes, empty files, non-Unix targets, and any mmap failure fall back
+//! to an ordinary whole-file read; callers only ever see a byte slice.
 //!
 //! This is the one module in the crate allowed to use `unsafe` (the raw
 //! `mmap`/`munmap` calls); everything else remains `deny(unsafe_code)`.

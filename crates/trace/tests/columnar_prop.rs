@@ -10,11 +10,14 @@
 //!   decoder: salvage returns a block-aligned subsequence of what was
 //!   written, strict returns a typed error or the intact whole;
 //! * truncation at any point never panics: salvage keeps a valid prefix
-//!   of whole blocks, strict always reports the torn footer.
+//!   of whole blocks, strict always reports the torn footer;
+//! * [`decode`], which every front end reads traces through, answers
+//!   exactly what `read_columnar` does on damaged columnar bytes, and
+//!   never panics on bytes whose magic the damage hit.
 
 use bwsa_trace::columnar::{read_columnar, write_columnar, ColumnarWriter};
 use bwsa_trace::stream::{RecoveryPolicy, StreamReader, StreamWriter};
-use bwsa_trace::{BranchRecord, Trace, TraceBuilder};
+use bwsa_trace::{decode, BranchRecord, Format, Trace, TraceBuilder};
 use proptest::prelude::*;
 
 const BLOCK: usize = 7;
@@ -52,6 +55,18 @@ fn encode_columnar(trace: &Trace) -> Vec<u8> {
 }
 
 /// `sub` appears in `full` in order (not necessarily contiguously).
+/// Under both policies, [`decode`] gives what `read_columnar` gives for
+/// bytes that still sniff as columnar, and never panics on any bytes.
+fn decode_agrees_with_read_columnar(bytes: &[u8]) -> Result<(), TestCaseError> {
+    for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Salvage] {
+        let decoded = decode(bytes, policy).ok();
+        if matches!(Format::sniff(bytes), Ok(Format::Bwss3)) {
+            prop_assert_eq!(decoded, read_columnar(bytes, policy).ok());
+        }
+    }
+    Ok(())
+}
+
 fn is_subsequence(sub: &[BranchRecord], full: &[BranchRecord]) -> bool {
     let mut it = full.iter();
     sub.iter().all(|r| it.any(|f| f == r))
@@ -131,6 +146,7 @@ proptest! {
                 );
             }
         }
+        decode_agrees_with_read_columnar(&damaged)?;
     }
 
     #[test]
@@ -151,5 +167,6 @@ proptest! {
             prop_assert_eq!(back.records(), &trace.records()[..n]);
             prop_assert!(n == trace.len() || n % BLOCK == 0);
         }
+        decode_agrees_with_read_columnar(torn)?;
     }
 }

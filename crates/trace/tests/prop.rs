@@ -1,6 +1,7 @@
 //! Property-based tests for the trace crate.
 
-use bwsa_trace::{io as trace_io, profile::BranchProfile, Trace, TraceBuilder};
+use bwsa_trace::stream::RecoveryPolicy;
+use bwsa_trace::{decode, io as trace_io, profile::BranchProfile, Trace, TraceBuilder};
 use proptest::prelude::*;
 
 /// Strategy producing a valid trace: pcs from a small pool, strictly
@@ -28,6 +29,32 @@ proptest! {
         let back = trace_io::decode_binary(&bytes).unwrap();
         prop_assert_eq!(back.records(), trace.records());
         prop_assert_eq!(&back.meta().name, &trace.meta().name);
+    }
+
+    #[test]
+    fn damaged_binary_never_panics_decode(
+        trace in arb_trace(),
+        position in 0usize..1 << 12,
+        mask in 1u8..=255,
+        cut in 0usize..1 << 12,
+    ) {
+        let bytes = trace_io::encode_binary(&trace);
+        let (back, report) = decode(&bytes, RecoveryPolicy::Strict).unwrap();
+        prop_assert_eq!(&back, &trace);
+        prop_assert_eq!(report.records_recovered, trace.len() as u64);
+        // A flipped byte decodes to some trace or a typed error under
+        // either policy, never a panic.
+        let mut flipped = bytes.clone();
+        let at = position % flipped.len();
+        flipped[at] ^= mask;
+        for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Salvage] {
+            let _ = decode(&flipped, policy);
+        }
+        // BWST has no chunks to salvage by: every cut is an error.
+        let torn = &bytes[..cut % bytes.len()];
+        for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Salvage] {
+            prop_assert!(decode(torn, policy).is_err());
+        }
     }
 
     #[test]

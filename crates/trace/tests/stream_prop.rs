@@ -1,8 +1,17 @@
 //! Property-based tests for the streaming trace format.
 
-use bwsa_trace::stream::{StreamReader, StreamWriter};
-use bwsa_trace::BranchRecord;
+use bwsa_trace::stream::{RecoveryPolicy, StreamReader, StreamWriter};
+use bwsa_trace::{decode, BranchRecord};
 use proptest::prelude::*;
+
+/// [`decode`], the entry point every front end reads traces through,
+/// meets any bytes with a trace or a typed error under either policy —
+/// never a panic.
+fn decode_never_panics(bytes: &[u8]) {
+    for policy in [RecoveryPolicy::Strict, RecoveryPolicy::Salvage] {
+        let _ = decode(bytes, policy);
+    }
+}
 
 fn arb_records() -> impl Strategy<Value = Vec<BranchRecord>> {
     prop::collection::vec((0u64..1 << 40, any::<bool>(), 0u64..50), 0..600).prop_map(|raw| {
@@ -67,6 +76,7 @@ proptest! {
                 }
             }
         }
+        decode_never_panics(&bytes);
     }
 
     #[test]
@@ -93,6 +103,7 @@ proptest! {
                 }
             }
         }
+        decode_never_panics(&buf);
     }
 
     #[test]
@@ -117,6 +128,12 @@ proptest! {
                 }
             }
             prop_assert!(reader.next().is_none() || reader.total_instructions().is_some());
+        }
+        decode_never_panics(truncated);
+        // What salvage recovers from a torn stream is a prefix of what
+        // was written.
+        if let Ok((trace, _)) = decode(truncated, RecoveryPolicy::Salvage) {
+            prop_assert_eq!(trace.records(), &records[..trace.len()]);
         }
     }
 }

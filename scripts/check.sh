@@ -12,10 +12,8 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> kernel unit tests (bwsa-core and bwsa-graph --lib)"
-# One test thread until the failpoint registry is test-safe: its
-# process-global state leaks between unit tests running concurrently.
-cargo test -q -p bwsa-core -p bwsa-graph --lib -- --test-threads=1
+echo "==> unit tests of every crate (--lib)"
+cargo test -q --workspace --lib
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -137,8 +135,8 @@ cmp "$convert_dir/bwst-windows.json" "$convert_dir/bws3-windows.json"
 [ -f "$convert_dir/gcc.ck.prev" ] || { echo "no rotated checkpoint"; exit 1; }
 "$bwsa" analyze "$convert_dir/gcc.bwss" --resume "$convert_dir/gcc.ck.prev" \
     > "$convert_dir/gcc-resumed.out"
-# --salvage on the undamaged file changes nothing, streamed or through
-# the block-parallel decoder (250,000 records is past its threshold).
+# --salvage on the undamaged file changes nothing, streamed or decoded
+# whole for a 2-worker run.
 "$bwsa" analyze "$convert_dir/gcc.bws3" --salvage > "$convert_dir/gcc-salvage.out"
 "$bwsa" analyze "$convert_dir/gcc.bws3" --salvage --jobs 2 \
     > "$convert_dir/gcc-salvage-j2.out"
@@ -254,7 +252,14 @@ sock="$report_tmp/bwsa.sock"
 serve_pid=$!
 for _ in $(seq 1 100); do [ -S "$sock" ] && break; sleep 0.05; done
 [ -S "$sock" ] || { echo "daemon socket never appeared"; exit 1; }
-"$bwsa" client "$sock" analyze "$report_tmp/smoke.bwst" --tenant smoke > /dev/null
+# Every trace format uploads as-is: a BWST file and its BWSS3
+# conversion get the same answer.
+"$bwsa" convert "$report_tmp/smoke.bwst" "$report_tmp/smoke.bws3" > /dev/null
+"$bwsa" client "$sock" analyze "$report_tmp/smoke.bwst" --tenant smoke \
+    > "$report_tmp/served-bwst.json"
+"$bwsa" client "$sock" analyze "$report_tmp/smoke.bws3" --tenant smoke \
+    > "$report_tmp/served-bws3.json"
+cmp "$report_tmp/served-bwst.json" "$report_tmp/served-bws3.json"
 # A windowed subscription streams summaries, then the whole-trace answer.
 "$bwsa" client "$sock" subscribe "$report_tmp/smoke.bwst" --tenant smoke \
     --window 200 > "$report_tmp/subscribe.out"

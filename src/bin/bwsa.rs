@@ -59,14 +59,16 @@
 //!            [--max-rss-mb N] [--seed N]
 //!     Run the fault-isolated multi-tenant analysis daemon on a
 //!     Unix-domain socket until SIGTERM / ctrl-c / a shutdown request,
-//!     then drain gracefully and exit 0. Bind failures exit 2.
+//!     then drain gracefully and exit 0. Bind failures exit 2. Uploads
+//!     may be in any of the three trace formats.
 //!
 //! bwsa client <socket> <ping|analyze|allocate|corpus|report|status|shutdown>
 //!             [<trace>|<manifest>] [--tenant NAME] [--threshold N] [--table N]
 //!             [--classify] [--jobs N]
 //!     One request against a running daemon; typed server-side errors
 //!     exit 1 with the server's message (and retry-after hint on
-//!     overload).
+//!     overload). Trace files of every format upload as-is: the daemon
+//!     decodes BWST, BWSS and BWSS3 alike.
 //! ```
 //!
 //! `analyze`, `allocate`, and `simulate` additionally accept
@@ -106,15 +108,13 @@ use bwsa::resilience::{failpoint, supervisor, watchdog, DetRng};
 use bwsa::server::server::ServerConfig;
 use bwsa::server::{signal, AdmissionConfig, Client, Response, Server, TenantQuotas};
 use bwsa::trace::codec::crc32;
-use bwsa::trace::columnar::{self, ColumnarFile};
+use bwsa::trace::columnar::ColumnarFile;
 use bwsa::trace::mmap::TraceBytes;
-use bwsa::trace::stream::{
-    RecoveryPolicy, SalvageReport, StreamReader, StreamWriter, DEFAULT_CHUNK_RECORDS,
-};
-use bwsa::trace::{io as trace_io, stats::trace_stats, Trace, TraceError};
+use bwsa::trace::stream::{RecoveryPolicy, SalvageReport, StreamReader, DEFAULT_CHUNK_RECORDS};
+use bwsa::trace::{stats::trace_stats, Format, Trace, TraceError};
 use bwsa::workload::suite::{Benchmark, InputSet};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -219,12 +219,14 @@ subcommands:
   help
 
 trace files may be BWST (in-memory binary), BWSS (checksummed stream),
-or BWS3 (columnar blocks, the fast ingest path); the format is detected
-from the file's magic. --salvage recovers what it can from a corrupted
-BWSS stream or BWSS3 block (partial results exit 0 with a warning on
-stderr). --checkpoint writes a resumable BWCK checkpoint every N stream
-chunks (default 64, one chunk = 4096 records); --resume continues from
-one (BWSS streams only — BWSS3 ingest is fast enough to restart).
+or BWS3 (columnar blocks, the fast ingest path); every command, the
+corpus runner and the daemon detect the format from the file's magic
+and decode it the same way. --salvage recovers what it can from a
+corrupted BWSS stream or BWSS3 block (partial results exit 0 with a
+warning on stderr). --checkpoint writes a resumable BWCK checkpoint
+every N stream chunks (default 64, one chunk = 4096 records); --resume
+continues from one (BWSS streams only — BWSS3 ingest is fast enough to
+restart).
 
 `convert` transcodes a trace between the three formats: the target is
 --format, or else the output extension (.bwst/.bwss/.bws3). The record
@@ -319,9 +321,9 @@ error prints to stderr and exits 1 (an overload rejection includes the
 server's retry-after hint). --retries N retries a shed request up to N
 times, sleeping at least the server's retry-after hint (plus
 deterministic jittered backoff) between attempts, so a briefly
-overloaded daemon is ridden out instead of failed. BWST trace files are
-re-encoded to BWSS2 on the fly before upload; BWSS2 and BWSS3 files
-travel as-is. `serve --corpus-cache DIR`
+overloaded daemon is ridden out instead of failed. Trace files of every
+format travel as-is, and the daemon decodes all three; its byte quota
+is charged on the file as uploaded. `serve --corpus-cache DIR`
 gives the daemon a server-local result cache for corpus requests:
 already-cached entries are replayed without charging the tenant's
 in-flight byte quota for re-analysis.
@@ -379,30 +381,13 @@ impl Parsed {
     }
 }
 
-/// On-disk trace encodings, detected by magic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TraceFormat {
-    /// `BWST`: whole-trace binary (bwsa_trace::io).
-    Bwst,
-    /// `BWSS`: chunked, checksummed stream (bwsa_trace::stream).
-    Bwss,
-    /// `BWS3`: columnar block format (bwsa_trace::columnar).
-    Bwss3,
+/// A trace file's bytes, memory-mapped where the file allows it.
+fn open_trace(path: &str) -> Result<TraceBytes, CliError> {
+    TraceBytes::open(path.as_ref()).map_err(|e| runtime_err(format!("cannot open {path}: {e}")))
 }
 
-fn detect_format(path: &str) -> Result<TraceFormat, CliError> {
-    let mut f = File::open(path).map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-    let mut magic = [0u8; 4];
-    f.read_exact(&mut magic)
-        .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-    match &magic {
-        b"BWST" => Ok(TraceFormat::Bwst),
-        b"BWSS" => Ok(TraceFormat::Bwss),
-        b"BWS3" => Ok(TraceFormat::Bwss3),
-        _ => Err(runtime_err(format!(
-            "{path}: unrecognised trace format (expected BWST, BWSS, or BWS3 magic)"
-        ))),
-    }
+fn cannot_read(path: &str, e: TraceError) -> CliError {
+    runtime_err(format!("cannot read {path}: {e}"))
 }
 
 fn recovery_policy(p: &Parsed) -> RecoveryPolicy {
@@ -526,57 +511,42 @@ fn warn_salvage(path: &str, report: &SalvageReport) {
     }
 }
 
-/// Loads a trace of either format into memory under an `ingest` span. For
-/// BWSS input the salvage report is returned so callers can warn about
-/// recovered damage, and the stream reader feeds `trace.*` counters into
-/// `obs`.
+/// Loads a trace of any format into memory under an `ingest` span and
+/// records its `trace.*` counters from the salvage report, which callers
+/// also use to warn about recovered damage.
 fn load_trace(
     path: &str,
     policy: RecoveryPolicy,
     obs: &Obs,
 ) -> Result<(Trace, SalvageReport), CliError> {
     let span = obs.span("ingest");
-    let loaded = match detect_format(path)? {
-        TraceFormat::Bwst => {
-            let file =
-                File::open(path).map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-            let trace = trace_io::read_binary(BufReader::new(file))
-                .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-            obs.add("trace.records_read", trace.len() as u64);
-            Ok((trace, SalvageReport::default()))
-        }
-        TraceFormat::Bwss => {
-            let file =
-                File::open(path).map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-            let mut reader = StreamReader::with_recovery(BufReader::new(file), policy)
-                .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?
-                .with_observer(obs.clone());
-            let mut trace = Trace::new(reader.name().to_owned());
-            for item in reader.by_ref() {
-                let rec = item.map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-                trace
-                    .push(rec)
-                    .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-            }
-            if let Some(total) = reader.total_instructions() {
-                trace.meta_mut().total_instructions = total;
-            }
-            Ok((trace, reader.salvage_report().clone()))
-        }
-        TraceFormat::Bwss3 => {
-            // Memory-map the file and decode column blocks in parallel
-            // off the footer's block index (bit-identical to serial).
-            let bytes = TraceBytes::open(path.as_ref())
-                .map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-            let jobs = ParallelConfig::available().jobs.get();
-            let (trace, report) = bwsa::core::columnar::decode_columnar(&bytes, policy, jobs)
-                .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-            obs.add("trace.records_read", trace.len() as u64);
-            Ok((trace, report))
-        }
-    };
+    let bytes = open_trace(path)?;
+    let (trace, report) = bwsa::trace::decode(&bytes, policy).map_err(|e| cannot_read(path, e))?;
     span.finish();
-    loaded
+    obs.add("trace.records_read", report.records_recovered);
+    obs.add("trace.chunks_ok", report.chunks_ok);
+    obs.add("trace.chunks_dropped", report.chunks_dropped);
+    Ok((trace, report))
+}
+
+/// The `--format` a command names, if any.
+fn format_flag(p: &Parsed) -> Result<Option<Format>, CliError> {
+    p.value("format")
+        .map(|name| {
+            Format::by_name(name)
+                .ok_or_else(|| usage_err(format!("bad format {name:?} (use bwst, bwss, or bwss3)")))
+        })
+        .transpose()
+}
+
+/// Writes `trace` to `path` in `format`.
+fn write_trace(trace: &Trace, format: Format, path: &str) -> Result<(), CliError> {
+    let file = File::create(path).map_err(|e| runtime_err(format!("cannot create {path}: {e}")))?;
+    let mut w = BufWriter::new(file);
+    format
+        .write(trace, &mut w)
+        .map_err(|e| runtime_err(e.to_string()))?;
+    w.flush().map_err(|e| runtime_err(e.to_string()))
 }
 
 fn threshold_of(p: &Parsed) -> Result<ConflictConfig, CliError> {
@@ -745,47 +715,13 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
     if scale <= 0.0 {
         return Err(usage_err("scale must be positive"));
     }
-    let format = match p.value("format").unwrap_or("bwst") {
-        "bwst" => TraceFormat::Bwst,
-        "bwss" => TraceFormat::Bwss,
-        "bwss3" => TraceFormat::Bwss3,
-        other => {
-            return Err(usage_err(format!(
-                "bad format {other:?} (use bwst, bwss, or bwss3)"
-            )))
-        }
-    };
-    let ext = match format {
-        TraceFormat::Bwst => "bwst",
-        TraceFormat::Bwss => "bwss",
-        TraceFormat::Bwss3 => "bws3",
-    };
-    let out_path = p
-        .value("o")
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("{}_{}.{ext}", bench.name(), input.suffix()));
+    let format = format_flag(&p)?.unwrap_or(Format::Bwst);
+    let out_path = p.value("o").map(str::to_owned).unwrap_or_else(|| {
+        let ext = format.extension();
+        format!("{}_{}.{ext}", bench.name(), input.suffix())
+    });
     let trace = bench.generate_scaled(input, scale);
-    let file = File::create(&out_path)
-        .map_err(|e| runtime_err(format!("cannot create {out_path}: {e}")))?;
-    let mut w = BufWriter::new(file);
-    match format {
-        TraceFormat::Bwst => {
-            trace_io::write_binary(&trace, &mut w).map_err(|e| runtime_err(e.to_string()))?;
-        }
-        TraceFormat::Bwss => {
-            let mut sw = StreamWriter::new(&mut w, &trace.meta().name)
-                .map_err(|e| runtime_err(e.to_string()))?;
-            for r in trace.records() {
-                sw.push(*r).map_err(|e| runtime_err(e.to_string()))?;
-            }
-            sw.finish(trace.meta().total_instructions)
-                .map_err(|e| runtime_err(e.to_string()))?;
-        }
-        TraceFormat::Bwss3 => {
-            columnar::write_columnar(&trace, &mut w).map_err(|e| runtime_err(e.to_string()))?;
-        }
-    }
-    w.flush().map_err(|e| runtime_err(e.to_string()))?;
+    write_trace(&trace, format, &out_path)?;
     println!("{trace}");
     println!("wrote {out_path}");
     Ok(())
@@ -799,53 +735,18 @@ fn cmd_convert(args: &[String]) -> Result<(), CliError> {
     let [in_path, out_path] = p.positionals.as_slice() else {
         return Err(usage_err("convert needs an input and an output file"));
     };
-    let target = match p.value("format") {
-        Some("bwst") => TraceFormat::Bwst,
-        Some("bwss") => TraceFormat::Bwss,
-        Some("bwss3") => TraceFormat::Bwss3,
-        Some(other) => {
-            return Err(usage_err(format!(
-                "bad format {other:?} (use bwst, bwss, or bwss3)"
-            )))
-        }
-        None => match std::path::Path::new(out_path)
-            .extension()
-            .and_then(|e| e.to_str())
-        {
-            Some("bwst") => TraceFormat::Bwst,
-            Some("bwss") => TraceFormat::Bwss,
-            Some("bws3") => TraceFormat::Bwss3,
-            _ => {
-                return Err(usage_err(format!(
-                    "cannot infer the target format from {out_path:?}; \
-                     use --format bwst|bwss|bwss3 or a .bwst/.bwss/.bws3 extension"
-                )))
-            }
-        },
+    let target = match format_flag(&p)? {
+        Some(format) => format,
+        None => Format::by_extension(out_path.as_ref()).ok_or_else(|| {
+            usage_err(format!(
+                "cannot infer the target format from {out_path:?}; \
+                 use --format bwst|bwss|bwss3 or a .bwst/.bwss/.bws3 extension"
+            ))
+        })?,
     };
     let (trace, report) = load_trace(in_path, recovery_policy(&p), &Obs::noop())?;
     warn_salvage(in_path, &report);
-    let file = File::create(out_path)
-        .map_err(|e| runtime_err(format!("cannot create {out_path}: {e}")))?;
-    let mut w = BufWriter::new(file);
-    match target {
-        TraceFormat::Bwst => {
-            trace_io::write_binary(&trace, &mut w).map_err(|e| runtime_err(e.to_string()))?;
-        }
-        TraceFormat::Bwss => {
-            let mut sw = StreamWriter::new(&mut w, &trace.meta().name)
-                .map_err(|e| runtime_err(e.to_string()))?;
-            for r in trace.records() {
-                sw.push(*r).map_err(|e| runtime_err(e.to_string()))?;
-            }
-            sw.finish(trace.meta().total_instructions)
-                .map_err(|e| runtime_err(e.to_string()))?;
-        }
-        TraceFormat::Bwss3 => {
-            columnar::write_columnar(&trace, &mut w).map_err(|e| runtime_err(e.to_string()))?;
-        }
-    }
-    w.flush().map_err(|e| runtime_err(e.to_string()))?;
+    write_trace(&trace, target, out_path)?;
     println!(
         "converted {in_path} -> {out_path} ({} records, {} static branches)",
         trace.len(),
@@ -898,14 +799,15 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
             "--window runs the trace in memory and cannot combine with --checkpoint/--resume",
         ));
     }
-    let format = detect_format(path)?;
+    let bytes = open_trace(path)?;
+    let format = Format::sniff(&bytes).map_err(|e| cannot_read(path, e))?;
     match format {
-        TraceFormat::Bwst if wants_checkpointing => {
+        Format::Bwst if wants_checkpointing => {
             return Err(usage_err(
                 "--checkpoint/--resume need a BWSS stream trace (see `bwsa generate --format bwss`)",
             ));
         }
-        TraceFormat::Bwss3 if wants_checkpointing => {
+        Format::Bwss3 if wants_checkpointing => {
             return Err(usage_err(
                 "--checkpoint/--resume need a BWSS stream trace; BWSS3 ingest \
                  is fast enough to restart (see `bwsa convert`)",
@@ -916,7 +818,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     // A BWST file runs in memory, and so does a stream when --jobs asks
     // for workers or --window for per-window summaries; otherwise BWSS
     // and BWSS3 stream in constant memory.
-    if format == TraceFormat::Bwst || jobs.is_some_and(|j| j > 1) || windowing.is_some() {
+    if format == Format::Bwst || jobs.is_some_and(|j| j > 1) || windowing.is_some() {
         let (trace, report) = load_trace(path, recovery_policy(&p), &obs)?;
         warn_salvage(path, &report);
         return analyze_in_memory(&trace, &pipeline, jobs, supervisor, &windowing, &spec, &obs);
@@ -927,7 +829,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     let _watchdog = supervisor
         .and_then(|c| c.max_wall)
         .map(|wall| watchdog::arm(Instant::now() + wall));
-    analyze_streaming(path, format, &p, &pipeline, &spec, &obs)
+    analyze_streaming(path, &bytes, format, &p, &pipeline, &spec, &obs)
 }
 
 /// `--window N[i]` / `--emit-windows FILE` for `analyze`: the parsed
@@ -1038,20 +940,19 @@ fn stream_config_json(pipeline: &AnalysisPipeline) -> Json {
 /// [`StreamingAnalysis`], with checkpoint/resume. Both honour --salvage.
 fn analyze_streaming(
     path: &str,
-    format: TraceFormat,
+    bytes: &[u8],
+    format: Format,
     p: &Parsed,
     pipeline: &AnalysisPipeline,
     spec: &ReportSpec,
     obs: &Obs,
 ) -> Result<(), CliError> {
-    let cannot_read = |e: TraceError| runtime_err(format!("cannot read {path}: {e}"));
+    let cannot_read = |e: TraceError| cannot_read(path, e);
     let policy = recovery_policy(p);
-    let (trace_name, instructions, result) = if format == TraceFormat::Bwss3 {
-        let bytes = TraceBytes::open(path.as_ref())
-            .map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-        let file = ColumnarFile::parse(&bytes).map_err(cannot_read)?;
+    let (trace_name, instructions, result) = if format == Format::Bwss3 {
+        let file = ColumnarFile::parse(bytes).map_err(cannot_read)?;
         let (result, report) =
-            bwsa::core::columnar::analyze_columnar_stream(pipeline, &bytes, policy, obs)
+            bwsa::core::columnar::analyze_columnar_stream(pipeline, bytes, policy, obs)
                 .map_err(cannot_read)?;
         warn_salvage(path, &report);
         let instructions = file.footer().map(|f| f.total_instructions);
@@ -1891,8 +1792,8 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
             .map_err(|_| usage_err(format!("bad --retries {v:?}")))?,
     };
     let jobs = jobs_of(&p)?.unwrap_or(0) as u64;
-    // Read and re-encode the trace once, before the retry loop: a shed
-    // request retries the same bytes instead of re-touching the file.
+    // Read the trace once, before the retry loop: a shed request
+    // retries the same bytes instead of re-touching the file.
     let upload: Option<Vec<u8>> = match action.as_str() {
         "analyze" => {
             let path = p
@@ -2020,33 +1921,10 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// Reads a trace file into the bytes the daemon expects (BWSS2 streams
-/// and BWSS3 columnar files travel as-is), re-encoding BWST binaries on
-/// the fly.
+/// Reads a trace file for upload. Every format travels as-is: the
+/// daemon decodes all three.
 fn trace_upload_bytes(path: &str) -> Result<Vec<u8>, CliError> {
-    match detect_format(path)? {
-        TraceFormat::Bwss | TraceFormat::Bwss3 => {
-            std::fs::read(path).map_err(|e| runtime_err(format!("cannot read {path}: {e}")))
-        }
-        TraceFormat::Bwst => {
-            let file =
-                File::open(path).map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-            let trace = trace_io::read_binary(BufReader::new(file))
-                .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-            let mut bytes = Vec::new();
-            let mut writer = StreamWriter::new(&mut bytes, &trace.meta().name)
-                .map_err(|e| runtime_err(format!("cannot encode {path}: {e}")))?;
-            for record in trace.records() {
-                writer
-                    .push(*record)
-                    .map_err(|e| runtime_err(format!("cannot encode {path}: {e}")))?;
-            }
-            writer
-                .finish(trace.meta().total_instructions)
-                .map_err(|e| runtime_err(format!("cannot encode {path}: {e}")))?;
-            Ok(bytes)
-        }
-    }
+    std::fs::read(path).map_err(|e| runtime_err(format!("cannot read {path}: {e}")))
 }
 
 #[cfg(test)]
@@ -2287,7 +2165,10 @@ mod tests {
             "generate", "pgp", "--scale", "0.01", "--format", "bwss", "-o", &out_s,
         ]))
         .unwrap();
-        assert_eq!(detect_format(&out_s).unwrap(), TraceFormat::Bwss);
+        assert_eq!(
+            Format::sniff(&std::fs::read(&out).unwrap()).unwrap(),
+            Format::Bwss
+        );
         run(&strs(&["analyze", &out_s, "--threshold", "3"])).unwrap();
         run(&strs(&["simulate", &out_s, "--predictor", "gshare"])).unwrap();
         run(&strs(&[
@@ -2592,9 +2473,12 @@ mod tests {
         run(&strs(&["convert", &orig_s, &c3_s])).unwrap();
         run(&strs(&["convert", &c3_s, &cs_s])).unwrap();
         run(&strs(&["convert", &cs_s, &back_s])).unwrap();
-        assert_eq!(detect_format(&c3_s).unwrap(), TraceFormat::Bwss3);
-        let a = trace_io::read_binary(BufReader::new(File::open(&orig).unwrap())).unwrap();
-        let b = trace_io::read_binary(BufReader::new(File::open(&back).unwrap())).unwrap();
+        assert_eq!(
+            Format::sniff(&std::fs::read(&c3).unwrap()).unwrap(),
+            Format::Bwss3
+        );
+        let read = |path| bwsa::trace::io::read_binary(File::open(path).unwrap()).unwrap();
+        let (a, b) = (read(&orig), read(&back));
         assert_eq!(a.records(), b.records(), "round trip must be identical");
         assert_eq!(a.meta().total_instructions, b.meta().total_instructions);
         // Every analysis path accepts the columnar file.

@@ -11,8 +11,11 @@
 //!
 //! Never a raw panic escaping the API, never silently different output.
 //!
-//! The failpoint registry is a process global, so every test here holds
-//! [`CHAOS_LOCK`] and scopes its spec with [`failpoint::scoped`].
+//! [`failpoint::scoped`] arms only the test's own thread and its
+//! `parallel_map` workers. The two daemon tests arm the process-wide
+//! registry instead, since their faults must reach the daemon's
+//! connection threads, and clear it when done; every test holds
+//! [`CHAOS_LOCK`] so none of them runs while that registry is armed.
 
 use bwsa::core::StreamingAnalysis;
 use bwsa::graph::coloring::{try_color_graph, ColoringOptions};
@@ -27,7 +30,7 @@ use bwsa::server::server::ServerConfig;
 use bwsa::server::{
     failpoints as server_failpoints, Client, ErrorCode, Response, Server, ServerHandle,
 };
-use bwsa::trace::stream::{StreamReader, StreamWriter};
+use bwsa::trace::stream::{RecoveryPolicy, StreamReader, StreamWriter};
 use bwsa::trace::{Trace, TraceBuilder};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -583,14 +586,7 @@ fn spawn_daemon(tag: &str) -> ServerHandle {
 /// the bytes parsed exactly as the server parses them, run through a
 /// plain `Session`, rendered as the canonical summary JSON.
 fn served_baseline(bwss: &[u8]) -> String {
-    let mut reader = StreamReader::new(bwss).unwrap();
-    let mut trace = Trace::new(reader.name().to_owned());
-    for item in reader.by_ref() {
-        trace.push(item.unwrap()).unwrap();
-    }
-    if let Some(total) = reader.total_instructions() {
-        trace.meta_mut().total_instructions = total;
-    }
+    let (trace, _) = bwsa::trace::decode(bwss, RecoveryPolicy::Strict).unwrap();
     Session::new(&trace)
         .run()
         .unwrap()
@@ -628,7 +624,8 @@ fn every_server_site_is_contained_in_every_mode() {
             let mut witness = Client::connect(handle.socket(), "witness").unwrap();
             assert!(matches!(witness.ping().unwrap(), Response::Ok(_)));
 
-            let guard = failpoint::scoped(&format!("{site}=1*{mode}")).unwrap();
+            // Process-wide: the fault must reach the daemon's threads.
+            failpoint::configure(&format!("{site}=1*{mode}")).unwrap();
             if site == server_failpoints::ACCEPT && faulting {
                 // The fault fires at accept, before any request exists:
                 // the daemon answers with an unsolicited typed Fault
@@ -670,7 +667,7 @@ fn every_server_site_is_contained_in_every_mode() {
                 }
             }
             assert!(failpoint::hits(site) > 0, "{context}: never traversed");
-            drop(guard);
+            failpoint::clear();
 
             // The daemon survived: the witness connection, opened before
             // the fault, is served bit-identically…
@@ -694,8 +691,8 @@ fn a_stalled_server_request_does_not_block_a_concurrent_tenant() {
     let baseline = served_baseline(&harness.bwss);
     let handle = spawn_daemon("stall");
 
-    let _guard =
-        failpoint::scoped(&format!("{}=1*delay(400)", server_failpoints::DISPATCH)).unwrap();
+    // Process-wide: the stall must reach the daemon's threads.
+    failpoint::configure(&format!("{}=1*delay(400)", server_failpoints::DISPATCH)).unwrap();
     let stalled_done = Arc::new(AtomicBool::new(false));
     let stalled = {
         let socket = handle.socket().to_path_buf();
@@ -727,6 +724,7 @@ fn a_stalled_server_request_does_not_block_a_concurrent_tenant() {
         "the healthy request must complete while the other tenant is still stalled"
     );
     stalled.join().unwrap();
+    failpoint::clear();
 
     handle.begin_shutdown();
     handle.join().unwrap();

@@ -188,10 +188,9 @@ fn corrupted_stream_fails_strict_but_salvages_to_the_reduced_report() {
 
 /// A BWSS3 file with one damaged block recovers, on every ingest path,
 /// exactly the analysis of a clean file holding the surviving records.
-/// The file is past the block-parallel decode threshold, and the damaged
-/// block holds the only records of one branch and the first records of
-/// another that runs again later, so the survivors' branch numbering
-/// differs from the file's directory.
+/// The damaged block holds the only records of one branch and the first
+/// records of another that runs again later, so the survivors' branch
+/// numbering differs from the file's directory.
 #[test]
 fn damaged_columnar_block_salvages_to_the_same_answer_on_every_path() {
     const RECORDS: u64 = 150_000;
