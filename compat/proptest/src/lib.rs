@@ -1,7 +1,7 @@
 //! Offline stub of `proptest`.
 //!
 //! Implements the subset of the proptest API this workspace's property
-//! tests use — [`Strategy`] with `prop_map`/`boxed`, range / tuple /
+//! tests use — [`Strategy`](strategy::Strategy) with `prop_map`/`boxed`, range / tuple /
 //! string / collection strategies, `any::<T>()`, [`prop_oneof!`],
 //! [`proptest!`], `prop_assert!`/`prop_assert_eq!`, and
 //! [`test_runner::ProptestConfig`] — as a deterministic random sampler.
@@ -462,7 +462,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`fn@vec`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -16,7 +16,7 @@
 //!
 //! On top of that:
 //!
-//! * [`classify`] — branch classification (Chang et al.) marks ≥99%- and
+//! * [`mod@classify`] — branch classification (Chang et al.) marks ≥99%- and
 //!   ≤1%-taken branches; same-class conflicts are ignored (§5.2).
 //! * [`allocation`] — **branch allocation**: graph-coloring assignment of
 //!   branches to BHT entries, the required-table-size search of Tables
@@ -73,7 +73,7 @@ pub mod supervise;
 pub mod window;
 pub mod working_set;
 
-/// Failpoint sites this crate hosts (see [`bwsa_resilience::failpoint`]).
+/// Failpoint sites this crate hosts (see [`mod@bwsa_resilience::failpoint`]).
 pub mod failpoints {
     /// Fires at the start of the serial profile stage.
     pub const PROFILE: &str = "core.profile";
@@ -139,7 +139,7 @@ pub use working_set::{working_sets, WorkingSetDefinition, WorkingSetReport, Work
 ///
 /// Everything a typical consumer needs: the [`Session`] builder and its
 /// configuration values, the windowing and supervision knobs, the
-/// unified [`Error`], and the observability handles ([`Obs`],
+/// unified [`Error`], and the observability handles ([`Obs`](bwsa_obs::Obs),
 /// [`RunReport`](bwsa_obs::RunReport)) sessions report through. The
 /// corpus layer's `Corpus` lives one crate up — `bwsa::prelude` in the
 /// facade crate re-exports this module plus the corpus types.

@@ -148,21 +148,6 @@ impl<'t> Session<'t> {
         self.trace
     }
 
-    /// The pipeline configuration in effect.
-    pub fn pipeline(&self) -> &AnalysisPipeline {
-        &self.pipeline
-    }
-
-    /// The execution strategy in effect.
-    pub fn execution(&self) -> Execution {
-        self.execution
-    }
-
-    /// The observer attached to this session.
-    pub fn observer(&self) -> &Obs {
-        &self.obs
-    }
-
     /// Runs the pipeline (validating the configuration first), or returns
     /// the cached result of an earlier call. A windowed session answers
     /// with [`Session::windowed`]'s folded [`WindowedResult::analysis`].
@@ -297,40 +282,8 @@ impl<'t> Session<'t> {
             (None, Execution::Serial) => ("serial", 1),
             (None, Execution::Parallel(c)) => ("parallel", c.jobs.get() as u64),
         };
-        Json::object([
-            (
-                "conflict_threshold",
-                Json::UInt(self.pipeline.conflict.threshold),
-            ),
-            (
-                "working_set_definition",
-                Json::from(format!("{:?}", self.pipeline.definition)),
-            ),
-            (
-                "taken_threshold",
-                Json::Float(self.pipeline.taken_threshold),
-            ),
-            (
-                "not_taken_threshold",
-                Json::Float(self.pipeline.not_taken_threshold),
-            ),
-            ("execution", Json::from(mode)),
-            ("jobs", Json::UInt(jobs)),
-            (
-                "window_interval",
-                match &self.windowing {
-                    Some(w) => Json::UInt(w.interval()),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "window_unit",
-                match &self.windowing {
-                    Some(w) => Json::from(w.unit().label()),
-                    None => Json::Null,
-                },
-            ),
-        ])
+        self.pipeline
+            .config_json(mode, jobs, self.windowing.as_ref())
     }
 
     /// Builds a [`RunReport`] for this session's trace and recorded

@@ -12,7 +12,7 @@
 //! (Jaccard similarity vs. the previous window) and a phase-change
 //! signal.
 //!
-//! **Exactness.** One whole-trace [`Accumulator`] consumes every record,
+//! **Exactness.** One whole-trace record accumulator consumes every record,
 //! the same one the streaming engines feed, and each window is read out
 //! of it: the detector copies a row at its first credit in the window,
 //! and the flush walks the touched rows' differences from those copies

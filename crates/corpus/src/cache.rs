@@ -54,7 +54,7 @@ const CELL_FORMAT_VERSION: u16 = 1;
 /// Cell file magic.
 const CELL_MAGIC: &[u8; 4] = b"BWCC";
 
-/// Default byte budget for a cache directory (LRU-evicted past this).
+/// The byte budget of every cache directory (LRU-evicted past this).
 pub const DEFAULT_CACHE_BUDGET: u64 = 256 * 1024 * 1024;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -302,17 +302,18 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// Opens (creating if needed) a cache directory with the given byte
-    /// budget. Infallible: an uncreatable directory just means every
-    /// read misses, and a lock held by a live process means reads work
-    /// but writes are skipped ([`ResultCache::writable`]).
-    pub fn open(dir: impl Into<PathBuf>, budget: u64) -> ResultCache {
+    /// Opens (creating if needed) a cache directory held to
+    /// [`DEFAULT_CACHE_BUDGET`]. Infallible: an uncreatable directory
+    /// just means every read misses, and a lock held by a live process
+    /// means reads work but writes are skipped
+    /// ([`ResultCache::writable`]).
+    pub fn open(dir: impl Into<PathBuf>) -> ResultCache {
         let dir = dir.into();
         let _ = fs::create_dir_all(&dir);
         let lock = acquire_lock(&dir);
         ResultCache {
             dir,
-            budget,
+            budget: DEFAULT_CACHE_BUDGET,
             lock,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -540,7 +541,7 @@ mod tests {
     #[test]
     fn store_load_and_corruption_counting() {
         let dir = scratch("storeload");
-        let cache = ResultCache::open(&dir, DEFAULT_CACHE_BUDGET);
+        let cache = ResultCache::open(&dir);
         assert!(cache.writable());
         let key = CacheKey::for_entry(42, "a.bwss", "integer", 100, 1024);
         assert!(cache.load(key, "a.bwss").is_none(), "cold cache misses");
@@ -560,9 +561,9 @@ mod tests {
     #[test]
     fn second_writer_degrades_to_read_only() {
         let dir = scratch("lock");
-        let first = ResultCache::open(&dir, DEFAULT_CACHE_BUDGET);
+        let first = ResultCache::open(&dir);
         assert!(first.writable());
-        let second = ResultCache::open(&dir, DEFAULT_CACHE_BUDGET);
+        let second = ResultCache::open(&dir);
         assert!(!second.writable(), "live lock blocks a second writer");
         let key = CacheKey::for_entry(7, "a.bwss", "x", 1, 2);
         second.store(key, &record("a.bwss"));
@@ -574,14 +575,14 @@ mod tests {
         assert!(!dir.join("lock").exists(), "lock removed on drop");
         // A stale lock from a dead pid is broken and re-taken.
         fs::write(dir.join("lock"), "4294967294").expect("plant stale lock");
-        let third = ResultCache::open(&dir, DEFAULT_CACHE_BUDGET);
+        let third = ResultCache::open(&dir);
         assert!(third.writable(), "stale lock is reclaimed");
     }
 
     #[test]
     fn eviction_respects_budget_oldest_first() {
         let dir = scratch("evict");
-        let cache = ResultCache::open(&dir, DEFAULT_CACHE_BUDGET);
+        let cache = ResultCache::open(&dir);
         let mut keys = Vec::new();
         for i in 0..4u64 {
             let key = CacheKey::for_entry(i, "a.bwss", "x", 1, 2);
@@ -614,7 +615,7 @@ mod tests {
     #[test]
     fn injected_cache_faults_degrade_to_miss_and_skip() {
         let dir = scratch("faults");
-        let cache = ResultCache::open(&dir, DEFAULT_CACHE_BUDGET);
+        let cache = ResultCache::open(&dir);
         let key = CacheKey::for_entry(9, "a.bwss", "x", 1, 2);
         {
             let _fp = bwsa_resilience::failpoint::scoped("corpus.cache_write=error(chaos)")

@@ -218,7 +218,7 @@ impl Journal {
         }
     }
 
-    /// Appends one completed entry, fsync'ing every [`SYNC_BATCH`]
+    /// Appends one completed entry, fsync'ing every `SYNC_BATCH` (4)
     /// records. Contained: an injected fault at `corpus.journal_append`
     /// or an I/O error drops this and all later appends instead of
     /// tearing the valid prefix.

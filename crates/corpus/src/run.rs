@@ -28,7 +28,7 @@ use bwsa_trace::codec;
 use bwsa_trace::stream::RecoveryPolicy;
 use bwsa_trace::Trace;
 
-use crate::cache::{CacheKey, CacheStats, ResultCache, DEFAULT_CACHE_BUDGET};
+use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::error::CorpusError;
 use crate::failpoints;
 use crate::fleet::{EntryRecord, EntryStatus, FanOutDecision, FleetAccumulator, FleetSummary};
@@ -98,7 +98,6 @@ impl Corpus {
             supervisor: None,
             obs: Obs::noop(),
             cache_dir: None,
-            cache_budget: DEFAULT_CACHE_BUDGET,
             resume: false,
         }
     }
@@ -113,7 +112,6 @@ pub struct CorpusSession<'c> {
     supervisor: Option<SupervisorConfig>,
     obs: Obs,
     cache_dir: Option<PathBuf>,
-    cache_budget: u64,
     resume: bool,
 }
 
@@ -162,14 +160,6 @@ impl CorpusSession<'_> {
         self
     }
 
-    /// Byte budget for the cache directory's LRU eviction pass (default
-    /// [`DEFAULT_CACHE_BUDGET`]).
-    #[must_use]
-    pub fn with_cache_budget(mut self, bytes: u64) -> Self {
-        self.cache_budget = bytes;
-        self
-    }
-
     /// Resumes an interrupted run: the run journal's completed entries
     /// are loaded (falling back to the rotated ancestor when the newest
     /// journal is torn) and the journal is compacted, instead of
@@ -193,7 +183,7 @@ impl CorpusSession<'_> {
         let cache = self
             .cache_dir
             .as_ref()
-            .map(|dir| ResultCache::open(dir.clone(), self.cache_budget));
+            .map(|dir| ResultCache::open(dir.clone()));
         // The journal needs the writer lock: a read-only cache (second
         // concurrent runner) reads cells but leaves the journal alone.
         let journal = match &cache {

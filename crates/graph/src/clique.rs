@@ -200,32 +200,6 @@ fn bron_kerbosch(
     }
 }
 
-/// Summary statistics over a collection of working sets.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CliqueStats {
-    /// Number of sets.
-    pub count: usize,
-    /// Unweighted mean set size.
-    pub mean_size: f64,
-    /// Largest set size.
-    pub max_size: usize,
-}
-
-/// Computes [`CliqueStats`] for a set collection.
-pub fn clique_stats(sets: &[Vec<u32>]) -> CliqueStats {
-    let count = sets.len();
-    let total: usize = sets.iter().map(Vec::len).sum();
-    CliqueStats {
-        count,
-        mean_size: if count == 0 {
-            0.0
-        } else {
-            total as f64 / count as f64
-        },
-        max_size: sets.iter().map(Vec::len).max().unwrap_or(0),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,17 +304,6 @@ mod tests {
         assert_eq!(greedy_clique_partition(&g), vec![vec![0, 1, 2, 3, 4]]);
         let e = maximal_cliques(&g, 100);
         assert_eq!(e.cliques, vec![vec![0, 1, 2, 3, 4]]);
-    }
-
-    #[test]
-    fn stats_handle_empty_and_nonempty() {
-        let s = clique_stats(&[]);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean_size, 0.0);
-        let s = clique_stats(&[vec![0, 1], vec![2, 3, 4], vec![5]]);
-        assert_eq!(s.count, 3);
-        assert!((s.mean_size - 2.0).abs() < 1e-12);
-        assert_eq!(s.max_size, 3);
     }
 
     #[test]

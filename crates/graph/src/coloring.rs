@@ -79,7 +79,7 @@ impl Coloring {
 /// assignment (`assignment[node] = color`).
 ///
 /// This is the metric Tables 3 and 4 are built on: the paper asks for the
-/// BHT size at which allocation "reduce[s] the table conflicts to below
+/// BHT size at which allocation "reduce\[s\] the table conflicts to below
 /// that of a 1024-entry conventional BHT", and the natural quantification
 /// of "table conflicts" is the interleave weight carried by same-entry
 /// branch pairs.
@@ -143,7 +143,7 @@ pub fn color_graph(graph: &ConflictGraph, k: usize, options: &ColoringOptions) -
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::ZeroColors`] when `k == 0` and the graph has
+/// Returns [`GraphError::ZeroColors`](crate::GraphError::ZeroColors) when `k == 0` and the graph has
 /// nodes to color.
 pub fn try_color_graph(
     graph: &ConflictGraph,

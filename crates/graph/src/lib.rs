@@ -20,8 +20,6 @@
 //! * [`coloring`] — Chaitin-style simplify/select K-coloring that *merges*
 //!   instead of spilling when colors run out, picking the least-conflict
 //!   sharing as the paper prescribes.
-//! * [`components`] — connected components (used for working-set sanity
-//!   checks and fast per-component coloring).
 //!
 //! # Example
 //!
@@ -52,13 +50,11 @@
 mod builder;
 pub mod clique;
 pub mod coloring;
-pub mod components;
 pub mod dot;
 mod error;
 mod graph;
-pub mod io;
 
-/// Failpoint sites this crate hosts (see [`bwsa_resilience::failpoint`]).
+/// Failpoint sites this crate hosts (see [`mod@bwsa_resilience::failpoint`]).
 pub mod failpoints {
     /// Fires at the start of every [`crate::coloring::try_color_graph`].
     pub const COLOR: &str = "graph.color";

@@ -3,7 +3,7 @@
 #![recursion_limit = "256"]
 
 use bwsa_graph::coloring::{ColoringOptions, MergeOrder};
-use bwsa_graph::{clique, coloring, components, ConflictGraph, GraphBuilder};
+use bwsa_graph::{clique, coloring, ConflictGraph, GraphBuilder};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -106,28 +106,6 @@ proptest! {
     fn coloring_mass_never_exceeds_total_weight(g in arb_graph(), k in 1usize..8) {
         let c = coloring::color_graph(&g, k, &coloring::ColoringOptions::default());
         prop_assert!(c.conflict_mass <= g.total_weight());
-    }
-
-    #[test]
-    fn components_partition_nodes(g in arb_graph()) {
-        let comps = components::connected_components(&g);
-        let groups = comps.groups();
-        let total: usize = groups.iter().map(Vec::len).sum();
-        prop_assert_eq!(total, g.node_count());
-        // Edge endpoints share a component.
-        for (a, b, _) in g.iter_edges() {
-            prop_assert!(comps.connected(a, b));
-        }
-    }
-
-    #[test]
-    fn clique_members_share_a_component(g in arb_graph()) {
-        let comps = components::connected_components(&g);
-        for set in clique::greedy_clique_partition(&g) {
-            for w in set.windows(2) {
-                prop_assert!(comps.connected(w[0], w[1]));
-            }
-        }
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::{BranchPredictor, HistoryRegister, SaturatingCounter};
 use bwsa_trace::{BranchId, Direction, Pc};
 
-/// Agree predictor (Sprangle et al., ISCA 1997 — reference [18] of the
+/// Agree predictor (Sprangle et al., ISCA 1997 — reference \[18\] of the
 /// paper): each branch carries a *bias bit* (set to its first observed
 /// outcome); a gshare-indexed counter table predicts whether the branch
 /// will **agree** with its bias. Two aliased branches that are both

@@ -59,7 +59,7 @@ mod staticpred;
 pub mod sweep;
 mod tables;
 
-/// Failpoint sites this crate hosts (see [`bwsa_resilience::failpoint`]).
+/// Failpoint sites this crate hosts (see [`mod@bwsa_resilience::failpoint`]).
 pub mod failpoints {
     /// Fires when a trace-driven simulation starts ([`crate::simulate`]).
     pub const SIMULATE: &str = "predictor.simulate";
@@ -89,9 +89,8 @@ pub use pag::Pag;
 pub use pap::Pap;
 pub use predictor::BranchPredictor;
 pub use sim::{
-    simulate, simulate_detailed, simulate_detailed_into, simulate_observed, simulate_resumable,
-    DetailedSimResult, PipelineModel, SimCheckpoint, SimResult, CHECKPOINT_KIND_SIM,
-    CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    simulate, simulate_detailed, simulate_observed, simulate_resumable, DetailedSimResult,
+    SimCheckpoint, SimResult, CHECKPOINT_KIND_SIM, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
 pub use staticpred::StaticPredictor;
 pub use sweep::{sweep, sweep_observed, SweepCell};

@@ -71,65 +71,6 @@ impl DetailedSimResult {
     }
 }
 
-/// A simple pipeline cost model translating misprediction counts into
-/// cycles — the paper's motivation ("a wide issue and deeply pipelined
-/// processor demands a highly accurate branch prediction mechanism")
-/// made quantitative.
-///
-/// The model charges one cycle per `issue_width` instructions plus a
-/// fixed `mispredict_penalty` flush per mispredicted branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineModel {
-    /// Instructions issued per cycle when not stalled.
-    pub issue_width: u32,
-    /// Flush penalty in cycles per misprediction.
-    pub mispredict_penalty: u32,
-}
-
-impl Default for PipelineModel {
-    /// A late-90s wide core: 4-wide issue, 7-cycle flush.
-    fn default() -> Self {
-        PipelineModel {
-            issue_width: 4,
-            mispredict_penalty: 7,
-        }
-    }
-}
-
-impl PipelineModel {
-    /// Estimated cycles to run `instructions` with `mispredictions`
-    /// branch flushes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `issue_width` is zero.
-    pub fn cycles(&self, instructions: u64, mispredictions: u64) -> u64 {
-        assert!(self.issue_width > 0, "issue width must be positive");
-        instructions.div_ceil(u64::from(self.issue_width))
-            + mispredictions * u64::from(self.mispredict_penalty)
-    }
-
-    /// Speedup of predictor `better` over `worse` on the same run
-    /// (`> 1.0` means `better` is faster).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two results cover different instruction streams
-    /// (different trace names or totals).
-    pub fn speedup(&self, instructions: u64, better: &SimResult, worse: &SimResult) -> f64 {
-        assert_eq!(
-            better.trace, worse.trace,
-            "results must come from the same trace"
-        );
-        assert_eq!(
-            better.total, worse.total,
-            "results must cover the same branches"
-        );
-        self.cycles(instructions, worse.mispredictions) as f64
-            / self.cycles(instructions, better.mispredictions) as f64
-    }
-}
-
 /// Runs a predictor over a trace: predict, compare, train — once per
 /// dynamic branch, in order.
 ///
@@ -191,34 +132,9 @@ pub fn simulate_detailed<P: BranchPredictor + ?Sized>(
     predictor: &mut P,
     trace: &Trace,
 ) -> DetailedSimResult {
-    let mut misses = Vec::new();
-    let mut executions = Vec::new();
-    let summary = simulate_detailed_into(predictor, trace, &mut misses, &mut executions);
-    DetailedSimResult {
-        summary,
-        misses,
-        executions,
-    }
-}
-
-/// [`simulate_detailed`] writing its per-branch counts into caller-owned
-/// buffers, so a sweep running many cells can reuse the same two
-/// allocations instead of paying a pair of fresh `Vec`s per cell.
-///
-/// The buffers are cleared and resized to the trace's static branch
-/// count; on return `misses[id]` / `executions[id]` hold exactly what
-/// [`simulate_detailed`] would have produced.
-pub fn simulate_detailed_into<P: BranchPredictor + ?Sized>(
-    predictor: &mut P,
-    trace: &Trace,
-    misses: &mut Vec<u64>,
-    executions: &mut Vec<u64>,
-) -> SimResult {
     let n = trace.static_branch_count();
-    misses.clear();
-    misses.resize(n, 0);
-    executions.clear();
-    executions.resize(n, 0);
+    let mut misses = vec![0u64; n];
+    let mut executions = vec![0u64; n];
     let mut mispredictions = 0u64;
     for (id, rec) in trace.indexed_records() {
         let predicted = predictor.observe(rec.pc, id, rec.direction);
@@ -228,11 +144,15 @@ pub fn simulate_detailed_into<P: BranchPredictor + ?Sized>(
             misses[id.index()] += 1;
         }
     }
-    SimResult {
-        predictor: predictor.name(),
-        trace: trace.meta().name.clone(),
-        total: trace.len() as u64,
-        mispredictions,
+    DetailedSimResult {
+        summary: SimResult {
+            predictor: predictor.name(),
+            trace: trace.meta().name.clone(),
+            total: trace.len() as u64,
+            mispredictions,
+        },
+        misses,
+        executions,
     }
 }
 
@@ -467,39 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_model_charges_issue_and_flushes() {
-        let m = PipelineModel {
-            issue_width: 4,
-            mispredict_penalty: 10,
-        };
-        assert_eq!(m.cycles(100, 0), 25);
-        assert_eq!(m.cycles(100, 3), 55);
-        assert_eq!(m.cycles(101, 0), 26, "partial issue group rounds up");
-    }
-
-    #[test]
-    fn speedup_compares_same_run() {
-        let trace = half_taken_trace();
-        let better = simulate(&mut crate::Bimodal::new(16), &trace);
-        let worse = simulate(&mut StaticPredictor::always_not_taken(), &trace);
-        let m = PipelineModel::default();
-        let s = m.speedup(1000, &better, &worse);
-        assert!(s >= 1.0, "fewer mispredictions must not slow down: {s}");
-    }
-
-    #[test]
-    #[should_panic(expected = "same trace")]
-    fn speedup_rejects_mismatched_traces() {
-        let a = simulate(&mut StaticPredictor::always_taken(), &half_taken_trace());
-        let mut other = Trace::new("different");
-        other
-            .push(bwsa_trace::BranchRecord::from_raw(0x4, true, 1))
-            .unwrap();
-        let b = simulate(&mut StaticPredictor::always_taken(), &other);
-        PipelineModel::default().speedup(10, &a, &b);
-    }
-
-    #[test]
     fn display_shows_percentages() {
         let trace = half_taken_trace();
         let r = simulate(&mut StaticPredictor::always_taken(), &trace);
@@ -718,24 +605,6 @@ mod tests {
                 r.predictor
             );
         }
-    }
-
-    #[test]
-    fn detailed_into_reuses_dirty_buffers() {
-        let trace = busy_trace(2000);
-        let fresh = simulate_detailed(&mut crate::Pag::paper_baseline(), &trace);
-        // Deliberately dirty, wrong-sized buffers from a previous "cell".
-        let mut misses = vec![u64::MAX; 3];
-        let mut executions = vec![7u64; 99];
-        let summary = simulate_detailed_into(
-            &mut crate::Pag::paper_baseline(),
-            &trace,
-            &mut misses,
-            &mut executions,
-        );
-        assert_eq!(summary, fresh.summary);
-        assert_eq!(misses, fresh.misses);
-        assert_eq!(executions, fresh.executions);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! chunk)`, `core.shard_detect=2*panic` (fire twice, then pass),
 //! `predictor.simulate=delay(25)` (milliseconds). `panic` unwinds with a
 //! plain message, `error` unwinds with a typed
-//! [`InjectedFault`](crate::InjectedFault) payload, and `delay` sleeps —
+//! [`InjectedFault`] payload, and `delay` sleeps —
 //! observing the [`crate::watchdog`] — then passes. Faults never return
 //! error values in-band: they *unwind*, and a supervisor boundary
 //! ([`crate::supervisor::catch`]) converts them to typed errors, so
@@ -56,7 +56,7 @@ pub enum FailAction {
         /// The panic message.
         message: String,
     },
-    /// Unwind with a typed [`InjectedFault`](crate::InjectedFault)
+    /// Unwind with a typed [`InjectedFault`]
     /// payload.
     Error {
         /// The fault message.
@@ -363,7 +363,7 @@ fn check_armed(site: &str) {
 }
 
 /// Marks a failpoint site. Costs two relaxed atomic loads when nothing
-/// is armed; see the [module docs](crate::failpoint) for arming specs.
+/// is armed; see the [module docs](mod@crate::failpoint) for arming specs.
 #[macro_export]
 macro_rules! failpoint {
     ($site:expr) => {

@@ -12,8 +12,7 @@
 //! the header that salvage readers need to even start.
 //!
 //! This is the one fault model for the workspace: the trace-salvage
-//! property tests (via the `bwsa_trace::fault` re-export) and the chaos
-//! suite both draw corruption from it.
+//! property tests and the chaos suite both draw corruption from it.
 //!
 //! # Example
 //!

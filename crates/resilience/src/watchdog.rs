@@ -2,7 +2,7 @@
 //!
 //! Safe Rust cannot kill a stuck thread, so the watchdog is cooperative:
 //! the supervisor [`arm`]s a deadline, and every
-//! [`failpoint!`](crate::failpoint) site doubles as a cancellation point
+//! [`failpoint!`](macro@crate::failpoint) site doubles as a cancellation point
 //! that [`observe`]s it. When the deadline has passed, the observing
 //! thread unwinds with a [`DeadlineExceeded`] payload, which
 //! [`supervisor::catch`](crate::supervisor::catch) converts into

@@ -32,8 +32,6 @@ pub const FRAME_MAGIC: [u8; 4] = *b"BWSF";
 /// daemon.
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 64 << 20;
 
-/// Fixed overhead around the payload: magic + length + trailing CRC.
-const HEADER_BYTES: usize = 4 + 4;
 /// Minimum payload: request id + kind + tenant length.
 const MIN_PAYLOAD_BYTES: usize = 8 + 1 + 2;
 
@@ -48,13 +46,6 @@ pub struct Frame {
     pub tenant: String,
     /// Kind-specific body bytes.
     pub body: Vec<u8>,
-}
-
-impl Frame {
-    /// Total bytes this frame occupies on the wire.
-    pub fn wire_len(&self) -> usize {
-        HEADER_BYTES + MIN_PAYLOAD_BYTES + self.tenant.len() + self.body.len() + 4
-    }
 }
 
 /// Why a frame could not be read or written.

@@ -51,7 +51,7 @@ pub mod quota;
 pub mod server;
 pub mod signal;
 
-/// Failpoint sites this crate hosts (see [`bwsa_resilience::failpoint`]).
+/// Failpoint sites this crate hosts (see [`mod@bwsa_resilience::failpoint`]).
 pub mod failpoints {
     /// Fires for every accepted connection, before its reader spawns.
     pub const ACCEPT: &str = "server.accept";

@@ -177,11 +177,6 @@ impl Server {
         })
     }
 
-    /// This daemon's shutdown flag; `request()` it to begin a drain.
-    pub fn shutdown_flag(&self) -> ShutdownFlag {
-        self.ctx.shutdown.clone()
-    }
-
     /// The quota ledger (shared; inspectable while running).
     pub fn quota(&self) -> Arc<QuotaLedger> {
         Arc::clone(&self.ctx.quota)
@@ -544,9 +539,10 @@ fn admitted(
     }
 }
 
-/// A windowed Session run that writes one window frame per flush and
-/// answers the whole-trace summary — byte-identical to what `Analyze`
-/// answers for the same trace and threshold.
+/// A windowed Session run that, once the run has finished, writes one
+/// window frame per window and answers the whole-trace summary —
+/// byte-identical to what `Analyze` answers for the same trace and
+/// threshold.
 fn subscription(
     ctx: &Ctx,
     frame: &Frame,

@@ -1,5 +1,4 @@
-//! Trace serialisation: a compact delta-encoded binary format and a
-//! line-oriented text format.
+//! Trace serialisation: a compact delta-encoded binary format.
 //!
 //! # Binary format (`BWST1`)
 //!
@@ -16,11 +15,6 @@
 //!
 //! Deltas are LEB128 varints: consecutive branches are usually close in
 //! both address and time, so typical records cost 2–4 bytes instead of 17.
-//!
-//! # Text format
-//!
-//! One record per line: `pc_hex direction time`, e.g. `0x400 T 5`.
-//! Lines beginning with `#` and blank lines are ignored.
 //!
 //! # Example
 //!
@@ -159,80 +153,6 @@ pub fn decode_binary(raw: &[u8]) -> Result<Trace, TraceError> {
     Ok(builder.finish())
 }
 
-/// Writes a trace in the human-readable text format.
-///
-/// # Errors
-///
-/// Returns [`TraceError::Io`] on write failure.
-pub fn write_text<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceError> {
-    writeln!(w, "# bwsa trace: {}", trace.meta().name)?;
-    writeln!(
-        w,
-        "# total_instructions: {}",
-        trace.meta().total_instructions
-    )?;
-    for rec in trace.records() {
-        writeln!(w, "{:#x} {} {}", rec.pc.addr(), rec.direction, rec.time)?;
-    }
-    Ok(())
-}
-
-/// Reads a text-format trace.
-///
-/// The trace name is taken from a leading `# bwsa trace: <name>` comment
-/// when present, otherwise `"text"`.
-///
-/// # Errors
-///
-/// Returns [`TraceError::Format`] (with a 1-based line number as offset)
-/// when a line cannot be parsed, and [`TraceError::OutOfOrder`] when
-/// timestamps regress.
-pub fn read_text<R: Read>(mut r: R) -> Result<Trace, TraceError> {
-    let mut s = String::new();
-    r.read_to_string(&mut s)?;
-    let mut trace = Trace::new("text");
-    for (lineno, line) in s.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            if let Some(name) = rest.trim().strip_prefix("bwsa trace:") {
-                trace.meta_mut().name = name.trim().to_owned();
-            } else if let Some(total) = rest.trim().strip_prefix("total_instructions:") {
-                trace.meta_mut().total_instructions = total.trim().parse().map_err(|e| {
-                    TraceError::format_at(format!("bad total: {e}"), lineno as u64 + 1)
-                })?;
-            }
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let err =
-            |what: &str| TraceError::format_at(format!("{what}: {line:?}"), lineno as u64 + 1);
-        let pc_str = parts.next().ok_or_else(|| err("missing pc"))?;
-        let pc = if let Some(hex) = pc_str.strip_prefix("0x") {
-            u64::from_str_radix(hex, 16).map_err(|_| err("bad hex pc"))?
-        } else {
-            pc_str.parse().map_err(|_| err("bad pc"))?
-        };
-        let taken = match parts.next().ok_or_else(|| err("missing direction"))? {
-            "T" | "t" | "1" => true,
-            "N" | "n" | "0" => false,
-            _ => return Err(err("bad direction")),
-        };
-        let time: u64 = parts
-            .next()
-            .ok_or_else(|| err("missing time"))?
-            .parse()
-            .map_err(|_| err("bad time"))?;
-        if parts.next().is_some() {
-            return Err(err("trailing fields"));
-        }
-        trace.push(crate::BranchRecord::from_raw(pc, taken, time))?;
-    }
-    Ok(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,40 +233,6 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("trailing"));
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let t = sample();
-        let mut buf = Vec::new();
-        write_text(&t, &mut buf).unwrap();
-        let back = read_text(&buf[..]).unwrap();
-        assert_eq!(back.records(), t.records());
-        assert_eq!(back.meta().name, "sample");
-        assert_eq!(back.meta().total_instructions, 2000);
-    }
-
-    #[test]
-    fn text_reader_tolerates_comments_and_blanks() {
-        let src = "# a comment\n\n0x10 T 1\n  0x14 N 2 \n# end\n";
-        let t = read_text(src.as_bytes()).unwrap();
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn text_reader_reports_line_numbers() {
-        let src = "0x10 T 1\n0x14 X 2\n";
-        let err = read_text(src.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("offset 2"), "{err}");
-    }
-
-    #[test]
-    fn text_reader_rejects_out_of_order() {
-        let src = "0x10 T 10\n0x14 N 2\n";
-        assert!(matches!(
-            read_text(src.as_bytes()).unwrap_err(),
-            TraceError::OutOfOrder { .. }
-        ));
     }
 
     #[test]

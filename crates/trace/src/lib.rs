@@ -23,7 +23,7 @@
 //! * [`profile::BranchProfile`] — per-static-branch execution statistics
 //!   (execution counts, taken rates) and the frequency filter used to
 //!   reproduce Table 1's "percentage of dynamic branches analyzed".
-//! * [`io`] — compact binary and line-oriented text serialisation.
+//! * [`io`] — the compact delta-encoded binary format (`BWST1`).
 //! * [`stream`] — checksummed chunked streaming format (`BWSS2`) with
 //!   corruption salvage, plus the legacy `BWSS1` read path.
 //! * [`columnar`] — the columnar block format (`BWSS3`): SoA column
@@ -33,7 +33,6 @@
 //!   fallback) that [`decode`] and the streaming columnar analysis read.
 //! * [`codec`] — the shared varint/zigzag/CRC32 primitives under all of
 //!   them.
-//! * [`fault`] — deterministic fault injection for durability testing.
 //!
 //! # Example
 //!
@@ -60,7 +59,6 @@
 pub mod codec;
 pub mod columnar;
 mod error;
-pub mod fault;
 mod format;
 mod id;
 pub mod io;
@@ -71,7 +69,7 @@ pub mod stats;
 pub mod stream;
 mod trace;
 
-/// Failpoint sites this crate hosts (see [`bwsa_resilience::failpoint`]).
+/// Failpoint sites this crate hosts (see [`mod@bwsa_resilience::failpoint`]).
 pub mod failpoints {
     /// Fires once per record pulled through a [`crate::stream::StreamReader`].
     pub const DECODE_RECORD: &str = "trace.decode_record";

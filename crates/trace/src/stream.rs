@@ -524,13 +524,6 @@ impl<R: Read> StreamReader<R> {
         &self.report
     }
 
-    /// Number of data chunks accepted so far — advances as iteration
-    /// crosses chunk boundaries, so callers can align periodic work (e.g.
-    /// checkpoints) to chunk granularity.
-    pub fn chunks_read(&self) -> u64 {
-        self.report.chunks_ok
-    }
-
     /// Attaches an observer. The reader reports `trace.records_read`,
     /// `trace.chunks_ok`, `trace.chunks_dropped`, and
     /// `trace.crc_failures` counters as iteration progresses; decoding is

@@ -13,7 +13,7 @@
 //! * truncation inside the trailer loses no records, only the
 //!   instruction total.
 
-use bwsa_trace::fault::{Fault, FaultPlan, FaultyReader};
+use bwsa_resilience::fault::{Fault, FaultPlan, FaultyReader};
 use bwsa_trace::stream::{body_offset, RecoveryPolicy, StreamReader, StreamWriter};
 use bwsa_trace::BranchRecord;
 use proptest::prelude::*;

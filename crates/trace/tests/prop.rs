@@ -58,14 +58,6 @@ proptest! {
     }
 
     #[test]
-    fn text_roundtrip(trace in arb_trace()) {
-        let mut buf = Vec::new();
-        trace_io::write_text(&trace, &mut buf).unwrap();
-        let back = trace_io::read_text(&buf[..]).unwrap();
-        prop_assert_eq!(back.records(), trace.records());
-    }
-
-    #[test]
     fn profile_counts_sum_to_len(trace in arb_trace()) {
         let p = BranchProfile::from_trace(&trace);
         let sum: u64 = p.iter().map(|(_, s)| s.executions).sum();

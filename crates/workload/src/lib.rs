@@ -5,7 +5,7 @@
 //! traces. This crate produces equivalent traces from *synthetic programs*
 //! with controlled, realistic control-flow structure:
 //!
-//! * [`cfg`] — an executable program model: basic blocks, conditional
+//! * [`mod@cfg`] — an executable program model: basic blocks, conditional
 //!   branches, calls, and returns, each branch carrying a [`behavior`]
 //!   model (loop exits, biased and unbiased Bernoulli branches, periodic
 //!   patterns, globally correlated branches).

@@ -9,7 +9,7 @@
 //! *schedule* from the input's seed and interpreting the program.
 //!
 //! Input sets model the paper's §5.2 observation that "different areas of
-//! the program [are] exercised depending on the input data set": each
+//! the program \[are\] exercised depending on the input data set": each
 //! input draws its own region-popularity weights, and a high
 //! [`InputParams::concentration`] focuses execution on a few regions.
 

@@ -21,6 +21,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc: no broken or ambiguous doc links"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> clippy: no unwrap on library fallible paths"
 cargo clippy -p bwsa-resilience -p bwsa-trace -p bwsa-graph -p bwsa-predictor \
     -p bwsa-workload -p bwsa-obs -p bwsa-core -p bwsa-server -p bwsa-corpus --lib \
@@ -151,6 +154,27 @@ cmp "$convert_dir/bwst-windows.json" "$convert_dir/bws3-windows.json"
 cmp "$convert_dir/gcc-windows.json" "$convert_dir/gcc-windows-j2.json"
 for run in bwss bws3 j2 j3 ck resumed salvage salvage-j2 window; do
     cmp "$convert_dir/gcc.out" "$convert_dir/gcc-$run.out"
+done
+# A torn file has no instruction total: streamed, decoded for 2 workers
+# or windowed, --salvage counts up to the last record it recovered and
+# prints the same bytes. The BWSS2 stream loses its 40-byte end frame,
+# the BWSS3 file its footer and last third.
+"$bwsa" convert "$convert_dir/li.bwst" "$convert_dir/li.bwss" > /dev/null
+bwss_len=$(wc -c < "$convert_dir/li.bwss")
+head -c $((bwss_len - 40)) "$convert_dir/li.bwss" > "$convert_dir/torn.bwss"
+bws3_len=$(wc -c < "$convert_dir/li.bws3")
+head -c $((bws3_len * 2 / 3)) "$convert_dir/li.bws3" > "$convert_dir/torn.bws3"
+for torn in torn.bwss torn.bws3; do
+    "$bwsa" analyze "$convert_dir/$torn" --salvage 2> /dev/null > "$convert_dir/$torn.out"
+    "$bwsa" analyze "$convert_dir/$torn" --salvage --jobs 2 2> /dev/null \
+        > "$convert_dir/$torn-j2.out"
+    "$bwsa" analyze "$convert_dir/$torn" --salvage --window 4096 2> /dev/null \
+        | grep -v '^windows: ' > "$convert_dir/$torn-window.out"
+    cmp "$convert_dir/$torn.out" "$convert_dir/$torn-j2.out"
+    cmp "$convert_dir/$torn.out" "$convert_dir/$torn-window.out"
+    if grep -q unknown "$convert_dir/$torn.out"; then
+        echo "$torn: analyze printed an unknown instruction count"; exit 1
+    fi
 done
 
 echo "==> corpus smoke (manifest batch → fleet summary validates, order-invariant)"

@@ -111,11 +111,12 @@ use bwsa::trace::codec::crc32;
 use bwsa::trace::columnar::ColumnarFile;
 use bwsa::trace::mmap::TraceBytes;
 use bwsa::trace::stream::{RecoveryPolicy, SalvageReport, StreamReader, DEFAULT_CHUNK_RECORDS};
-use bwsa::trace::{stats::trace_stats, Format, Trace, TraceError};
+use bwsa::trace::{Format, Trace, TraceError};
 use bwsa::workload::suite::{Benchmark, InputSet};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 /// A CLI failure, classified for the exit code: misuse of the command
@@ -379,6 +380,47 @@ impl Parsed {
     fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|(n, _)| n == name)
     }
+
+    /// `--name`'s value as a number, `None` when the flag is absent.
+    fn number<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.value(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| usage_err(format!("bad --{name} {v:?}")))
+            })
+            .transpose()
+    }
+
+    /// [`Parsed::number`] that must also be [`Positive`].
+    fn positive<T: FromStr + Positive>(&self, name: &str) -> Result<Option<T>, CliError> {
+        match self.number::<T>(name)? {
+            Some(n) if !n.is_positive() => Err(usage_err(format!("--{name} must be positive"))),
+            n => Ok(n),
+        }
+    }
+}
+
+/// A flag value that can be required to be positive: a nonzero count,
+/// or a finite amount above zero.
+trait Positive: Copy {
+    fn is_positive(self) -> bool;
+}
+
+macro_rules! nonzero_is_positive {
+    ($($t:ty),*) => {$(
+        impl Positive for $t {
+            fn is_positive(self) -> bool {
+                self != 0
+            }
+        }
+    )*};
+}
+nonzero_is_positive!(u32, u64, usize);
+
+impl Positive for f64 {
+    fn is_positive(self) -> bool {
+        self.is_finite() && self > 0.0
+    }
 }
 
 /// A trace file's bytes, memory-mapped where the file allows it.
@@ -549,33 +591,11 @@ fn write_trace(trace: &Trace, format: Format, path: &str) -> Result<(), CliError
     w.flush().map_err(|e| runtime_err(e.to_string()))
 }
 
-fn threshold_of(p: &Parsed) -> Result<ConflictConfig, CliError> {
-    match p.value("threshold") {
-        None => Ok(ConflictConfig::default()),
-        Some(v) => {
-            let t: u64 = v
-                .parse()
-                .map_err(|_| usage_err(format!("bad threshold {v:?}")))?;
-            ConflictConfig::with_threshold(t).map_err(|e| usage_err(e.to_string()))
-        }
-    }
-}
-
-/// Worker count from `--jobs`: `None` when the flag is absent (callers
-/// pick a subcommand-appropriate default), `Some(n ≥ 1)` otherwise.
-fn jobs_of(p: &Parsed) -> Result<Option<usize>, CliError> {
-    match p.value("jobs") {
-        None => Ok(None),
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| usage_err(format!("bad --jobs {v:?}")))?;
-            if n == 0 {
-                return Err(usage_err("--jobs must be positive"));
-            }
-            Ok(Some(n))
-        }
-    }
+/// The conflict threshold `--threshold` names, `None` when it is absent.
+fn threshold_of(p: &Parsed) -> Result<Option<ConflictConfig>, CliError> {
+    p.number("threshold")?
+        .map(|t| ConflictConfig::with_threshold(t).map_err(|e| usage_err(e.to_string())))
+        .transpose()
 }
 
 /// Resolves an optional `--jobs` value to a parallel-analysis
@@ -591,52 +611,23 @@ fn parallel_config(jobs: Option<usize>) -> ParallelConfig {
 /// `--max-rss-mb`; `None` when none of the flags are present (plain,
 /// unsupervised execution).
 fn supervisor_of(p: &Parsed) -> Result<Option<SupervisorConfig>, CliError> {
+    let retries = p.number("retries")?;
+    let max_wall = p.positive("max-seconds")?.map(Duration::from_secs_f64);
+    let max_rss_bytes = p.positive("max-rss-mb")?.map(|mb: u64| mb * 1024 * 1024);
+    if retries.is_none() && max_wall.is_none() && max_rss_bytes.is_none() {
+        return Ok(None);
+    }
     let mut config = SupervisorConfig::default();
-    let mut any = false;
-    if let Some(v) = p.value("retries") {
-        config.retries = v
-            .parse()
-            .map_err(|_| usage_err(format!("bad --retries {v:?}")))?;
-        any = true;
-    }
-    if let Some(v) = p.value("max-seconds") {
-        let secs: f64 = v
-            .parse()
-            .map_err(|_| usage_err(format!("bad --max-seconds {v:?}")))?;
-        if !secs.is_finite() || secs <= 0.0 {
-            return Err(usage_err("--max-seconds must be positive"));
-        }
-        config.max_wall = Some(Duration::from_secs_f64(secs));
-        any = true;
-    }
-    if let Some(v) = p.value("max-rss-mb") {
-        let mb: u64 = v
-            .parse()
-            .map_err(|_| usage_err(format!("bad --max-rss-mb {v:?}")))?;
-        if mb == 0 {
-            return Err(usage_err("--max-rss-mb must be positive"));
-        }
-        config.max_rss_bytes = Some(mb * 1024 * 1024);
-        any = true;
-    }
-    Ok(any.then_some(config))
+    config.retries = retries.unwrap_or(config.retries);
+    config.max_wall = max_wall;
+    config.max_rss_bytes = max_rss_bytes;
+    Ok(Some(config))
 }
 
 /// Checkpoint cadence in records, derived from `--checkpoint-every` (in
 /// stream chunks; default 64). `None` when `--checkpoint` was not given.
 fn checkpoint_cadence(p: &Parsed) -> Result<Option<(String, u64)>, CliError> {
-    let every: u64 = match p.value("checkpoint-every") {
-        None => 64,
-        Some(v) => {
-            let n = v
-                .parse()
-                .map_err(|_| usage_err(format!("bad --checkpoint-every {v:?}")))?;
-            if n == 0 {
-                return Err(usage_err("--checkpoint-every must be positive"));
-            }
-            n
-        }
-    };
+    let every: u64 = p.positive("checkpoint-every")?.unwrap_or(64);
     match p.value("checkpoint") {
         Some(path) => Ok(Some((
             path.to_owned(),
@@ -707,14 +698,7 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
         "b" | "B" => InputSet::B,
         other => return Err(usage_err(format!("bad input set {other:?} (use a or b)"))),
     };
-    let scale: f64 = p
-        .value("scale")
-        .unwrap_or("1.0")
-        .parse()
-        .map_err(|_| usage_err("bad scale"))?;
-    if scale <= 0.0 {
-        return Err(usage_err("scale must be positive"));
-    }
+    let scale = p.positive("scale")?.unwrap_or(1.0);
     let format = format_flag(&p)?.unwrap_or(Format::Bwst);
     let out_path = p.value("o").map(str::to_owned).unwrap_or_else(|| {
         let ext = format.extension();
@@ -779,13 +763,13 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
         .first()
         .ok_or_else(|| usage_err("analyze needs a trace file"))?;
     let pipeline = AnalysisPipeline {
-        conflict: threshold_of(&p)?,
+        conflict: threshold_of(&p)?.unwrap_or_default(),
         ..AnalysisPipeline::new()
     };
     checkpoint_cadence(&p)?;
     let spec = report_spec(&p)?;
     let obs = spec.observer();
-    let jobs = jobs_of(&p)?;
+    let jobs: Option<usize> = p.positive("jobs")?;
     let supervisor = supervisor_of(&p)?;
     let windowing = window_spec(&p)?;
     let wants_checkpointing = p.value("checkpoint").is_some() || p.value("resume").is_some();
@@ -878,14 +862,8 @@ fn analyze_in_memory(
         .map(|wall| watchdog::arm(Instant::now() + wall));
     let analysis = session.run().map_err(|e| runtime_err(e.to_string()))?;
     if !spec.json_only() {
-        println!("{trace}");
-        let s = trace_stats(trace);
-        println!(
-            "density {:.3} branches/instr, dynamic taken rate {:.1}%",
-            s.branch_density,
-            s.dynamic_taken_rate * 100.0
-        );
-        print_analysis(analysis, pipeline);
+        let meta = trace.meta();
+        print_analysis(&meta.name, meta.total_instructions, analysis, pipeline);
     }
     if let Some((config, emit)) = windowing {
         let windowed = session.windowed().map_err(|e| runtime_err(e.to_string()))?;
@@ -910,28 +888,6 @@ fn analyze_in_memory(
         spec.emit(&report)?;
     }
     Ok(())
-}
-
-/// The configuration echo for the streaming `analyze` path, which has no
-/// [`Session`] to build one (the trace is never materialised).
-fn stream_config_json(pipeline: &AnalysisPipeline) -> Json {
-    Json::object([
-        (
-            "conflict_threshold",
-            Json::UInt(pipeline.conflict.threshold),
-        ),
-        (
-            "working_set_definition",
-            Json::from(format!("{:?}", pipeline.definition)),
-        ),
-        ("taken_threshold", Json::Float(pipeline.taken_threshold)),
-        (
-            "not_taken_threshold",
-            Json::Float(pipeline.not_taken_threshold),
-        ),
-        ("execution", Json::from("streaming")),
-        ("jobs", Json::UInt(1)),
-    ])
 }
 
 /// Streaming `analyze` of a BWSS or BWSS3 trace, in constant memory:
@@ -1010,36 +966,21 @@ fn analyze_streaming(
         (reader.name().to_owned(), instructions, result)
     };
 
-    let n = result.profile.total_dynamic();
-    let static_count = result.profile.static_count();
     if !spec.json_only() {
-        println!(
-            "trace '{}': {} dynamic branches over {} static sites, {} instructions",
-            trace_name,
-            n,
-            static_count,
-            instructions.map_or_else(|| "unknown".to_owned(), |t| t.to_string())
-        );
-        let taken: u64 = result.profile.iter().map(|(_, s)| s.taken).sum();
-        let density = match instructions {
-            Some(t) if t > 0 => n as f64 / t as f64,
-            _ => 0.0,
-        };
-        let taken_rate = if n > 0 { taken as f64 / n as f64 } else { 0.0 };
-        println!(
-            "density {:.3} branches/instr, dynamic taken rate {:.1}%",
-            density,
-            taken_rate * 100.0
-        );
-        print_analysis(&result, pipeline);
+        // A torn file has no trailer or footer total: count up to the
+        // last record, as a decoded trace does.
+        let last_time = result.profile.iter().map(|(_, s)| s.last_time.get()).max();
+        let instructions = instructions.or(last_time).unwrap_or(0);
+        print_analysis(&trace_name, instructions, &result, pipeline);
     }
     if let Some(metrics) = obs.snapshot() {
+        let profile = &result.profile;
         let mut report = RunReport::new(
             "analyze",
             trace_name,
-            n,
-            static_count as u64,
-            stream_config_json(pipeline),
+            profile.total_dynamic(),
+            profile.static_count() as u64,
+            pipeline.config_json("streaming", 1, None),
             &metrics,
         );
         push_analysis_digests(&mut report, &result);
@@ -1048,9 +989,28 @@ fn analyze_streaming(
     Ok(())
 }
 
-/// The common tail of `analyze` output, shared by the in-memory and
-/// streaming paths.
-fn print_analysis(analysis: &bwsa::core::Analysis, pipeline: &AnalysisPipeline) {
+/// Prints `analyze`'s human output, the same for the in-memory and the
+/// streaming path: the trace header, density and taken rate, then the
+/// conflict graph, working sets and classification. `instructions` is
+/// the file's trailer or footer total, else its last record's timestamp.
+fn print_analysis(name: &str, instructions: u64, analysis: &Analysis, pipeline: &AnalysisPipeline) {
+    let profile = &analysis.profile;
+    let n = profile.total_dynamic();
+    println!(
+        "trace '{name}': {n} dynamic branches over {} static sites, {instructions} instructions",
+        profile.static_count()
+    );
+    let taken: u64 = profile.iter().map(|(_, s)| s.taken).sum();
+    let density = if instructions > 0 {
+        n as f64 / instructions as f64
+    } else {
+        0.0
+    };
+    let taken_rate = if n > 0 { taken as f64 / n as f64 } else { 0.0 };
+    println!(
+        "density {density:.3} branches/instr, dynamic taken rate {:.1}%",
+        taken_rate * 100.0
+    );
     let r = &analysis.working_sets.report;
     println!(
         "\nconflict graph: {} edges kept of {} raw ({} threshold)",
@@ -1084,18 +1044,14 @@ fn cmd_allocate(args: &[String]) -> Result<(), CliError> {
         .positionals
         .first()
         .ok_or_else(|| usage_err("allocate needs a trace file"))?;
-    let table: usize = p
-        .value("table")
-        .unwrap_or("1024")
-        .parse()
-        .map_err(|_| usage_err("bad table size"))?;
+    let table: usize = p.number("table")?.unwrap_or(1024);
     let supervisor = supervisor_of(&p)?;
     let spec = report_spec(&p)?;
     let obs = spec.observer();
     let (trace, report) = load_trace(path, recovery_policy(&p), &obs)?;
     warn_salvage(path, &report);
     let pipeline = AnalysisPipeline {
-        conflict: threshold_of(&p)?,
+        conflict: threshold_of(&p)?.unwrap_or_default(),
         ..AnalysisPipeline::new()
     };
     let classified = Classified(p.has("classify"));
@@ -1184,7 +1140,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
         .first()
         .ok_or_else(|| usage_err("simulate needs a trace file"))?;
     let cadence = checkpoint_cadence(&p)?;
-    let jobs = jobs_of(&p)?.unwrap_or_else(|| ParallelConfig::available().jobs.get());
+    let jobs = p
+        .positive("jobs")?
+        .unwrap_or_else(|| ParallelConfig::available().jobs.get());
     let spec = report_spec(&p)?;
     let obs = spec.observer();
     let wants_checkpointing = cadence.is_some() || p.value("resume").is_some();
@@ -1315,7 +1273,7 @@ fn cmd_dot(args: &[String]) -> Result<(), CliError> {
     let (trace, report) = load_trace(path, recovery_policy(&p), &Obs::noop())?;
     warn_salvage(path, &report);
     let pipeline = AnalysisPipeline {
-        conflict: threshold_of(&p)?,
+        conflict: threshold_of(&p)?.unwrap_or_default(),
         ..AnalysisPipeline::new()
     };
     let session = Session::new(&trace).with_pipeline(pipeline);
@@ -1434,29 +1392,11 @@ fn cmd_corpus(args: &[String]) -> Result<(), CliError> {
             "--no-cache conflicts with --resume (resume replays the result cache)",
         ));
     }
-    let report_mode = match p.value("report") {
-        None => None,
-        Some("json") => Some(ReportMode::Json),
-        Some("text") => Some(ReportMode::Text),
-        Some(other) => {
-            return Err(usage_err(format!(
-                "bad --report {other:?} (use json or text)"
-            )))
-        }
-    };
     // Validate every flag before touching the filesystem: misuse exits
     // 2 even when the manifest does not exist.
-    let jobs = jobs_of(&p)?;
-    let threshold = match p.value("threshold") {
-        None => None,
-        Some(v) => {
-            let t: u64 = v
-                .parse()
-                .map_err(|_| usage_err(format!("bad threshold {v:?}")))?;
-            ConflictConfig::with_threshold(t).map_err(|e| usage_err(e.to_string()))?;
-            Some(t)
-        }
-    };
+    let report_mode = report_spec(&p)?.mode;
+    let jobs = p.positive("jobs")?;
+    let threshold = threshold_of(&p)?;
     let supervisor = supervisor_of(&p)?;
     let corpus = Corpus::open(manifest.as_ref()).map_err(|e| {
         if e.is_usage() {
@@ -1469,8 +1409,8 @@ fn cmd_corpus(args: &[String]) -> Result<(), CliError> {
     if let Some(jobs) = jobs {
         session = session.with_jobs(jobs);
     }
-    if let Some(t) = threshold {
-        session = session.with_threshold(t);
+    if let Some(config) = threshold {
+        session = session.with_threshold(config.threshold);
     }
     if let Some(config) = supervisor {
         session = session.with_supervisor(config);
@@ -1669,81 +1609,32 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             p.positionals[1]
         )));
     }
-    let positive_u32 = |name: &str, default: u32| -> Result<u32, CliError> {
-        match p.value(name) {
-            None => Ok(default),
-            Some(v) => {
-                let n: u32 = v
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad --{name} {v:?}")))?;
-                if n == 0 {
-                    return Err(usage_err(format!("--{name} must be positive")));
-                }
-                Ok(n)
-            }
-        }
-    };
     let mut config = ServerConfig::new(socket);
     config.admission = AdmissionConfig {
-        workers: positive_u32("workers", 4)?,
-        shed_watermark: match p.value("queue") {
-            None => 16,
-            Some(v) => v
-                .parse()
-                .map_err(|_| usage_err(format!("bad --queue {v:?}")))?,
-        },
-        jitter_seed: match p.value("seed") {
-            None => AdmissionConfig::default().jitter_seed,
-            Some(v) => v
-                .parse()
-                .map_err(|_| usage_err(format!("bad --seed {v:?}")))?,
-        },
+        workers: p.positive("workers")?.unwrap_or(4),
+        shed_watermark: p.number("queue")?.unwrap_or(16),
+        jitter_seed: p
+            .number("seed")?
+            .unwrap_or(AdmissionConfig::default().jitter_seed),
     };
     config.quotas = TenantQuotas {
-        max_concurrent: positive_u32("max-concurrent", 4)?,
-        max_in_flight_bytes: match p.value("max-bytes-mb") {
-            None => TenantQuotas::default().max_in_flight_bytes,
-            Some(v) => {
-                let mb: u64 = v
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad --max-bytes-mb {v:?}")))?;
-                if mb == 0 {
-                    return Err(usage_err("--max-bytes-mb must be positive"));
-                }
+        max_concurrent: p.positive("max-concurrent")?.unwrap_or(4),
+        max_in_flight_bytes: p
+            .positive("max-bytes-mb")?
+            .map_or(TenantQuotas::default().max_in_flight_bytes, |mb: u64| {
                 mb * 1024 * 1024
-            }
-        },
+            }),
     };
-    config.request_deadline = match p.value("deadline-seconds") {
-        None => Some(Duration::from_secs(60)),
-        Some(v) => {
-            let secs: f64 = v
-                .parse()
-                .map_err(|_| usage_err(format!("bad --deadline-seconds {v:?}")))?;
-            if !secs.is_finite() || secs <= 0.0 {
-                return Err(usage_err("--deadline-seconds must be positive"));
-            }
-            Some(Duration::from_secs_f64(secs))
-        }
-    };
-    if let Some(v) = p.value("retries") {
-        config.supervisor.retries = v
-            .parse()
-            .map_err(|_| usage_err(format!("bad --retries {v:?}")))?;
+    config.request_deadline = Some(
+        p.positive("deadline-seconds")?
+            .map_or(Duration::from_secs(60), Duration::from_secs_f64),
+    );
+    // `serve` takes no --max-seconds, so the supervisor sets no deadline:
+    // each request's deadline is --deadline-seconds, armed on the thread
+    // that serves it.
+    if let Some(supervisor) = supervisor_of(&p)? {
+        config.supervisor = supervisor;
     }
-    if let Some(v) = p.value("max-rss-mb") {
-        let mb: u64 = v
-            .parse()
-            .map_err(|_| usage_err(format!("bad --max-rss-mb {v:?}")))?;
-        if mb == 0 {
-            return Err(usage_err("--max-rss-mb must be positive"));
-        }
-        config.supervisor.max_rss_bytes = Some(mb * 1024 * 1024);
-    }
-    // Per-request deadlines use the thread-local watchdog; the
-    // supervisor's process-global deadline stays off so concurrent
-    // requests cannot clobber each other.
-    config.supervisor.max_wall = None;
     if let Some(dir) = p.value("corpus-cache") {
         config.corpus_cache = Some(std::path::PathBuf::from(dir));
     }
@@ -1778,50 +1669,18 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
         )
     })?;
     let tenant = p.value("tenant").unwrap_or("cli");
-    let threshold = match p.value("threshold") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| usage_err(format!("bad threshold {v:?}")))?,
-        ),
-    };
-    let retries: u32 = match p.value("retries") {
-        None => 0,
-        Some(v) => v
-            .parse()
-            .map_err(|_| usage_err(format!("bad --retries {v:?}")))?,
-    };
-    let jobs = jobs_of(&p)?.unwrap_or(0) as u64;
+    let threshold: Option<u64> = p.number("threshold")?;
+    let retries: u32 = p.number("retries")?.unwrap_or(0);
+    let jobs: u64 = p.positive("jobs")?.unwrap_or(0);
     // Read the trace once, before the retry loop: a shed request
     // retries the same bytes instead of re-touching the file.
     let upload: Option<Vec<u8>> = match action.as_str() {
-        "analyze" => {
+        "analyze" | "report" | "subscribe" | "allocate" => {
             let path = p
                 .positionals
                 .get(2)
-                .ok_or_else(|| usage_err("client analyze needs a trace file"))?;
-            Some(trace_upload_bytes(path)?)
-        }
-        "report" => {
-            let path = p
-                .positionals
-                .get(2)
-                .ok_or_else(|| usage_err("client report needs a trace file"))?;
-            Some(trace_upload_bytes(path)?)
-        }
-        "subscribe" => {
-            let path = p
-                .positionals
-                .get(2)
-                .ok_or_else(|| usage_err("client subscribe needs a trace file"))?;
-            Some(trace_upload_bytes(path)?)
-        }
-        "allocate" => {
-            let path = p
-                .positionals
-                .get(2)
-                .ok_or_else(|| usage_err("client allocate needs a trace file"))?;
-            Some(trace_upload_bytes(path)?)
+                .ok_or_else(|| usage_err(format!("client {action} needs a trace file")))?;
+            Some(std::fs::read(path).map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?)
         }
         _ => None,
     };
@@ -1855,12 +1714,7 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
                 )
             }
             "allocate" => {
-                let table: u64 = match p.value("table") {
-                    None => 1024,
-                    Some(v) => v
-                        .parse()
-                        .map_err(|_| usage_err(format!("bad --table {v:?}")))?,
-                };
+                let table = p.number("table")?.unwrap_or(1024);
                 client.allocate(upload.clone().unwrap(), threshold, table, p.has("classify"))
             }
             "corpus" => {
@@ -1919,12 +1773,6 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
             )))
         }
     }
-}
-
-/// Reads a trace file for upload. Every format travels as-is: the
-/// daemon decodes all three.
-fn trace_upload_bytes(path: &str) -> Result<Vec<u8>, CliError> {
-    std::fs::read(path).map_err(|e| runtime_err(format!("cannot read {path}: {e}")))
 }
 
 #[cfg(test)]
@@ -2044,8 +1892,9 @@ mod tests {
             );
         }
         let p = parse(&strs(&["--jobs", "4"]), &["jobs"], &[]).unwrap();
-        assert_eq!(jobs_of(&p).unwrap(), Some(4));
-        assert_eq!(jobs_of(&parse(&[], &["jobs"], &[]).unwrap()).unwrap(), None);
+        assert_eq!(p.positive::<usize>("jobs").unwrap(), Some(4));
+        let absent = parse(&[], &["jobs"], &[]).unwrap();
+        assert_eq!(absent.positive::<usize>("jobs").unwrap(), None);
     }
 
     #[test]

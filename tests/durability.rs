@@ -253,6 +253,55 @@ fn damaged_columnar_block_salvages_to_the_same_answer_on_every_path() {
     std::fs::remove_file(clean_path).ok();
 }
 
+/// A torn file has no trailer or footer total, so every `analyze` path
+/// counts instructions up to the last record it recovered: streamed,
+/// decoded for two workers, or windowed, a torn BWSS2 or BWSS3 file
+/// prints the same bytes.
+#[test]
+fn torn_traces_print_the_same_analysis_on_every_path() {
+    let trace = Benchmark::Li.generate_scaled(InputSet::A, 0.01);
+    let stream = stream_bytes(&trace);
+    let mut columnar = Vec::new();
+    bwsa::trace::Format::Bwss3
+        .write(&trace, &mut columnar)
+        .unwrap();
+    // The stream loses its end frame and nothing else; the columnar file
+    // loses its footer and the blocks past two thirds of its length.
+    let last = trace.records().last().unwrap().time;
+    for (name, bytes, header) in [
+        ("torn.bwss", &stream[..stream.len() - 40], Some(last)),
+        ("torn.bws3", &columnar[..columnar.len() * 2 / 3], None),
+    ] {
+        let path = temp_path(name);
+        std::fs::write(&path, bytes).unwrap();
+        let run = |flags: &[&str]| {
+            let out = bwsa()
+                .arg("analyze")
+                .arg(&path)
+                .arg("--salvage")
+                .args(flags)
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(0), "{name} {flags:?}");
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            let kept: Vec<&str> = stdout
+                .lines()
+                .filter(|line| !line.starts_with("windows: "))
+                .collect();
+            kept.join("\n")
+        };
+        let streamed = run(&[]);
+        assert!(!streamed.contains("unknown"), "{name}: {streamed}");
+        if let Some(time) = header {
+            let expected = format!("static sites, {time} instructions");
+            assert!(streamed.contains(&expected), "{name}: {streamed}");
+        }
+        assert_eq!(run(&["--jobs", "2"]), streamed, "{name} --jobs 2");
+        assert_eq!(run(&["--window", "4096"]), streamed, "{name} --window");
+        std::fs::remove_file(path).ok();
+    }
+}
+
 #[test]
 fn simulation_killed_after_a_checkpoint_resumes_to_the_same_result() {
     // Compress at 0.05 ≈ 20k records: checkpoints at each 4096-record

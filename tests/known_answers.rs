@@ -22,21 +22,34 @@
 //!
 //! A windowed run is also checked window by window, on two disjoint loops
 //! that alternate in phases: what each record credits follows from its
-//! phase, round and slot alone (see [`Alternating`]).
+//! phase, round and slot alone (see [`Alternating`]). When the windows
+//! are the phases, every window after the first shares no branch with
+//! the one before it, and the whole-trace weights have a closed form on
+//! every engine.
+//!
+//! Allocation has a known answer too: a table with an entry for every
+//! static branch gives each branch its own entry, so PAg over it keeps
+//! one history per branch and mispredicts exactly as the
+//! interference-free PAg does.
 
 use bwsa::core::columnar::analyze_columnar_stream;
 use bwsa::core::pipeline::AnalysisPipeline;
 use bwsa::core::{
-    analyze_parallel, Analysis, ConflictConfig, ParallelConfig, WindowConfig, WindowedAnalysis,
+    analyze_parallel, Analysis, Classified, ConflictConfig, ParallelConfig, Session, WindowConfig,
+    WindowedAnalysis, WindowedResult,
 };
 use bwsa::obs::Obs;
+use bwsa::predictor::{simulate, BhtIndexer, Pag};
 use bwsa::trace::columnar::ColumnarWriter;
 use bwsa::trace::stream::RecoveryPolicy;
-use bwsa::trace::{Trace, TraceBuilder};
+use bwsa::trace::{BranchId, Trace, TraceBuilder};
+use bwsa::workload::suite::{Benchmark, InputSet};
 use std::collections::BTreeSet;
 
-/// Static branch counts on both sides of the dense-row cap.
-const SIZES: [u64; 4] = [2, 4095, 4096, 4097];
+/// Static branch counts on both sides of the dense-row cap. At 4096 +
+/// `LOOP / 2` half of a top loop sits past the cap, so pairs with one or
+/// both ids past it credit through the spill table.
+const SIZES: [u64; 5] = [2, 4095, 4096, 4097, 4096 + LOOP / 2];
 
 /// Branches per loop, at most.
 const LOOP: u64 = 48;
@@ -326,8 +339,8 @@ fn expected_window(
 }
 
 /// Drives `alt` through `window`-record windows and checks every window
-/// against [`expected_window`]; returns the number of windows.
-fn check_windows(alt: &Alternating, window: u64) -> usize {
+/// against [`expected_window`]; returns the windowed result.
+fn check_windows(alt: &Alternating, window: u64) -> WindowedResult {
     let trace = alt.trace();
     assert_eq!(trace.len() as u64, alt.len());
     let config = WindowConfig::branches(window).unwrap().with_table_size(16);
@@ -348,15 +361,16 @@ fn check_windows(alt: &Alternating, window: u64) -> usize {
         assert_eq!(w.executed_branches, executed.len(), "{case}: executed");
         assert_eq!(w.interleave_pairs, pairs, "{case}: pairs");
         assert_eq!(w.interleave_weight, weight, "{case}: weight");
-        let phase_change = previous.as_ref().is_some_and(|prev| {
+        let jaccard = previous.as_ref().map_or(1.0, |prev| {
             let shared = prev.intersection(&executed).count();
-            let union = prev.len() + executed.len() - shared;
-            2 * shared < union // Jaccard below one half
+            shared as f64 / (prev.len() + executed.len() - shared) as f64
         });
+        assert_eq!(w.jaccard, jaccard, "{case}: Jaccard");
+        let phase_change = previous.is_some() && jaccard < 0.5;
         assert_eq!(w.phase_change, phase_change, "{case}: phase change");
         previous = Some(executed);
     }
-    result.windows.len()
+    result
 }
 
 #[test]
@@ -373,6 +387,13 @@ fn alternating_loops_give_each_window_its_closed_form() {
     };
     for window in [30, 15, 11, 45] {
         check_windows(&alt, window);
+    }
+    // Windows of one phase run the two loops in turn: every window after
+    // the first shares no branch with the one before it.
+    let phases = check_windows(&alt, alt.phase_len());
+    assert_eq!(phases.phase_changes, alt.phases - 1);
+    for w in &phases.windows[1..] {
+        assert_eq!((w.jaccard, w.phase_change), (0.0, true), "#{}", w.index);
     }
     // With windows of one phase the credit rule reduces to closed form:
     // phase p holds (rounds − 1)·m·(m − 1) credits to its own loop's
@@ -391,6 +412,24 @@ fn alternating_loops_give_each_window_its_closed_form() {
             weight,
             (rounds - 1) * m * (m - 1) + returning * m * (2 * m - 1)
         );
+    }
+    // Over the whole trace, loop L runs n_L phases: as one round-robin of
+    // n_L · rounds rounds, each of its pairs weighs 2(n_L · rounds − 1). A
+    // cross pair gains 1 each time a loop returns after the other ran:
+    // phases − 2 times in all.
+    let runs = [alt.phases.div_ceil(2), alt.phases / 2];
+    let own = |l: usize| 2 * (runs[l] * rounds - 1);
+    let cross = alt.phases - 2;
+    let total = m * (m - 1) / 2 * (own(0) + own(1)) + m * m * cross;
+    for (engine, analysis) in every_engine(&alt.trace(), &pipeline(1), alt.phase_len()) {
+        let c = &analysis.conflict;
+        assert_eq!(c.raw_edge_count as u64, m * (m - 1) + m * m, "{engine}");
+        assert_eq!(c.raw_total_weight, total, "{engine}: total");
+        for (a, b, weight) in c.graph.iter_edges() {
+            let (la, lb) = ((u64::from(a) / m) as usize, (u64::from(b) / m) as usize);
+            let expected = if la == lb { own(la) } else { cross };
+            assert_eq!(weight, expected, "{engine}: ({a}, {b})");
+        }
     }
 }
 
@@ -411,5 +450,30 @@ fn alternating_loops_above_the_dense_cap_give_each_window_its_closed_form() {
         for &window in windows {
             check_windows(&alt, window);
         }
+    }
+}
+
+#[test]
+fn an_entry_per_branch_mispredicts_exactly_as_interference_free() {
+    let trace = Benchmark::Li.generate_scaled(InputSet::A, 0.01);
+    let k = trace.static_branch_count();
+    let free = simulate(&mut Pag::interference_free(), &trace);
+    let session = Session::new(&trace).with_pipeline(pipeline(1));
+    for table in [k, k + 1, 2 * k] {
+        let allocation = session.allocate(Classified(false), table).unwrap();
+        assert_eq!(allocation.conflict_mass, 0, "table {table}");
+        assert_eq!(allocation.conflicting_pairs, 0, "table {table}");
+        let entries: BTreeSet<u32> = (0..k as u32)
+            .map(|id| allocation.index.entry(BranchId::new(id)))
+            .map(|entry| entry.expect("every branch is assigned"))
+            .collect();
+        assert_eq!(entries.len(), k, "table {table}: one entry per branch");
+        let mut pag = Pag::paper_with_indexer(BhtIndexer::Allocated(allocation.index));
+        let allocated = simulate(&mut pag, &trace);
+        assert_eq!(allocated.total, free.total);
+        assert_eq!(
+            allocated.mispredictions, free.mispredictions,
+            "table {table}"
+        );
     }
 }

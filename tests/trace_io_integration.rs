@@ -32,13 +32,3 @@ fn binary_format_is_compact() {
         trace.len()
     );
 }
-
-#[test]
-fn text_roundtrip_through_io_traits() {
-    let trace = Benchmark::Pgp.generate_scaled(InputSet::A, 0.01);
-    let mut buf = Vec::new();
-    trace_io::write_text(&trace, &mut buf).expect("write");
-    let back = trace_io::read_text(&buf[..]).expect("read");
-    assert_eq!(back.records(), trace.records());
-    assert_eq!(back.meta().name, trace.meta().name);
-}
