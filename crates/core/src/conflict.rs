@@ -72,7 +72,7 @@ impl ConflictAnalysis {
     /// Runs interleaving analysis (step 1) and thresholding (step 2) on a
     /// trace.
     pub fn of_trace(trace: &Trace, config: ConflictConfig) -> Self {
-        Self::of_raw_graph(detect(trace).into_graph(), config)
+        detect(trace).compile(config)
     }
 
     /// Thresholds an already-built raw interleave graph (used by the

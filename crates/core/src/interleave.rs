@@ -25,15 +25,18 @@
 //! probing a hash table that has outgrown the cache. Rows cover ids below
 //! `DENSE_NODES` (4096); pairs with an endpoint above it, folded rows and
 //! edges restored from a checkpoint live in a [`GraphBuilder`], the spill
-//! table. Every engine compiles the CSR graph straight from rows and
-//! spill in sorted order; a parallel run first moves its workers' rows,
-//! which credit disjoint branches, into one detector. A windowed run
-//! keeps one detector for the whole trace and reads each window out of
-//! it: a row is copied at its first credit in the window, and the flush
-//! walks the touched rows' differences from those copies.
-//! [`interleave_counts_naive`] is an independent linear-scan oracle used
-//! by the tests.
+//! table. Every engine compiles the thresholded conflict graph in one
+//! walk over rows and spill in increasing pair order: each pair adds to
+//! the raw pair count and weight, and only a pair whose whole weight
+//! reaches the threshold enters the CSR, so no raw graph is built. A
+//! parallel run first moves its workers' rows, which credit disjoint
+//! branches, into one detector. A windowed run keeps one detector for
+//! the whole trace and reads each window out of it: a row is copied at
+//! its first credit in the window, and the flush walks the touched rows'
+//! differences from those copies. [`interleave_counts_naive`] is an
+//! independent linear-scan oracle used by the tests.
 
+use crate::conflict::{ConflictAnalysis, ConflictConfig};
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use crate::recency::RecencyRing;
 use bwsa_graph::{ConflictGraph, GraphBuilder};
@@ -81,11 +84,19 @@ const ROW_STEP: usize = 128;
 /// assert_eq!(g.edge_weight(1, 2), None);    // B and C never re-executed
 /// ```
 pub fn interleave_counts(trace: &Trace) -> GraphBuilder {
-    detect(trace).into_builder()
+    let detector = detect(trace);
+    let spill = detector.sorted_spill();
+    let edges = detector.sorted_edges(&spill);
+    let mut builder =
+        GraphBuilder::with_capacity(detector.spill.node_count(), edges.clone().count());
+    for (a, b, w) in edges {
+        builder.add_edge(a, b, w);
+    }
+    builder
 }
 
-/// The [`Detector`] after every record of `trace`; `into_graph` on it is
-/// the raw conflict graph, compiled without a hash table.
+/// The [`Detector`] after every record of `trace`; `compile` on it is the
+/// thresholded conflict analysis.
 pub(crate) fn detect(trace: &Trace) -> Detector {
     let mut detector = Detector::new(trace.static_branch_count());
     for (id, rec) in trace.indexed_records() {
@@ -363,24 +374,12 @@ impl Detector {
         });
     }
 
-    /// Every accumulated edge folded into one [`GraphBuilder`], sized once
-    /// for the spill edges plus each dense pair. Only allocated rows are
-    /// visited.
-    pub(crate) fn into_builder(self) -> GraphBuilder {
-        let mut pairs = 0;
-        self.for_each_dense_pair(|_, _, _| pairs += 1);
-        let mut builder =
-            GraphBuilder::with_capacity(self.spill.node_count(), self.spill.edge_count() + pairs);
-        builder.merge(&self.spill);
-        self.for_each_dense_pair(|a, b, w| {
-            builder.add_edge(a, b, w);
-        });
-        builder
-    }
-
-    /// The raw conflict graph, compiled straight from rows and spill in
-    /// sorted order: no hash table, no per-node sort.
-    pub(crate) fn into_graph(self) -> ConflictGraph {
+    /// The thresholded conflict analysis, compiled in one walk over rows
+    /// and spill: every pair [`Detector::sorted_edges`] yields adds to the
+    /// raw pair count and weight, and only a pair whose whole weight
+    /// (both rows plus the spill entry) reaches `config.threshold` is kept
+    /// for the CSR. No raw graph is built.
+    pub(crate) fn compile(self, config: ConflictConfig) -> ConflictAnalysis {
         let spill = self.sorted_spill();
         let Detector {
             rows,
@@ -389,9 +388,23 @@ impl Detector {
             ..
         } = self;
         let nodes = table.node_count();
-        drop(table); // before the CSR arrays are allocated
-        let edges = sorted_edges(&rows, &allocated, nodes, &spill);
-        ConflictGraph::from_sorted_edges(nodes, edges)
+        drop(table); // before the kept pairs are collected
+        let (mut raw_edge_count, mut raw_total_weight) = (0, 0);
+        let mut kept = Vec::new();
+        for (a, b, w) in sorted_edges(&rows, &allocated, nodes, &spill) {
+            raw_edge_count += 1;
+            raw_total_weight += w;
+            if w >= config.threshold {
+                kept.push((a, b, w));
+            }
+        }
+        drop((rows, spill)); // before the CSR arrays are allocated
+        ConflictAnalysis {
+            graph: ConflictGraph::from_sorted_edges(nodes, kept.iter().copied()),
+            raw_edge_count,
+            raw_total_weight,
+            config,
+        }
     }
 
     /// The spill table's edges in increasing `(a, b)` order, for
@@ -409,26 +422,6 @@ impl Detector {
         spill: &'a [(u32, u32, u64)],
     ) -> impl Iterator<Item = (u32, u32, u64)> + Clone + 'a {
         sorted_edges(&self.rows, &self.allocated, self.spill.node_count(), spill)
-    }
-
-    /// Calls `f(a, b, weight)` once per pair with a nonzero dense count,
-    /// with `a < b`, in no particular order, reading allocated rows only.
-    fn for_each_dense_pair(&self, mut f: impl FnMut(u32, u32, u64)) {
-        for &a in &self.allocated {
-            for (b, &count) in self.rows[a as usize].counts.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                // Each pair once: from the lower id's row when that row
-                // saw the pair, else from this one.
-                let (b, back) = (b as u32, row_count(&self.rows, b, a as usize));
-                if a < b {
-                    f(a, b, u64::from(count) + u64::from(back));
-                } else if back == 0 {
-                    f(b, a, u64::from(count));
-                }
-            }
-        }
     }
 
     /// Lowers the fold point so tests can drive rows through it.
@@ -747,15 +740,11 @@ impl Accumulator {
         self.detector.push(id, stamp);
     }
 
-    /// The whole-trace [`Analysis`]: the CSR compiled from the rows, then
-    /// the observed assembly every engine shares.
+    /// The whole-trace [`Analysis`]: the observed assembly every engine
+    /// shares, starting with the thresholded compile of the rows.
     pub(crate) fn into_analysis(self, pipeline: &AnalysisPipeline, obs: &Obs) -> Analysis {
         let profile = BranchProfile::from_parts(self.stats, self.records);
-        let raw = {
-            let _span = obs.span("compile");
-            self.detector.into_graph()
-        };
-        pipeline.assemble(profile, raw, obs)
+        pipeline.assemble(profile, self.detector, obs)
     }
 }
 
@@ -769,6 +758,20 @@ mod tests {
         let mut v: Vec<_> = g.iter_edges().collect();
         v.sort_unstable();
         v
+    }
+
+    /// `detector`'s thresholded compile against the oracle's raw graph:
+    /// at every threshold the kept graph is the raw graph pruned, and the
+    /// raw pair count and weight are the raw graph's.
+    fn assert_compiles_like(detector: &Detector, naive: &GraphBuilder, case: &str) {
+        let raw = naive.build();
+        for threshold in [1, 2, 100, u64::MAX] {
+            let compiled = detector.clone().compile(ConflictConfig { threshold });
+            let case = format!("{case}, threshold {threshold}");
+            assert_eq!(compiled.graph, raw.pruned(threshold), "{case}");
+            assert_eq!(compiled.raw_edge_count, raw.edge_count(), "{case}");
+            assert_eq!(compiled.raw_total_weight, raw.total_weight(), "{case}");
+        }
     }
 
     #[test]
@@ -903,8 +906,8 @@ mod tests {
         assert!(detector.spill.edge_count() > 0, "pairs above the cap spill");
         assert!(detector.rows.iter().all(|r| r.counts.len() <= DENSE_NODES));
         let naive = interleave_counts_naive(&trace);
-        assert_eq!(weights(&detector.clone().into_builder()), weights(&naive));
-        assert_eq!(detector.into_graph(), naive.build());
+        assert_eq!(weights(&interleave_counts(&trace)), weights(&naive));
+        assert_compiles_like(&detector, &naive, "cap");
     }
 
     #[test]
@@ -934,8 +937,7 @@ mod tests {
             let spill = detector.sorted_spill();
             let sorted: Vec<_> = detector.sorted_edges(&spill).collect();
             assert_eq!(sorted, weights(&expected), "fold_at {fold_at}");
-            assert_eq!(detector.clone().into_graph(), expected.build());
-            assert_eq!(weights(&detector.into_builder()), weights(&expected));
+            assert_compiles_like(&detector, &expected, &format!("fold_at {fold_at}"));
         }
     }
 

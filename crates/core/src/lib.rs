@@ -79,7 +79,9 @@ pub mod failpoints {
     pub const PROFILE: &str = "core.profile";
     /// Fires at the start of the serial interleave stage.
     pub const INTERLEAVE: &str = "core.interleave";
-    /// Fires at the start of the conflict-graph pruning stage.
+    /// Fires at the start of the `compile` stage, where every engine
+    /// walks the detector's rows once and keeps the pairs that reach the
+    /// conflict threshold.
     pub const CONFLICT_PRUNE: &str = "core.conflict_prune";
     /// Fires at the start of the working-set extraction stage.
     pub const WORKING_SETS: &str = "core.working_sets";

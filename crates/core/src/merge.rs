@@ -81,8 +81,9 @@ impl CumulativeProfile {
             })
             .collect();
         self.builder.ensure_nodes(self.table.len() as u32);
-        let local = detect(trace).into_graph();
-        for (a, b, w) in local.iter_edges() {
+        let detector = detect(trace);
+        let spill = detector.sorted_spill();
+        for (a, b, w) in detector.sorted_edges(&spill) {
             self.builder
                 .add_edge(remap[a as usize], remap[b as usize], w);
         }

@@ -15,8 +15,8 @@
 //!    and only stamps the others, so at every record it holds exactly the
 //!    latest-stamp state of the serial pass.
 //! 3. **Stitch** (serial): the workers' rows are disjoint, so they move
-//!    into one detector and their spill tables add; the serial compile
-//!    and assembly finish the run.
+//!    into one detector and their spill tables add; the thresholded
+//!    compile and assembly every engine shares finish the run.
 //!
 //! No worker needs another's state, so the output is **bit-identical**
 //! to [`AnalysisPipeline::run_observed`] for any worker count — a
@@ -242,9 +242,10 @@ pub fn analyze_parallel(
     analyze_parallel_observed(pipeline, trace, config, &Obs::noop())
 }
 
-/// [`analyze_parallel`] with stage timings (`profile`, `shard_detect`,
-/// `compile`, then the shared downstream stages) and counters reported
-/// into `obs`; `core.shards_merged` counts the workers that ran.
+/// [`analyze_parallel`] with stage timings (`profile`, `shard_detect` for
+/// the workers and the stitch of their rows, then the shared tail from
+/// `compile` on) and counters reported into `obs`; `core.shards_merged`
+/// counts the workers that ran.
 ///
 /// The observer never participates in the computation, so the result is
 /// bit-identical whether or not it records.
@@ -309,25 +310,21 @@ fn analyze_parallel_with<M: ShardMapper>(
         BranchProfile::from_trace(trace)
     };
     let (owner, workers) = owners(&profile, config.jobs.get());
-    let detectors = {
+    let detector = {
         let _span = obs.span("shard_detect");
-        mapper.map(
+        let detectors = mapper.map(
             (0..workers).collect(),
             workers as usize,
             |_, worker: u32| {
                 bwsa_resilience::failpoint!("core.shard_detect");
                 detect_owned(trace, &owner, worker)
             },
-        )?
+        )?;
+        obs.add("core.shards_merged", detectors.len() as u64);
+        bwsa_resilience::failpoint!("core.shard_merge");
+        stitch(detectors)
     };
-    obs.add("core.shards_merged", detectors.len() as u64);
-
-    bwsa_resilience::failpoint!("core.shard_merge");
-    let raw = {
-        let _span = obs.span("compile");
-        stitch(detectors).into_graph()
-    };
-    Ok(pipeline.assemble(profile, raw, obs))
+    Ok(pipeline.assemble(profile, detector, obs))
 }
 
 #[cfg(test)]
@@ -427,9 +424,11 @@ mod tests {
             let detectors = (0..workers)
                 .map(|worker| detect_owned(&trace, &owner, worker))
                 .collect();
+            // Threshold 1 keeps every pair: the compiles are the raw graphs.
+            let keep_all = crate::ConflictConfig { threshold: 1 };
             proptest::prop_assert_eq!(
-                stitch(detectors).into_graph(),
-                crate::interleave::detect(&trace).into_graph()
+                stitch(detectors).compile(keep_all),
+                crate::interleave::detect(&trace).compile(keep_all)
             );
         }
     }

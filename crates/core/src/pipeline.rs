@@ -14,11 +14,11 @@ use crate::allocation::{
 use crate::classify::{classify_with, Classification};
 use crate::conflict::{ConflictAnalysis, ConflictConfig};
 use crate::error::Error;
+use crate::interleave::Detector;
 use crate::session::Classified;
 use crate::window::WindowConfig;
 use crate::working_set::{working_sets, WorkingSetDefinition, WorkingSets};
 use crate::CoreError;
-use bwsa_graph::ConflictGraph;
 use bwsa_obs::json::Json;
 use bwsa_obs::Obs;
 use bwsa_trace::{profile::BranchProfile, Trace};
@@ -162,29 +162,29 @@ impl AnalysisPipeline {
             bwsa_resilience::failpoint!("core.interleave");
             crate::interleave::detect(trace)
         };
-        let raw = {
-            let _span = obs.span("compile");
-            detector.into_graph()
-        };
-        self.assemble(profile, raw, obs)
+        self.assemble(profile, detector, obs)
     }
 
-    /// The observed tail every engine shares after detection: prune,
+    /// The observed tail every engine shares after detection: the
+    /// thresholded compile of `detector`'s rows (one walk that counts the
+    /// raw pairs and weight and builds the CSR of the kept pairs only),
     /// working sets and classify, with their spans, the `core.interleave_*`
-    /// and `core.graph_edges_*` counters, and a peak-RSS sample.
+    /// and `core.graph_edges_*` counters, and a peak-RSS sample. The
+    /// `core.conflict_prune` failpoint fires at the start of the `compile`
+    /// span.
     pub(crate) fn assemble(
         &self,
         profile: BranchProfile,
-        raw: ConflictGraph,
+        detector: Detector,
         obs: &Obs,
     ) -> Analysis {
-        obs.add("core.interleave_pairs", raw.edge_count() as u64);
-        obs.add("core.interleave_weight", raw.total_weight());
         let conflict = {
-            let _span = obs.span("conflict_prune");
+            let _span = obs.span("compile");
             bwsa_resilience::failpoint!("core.conflict_prune");
-            ConflictAnalysis::of_raw_graph(raw, self.conflict)
+            detector.compile(self.conflict)
         };
+        obs.add("core.interleave_pairs", conflict.raw_edge_count as u64);
+        obs.add("core.interleave_weight", conflict.raw_total_weight);
         obs.add("core.graph_edges_raw", conflict.raw_edge_count as u64);
         obs.add("core.graph_edges_kept", conflict.graph.edge_count() as u64);
         let working = {

@@ -314,8 +314,8 @@ mod tests {
     fn a_fault_on_every_rung_surfaces_typed_not_as_a_panic() {
         let trace = busy_trace(200);
         let pipeline = AnalysisPipeline::new();
-        // conflict_prune runs on every rung: serial, parallel tail, and
-        // the streaming finish. Nothing can succeed.
+        // The thresholded compile runs on every rung: serial, parallel
+        // tail, and the streaming finish. Nothing can succeed.
         let _fp = failpoint::scoped("core.conflict_prune=error(persistent)").expect("valid spec");
         let (result, summary) = run_supervised(
             &pipeline,

@@ -15,6 +15,14 @@
 //! far below that cap, so a seeded trace with more than 4096 static
 //! branches drives the spill path, row growth and the merge of rows with
 //! spill through every engine built on the detector.
+//!
+//! Every engine compiles only the thresholded graph, in one walk over
+//! rows and spill that also counts the raw pairs and weight. A second
+//! property pins that compile to the oracle's raw graph pruned: on traces
+//! that are sometimes wider than the cap, at thresholds on both sides of
+//! the pair weights, serially, resumed from a checkpoint (whose restored
+//! edges sit in the spill while new credits go to rows) and stitched
+//! from ownership-parallel workers.
 
 use bwsa_core::pipeline::AnalysisPipeline;
 use bwsa_core::{
@@ -22,6 +30,7 @@ use bwsa_core::{
     ParallelConfig, StreamingAnalysis, WindowConfig, WindowedAnalysis,
 };
 use bwsa_graph::ConflictGraph;
+use bwsa_obs::Obs;
 use bwsa_trace::{Trace, TraceBuilder};
 use proptest::prelude::*;
 
@@ -82,6 +91,79 @@ proptest! {
     }
 }
 
+/// The first id past the detector's dense rows.
+const DENSE_NODES: u64 = 4096;
+
+/// A trace over `spread` hot branches with nondecreasing stamps, and how
+/// many records precede them. A wide trace first runs `DENSE_NODES + 8`
+/// branches once each and then gives the even hot slots ids below the cap
+/// and the odd ones ids past it, so pairs below, across and above the cap
+/// all occur. A small `spread` concentrates the records on a few pairs,
+/// whose weights then pass 100.
+fn arb_hot_trace() -> impl Strategy<Value = (Trace, usize)> {
+    (
+        prop::collection::vec((0u8..16, any::<bool>(), 0u64..3), 1..400),
+        any::<bool>(),
+        2u8..17,
+    )
+        .prop_map(|(steps, wide, spread)| {
+            let mut b = TraceBuilder::new("compile-prop");
+            let mut t = 1;
+            let cold = if wide { DENSE_NODES + 8 } else { 0 };
+            for id in 0..cold {
+                b.record(0x10_0000 + id * 4, true, t);
+                t += 1;
+            }
+            for (slot, taken, dt) in steps {
+                t += dt; // dt = 0 repeats a stamp: equal stamps never interleave
+                let slot = u64::from(slot % spread);
+                let id = match (wide, slot % 2) {
+                    (true, 1) => DENSE_NODES + slot / 2,
+                    (true, _) => slot / 2,
+                    (false, _) => slot,
+                };
+                b.record(0x10_0000 + id * 4, taken, t);
+            }
+            (b.finish(), cold as usize)
+        })
+}
+
+fn pipeline_at(threshold: u64) -> AnalysisPipeline {
+    AnalysisPipeline {
+        conflict: ConflictConfig::with_threshold(threshold).unwrap(),
+        ..AnalysisPipeline::new()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn every_engine_compiles_the_pruned_oracle_graph(
+        hot in arb_hot_trace(),
+        split_seed in any::<u64>(),
+        jobs in 2usize..4,
+    ) {
+        let (trace, cold) = hot;
+        let raw = interleave_counts_naive(&trace).build();
+        let split = cold + (split_seed % (trace.len() - cold + 1) as u64) as usize;
+        for threshold in [1, 2, 100, u64::MAX] {
+            let pipeline = pipeline_at(threshold);
+            let pruned = raw.pruned(threshold);
+            for analysis in [
+                pipeline.run_observed(&trace, &Obs::noop()),
+                checkpointed(&trace, split, &pipeline),
+                analyze_parallel(&pipeline, &trace, &ParallelConfig::with_jobs(jobs)),
+            ] {
+                let conflict = &analysis.conflict;
+                prop_assert_eq!(&conflict.graph, &pruned);
+                prop_assert_eq!(conflict.raw_edge_count, raw.edge_count());
+                prop_assert_eq!(conflict.raw_total_weight, raw.total_weight());
+            }
+        }
+    }
+}
+
 /// A trace that sweeps once through `sweep` cold branches while three
 /// anchor branches keep running, and every `revisit`-th swept branch runs
 /// again 8 and 16 records later. Ids pass 4096 partway through: the
@@ -119,10 +201,7 @@ fn sweep_trace(seed: u64, sweep: u64, revisit: u64) -> Trace {
 
 /// Threshold 1 keeps every edge, so an analysis' graph is its raw graph.
 fn keep_all() -> AnalysisPipeline {
-    AnalysisPipeline {
-        conflict: ConflictConfig::with_threshold(1).unwrap(),
-        ..AnalysisPipeline::new()
-    }
+    pipeline_at(1)
 }
 
 fn streaming(trace: &Trace) -> Analysis {
@@ -133,7 +212,9 @@ fn streaming(trace: &Trace) -> Analysis {
     engine.finish(&keep_all())
 }
 
-fn checkpointed(trace: &Trace, split: usize) -> Analysis {
+/// `trace`'s analysis resumed from a checkpoint taken after `split`
+/// records.
+fn checkpointed(trace: &Trace, split: usize, pipeline: &AnalysisPipeline) -> Analysis {
     let mut first = StreamingAnalysis::new("sweep");
     for rec in &trace.records()[..split] {
         first.push(rec);
@@ -142,7 +223,7 @@ fn checkpointed(trace: &Trace, split: usize) -> Analysis {
     for rec in &trace.records()[split..] {
         resumed.push(rec);
     }
-    resumed.finish(&keep_all())
+    resumed.finish(pipeline)
 }
 
 fn windowed(trace: &Trace, interval: u64) -> Analysis {
@@ -169,12 +250,16 @@ fn every_engine_agrees_with_the_oracle_above_the_dense_cap() {
         sorted_edges(&interleave_counts(&trace)),
         sorted_edges(&naive)
     );
-    let serial = keep_all().run_observed(&trace, &bwsa_obs::Obs::noop());
+    let serial = keep_all().run_observed(&trace, &Obs::noop());
     assert_eq!(serial.conflict.graph, expected, "pipeline CSR");
 
     assert_eq!(streaming(&trace), serial, "streaming");
 
-    assert_eq!(checkpointed(&trace, trace.len() * 3 / 5), serial, "resumed");
+    assert_eq!(
+        checkpointed(&trace, trace.len() * 3 / 5, &keep_all()),
+        serial,
+        "resumed"
+    );
     for jobs in [2, 3] {
         let parallel = analyze_parallel(&keep_all(), &trace, &ParallelConfig::with_jobs(jobs));
         assert_eq!(parallel, serial, "{jobs} jobs");

@@ -45,8 +45,7 @@ proptest! {
 
         // And the observation is complete: every serial stage has a span.
         let metrics = obs.snapshot().unwrap();
-        for stage in ["profile", "interleave", "compile", "conflict_prune", "working_sets",
-                      "classify"] {
+        for stage in ["profile", "interleave", "compile", "working_sets", "classify"] {
             prop_assert!(metrics.stage(stage).is_some(), "missing span {}", stage);
         }
         prop_assert_eq!(
@@ -73,8 +72,7 @@ proptest! {
         prop_assert_eq!(&observed, &pipeline.run_observed(&trace, &Obs::noop()));
 
         let metrics = obs.snapshot().unwrap();
-        for stage in ["profile", "shard_detect", "compile",
-                      "conflict_prune", "working_sets", "classify"] {
+        for stage in ["profile", "shard_detect", "compile", "working_sets", "classify"] {
             prop_assert!(metrics.stage(stage).is_some(), "missing span {}", stage);
         }
         let workers = jobs.min(trace.static_branch_count());

@@ -314,7 +314,7 @@ fn windowed_sessions_detect_once_and_run_returns_the_fold() {
     let metrics = session.metrics().unwrap();
     assert_eq!(metrics.stage("windowed_analysis").unwrap().count, 1);
     assert!(metrics.stage("shard_detect").is_none());
-    for stage in ["conflict_prune", "working_sets", "classify"] {
+    for stage in ["compile", "working_sets", "classify"] {
         assert_eq!(metrics.stage(stage).unwrap().count, 1, "{stage}");
     }
     assert_eq!(

@@ -430,7 +430,7 @@ mod tests {
     fn sample_report() -> RunReport {
         let obs = Obs::recording();
         obs.span("interleave").finish();
-        obs.span("conflict_prune").finish();
+        obs.span("compile").finish();
         obs.add("core.interleave_pairs", 12);
         obs.record_max("process.peak_rss_bytes", 1024);
         let metrics = obs.snapshot().unwrap();

@@ -85,7 +85,7 @@ grep -q '"windows"' "$report_tmp/windows.json"
 "$bwsa" validate-report "$report_tmp/windowed.json"
 # The windowed fold is the run's analysis, so its report keeps the
 # whole-trace stages and counters.
-for stage in conflict_prune working_sets classify; do
+for stage in compile working_sets classify; do
     grep -q "\"name\": \"$stage\"" "$report_tmp/windowed.json" \
         || { echo "windowed report lacks the $stage stage"; exit 1; }
 done
@@ -155,6 +155,20 @@ cmp "$convert_dir/gcc-windows.json" "$convert_dir/gcc-windows-j2.json"
 for run in bwss bws3 j2 j3 ck resumed salvage salvage-j2 window; do
     cmp "$convert_dir/gcc.out" "$convert_dir/gcc-$run.out"
 done
+# gcc at 0.5 runs past the detector's 4096 dense rows, so pairs with an
+# id above the cap are counted in the spill table and merged into the
+# thresholded compile: in memory on 1 and 2 workers and streamed from
+# BWSS3, analyze prints the same bytes.
+"$bwsa" generate gcc --scale 0.5 -o "$convert_dir/wide.bwst" > /dev/null
+"$bwsa" convert "$convert_dir/wide.bwst" "$convert_dir/wide.bws3" > /dev/null
+"$bwsa" analyze "$convert_dir/wide.bwst" --jobs 1 > "$convert_dir/wide.out"
+static=$(sed -n 's/.* over \([0-9]*\) static sites.*/\1/p' "$convert_dir/wide.out")
+[ "${static:-0}" -gt 4096 ] \
+    || { echo "gcc@0.5 has ${static:-no} static branches, not past the dense rows"; exit 1; }
+"$bwsa" analyze "$convert_dir/wide.bwst" --jobs 2 > "$convert_dir/wide-j2.out"
+"$bwsa" analyze "$convert_dir/wide.bws3" > "$convert_dir/wide-bws3.out"
+cmp "$convert_dir/wide.out" "$convert_dir/wide-j2.out"
+cmp "$convert_dir/wide.out" "$convert_dir/wide-bws3.out"
 # A torn file has no instruction total: streamed, decoded for 2 workers
 # or windowed, --salvage counts up to the last record it recovered and
 # prints the same bytes. The BWSS2 stream loses its 40-byte end frame,

@@ -398,6 +398,17 @@ impl Parsed {
             n => Ok(n),
         }
     }
+
+    /// A positive `--name` in seconds, as a [`Duration`]; one too long to
+    /// represent is a usage error too.
+    fn seconds(&self, name: &str) -> Result<Option<Duration>, CliError> {
+        self.positive(name)?
+            .map(|secs| {
+                Duration::try_from_secs_f64(secs)
+                    .map_err(|_| usage_err(format!("--{name} {secs:e} is too long")))
+            })
+            .transpose()
+    }
 }
 
 /// A flag value that can be required to be positive: a nonzero count,
@@ -612,7 +623,7 @@ fn parallel_config(jobs: Option<usize>) -> ParallelConfig {
 /// unsupervised execution).
 fn supervisor_of(p: &Parsed) -> Result<Option<SupervisorConfig>, CliError> {
     let retries = p.number("retries")?;
-    let max_wall = p.positive("max-seconds")?.map(Duration::from_secs_f64);
+    let max_wall = p.seconds("max-seconds")?;
     let max_rss_bytes = p.positive("max-rss-mb")?.map(|mb: u64| mb * 1024 * 1024);
     if retries.is_none() && max_wall.is_none() && max_rss_bytes.is_none() {
         return Ok(None);
@@ -1626,8 +1637,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             }),
     };
     config.request_deadline = Some(
-        p.positive("deadline-seconds")?
-            .map_or(Duration::from_secs(60), Duration::from_secs_f64),
+        p.seconds("deadline-seconds")?
+            .unwrap_or(Duration::from_secs(60)),
     );
     // `serve` takes no --max-seconds, so the supervisor sets no deadline:
     // each request's deadline is --deadline-seconds, armed on the thread
@@ -2113,13 +2124,7 @@ mod tests {
                     .collect(),
                 other => panic!("stages missing: {other:?}"),
             };
-            let shared = [
-                "ingest",
-                "compile",
-                "conflict_prune",
-                "working_sets",
-                "classify",
-            ];
+            let shared = ["ingest", "compile", "working_sets", "classify"];
             for required in shared.iter().chain(engine) {
                 assert!(
                     stages.iter().any(|s| s == required),
@@ -2171,6 +2176,7 @@ mod tests {
             ("--retries", "-1"),
             ("--max-seconds", "0"),
             ("--max-seconds", "inf"),
+            ("--max-seconds", "1e300"),
             ("--max-seconds", "soon"),
             ("--max-rss-mb", "0"),
             ("--max-rss-mb", "lots"),
@@ -2189,6 +2195,17 @@ mod tests {
                 ),
                 "allocate {flag} {bad}"
             );
+        }
+        // A request deadline too long to represent is refused before the
+        // daemon binds its socket.
+        match run(&strs(&[
+            "serve",
+            "/no/such/dir/bwsa.sock",
+            "--deadline-seconds",
+            "1e300",
+        ])) {
+            Err(CliError::Usage(message)) => assert!(message.contains("--deadline-seconds")),
+            other => panic!("serve --deadline-seconds 1e300: {other:?}"),
         }
         // No supervisor flags means no supervisor.
         let p = parse(&[], &["retries"], &[]).unwrap();

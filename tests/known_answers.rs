@@ -9,6 +9,9 @@
 //!   weight `2(r − 1)`;
 //! * with a threshold at most `2(r − 1)` that graph is one clique, so the
 //!   loop is one working set of size `m`;
+//! * the threshold applies to a pair's whole weight: each branch's row
+//!   holds only `r − 1` of it, yet at threshold `2(r − 1)` the loop's
+//!   whole clique is kept, and at `2(r − 1) + 1` nothing is;
 //! * records that share one stamp are simultaneous and give no edge;
 //! * two phases that never revisit each other give no cross edge.
 //!
@@ -152,14 +155,17 @@ fn round_robin_gives_every_pair_weight_two_per_revisit() {
         let weight = 2 * (r - 1);
         let pairs = m * (m - 1) / 2;
         let split = k - m + m / 2 + 1;
-        for (engine, analysis) in every_engine(&trace, &pipeline(1), split) {
-            let c = &analysis.conflict;
-            let case = format!("k {k}, {engine}");
-            assert_eq!(c.raw_edge_count as u64, pairs, "{case}: pairs");
-            assert_eq!(c.raw_total_weight, weight * pairs, "{case}: total");
-            for (a, b, w) in c.graph.iter_edges() {
-                assert!(a >= (k - m) as u32, "{case}: a cold branch in ({a}, {b})");
-                assert_eq!(w, weight, "{case}: ({a}, {b})");
+        for (threshold, kept) in [(1, pairs), (weight, pairs), (weight + 1, 0)] {
+            for (engine, analysis) in every_engine(&trace, &pipeline(threshold), split) {
+                let c = &analysis.conflict;
+                let case = format!("k {k}, threshold {threshold}, {engine}");
+                assert_eq!(c.raw_edge_count as u64, pairs, "{case}: pairs");
+                assert_eq!(c.raw_total_weight, weight * pairs, "{case}: total");
+                assert_eq!(c.graph.edge_count() as u64, kept, "{case}: kept");
+                for (a, b, w) in c.graph.iter_edges() {
+                    assert!(a >= (k - m) as u32, "{case}: a cold branch in ({a}, {b})");
+                    assert_eq!(w, weight, "{case}: ({a}, {b})");
+                }
             }
         }
     }
