@@ -12,8 +12,8 @@
 //! the engine from it. Feeding the remaining records afterwards yields an
 //! [`Analysis`] bit-identical to an uninterrupted run. The edge counts are
 //! saved merged, in increasing `(a, b)` order, and restored into the
-//! detector's spill table; the recency index is not saved at all, since
-//! it is fully derivable from the latest-timestamp table.
+//! detector's spill table. The latest timestamps are read from the recency
+//! index, which is not saved: it is fully derivable from them.
 
 use crate::error::CoreError;
 use crate::interleave::Accumulator;
@@ -176,8 +176,8 @@ impl StreamingAnalysis {
         }
         // Latest stamp per branch; stamp+1 so 0 encodes "never executed".
         let detector = &self.acc.detector;
-        codec::put_varint(&mut buf, detector.last_stamps().len() as u64);
-        for stamp in detector.last_stamps() {
+        codec::put_varint(&mut buf, detector.latest_stamps().len() as u64);
+        for stamp in detector.latest_stamps() {
             codec::put_varint(&mut buf, stamp.map_or(0, |t| t + 1));
         }
         // Accumulated interleave edges in increasing (a, b) order, for a

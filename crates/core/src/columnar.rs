@@ -58,6 +58,7 @@ pub fn analyze_columnar_stream(
     let (report, _) = {
         let _span = obs.span("ingest");
         file.walk(policy, |view| {
+            let _detect = obs.span("detect"); // ingest minus decoding
             for ((&id, &taken), &time) in view.ids.iter().zip(view.taken).zip(view.times) {
                 acc.push(first_seen.id(id), time, taken);
             }

@@ -14,10 +14,11 @@
 //! streaming rung and the windowed engine) goes through `Accumulator`,
 //! which pairs it with the per-branch execution statistics of the same
 //! records. The detector finds the branches to credit with a recency
-//! index of `(latest timestamp, branch)` pairs (`RecencyRing`): a binary
-//! search plus a scan over exactly the branches involved, `O(k + log n)`
-//! per dynamic branch where `k` is the instantaneous working-set size,
-//! the very quantity the paper shows stays small.
+//! index of `(latest timestamp, branch)` pairs (`RecencyRing`): a scan
+//! from just past the branch's own entry, `O(k)` per dynamic branch where
+//! `k` is the instantaneous working-set size, the very quantity the paper
+//! shows stays small. A superseded entry reads as `TOMB`, an id past the
+//! end of every row, so a credit is one id load and one increment.
 //!
 //! The credits of one re-execution of branch `a` all land in `a`'s own
 //! dense row of `u32` counters, so the ~300 increments a record costs on
@@ -38,7 +39,7 @@
 
 use crate::conflict::{ConflictAnalysis, ConflictConfig};
 use crate::pipeline::{Analysis, AnalysisPipeline};
-use crate::recency::RecencyRing;
+use crate::recency::{RecencyRing, TOMB};
 use bwsa_graph::{ConflictGraph, GraphBuilder};
 use bwsa_obs::Obs;
 use bwsa_trace::profile::{BranchProfile, BranchStats};
@@ -146,7 +147,8 @@ struct Window {
 }
 
 impl Window {
-    /// Copies `row` (branch `id`) unless the open window already did.
+    /// Copies `row` (branch `id`) unless the open window already did. With
+    /// no window tracked, the epoch is 0, every uncopied row's: no copy.
     #[inline]
     fn copy(&mut self, id: u32, row: &mut Row) {
         if row.epoch == self.epoch {
@@ -181,10 +183,8 @@ impl Window {
 /// re-executions see newer branches.
 #[derive(Debug, Clone)]
 pub(crate) struct Detector {
-    /// `last_stamp[b]` = timestamp of b's previous dynamic instance.
-    last_stamp: Vec<Option<u64>>,
-    /// One live (latest stamp, branch) entry per executed branch;
-    /// derivable from `last_stamp`, so checkpoints omit it.
+    /// One live (latest stamp, branch) entry per executed branch: the
+    /// only per-branch stamp state.
     recency: RecencyRing,
     /// Dense rows, indexed by branch id below [`DENSE_NODES`].
     rows: Vec<Row>,
@@ -215,7 +215,6 @@ impl Detector {
         edges.ensure_nodes(last_stamp.len() as u32);
         Detector {
             recency: RecencyRing::from_stamps(&last_stamp),
-            last_stamp,
             rows: Vec::new(),
             allocated: Vec::new(),
             spill: edges,
@@ -225,15 +224,15 @@ impl Detector {
     }
 
     /// Per-branch latest stamps, indexed by branch id.
-    pub(crate) fn last_stamps(&self) -> &[Option<u64>] {
-        &self.last_stamp
+    pub(crate) fn latest_stamps(&self) -> impl ExactSizeIterator<Item = Option<u64>> + '_ {
+        self.recency.latest_stamps()
     }
 
     /// Starts reading windows out of this detector: from here on each
     /// row is copied at its first credit in a window, and spill credits
     /// are also counted per window. Every other engine leaves this off.
     pub(crate) fn track_windows(&mut self) {
-        self.window.open(self.last_stamp.len() as u32);
+        self.window.open(self.spill.node_count());
     }
 
     /// Calls `f(a, b, window weight, cumulative weight)` once per pair the
@@ -246,7 +245,7 @@ impl Detector {
         self.window.copies.sort_unstable_by_key(|copy| copy.row);
         let mut spill: Vec<_> = self.window.spill.edges().collect();
         spill.sort_unstable();
-        let width = self.last_stamp.len().min(DENSE_NODES);
+        let width = (self.spill.node_count() as usize).min(DENSE_NODES);
         let pairs = MergeSorted {
             left: RowPairs::new(&self.rows, &self.window.copies, &self.window.counts, width)
                 .peekable(),
@@ -256,7 +255,7 @@ impl Detector {
             f(a, b, w, self.pair_weight(a, b));
         }
         let touched = self.window.copies.len();
-        self.window.open(self.last_stamp.len() as u32);
+        self.window.open(self.spill.node_count());
         touched
     }
 
@@ -272,9 +271,7 @@ impl Detector {
     /// interleaved with it since then and gets one credit.
     #[inline]
     pub(crate) fn push(&mut self, node: u32, t: u64) {
-        if let Some(&Some(prev)) = self.last_stamp.get(node as usize) {
-            self.credit(node, prev);
-        }
+        self.credit(node);
         self.pass(node, t);
     }
 
@@ -283,14 +280,12 @@ impl Detector {
     /// another worker owns, so the branches it owns still see them.
     #[inline]
     pub(crate) fn pass(&mut self, node: u32, t: u64) {
-        let i = node as usize;
-        if i >= self.last_stamp.len() {
-            self.last_stamp.resize(i + 1, None);
+        debug_assert_ne!(node, TOMB, "branch id {node} is the recency tombstone");
+        if node >= self.spill.node_count() {
             self.spill.ensure_nodes(node + 1);
             self.window.spill.ensure_nodes(node + 1);
         }
         self.recency.record(node, t);
-        self.last_stamp[i] = Some(t);
     }
 
     /// Moves `other`'s rows and spill credits into this detector. Both
@@ -311,12 +306,10 @@ impl Detector {
         }
     }
 
-    /// Credits `node`'s re-execution to every branch executed after `prev`.
-    fn credit(&mut self, node: u32, prev: u64) {
-        if !self.recency.any_after(prev) {
-            return; // nothing ran since: no credits, and no row needed
-        }
-        let width = self.last_stamp.len().min(DENSE_NODES);
+    /// Credits `node`'s re-execution to every branch executed since its
+    /// previous instance.
+    #[inline]
+    fn credit(&mut self, node: u32) {
         let Detector {
             recency,
             rows,
@@ -324,52 +317,41 @@ impl Detector {
             spill,
             fold_at,
             window,
-            ..
         } = self;
+        let since = recency.since_last(node);
+        if since.is_empty() {
+            return; // first run, or nothing ran since: no credits, no row
+        }
         let tracked = window.epoch != 0;
         let i = node as usize;
-        if i >= DENSE_NODES {
-            let mut local = tracked.then_some(&mut window.spill);
-            recency.for_each_after(prev, node, |b| {
-                spill.add_edge(node, b, 1);
-                if let Some(local) = &mut local {
-                    local.add_edge(node, b, 1);
-                }
-            });
-            return;
-        }
-        if i >= rows.len() {
-            rows.resize_with(i + 1, Row::default);
-        }
-        let row = &mut rows[i];
-        if tracked {
-            // Copy the counts as the window found them, before any of its
-            // increments.
-            window.copy(node, row);
-        }
-        if row.reexecs == *fold_at {
-            fold_row(spill, node, row, window);
-        }
-        if row.counts.len() < width {
-            if row.counts.is_empty() {
-                allocated.push(node);
+        let counts: &mut [u32] = if i < DENSE_NODES {
+            if i >= rows.len() {
+                rows.resize_with(i + 1, Row::default);
             }
-            let len = width.next_multiple_of(ROW_STEP).min(DENSE_NODES);
-            row.counts.reserve_exact(len - row.counts.len());
-            row.counts.resize(len, 0);
-        }
-        row.reexecs += 1;
-        // The row spans every seen branch below DENSE_NODES, so a hit
-        // outside it is a pair for the spill table.
-        let counts = &mut row.counts[..];
-        let mut local = tracked.then_some(&mut window.spill);
-        recency.for_each_after(prev, node, |b| match counts.get_mut(b as usize) {
-            Some(count) => *count += 1,
-            None => {
-                spill.add_edge(node, b, 1);
-                if let Some(local) = &mut local {
-                    local.add_edge(node, b, 1);
+            let row = &mut rows[i];
+            window.copy(node, row); // as the open window, if any, found it
+            if row.reexecs == *fold_at {
+                fold_row(spill, node, row, window);
+            }
+            let width = (spill.node_count() as usize).min(DENSE_NODES);
+            if row.counts.len() < width {
+                if row.counts.is_empty() {
+                    allocated.push(node);
                 }
+                let len = width.next_multiple_of(ROW_STEP).min(DENSE_NODES);
+                row.counts.reserve_exact(len - row.counts.len());
+                row.counts.resize(len, 0);
+            }
+            row.reexecs += 1;
+            &mut row.counts
+        } else {
+            &mut [] // no row above the cap: every pair spills
+        };
+        let mut local = tracked.then_some(&mut window.spill);
+        increment(counts, since, |b| {
+            spill.add_edge(node, b, 1);
+            if let Some(local) = &mut local {
+                local.add_edge(node, b, 1);
             }
         });
     }
@@ -380,7 +362,6 @@ impl Detector {
     /// (both rows plus the spill entry) reaches `config.threshold` is kept
     /// for the CSR. No raw graph is built.
     pub(crate) fn compile(self, config: ConflictConfig) -> ConflictAnalysis {
-        let spill = self.sorted_spill();
         let Detector {
             rows,
             allocated,
@@ -388,7 +369,10 @@ impl Detector {
             ..
         } = self;
         let nodes = table.node_count();
-        drop(table); // before the kept pairs are collected
+        let mut spill = Vec::with_capacity(table.edge_count());
+        spill.extend(table.edges());
+        drop(table); // before the sort and the kept pairs
+        spill.sort_unstable();
         let (mut raw_edge_count, mut raw_total_weight) = (0, 0);
         let mut kept = Vec::new();
         for (a, b, w) in sorted_edges(&rows, &allocated, nodes, &spill) {
@@ -408,9 +392,10 @@ impl Detector {
     }
 
     /// The spill table's edges in increasing `(a, b)` order, for
-    /// [`Detector::sorted_edges`].
+    /// [`Detector::sorted_edges`], in a `Vec` sized exactly (not doubled).
     pub(crate) fn sorted_spill(&self) -> Vec<(u32, u32, u64)> {
-        let mut edges: Vec<_> = self.spill.edges().collect();
+        let mut edges = Vec::with_capacity(self.spill.edge_count());
+        edges.extend(self.spill.edges());
         edges.sort_unstable();
         edges
     }
@@ -430,6 +415,28 @@ impl Detector {
         self.fold_at = reexecs;
         self
     }
+}
+
+/// Credits one re-execution: `counts[b] += 1` for every `b` in `since`.
+/// A tombstone falls out of the row's bounds check and is skipped there,
+/// and any other id past the row's end is a pair for `spill`. Four ids
+/// inside the row, the common case, take one branch for all four.
+#[inline]
+fn increment(counts: &mut [u32], since: &[u32], mut spill: impl FnMut(u32)) {
+    let mut one = |counts: &mut [u32], b: u32| match counts.get_mut(b as usize) {
+        Some(count) => *count += 1,
+        None if b == TOMB => {}
+        None => spill(b),
+    };
+    let mut quads = since.chunks_exact(4);
+    for quad in &mut quads {
+        if quad.iter().all(|&b| (b as usize) < counts.len()) {
+            quad.iter().for_each(|&b| counts[b as usize] += 1);
+        } else {
+            quad.iter().for_each(|&b| one(counts, b));
+        }
+    }
+    quads.remainder().iter().for_each(|&b| one(counts, b));
 }
 
 /// Moves a row's counts into the spill table and zeroes it. When the open
@@ -664,23 +671,19 @@ where
 /// branch rather than an ordered window. Its only shared assumption with
 /// the fast engine is the paper's strictly-greater rule itself.
 pub fn interleave_counts_naive(trace: &Trace) -> GraphBuilder {
-    let n = trace.static_branch_count();
-    let mut builder = GraphBuilder::new(n as u32);
-    let mut last_stamp: Vec<Option<u64>> = vec![None; n];
+    let mut builder = GraphBuilder::new(trace.static_branch_count() as u32);
     // Latest stamp per branch over the records consumed so far.
     let mut seen: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
     for (id, rec) in trace.indexed_records() {
         let node = id.as_u32();
-        let t = rec.time.get();
-        if let Some(prev_t) = last_stamp[node as usize] {
+        if let Some(&prev_t) = seen.get(&node) {
             for (&b, &bt) in &seen {
                 if b != node && bt > prev_t {
                     builder.add_edge(node, b, 1);
                 }
             }
         }
-        seen.insert(node, t);
-        last_stamp[node as usize] = Some(t);
+        seen.insert(node, rec.time.get());
     }
     builder
 }

@@ -4,26 +4,30 @@
 //! Trace timestamps are nondecreasing ([`bwsa_trace::Trace::push`] and
 //! the stream reader both reject time travel), so the ordered set of
 //! `(latest stamp, branch)` pairs the detection scans only ever gains
-//! entries at its *tail*. [`RecencyRing`] exploits that: entries live in
-//! one flat `Vec` sorted by stamp, an insert is a push, and each
-//! detection is a `partition_point` binary search plus a forward scan —
-//! no tree nodes, no rebalancing, no per-entry allocation.
+//! entries at its *tail*. [`RecencyRing`] keeps them in two flat columns
+//! sorted by stamp, `stamps` and `ids`: an insert is a push onto each.
 //!
 //! When a branch re-executes, its old entry is not removed (that would
-//! shift the tail); it merely stops being the branch's *live* entry. An
-//! entry at index `i` for branch `b` is live iff `slot[b] == i`, so
-//! staleness is one array compare during the scan. Dead entries are
-//! reclaimed by an amortised-O(1) compaction that runs whenever they
-//! outnumber live ones, keeping every scan within `2 × live` slots — the
-//! same asymptotic window the old `BTreeSet` walked, at a fraction of the
-//! constant factor.
+//! shift the tail); its id becomes [`TOMB`], so every other id is its
+//! branch's one live entry, at `slot[b]`. Every branch stamped strictly
+//! later than `b` sits after `b`'s slot, so [`RecencyRing::since_last`]
+//! is the id slice from just past it and past any equal stamps: no
+//! binary search, and no liveness compare, because a tombstone is an id
+//! past the end of every counter row. Dead entries are reclaimed by an
+//! amortised-O(1) compaction whenever they outnumber live ones, keeping
+//! every scan within `2 × live` slots.
 //!
 //! Out-of-order stamps cannot arrive from any in-repo producer, but
 //! [`crate::StreamingAnalysis::push`] is a public API, so a regressing
 //! stamp takes a correct (if slow) sorted-insert path rather than
-//! corrupting the index. Equivalence with the previous tree-based engine
-//! — including ties and stamps at `u64::MAX` — is property-tested in
+//! corrupting the index. Agreement with a linear-scan oracle — including
+//! ties, backward steps and stamps at `u64::MAX` — is property-tested in
 //! `crates/core/tests/hotpath_prop.rs`.
+
+/// The id of a superseded entry. Ids are dense, so a branch id of
+/// `u32::MAX` would need a 2^32-entry slot table: like `GraphBuilder`'s
+/// empty-bucket key, it cannot collide (`Detector::pass` asserts it).
+pub(crate) const TOMB: u32 = u32::MAX;
 
 /// Sentinel for "branch has no live entry".
 const NO_SLOT: usize = usize::MAX;
@@ -32,12 +36,13 @@ const NO_SLOT: usize = usize::MAX;
 /// by stamp. See the module docs for the representation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RecencyRing {
-    /// `(stamp, branch)` in nondecreasing stamp order; may contain dead
-    /// entries awaiting compaction.
-    entries: Vec<(u64, u32)>,
+    /// Entry stamps in nondecreasing order.
+    stamps: Vec<u64>,
+    /// Entry branch ids, parallel to `stamps`; [`TOMB`] once superseded.
+    ids: Vec<u32>,
     /// `slot[b]` = index of branch `b`'s live entry, or [`NO_SLOT`].
     slot: Vec<usize>,
-    /// Number of live entries (`entries.len() - live` are dead).
+    /// Number of live entries (`ids.len() - live` are tombstones).
     live: usize,
 }
 
@@ -52,98 +57,91 @@ impl RecencyRing {
             .filter_map(|(b, stamp)| stamp.map(|t| (t, b as u32)))
             .collect();
         entries.sort_unstable();
-        let mut slot = vec![NO_SLOT; last_stamp.len()];
-        for (i, &(_, b)) in entries.iter().enumerate() {
-            slot[b as usize] = i;
+        let mut ring = RecencyRing {
+            slot: vec![NO_SLOT; last_stamp.len()],
+            ..Self::default()
+        };
+        for (t, b) in entries {
+            ring.record(b, t); // in stamp order: each one a push
         }
-        let live = entries.len();
-        RecencyRing {
-            entries,
-            slot,
-            live,
-        }
+        ring
     }
 
-    /// Whether any entry is stamped after `prev`: `false` proves that a
-    /// scan from `prev` finds nothing, as for a branch that re-executes
-    /// back to back.
-    pub(crate) fn any_after(&self, prev: u64) -> bool {
-        self.entries.last().is_some_and(|&(last, _)| last > prev)
+    /// Each covered branch's latest stamp, by id; `None` for a branch
+    /// never recorded. The inverse of [`RecencyRing::from_stamps`].
+    pub(crate) fn latest_stamps(&self) -> impl ExactSizeIterator<Item = Option<u64>> + '_ {
+        self.slot
+            .iter()
+            .map(|&i| (i != NO_SLOT).then(|| self.stamps[i]))
     }
 
-    /// Calls `visit` with every branch whose latest stamp is *strictly
-    /// greater* than `prev`, except `node` itself, in stamp order.
-    ///
-    /// Using a partition point instead of a `(prev + 1, _)..` range bound
-    /// makes `prev == u64::MAX` a naturally empty scan rather than an
-    /// integer overflow.
-    pub(crate) fn for_each_after(&self, prev: u64, node: u32, mut visit: impl FnMut(u32)) {
-        let start = self.entries.partition_point(|&(s, _)| s <= prev);
-        for (i, &(_, b)) in self.entries.iter().enumerate().skip(start) {
-            if b != node && self.slot[b as usize] == i {
-                visit(b);
-            }
-        }
+    /// The ids of every branch stamped *strictly* later than `node`, in
+    /// stamp order, among [`TOMB`]s and never `node` itself; empty when
+    /// `node` never ran or nothing ran since. Starting past `node`'s slot,
+    /// not at `(prev + 1, _)`, cannot overflow at a stamp of `u64::MAX`.
+    #[inline]
+    pub(crate) fn since_last(&self, node: u32) -> &[u32] {
+        let Some(&at) = self.slot.get(node as usize).filter(|&&at| at != NO_SLOT) else {
+            return &[];
+        };
+        let prev = self.stamps[at]; // equal stamps ran at once, not since
+        let ties = self.stamps[at + 1..].iter().take_while(|&&s| s == prev);
+        &self.ids[at + 1 + ties.count()..]
     }
 
     /// Records that `node`'s latest stamp is now `t`, superseding any
     /// previous entry for `node`.
+    #[inline]
     pub(crate) fn record(&mut self, node: u32, t: u64) {
         let b = node as usize;
         if b >= self.slot.len() {
             self.slot.resize(b + 1, NO_SLOT);
         }
         if self.slot[b] != NO_SLOT {
-            self.live -= 1; // the old entry goes dead in place
+            self.ids[self.slot[b]] = TOMB;
+            self.live -= 1;
         }
-        match self.entries.last() {
-            Some(&(last, _)) if t < last => self.insert_out_of_order(node, t),
+        match self.stamps.last() {
+            Some(&last) if t < last => self.insert_out_of_order(node, t),
             _ => {
-                self.slot[b] = self.entries.len();
-                self.entries.push((t, node));
+                self.slot[b] = self.ids.len();
+                self.stamps.push(t);
+                self.ids.push(node);
             }
         }
         self.live += 1;
         self.maybe_compact();
     }
 
-    /// Cold path: a stamp below the current tail. Sorted insert plus a
-    /// slot fix-up for every shifted entry, O(n) — correctness backstop
-    /// for callers that feed hand-built records.
+    /// Cold path: a stamp below the current tail. Sorted insert into both
+    /// columns plus a slot fix-up for every shifted live entry, O(n) —
+    /// correctness backstop for callers that feed hand-built records.
     #[cold]
     fn insert_out_of_order(&mut self, node: u32, t: u64) {
-        let pos = self.entries.partition_point(|&(s, _)| s <= t);
-        self.entries.insert(pos, (t, node));
-        // Every entry previously at index i >= pos now sits at i + 1.
-        // Walk the shifted suffix tail-first so a branch with both a dead
-        // and a live copy in the suffix never aliases mid-update.
-        for i in (pos + 1..self.entries.len()).rev() {
-            let shifted = self.entries[i].1 as usize;
-            if self.slot[shifted] == i - 1 {
-                self.slot[shifted] = i;
+        let pos = self.stamps.partition_point(|&s| s <= t);
+        self.stamps.insert(pos, t);
+        self.ids.insert(pos, node);
+        for (i, &b) in self.ids.iter().enumerate().skip(pos) {
+            if b != TOMB {
+                self.slot[b as usize] = i;
             }
         }
-        self.slot[node as usize] = pos;
     }
 
-    /// Drops dead entries in place once they outnumber live ones. The
+    /// Drops tombstones in place once they outnumber live entries. The
     /// retained entries keep their relative (sorted) order, and each
     /// surviving branch's slot is rewritten to its new index.
     fn maybe_compact(&mut self) {
-        if self.entries.len() < 64 || self.entries.len() < 2 * self.live {
+        if self.ids.len() < 64 || self.ids.len() < 2 * self.live {
             return;
         }
-        let mut w = 0usize;
-        for i in 0..self.entries.len() {
-            let (s, b) = self.entries[i];
-            if self.slot[b as usize] == i {
-                self.entries[w] = (s, b);
-                self.slot[b as usize] = w;
-                w += 1;
-            }
+        let mut kept = self.ids.iter().map(|&b| b != TOMB);
+        self.stamps.retain(|_| kept.next() == Some(true)); // visited in order
+        self.ids.retain(|&b| b != TOMB);
+        for (i, &b) in self.ids.iter().enumerate() {
+            self.slot[b as usize] = i;
         }
-        self.entries.truncate(w);
-        debug_assert_eq!(w, self.live);
+        debug_assert_eq!(self.ids.len(), self.live);
     }
 }
 
@@ -151,11 +149,50 @@ impl RecencyRing {
 mod tests {
     use super::*;
 
-    fn hits(ring: &RecencyRing, prev: u64, node: u32) -> Vec<u32> {
-        let mut v = Vec::new();
-        ring.for_each_after(prev, node, |b| v.push(b));
+    /// The branches `since_last(node)` yields, sorted, tombstones dropped.
+    fn hits(ring: &RecencyRing, node: u32) -> Vec<u32> {
+        let mut v: Vec<u32> = ring
+            .since_last(node)
+            .iter()
+            .copied()
+            .filter(|&b| b != TOMB)
+            .collect();
         v.sort_unstable();
         v
+    }
+
+    /// The ring's invariants: every recorded branch has exactly one
+    /// non-[`TOMB`] id, at its slot; stamps stay sorted; `live` counts
+    /// the non-`TOMB` ids; and `since_last(node)` yields exactly the
+    /// branches stamped strictly later than `node`, never `node` itself.
+    fn assert_exact(ring: &RecencyRing, latest: &[Option<u64>]) {
+        assert!(ring.stamps.windows(2).all(|w| w[0] <= w[1]), "sorted");
+        assert_eq!(ring.stamps.len(), ring.ids.len());
+        let live: Vec<usize> = (0..ring.ids.len())
+            .filter(|&i| ring.ids[i] != TOMB)
+            .collect();
+        assert_eq!(live.len(), ring.live);
+        for (b, stamp) in latest.iter().enumerate() {
+            let copies = ring.ids.iter().filter(|&&id| id as usize == b).count();
+            match *stamp {
+                Some(t) => {
+                    assert_eq!(copies, 1, "branch {b} has one live id");
+                    assert_eq!(ring.ids[ring.slot[b]] as usize, b, "branch {b}'s slot");
+                    assert_eq!(ring.stamps[ring.slot[b]], t, "branch {b}'s stamp");
+                }
+                None => assert_eq!(copies, 0, "branch {b} never ran"),
+            }
+        }
+        assert_eq!(ring.latest_stamps().collect::<Vec<_>>(), latest);
+        for (node, stamp) in latest.iter().enumerate() {
+            let expected: Vec<u32> = match *stamp {
+                Some(prev) => (0..latest.len() as u32)
+                    .filter(|&b| b as usize != node && latest[b as usize] > Some(prev))
+                    .collect(),
+                None => Vec::new(),
+            };
+            assert_eq!(hits(ring, node as u32), expected, "since_last({node})");
+        }
     }
 
     #[test]
@@ -164,58 +201,47 @@ mod tests {
         r.record(0, 5);
         r.record(1, 10);
         r.record(2, 15);
-        assert_eq!(hits(&r, 5, 0), vec![1, 2]);
-        assert_eq!(hits(&r, 10, 0), vec![2]);
-        assert_eq!(hits(&r, 15, 0), Vec::<u32>::new());
+        assert_eq!(hits(&r, 0), vec![1, 2]);
+        assert_eq!(hits(&r, 1), vec![2]);
+        assert_eq!(hits(&r, 2), Vec::<u32>::new());
+        assert!(r.since_last(2).is_empty(), "nothing ran since the tail");
+        assert!(r.since_last(7).is_empty(), "never recorded");
     }
 
     #[test]
-    fn reexecution_supersedes_the_old_entry() {
+    fn reexecution_tombstones_the_old_entry() {
         let mut r = RecencyRing::default();
         r.record(0, 5);
         r.record(1, 10);
         r.record(0, 20);
-        // Branch 0's live stamp is 20 now; its stale stamp-5 entry must
-        // not satisfy a scan above 5.
-        assert_eq!(hits(&r, 6, 1), vec![0]);
-        assert_eq!(
-            hits(&r, 2, 1),
-            vec![0],
-            "stale entry is skipped, live one found"
-        );
+        assert_eq!(r.ids, vec![TOMB, 1, 0], "the stamp-5 entry is a tombstone");
+        assert_eq!(r.since_last(1), &[0], "the live stamp-20 entry is found");
+        assert!(r.since_last(0).is_empty());
     }
 
     #[test]
-    fn max_stamp_scan_is_empty_not_overflowing() {
+    fn equal_stamps_are_skipped_and_max_stamps_do_not_overflow() {
         let mut r = RecencyRing::default();
-        r.record(0, u64::MAX);
-        r.record(1, u64::MAX);
-        assert_eq!(hits(&r, u64::MAX, 0), Vec::<u32>::new());
-        assert_eq!(hits(&r, u64::MAX - 1, 0), vec![1]);
+        r.record(0, 7);
+        r.record(1, 7);
+        r.record(2, 8);
+        assert_eq!(r.since_last(0), &[2], "branch 1 ran at the same stamp");
+        r.record(3, u64::MAX);
+        r.record(4, u64::MAX);
+        assert!(r.since_last(3).is_empty());
+        assert_eq!(hits(&r, 2), vec![3, 4]);
     }
 
     #[test]
-    fn any_after_is_false_only_when_the_scan_is_empty() {
-        let mut r = RecencyRing::default();
-        assert!(!r.any_after(0));
-        r.record(0, 5);
-        r.record(1, 9);
-        assert!(r.any_after(5));
-        assert!(!r.any_after(9), "the tail is the latest stamp");
-        assert_eq!(hits(&r, 9, 2), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn compaction_preserves_scan_results() {
+    fn compaction_drops_tombstones_and_preserves_scan_results() {
         let mut r = RecencyRing::default();
         // Two branches alternating for long enough to trigger compaction
         // many times over.
         for i in 0..10_000u64 {
             r.record((i % 2) as u32, i + 1);
         }
-        assert!(r.entries.len() <= 64.max(2 * r.live));
-        assert_eq!(hits(&r, 9_999, 0), vec![1]);
-        assert_eq!(hits(&r, 10_000, 0), Vec::<u32>::new());
+        assert!(r.ids.len() <= 64.max(2 * r.live));
+        assert_exact(&r, &[Some(9_999), Some(10_000)]);
     }
 
     #[test]
@@ -225,28 +251,52 @@ mod tests {
         r.record(1, 20);
         r.record(2, 30);
         r.record(3, 15); // regression: lands between 10 and 20
-        assert_eq!(hits(&r, 12, 9), vec![1, 2, 3]);
-        assert_eq!(hits(&r, 15, 9), vec![1, 2]);
+        r.record(1, 12); // a live entry moves back past a tombstone
+        assert_exact(&r, &[Some(10), Some(12), Some(30), Some(15)]);
         // Entries stay sorted so later appends still work.
         r.record(4, 40);
-        assert_eq!(hits(&r, 29, 9), vec![2, 4]);
+        assert_exact(&r, &[Some(10), Some(12), Some(30), Some(15), Some(40)]);
+    }
+
+    #[test]
+    fn any_record_sequence_keeps_one_live_id_per_branch() {
+        // Mostly rising stamps with ties, backward steps and the top of
+        // the range, over few enough branches to re-execute often and
+        // compact many times.
+        let mut lcg: u64 = 11;
+        for run in 0..40u64 {
+            let mut latest = vec![None; 9];
+            let mut r = RecencyRing::from_stamps(&latest);
+            let mut t = if run % 4 == 0 { u64::MAX - 300 } else { 1 };
+            for _ in 0..300 {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let b = (lcg >> 40) as usize % latest.len();
+                t = match (lcg >> 20) % 16 {
+                    0 => t.saturating_sub((lcg >> 8) % 20), // backward
+                    1..=3 => t,                             // tie
+                    _ => t.saturating_add((lcg >> 12) % 3 + 1),
+                };
+                r.record(b as u32, t);
+                latest[b] = Some(t);
+                assert_exact(&r, &latest);
+            }
+        }
     }
 
     #[test]
     fn from_stamps_matches_incremental_construction() {
         let stamps = vec![Some(7u64), None, Some(3), Some(7), None, Some(12)];
         let rebuilt = RecencyRing::from_stamps(&stamps);
+        assert_exact(&rebuilt, &stamps);
         let mut incremental = RecencyRing::default();
         incremental.record(2, 3);
         incremental.record(0, 7);
         incremental.record(3, 7);
         incremental.record(5, 12);
-        for prev in [0, 3, 6, 7, 11, 12] {
-            assert_eq!(
-                hits(&rebuilt, prev, 99),
-                hits(&incremental, prev, 99),
-                "prev {prev}"
-            );
+        for node in 0..6 {
+            assert_eq!(hits(&rebuilt, node), hits(&incremental, node), "{node}");
         }
     }
 }

@@ -23,15 +23,20 @@
 //! the pair weights, serially, resumed from a checkpoint (whose restored
 //! edges sit in the spill while new credits go to rows) and stitched
 //! from ownership-parallel workers.
+//!
+//! [`StreamingAnalysis::push`] is public and accepts stamps that go
+//! backwards, which no trace holds. A third property feeds it record
+//! lists with backward steps, ties and stamps at `u64::MAX`, and compares
+//! the graph with a linear scan over the same records.
 
 use bwsa_core::pipeline::AnalysisPipeline;
 use bwsa_core::{
     analyze_parallel, interleave_counts, interleave_counts_naive, Analysis, ConflictConfig,
     ParallelConfig, StreamingAnalysis, WindowConfig, WindowedAnalysis,
 };
-use bwsa_graph::ConflictGraph;
+use bwsa_graph::{ConflictGraph, GraphBuilder};
 use bwsa_obs::Obs;
-use bwsa_trace::{Trace, TraceBuilder};
+use bwsa_trace::{BranchRecord, Direction, InstrCount, Pc, Trace, TraceBuilder};
 use proptest::prelude::*;
 
 /// Sorted `(a, b, weight)` edges of a builder — the comparison key.
@@ -265,4 +270,70 @@ fn every_engine_agrees_with_the_oracle_above_the_dense_cap() {
         assert_eq!(parallel, serial, "{jobs} jobs");
     }
     assert_eq!(windowed(&trace, 2_000), serial, "windowed");
+}
+
+/// Record lists over up to 12 branches whose stamps mostly rise but step
+/// back now and then, repeat (ties), and optionally start just below
+/// `u64::MAX`, where they soon pile up.
+fn arb_unordered_records() -> impl Strategy<Value = Vec<BranchRecord>> {
+    (
+        prop::collection::vec((0u8..12, any::<bool>(), 0u8..12, 0u64..40), 1..300),
+        any::<bool>(),
+    )
+        .prop_map(|(steps, near_max)| {
+            let mut t = if near_max { u64::MAX - 20 } else { 1_000 };
+            steps
+                .into_iter()
+                .map(|(slot, taken, kind, d)| {
+                    t = match kind {
+                        0 => t.saturating_sub(d % 16), // a backward step
+                        1 | 2 => t,                    // a tie
+                        _ => t.saturating_add(d % 3 + 1),
+                    };
+                    let pc = Pc::new(0x4000 + u64::from(slot) * 4);
+                    BranchRecord::new(pc, Direction::from(taken), InstrCount::new(t))
+                })
+                .collect()
+        })
+}
+
+/// The Figure 1 rule by linear scan over records in any stamp order: a
+/// re-executing branch credits every other branch whose latest stamp is
+/// strictly greater than its own previous one. It is
+/// [`interleave_counts_naive`]'s rule over a record list, because a
+/// [`Trace`] rejects records out of order; ids are assigned by first
+/// appearance, as the streaming engine interns them.
+fn naive_over_records(records: &[BranchRecord]) -> ConflictGraph {
+    let mut pcs: Vec<Pc> = Vec::new();
+    let mut latest: Vec<u64> = Vec::new();
+    let mut builder = GraphBuilder::new(0);
+    for rec in records {
+        let t = rec.time.get();
+        match pcs.iter().position(|&pc| pc == rec.pc) {
+            Some(node) => {
+                for b in (0..pcs.len()).filter(|&b| b != node && latest[b] > latest[node]) {
+                    builder.add_edge(node as u32, b as u32, 1);
+                }
+                latest[node] = t;
+            }
+            None => {
+                pcs.push(rec.pc);
+                latest.push(t);
+                builder.ensure_nodes(pcs.len() as u32);
+            }
+        }
+    }
+    builder.build()
+}
+
+proptest! {
+    #[test]
+    fn out_of_order_stamps_match_the_linear_scan(records in arb_unordered_records()) {
+        let mut engine = StreamingAnalysis::new("unordered");
+        for rec in &records {
+            engine.push(rec);
+        }
+        let streamed = engine.finish(&keep_all());
+        prop_assert_eq!(streamed.conflict.graph, naive_over_records(&records));
+    }
 }

@@ -157,18 +157,27 @@ for run in bwss bws3 j2 j3 ck resumed salvage salvage-j2 window; do
 done
 # gcc at 0.5 runs past the detector's 4096 dense rows, so pairs with an
 # id above the cap are counted in the spill table and merged into the
-# thresholded compile: in memory on 1 and 2 workers and streamed from
-# BWSS3, analyze prints the same bytes.
+# thresholded compile: in memory on 1 and 2 workers, streamed from BWSS3,
+# and streamed from BWSS2 with checkpoints (whose stamps are read from the
+# recency ring) and resumed from the rotated one, analyze prints the same
+# bytes.
 "$bwsa" generate gcc --scale 0.5 -o "$convert_dir/wide.bwst" > /dev/null
 "$bwsa" convert "$convert_dir/wide.bwst" "$convert_dir/wide.bws3" > /dev/null
+"$bwsa" convert "$convert_dir/wide.bwst" "$convert_dir/wide.bwss" > /dev/null
 "$bwsa" analyze "$convert_dir/wide.bwst" --jobs 1 > "$convert_dir/wide.out"
 static=$(sed -n 's/.* over \([0-9]*\) static sites.*/\1/p' "$convert_dir/wide.out")
 [ "${static:-0}" -gt 4096 ] \
     || { echo "gcc@0.5 has ${static:-no} static branches, not past the dense rows"; exit 1; }
 "$bwsa" analyze "$convert_dir/wide.bwst" --jobs 2 > "$convert_dir/wide-j2.out"
 "$bwsa" analyze "$convert_dir/wide.bws3" > "$convert_dir/wide-bws3.out"
-cmp "$convert_dir/wide.out" "$convert_dir/wide-j2.out"
-cmp "$convert_dir/wide.out" "$convert_dir/wide-bws3.out"
+"$bwsa" analyze "$convert_dir/wide.bwss" --checkpoint "$convert_dir/wide.ck" \
+    --checkpoint-every 4 > "$convert_dir/wide-ck.out"
+[ -f "$convert_dir/wide.ck.prev" ] || { echo "no rotated gcc@0.5 checkpoint"; exit 1; }
+"$bwsa" analyze "$convert_dir/wide.bwss" --resume "$convert_dir/wide.ck.prev" \
+    > "$convert_dir/wide-resumed.out"
+for run in j2 bws3 ck resumed; do
+    cmp "$convert_dir/wide.out" "$convert_dir/wide-$run.out"
+done
 # A torn file has no instruction total: streamed, decoded for 2 workers
 # or windowed, --salvage counts up to the last record it recovered and
 # prints the same bytes. The BWSS2 stream loses its 40-byte end frame,

@@ -409,6 +409,17 @@ impl Parsed {
             })
             .transpose()
     }
+
+    /// A positive `--name` in MiB, in bytes; one too large to represent
+    /// is a usage error too.
+    fn mebibytes(&self, name: &str) -> Result<Option<u64>, CliError> {
+        self.positive(name)?
+            .map(|mb: u64| {
+                mb.checked_mul(1024 * 1024)
+                    .ok_or_else(|| usage_err(format!("--{name} {mb} is too large")))
+            })
+            .transpose()
+    }
 }
 
 /// A flag value that can be required to be positive: a nonzero count,
@@ -624,7 +635,7 @@ fn parallel_config(jobs: Option<usize>) -> ParallelConfig {
 fn supervisor_of(p: &Parsed) -> Result<Option<SupervisorConfig>, CliError> {
     let retries = p.number("retries")?;
     let max_wall = p.seconds("max-seconds")?;
-    let max_rss_bytes = p.positive("max-rss-mb")?.map(|mb: u64| mb * 1024 * 1024);
+    let max_rss_bytes = p.mebibytes("max-rss-mb")?;
     if retries.is_none() && max_wall.is_none() && max_rss_bytes.is_none() {
         return Ok(None);
     }
@@ -1631,10 +1642,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     config.quotas = TenantQuotas {
         max_concurrent: p.positive("max-concurrent")?.unwrap_or(4),
         max_in_flight_bytes: p
-            .positive("max-bytes-mb")?
-            .map_or(TenantQuotas::default().max_in_flight_bytes, |mb: u64| {
-                mb * 1024 * 1024
-            }),
+            .mebibytes("max-bytes-mb")?
+            .unwrap_or(TenantQuotas::default().max_in_flight_bytes),
     };
     config.request_deadline = Some(
         p.seconds("deadline-seconds")?
@@ -2104,9 +2113,10 @@ mod tests {
         let dir = std::env::temp_dir().join("bwsa_cli_stage_test");
         std::fs::create_dir_all(&dir).unwrap();
         // BWST runs the parallel engine in memory; BWSS3 streams its blocks
-        // into the detector inside `ingest`.
+        // into the detector inside `ingest`, each block's pushes timed as
+        // `detect`.
         let parallel: &[&str] = &["profile", "shard_detect"];
-        for (format, engine) in [("bwst", parallel), ("bwss3", &[])] {
+        for (format, engine) in [("bwst", parallel), ("bwss3", &["detect"])] {
             let trace = dir.join(format!("t.{format}"));
             let trace_s = trace.to_str().unwrap().to_owned();
             run(&strs(&[
@@ -2180,6 +2190,7 @@ mod tests {
             ("--max-seconds", "soon"),
             ("--max-rss-mb", "0"),
             ("--max-rss-mb", "lots"),
+            ("--max-rss-mb", "17592186044416"), // 2^44 MiB: 2^64 bytes
         ] {
             assert!(
                 matches!(
@@ -2196,16 +2207,16 @@ mod tests {
                 "allocate {flag} {bad}"
             );
         }
-        // A request deadline too long to represent is refused before the
-        // daemon binds its socket.
-        match run(&strs(&[
-            "serve",
-            "/no/such/dir/bwsa.sock",
-            "--deadline-seconds",
-            "1e300",
-        ])) {
-            Err(CliError::Usage(message)) => assert!(message.contains("--deadline-seconds")),
-            other => panic!("serve --deadline-seconds 1e300: {other:?}"),
+        // A request deadline too long or an in-flight byte quota too large
+        // to represent is refused before the daemon binds its socket.
+        for (flag, bad) in [
+            ("--deadline-seconds", "1e300"),
+            ("--max-bytes-mb", "17592186044416"),
+        ] {
+            match run(&strs(&["serve", "/no/such/dir/bwsa.sock", flag, bad])) {
+                Err(CliError::Usage(message)) => assert!(message.contains(flag), "{message}"),
+                other => panic!("serve {flag} {bad}: {other:?}"),
+            }
         }
         // No supervisor flags means no supervisor.
         let p = parse(&[], &["retries"], &[]).unwrap();
