@@ -14,6 +14,7 @@
 //! saved merged, in increasing `(a, b)` order, and restored into the
 //! detector's spill table. The latest timestamps are read from the recency
 //! index, which is not saved: it is fully derivable from them.
+//! [`write_checkpoint`] is the one rotating checkpoint writer.
 
 use crate::error::CoreError;
 use crate::interleave::Accumulator;
@@ -22,6 +23,7 @@ use bwsa_graph::GraphBuilder;
 use bwsa_trace::codec::{self, Cursor};
 use bwsa_trace::profile::BranchStats;
 use bwsa_trace::{BranchRecord, BranchTable, TraceError};
+use std::path::{Path, PathBuf};
 
 /// Magic prefix shared by all checkpoint files in the workspace.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"BWCK";
@@ -62,10 +64,10 @@ pub const CHECKPOINT_KIND_ANALYSIS: u8 = 2;
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingAnalysis {
-    trace_name: String,
+    pub(crate) trace_name: String,
     /// The pc interner: ids in first-appearance order.
-    table: BranchTable,
-    acc: Accumulator,
+    pub(crate) table: BranchTable,
+    pub(crate) acc: Accumulator,
 }
 
 impl StreamingAnalysis {
@@ -88,33 +90,11 @@ impl StreamingAnalysis {
         self.acc.records
     }
 
-    /// Distinct static branches seen so far.
-    pub fn static_branch_count(&self) -> usize {
-        self.table.len()
-    }
-
     /// Consumes one dynamic branch record: interns its pc and counts it
     /// exactly as [`AnalysisPipeline::run_observed`] counts a trace's.
     pub fn push(&mut self, rec: &BranchRecord) {
         let id = self.table.intern(rec.pc);
         self.acc.push(id.as_u32(), rec.time.get(), rec.is_taken());
-    }
-
-    /// Drains a fallible record source (e.g. a
-    /// [`bwsa_trace::stream::StreamReader`]) into the analysis.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error the source yields; records consumed
-    /// before the error remain accounted for.
-    pub fn consume<I>(&mut self, records: I) -> Result<(), TraceError>
-    where
-        I: IntoIterator<Item = Result<BranchRecord, TraceError>>,
-    {
-        for record in records {
-            self.push(&record?);
-        }
-        Ok(())
     }
 
     /// Completes the pipeline on everything consumed so far, producing the
@@ -175,10 +155,13 @@ impl StreamingAnalysis {
             codec::put_varint(&mut buf, s.last_time.get());
         }
         // Latest stamp per branch; stamp+1 so 0 encodes "never executed".
+        // A stamp of u64::MAX wraps to 0 too: `load` reads it back from
+        // the branch's `last_time`, which is every executed branch's
+        // latest stamp.
         let detector = &self.acc.detector;
         codec::put_varint(&mut buf, detector.latest_stamps().len() as u64);
         for stamp in detector.latest_stamps() {
-            codec::put_varint(&mut buf, stamp.map_or(0, |t| t + 1));
+            codec::put_varint(&mut buf, stamp.map_or(0, |t| t.wrapping_add(1)));
         }
         // Accumulated interleave edges in increasing (a, b) order, for a
         // deterministic encoding.
@@ -291,9 +274,10 @@ impl StreamingAnalysis {
             )));
         }
         let mut last_stamp = Vec::with_capacity(n_stamps);
-        for _ in 0..n_stamps {
+        for s in &stats {
             let raw = cur.get_varint().map_err(malformed)?;
-            last_stamp.push(raw.checked_sub(1));
+            let wrapped = (s.executions > 0).then_some(s.last_time.get());
+            last_stamp.push(raw.checked_sub(1).or(wrapped));
         }
 
         let n_edges = get_len(&mut cur, "edges")?;
@@ -327,6 +311,33 @@ impl StreamingAnalysis {
             acc: Accumulator::resume(last_stamp, builder, stats, records_consumed),
         })
     }
+}
+
+/// Writes checkpoint bytes via a temporary file and rename, so a crash
+/// mid-write never leaves a torn checkpoint at `path`. The checkpoint
+/// being replaced is rotated to `FILE.prev` first, so one good ancestor
+/// survives to resume from even if the newest file is later damaged.
+///
+/// # Errors
+///
+/// The failed write or rename, naming its paths.
+pub fn write_checkpoint(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let sibling = |suffix: &str| {
+        let mut name = path.as_os_str().to_owned();
+        name.push(suffix);
+        PathBuf::from(name)
+    };
+    let (tmp, prev) = (sibling(".tmp"), sibling(".prev"));
+    let fail = |what: String| {
+        move |e: std::io::Error| std::io::Error::new(e.kind(), format!("{what}: {e}"))
+    };
+    std::fs::write(&tmp, bytes).map_err(fail(format!("cannot write {}", tmp.display())))?;
+    if path.exists() {
+        let rotate = format!("cannot rotate {} to {}", path.display(), prev.display());
+        std::fs::rename(path, &prev).map_err(fail(rotate))?;
+    }
+    let rename = format!("cannot rename {} to {}", tmp.display(), path.display());
+    std::fs::rename(&tmp, path).map_err(fail(rename))
 }
 
 #[cfg(test)]
@@ -418,49 +429,34 @@ mod tests {
     }
 
     #[test]
-    fn streaming_from_stream_reader_roundtrip() {
-        use bwsa_trace::stream::{StreamReader, StreamWriter};
-        let mut t = TraceBuilder::new("s");
-        for i in 0..500u64 {
-            t.record(0x100 + (i % 5) * 4, i % 3 == 0, i + 1);
+    fn a_max_stamp_survives_a_checkpoint() {
+        let records = [(0xa, 5), (0xb, u64::MAX), (0xc, u64::MAX), (0xa, u64::MAX)];
+        let mut straight = StreamingAnalysis::new("max");
+        let mut first = StreamingAnalysis::new("max");
+        for (pc, t) in records {
+            straight.push(&BranchRecord::from_raw(pc, true, t));
         }
-        let trace = t.finish();
-        let mut buf = Vec::new();
-        let mut w = StreamWriter::new(&mut buf, "s").unwrap();
-        for r in trace.records() {
-            w.push(*r).unwrap();
+        for (pc, t) in &records[..3] {
+            first.push(&BranchRecord::from_raw(*pc, true, *t));
         }
-        w.finish(0).unwrap();
-        let mut a = StreamingAnalysis::new("s");
-        a.consume(StreamReader::new(&buf[..]).unwrap()).unwrap();
-        assert_eq!(
-            a.finish(&keep_all()),
-            keep_all().run_observed(&trace, &bwsa_obs::Obs::noop())
-        );
+        let mut resumed = StreamingAnalysis::load(&first.save()).expect("checkpoint loads");
+        resumed.push(&BranchRecord::from_raw(0xa, true, u64::MAX));
+        let resumed = resumed.finish(&keep_all());
+        assert_eq!(resumed, straight.finish(&keep_all()));
+        assert_eq!(resumed.conflict.raw_edge_count, 2, "a saw b and c after 5");
     }
 
     #[test]
-    fn consume_drains_a_fallible_source() {
-        let trace = busy_trace(300);
-        let mut a = StreamingAnalysis::new("busy");
-        a.consume(trace.records().iter().map(|r| Ok(*r))).unwrap();
-        assert_eq!(a.records_consumed(), 300);
-        assert_eq!(
-            a.finish(&AnalysisPipeline::new()),
-            AnalysisPipeline::new().run_observed(&trace, &bwsa_obs::Obs::noop())
-        );
-    }
-
-    #[test]
-    fn consume_stops_at_the_first_error() {
-        let mut a = StreamingAnalysis::new("x");
-        let records = vec![
-            Ok(BranchRecord::from_raw(0xa, true, 1)),
-            Err(TraceError::format("boom")),
-            Ok(BranchRecord::from_raw(0xb, true, 3)),
-        ];
-        assert!(a.consume(records).is_err());
-        assert_eq!(a.records_consumed(), 1, "prefix before the error counts");
+    fn write_checkpoint_rotates_the_previous_file() {
+        let dir = std::env::temp_dir().join(format!("bwsa-ck-rotate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("a.bwck");
+        write_checkpoint(&path, b"one").unwrap();
+        write_checkpoint(&path, b"two").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"two");
+        assert_eq!(std::fs::read(dir.join("a.bwck.prev")).unwrap(), b"one");
+        assert!(!dir.join("a.bwck.tmp").exists());
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -468,7 +464,7 @@ mod tests {
         let a = StreamingAnalysis::new("empty");
         let b = StreamingAnalysis::load(&a.save()).unwrap();
         assert_eq!(b.records_consumed(), 0);
-        assert_eq!(b.static_branch_count(), 0);
+        assert_eq!(b.table.len(), 0);
         assert_eq!(b.trace_name(), "empty");
     }
 

@@ -1,17 +1,14 @@
-//! Columnar (`BWSS3`) analysis without materialising the trace.
+//! Deprecated `BWSS3` entry points, kept for callers outside the
+//! workspace until they move to the public ones.
 //!
-//! [`analyze_columnar_stream`] walks blocks through
-//! [`bwsa_trace::columnar::ColumnarFile::walk`]'s reusable SoA scratch and
-//! feeds their columns to the record accumulator, so memory stays at one
-//! block plus the engine state. A whole-trace decode, for the commands
-//! that need the trace in memory, is [`bwsa_trace::decode`] (or
-//! [`read_columnar`] for a buffer known to be columnar): one serial walk
-//! over the same blocks.
+//! A serial [`Session`] over [`Source::File`] streams a `BWSS3` file's
+//! blocks into the record accumulator without materialising the trace; a
+//! whole-trace decode is [`bwsa_trace::decode`] (or [`read_columnar`]).
 
-use crate::interleave::Accumulator;
 use crate::pipeline::{Analysis, AnalysisPipeline};
+use crate::{Error, Session, Source};
 use bwsa_obs::Obs;
-use bwsa_trace::columnar::{read_columnar, ColumnarFile, FirstSeen};
+use bwsa_trace::columnar::read_columnar;
 use bwsa_trace::stream::{RecoveryPolicy, SalvageReport};
 use bwsa_trace::{Trace, TraceError};
 
@@ -29,52 +26,39 @@ pub fn decode_columnar(
     read_columnar(bytes, policy)
 }
 
-/// Runs the full analysis pipeline over a `BWSS3` buffer block-at-a-time
-/// without materialising the trace: each block is decoded into reusable
-/// SoA scratch and its id, time and taken columns go straight into the
-/// record accumulator. No per-record struct is built and no pc is
-/// hashed: ids are renumbered by first appearance ([`FirstSeen`]), which
-/// is the writer's own numbering on an undamaged file and the numbering
-/// of a trace of the surviving records after a dropped block.
-///
-/// Memory stays bounded by one block plus the engine state. The result
-/// is bit-identical to decoding the whole trace and running
-/// [`AnalysisPipeline::run_observed`] over it.
+/// A serial [`Session`] over `bytes`: a `BWSS3` file's surviving blocks
+/// go into the record accumulator, with ids renumbered by first
+/// appearance, so the result is bit-identical to decoding the whole
+/// trace and running [`AnalysisPipeline::run_observed`] over it.
 ///
 /// # Errors
 ///
-/// Propagates decode errors per `policy` exactly as
-/// [`bwsa_trace::columnar::read_columnar`] does; under salvage the
-/// analysis covers whatever the salvage decode would recover.
+/// Decode errors per `policy`, exactly as
+/// [`bwsa_trace::columnar::read_columnar`] raises them.
+#[deprecated(note = "use `Session::over(Source::File { .. })`")]
 pub fn analyze_columnar_stream(
     pipeline: &AnalysisPipeline,
     bytes: &[u8],
     policy: RecoveryPolicy,
     obs: &Obs,
 ) -> Result<(Analysis, SalvageReport), TraceError> {
-    let file = ColumnarFile::parse(bytes)?;
-    let mut acc = Accumulator::new(0);
-    let mut first_seen = FirstSeen::default();
-    let (report, _) = {
-        let _span = obs.span("ingest");
-        file.walk(policy, |view| {
-            let _detect = obs.span("detect"); // ingest minus decoding
-            for ((&id, &taken), &time) in view.ids.iter().zip(view.taken).zip(view.times) {
-                acc.push(first_seen.id(id), time, taken);
-            }
-        })?
-    };
-    obs.add("trace.records_read", report.records_recovered);
-    obs.add("trace.chunks_ok", report.chunks_ok);
-    Ok((acc.into_analysis(pipeline, obs), report))
+    let session = Session::over(Source::File { bytes, policy })
+        .with_pipeline(*pipeline)
+        .with_observer(obs.clone());
+    let analysis = session.run().map_err(|e| match e {
+        Error::Trace(e) => e,
+        e => TraceError::format(e.to_string()),
+    })?;
+    let salvage = session.ingested().map(|i| i.salvage.clone());
+    Ok((analysis.clone(), salvage.unwrap_or_default()))
 }
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used)]
+    #![allow(clippy::unwrap_used, deprecated)]
 
     use super::*;
-    use bwsa_trace::columnar::ColumnarWriter;
+    use bwsa_trace::columnar::{ColumnarFile, ColumnarWriter};
     use bwsa_trace::TraceBuilder;
 
     fn busy_trace(n: u64) -> Trace {

@@ -9,9 +9,9 @@
 //!
 //! One kernel, `Detector`, runs the procedure for every engine. The
 //! serial pipeline and the ownership-parallel workers of
-//! [`crate::parallel`] drive it directly; every engine fed one record at
-//! a time (BWSS2 and BWSS3 streaming, checkpoint/resume, the supervisor's
-//! streaming rung and the windowed engine) goes through `Accumulator`,
+//! [`crate::parallel`] drive it directly; every engine fed record blocks
+//! (serial BWSS2 and BWSS3 streaming, checkpoint/resume and the windowed
+//! engine) goes through `Accumulator`,
 //! which pairs it with the per-branch execution statistics of the same
 //! records. The detector finds the branches to credit with a recency
 //! index of `(latest timestamp, branch)` pairs (`RecencyRing`): a scan
@@ -691,10 +691,11 @@ pub fn interleave_counts_naive(trace: &Trace) -> GraphBuilder {
 /// The one record accumulator behind every engine that is fed a record
 /// at a time: the [`Detector`] for the Figure 1 credits, the per-branch
 /// [`BranchStats`] behind the §5.2 bias classes and Table 2's dynamic
-/// sizes, and the record count. BWSS2 streaming and checkpoints (through
-/// [`crate::StreamingAnalysis`], which interns pcs first), BWSS3
-/// streaming, the supervisor's streaming rung and the windowed engine
-/// push pre-interned `(id, stamp, taken)` records into it.
+/// sizes, and the record count. A serial session over a BWSS2 or BWSS3
+/// file (through [`crate::StreamingAnalysis`] for BWSS2, whose pc table
+/// interns the records and whose checkpoints save the accumulator) and
+/// the windowed engine push pre-interned `(id, stamp, taken)` records
+/// into it.
 ///
 /// Every id pushed grows the accumulator to cover it, so an accumulator
 /// started empty ends with exactly the branches it saw.

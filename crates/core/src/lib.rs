@@ -69,6 +69,7 @@ pub mod pipeline;
 mod recency;
 pub mod report;
 pub mod session;
+pub mod source;
 pub mod supervise;
 pub mod window;
 pub mod working_set;
@@ -120,7 +121,7 @@ pub mod failpoints {
 }
 
 pub use allocation::{allocate, required_bht_size, Allocation, AllocationConfig};
-pub use checkpoint::StreamingAnalysis;
+pub use checkpoint::{write_checkpoint, StreamingAnalysis};
 pub use classify::{classify, BiasClass, Classification};
 pub use conflict::{ConflictAnalysis, ConflictConfig};
 pub use error::{CoreError, Error};
@@ -130,7 +131,8 @@ pub use parallel::{
     ParallelConfig, ShardRetryPolicy,
 };
 pub use pipeline::{Analysis, AnalysisPipeline};
-pub use session::{Classified, Execution, Session};
+pub use session::{Checkpoints, Classified, Execution, Session};
+pub use source::{Ingested, Source};
 pub use supervise::{Downgrade, ResilienceSummary, SupervisorConfig};
 pub use window::{
     RecolorStats, WindowConfig, WindowSummary, WindowUnit, WindowedAnalysis, WindowedResult,
@@ -167,6 +169,7 @@ pub mod prelude {
     pub use crate::error::{CoreError, Error};
     pub use crate::pipeline::{Analysis, AnalysisPipeline};
     pub use crate::session::{Classified, Execution, Session};
+    pub use crate::source::Source;
     pub use crate::supervise::{ResilienceSummary, SupervisorConfig};
     pub use crate::window::{WindowConfig, WindowSummary, WindowedResult};
     pub use crate::{allocation::AllocationConfig, conflict::ConflictConfig, ParallelConfig};

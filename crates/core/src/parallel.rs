@@ -100,90 +100,59 @@ impl Default for ShardRetryPolicy {
     }
 }
 
-/// Strategy for running the parallel detection workers.
-///
-/// The analysis body is generic over this so the plain (fail-fast) and
-/// supervised (isolate-and-retry) engines share one implementation and
-/// cannot drift apart.
-trait ShardMapper {
-    fn map<T, R, F>(&self, items: Vec<T>, jobs: usize, f: F) -> Result<Vec<R>, ResilienceError>
-    where
-        T: Send + Clone,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync;
-}
-
-/// Fail-fast mapper: a worker panic propagates, exactly as before
-/// supervision existed.
-struct PlainMapper;
-
-impl ShardMapper for PlainMapper {
-    fn map<T, R, F>(&self, items: Vec<T>, jobs: usize, f: F) -> Result<Vec<R>, ResilienceError>
-    where
-        T: Send + Clone,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        Ok(parallel_map(items, jobs, f))
-    }
-}
-
-/// Isolating mapper: each worker runs inside a `catch` boundary *in the
-/// worker closure* — this must happen before the scoped-thread join,
-/// because a scoped thread that unwinds surfaces only a generic
-/// "scoped thread panicked" message and the typed payload
-/// ([`bwsa_resilience::supervisor::InjectedFault`], deadline markers)
-/// would be lost. Failed workers retry per [`ShardRetryPolicy`]; every
-/// retry increments the shared counter so the run report can show it.
-struct RetryMapper<'a> {
-    policy: ShardRetryPolicy,
-    retries: &'a AtomicU64,
-}
-
-impl ShardMapper for RetryMapper<'_> {
-    fn map<T, R, F>(&self, items: Vec<T>, jobs: usize, f: F) -> Result<Vec<R>, ResilienceError>
-    where
-        T: Send + Clone,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        let mut pending: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-        let mut results: Vec<Option<R>> = Vec::new();
-        results.resize_with(pending.len(), || None);
-        let mut backoff = Backoff::new(self.policy.backoff_base);
-        let mut round: u32 = 0;
-        loop {
-            let outcomes = parallel_map(pending.clone(), jobs, |_, (original, item)| {
-                (original, catch(|| f(original, item)))
-            });
-            let mut failed: Vec<(usize, ResilienceError)> = Vec::new();
-            for (original, outcome) in outcomes {
-                match outcome {
-                    Ok(result) => results[original] = Some(result),
-                    Err(fault) => failed.push((original, fault)),
-                }
+/// Maps `f` over `items` on `jobs` workers, each item inside a `catch`
+/// boundary *in the worker closure* — before the scoped-thread join, so
+/// the typed payload ([`bwsa_resilience::supervisor::InjectedFault`],
+/// deadline markers) reaches the caller. Failed items re-run per
+/// `policy`, and every retry increments `retries` so the run report can
+/// show it; only the failed items re-run, successful results are kept.
+fn map_isolated<T, R, F>(
+    items: Vec<T>,
+    jobs: usize,
+    policy: &ShardRetryPolicy,
+    retries: &AtomicU64,
+    f: F,
+) -> Result<Vec<R>, ResilienceError>
+where
+    T: Send + Clone,
+    R: Send,
+    F: Fn(usize, T) -> R + Sync,
+{
+    let mut pending: Vec<(usize, T)> = items.into_iter().enumerate().collect();
+    let mut results: Vec<Option<R>> = Vec::new();
+    results.resize_with(pending.len(), || None);
+    let mut backoff = Backoff::new(policy.backoff_base);
+    let mut round: u32 = 0;
+    loop {
+        let outcomes = parallel_map(pending.clone(), jobs, |_, (original, item)| {
+            (original, catch(|| f(original, item)))
+        });
+        let mut failed: Vec<(usize, ResilienceError)> = Vec::new();
+        for (original, outcome) in outcomes {
+            match outcome {
+                Ok(result) => results[original] = Some(result),
+                Err(fault) => failed.push((original, fault)),
             }
-            if failed.is_empty() {
-                return Ok(results
-                    .into_iter()
-                    .map(|r| r.expect("every worker resolved"))
-                    .collect());
-            }
-            // Deterministic error choice: the lowest-index worker's fault.
-            failed.sort_by_key(|&(i, _)| i);
-            let exhausted = round >= self.policy.retries;
-            let fatal = failed.iter().any(|(_, fault)| !fault.is_retryable());
-            if exhausted || fatal {
-                let (_, fault) = failed.swap_remove(0);
-                return Err(fault);
-            }
-            self.retries
-                .fetch_add(failed.len() as u64, Ordering::Relaxed);
-            let failed_indices: Vec<usize> = failed.iter().map(|&(i, _)| i).collect();
-            pending.retain(|(i, _)| failed_indices.contains(i));
-            round += 1;
-            std::thread::sleep(backoff.delay());
         }
+        if failed.is_empty() {
+            return Ok(results
+                .into_iter()
+                .map(|r| r.expect("every worker resolved"))
+                .collect());
+        }
+        // Deterministic error choice: the lowest-index worker's fault.
+        failed.sort_by_key(|&(i, _)| i);
+        let exhausted = round >= policy.retries;
+        let fatal = failed.iter().any(|(_, fault)| !fault.is_retryable());
+        if exhausted || fatal {
+            let (_, fault) = failed.swap_remove(0);
+            return Err(fault);
+        }
+        retries.fetch_add(failed.len() as u64, Ordering::Relaxed);
+        let failed_indices: Vec<usize> = failed.iter().map(|&(i, _)| i).collect();
+        pending.retain(|(i, _)| failed_indices.contains(i));
+        round += 1;
+        std::thread::sleep(backoff.delay());
     }
 }
 
@@ -245,7 +214,8 @@ pub fn analyze_parallel(
 /// [`analyze_parallel`] with stage timings (`profile`, `shard_detect` for
 /// the workers and the stitch of their rows, then the shared tail from
 /// `compile` on) and counters reported into `obs`; `core.shards_merged`
-/// counts the workers that ran.
+/// counts the workers that ran. A worker's fault unwinds the caller with
+/// its own payload.
 ///
 /// The observer never participates in the computation, so the result is
 /// bit-identical whether or not it records.
@@ -255,10 +225,13 @@ pub fn analyze_parallel_observed(
     config: &ParallelConfig,
     obs: &Obs,
 ) -> Analysis {
-    match analyze_parallel_with(pipeline, trace, config, obs, &PlainMapper) {
-        Ok(analysis) => analysis,
-        Err(_) => unreachable!("the plain mapper is infallible"),
-    }
+    let policy = ShardRetryPolicy {
+        retries: 0,
+        backoff_base: Duration::ZERO,
+    };
+    let retries = AtomicU64::new(0);
+    analyze_parallel_supervised(pipeline, trace, config, obs, &policy, &retries)
+        .unwrap_or_else(|fault| fault.resume())
 }
 
 /// [`analyze_parallel_observed`] with per-worker fault isolation.
@@ -286,25 +259,6 @@ pub fn analyze_parallel_supervised(
     policy: &ShardRetryPolicy,
     retry_counter: &AtomicU64,
 ) -> Result<Analysis, ResilienceError> {
-    analyze_parallel_with(
-        pipeline,
-        trace,
-        config,
-        obs,
-        &RetryMapper {
-            policy: *policy,
-            retries: retry_counter,
-        },
-    )
-}
-
-fn analyze_parallel_with<M: ShardMapper>(
-    pipeline: &AnalysisPipeline,
-    trace: &Trace,
-    config: &ParallelConfig,
-    obs: &Obs,
-    mapper: &M,
-) -> Result<Analysis, ResilienceError> {
     let profile = {
         let _span = obs.span("profile");
         BranchProfile::from_trace(trace)
@@ -312,14 +266,11 @@ fn analyze_parallel_with<M: ShardMapper>(
     let (owner, workers) = owners(&profile, config.jobs.get());
     let detector = {
         let _span = obs.span("shard_detect");
-        let detectors = mapper.map(
-            (0..workers).collect(),
-            workers as usize,
-            |_, worker: u32| {
-                bwsa_resilience::failpoint!("core.shard_detect");
-                detect_owned(trace, &owner, worker)
-            },
-        )?;
+        let items: Vec<u32> = (0..workers).collect();
+        let detectors = map_isolated(items, workers as usize, policy, retry_counter, |_, w| {
+            bwsa_resilience::failpoint!("core.shard_detect");
+            detect_owned(trace, &owner, w)
+        })?;
         obs.add("core.shards_merged", detectors.len() as u64);
         bwsa_resilience::failpoint!("core.shard_merge");
         stitch(detectors)

@@ -16,10 +16,8 @@ use crate::conflict::{ConflictAnalysis, ConflictConfig};
 use crate::error::Error;
 use crate::interleave::Detector;
 use crate::session::Classified;
-use crate::window::WindowConfig;
 use crate::working_set::{working_sets, WorkingSetDefinition, WorkingSets};
 use crate::CoreError;
-use bwsa_obs::json::Json;
 use bwsa_obs::Obs;
 use bwsa_trace::{profile::BranchProfile, Trace};
 
@@ -96,34 +94,6 @@ impl AnalysisPipeline {
             )));
         }
         Ok(())
-    }
-
-    /// The `config` echo of a run report: this configuration, the
-    /// `execution` mode and worker count it ran with, and its window
-    /// (`null` keys when unwindowed). [`Session::config_json`] and the
-    /// streaming `analyze` path both echo through here.
-    ///
-    /// [`Session::config_json`]: crate::Session::config_json
-    pub fn config_json(&self, execution: &str, jobs: u64, window: Option<&WindowConfig>) -> Json {
-        Json::object([
-            ("conflict_threshold", Json::UInt(self.conflict.threshold)),
-            (
-                "working_set_definition",
-                Json::from(format!("{:?}", self.definition)),
-            ),
-            ("taken_threshold", Json::Float(self.taken_threshold)),
-            ("not_taken_threshold", Json::Float(self.not_taken_threshold)),
-            ("execution", Json::from(execution)),
-            ("jobs", Json::UInt(jobs)),
-            (
-                "window_interval",
-                window.map_or(Json::Null, |w| Json::UInt(w.interval())),
-            ),
-            (
-                "window_unit",
-                window.map_or(Json::Null, |w| Json::from(w.unit().label())),
-            ),
-        ])
     }
 
     /// Runs steps 1–3 plus classification on a trace, reporting stage

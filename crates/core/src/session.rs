@@ -1,13 +1,15 @@
 //! The unified **Session** entry point: one builder that owns the
-//! association of trace, pipeline configuration, execution strategy, and
-//! observer, and exposes every analysis product behind a single
-//! `Result<_, Error>` surface.
+//! association of a record [`Source`], pipeline configuration, execution
+//! strategy and observer, and exposes every analysis product behind a
+//! single `Result<_, Error>` surface.
 //!
-//! A [`Session`] replaces the 0.4-era pairs of pipeline methods
-//! (deleted in 0.9.0) with configuration values: [`Execution`] picks
-//! serial or ownership-parallel execution and [`Classified`] picks plain
-//! §5.1 or classified §5.2 allocation. The analysis is computed once on
-//! first use and cached for the session's lifetime, so interleaved
+//! A session runs over an in-memory trace ([`Session::new`]) or over the
+//! bytes of a trace file in any format ([`Session::over`]). [`Execution`]
+//! picks serial or ownership-parallel execution and [`Classified`] plain
+//! §5.1 or classified §5.2 allocation. A serial or windowed run streams a
+//! `BWSS2` or `BWSS3` file block by block and builds no trace; a `BWST`
+//! file, and any file under a parallel run, is decoded once and held. The
+//! analysis is computed once on first use and cached, so interleaved
 //! `allocate`/`required_bht_size` calls never re-run the pipeline.
 //!
 //! ```
@@ -36,16 +38,25 @@
 //! ```
 
 use crate::allocation::{Allocation, RequiredSize};
-use crate::error::Error;
-use crate::parallel::{analyze_parallel_observed, ParallelConfig};
+use crate::checkpoint::{write_checkpoint, StreamingAnalysis};
+use crate::error::{CoreError, Error};
+use crate::interleave::Accumulator;
+use crate::parallel::{
+    analyze_parallel_observed, analyze_parallel_supervised, ParallelConfig, ShardRetryPolicy,
+};
 use crate::pipeline::{Analysis, AnalysisPipeline};
-use crate::supervise::{self, ResilienceSummary, SupervisorConfig};
+use crate::source::{self, Batches, Block, Ingested, Source, BLOCK};
+use crate::supervise::{self, ResilienceSummary, Rung, SupervisorConfig};
 use crate::window::{WindowConfig, WindowedAnalysis, WindowedResult};
 use bwsa_obs::json::Json;
 use bwsa_obs::report::{DowngradeReport, ResilienceReport, WindowsReport};
 use bwsa_obs::{Metrics, Obs, RunReport};
-use bwsa_trace::Trace;
-use std::sync::OnceLock;
+use bwsa_resilience::watchdog;
+use bwsa_trace::{Format, Trace, TraceError};
+use std::path::PathBuf;
+use std::sync::atomic::AtomicU64;
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 /// Whether allocation uses branch classification (§5.2) or not (§5.1).
 ///
@@ -67,36 +78,64 @@ pub enum Execution {
     Parallel(ParallelConfig),
 }
 
-/// A configured analysis run over one trace.
+/// Checkpointing of a serial session over a `BWSS2` file.
+#[derive(Debug, Clone, Default)]
+pub struct Checkpoints {
+    /// Saves the running state to this file through [`write_checkpoint`]
+    /// each time this many more records have been consumed.
+    pub save: Option<(PathBuf, u64)>,
+    /// Resumes from this state of the file's trace, reading past the
+    /// records it consumed. The state moves into the run's first attempt;
+    /// a supervised retry reads the file from its first record instead,
+    /// which gives the same answer.
+    pub resume: Option<StreamingAnalysis>,
+}
+
+/// A configured analysis run over one record [`Source`], which it
+/// borrows.
 ///
-/// Built with [`Session::new`] plus the `with_*` setters; see the
-/// [module docs](self) for the full picture. The session borrows the
-/// trace, so it can be created cheaply for an already-loaded trace and
-/// dropped without giving it up.
+/// Built with [`Session::new`] or [`Session::over`] plus the `with_*`
+/// setters; see the [module docs](self) for the full picture.
 #[derive(Debug)]
 pub struct Session<'t> {
-    trace: &'t Trace,
+    source: Source<'t>,
     pipeline: AnalysisPipeline,
     execution: Execution,
     supervisor: Option<SupervisorConfig>,
     windowing: Option<WindowConfig>,
+    checkpoints: Option<Checkpoints>,
+    /// The state to resume from, until the first attempt takes it.
+    resume: Mutex<Option<StreamingAnalysis>>,
     obs: Obs,
+    /// A file source decoded whole: for parallel runs and `BWST` files.
+    decoded: OnceLock<(Trace, Ingested)>,
+    ingested: OnceLock<Ingested>,
     analysis: OnceLock<Analysis>,
     resilience: OnceLock<ResilienceSummary>,
     windowed: OnceLock<WindowedResult>,
 }
 
 impl<'t> Session<'t> {
-    /// A session over `trace` with the paper's default configuration,
-    /// serial execution, and no observer.
+    /// A session over an in-memory `trace`: [`Session::over`] with
+    /// [`Source::Trace`].
     pub fn new(trace: &'t Trace) -> Self {
+        Self::over(Source::Trace(trace))
+    }
+
+    /// A session over `source` with the paper's default configuration,
+    /// serial execution, and no observer.
+    pub fn over(source: Source<'t>) -> Self {
         Session {
-            trace,
+            source,
             pipeline: AnalysisPipeline::default(),
             execution: Execution::Serial,
             supervisor: None,
             windowing: None,
+            checkpoints: None,
+            resume: Mutex::new(None),
             obs: Obs::noop(),
+            decoded: OnceLock::new(),
+            ingested: OnceLock::new(),
             analysis: OnceLock::new(),
             resilience: OnceLock::new(),
             windowed: OnceLock::new(),
@@ -116,23 +155,33 @@ impl<'t> Session<'t> {
     }
 
     /// Runs the pipeline under supervision: worker isolation, retries
-    /// with backoff, cooperative deadlines, a soft memory budget, and
-    /// graceful degradation down the ladder described in
-    /// [`crate::supervise`]. Every attempt, retry, and downgrade is
-    /// recorded in [`Session::resilience_summary`] and in run reports.
+    /// with backoff, cooperative deadlines, and graceful degradation down
+    /// the ladder described in [`crate::supervise`]. Every attempt,
+    /// retry, and downgrade is recorded in
+    /// [`Session::resilience_summary`] and in run reports.
     pub fn with_supervisor(mut self, config: SupervisorConfig) -> Self {
         self.supervisor = Some(config);
         self
     }
 
     /// Enables online windowed analysis: [`Session::windowed`] replays
-    /// the trace through a [`WindowedAnalysis`] at `config`'s reset
+    /// the source through a [`WindowedAnalysis`] at `config`'s reset
     /// interval, emitting per-window summaries whose fold is bit-identical
     /// to the whole-trace answer. [`Session::run`] then returns that fold,
-    /// so the trace is detected once, serially: the [`Execution`] choice
-    /// and the supervisor's retry and degradation ladder do not apply.
+    /// so the records are detected once, serially: the [`Execution`]
+    /// choice and the supervisor's retry and degradation ladder do not
+    /// apply, though its deadline does.
     pub fn with_windowing(mut self, config: WindowConfig) -> Self {
         self.windowing = Some(config);
+        self
+    }
+
+    /// Checkpoints a serial, unwindowed run over a `BWSS2` file; any other
+    /// session's run fails with [`Error::Core`]. Saves land where an
+    /// uninterrupted run's would, so a resumed run is bit-identical to it.
+    pub fn with_checkpoints(mut self, mut checkpoints: Checkpoints) -> Self {
+        self.resume = Mutex::new(checkpoints.resume.take());
+        self.checkpoints = Some(checkpoints);
         self
     }
 
@@ -143,21 +192,16 @@ impl<'t> Session<'t> {
         self
     }
 
-    /// The trace this session analyses.
-    pub fn trace(&self) -> &'t Trace {
-        self.trace
-    }
-
     /// Runs the pipeline (validating the configuration first), or returns
     /// the cached result of an earlier call. A windowed session answers
     /// with [`Session::windowed`]'s folded [`WindowedResult::analysis`].
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Core`] when the configuration fails
-    /// [`AnalysisPipeline::validate`]; a supervised session additionally
-    /// returns [`Error::Resilience`] when the whole degradation ladder
-    /// fails.
+    /// Returns [`Error::Core`] for a bad configuration or a checkpoint
+    /// that does not fit the file, [`Error::Trace`] when a file does not
+    /// decode, and, for a supervised session, [`Error::Resilience`] when
+    /// the whole degradation ladder fails.
     pub fn run(&self) -> Result<&Analysis, Error> {
         if self.windowing.is_some() {
             return self.windowed().map(|windowed| &windowed.analysis);
@@ -165,26 +209,21 @@ impl<'t> Session<'t> {
         if let Some(analysis) = self.analysis.get() {
             return Ok(analysis);
         }
-        self.pipeline.validate()?;
-        let analysis = match &self.supervisor {
+        self.validate()?;
+        let (analysis, ingested) = match &self.supervisor {
             Some(config) => {
                 let (result, summary) = supervise::run_supervised(
-                    &self.pipeline,
-                    self.trace,
                     &self.execution,
                     config,
                     &self.obs,
+                    |rung, shards| self.attempt(rung, Some(shards)),
                 );
                 let _ = self.resilience.set(summary);
                 result?
             }
-            None => match &self.execution {
-                Execution::Serial => self.pipeline.run_observed(self.trace, &self.obs),
-                Execution::Parallel(config) => {
-                    analyze_parallel_observed(&self.pipeline, self.trace, config, &self.obs)
-                }
-            },
+            None => self.attempt(Rung::of(&self.execution), None)?,
         };
+        self.record(ingested);
         // A concurrent caller may have won the race; either value is
         // identical, so return whichever landed.
         Ok(self.analysis.get_or_init(|| analysis))
@@ -192,34 +231,46 @@ impl<'t> Session<'t> {
 
     /// Runs the online windowed analysis configured by
     /// [`Session::with_windowing`], or returns the cached result of an
-    /// earlier call. The windowed path is one serial replay of the trace,
-    /// and its folded [`WindowedResult::analysis`] — bit-identical to the
-    /// whole-trace answer of any engine — is also what [`Session::run`]
-    /// and everything built on it return for this session.
+    /// earlier call: one serial replay of the source's blocks, under the
+    /// supervisor's deadline when one is set. Its folded
+    /// [`WindowedResult::analysis`] — bit-identical to the whole-trace
+    /// answer of any engine — is what [`Session::run`] returns too.
     ///
     /// # Errors
     ///
-    /// [`Error::Core`] when no windowing is configured or the pipeline
-    /// configuration fails [`AnalysisPipeline::validate`].
+    /// [`Error::Core`] without windowing or for a bad configuration, and
+    /// [`Error::Trace`] when a file does not decode.
     pub fn windowed(&self) -> Result<&WindowedResult, Error> {
         if let Some(result) = self.windowed.get() {
             return Ok(result);
         }
-        let config = self.windowing.ok_or_else(|| {
-            Error::from(crate::CoreError::config(
-                "windowed() needs with_windowing(WindowConfig)",
-            ))
-        })?;
-        self.pipeline.validate()?;
-        let mut engine =
-            WindowedAnalysis::new(config, self.pipeline).with_observer(self.obs.clone());
-        {
-            let _span = self.obs.span("windowed_analysis");
-            for (id, record) in self.trace.indexed_records() {
-                engine.push(id.as_u32(), record.time.get(), record.is_taken());
+        let reason = "windowed() needs with_windowing(WindowConfig)";
+        let unset = || Error::from(CoreError::config(reason));
+        let config = self.windowing.ok_or_else(unset)?;
+        self.validate()?;
+        let _watchdog = self
+            .supervisor
+            .and_then(|c| c.max_wall)
+            .map(|wall| watchdog::arm(Instant::now() + wall));
+        let obs = &self.obs;
+        let mut engine = WindowedAnalysis::new(config, self.pipeline).with_observer(obs.clone());
+        let push = |_: &mut Accumulator, block: Block<'_>| {
+            let _span = obs.span("windowed_analysis");
+            block.each(|id, stamp, taken| engine.push(id, stamp, taken));
+        };
+        let ingested = match self.stream(push)? {
+            Some((_, ingested)) => Some(ingested),
+            None => {
+                let (trace, ingested) = self.whole()?;
+                let _span = obs.span("windowed_analysis");
+                for (id, record) in trace.indexed_records() {
+                    engine.push(id.as_u32(), record.time.get(), record.is_taken());
+                }
+                ingested.cloned()
             }
-        }
+        };
         let result = engine.finish();
+        self.record(ingested);
         Ok(self.windowed.get_or_init(|| result))
     }
 
@@ -229,6 +280,12 @@ impl<'t> Session<'t> {
     /// so error paths can still report what was attempted.
     pub fn resilience_summary(&self) -> Option<&ResilienceSummary> {
         self.resilience.get()
+    }
+
+    /// What a successful run read from a file source; `None` for a
+    /// [`Source::Trace`].
+    pub fn ingested(&self) -> Option<&Ingested> {
+        self.ingested.get()
     }
 
     /// Branch allocation into a `table_size`-entry BHT, running the
@@ -250,7 +307,7 @@ impl<'t> Session<'t> {
 
     /// The minimum BHT size for allocation to beat a conventional
     /// `baseline`-entry table (Tables 3–4), running the pipeline first if
-    /// needed.
+    /// needed. The search decodes a file source whole.
     ///
     /// # Errors
     ///
@@ -263,8 +320,9 @@ impl<'t> Session<'t> {
     ) -> Result<RequiredSize, Error> {
         let allocation_cfg = self.pipeline.allocation;
         let analysis = self.run()?;
+        let (trace, _) = self.whole()?;
         let _span = self.obs.span("required_size_search");
-        analysis.required_size(classified, self.trace, baseline, &allocation_cfg)
+        analysis.required_size(classified, trace, baseline, &allocation_cfg)
     }
 
     /// Everything the observer recorded so far; `None` without a
@@ -274,30 +332,59 @@ impl<'t> Session<'t> {
     }
 
     /// The session's configuration as an ordered JSON object — the
-    /// `config` echo embedded in run reports. A windowed session echoes
-    /// the one serial replay it runs, whatever its [`Execution`].
+    /// `config` echo embedded in run reports, with `null` window keys when
+    /// unwindowed. A windowed session echoes the one serial replay it
+    /// runs, whatever its [`Execution`].
     pub fn config_json(&self) -> Json {
         let (mode, jobs) = match (&self.windowing, &self.execution) {
             (Some(_), _) => ("windowed", 1),
             (None, Execution::Serial) => ("serial", 1),
             (None, Execution::Parallel(c)) => ("parallel", c.jobs.get() as u64),
         };
-        self.pipeline
-            .config_json(mode, jobs, self.windowing.as_ref())
+        let (p, window) = (&self.pipeline, self.windowing.as_ref());
+        Json::object([
+            ("conflict_threshold", Json::UInt(p.conflict.threshold)),
+            (
+                "working_set_definition",
+                Json::from(format!("{:?}", p.definition)),
+            ),
+            ("taken_threshold", Json::Float(p.taken_threshold)),
+            ("not_taken_threshold", Json::Float(p.not_taken_threshold)),
+            ("execution", Json::from(mode)),
+            ("jobs", Json::UInt(jobs)),
+            (
+                "window_interval",
+                window.map_or(Json::Null, |w| Json::UInt(w.interval())),
+            ),
+            (
+                "window_unit",
+                window.map_or(Json::Null, |w| Json::from(w.unit().label())),
+            ),
+        ])
     }
 
-    /// Builds a [`RunReport`] for this session's trace and recorded
-    /// metrics; `None` without a recording observer.
+    /// Builds a [`RunReport`] for this session's run and recorded
+    /// metrics; `None` without a recording observer. The trace name comes
+    /// from the source, the counts from the analysis profile.
     ///
     /// The caller (typically the CLI) appends result digests before
     /// emitting it.
     pub fn run_report(&self, command: &str) -> Option<RunReport> {
         let metrics = self.metrics()?;
+        let analysis = self
+            .analysis
+            .get()
+            .or(self.windowed.get().map(|w| &w.analysis));
+        let profile = analysis.map(|a| &a.profile);
+        let meta = match self.source {
+            Source::Trace(trace) => Some(trace.meta()),
+            Source::File { .. } => self.ingested().map(|i| &i.meta),
+        };
         let mut report = RunReport::new(
             command,
-            self.trace.meta().name.clone(),
-            self.trace.len() as u64,
-            self.trace.static_branch_count() as u64,
+            meta.map_or_else(String::new, |m| m.name.clone()),
+            profile.map_or(0, |p| p.total_dynamic()),
+            profile.map_or(0, |p| p.static_count() as u64),
             self.config_json(),
             &metrics,
         );
@@ -331,6 +418,149 @@ impl<'t> Session<'t> {
             });
         }
         Some(report)
+    }
+
+    /// The pipeline configuration, and checkpoints only on a serial,
+    /// unwindowed run over a `BWSS2` file.
+    fn validate(&self) -> Result<(), Error> {
+        self.pipeline.validate()?;
+        let bwss = match self.source {
+            Source::File { bytes, .. } => Format::sniff(bytes).ok() == Some(Format::Bwss),
+            Source::Trace(_) => false,
+        };
+        let serial = self.windowing.is_none() && self.execution == Execution::Serial;
+        if self.checkpoints.is_some() && !(serial && bwss) {
+            let reason = "checkpoints need a serial, unwindowed session over a BWSS2 file";
+            return Err(CoreError::config(reason).into());
+        }
+        Ok(())
+    }
+
+    /// The source as one in-memory trace, and what reading it found: a
+    /// file is decoded on first use, under `ingest`, and held, and the
+    /// file's mapped pages leave memory.
+    fn whole(&self) -> Result<(&Trace, Option<&Ingested>), TraceError> {
+        let (bytes, policy) = match self.source {
+            Source::Trace(trace) => return Ok((trace, None)),
+            Source::File { bytes, policy } => (bytes, policy),
+        };
+        let (trace, ingested) = match self.decoded.get() {
+            Some(decoded) => decoded,
+            None => {
+                let _span = self.obs.span("ingest");
+                let (trace, salvage) = bwsa_trace::decode(bytes, policy)?;
+                bwsa_trace::mmap::release(bytes);
+                let meta = trace.meta().clone();
+                self.decoded
+                    .get_or_init(|| (trace, Ingested { meta, salvage }))
+            }
+        };
+        Ok((trace, Some(ingested)))
+    }
+
+    /// One attempt at the analysis on `rung` (with a supervised parallel
+    /// rung's worker retries), and what it read: a serial rung streams a
+    /// `BWSS2` or `BWSS3` file, and the rest run over [`Session::whole`].
+    fn attempt(
+        &self,
+        rung: Rung,
+        shards: Option<(&ShardRetryPolicy, &AtomicU64)>,
+    ) -> Result<(Analysis, Option<Ingested>), Error> {
+        let (pipeline, obs) = (&self.pipeline, &self.obs);
+        let detect = |acc: &mut Accumulator, block: Block<'_>| {
+            let _detect = obs.span("detect");
+            block.each(|id, stamp, taken| acc.push(id, stamp, taken));
+        };
+        if rung == Rung::Serial {
+            if let Some((acc, ingested)) = self.stream(detect)? {
+                return Ok((acc.into_analysis(pipeline, obs), Some(ingested)));
+            }
+        }
+        let (trace, ingested) = self.whole()?;
+        let analysis = match (rung, shards) {
+            (Rung::Parallel(c), Some((policy, retries))) => {
+                analyze_parallel_supervised(pipeline, trace, &c, obs, policy, retries)?
+            }
+            (Rung::Parallel(c), None) => analyze_parallel_observed(pipeline, trace, &c, obs),
+            (Rung::Serial, _) => pipeline.run_observed(trace, obs),
+        };
+        Ok((analysis, ingested.cloned()))
+    }
+
+    /// Hands a `BWSS2` or `BWSS3` file source's blocks, inside `ingest`,
+    /// to `push` with the run's accumulator; `None` for any other source.
+    /// A `BWSS2` stream is interned through the pc table of the resumed
+    /// (or a fresh) checkpoint state, whose accumulator is the run's, and
+    /// the state is saved at the configured cadence; no block runs past a
+    /// save point, so saves land where an uninterrupted run's do.
+    fn stream(
+        &self,
+        mut push: impl FnMut(&mut Accumulator, Block<'_>),
+    ) -> Result<Option<(Accumulator, Ingested)>, Error> {
+        let Source::File { bytes, policy } = self.source else {
+            return Ok(None);
+        };
+        let format = Format::sniff(bytes)?;
+        if format == Format::Bwst {
+            return Ok(None);
+        }
+        let _ingest = self.obs.span("ingest");
+        if format == Format::Bwss3 {
+            let mut acc = Accumulator::new(0);
+            let ingested = source::replay_columnar(bytes, policy, |block| push(&mut acc, block))?;
+            return Ok(Some((acc, ingested)));
+        }
+        let mut batches = Batches::open(bytes, policy)?;
+        let save = self.checkpoints.as_ref().and_then(|c| c.save.as_ref());
+        let mut state = match self.resume.lock().ok().and_then(|mut state| state.take()) {
+            Some(state) if state.trace_name() != batches.name() => {
+                return Err(CoreError::checkpoint(format!(
+                    "the checkpoint is of trace {:?}, not {:?}",
+                    state.trace_name(),
+                    batches.name()
+                ))
+                .into())
+            }
+            Some(state) => state,
+            None => StreamingAnalysis::new(batches.name()),
+        };
+        let resumed_at = state.records_consumed();
+        let skipped = batches.skip(resumed_at)?;
+        if skipped < resumed_at {
+            return Err(CoreError::checkpoint(format!(
+                "the checkpoint consumed {resumed_at} records but the trace holds only {skipped}"
+            ))
+            .into());
+        }
+        let mut next_save = save.map(|(_, every)| resumed_at + every);
+        loop {
+            let room = next_save.map_or(u64::MAX, |at| at - state.acc.records);
+            let limit = room.clamp(1, BLOCK as u64) as usize;
+            let Some(block) = batches.next(&mut state.table, limit)? else {
+                break;
+            };
+            push(&mut state.acc, block);
+            if let (Some((path, every)), Some(at)) = (save, next_save) {
+                if state.acc.records >= at {
+                    write_checkpoint(path, &state.save_observed(&self.obs))
+                        .map_err(|e| CoreError::checkpoint(e.to_string()))?;
+                    next_save = Some(state.acc.records + every);
+                }
+            }
+        }
+        Ok(Some((state.acc, batches.finish())))
+    }
+
+    /// Keeps what the answering run read, counted into `trace.*` once.
+    fn record(&self, ingested: Option<Ingested>) {
+        if let Some(ingested) = ingested {
+            let salvage = &ingested.salvage;
+            self.obs
+                .add("trace.records_read", salvage.records_recovered);
+            self.obs.add("trace.chunks_ok", salvage.chunks_ok);
+            self.obs.add("trace.chunks_dropped", salvage.chunks_dropped);
+            let _ = self.ingested.set(ingested);
+        }
     }
 }
 

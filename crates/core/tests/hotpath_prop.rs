@@ -336,4 +336,24 @@ proptest! {
         let streamed = engine.finish(&keep_all());
         prop_assert_eq!(streamed.conflict.graph, naive_over_records(&records));
     }
+
+    /// The same records with a checkpoint saved and loaded after the
+    /// first `split`: latest stamps of `u64::MAX` survive the round trip.
+    #[test]
+    fn out_of_order_stamps_match_the_linear_scan_across_a_checkpoint(
+        records in arb_unordered_records(),
+        split in 0usize..300,
+    ) {
+        let split = split.min(records.len());
+        let mut first = StreamingAnalysis::new("unordered");
+        for rec in &records[..split] {
+            first.push(rec);
+        }
+        let mut engine = StreamingAnalysis::load(&first.save()).unwrap();
+        for rec in &records[split..] {
+            engine.push(rec);
+        }
+        let resumed = engine.finish(&keep_all());
+        prop_assert_eq!(resumed.conflict.graph, naive_over_records(&records));
+    }
 }

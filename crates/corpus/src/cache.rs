@@ -98,14 +98,9 @@ impl CacheKey {
         CacheKey(h)
     }
 
-    /// The key as the raw 64-bit digest (journal wire form).
+    /// The key as the raw 64-bit digest.
     pub fn as_u64(self) -> u64 {
         self.0
-    }
-
-    /// Rebuilds a key from its journal wire form.
-    pub fn from_u64(v: u64) -> CacheKey {
-        CacheKey(v)
     }
 
     /// The cell file name this key addresses.
@@ -288,8 +283,8 @@ fn acquire_lock(dir: &Path) -> Option<LockFile> {
     None
 }
 
-/// One open cache directory: content-addressed cells plus the run
-/// journal, shared across a batch's worker threads.
+/// One open cache directory of content-addressed cells, shared across a
+/// batch's worker threads.
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
@@ -320,11 +315,6 @@ impl ResultCache {
             evictions: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
         }
-    }
-
-    /// The directory this cache lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Whether this process holds the writer lock.

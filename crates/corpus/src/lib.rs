@@ -31,7 +31,6 @@
 pub mod cache;
 mod error;
 mod fleet;
-pub mod journal;
 mod manifest;
 mod run;
 
@@ -41,14 +40,11 @@ pub mod failpoints {
     pub const CACHE_READ: &str = "corpus.cache_read";
     /// Fires when a cache cell write begins; a fault skips the write.
     pub const CACHE_WRITE: &str = "corpus.cache_write";
-    /// Fires when a journal append begins; a fault poisons the journal
-    /// (later appends are dropped) without failing the run.
-    pub const JOURNAL_APPEND: &str = "corpus.journal_append";
     /// Fires when one entry's trace bytes start decoding (any format);
     /// a fault degrades that entry to a `failed` row, never the batch.
     pub const INGEST_DECODE: &str = "corpus.ingest_decode";
     /// Every site in this crate, for chaos-sweep enumeration.
-    pub const SITES: &[&str] = &[CACHE_READ, CACHE_WRITE, JOURNAL_APPEND, INGEST_DECODE];
+    pub const SITES: &[&str] = &[CACHE_READ, CACHE_WRITE, INGEST_DECODE];
 }
 
 pub use cache::{CacheKey, CacheStats, ResultCache, DEFAULT_CACHE_BUDGET, ENGINE_VERSION};

@@ -13,8 +13,8 @@
 //!    under [`RecoveryPolicy::Salvage`] — damaged chunks or blocks are
 //!    dropped and counted, not fatal.
 //! 2. **Analysis** runs under the session supervisor (configurable via
-//!    [`CorpusSession::with_supervisor`]), inheriting the
-//!    parallel→serial→streaming ladder.
+//!    [`CorpusSession::with_supervisor`]): retried serial runs, each
+//!    under the deadline.
 //! 3. The whole entry is wrapped in [`supervisor::catch`]: even a
 //!    panic is contained to a `failed` row in the summary.
 
@@ -32,7 +32,6 @@ use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::error::CorpusError;
 use crate::failpoints;
 use crate::fleet::{EntryRecord, EntryStatus, FanOutDecision, FleetAccumulator, FleetSummary};
-use crate::journal::{self, Journal, JournalEntry};
 use crate::manifest::{Manifest, ManifestEntry};
 
 /// Below this per-entry file size the batch runs serially even when
@@ -98,7 +97,6 @@ impl Corpus {
             supervisor: None,
             obs: Obs::noop(),
             cache_dir: None,
-            resume: false,
         }
     }
 }
@@ -112,7 +110,6 @@ pub struct CorpusSession<'c> {
     supervisor: Option<SupervisorConfig>,
     obs: Obs,
     cache_dir: Option<PathBuf>,
-    resume: bool,
 }
 
 impl CorpusSession<'_> {
@@ -160,17 +157,6 @@ impl CorpusSession<'_> {
         self
     }
 
-    /// Resumes an interrupted run: the run journal's completed entries
-    /// are loaded (falling back to the rotated ancestor when the newest
-    /// journal is torn) and the journal is compacted, instead of
-    /// rotating to a fresh one. Requires [`CorpusSession::with_cache`];
-    /// without a cache the flag is inert.
-    #[must_use]
-    pub fn with_resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
     /// Runs every entry and folds the results into a [`FleetSummary`].
     ///
     /// Infallible by design: corpus-level validation already happened
@@ -184,27 +170,12 @@ impl CorpusSession<'_> {
             .cache_dir
             .as_ref()
             .map(|dir| ResultCache::open(dir.clone()));
-        // The journal needs the writer lock: a read-only cache (second
-        // concurrent runner) reads cells but leaves the journal alone.
-        let journal = match &cache {
-            Some(c) if c.writable() => {
-                if self.resume {
-                    let (completed, _) = journal::load(c.dir());
-                    self.obs
-                        .add("corpus.journal_resumed", completed.len() as u64);
-                    Journal::resumed(c.dir(), &completed)
-                } else {
-                    Journal::fresh(c.dir())
-                }
-            }
-            _ => None,
-        };
         let fan_out = self.plan_fan_out(&entries);
         if fan_out.effective_jobs < self.jobs {
             self.obs.add("corpus.fan_out_demoted", 1);
         }
         let records = parallel_map(entries, fan_out.effective_jobs, |_i, entry| {
-            self.run_entry(&entry, cache.as_ref(), journal.as_ref())
+            self.run_entry(&entry, cache.as_ref())
         });
         for r in &records {
             self.obs.add("corpus.entries", 1);
@@ -214,9 +185,6 @@ impl CorpusSession<'_> {
                 EntryStatus::Failed => self.obs.add("corpus.entries_failed", 1),
             }
             self.obs.add("corpus.records", r.records);
-        }
-        if let Some(journal) = &journal {
-            journal.finish();
         }
         let mut cache_stats = CacheStats::default();
         if let Some(cache) = &cache {
@@ -266,48 +234,30 @@ impl CorpusSession<'_> {
 
     /// Runs one entry through the full ladder; never propagates an
     /// error or a panic.
-    fn run_entry(
-        &self,
-        entry: &ManifestEntry,
-        cache: Option<&ResultCache>,
-        journal: Option<&Journal>,
-    ) -> EntryRecord {
+    fn run_entry(&self, entry: &ManifestEntry, cache: Option<&ResultCache>) -> EntryRecord {
         let threshold = self.threshold.unwrap_or(entry.threshold);
         let outcome = match cache {
             Some(cache) => supervisor::catch(|| self.run_entry_cached(entry, threshold, cache)),
-            None => supervisor::catch(|| (self.run_entry_inner(entry, threshold), None)),
+            None => supervisor::catch(|| self.run_entry_inner(entry, threshold)),
         };
-        match outcome {
-            Ok((record, cache_key)) => {
-                if record.status != EntryStatus::Failed {
-                    if let (Some(journal), Some(cache_key)) = (journal, cache_key) {
-                        journal.append(&JournalEntry {
-                            key: entry.key.clone(),
-                            cache_key,
-                        });
-                        self.obs.add("corpus.journal_appends", 1);
-                    }
-                }
-                record
-            }
-            Err(fault) => EntryRecord::failed(&entry.key, &entry.class, fault.to_string()),
-        }
+        outcome.unwrap_or_else(|fault| {
+            EntryRecord::failed(&entry.key, &entry.class, fault.to_string())
+        })
     }
 
     /// The cached entry path: digest the trace bytes, try the cell,
-    /// analyze and write back on a miss. Returns the record plus the
-    /// cache key the journal should log.
+    /// analyze and write back on a miss.
     fn run_entry_cached(
         &self,
         entry: &ManifestEntry,
         threshold: u64,
         cache: &ResultCache,
-    ) -> (EntryRecord, Option<CacheKey>) {
+    ) -> EntryRecord {
         let bytes = match std::fs::read(&entry.path) {
             Ok(bytes) => bytes,
             Err(e) => {
                 let message = format!("cannot read {}: {e}", entry.path.display());
-                return (EntryRecord::failed(&entry.key, &entry.class, message), None);
+                return EntryRecord::failed(&entry.key, &entry.class, message);
             }
         };
         let key = CacheKey::for_entry(
@@ -318,11 +268,11 @@ impl CorpusSession<'_> {
             entry.baseline,
         );
         if let Some(record) = cache.load(key, &entry.key) {
-            return (record, Some(key));
+            return record;
         }
         let record = self.run_entry_bytes(entry, threshold, &bytes);
         cache.store(key, &record);
-        (record, Some(key))
+        record
     }
 
     fn run_entry_inner(&self, entry: &ManifestEntry, threshold: u64) -> EntryRecord {

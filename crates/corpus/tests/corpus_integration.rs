@@ -252,7 +252,6 @@ fn warm_cache_rerun_is_byte_identical_with_zero_analyses() {
     let metrics = obs.snapshot().expect("recording observer");
     assert_eq!(metrics.counter("corpus.cache_hits"), 3);
     assert_eq!(metrics.counter("corpus.cache_misses"), 0);
-    assert_eq!(metrics.counter("corpus.journal_appends"), 3);
 }
 
 #[test]
@@ -285,33 +284,6 @@ fn cached_subset_matches_all_fresh_under_permutation_and_jobs() {
         fresh.to_json().to_pretty_string(),
         "a cache-hit/fresh mix must fold to the all-fresh bytes"
     );
-}
-
-#[test]
-fn resume_replays_journaled_entries_from_cache() {
-    let dir = scratch("resume");
-    let manifest = build_corpus(&dir);
-    let cache_dir = dir.join(".bwsa-cache");
-    let corpus = Corpus::open(&manifest).expect("open corpus");
-    let uninterrupted = corpus.session().with_cache(&cache_dir).run_all();
-    let (completed, source) = bwsa_corpus::journal::load(&cache_dir);
-    assert_eq!(source, bwsa_corpus::journal::JournalSource::Primary);
-    assert_eq!(completed.len(), 3, "every completed entry journaled");
-    let obs = bwsa_obs::Obs::recording();
-    let resumed = corpus
-        .session()
-        .with_cache(&cache_dir)
-        .with_resume(true)
-        .with_observer(obs.clone())
-        .run_all();
-    assert_eq!(
-        resumed.to_json().to_pretty_string(),
-        uninterrupted.to_json().to_pretty_string(),
-        "resumed summary must be byte-identical to the uninterrupted run"
-    );
-    assert_eq!(resumed.cache.hits, 3);
-    let metrics = obs.snapshot().expect("recording observer");
-    assert_eq!(metrics.counter("corpus.journal_resumed"), 3);
 }
 
 #[test]

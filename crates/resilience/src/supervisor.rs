@@ -56,13 +56,6 @@ pub enum ResilienceError {
         /// The cancellation point that observed the expiry.
         site: String,
     },
-    /// The soft memory budget was exceeded.
-    MemoryBudget {
-        /// Observed peak RSS in bytes.
-        peak_bytes: u64,
-        /// The configured budget in bytes.
-        budget_bytes: u64,
-    },
 }
 
 impl ResilienceError {
@@ -95,11 +88,23 @@ impl ResilienceError {
         ResilienceError::Panic { message }
     }
 
+    /// Unwinds with this fault's payload, which [`catch`] reads back as
+    /// the same fault.
+    pub fn resume(self) -> ! {
+        let payload: Box<dyn Any + Send> = match self {
+            ResilienceError::Injected { site, message } => {
+                Box::new(InjectedFault { site, message })
+            }
+            ResilienceError::Timeout { site } => Box::new(DeadlineExceeded { site }),
+            ResilienceError::Panic { message } => Box::new(message),
+        };
+        std::panic::resume_unwind(payload)
+    }
+
     /// Whether retrying the failed work could plausibly succeed.
     ///
-    /// Timeouts and memory-budget failures are pressure signals — the
-    /// same work will hit them again — so a supervisor should degrade
-    /// instead of retrying.
+    /// A timeout is a pressure signal — the same work will hit it again —
+    /// so a supervisor should degrade instead of retrying.
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
@@ -118,13 +123,6 @@ impl fmt::Display for ResilienceError {
             ResilienceError::Timeout { site } => {
                 write!(f, "deadline exceeded (observed at '{site}')")
             }
-            ResilienceError::MemoryBudget {
-                peak_bytes,
-                budget_bytes,
-            } => write!(
-                f,
-                "memory budget exceeded: peak rss {peak_bytes} bytes over budget {budget_bytes}"
-            ),
         }
     }
 }
@@ -256,6 +254,25 @@ mod tests {
         );
         let err = catch(|| std::panic::panic_any(42u32)).unwrap_err();
         assert!(matches!(err, ResilienceError::Panic { .. }));
+    }
+
+    #[test]
+    fn resume_unwinds_with_a_payload_catch_reads_back() {
+        for fault in [
+            ResilienceError::Injected {
+                site: "core.shard_detect".into(),
+                message: "boom".into(),
+            },
+            ResilienceError::Timeout {
+                site: "core.shard_detect".into(),
+            },
+            ResilienceError::Panic {
+                message: "kaput".into(),
+            },
+        ] {
+            let again = fault.clone();
+            assert_eq!(catch(move || again.resume()).unwrap_err(), fault);
+        }
     }
 
     #[test]

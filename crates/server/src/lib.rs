@@ -13,9 +13,9 @@
 //!
 //! * **Per-request isolation** — every request runs inside
 //!   [`bwsa_resilience::supervisor::catch`] plus
-//!   [`bwsa_core::Session::with_supervisor`]'s degradation ladder
-//!   (serial → streaming, retries with [`bwsa_resilience::Backoff`]), so
-//!   a poisoned trace or an injected fault yields a typed
+//!   [`bwsa_core::Session::with_supervisor`]'s serial rung (retries
+//!   with [`bwsa_resilience::Backoff`]), so a poisoned trace or an
+//!   injected fault yields a typed
 //!   [`proto::Response::Error`] frame on that request — never a crashed
 //!   daemon, never a wedged sibling request. Per-request wall deadlines
 //!   ([`bwsa_resilience::watchdog::arm`]) cover only the request's own

@@ -17,8 +17,8 @@
 //!    [`bwsa_resilience::supervisor::catch`] with the
 //!    [`crate::failpoints::DISPATCH`] site at its head, a wall deadline
 //!    for the request's own threads ([`bwsa_resilience::watchdog::arm`]),
-//!    and the [`Session`] degradation ladder under it. Whatever goes
-//!    wrong becomes a typed error frame on that request ID.
+//!    and the [`Session`] supervisor's retried serial runs under it.
+//!    Whatever goes wrong becomes a typed error frame on that request ID.
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionError};
 use crate::frame::{self, Frame, DEFAULT_MAX_FRAME_BYTES};
@@ -532,9 +532,7 @@ fn admitted(
         .map(|budget| watchdog::arm(Instant::now() + budget));
     match catch(work) {
         Ok(Ok(response) | Err(response)) => response,
-        Err(e @ (ResilienceError::Timeout { .. } | ResilienceError::MemoryBudget { .. })) => {
-            error(ErrorCode::Analysis, e.to_string())
-        }
+        Err(e @ ResilienceError::Timeout { .. }) => error(ErrorCode::Analysis, e.to_string()),
         Err(e) => contained(e),
     }
 }

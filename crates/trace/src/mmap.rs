@@ -6,9 +6,12 @@
 //! straight out of the page cache, with no copy into a heap buffer.
 //! Pipes, empty files, non-Unix targets, and any mmap failure fall back
 //! to an ordinary whole-file read; callers only ever see a byte slice.
+//! A reader done with part of the slice hands it to [`release`], which
+//! drops the mapped pages under it from memory.
 //!
 //! This is the one module in the crate allowed to use `unsafe` (the raw
-//! `mmap`/`munmap` calls); everything else remains `deny(unsafe_code)`.
+//! `mmap`/`munmap`/`madvise` calls); everything else remains
+//! `deny(unsafe_code)`.
 //!
 //! # Example
 //!
@@ -103,22 +106,48 @@ impl Deref for TraceBytes {
     }
 }
 
+/// Drops from the process's resident set the pages of a [`TraceBytes`]
+/// mapping under `bytes`, from the 64 KiB boundary at or before its start
+/// to the one at or before its end, for a reader done with them: the page
+/// cache keeps them, and a later read faults them back in. Does nothing
+/// for bytes outside every live mapping, such as a heap buffer.
+pub fn release(bytes: &[u8]) {
+    #[cfg(unix)]
+    unix::release(bytes);
+    #[cfg(not(unix))]
+    let _ = bytes;
+}
+
 #[cfg(unix)]
 pub use unix::Mmap;
 
 #[cfg(unix)]
 mod unix {
     //! The raw `mmap(2)` wrapper. `std` already links libc on Unix, so
-    //! the two syscall wrappers are declared directly instead of pulling
-    //! in the `libc` crate.
+    //! the syscall wrappers are declared directly instead of pulling in
+    //! the `libc` crate.
     #![allow(unsafe_code)]
 
     use std::ffi::c_void;
     use std::fs::File;
     use std::os::unix::io::AsRawFd;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     const PROT_READ: i32 = 1;
     const MAP_PRIVATE: i32 = 2;
+    const MADV_DONTNEED: i32 = 4;
+    /// [`release`]'s granularity: a multiple of every common page size.
+    const GRANULE: usize = 64 << 10;
+
+    /// The live mappings as `(start, len)`, so that [`release`] advises
+    /// only pages of one; [`Mmap`]'s drop unmaps under the lock.
+    static LIVE: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
+
+    /// The list, also after a panic elsewhere: every update (a push or a
+    /// retain) leaves it valid, and `Drop` must not panic.
+    fn live() -> MutexGuard<'static, Vec<(usize, usize)>> {
+        LIVE.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     extern "C" {
         fn mmap(
@@ -130,6 +159,30 @@ mod unix {
             offset: i64,
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, len: usize) -> i32;
+        fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
+    }
+
+    pub(super) fn release(bytes: &[u8]) {
+        let from = bytes.as_ptr() as usize;
+        let to = from + bytes.len();
+        let live = live();
+        let Some(&(start, _)) = live.iter().find(|&&(s, len)| s <= from && to <= s + len) else {
+            return;
+        };
+        let start = (from / GRANULE * GRANULE).max(start);
+        let end = to / GRANULE * GRANULE;
+        if start < end {
+            // SAFETY: [start, end) is page-aligned (a mapping starts on a
+            // page, GRANULE is a multiple of the page size) and lies in a
+            // live PROT_READ, MAP_PRIVATE file mapping that the held lock
+            // keeps mapped. Such pages are never written, so dropping them
+            // only makes the next read fault the file's bytes back in:
+            // the same bytes, under the condition every read of a file
+            // mapping already relies on, that the file does not change.
+            unsafe {
+                madvise(start as *mut c_void, end - start, MADV_DONTNEED);
+            }
+        }
     }
 
     /// An owned read-only `MAP_PRIVATE` mapping, unmapped on drop.
@@ -168,6 +221,7 @@ mod unix {
             if ptr.is_null() || ptr as isize == -1 {
                 return None;
             }
+            live().push((ptr as usize, len));
             Some(Mmap { ptr, len })
         }
 
@@ -191,6 +245,8 @@ mod unix {
 
     impl Drop for Mmap {
         fn drop(&mut self) {
+            let mut live = live();
+            live.retain(|&(start, _)| start != self.ptr as usize);
             // SAFETY: `ptr`/`len` describe the mapping created in `map`,
             // unmapped exactly once here.
             unsafe {
@@ -232,6 +288,24 @@ mod tests {
         let bytes = TraceBytes::open(&path).unwrap();
         assert!(bytes.is_empty());
         assert!(!bytes.is_mapped());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn released_pages_read_back_unchanged() {
+        let path = temp_path("release");
+        let data: Vec<u8> = (0..(1u32 << 20)).map(|i| (i % 251) as u8).collect();
+        std::fs::write(&path, &data).unwrap();
+        let bytes = TraceBytes::open(&path).unwrap();
+        assert_eq!(&bytes[..], &data[..]);
+        release(&bytes[1000..700_000]);
+        release(&bytes);
+        assert_eq!(&bytes[..], &data[..]);
+        // Heap bytes are outside every mapping: left as they are.
+        let owned = TraceBytes::from_vec(data.clone());
+        release(&owned);
+        assert_eq!(&owned[..], &data[..]);
+        drop(bytes);
         std::fs::remove_file(&path).unwrap();
     }
 

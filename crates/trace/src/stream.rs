@@ -86,7 +86,6 @@
 
 use crate::codec::{self, Crc32, Cursor};
 use crate::{BranchRecord, TraceError};
-use bwsa_obs::Obs;
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -425,14 +424,6 @@ pub struct StreamReader<R: Read> {
     chunk_index: u64,
     last_time_seen: u64,
     last_sig: Option<(u32, u32, u64, u64, u32)>,
-    /// CRC mismatches encountered (distinct from other corruption).
-    crc_failures: u64,
-    /// Observability: counter sink plus the last values already synced to
-    /// it, so each `next()` reports only deltas.
-    obs: Obs,
-    obs_chunks_ok: u64,
-    obs_chunks_dropped: u64,
-    obs_crc_failures: u64,
 }
 
 impl<R: Read> StreamReader<R> {
@@ -494,11 +485,6 @@ impl<R: Read> StreamReader<R> {
             chunk_index: 0,
             last_time_seen: 0,
             last_sig: None,
-            crc_failures: 0,
-            obs: Obs::noop(),
-            obs_chunks_ok: 0,
-            obs_chunks_dropped: 0,
-            obs_crc_failures: 0,
         })
     }
 
@@ -524,41 +510,9 @@ impl<R: Read> StreamReader<R> {
         &self.report
     }
 
-    /// Attaches an observer. The reader reports `trace.records_read`,
-    /// `trace.chunks_ok`, `trace.chunks_dropped`, and
-    /// `trace.crc_failures` counters as iteration progresses; decoding is
-    /// unaffected.
-    pub fn with_observer(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// Chunk checksum mismatches encountered so far (a subset of the
-    /// damage in [`StreamReader::salvage_report`]).
-    pub fn crc_failures(&self) -> u64 {
-        self.crc_failures
-    }
-
-    /// Pushes counter deltas since the last sync into the observer.
-    fn sync_obs(&mut self) {
-        if !self.obs.is_recording() {
-            return;
-        }
-        self.obs.add(
-            "trace.chunks_ok",
-            self.report.chunks_ok - self.obs_chunks_ok,
-        );
-        self.obs.add(
-            "trace.chunks_dropped",
-            self.report.chunks_dropped - self.obs_chunks_dropped,
-        );
-        self.obs.add(
-            "trace.crc_failures",
-            self.crc_failures - self.obs_crc_failures,
-        );
-        self.obs_chunks_ok = self.report.chunks_ok;
-        self.obs_chunks_dropped = self.report.chunks_dropped;
-        self.obs_crc_failures = self.crc_failures;
+    /// The underlying reader, positioned past every byte read from it.
+    pub fn get_ref(&self) -> &R {
+        &self.source
     }
 
     fn salvaging(&self) -> bool {
@@ -698,7 +652,6 @@ impl<R: Read> StreamReader<R> {
                 .update(&self.buf[pstart..pend])
                 .finish();
             if actual != crc {
-                self.crc_failures += 1;
                 self.corrupt_or_scan(&mut scanning, "chunk checksum mismatch")?;
                 continue;
             }
@@ -928,19 +881,14 @@ impl<R: Read> Iterator for StreamReader<R> {
         if self.failed {
             return None;
         }
-        let out = match self.next_record() {
-            Ok(Some(rec)) => {
-                self.obs.add("trace.records_read", 1);
-                Some(Ok(rec))
-            }
+        match self.next_record() {
+            Ok(Some(rec)) => Some(Ok(rec)),
             Ok(None) => None,
             Err(e) => {
                 self.failed = true;
                 Some(Err(e))
             }
-        };
-        self.sync_obs();
-        out
+        }
     }
 }
 
@@ -1096,32 +1044,6 @@ mod tests {
         assert_eq!(report.chunks_dropped, 1);
         assert_eq!(report.records_recovered, 256);
         assert!(report.first_error.as_deref().unwrap().contains("checksum"));
-    }
-
-    #[test]
-    fn observer_counts_records_chunks_and_crc_failures() {
-        let recs = records(64 * 5);
-        let buf = encode(&recs, 64);
-        let mut corrupt = buf.clone();
-        let chunk_starts: Vec<usize> = sync_positions(&buf);
-        corrupt[chunk_starts[2] + FRAME_HEADER + 3] ^= 0x04;
-        let obs = Obs::recording();
-        let mut reader = StreamReader::with_recovery(&corrupt[..], RecoveryPolicy::Salvage)
-            .unwrap()
-            .with_observer(obs.clone());
-        let observed: Vec<BranchRecord> = reader.by_ref().map(|r| r.unwrap()).collect();
-
-        // Observation does not change what is decoded.
-        let mut plain = StreamReader::with_recovery(&corrupt[..], RecoveryPolicy::Salvage).unwrap();
-        let expected: Vec<BranchRecord> = plain.by_ref().map(|r| r.unwrap()).collect();
-        assert_eq!(observed, expected);
-
-        let m = obs.snapshot().unwrap();
-        assert_eq!(m.counter("trace.records_read"), 256);
-        assert_eq!(m.counter("trace.chunks_ok"), 4);
-        assert_eq!(m.counter("trace.chunks_dropped"), 1);
-        assert_eq!(m.counter("trace.crc_failures"), 1);
-        assert_eq!(reader.crc_failures(), 1);
     }
 
     #[test]

@@ -155,9 +155,35 @@ cmp "$convert_dir/gcc-windows.json" "$convert_dir/gcc-windows-j2.json"
 for run in bwss bws3 j2 j3 ck resumed salvage salvage-j2 window; do
     cmp "$convert_dir/gcc.out" "$convert_dir/gcc-$run.out"
 done
+# One trace in three formats answers alike: with no flag, --jobs 2 or
+# --window 4096, every format prints the same bytes and reports the same
+# digests and trace.* counters, and with the execution named, the same
+# config echo (with no flag, BWST alone runs on every hardware thread).
+for flags in "" "--jobs 2" "--window 4096"; do
+    tag="fmt${flags// /}"
+    for f in bwst bwss bws3; do
+        "$bwsa" analyze "$convert_dir/gcc.$f" $flags > "$convert_dir/$tag.$f.out"
+        "$bwsa" analyze "$convert_dir/gcc.$f" $flags --report json > "$convert_dir/$tag.$f.json"
+        {
+            sed -n '/^  "digests": {/,/^  }/p' "$convert_dir/$tag.$f.json"
+            grep -o '"trace\.[a-z_]*"' "$convert_dir/$tag.$f.json"
+            [ -z "$flags" ] || sed -n '/^  "config": {/,/^  }/p' "$convert_dir/$tag.$f.json"
+        } > "$convert_dir/$tag.$f.echo"
+    done
+    for f in bwss bws3; do
+        cmp "$convert_dir/$tag.bwst.out" "$convert_dir/$tag.$f.out"
+        cmp "$convert_dir/$tag.bwst.echo" "$convert_dir/$tag.$f.echo"
+    done
+done
+# A windowed run streams BWSS3 blocks into the windowed engine and holds
+# no decoded trace, so it peaks below the BWST run, which decodes whole.
+peak() { grep '"peak_rss_bytes"' "$1" | tr -dc 0-9; }
+[ "$(peak "$convert_dir/fmt--window4096.bws3.json")" -lt \
+    "$(peak "$convert_dir/fmt--window4096.bwst.json")" ] \
+    || { echo "windowed BWSS3 analyze does not peak below BWST"; exit 1; }
 # gcc at 0.5 runs past the detector's 4096 dense rows, so pairs with an
 # id above the cap are counted in the spill table and merged into the
-# thresholded compile: in memory on 1 and 2 workers, streamed from BWSS3,
+# thresholded compile: in memory serially and on 2 workers, streamed from BWSS3,
 # and streamed from BWSS2 with checkpoints (whose stamps are read from the
 # recency ring) and resumed from the rotated one, analyze prints the same
 # bytes.
@@ -258,22 +284,36 @@ else
     [ "$rc" -eq 2 ] || { echo "dangling entry: expected exit 2, got $rc"; exit 1; }
 fi
 
-echo "==> crash-resume smoke (kill -9 mid-batch, --resume replays byte-identically)"
+echo "==> crash-resume smoke (kill -9 mid-batch, a rerun replays finished entries from the cache)"
 crash_dir="$report_tmp/crash"
 mkdir -p "$crash_dir"
 cp "$corpus_dir/compress.bwss" "$corpus_dir/pgp.bwss" "$corpus_dir/li.bwss" \
     "$corpus_dir/corpus.toml" "$crash_dir/"
 "$bwsa" corpus "$crash_dir/corpus.toml" --no-cache \
     --emit-fleet "$crash_dir/baseline.json" > /dev/null
-# Stall the first journal append for 30s, then kill the run mid-batch:
-# exactly one entry's result reached the cache before the process died.
-BWSA_FAILPOINTS="corpus.journal_append=delay(30000)" \
+# Seed the cache with compress.bwss alone: the same bytes and entry
+# settings as the full manifest's first entry, so the same cache key.
+cat > "$crash_dir/seed.toml" << 'MANIFEST'
+name = "smoke"
+
+[defaults]
+threshold = 10
+class = "integer"
+
+[[trace]]
+path = "compress.bwss"
+MANIFEST
+"$bwsa" corpus "$crash_dir/seed.toml" > /dev/null 2>&1
+# Stall the full run's first decode (pgp.bwss: compress.bwss is a cache
+# hit) for 30s, then kill it mid-batch; rerunning with no flag replays the
+# cached entry and analyzes the rest.
+BWSA_FAILPOINTS="corpus.ingest_decode=delay(30000)" \
     "$bwsa" corpus "$crash_dir/corpus.toml" --jobs 1 > /dev/null 2>&1 &
 crash_pid=$!
 sleep 2
 kill -9 "$crash_pid" 2> /dev/null
 wait "$crash_pid" 2> /dev/null || true
-"$bwsa" corpus "$crash_dir/corpus.toml" --resume \
+"$bwsa" corpus "$crash_dir/corpus.toml" \
     --emit-fleet "$crash_dir/resumed.json" > /dev/null 2> "$crash_dir/resume.err"
 grep -q "cache: 1 hits, 2 misses" "$crash_dir/resume.err"
 cmp "$crash_dir/baseline.json" "$crash_dir/resumed.json"

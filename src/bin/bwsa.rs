@@ -1,87 +1,12 @@
 //! `bwsa` — command-line front end to the whole workspace.
 //!
-//! ```text
-//! bwsa generate <benchmark> [--input a|b] [--scale F] [--format bwst|bwss|bwss3] [-o FILE]
-//!     Generate a benchmark trace and write it in BWST1 binary format,
-//!     as a checksummed BWSS2 stream, or as a BWSS3 columnar file.
-//!
-//! bwsa convert <in> <out> [--format bwst|bwss|bwss3] [--salvage]
-//!     Transcode a trace between formats (target taken from --format or
-//!     the output extension). The round trip is record-identical.
-//!
-//! bwsa analyze <trace> [--threshold N] [--jobs N] [--salvage]
-//!              [--checkpoint FILE [--checkpoint-every N]] [--resume FILE]
-//!     Run branch working set analysis on a trace file and print the
-//!     working-set report, classification counts, and trace statistics.
-//!     In memory, --jobs N splits the static branches among N worker
-//!     threads (default: all hardware threads), each reading the whole
-//!     trace, with output bit-identical to a serial run.
-//!     BWSS streams are analysed without materialising the trace unless
-//!     --jobs requests parallelism; --salvage recovers what it can from a
-//!     corrupted stream, and --checkpoint/--resume make long runs
-//!     restartable (checkpointed streaming is sequential, so it rejects
-//!     --jobs above 1).
-//!
-//! bwsa allocate <trace> [--table N] [--threshold N] [--classify] [--salvage]
-//!     Compute a branch allocation and report its conflict mass,
-//!     occupancy, and the required-BHT-size search against the
-//!     conventional 1024-entry baseline.
-//!
-//! bwsa simulate <trace> [--predictor NAME] [--jobs N] [--salvage]
-//!               [--checkpoint FILE [--checkpoint-every N]] [--resume FILE]
-//!     Simulate a predictor over the trace (default: compare the PAg
-//!     family). NAME ∈ pag | free | bimodal | gshare | gag | hybrid |
-//!     agree | bimode | profile; checkpointing supports the first four.
-//!     The predictor grid fans out across --jobs worker threads with
-//!     results always printed in grid order.
-//!
-//! bwsa dot <trace> [--threshold N] [--salvage]
-//!     Emit the conflict graph as Graphviz DOT, colored by working set.
-//!
-//! bwsa corpus <manifest> [--jobs N] [--threshold N] [--report json|text]
-//!             [--emit-fleet FILE]
-//!     Run every trace named by a TOML/JSON corpus manifest through the
-//!     supervised analysis pipeline — fanned across --jobs workers, each
-//!     entry salvage-ingested and fault-isolated so one corrupt trace
-//!     never sinks the batch — and fold the results into a versioned
-//!     fleet summary, bit-identical for any job count or manifest order.
-//!
-//! bwsa validate-report <report.json>
-//!     Check a previously emitted run report against this build's schema
-//!     fixture and version.
-//!
-//! bwsa validate-fleet <fleet.json>
-//!     Check a previously emitted fleet summary against this build's
-//!     schema fixture and version.
-//!
-//! bwsa serve <socket> [--workers N] [--queue N] [--max-concurrent N]
-//!            [--max-bytes-mb N] [--deadline-seconds S] [--retries N]
-//!            [--max-rss-mb N] [--seed N]
-//!     Run the fault-isolated multi-tenant analysis daemon on a
-//!     Unix-domain socket until SIGTERM / ctrl-c / a shutdown request,
-//!     then drain gracefully and exit 0. Bind failures exit 2. Uploads
-//!     may be in any of the three trace formats.
-//!
-//! bwsa client <socket> <ping|analyze|allocate|corpus|report|status|shutdown>
-//!             [<trace>|<manifest>] [--tenant NAME] [--threshold N] [--table N]
-//!             [--classify] [--jobs N]
-//!     One request against a running daemon; typed server-side errors
-//!     exit 1 with the server's message (and retry-after hint on
-//!     overload). Trace files of every format upload as-is: the daemon
-//!     decodes BWST, BWSS and BWSS3 alike.
-//! ```
-//!
-//! `analyze`, `allocate`, and `simulate` additionally accept
-//! `--report json|text` (emit a versioned run report with per-stage wall
-//! times, counters, and result digests; `json` replaces the normal
-//! human output) and `--metrics FILE` (write the JSON report to a file
-//! alongside the normal output).
-//!
-//! `analyze` and `allocate` accept `--retries N`, `--max-seconds S`, and
-//! `--max-rss-mb N` to run under supervision (worker isolation, retry
-//! with backoff, cooperative deadlines, graceful degradation — see
-//! `bwsa::core::supervise`). `BWSA_FAILPOINTS` arms deterministic fault
-//! injection for chaos testing.
+//! `bwsa help` prints the `USAGE` text below: the one reference for every
+//! subcommand, flag and exit code. `analyze` runs one
+//! [`Session`](bwsa::core::Session) over the trace file's bytes for every
+//! format and flag; `allocate`, `simulate` and `dot` decode the trace
+//! whole; `corpus`, `serve` and `client` front the corpus runner and the
+//! daemon. `BWSA_FAILPOINTS` arms deterministic fault injection for chaos
+//! testing.
 //!
 //! Exit codes: 0 on success (including a partial salvage, which warns on
 //! stderr, and a degraded-but-finished supervised run), 1 on I/O, data,
@@ -91,8 +16,8 @@
 use bwsa::core::conflict::ConflictConfig;
 use bwsa::core::pipeline::{Analysis, AnalysisPipeline};
 use bwsa::core::{
-    Classified, Execution, ParallelConfig, Session, StreamingAnalysis, SupervisorConfig,
-    WindowConfig,
+    write_checkpoint, Checkpoints, Classified, Execution, ParallelConfig, Session, Source,
+    StreamingAnalysis, SupervisorConfig, WindowConfig,
 };
 use bwsa::corpus::{Corpus, EntryStatus, FleetSummary, FLEET_SUMMARY_VERSION};
 use bwsa::graph::dot::{to_dot, DotOptions};
@@ -104,20 +29,19 @@ use bwsa::predictor::{
     BranchPredictor, Checkpointable, Gag, Gshare, Hybrid, Pag, PredictorError, SimCheckpoint,
     StaticPredictor, SweepCell,
 };
-use bwsa::resilience::{failpoint, supervisor, watchdog, DetRng};
+use bwsa::resilience::{failpoint, supervisor, DetRng};
 use bwsa::server::server::ServerConfig;
 use bwsa::server::{signal, AdmissionConfig, Client, Response, Server, TenantQuotas};
 use bwsa::trace::codec::crc32;
-use bwsa::trace::columnar::ColumnarFile;
 use bwsa::trace::mmap::TraceBytes;
-use bwsa::trace::stream::{RecoveryPolicy, SalvageReport, StreamReader, DEFAULT_CHUNK_RECORDS};
-use bwsa::trace::{Format, Trace, TraceError};
+use bwsa::trace::stream::{RecoveryPolicy, SalvageReport, DEFAULT_CHUNK_RECORDS};
+use bwsa::trace::{Format, Trace, TraceError, TraceMeta};
 use bwsa::workload::suite::{Benchmark, InputSet};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A CLI failure, classified for the exit code: misuse of the command
 /// line exits 2, failures of the data or the environment exit 1.
@@ -198,22 +122,20 @@ subcommands:
   analyze  <trace> [--threshold N] [--jobs N] [--salvage]
            [--window N[i] [--emit-windows FILE]]
            [--checkpoint FILE [--checkpoint-every N]] [--resume FILE]
-           [--retries N] [--max-seconds S] [--max-rss-mb N]
-           [--report json|text] [--metrics FILE]
+           [--retries N] [--max-seconds S] [--report json|text] [--metrics FILE]
   allocate <trace> [--table N] [--threshold N] [--classify] [--salvage]
-           [--retries N] [--max-seconds S] [--max-rss-mb N]
-           [--report json|text] [--metrics FILE]
+           [--retries N] [--max-seconds S] [--report json|text] [--metrics FILE]
   simulate <trace> [--predictor pag|free|bimodal|gshare|gag|hybrid|agree|bimode|profile]
            [--jobs N] [--salvage] [--checkpoint FILE [--checkpoint-every N]] [--resume FILE]
            [--report json|text] [--metrics FILE]
   dot      <trace> [--threshold N] [--salvage]
   corpus   <manifest> [--jobs N] [--threshold N] [--report json|text]
-           [--emit-fleet FILE] [--cache-dir DIR | --no-cache] [--resume]
+           [--emit-fleet FILE] [--cache-dir DIR | --no-cache]
   validate-report <report.json>
   validate-fleet  <fleet.json>
   serve    <socket> [--workers N] [--queue N] [--max-concurrent N]
            [--max-bytes-mb N] [--deadline-seconds S] [--retries N]
-           [--max-rss-mb N] [--seed N] [--corpus-cache DIR]
+           [--seed N] [--corpus-cache DIR]
   client   <socket> <ping|analyze|subscribe|allocate|corpus|report|status|shutdown>
            [<trace>|<manifest>] [--tenant NAME] [--threshold N] [--table N]
            [--classify] [--window N[i]] [--jobs N] [--retries N]
@@ -236,31 +158,33 @@ result over the converted file is byte-identical to the original. BWSS3
 files memory-map on ingest and decode column blocks straight into the
 analysis engines — the recommended format for large cold corpora.
 
---jobs N splits an in-memory analysis's static branches among N worker
-threads, each reading the whole trace, or runs simulation grid cells on
-N worker threads (default: all hardware threads); results are
-bit-identical to a serial run. Checkpointed streaming analysis is
-inherently sequential, so `analyze --checkpoint/--resume` rejects --jobs
-above 1.
+--jobs N splits analyze's static branches among N worker threads, each
+reading the whole decoded trace, or runs simulation grid cells on N
+worker threads; --jobs 1 is serial, and results are bit-identical to a
+serial run. analyze defaults to all hardware threads for a BWST trace,
+which is decoded whole anyway, and streams BWSS and BWSS3 serially;
+simulate defaults to all hardware threads. Checkpointed streaming
+analysis is sequential, so `analyze --checkpoint/--resume` rejects
+--jobs above 1.
 
 --window N analyzes the trace in online windows of N dynamic branches
 (Ni: N instructions), printing per-window working sets, conflict-graph
 deltas, phase-change signals, and incremental BHT re-coloring stability;
 the windows provably fold into the exact whole-trace answer, computed in
 one serial pass, so --jobs does not change a windowed run's work.
---emit-windows writes the per-window summaries as JSON. Windowed runs
-materialise the trace, so they reject --checkpoint/--resume.
+--emit-windows writes the per-window summaries as JSON. A windowed run
+streams a BWSS or BWSS3 trace block by block, as a serial run does, and
+rejects --checkpoint/--resume.
 
---retries/--max-seconds/--max-rss-mb run the analysis under supervision:
-failed workers are isolated and retried N times with backoff, a run over
-the wall-clock deadline is cancelled cooperatively, and a run over the
-memory budget drops to the low-memory engine. A supervised run degrades
-gracefully (parallel -> serial -> streaming, recorded in the run report)
-and its result is bit-identical to an unsupervised run whenever any
-engine succeeds. Streaming and windowed runs have no ladder to descend:
---max-seconds bounds the whole run, and --retries/--max-rss-mb have
-nothing to act on. Checkpoints rotate the previous good file to FILE.prev,
-and --resume falls back to it when FILE is corrupt.
+--retries/--max-seconds run the analysis under supervision: failed
+workers and runs are isolated and retried N times with backoff, and an
+attempt over the wall-clock deadline is cancelled cooperatively. A
+supervised run degrades gracefully (parallel -> serial, recorded in the
+run report) and its result is bit-identical to an unsupervised run
+whenever either engine succeeds; a trace that does not decode fails at
+once. A windowed run has no ladder: --max-seconds bounds the whole run.
+Checkpoints rotate the previous good file to FILE.prev, and --resume
+falls back to it when FILE is corrupt.
 
 --report json prints a versioned run report (stage wall times, counters,
 result digests, supervision outcome) as the only stdout output;
@@ -289,13 +213,11 @@ effective analysis configuration, so an unchanged entry is replayed from
 disk instead of re-analyzed — the folded summary is byte-identical
 either way. Cache cells are checksummed and verified on read; a torn or
 damaged cell is treated as a miss and recomputed, never an error. A
-journal of completed entries is fsynced as the batch runs; after a crash
-(even kill -9), `--resume` replays the completed entries from the cache
-and analyzes only the remainder, producing the same summary bytes as an
-uninterrupted run. The journal rotates to journal.prev on each fresh
-run, and --resume falls back to it when the newest journal is torn.
---no-cache disables all of this (and conflicts with --cache-dir and
---resume). Cache hit/miss/eviction/corrupt counts print to stderr.
+batch killed partway (even by kill -9) resumes by running it again: the
+entries it finished replay from the cache, and the summary bytes match
+an uninterrupted run's. --no-cache disables the cache (and conflicts
+with --cache-dir). Cache hit/miss/eviction/corrupt counts print to
+stderr.
 
 `serve` runs the long-lived multi-tenant analysis daemon on a Unix-domain
 socket: every request is supervised and fault-isolated (a poisoned trace
@@ -620,29 +542,17 @@ fn threshold_of(p: &Parsed) -> Result<Option<ConflictConfig>, CliError> {
         .transpose()
 }
 
-/// Resolves an optional `--jobs` value to a parallel-analysis
-/// configuration, defaulting to one worker per hardware thread.
-fn parallel_config(jobs: Option<usize>) -> ParallelConfig {
-    match jobs {
-        Some(n) => ParallelConfig::with_jobs(n),
-        None => ParallelConfig::available(),
-    }
-}
-
-/// Supervision request from `--retries`, `--max-seconds`, and
-/// `--max-rss-mb`; `None` when none of the flags are present (plain,
-/// unsupervised execution).
+/// Supervision request from `--retries` and `--max-seconds`; `None`
+/// when neither flag is present (plain, unsupervised execution).
 fn supervisor_of(p: &Parsed) -> Result<Option<SupervisorConfig>, CliError> {
     let retries = p.number("retries")?;
     let max_wall = p.seconds("max-seconds")?;
-    let max_rss_bytes = p.mebibytes("max-rss-mb")?;
-    if retries.is_none() && max_wall.is_none() && max_rss_bytes.is_none() {
+    if retries.is_none() && max_wall.is_none() {
         return Ok(None);
     }
     let mut config = SupervisorConfig::default();
     config.retries = retries.unwrap_or(config.retries);
     config.max_wall = max_wall;
-    config.max_rss_bytes = max_rss_bytes;
     Ok(Some(config))
 }
 
@@ -660,21 +570,6 @@ fn checkpoint_cadence(p: &Parsed) -> Result<Option<(String, u64)>, CliError> {
         }
         None => Ok(None),
     }
-}
-
-/// Writes checkpoint bytes via a temporary file and rename, so a crash
-/// mid-write never leaves a torn checkpoint at the final path. The
-/// checkpoint being replaced is rotated to `FILE.prev` first, so even if
-/// the final file is later torn or corrupted on disk, one good ancestor
-/// survives for `--resume` to fall back to.
-fn write_checkpoint(path: &str, bytes: &[u8]) -> Result<(), String> {
-    let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, bytes).map_err(|e| format!("cannot write {tmp}: {e}"))?;
-    if std::fs::metadata(path).is_ok() {
-        let prev = format!("{path}.prev");
-        std::fs::rename(path, &prev).map_err(|e| format!("cannot rotate {path} to {prev}: {e}"))?;
-    }
-    std::fs::rename(&tmp, path).map_err(|e| format!("cannot rename {tmp} to {path}: {e}"))
 }
 
 /// Loads a `--resume` checkpoint, falling back to the rotated
@@ -772,7 +667,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
             "jobs",
             "retries",
             "max-seconds",
-            "max-rss-mb",
             "report",
             "metrics",
             "window",
@@ -788,106 +682,68 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
         conflict: threshold_of(&p)?.unwrap_or_default(),
         ..AnalysisPipeline::new()
     };
-    checkpoint_cadence(&p)?;
+    let cadence = checkpoint_cadence(&p)?;
     let spec = report_spec(&p)?;
     let obs = spec.observer();
     let jobs: Option<usize> = p.positive("jobs")?;
     let supervisor = supervisor_of(&p)?;
     let windowing = window_spec(&p)?;
-    let wants_checkpointing = p.value("checkpoint").is_some() || p.value("resume").is_some();
-    if wants_checkpointing && jobs.is_some_and(|j| j > 1) {
+    let wants_checkpointing = cadence.is_some() || p.value("resume").is_some();
+    if wants_checkpointing && (jobs.is_some_and(|j| j > 1) || windowing.is_some()) {
         return Err(usage_err(
-            "--checkpoint/--resume stream sequentially and cannot use --jobs above 1",
-        ));
-    }
-    if wants_checkpointing && windowing.is_some() {
-        return Err(usage_err(
-            "--window runs the trace in memory and cannot combine with --checkpoint/--resume",
+            "--checkpoint/--resume stream serially: no --jobs above 1, no --window",
         ));
     }
     let bytes = open_trace(path)?;
     let format = Format::sniff(&bytes).map_err(|e| cannot_read(path, e))?;
-    match format {
-        Format::Bwst if wants_checkpointing => {
-            return Err(usage_err(
-                "--checkpoint/--resume need a BWSS stream trace (see `bwsa generate --format bwss`)",
-            ));
-        }
-        Format::Bwss3 if wants_checkpointing => {
-            return Err(usage_err(
-                "--checkpoint/--resume need a BWSS stream trace; BWSS3 ingest \
-                 is fast enough to restart (see `bwsa convert`)",
-            ));
-        }
-        _ => {}
+    if wants_checkpointing && format != Format::Bwss {
+        return Err(usage_err(
+            "--checkpoint/--resume need a BWSS stream trace (see `bwsa convert`)",
+        ));
     }
-    // A BWST file runs in memory, and so does a stream when --jobs asks
-    // for workers or --window for per-window summaries; otherwise BWSS
-    // and BWSS3 stream in constant memory.
-    if format == Format::Bwst || jobs.is_some_and(|j| j > 1) || windowing.is_some() {
-        let (trace, report) = load_trace(path, recovery_policy(&p), &obs)?;
-        warn_salvage(path, &report);
-        return analyze_in_memory(&trace, &pipeline, jobs, supervisor, &windowing, &spec, &obs);
+    // A BWST file is decoded whole anyway, so it defaults to every
+    // hardware thread; BWSS and BWSS3 default to serial streaming.
+    let jobs = jobs.unwrap_or_else(|| match format {
+        Format::Bwst => ParallelConfig::available().jobs.get(),
+        _ => 1,
+    });
+    let mut session = Session::over(Source::File {
+        bytes: &bytes,
+        policy: recovery_policy(&p),
+    })
+    .with_pipeline(pipeline)
+    .with_observer(obs.clone());
+    if jobs > 1 {
+        session = session.with_execution(Execution::Parallel(ParallelConfig::with_jobs(jobs)));
     }
-    // Streaming is already the bottom of the degradation ladder;
-    // supervision here means only the cooperative deadline, observed at
-    // every failpoint site the run passes.
-    let _watchdog = supervisor
-        .and_then(|c| c.max_wall)
-        .map(|wall| watchdog::arm(Instant::now() + wall));
-    analyze_streaming(path, &bytes, format, &p, &pipeline, &spec, &obs)
-}
-
-/// `--window N[i]` / `--emit-windows FILE` for `analyze`: the parsed
-/// window configuration plus the optional per-window JSON output path.
-/// Both are validated before any trace I/O happens.
-fn window_spec(p: &Parsed) -> Result<Option<(WindowConfig, Option<String>)>, CliError> {
-    let emit = p.value("emit-windows").map(str::to_owned);
-    match p.value("window") {
-        Some(spec) => {
-            let config = WindowConfig::parse(spec)
-                .map_err(|e| usage_err(format!("bad --window value: {e}")))?;
-            Ok(Some((config, emit)))
-        }
-        None if emit.is_some() => Err(usage_err("--emit-windows needs --window N[i]")),
-        None => Ok(None),
-    }
-}
-
-/// The in-memory `analyze` path: a [`Session`] over the ownership-parallel
-/// pipeline (bit-identical to serial for any worker count) plus the
-/// report printout; a windowed session answers with its windowed fold.
-fn analyze_in_memory(
-    trace: &Trace,
-    pipeline: &AnalysisPipeline,
-    jobs: Option<usize>,
-    supervisor: Option<SupervisorConfig>,
-    windowing: &Option<(WindowConfig, Option<String>)>,
-    spec: &ReportSpec,
-    obs: &Obs,
-) -> Result<(), CliError> {
-    let mut session = Session::new(trace)
-        .with_pipeline(*pipeline)
-        .with_execution(Execution::Parallel(parallel_config(jobs)))
-        .with_observer(obs.clone());
     if let Some(config) = supervisor {
         session = session.with_supervisor(config);
     }
-    if let Some((config, _)) = windowing {
+    if let Some((config, _)) = &windowing {
         session = session.with_windowing(*config);
     }
-    // A windowed run has no ladder to supervise: as on the streaming
-    // paths, only the deadline applies, observed at every window flush.
-    let _watchdog = supervisor
-        .and_then(|c| c.max_wall)
-        .filter(|_| windowing.is_some())
-        .map(|wall| watchdog::arm(Instant::now() + wall));
-    let analysis = session.run().map_err(|e| runtime_err(e.to_string()))?;
-    if !spec.json_only() {
-        let meta = trace.meta();
-        print_analysis(&meta.name, meta.total_instructions, analysis, pipeline);
+    if wants_checkpointing {
+        let load = |ck_path| {
+            load_checkpoint_with_fallback(ck_path, |bytes| {
+                StreamingAnalysis::load_observed(bytes, &obs).map_err(|e| format!("{ck_path}: {e}"))
+            })
+        };
+        let resume = p.value("resume").map(load).transpose()?;
+        let save = cadence.map(|(ck_path, every)| (ck_path.into(), every));
+        session = session.with_checkpoints(Checkpoints { save, resume });
     }
-    if let Some((config, emit)) = windowing {
+    let analysis = session.run().map_err(|e| match e {
+        bwsa::core::Error::Trace(e) => cannot_read(path, e),
+        e => runtime_err(e.to_string()),
+    })?;
+    let ingested = session
+        .ingested()
+        .ok_or_else(|| runtime_err(format!("{path} was not read")))?;
+    warn_salvage(path, &ingested.salvage);
+    if !spec.json_only() {
+        print_analysis(&ingested.meta, analysis, &pipeline);
+    }
+    if let Some((config, emit)) = &windowing {
         let windowed = session.windowed().map_err(|e| runtime_err(e.to_string()))?;
         if !spec.json_only() {
             println!(
@@ -912,110 +768,26 @@ fn analyze_in_memory(
     Ok(())
 }
 
-/// Streaming `analyze` of a BWSS or BWSS3 trace, in constant memory:
-/// BWSS3 blocks go straight off the memory map into the record
-/// accumulator, and a BWSS stream is read record by record into a
-/// [`StreamingAnalysis`], with checkpoint/resume. Both honour --salvage.
-fn analyze_streaming(
-    path: &str,
-    bytes: &[u8],
-    format: Format,
-    p: &Parsed,
-    pipeline: &AnalysisPipeline,
-    spec: &ReportSpec,
-    obs: &Obs,
-) -> Result<(), CliError> {
-    let cannot_read = |e: TraceError| cannot_read(path, e);
-    let policy = recovery_policy(p);
-    let (trace_name, instructions, result) = if format == Format::Bwss3 {
-        let file = ColumnarFile::parse(bytes).map_err(cannot_read)?;
-        let (result, report) =
-            bwsa::core::columnar::analyze_columnar_stream(pipeline, bytes, policy, obs)
-                .map_err(cannot_read)?;
-        warn_salvage(path, &report);
-        let instructions = file.footer().map(|f| f.total_instructions);
-        (file.name().to_owned(), instructions, result)
-    } else {
-        let file = File::open(path).map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-        let mut reader = StreamReader::with_recovery(BufReader::new(file), policy)
-            .map_err(cannot_read)?
-            .with_observer(obs.clone());
-        let mut analysis = match p.value("resume") {
-            Some(ck_path) => {
-                let a = load_checkpoint_with_fallback(ck_path, |bytes| {
-                    StreamingAnalysis::load_observed(bytes, obs)
-                        .map_err(|e| format!("{ck_path}: {e}"))
-                })?;
-                if a.trace_name() != reader.name() {
-                    return Err(runtime_err(format!(
-                        "{ck_path} is a checkpoint of trace {:?}, not {:?}",
-                        a.trace_name(),
-                        reader.name()
-                    )));
-                }
-                a
-            }
-            None => StreamingAnalysis::new(reader.name()),
-        };
-        let cadence = checkpoint_cadence(p)?;
-        let to_skip = analysis.records_consumed();
-        let mut skipped = 0u64;
-        let mut next_checkpoint_at = cadence.as_ref().map(|(_, every)| to_skip + every);
-        let ingest_span = obs.span("ingest");
-        for item in reader.by_ref() {
-            let rec = item.map_err(cannot_read)?;
-            if skipped < to_skip {
-                skipped += 1;
-                continue;
-            }
-            analysis.push(&rec);
-            if let (Some((ck_path, every)), Some(at)) = (&cadence, next_checkpoint_at) {
-                if analysis.records_consumed() >= at {
-                    write_checkpoint(ck_path, &analysis.save_observed(obs)).map_err(runtime_err)?;
-                    next_checkpoint_at = Some(analysis.records_consumed() + every);
-                }
-            }
+/// `--window N[i]` / `--emit-windows FILE` for `analyze`: the parsed
+/// window configuration plus the optional per-window JSON output path.
+/// Both are validated before any trace I/O happens.
+fn window_spec(p: &Parsed) -> Result<Option<(WindowConfig, Option<String>)>, CliError> {
+    let emit = p.value("emit-windows").map(str::to_owned);
+    match p.value("window") {
+        Some(spec) => {
+            let config = WindowConfig::parse(spec)
+                .map_err(|e| usage_err(format!("bad --window value: {e}")))?;
+            Ok(Some((config, emit)))
         }
-        ingest_span.finish();
-        if skipped < to_skip {
-            return Err(runtime_err(format!(
-                "checkpoint consumed {to_skip} records but {path} only has {skipped}"
-            )));
-        }
-        warn_salvage(path, reader.salvage_report());
-        let instructions = reader.total_instructions();
-        let result = analysis.finish_observed(pipeline, obs);
-        (reader.name().to_owned(), instructions, result)
-    };
-
-    if !spec.json_only() {
-        // A torn file has no trailer or footer total: count up to the
-        // last record, as a decoded trace does.
-        let last_time = result.profile.iter().map(|(_, s)| s.last_time.get()).max();
-        let instructions = instructions.or(last_time).unwrap_or(0);
-        print_analysis(&trace_name, instructions, &result, pipeline);
+        None if emit.is_some() => Err(usage_err("--emit-windows needs --window N[i]")),
+        None => Ok(None),
     }
-    if let Some(metrics) = obs.snapshot() {
-        let profile = &result.profile;
-        let mut report = RunReport::new(
-            "analyze",
-            trace_name,
-            profile.total_dynamic(),
-            profile.static_count() as u64,
-            pipeline.config_json("streaming", 1, None),
-            &metrics,
-        );
-        push_analysis_digests(&mut report, &result);
-        spec.emit(&report)?;
-    }
-    Ok(())
 }
 
-/// Prints `analyze`'s human output, the same for the in-memory and the
-/// streaming path: the trace header, density and taken rate, then the
-/// conflict graph, working sets and classification. `instructions` is
-/// the file's trailer or footer total, else its last record's timestamp.
-fn print_analysis(name: &str, instructions: u64, analysis: &Analysis, pipeline: &AnalysisPipeline) {
+/// Prints `analyze`'s human output: the trace header, density and taken
+/// rate, then the conflict graph, working sets and classification.
+fn print_analysis(meta: &TraceMeta, analysis: &Analysis, pipeline: &AnalysisPipeline) {
+    let (name, instructions) = (&meta.name, meta.total_instructions);
     let profile = &analysis.profile;
     let n = profile.total_dynamic();
     println!(
@@ -1056,7 +828,6 @@ fn cmd_allocate(args: &[String]) -> Result<(), CliError> {
             "threshold",
             "retries",
             "max-seconds",
-            "max-rss-mb",
             "report",
             "metrics",
         ],
@@ -1211,8 +982,10 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
                 resume.as_ref(),
                 every,
                 |ck| match &cadence {
-                    Some((ck_path, _)) => write_checkpoint(ck_path, &ck.to_bytes())
-                        .map_err(|reason| PredictorError::Checkpoint { reason }),
+                    Some((ck_path, _)) => write_checkpoint(ck_path.as_ref(), &ck.to_bytes())
+                        .map_err(|e| PredictorError::Checkpoint {
+                            reason: e.to_string(),
+                        }),
                     None => Ok(()),
                 },
             )
@@ -1389,10 +1162,9 @@ fn cmd_corpus(args: &[String]) -> Result<(), CliError> {
             "emit-fleet",
             "retries",
             "max-seconds",
-            "max-rss-mb",
             "cache-dir",
         ],
-        &["no-cache", "resume"],
+        &["no-cache"],
     )?;
     let manifest = p
         .positionals
@@ -1405,14 +1177,8 @@ fn cmd_corpus(args: &[String]) -> Result<(), CliError> {
         )));
     }
     let no_cache = p.has("no-cache");
-    let resume = p.has("resume");
     if no_cache && p.value("cache-dir").is_some() {
         return Err(usage_err("--no-cache conflicts with --cache-dir"));
-    }
-    if no_cache && resume {
-        return Err(usage_err(
-            "--no-cache conflicts with --resume (resume replays the result cache)",
-        ));
     }
     // Validate every flag before touching the filesystem: misuse exits
     // 2 even when the manifest does not exist.
@@ -1449,31 +1215,6 @@ fn cmd_corpus(args: &[String]) -> Result<(), CliError> {
                 .unwrap_or_else(|| std::path::Path::new("."))
                 .join(".bwsa-cache"),
         };
-        if resume {
-            let (entries, source) = bwsa::corpus::journal::load(&cache_dir);
-            match source {
-                bwsa::corpus::journal::JournalSource::Absent => {
-                    eprintln!(
-                        "warning: no run journal in {}; starting fresh",
-                        cache_dir.display()
-                    );
-                }
-                bwsa::corpus::journal::JournalSource::Ancestor => {
-                    eprintln!(
-                        "warning: newest journal unreadable; resuming from \
-                         previous good journal ({} completed entries)",
-                        entries.len()
-                    );
-                }
-                bwsa::corpus::journal::JournalSource::Primary => {
-                    eprintln!(
-                        "resuming: {} entries already complete in journal",
-                        entries.len()
-                    );
-                }
-            }
-            session = session.with_resume(true);
-        }
         session = session.with_cache(cache_dir);
     }
     let summary = session.run_all();
@@ -1615,7 +1356,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             "max-bytes-mb",
             "deadline-seconds",
             "retries",
-            "max-rss-mb",
             "seed",
             "corpus-cache",
         ],
@@ -2108,40 +1848,114 @@ mod tests {
         std::fs::remove_file(trace).unwrap();
     }
 
+    /// The report `analyze` writes to `--metrics` for `extra` flags.
+    fn analyze_metrics(trace: &str, extra: &[&str], metrics: &std::path::Path) -> Json {
+        let mut args = strs(&["analyze", trace, "--metrics", metrics.to_str().unwrap()]);
+        args.extend(strs(extra));
+        run(&args).unwrap_or_else(|e| panic!("{extra:?}: {e:?}"));
+        let doc = Json::parse(&std::fs::read_to_string(metrics).unwrap()).unwrap();
+        std::fs::remove_file(metrics).unwrap();
+        doc
+    }
+
+    fn stage_names(doc: &Json) -> Vec<String> {
+        match doc.get("stages") {
+            Some(Json::Array(items)) => items
+                .iter()
+                .filter_map(|s| s.get("name").and_then(Json::as_str).map(str::to_owned))
+                .collect(),
+            other => panic!("stages missing: {other:?}"),
+        }
+    }
+
+    /// `pgp@0.01` written as `t.<ext>` for each of the three formats.
+    fn pgp_in_every_format(dir: &std::path::Path) -> Vec<String> {
+        std::fs::create_dir_all(dir).unwrap();
+        ["bwst", "bwss", "bwss3"]
+            .iter()
+            .map(|format| {
+                let trace = dir.join(format!("t.{format}"));
+                let trace = trace.to_str().unwrap().to_owned();
+                run(&strs(&[
+                    "generate", "pgp", "--scale", "0.01", "--format", format, "-o", &trace,
+                ]))
+                .unwrap();
+                trace
+            })
+            .collect()
+    }
+
     #[test]
     fn analyze_report_times_every_pipeline_stage() {
         let dir = std::env::temp_dir().join("bwsa_cli_stage_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        // BWST runs the parallel engine in memory; BWSS3 streams its blocks
-        // into the detector inside `ingest`, each block's pushes timed as
-        // `detect`.
-        let parallel: &[&str] = &["profile", "shard_detect"];
-        for (format, engine) in [("bwst", parallel), ("bwss3", &["detect"])] {
-            let trace = dir.join(format!("t.{format}"));
-            let trace_s = trace.to_str().unwrap().to_owned();
-            run(&strs(&[
-                "generate", "pgp", "--scale", "0.01", "--format", format, "-o", &trace_s,
-            ]))
-            .unwrap();
-            let metrics = dir.join("m.json");
-            let metrics_s = metrics.to_str().unwrap().to_owned();
-            run(&strs(&["analyze", &trace_s, "--metrics", &metrics_s])).unwrap();
-            let doc = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-            let stages: Vec<String> = match doc.get("stages") {
-                Some(Json::Array(items)) => items
-                    .iter()
-                    .filter_map(|s| s.get("name").and_then(Json::as_str).map(str::to_owned))
-                    .collect(),
-                other => panic!("stages missing: {other:?}"),
-            };
+        let traces = pgp_in_every_format(&dir);
+        // BWST runs the parallel engine over the decoded trace; BWSS2 and
+        // BWSS3 stream their blocks into the detector inside `ingest`,
+        // each block's pushes timed as `detect`, and a windowed BWSS3 run
+        // streams them into the windowed engine.
+        let cases: [(&str, &[&str], &[&str]); 4] = [
+            (&traces[0], &["--jobs", "2"], &["profile", "shard_detect"]),
+            (&traces[1], &[], &["detect"]),
+            (&traces[2], &[], &["detect"]),
+            (
+                &traces[2],
+                &["--window", "2000"],
+                &["windowed_analysis", "window_flush"],
+            ),
+        ];
+        for (trace, extra, engine) in cases {
+            let stages = stage_names(&analyze_metrics(trace, extra, &dir.join("m.json")));
             let shared = ["ingest", "compile", "working_sets", "classify"];
             for required in shared.iter().chain(engine) {
                 assert!(
                     stages.iter().any(|s| s == required),
-                    "{format}: missing {required} in {stages:?}"
+                    "{trace} {extra:?}: missing {required} in {stages:?}"
                 );
             }
-            std::fs::remove_file(metrics).unwrap();
+        }
+        for trace in traces {
+            std::fs::remove_file(trace).unwrap();
+        }
+    }
+
+    #[test]
+    fn every_format_reports_the_same_config_counters_and_digests() {
+        let dir = std::env::temp_dir().join("bwsa_cli_formats_test");
+        let traces = pgp_in_every_format(&dir);
+        let counters = |doc: &Json| match doc.get("counters") {
+            Some(Json::Object(items)) => items
+                .iter()
+                .filter(|(k, _)| k.starts_with("trace."))
+                .map(|(k, _)| k.clone())
+                .collect::<Vec<_>>(),
+            other => panic!("counters missing: {other:?}"),
+        };
+        for extra in [
+            &["--jobs", "1"][..],
+            &["--jobs", "2"],
+            &["--window", "2000"],
+        ] {
+            let docs: Vec<Json> = traces
+                .iter()
+                .map(|trace| analyze_metrics(trace, extra, &dir.join("m.json")))
+                .collect();
+            for (trace, doc) in traces.iter().zip(&docs).skip(1) {
+                let case = format!("{trace} {extra:?}");
+                for key in ["config", "digests", "trace"] {
+                    assert_eq!(doc.get(key), docs[0].get(key), "{case}: {key}");
+                }
+                assert_eq!(counters(doc), counters(&docs[0]), "{case}");
+            }
+            assert_eq!(
+                counters(&docs[0]),
+                [
+                    "trace.chunks_dropped",
+                    "trace.chunks_ok",
+                    "trace.records_read"
+                ]
+            );
+        }
+        for trace in traces {
             std::fs::remove_file(trace).unwrap();
         }
     }
@@ -2188,9 +2002,6 @@ mod tests {
             ("--max-seconds", "inf"),
             ("--max-seconds", "1e300"),
             ("--max-seconds", "soon"),
-            ("--max-rss-mb", "0"),
-            ("--max-rss-mb", "lots"),
-            ("--max-rss-mb", "17592186044416"), // 2^44 MiB: 2^64 bytes
         ] {
             assert!(
                 matches!(
@@ -2226,16 +2037,9 @@ mod tests {
         let config = supervisor_of(&p).unwrap().unwrap();
         assert_eq!(config.retries, 5);
         assert!(config.max_wall.is_none());
-        assert!(config.max_rss_bytes.is_none());
-        let p = parse(
-            &strs(&["--max-seconds", "1.5", "--max-rss-mb", "64"]),
-            &["max-seconds", "max-rss-mb"],
-            &[],
-        )
-        .unwrap();
+        let p = parse(&strs(&["--max-seconds", "1.5"]), &["max-seconds"], &[]).unwrap();
         let config = supervisor_of(&p).unwrap().unwrap();
         assert_eq!(config.max_wall, Some(Duration::from_millis(1500)));
-        assert_eq!(config.max_rss_bytes, Some(64 * 1024 * 1024));
     }
 
     #[test]
@@ -2257,17 +2061,7 @@ mod tests {
             let metrics_s = metrics.to_str().unwrap().to_owned();
             let mut args = vec![extra[0].to_owned(), trace_s.clone()];
             args.extend(extra[1..].iter().map(|s| s.to_string()));
-            args.extend(
-                [
-                    "--retries",
-                    "2",
-                    "--max-rss-mb",
-                    "1000000",
-                    "--metrics",
-                    &metrics_s,
-                ]
-                .map(str::to_owned),
-            );
+            args.extend(["--retries", "2", "--metrics", &metrics_s].map(str::to_owned));
             run(&args).unwrap_or_else(|e| panic!("{name}: {e:?}"));
             run(&strs(&["validate-report", &metrics_s]))
                 .unwrap_or_else(|e| panic!("{name}: {e:?}"));

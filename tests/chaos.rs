@@ -64,7 +64,7 @@ struct Harness {
     trace: Trace,
     bwss: Vec<u8>,
     bwst: Vec<u8>,
-    /// On-disk corpus (manifest + traces) for the corpus cache/journal
+    /// On-disk corpus (manifest + traces) for the corpus cache
     /// sites; each drive gets a fresh cache dir (see [`Harness::drive_corpus`]).
     corpus_dir: PathBuf,
 }
@@ -147,14 +147,13 @@ impl Harness {
         }
     }
 
-    /// Cached corpus run over a fresh cache dir; covers the cache-read,
-    /// cache-write, and journal-append sites. Cache and journal faults
-    /// are contained *inside* the cache layer (a faulting read is a
-    /// miss, a faulting write is an unwritten cell, a faulting append
-    /// poisons the journal) — so the summary must always come out
+    /// Cached corpus run over a fresh cache dir; covers the cache-read
+    /// and cache-write sites. Cache faults are contained *inside* the
+    /// cache layer (a faulting read is a miss, a faulting write is an
+    /// unwritten cell) — so the summary must always come out
     /// bit-identical, never a typed error. The cache dir is fresh per
-    /// drive: every invocation is a cold run that traverses read, write,
-    /// and append for every entry.
+    /// drive: every invocation is a cold run that traverses read and
+    /// write for every entry.
     fn drive_corpus(&self) -> Result<String, String> {
         static FRESH: AtomicU64 = AtomicU64::new(0);
         let cache = self
@@ -493,11 +492,11 @@ fn degraded_runs_record_downgrades_and_retries_in_the_run_report() {
     let plain = Session::new(&trace);
     let baseline = plain.run().unwrap();
 
-    // A fault that only exists on the serial path: the supervised serial
-    // session must degrade to streaming replay and still match.
-    let _guard = failpoint::scoped("core.profile=error(stage exploded)").unwrap();
+    // A fault that only exists in the parallel workers: the supervised
+    // parallel session must degrade to the serial rung and still match.
+    let _guard = failpoint::scoped("core.shard_detect=error(stage exploded)").unwrap();
     let session = Session::new(&trace)
-        .with_execution(Execution::Serial)
+        .with_execution(Execution::Parallel(ParallelConfig::with_jobs(2)))
         .with_supervisor(SupervisorConfig {
             backoff_base: Duration::from_millis(1),
             ..SupervisorConfig::default()
@@ -507,11 +506,12 @@ fn degraded_runs_record_downgrades_and_retries_in_the_run_report() {
 
     let summary = session.resilience_summary().unwrap();
     assert!(summary.attempts >= 2, "summary: {summary:?}");
+    assert!(summary.retries >= 1, "summary: {summary:?}");
     assert!(
         summary
             .downgrades
             .iter()
-            .any(|d| d.reason.contains("core.profile")),
+            .any(|d| d.reason.contains("core.shard_detect")),
         "downgrade reason must name the fault: {summary:?}"
     );
     assert!(!summary.faults.is_empty());
@@ -525,13 +525,13 @@ fn degraded_runs_record_downgrades_and_retries_in_the_run_report() {
         Some(Json::Bool(true))
     ));
     assert!(resilience.get("attempts").and_then(Json::as_u64).unwrap() >= 2);
-    assert!(resilience.get("retries").and_then(Json::as_u64).is_some());
+    assert!(resilience.get("retries").and_then(Json::as_u64).unwrap() >= 1);
     match resilience.get("downgrades") {
         Some(Json::Array(downgrades)) => {
             assert!(downgrades.iter().any(|d| {
                 d.get("reason")
                     .and_then(Json::as_str)
-                    .is_some_and(|r| r.contains("core.profile"))
+                    .is_some_and(|r| r.contains("core.shard_detect"))
             }));
         }
         other => panic!("downgrades missing: {other:?}"),
@@ -546,12 +546,12 @@ fn a_stalled_stage_is_cut_short_by_the_deadline() {
     let plain = Session::new(&trace);
     let baseline = plain.run().unwrap();
 
-    // Stall a serial-only stage far beyond the budget; every other rung
+    // Stall a parallel-only stage far beyond the budget; the serial rung
     // is fault-free, so the run still completes — without waiting out
     // the stall on retry after retry.
-    let _guard = failpoint::scoped("core.interleave=delay(40)").unwrap();
+    let _guard = failpoint::scoped("core.shard_detect=delay(40)").unwrap();
     let session = Session::new(&trace)
-        .with_execution(Execution::Serial)
+        .with_execution(Execution::Parallel(ParallelConfig::with_jobs(2)))
         .with_supervisor(SupervisorConfig {
             backoff_base: Duration::from_millis(1),
             max_wall: Some(Duration::from_millis(10)),
@@ -563,6 +563,7 @@ fn a_stalled_stage_is_cut_short_by_the_deadline() {
         summary.faults.iter().any(|f| f.contains("deadline")),
         "summary: {summary:?}"
     );
+    assert_eq!(summary.attempts, 2, "no same-rung retry: {summary:?}");
 }
 
 // ──────────────────────── server chaos sweep ────────────────────────

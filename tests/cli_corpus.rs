@@ -185,23 +185,19 @@ fn validate_fleet_rejects_junk_and_wrong_versions() {
 fn cache_flag_conflicts_exit_2_before_io() {
     // Validation precedes I/O: the manifest path never exists, yet the
     // conflict is still reported as usage (2), not runtime (1).
-    for args in [
-        vec![
-            "corpus",
-            "/no/such.toml",
-            "--no-cache",
-            "--cache-dir",
-            "/tmp/x",
-        ],
-        vec!["corpus", "/no/such.toml", "--no-cache", "--resume"],
-    ] {
-        let out = bwsa(&args);
-        assert_eq!(exit_code(&out), 2, "{args:?}: {out:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("--no-cache"),
-            "{out:?}"
-        );
-    }
+    let args = [
+        "corpus",
+        "/no/such.toml",
+        "--no-cache",
+        "--cache-dir",
+        "/tmp/x",
+    ];
+    let out = bwsa(&args);
+    assert_eq!(exit_code(&out), 2, "{args:?}: {out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--no-cache"),
+        "{out:?}"
+    );
 }
 
 #[test]
@@ -260,60 +256,6 @@ fn warm_cache_rerun_is_all_hits_and_byte_identical() {
         std::fs::read(&fresh_fleet).unwrap(),
         "cached summary drifted from an uncached run"
     );
-}
-
-#[test]
-fn torn_journal_resumes_from_the_rotated_ancestor() {
-    let manifest = fixture_corpus("tornjournal");
-    let dir = manifest.parent().unwrap();
-    let m = manifest.to_str().unwrap();
-    let baseline_fleet = dir.join("baseline.json");
-    // Two runs: the second rotates the first's journal to journal.prev.
-    let out = bwsa(&[
-        "corpus",
-        m,
-        "--emit-fleet",
-        baseline_fleet.to_str().unwrap(),
-    ]);
-    assert_eq!(exit_code(&out), 0, "{out:?}");
-    let out = bwsa(&["corpus", m]);
-    assert_eq!(exit_code(&out), 0, "{out:?}");
-    let cache = dir.join(".bwsa-cache");
-    assert!(cache.join("journal.prev").is_file(), "rotation missing");
-    // Tear the newest journal's header beyond parsing; --resume must
-    // fall back to the rotated ancestor, warn, and still produce the
-    // byte-identical summary (the cache replays every entry).
-    std::fs::write(cache.join("journal"), b"JU").unwrap();
-    let resumed_fleet = dir.join("resumed.json");
-    let out = bwsa(&[
-        "corpus",
-        m,
-        "--resume",
-        "--emit-fleet",
-        resumed_fleet.to_str().unwrap(),
-    ]);
-    assert_eq!(exit_code(&out), 0, "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("previous good journal (3 completed entries)"),
-        "{stderr}"
-    );
-    assert!(stderr.contains("cache: 3 hits, 0 misses"), "{stderr}");
-    assert_eq!(
-        std::fs::read(&baseline_fleet).unwrap(),
-        std::fs::read(&resumed_fleet).unwrap(),
-        "resumed summary drifted"
-    );
-}
-
-#[test]
-fn resume_without_a_journal_warns_and_starts_fresh() {
-    let manifest = fixture_corpus("resumefresh");
-    let out = bwsa(&["corpus", manifest.to_str().unwrap(), "--resume"]);
-    assert_eq!(exit_code(&out), 0, "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("no run journal"), "{stderr}");
-    assert!(stderr.contains("cache: 0 hits, 3 misses"), "{stderr}");
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! Every engine built on the Figure 1 kernel against the linear-scan
-//! oracle, sized for the default `cargo test`: a fast tier of the engine
+//! Every engine over every record source against the linear-scan oracle,
+//! sized for the default `cargo test`: a fast tier of the engine
 //! agreement in `crates/core/tests/hotpath_prop.rs`.
 //!
 //! The traces are seeded runs over a few hot branches whose stamps advance
@@ -7,22 +7,35 @@
 //! the recency ring. Every other trace first runs 4104 branches once
 //! each, then gives the even hot slots ids below the detector's 4096
 //! dense rows and the odd ones ids past them, so pairs below, across and
-//! above the cap all occur. Each trace goes through the serial pipeline,
-//! a record-by-record stream, a stream checkpointed and resumed partway,
-//! and 2 ownership-parallel workers. At thresholds 1, 2 and 100 each one
-//! compiles the oracle's raw graph pruned, with its raw pair count and
-//! weight.
+//! above the cap all occur.
+//!
+//! Each trace is a [`Session`] source four ways: in memory, as `BWSS2`
+//! bytes, as `BWSS3` bytes, and as a torn `BWSS3` file read under salvage
+//! (its footer and partial last block lost). The first three run serially
+//! and on 2 ownership-parallel workers at each of the thresholds 1, 2 and
+//! 100, and as a windowed fold at one of them in turn; the torn file runs
+//! through each of the three engines at one threshold in turn, and the
+//! `BWSS2` bytes also run serially at all three, resumed from the
+//! checkpoint a checkpointing session saved partway. Each run's answer —
+//! profile, conflict graph, working sets and classes — is the in-memory
+//! serial answer over the records it read, which compiles the oracle's
+//! raw graph of those records, pruned, with its raw pair count and weight.
 
 use bwsa::core::pipeline::AnalysisPipeline;
 use bwsa::core::{
-    analyze_parallel, interleave_counts_naive, Analysis, ConflictConfig, ParallelConfig,
-    StreamingAnalysis,
+    interleave_counts_naive, Analysis, Checkpoints, ConflictConfig, Execution, ParallelConfig,
+    Session, Source, StreamingAnalysis, WindowConfig,
 };
-use bwsa::obs::Obs;
-use bwsa::trace::{Trace, TraceBuilder};
+use bwsa::graph::ConflictGraph;
+use bwsa::trace::columnar::ColumnarWriter;
+use bwsa::trace::stream::RecoveryPolicy;
+use bwsa::trace::{Format, Trace, TraceBuilder};
 
 /// The first id past the detector's dense rows.
 const DENSE_NODES: u64 = 4096;
+
+/// Records per block of the `BWSS3` encodings.
+const BLOCK: usize = 256;
 
 /// A seeded trace of 400 records over `spread` hot branches, and how many
 /// records of a wide trace's sweep precede them.
@@ -62,26 +75,89 @@ fn pipeline_at(threshold: u64) -> AnalysisPipeline {
     }
 }
 
-/// `trace` pushed record by record; with `resume_at`, the engine is saved
-/// after that many records and the rest go to the loaded copy.
-fn streamed(trace: &Trace, resume_at: Option<usize>, pipeline: &AnalysisPipeline) -> Analysis {
-    let records = trace.records();
-    let split = resume_at.unwrap_or(records.len());
-    let mut engine = StreamingAnalysis::new("agreement");
-    for rec in &records[..split] {
-        engine.push(rec);
+/// `trace` in `BWSS3` blocks of [`BLOCK`] records; a torn file loses its
+/// footer and the partial block the writer had not flushed.
+fn columnar(trace: &Trace, torn: bool) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut w = ColumnarWriter::new(&mut bytes, "agreement")
+        .unwrap()
+        .with_block_records(BLOCK);
+    for rec in trace.records() {
+        w.push(*rec).unwrap();
     }
-    if resume_at.is_some() {
-        engine = StreamingAnalysis::load(&engine.save()).unwrap();
+    if !torn {
+        w.finish(trace.meta().total_instructions).unwrap();
     }
-    for rec in &records[split..] {
-        engine.push(rec);
+    bytes
+}
+
+/// The first `n` records of `trace`.
+fn prefix(trace: &Trace, n: usize) -> Trace {
+    let mut b = TraceBuilder::new("agreement");
+    for rec in &trace.records()[..n] {
+        b.record(rec.pc.addr(), rec.is_taken(), rec.time.get());
     }
-    engine.finish(pipeline)
+    b.finish()
+}
+
+fn file(bytes: &[u8], policy: RecoveryPolicy) -> Source<'_> {
+    Source::File { bytes, policy }
+}
+
+/// The state a checkpointing session saves once it has read all of
+/// `head`, a trace's first records, as `BWSS2` bytes.
+fn saved_state(head: &Trace, path: &std::path::Path) -> StreamingAnalysis {
+    let mut bwss = Vec::new();
+    Format::Bwss.write(head, &mut bwss).unwrap();
+    let every = head.len() as u64;
+    let session =
+        Session::over(file(&bwss, RecoveryPolicy::Strict)).with_checkpoints(Checkpoints {
+            save: Some((path.to_owned(), every)),
+            resume: None,
+        });
+    session.run().unwrap();
+    let state = StreamingAnalysis::load(&std::fs::read(path).unwrap()).unwrap();
+    assert_eq!(state.records_consumed(), every);
+    state
+}
+
+/// The engines every source runs through.
+const ENGINES: [&str; 3] = ["serial", "2 workers", "windowed"];
+
+/// The conflict thresholds the runs take.
+const THRESHOLDS: [u64; 3] = [1, 2, 100];
+
+/// `source` run by `engine`: serially, on 2 workers, or as the fold of
+/// about five windows of a `records`-record trace.
+fn run(source: Source<'_>, engine: &str, pipeline: AnalysisPipeline, records: usize) -> Analysis {
+    let session = Session::over(source).with_pipeline(pipeline);
+    let session = match engine {
+        "2 workers" => session.with_execution(Execution::Parallel(ParallelConfig::with_jobs(2))),
+        "windowed" => {
+            let windows = WindowConfig::branches(records as u64 / 5 + 1).unwrap();
+            session.with_windowing(windows.with_table_size(64))
+        }
+        _ => session,
+    };
+    session.run().unwrap().clone()
+}
+
+/// The in-memory serial answer over `records` at `threshold`, checked to
+/// compile the oracle's `raw` graph of them, pruned, with its raw pair
+/// count and weight.
+fn expected(records: &Trace, raw: &ConflictGraph, threshold: u64, case: &str) -> Analysis {
+    let analysis = run(Source::Trace(records), "serial", pipeline_at(threshold), 0);
+    let conflict = &analysis.conflict;
+    assert_eq!(conflict.graph, raw.pruned(threshold), "{case}");
+    assert_eq!(conflict.raw_edge_count, raw.edge_count(), "{case}");
+    assert_eq!(conflict.raw_total_weight, raw.total_weight(), "{case}");
+    analysis
 }
 
 #[test]
 fn every_engine_compiles_the_pruned_oracle_graph() {
+    let dir = std::env::temp_dir().join(format!("bwsa-agreement-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
     for seed in 1..=6u64 {
         let wide = seed % 2 == 0;
         let spread = 2 + seed * 5 % 15;
@@ -92,25 +168,58 @@ fn every_engine_compiles_the_pruned_oracle_graph() {
             raw.edge_count() > 0,
             "seed {seed}: the hot branches interleave"
         );
+        let mut bwss = Vec::new();
+        Format::Bwss.write(&trace, &mut bwss).unwrap();
+        let bws3 = columnar(&trace, false);
+        let torn = columnar(&trace, true);
+        let survivors = prefix(&trace, trace.len() / BLOCK * BLOCK);
+        let torn_raw = interleave_counts_naive(&survivors).build();
         let split = cold + (trace.len() - cold) * seed as usize / 7;
-        for threshold in [1, 2, 100] {
-            let pipeline = pipeline_at(threshold);
-            let pruned = raw.pruned(threshold);
-            for (engine, analysis) in [
-                ("serial", pipeline.run_observed(&trace, &Obs::noop())),
-                ("streamed", streamed(&trace, None, &pipeline)),
-                ("resumed", streamed(&trace, Some(split), &pipeline)),
-                (
-                    "2 workers",
-                    analyze_parallel(&pipeline, &trace, &ParallelConfig::with_jobs(2)),
-                ),
-            ] {
-                let case = format!("seed {seed}, threshold {threshold}, {engine}");
-                let conflict = &analysis.conflict;
-                assert_eq!(conflict.graph, pruned, "{case}");
-                assert_eq!(conflict.raw_edge_count, raw.edge_count(), "{case}");
-                assert_eq!(conflict.raw_total_weight, raw.total_weight(), "{case}");
+        let resume = saved_state(&prefix(&trace, split), &dir.join(format!("{seed}.bwck")));
+        let sources = [
+            ("in memory", Source::Trace(&trace)),
+            ("bwss2", file(&bwss, RecoveryPolicy::Strict)),
+            ("bwss3", file(&bws3, RecoveryPolicy::Strict)),
+        ];
+        let mut answers = Vec::new();
+        for threshold in THRESHOLDS {
+            let case = format!("seed {seed}, threshold {threshold}");
+            let expected = expected(&trace, &raw, threshold, &case);
+            // `expected` is the first of these runs: the in-memory serial one.
+            let runs = sources.into_iter().flat_map(|(name, source)| {
+                ["serial", "2 workers"].map(|engine| (name, source, engine))
+            });
+            for (name, source, engine) in runs.skip(1) {
+                let analysis = run(source, engine, pipeline_at(threshold), trace.len());
+                assert_eq!(analysis, expected, "{case}, {name}, {engine}");
             }
+            let resumed = Session::over(file(&bwss, RecoveryPolicy::Strict))
+                .with_pipeline(pipeline_at(threshold))
+                .with_checkpoints(Checkpoints {
+                    save: None,
+                    resume: Some(resume.clone()),
+                });
+            let resumed = resumed.run().unwrap();
+            assert_eq!(resumed, &expected, "{case}, bwss2 resumed at {split}");
+            answers.push(expected);
+        }
+        // The windowed fold and the torn file take one threshold per run
+        // in turn, so over the seeds each run meets every threshold twice.
+        let torn = ("torn bwss3", file(&torn, RecoveryPolicy::Salvage));
+        let runs = sources.map(|source| (source, "windowed", false));
+        let torn_runs = ENGINES.map(|engine| (torn, engine, true));
+        for (turn, ((name, source), engine, torn)) in runs.into_iter().chain(torn_runs).enumerate()
+        {
+            let k = (seed as usize + turn) % 3;
+            let threshold = THRESHOLDS[k];
+            let case = format!("seed {seed}, threshold {threshold}, {name}, {engine}");
+            let expected = match torn {
+                true => expected(&survivors, &torn_raw, threshold, &case),
+                false => answers[k].clone(),
+            };
+            let analysis = run(source, engine, pipeline_at(threshold), trace.len());
+            assert_eq!(analysis, expected, "{case}");
         }
     }
+    std::fs::remove_dir_all(dir).unwrap();
 }

@@ -35,11 +35,10 @@
 //! one history per branch and mispredicts exactly as the
 //! interference-free PAg does.
 
-use bwsa::core::columnar::analyze_columnar_stream;
 use bwsa::core::pipeline::AnalysisPipeline;
 use bwsa::core::{
-    analyze_parallel, Analysis, Classified, ConflictConfig, ParallelConfig, Session, WindowConfig,
-    WindowedAnalysis, WindowedResult,
+    analyze_parallel, Analysis, Classified, ConflictConfig, ParallelConfig, Session, Source,
+    WindowConfig, WindowedAnalysis, WindowedResult,
 };
 use bwsa::obs::Obs;
 use bwsa::predictor::{simulate, BhtIndexer, Pag};
@@ -115,8 +114,14 @@ fn every_engine(
         writer.push(*rec).unwrap();
     }
     writer.finish(trace.meta().total_instructions).unwrap();
-    let (streamed, _) =
-        analyze_columnar_stream(pipeline, &bytes, RecoveryPolicy::Strict, &Obs::noop()).unwrap();
+    let streamed = Session::over(Source::File {
+        bytes: &bytes,
+        policy: RecoveryPolicy::Strict,
+    })
+    .with_pipeline(*pipeline)
+    .run()
+    .unwrap()
+    .clone();
 
     let config = WindowConfig::branches(split).unwrap();
     let mut windowed = WindowedAnalysis::new(config, *pipeline);
