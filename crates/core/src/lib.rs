@@ -98,10 +98,12 @@ pub mod failpoints {
     pub const CHECKPOINT_RESTORE: &str = "core.checkpoint_restore";
     /// Fires when a [`crate::WindowedAnalysis`] window flushes.
     pub const WINDOW_FLUSH: &str = "core.window_flush";
-    /// Fires before a flushed window's pairs enter the cumulative kept
-    /// graph.
+    /// Fires before the walk over a flushed window's pairs, which yields
+    /// the kept moves for the cumulative kept graph.
     pub const WINDOW_MERGE: &str = "core.window_merge";
-    /// Fires before the incremental re-coloring of the cumulative graph.
+    /// Fires when the colorer takes a flushed window, before the
+    /// incremental re-coloring of the cumulative graph: on the helper
+    /// thread when one colors.
     pub const RECOLOR: &str = "core.recolor";
     /// Every site in this crate, for chaos-sweep enumeration.
     pub const SITES: &[&str] = &[

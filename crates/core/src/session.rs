@@ -47,7 +47,7 @@ use crate::parallel::{
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use crate::source::{self, Batches, Block, Ingested, Source, BLOCK};
 use crate::supervise::{self, ResilienceSummary, Rung, SupervisorConfig};
-use crate::window::{WindowConfig, WindowedAnalysis, WindowedResult};
+use crate::window::{self, WindowConfig, WindowedAnalysis, WindowedResult};
 use bwsa_obs::json::Json;
 use bwsa_obs::report::{DowngradeReport, ResilienceReport, WindowsReport};
 use bwsa_obs::{Metrics, Obs, RunReport};
@@ -168,9 +168,11 @@ impl<'t> Session<'t> {
     /// the source through a [`WindowedAnalysis`] at `config`'s reset
     /// interval, emitting per-window summaries whose fold is bit-identical
     /// to the whole-trace answer. [`Session::run`] then returns that fold,
-    /// so the records are detected once, serially: the [`Execution`]
-    /// choice and the supervisor's retry and degradation ladder do not
-    /// apply, though its deadline does.
+    /// so the records are detected once, on the calling thread. Under
+    /// [`Execution::Parallel`] with two or more jobs, each window is
+    /// re-colored on one helper thread while the next is detected;
+    /// otherwise inline. The supervisor's retry and degradation ladder do
+    /// not apply, though its deadline does, on both threads.
     pub fn with_windowing(mut self, config: WindowConfig) -> Self {
         self.windowing = Some(config);
         self
@@ -231,8 +233,10 @@ impl<'t> Session<'t> {
 
     /// Runs the online windowed analysis configured by
     /// [`Session::with_windowing`], or returns the cached result of an
-    /// earlier call: one serial replay of the source's blocks, under the
-    /// supervisor's deadline when one is set. Its folded
+    /// earlier call: one replay of the source's blocks, its windows
+    /// re-colored on a helper thread under a parallel [`Execution`] (see
+    /// [`Session::with_windowing`]), under the supervisor's deadline when
+    /// one is set. Its folded
     /// [`WindowedResult::analysis`] — bit-identical to the whole-trace
     /// answer of any engine — is what [`Session::run`] returns too.
     ///
@@ -252,24 +256,13 @@ impl<'t> Session<'t> {
             .supervisor
             .and_then(|c| c.max_wall)
             .map(|wall| watchdog::arm(Instant::now() + wall));
-        let obs = &self.obs;
-        let mut engine = WindowedAnalysis::new(config, self.pipeline).with_observer(obs.clone());
-        let push = |_: &mut Accumulator, block: Block<'_>| {
-            let _span = obs.span("windowed_analysis");
-            block.each(|id, stamp, taken| engine.push(id, stamp, taken));
-        };
-        let ingested = match self.stream(push)? {
-            Some((_, ingested)) => Some(ingested),
-            None => {
-                let (trace, ingested) = self.whole()?;
-                let _span = obs.span("windowed_analysis");
-                for (id, record) in trace.indexed_records() {
-                    engine.push(id.as_u32(), record.time.get(), record.is_taken());
-                }
-                ingested.cloned()
-            }
-        };
-        let result = engine.finish();
+        let (result, ingested) = window::run(
+            config,
+            self.pipeline,
+            &self.obs,
+            self.colors_on_helper(),
+            |engine| self.replay(engine),
+        )?;
         self.record(ingested);
         Ok(self.windowed.get_or_init(|| result))
     }
@@ -333,11 +326,11 @@ impl<'t> Session<'t> {
 
     /// The session's configuration as an ordered JSON object — the
     /// `config` echo embedded in run reports, with `null` window keys when
-    /// unwindowed. A windowed session echoes the one serial replay it
-    /// runs, whatever its [`Execution`].
+    /// unwindowed. A windowed session echoes the threads its replay runs
+    /// on: 1, or 2 when a helper thread re-colors the windows.
     pub fn config_json(&self) -> Json {
         let (mode, jobs) = match (&self.windowing, &self.execution) {
-            (Some(_), _) => ("windowed", 1),
+            (Some(_), _) => ("windowed", 1 + u64::from(self.colors_on_helper())),
             (None, Execution::Serial) => ("serial", 1),
             (None, Execution::Parallel(c)) => ("parallel", c.jobs.get() as u64),
         };
@@ -418,6 +411,31 @@ impl<'t> Session<'t> {
             });
         }
         Some(report)
+    }
+
+    /// Whether a windowed run re-colors its windows on a helper thread:
+    /// under [`Execution::Parallel`] with two or more jobs.
+    fn colors_on_helper(&self) -> bool {
+        matches!(self.execution, Execution::Parallel(c) if c.jobs.get() > 1)
+    }
+
+    /// Pushes every record of the source into `engine`: a `BWSS2` or
+    /// `BWSS3` file's blocks as they stream, else the whole trace.
+    fn replay(&self, engine: &mut WindowedAnalysis) -> Result<Option<Ingested>, Error> {
+        let obs = &self.obs;
+        let push = |_: &mut Accumulator, block: Block<'_>| {
+            let _span = obs.span("windowed_analysis");
+            block.each(|id, stamp, taken| engine.push(id, stamp, taken));
+        };
+        if let Some((_, ingested)) = self.stream(push)? {
+            return Ok(Some(ingested));
+        }
+        let (trace, ingested) = self.whole()?;
+        let _span = obs.span("windowed_analysis");
+        for (id, record) in trace.indexed_records() {
+            engine.push(id.as_u32(), record.time.get(), record.is_taken());
+        }
+        Ok(ingested.cloned())
     }
 
     /// The pipeline configuration, and checkpoints only on a serial,

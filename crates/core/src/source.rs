@@ -57,8 +57,17 @@ impl Block<'_> {
 /// writer's default block size.
 pub(crate) const BLOCK: usize = bwsa_trace::stream::DEFAULT_CHUNK_RECORDS;
 
-/// Bytes of a `BWSS2` file read past between releases of their pages.
+/// Bytes of a streamed file read past between releases of their pages.
 const RELEASE_STEP: usize = 256 << 10;
+
+/// Drops the mapped pages of `bytes` from `released` up to `read` once
+/// they reach [`RELEASE_STEP`] bytes, and moves `released` past them.
+fn release_behind(bytes: &[u8], released: &mut usize, read: usize) {
+    if read - *released >= RELEASE_STEP {
+        mmap::release(&bytes[*released..read]);
+        *released = read;
+    }
+}
 
 fn ingested(name: &str, total_instructions: u64, salvage: SalvageReport) -> Ingested {
     let name = name.to_owned();
@@ -70,7 +79,8 @@ fn ingested(name: &str, total_instructions: u64, salvage: SalvageReport) -> Inge
 }
 
 /// Walks a `BWSS3` file's blocks under `policy` and hands each one that
-/// survives to `sink`.
+/// survives to `sink`. The mapped file pages it has read past leave
+/// memory every [`RELEASE_STEP`] bytes, and the rest at the end.
 pub(crate) fn replay_columnar(
     bytes: &[u8],
     policy: RecoveryPolicy,
@@ -78,12 +88,14 @@ pub(crate) fn replay_columnar(
 ) -> Result<Ingested, TraceError> {
     let file = ColumnarFile::parse(bytes)?;
     let mut first_seen = FirstSeen::default();
-    let mut last_time = 0;
-    let (salvage, _) = file.walk(policy, |view| {
+    let (mut last_time, mut released) = (0, 0);
+    let read = |offset| release_behind(bytes, &mut released, offset);
+    let (salvage, _) = file.walk(policy, read, |view| {
         last_time = view.times.last().copied().unwrap_or(last_time);
         let remap = Some(&mut first_seen);
         sink(Block(view.ids, view.times, view.taken, remap));
     })?;
+    mmap::release(&bytes[released..]);
     let total = file.footer().map_or(last_time, |f| f.total_instructions);
     Ok(ingested(file.name(), total, salvage))
 }
@@ -154,10 +166,7 @@ impl<'a> Batches<'a> {
     /// they reach [`RELEASE_STEP`] bytes.
     fn release(&mut self) {
         let read = self.bytes.len() - self.reader.get_ref().len();
-        if read - self.released >= RELEASE_STEP {
-            mmap::release(&self.bytes[self.released..read]);
-            self.released = read;
-        }
+        release_behind(self.bytes, &mut self.released, read);
     }
 
     /// What the read found, once [`Batches::next`] has returned `None`;

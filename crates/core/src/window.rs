@@ -28,26 +28,37 @@
 //! traces, window sizes, and `--jobs` values.
 //!
 //! **Incremental re-coloring.** Edge weights only ever grow, so an edge
-//! crosses the threshold at most once: the walk hands each crossing to
-//! the re-colorer, which keeps the cumulative pruned graph as per-node
-//! sorted neighbor lists and its `(nodes, kept edges, kept weight)`
-//! signature current in time proportional to the window. An unchanged
-//! signature proves the pruned graph identical, so the previous
+//! crosses the threshold at most once. Each flush hands the window's
+//! *kept moves* — the pairs it credited whose cumulative weight reaches
+//! the threshold, with that weight, in `(a, b)` order — to a colorer,
+//! which owns the cumulative pruned graph as one list sorted by pair and
+//! keeps its `(nodes, kept edges, kept weight)` signature current. An
+//! unchanged signature proves the pruned graph identical, so the previous
 //! assignment is still *the* coloring (the skip is exact); a moved one
-//! compiles the pruned graph from the lists, with weights read from the
-//! rows, and re-colors it. Each re-coloring reports a **stability**
-//! metric: the fraction of previously assigned branches that kept their
-//! BHT entry.
+//! merges the moves into the list, compiles the CSR from it and
+//! re-colors it. No recolor reads the detector. Each re-coloring reports
+//! a **stability** metric: the fraction of previously assigned branches
+//! that kept their BHT entry.
+//!
+//! **The colorer's thread.** A recolor needs nothing the walk still
+//! changes, so a windowed [`Session`](crate::Session) with two or more
+//! jobs runs the colorer on one helper thread, fed through a bounded
+//! channel that holds at most one waiting window, while the walk detects
+//! the next window. With one job, and in every engine
+//! [`WindowedAnalysis::new`] makes, the same colorer runs inline after
+//! each flush. The windows and the assignment are the same either way.
 
 use crate::error::{CoreError, Error};
-use crate::interleave::{Accumulator, Detector};
+use crate::interleave::Accumulator;
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use crate::working_set::{working_sets, WorkingSetReport};
-use bwsa_graph::coloring::{color_graph, ColoringOptions};
+use bwsa_graph::coloring::{assign_colors, ColoringOptions};
 use bwsa_graph::ConflictGraph;
 use bwsa_obs::json::Json;
 use bwsa_obs::Obs;
 use bwsa_trace::profile::{BranchProfile, BranchStats};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 
 /// Jaccard similarity below which a window is flagged as a phase change.
 const PHASE_JACCARD: f64 = 0.5;
@@ -55,6 +66,11 @@ const PHASE_JACCARD: f64 = 0.5;
 /// Default BHT size the incremental re-colorer targets (the paper's
 /// conventional baseline table).
 const DEFAULT_TABLE_SIZE: usize = 1024;
+
+/// Windows that may wait for a colorer on a helper thread while it colors
+/// another: the walk goes on detecting, and the waiting move lists stay
+/// few.
+const HANDOFF_DEPTH: usize = 1;
 
 /// What a window's reset interval counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,20 +262,31 @@ impl WindowSummary {
     }
 }
 
-/// Signature-gated incremental re-coloring of the cumulative graph.
+/// A kept pair as the walk hands it over: `(a, b, cumulative weight)`,
+/// `a < b`, the weight at or above the threshold.
+type Move = (u32, u32, u64);
+
+/// One flushed window on its way to the colorer: its summary, whose
+/// `cumulative_edges_kept` and `recolor` the colorer fills in, the branch
+/// count so far, and the window's kept moves in `(a, b)` order.
 #[derive(Debug)]
-struct Recolorer {
+struct Handoff {
+    summary: WindowSummary,
+    nodes: u32,
+    moves: Vec<Move>,
+}
+
+/// Signature-gated incremental re-coloring of the cumulative kept graph,
+/// and the windows it has colored.
+#[derive(Debug)]
+struct Colorer {
     table_size: usize,
     options: ColoringOptions,
-    threshold: u64,
+    obs: Obs,
     assignment: Vec<u32>,
-    /// The cumulative pruned graph, every edge at or above the threshold:
-    /// `neighbors[a]` lists `a`'s kept neighbors, ascending except for
-    /// the lists named in `unsorted`. Lists only grow.
-    neighbors: Vec<Vec<u32>>,
-    /// Lists that received an id below their last since the last build.
-    unsorted: Vec<u32>,
-    kept_edges: usize,
+    /// The cumulative pruned graph, every pair at or above the threshold,
+    /// as `(a, b, weight)` sorted by pair.
+    kept: Vec<Move>,
     kept_weight: u64,
     /// `(nodes, kept edges, kept weight)` of the last colored graph.
     /// Cumulative edge weights grow monotonically, so an unchanged
@@ -267,75 +294,67 @@ struct Recolorer {
     /// exact.
     signature: Option<(u32, usize, u64)>,
     recolors: u64,
+    /// Every window colored so far, in order.
+    windows: Vec<WindowSummary>,
 }
 
-impl Recolorer {
-    fn new(table_size: usize, pipeline: &AnalysisPipeline) -> Self {
-        Recolorer {
+impl Colorer {
+    fn new(table_size: usize, pipeline: &AnalysisPipeline, obs: Obs) -> Self {
+        Colorer {
             table_size,
             options: pipeline.allocation.coloring,
-            // A zero threshold keeps the same edges as 1: every counted
-            // pair has a credit.
-            threshold: pipeline.conflict.threshold.max(1),
+            obs,
             assignment: Vec::new(),
-            neighbors: Vec::new(),
-            unsorted: Vec::new(),
-            kept_edges: 0,
+            kept: Vec::new(),
             kept_weight: 0,
             signature: None,
             recolors: 0,
+            windows: Vec::new(),
         }
     }
 
-    /// Folds one pair's weight change into the kept graph. Weights only
-    /// grow: an edge enters once, when it crosses the threshold, and
-    /// later windows add their gain.
-    fn track(&mut self, a: u32, b: u32, before: u64, after: u64) {
-        if after < self.threshold {
-            return;
+    /// Colors one flushed window and records its summary; returns the
+    /// window's move list, emptied, for the walk to fill again.
+    fn color(&mut self, handoff: Handoff) -> Vec<Move> {
+        bwsa_resilience::failpoint!(crate::failpoints::RECOLOR);
+        let Handoff {
+            mut summary,
+            nodes,
+            mut moves,
+        } = handoff;
+        let recolor = {
+            let _span = self.obs.span("recolor");
+            self.recolor(nodes, &mut moves)
+        };
+        if recolor.recolored {
+            self.obs.add("core.recolors", 1);
         }
-        if before >= self.threshold {
-            self.kept_weight += after - before;
-            return;
-        }
-        self.kept_weight += after;
-        self.kept_edges += 1;
-        self.link(a, b);
-        self.link(b, a);
+        summary.cumulative_edges_kept = self.kept.len();
+        summary.recolor = recolor;
+        self.windows.push(summary);
+        moves.clear();
+        moves
     }
 
-    fn link(&mut self, a: u32, b: u32) {
-        let i = a as usize;
-        if i >= self.neighbors.len() {
-            self.neighbors.resize_with(i + 1, Vec::new);
-        }
-        let list = &mut self.neighbors[i];
-        if list.last().is_some_and(|&last| last > b) {
-            self.unsorted.push(a);
-        }
-        list.push(b);
-    }
-
-    /// Re-colors the kept graph over `nodes` branches unless it is
-    /// unchanged since the last coloring, reading each kept edge's weight
-    /// from `detector`.
-    fn observe(&mut self, nodes: u32, detector: &Detector) -> RecolorStats {
-        let signature = (nodes, self.kept_edges, self.kept_weight);
-        if self.signature == Some(signature) {
+    /// Merges `moves` into the kept graph over `nodes` branches and
+    /// re-colors it, unless it is unchanged since the last coloring.
+    fn recolor(&mut self, nodes: u32, moves: &mut Vec<Move>) -> RecolorStats {
+        // Each move raises the kept weight, so with any move the
+        // signature has moved.
+        let unchanged = Some((nodes, self.kept.len(), self.kept_weight));
+        if moves.is_empty() && self.signature == unchanged {
             return RecolorStats {
                 recolored: false,
                 stability: 1.0,
             };
         }
-        self.unsorted.sort_unstable();
-        self.unsorted.dedup();
-        for a in self.unsorted.drain(..) {
-            self.neighbors[a as usize].sort_unstable();
-        }
-        let kept = ConflictGraph::from_neighbor_lists(nodes, &self.neighbors, |a, b| {
-            detector.pair_weight(a, b)
-        });
-        let next = color_graph(&kept, self.table_size, &self.options).assignment;
+        let kept = {
+            let _span = self.obs.span("recolor_build");
+            self.merge(moves);
+            ConflictGraph::from_sorted_edges(nodes, self.kept.iter().copied())
+        };
+        let _span = self.obs.span("recolor_color");
+        let next = assign_colors(&kept, self.table_size, &self.options);
         let unchanged = self
             .assignment
             .iter()
@@ -348,14 +367,71 @@ impl Recolorer {
             unchanged as f64 / self.assignment.len() as f64
         };
         self.assignment = next;
-        self.signature = Some(signature);
+        self.signature = Some((nodes, self.kept.len(), self.kept_weight));
         self.recolors += 1;
         RecolorStats {
             recolored: true,
             stability,
         }
     }
+
+    /// Merges `moves`, sorted by pair, into the kept list in place: a kept
+    /// pair takes its new weight, and a new one is inserted in order.
+    /// `moves` is left holding the new pairs.
+    fn merge(&mut self, moves: &mut Vec<Move>) {
+        let Colorer {
+            kept, kept_weight, ..
+        } = self;
+        let key = |&(a, b, _): &Move| u64::from(a) << 32 | u64::from(b);
+        let mut at = 0;
+        moves.retain(|new| {
+            // A window's moves are dense in the kept list, so a forward
+            // scan finds each sooner than a search would.
+            while kept.get(at).is_some_and(|old| key(old) < key(new)) {
+                at += 1;
+            }
+            match kept.get_mut(at) {
+                Some(old) if key(old) == key(new) => {
+                    *kept_weight += new.2 - old.2;
+                    old.2 = new.2;
+                    false
+                }
+                _ => {
+                    *kept_weight += new.2;
+                    true
+                }
+            }
+        });
+        // From the back: each new pair lands after the old pairs below it
+        // and the new pairs before it, and the old pairs above it move up
+        // past it once.
+        let mut end = kept.len();
+        kept.resize(end + moves.len(), (0, 0, 0));
+        for (i, new) in moves.iter().enumerate().rev() {
+            let start = kept[..end].partition_point(|old| key(old) < key(new));
+            kept.copy_within(start..end, start + i + 1);
+            kept[start + i] = *new;
+            end = start;
+        }
+    }
 }
+
+/// Who colors a flushed window.
+#[derive(Debug)]
+enum Colorist {
+    /// The colorer itself, run after each flush on the walk's thread.
+    Inline(Colorer),
+    /// A bounded channel to the colorer on a helper thread, and the
+    /// emptied move lists it hands back.
+    Helper {
+        windows: SyncSender<Handoff>,
+        spares: Receiver<Vec<Move>>,
+    },
+}
+
+/// The unwind a walk takes when its colorer's thread has unwound, so the
+/// run stops and reports the colorer's own fault.
+struct ColorerGone;
 
 /// Everything a finished windowed run produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -448,18 +524,30 @@ pub struct WindowedAnalysis {
     window_end: Option<u64>,
     /// The previous window's executed set, for drift detection.
     prev_executed: Option<Vec<u32>>,
-    recolorer: Recolorer,
-    windows: Vec<WindowSummary>,
+    /// Windows flushed so far.
+    flushed: usize,
+    /// The kept-pair threshold. A zero threshold keeps the same pairs as
+    /// 1: every counted pair has a credit.
+    threshold: u64,
+    /// The list the next flush fills with its kept moves.
+    moves: Vec<Move>,
+    colorist: Colorist,
 }
 
 impl WindowedAnalysis {
-    /// An engine with no records pushed yet.
+    /// An engine with no records pushed yet. It colors each window
+    /// inline, as the window flushes.
     pub fn new(config: WindowConfig, pipeline: AnalysisPipeline) -> Self {
+        let colorer = Colorer::new(config.table_size, &pipeline, Obs::noop());
+        Self::with_colorist(config, pipeline, Colorist::Inline(colorer))
+    }
+
+    fn with_colorist(config: WindowConfig, pipeline: AnalysisPipeline, colorist: Colorist) -> Self {
         let mut acc = Accumulator::new(0);
         acc.detector.track_windows();
         WindowedAnalysis {
-            recolorer: Recolorer::new(config.table_size, &pipeline),
             config,
+            threshold: pipeline.conflict.threshold.max(1),
             pipeline,
             obs: Obs::noop(),
             acc,
@@ -470,12 +558,17 @@ impl WindowedAnalysis {
             last_time: 0,
             window_end: None,
             prev_executed: None,
-            windows: Vec::new(),
+            flushed: 0,
+            moves: Vec::new(),
+            colorist,
         }
     }
 
     /// Attaches an observer for per-window counters and stage timings.
     pub fn with_observer(mut self, obs: Obs) -> Self {
+        if let Colorist::Inline(colorer) = &mut self.colorist {
+            colorer.obs = obs.clone();
+        }
         self.obs = obs;
         self
     }
@@ -485,15 +578,23 @@ impl WindowedAnalysis {
         self.config
     }
 
-    /// Every window flushed so far.
+    /// Every window flushed so far. The engines [`WindowedAnalysis::new`]
+    /// makes color each window as it flushes, so this is current after
+    /// every push.
     pub fn windows(&self) -> &[WindowSummary] {
-        &self.windows
+        match &self.colorist {
+            Colorist::Inline(colorer) => &colorer.windows,
+            Colorist::Helper { .. } => &[],
+        }
     }
 
     /// The current incremental BHT assignment (over the cumulative
     /// thresholded graph as of the last flushed window).
     pub fn assignment(&self) -> &[u32] {
-        &self.recolorer.assignment
+        match &self.colorist {
+            Colorist::Inline(colorer) => &colorer.assignment,
+            Colorist::Helper { .. } => &[],
+        }
     }
 
     /// Consumes one pre-interned record in trace order, flushing a window
@@ -540,7 +641,8 @@ impl WindowedAnalysis {
         }
     }
 
-    /// Flushes the open window (no-op when it holds no records).
+    /// Flushes the open window (no-op when it holds no records) and hands
+    /// it to the colorer.
     fn flush(&mut self) {
         if self.records == 0 {
             return;
@@ -548,22 +650,24 @@ impl WindowedAnalysis {
         bwsa_resilience::failpoint!(crate::failpoints::WINDOW_FLUSH);
         let _span = self.obs.span("window_flush");
         let nodes = self.acc.stats.len() as u32;
-        let threshold = self.recolorer.threshold;
+        let threshold = self.threshold;
 
         bwsa_resilience::failpoint!(crate::failpoints::WINDOW_MERGE);
         let mut interleave_pairs = 0;
         let mut interleave_weight = 0;
+        let mut moves = std::mem::take(&mut self.moves);
         let (window_sets, rows_touched) = {
             let _span = self.obs.span("window_diff");
             let mut kept = Vec::new();
-            let recolorer = &mut self.recolorer;
             let rows_touched = self.acc.detector.flush_window(|a, b, w, after| {
                 interleave_pairs += 1;
                 interleave_weight += w;
                 if w >= threshold {
                     kept.push((a, b, w));
                 }
-                recolorer.track(a, b, after - w, after);
+                if after >= threshold {
+                    moves.push((a, b, after));
+                }
             });
             let pruned_window = ConflictGraph::from_sorted_edges(nodes, kept.iter().copied());
             let profile = BranchProfile::from_parts(self.stats.clone(), self.records);
@@ -588,26 +692,17 @@ impl WindowedAnalysis {
         };
         let phase_change = self.prev_executed.is_some() && jaccard < PHASE_JACCARD;
 
-        bwsa_resilience::failpoint!(crate::failpoints::RECOLOR);
-        let recolor = {
-            let _span = self.obs.span("recolor");
-            self.recolorer.observe(nodes, &self.acc.detector)
-        };
-
         let records = std::mem::take(&mut self.records);
         self.obs.add("core.windows_flushed", 1);
         self.obs.add("core.window_records", records);
         self.obs
             .add("core.window_rows_touched", rows_touched as u64);
-        if recolor.recolored {
-            self.obs.add("core.recolors", 1);
-        }
         if phase_change {
             self.obs.add("core.phase_changes", 1);
         }
 
-        self.windows.push(WindowSummary {
-            index: self.windows.len(),
+        let summary = WindowSummary {
+            index: self.flushed,
             records,
             first_time: self.first_time,
             last_time: self.last_time,
@@ -615,13 +710,41 @@ impl WindowedAnalysis {
             executed_branches: executed.len(),
             interleave_pairs,
             interleave_weight,
-            cumulative_edges_kept: self.recolorer.kept_edges,
+            // The colorer's to fill in.
+            cumulative_edges_kept: 0,
             working_sets: window_sets.report,
             jaccard,
             phase_change,
-            recolor,
-        });
+            recolor: RecolorStats {
+                recolored: false,
+                stability: 1.0,
+            },
+        };
+        self.flushed += 1;
         self.prev_executed = Some(executed);
+        self.hand_off(Handoff {
+            summary,
+            nodes,
+            moves,
+        });
+    }
+
+    /// Has the colorer color `handoff`, and takes back a move list to
+    /// fill next: the window's own when inline, else an emptied one the
+    /// helper returned, if any is waiting.
+    fn hand_off(&mut self, handoff: Handoff) {
+        self.moves = match &mut self.colorist {
+            Colorist::Inline(colorer) => colorer.color(handoff),
+            Colorist::Helper { windows, spares } => {
+                let _span = self.obs.span("window_handoff");
+                if windows.send(handoff).is_err() {
+                    // The colorer's thread unwound: stop, and let its
+                    // fault surface where it is joined.
+                    panic::resume_unwind(Box::new(ColorerGone));
+                }
+                spares.try_recv().unwrap_or_default()
+            }
+        };
     }
 
     /// Flushes the trailing partial window and folds everything into the
@@ -631,31 +754,113 @@ impl WindowedAnalysis {
     /// `crates/core/tests/windowed_equiv.rs`).
     pub fn finish(mut self) -> WindowedResult {
         self.flush();
-        let recolors = self.recolorer.recolors;
-        let assignment = std::mem::take(&mut self.recolorer.assignment);
-        let phase_changes = self.windows.iter().filter(|w| w.phase_change).count() as u64;
-        let mean_stability = if self.windows.is_empty() {
-            1.0
-        } else {
-            self.windows
-                .iter()
-                .map(|w| w.recolor.stability)
-                .sum::<f64>()
-                / self.windows.len() as f64
+        let WindowedAnalysis {
+            config,
+            pipeline,
+            obs,
+            acc,
+            colorist,
+            ..
+        } = self;
+        let Colorist::Inline(colorer) = colorist else {
+            unreachable!(
+                "only `run` makes engines that color on a helper, and it folds them itself"
+            )
         };
-        let records = self.acc.records;
-        let analysis = self.acc.into_analysis(&self.pipeline, &self.obs);
-        WindowedResult {
-            config: self.config,
-            windows: self.windows,
-            analysis,
-            assignment,
-            recolors,
-            mean_stability,
-            phase_changes,
-            records,
-        }
+        fold(config, &pipeline, &obs, acc, colorer)
     }
+}
+
+/// A finished run: the colorer's windows and assignment, and the
+/// whole-trace fold of `acc`, compiled once the colorer's kept list is
+/// gone.
+fn fold(
+    config: WindowConfig,
+    pipeline: &AnalysisPipeline,
+    obs: &Obs,
+    acc: Accumulator,
+    colorer: Colorer,
+) -> WindowedResult {
+    let Colorer {
+        windows,
+        assignment,
+        recolors,
+        ..
+    } = colorer;
+    let phase_changes = windows.iter().filter(|w| w.phase_change).count() as u64;
+    let mean_stability = if windows.is_empty() {
+        1.0
+    } else {
+        windows.iter().map(|w| w.recolor.stability).sum::<f64>() / windows.len() as f64
+    };
+    let records = acc.records;
+    let analysis = acc.into_analysis(pipeline, obs);
+    WindowedResult {
+        config,
+        windows,
+        analysis,
+        assignment,
+        recolors,
+        mean_stability,
+        phase_changes,
+        records,
+    }
+}
+
+/// Runs a windowed analysis over the records `feed` pushes into the
+/// engine, and returns its result with what `feed` returned. With
+/// `helper`, the colorer runs on one scoped helper thread, started
+/// through [`bwsa_resilience::spawn_scoped`] under the caller's
+/// failpoints and deadline, and colors each window while the walk
+/// detects the next; otherwise it runs inline. Both give the same result.
+///
+/// A fault on the helper unwinds here with its payload. A fault the walk
+/// meets first wins, as a serial run would report it.
+pub(crate) fn run<R>(
+    config: WindowConfig,
+    pipeline: AnalysisPipeline,
+    obs: &Obs,
+    helper: bool,
+    feed: impl FnOnce(&mut WindowedAnalysis) -> Result<R, Error>,
+) -> Result<(WindowedResult, R), Error> {
+    if !helper {
+        let mut engine = WindowedAnalysis::new(config, pipeline).with_observer(obs.clone());
+        let fed = feed(&mut engine)?;
+        return Ok((engine.finish(), fed));
+    }
+    let colorer = Colorer::new(config.table_size, &pipeline, obs.clone());
+    std::thread::scope(|scope| {
+        let (windows, handoffs) = mpsc::sync_channel(HANDOFF_DEPTH);
+        let (spare, spares) = mpsc::channel();
+        let helper = bwsa_resilience::spawn_scoped(scope, move || {
+            let mut colorer = colorer;
+            for handoff in handoffs {
+                // A walk that has stopped takes no more lists back.
+                let _ = spare.send(colorer.color(handoff));
+            }
+            colorer
+        });
+        let walked = panic::catch_unwind(AssertUnwindSafe(|| {
+            let colorist = Colorist::Helper { windows, spares };
+            let engine = WindowedAnalysis::with_colorist(config, pipeline, colorist);
+            let mut engine = engine.with_observer(obs.clone());
+            let fed = feed(&mut engine)?;
+            engine.flush();
+            let WindowedAnalysis { acc, .. } = engine;
+            Ok((acc, fed))
+        }));
+        // The channel closed with the engine, so the helper has colored
+        // every window handed over, or unwound.
+        let colored = helper.join();
+        match (walked, colored) {
+            (Ok(Ok((acc, fed))), Ok(colorer)) => {
+                Ok((fold(config, &pipeline, obs, acc, colorer), fed))
+            }
+            (Ok(Err(e)), _) => Err(e),
+            (Err(gone), Err(fault)) if gone.is::<ColorerGone>() => panic::resume_unwind(fault),
+            (Err(fault), _) | (Ok(Ok(_)), Err(fault)) => panic::resume_unwind(fault),
+        }
+    })
 }
 
 /// Jaccard similarity of two ascending-sorted id sets.
@@ -684,7 +889,9 @@ fn jaccard_sorted(a: &[u32], b: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interleave::Detector;
     use crate::Session;
+    use bwsa_graph::coloring::color_graph;
     use bwsa_trace::{Trace, TraceBuilder};
 
     fn ping_pong(n: u64) -> Trace {
@@ -924,6 +1131,40 @@ mod tests {
                     start = end;
                 }
             }
+        }
+    }
+
+    #[test]
+    fn merged_moves_keep_the_kept_list_sorted_at_the_latest_weights() {
+        let mut colorer = Colorer::new(8, &AnalysisPipeline::default(), Obs::noop());
+        let mut reference = std::collections::BTreeMap::new();
+        let mut lcg: u64 = 3;
+        for window in 0..60u64 {
+            // Pairs below, between and above the kept ones, some kept
+            // already, each at a weight above its last.
+            let mut moves = std::collections::BTreeMap::new();
+            for _ in 0..window % 11 * 2 {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let (a, b) = ((lcg >> 40) as u32 % 14, (lcg >> 20) as u32 % 14);
+                if a < b {
+                    let last = reference.get(&(a, b)).copied().unwrap_or(99);
+                    moves.insert((a, b), last + 1 + lcg % 5);
+                }
+            }
+            let mut list: Vec<Move> = moves.iter().map(|(&(a, b), &w)| (a, b, w)).collect();
+            let fresh: Vec<Move> = list
+                .iter()
+                .copied()
+                .filter(|&(a, b, _)| !reference.contains_key(&(a, b)))
+                .collect();
+            colorer.merge(&mut list);
+            assert_eq!(list, fresh, "window {window}");
+            reference.extend(moves);
+            let want: Vec<Move> = reference.iter().map(|(&(a, b), &w)| (a, b, w)).collect();
+            assert_eq!(colorer.kept, want, "window {window}");
+            assert_eq!(colorer.kept_weight, reference.values().sum::<u64>());
         }
     }
 

@@ -150,15 +150,42 @@ pub fn try_color_graph(
     k: usize,
     options: &ColoringOptions,
 ) -> Result<Coloring, crate::GraphError> {
+    let assignment = try_assign_colors(graph, k, options)?;
+    let (conflict_mass, conflicting_edges) = self::conflict_mass(graph, &assignment);
+    Ok(Coloring {
+        colors: k,
+        assignment,
+        conflict_mass,
+        conflicting_edges,
+    })
+}
+
+/// [`color_graph`]'s assignment alone (`assignment[node] = color`),
+/// without the pass over every edge that totals its conflict mass: for
+/// callers that read only the assignment.
+///
+/// # Panics
+///
+/// Panics if `k == 0` and the graph has nodes to color, as
+/// [`color_graph`] does.
+pub fn assign_colors(graph: &ConflictGraph, k: usize, options: &ColoringOptions) -> Vec<u32> {
+    match try_assign_colors(graph, k, options) {
+        Ok(assignment) => assignment,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// Simplify, then select: the §5.1 coloring behind [`color_graph`] and
+/// [`assign_colors`].
+fn try_assign_colors(
+    graph: &ConflictGraph,
+    k: usize,
+    options: &ColoringOptions,
+) -> Result<Vec<u32>, crate::GraphError> {
     bwsa_resilience::failpoint!("graph.color");
     let n = graph.node_count();
     if n == 0 {
-        return Ok(Coloring {
-            colors: k,
-            assignment: Vec::new(),
-            conflict_mass: 0,
-            conflicting_edges: 0,
-        });
+        return Ok(Vec::new());
     }
     if k == 0 {
         return Err(crate::GraphError::ZeroColors { nodes: n });
@@ -264,14 +291,7 @@ pub fn try_color_graph(
         by_usage.insert((*uses, best));
         assignment[v as usize] = best;
     }
-
-    let (conflict_mass, conflicting_edges) = self::conflict_mass(graph, &assignment);
-    Ok(Coloring {
-        colors: k,
-        assignment,
-        conflict_mass,
-        conflicting_edges,
-    })
+    Ok(assignment)
 }
 
 #[cfg(test)]
@@ -423,6 +443,21 @@ mod tests {
             counts[col as usize] += 1;
         }
         assert_eq!(counts, [3, 3, 3, 3]);
+    }
+
+    #[test]
+    fn the_assignment_alone_is_the_colorings() {
+        let mut b = GraphBuilder::new(5);
+        b.add_edge(0, 1, 9).add_edge(1, 2, 3).add_edge(2, 3, 7);
+        b.add_edge(3, 4, 1).add_edge(0, 4, 5).add_edge(1, 3, 2);
+        let g = b.build();
+        for k in 1..=5 {
+            let options = ColoringOptions::default();
+            assert_eq!(
+                assign_colors(&g, k, &options),
+                color_graph(&g, k, &options).assignment
+            );
+        }
     }
 
     #[test]

@@ -95,80 +95,6 @@ impl ConflictGraph {
         graph
     }
 
-    /// Builds the CSR form from per-node neighbor lists that name every
-    /// edge from both ends, each list strictly increasing, weighting edge
-    /// `{a, b}` with `weight(a, b)`, asked once per edge with `a < b`.
-    /// The lists are the adjacency slices already, so there is no degree
-    /// count and no sort: one pass copies them, and one more writes each
-    /// weight into both of its edge's entries. Nodes past the last list
-    /// have no edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are more lists than `nodes`, or the lists are not
-    /// strictly increasing or do not name each edge from both ends.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use bwsa_graph::ConflictGraph;
-    ///
-    /// let lists = [vec![1, 2], vec![0], vec![0]];
-    /// let g = ConflictGraph::from_neighbor_lists(4, &lists, |a, b| u64::from(a + b));
-    /// assert_eq!(g.edge_weight(2, 0), Some(2));
-    /// assert_eq!(g.degree(3), 0);
-    /// ```
-    pub fn from_neighbor_lists<L: AsRef<[u32]>>(
-        nodes: u32,
-        lists: &[L],
-        mut weight: impl FnMut(u32, u32) -> u64,
-    ) -> Self {
-        let n = nodes as usize;
-        assert!(lists.len() <= n, "{} lists for {n} nodes", lists.len());
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut neighbors = Vec::new();
-        for i in 0..n {
-            if let Some(list) = lists.get(i) {
-                neighbors.extend_from_slice(list.as_ref());
-            }
-            offsets.push(neighbors.len());
-        }
-        let mut weights = vec![0u64; neighbors.len()];
-        // `cursor[b]`: the entry of `b`'s next neighbor below `b`. Nodes
-        // are visited in increasing order, so those entries fill in order.
-        let mut cursor = offsets[..n].to_vec();
-        for (a, list) in (0u32..).zip(lists) {
-            let list = list.as_ref();
-            let above = list.partition_point(|&b| b < a);
-            assert_eq!(
-                cursor[a as usize],
-                offsets[a as usize] + above,
-                "neighbor lists disagree below node {a}"
-            );
-            for (i, &b) in list.iter().enumerate().skip(above) {
-                assert!(
-                    b > a && list.get(i + 1).is_none_or(|&next| next > b),
-                    "neighbor list of node {a} is not strictly increasing"
-                );
-                let w = weight(a, b);
-                weights[offsets[a as usize] + i] = w;
-                let back = &mut cursor[b as usize];
-                assert_eq!(
-                    neighbors[*back], a,
-                    "edge ({a}, {b}) is listed from one end"
-                );
-                weights[*back] = w;
-                *back += 1;
-            }
-        }
-        ConflictGraph {
-            offsets,
-            neighbors,
-            weights,
-        }
-    }
-
     /// The two-pass CSR fill shared by both constructors: degree count,
     /// then each edge written into both endpoints' slices in source order.
     fn fill<I>(nodes: u32, edges: I) -> Self

@@ -56,7 +56,9 @@ mod graph;
 
 /// Failpoint sites this crate hosts (see [`mod@bwsa_resilience::failpoint`]).
 pub mod failpoints {
-    /// Fires at the start of every [`crate::coloring::try_color_graph`].
+    /// Fires at the start of every coloring:
+    /// [`crate::coloring::try_color_graph`] and
+    /// [`crate::coloring::assign_colors`].
     pub const COLOR: &str = "graph.color";
     /// Every site in this crate, for chaos-sweep enumeration.
     pub const SITES: &[&str] = &[COLOR];

@@ -29,7 +29,7 @@
 //! # Scope
 //!
 //! [`scoped`] arms a registry for the calling thread only, and for the
-//! [`parallel_map`](crate::parallel_map) workers it starts; every other
+//! threads it starts through [`spawn_scoped`](crate::spawn_scoped); every other
 //! thread runs as if nothing were armed, so unit tests that arm
 //! failpoints run side by side with tests that arm none. [`configure`]
 //! and [`configure_from_env`] (the `BWSA_FAILPOINTS` variable) arm the
@@ -274,8 +274,8 @@ pub fn hits(site: &str) -> u64 {
     registry.get(site).map_or(0, |s| s.hits)
 }
 
-/// Arms a spec for the calling thread, and the
-/// [`parallel_map`](crate::parallel_map) workers it starts, until the
+/// Arms a spec for the calling thread, and the threads it starts through
+/// [`spawn_scoped`](crate::spawn_scoped), until the
 /// returned guard drops. Other threads never see it, so tests that arm
 /// failpoints this way need no lock against each other.
 ///

@@ -20,11 +20,13 @@
 //!   [`FaultyReader`]) shared by the trace-salvage property tests and the
 //!   chaos suite, driven by the dependency-free deterministic [`DetRng`].
 //! - [`parallel_map`]: the workspace's one worker pool, which maps items
-//!   on scoped threads and returns the results in input order.
+//!   on scoped threads and returns the results in input order, and
+//!   [`spawn_scoped`], which starts every thread a run hands work to.
 //!
 //! [`failpoint::scoped`] arming and [`watchdog::arm`] deadlines belong to
-//! the calling thread and the [`parallel_map`] workers it starts, so
-//! tests that arm them run side by side. Only the process-wide registry
+//! the calling thread and the threads it starts through [`spawn_scoped`]
+//! (the [`parallel_map`] workers among them), so tests that arm them run
+//! side by side. Only the process-wide registry
 //! ([`failpoint::configure`], `BWSA_FAILPOINTS`) reaches every thread;
 //! tests that arm it serialise against each other (the chaos suite takes
 //! a lock) and [`failpoint::clear`] it when done.
@@ -41,5 +43,5 @@ pub mod watchdog;
 
 pub use det::DetRng;
 pub use fault::{Fault, FaultPlan, FaultyReader};
-pub use parallel::parallel_map;
+pub use parallel::{parallel_map, spawn_scoped};
 pub use supervisor::{Backoff, InjectedFault, ResilienceError};

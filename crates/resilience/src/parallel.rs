@@ -1,14 +1,48 @@
 //! The one worker pool of the workspace: map items on scoped threads and
-//! return the results in input order.
+//! return the results in input order; and [`spawn_scoped`], the one way a
+//! run starts a thread to do part of its work.
 
 use std::sync::{Mutex, PoisonError};
+use std::thread::{Scope, ScopedJoinHandle};
+
+/// Starts `f` on a new thread of `scope`, running under the calling
+/// thread's [`failpoint::scoped`](crate::failpoint::scoped) arming and
+/// [`watchdog`](crate::watchdog) deadline, so the work it does for its
+/// caller meets the caller's faults and cancellation.
+///
+/// # Example
+///
+/// ```
+/// use bwsa_resilience::{failpoint, spawn_scoped, supervisor};
+///
+/// let _armed = failpoint::scoped("demo.site=error(on the helper)").unwrap();
+/// let faulted = std::thread::scope(|scope| {
+///     let helper = spawn_scoped(scope, || supervisor::catch(|| failpoint!("demo.site")));
+///     helper.join().unwrap().is_err()
+/// });
+/// assert!(faulted);
+/// assert_eq!(failpoint::hits("demo.site"), 1);
+/// ```
+pub fn spawn_scoped<'scope, T, F>(
+    scope: &'scope Scope<'scope, '_>,
+    f: F,
+) -> ScopedJoinHandle<'scope, T>
+where
+    F: FnOnce() -> T + Send + 'scope,
+    T: Send + 'scope,
+{
+    let (failpoints, deadline) = (crate::failpoint::inherit(), crate::watchdog::deadline());
+    scope.spawn(move || {
+        let _failpoints = crate::failpoint::adopt(failpoints);
+        let _deadline = deadline.map(crate::watchdog::arm);
+        f()
+    })
+}
 
 /// Applies `f` to every item on `jobs` worker threads, returning results
 /// in item order regardless of how the work was scheduled.
 ///
-/// Workers run under the calling thread's
-/// [`failpoint::scoped`](crate::failpoint::scoped) arming and
-/// [`watchdog`](crate::watchdog) deadline, so a run's faults and
+/// Workers start through [`spawn_scoped`], so a run's faults and
 /// cancellation reach every thread that does its work.
 ///
 /// Items are pulled from a shared queue, so uneven per-item cost balances
@@ -40,10 +74,7 @@ where
             .collect();
     }
     let queue = Mutex::new(items.into_iter().enumerate());
-    let (failpoints, deadline) = (crate::failpoint::inherit(), crate::watchdog::deadline());
     let worker = || {
-        let _failpoints = crate::failpoint::adopt(failpoints.clone());
-        let _deadline = deadline.map(crate::watchdog::arm);
         let mut local = Vec::new();
         loop {
             // Only `next` on a vector iterator runs under the lock, and it
@@ -56,7 +87,7 @@ where
         }
     };
     let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        let handles: Vec<_> = (0..workers).map(|_| spawn_scoped(scope, worker)).collect();
         handles
             .into_iter()
             .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))

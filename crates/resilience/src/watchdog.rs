@@ -8,8 +8,8 @@
 //! [`supervisor::catch`](crate::supervisor::catch) converts into
 //! [`ResilienceError::Timeout`](crate::ResilienceError::Timeout).
 //!
-//! A deadline belongs to the thread that armed it and to the
-//! [`parallel_map`](crate::parallel_map) workers that thread starts, the
+//! A deadline belongs to the thread that armed it and to the threads it
+//! starts through [`spawn_scoped`](crate::spawn_scoped), the
 //! same scope as [`failpoint::scoped`](crate::failpoint::scoped): a run's
 //! workers are cancelled with it, while concurrent runs — a daemon's
 //! requests, or unit tests side by side — keep their own budgets.
@@ -36,8 +36,8 @@ thread_local! {
     static DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
 }
 
-/// Arms a deadline for the calling thread and the
-/// [`parallel_map`](crate::parallel_map) workers it starts; returns a
+/// Arms a deadline for the calling thread and the threads it starts
+/// through [`spawn_scoped`](crate::spawn_scoped); returns a
 /// guard that restores the thread's previous deadline, if any, when
 /// dropped (including during an unwind).
 ///

@@ -504,22 +504,26 @@ impl<'a> ColumnarFile<'a> {
             records.reserve(cap);
         }
         let mut last_time = 0u64;
-        let (report, mut table) = self.walk(policy, |view| {
-            last_time = view.times.last().copied().unwrap_or(last_time);
-            // The three column slices are equal length by construction,
-            // so the zipped loops compile without bounds checks and
-            // autovectorize (see DESIGN.md §16).
-            ids.extend(view.ids.iter().map(|&id| BranchId::new(id)));
-            records.extend(view.ids.iter().zip(view.taken).zip(view.times).map(
-                |((&id, &taken), &time)| {
-                    BranchRecord::new(
-                        Pc::new(view.pcs[id as usize]),
-                        Direction::from_taken(taken),
-                        InstrCount::new(time),
-                    )
-                },
-            ));
-        })?;
+        let (report, mut table) = self.walk(
+            policy,
+            |_| {},
+            |view| {
+                last_time = view.times.last().copied().unwrap_or(last_time);
+                // The three column slices are equal length by construction,
+                // so the zipped loops compile without bounds checks and
+                // autovectorize (see DESIGN.md §16).
+                ids.extend(view.ids.iter().map(|&id| BranchId::new(id)));
+                records.extend(view.ids.iter().zip(view.taken).zip(view.times).map(
+                    |((&id, &taken), &time)| {
+                        BranchRecord::new(
+                            Pc::new(view.pcs[id as usize]),
+                            Direction::from_taken(taken),
+                            InstrCount::new(time),
+                        )
+                    },
+                ));
+            },
+        )?;
         if report.chunks_dropped > 0 {
             let mut first_seen = FirstSeen::default();
             for id in &mut ids {
@@ -544,7 +548,9 @@ impl<'a> ColumnarFile<'a> {
     /// Decodes every block under `policy` and hands each one that
     /// survives to `sink`, in file order: the one block walk behind
     /// [`ColumnarFile::decode`] and the streaming analysis, so both
-    /// recover the same records.
+    /// recover the same records. After each block, kept or dropped,
+    /// `read` is told [`BlockDecoder::reach`], so a caller can release
+    /// the bytes behind it.
     ///
     /// With a valid footer, salvage skips damaged and out-of-order blocks
     /// (the directory survives in the footer); without one, salvage keeps
@@ -561,6 +567,7 @@ impl<'a> ColumnarFile<'a> {
     pub fn walk(
         &self,
         policy: RecoveryPolicy,
+        mut read: impl FnMut(usize),
         mut sink: impl FnMut(&BlockView<'_>),
     ) -> Result<(SalvageReport, BranchTable), TraceError> {
         if policy == RecoveryPolicy::Strict && self.footer.is_none() {
@@ -573,25 +580,28 @@ impl<'a> ColumnarFile<'a> {
         let mut last_time = 0u64;
         loop {
             let block_no = decoder.blocks_seen();
-            match decoder.next_block() {
+            let more = match decoder.next_block() {
                 Ok(None) => break,
                 Ok(Some(view)) => {
                     if view.times.first().is_some_and(|&first| first < last_time) {
                         let e = block_corrupt(block_no, "out-of-order block");
                         absorb(policy, &mut report, e)?;
-                        continue;
+                    } else {
+                        last_time = view.times.last().copied().unwrap_or(last_time);
+                        report.chunks_ok += 1;
+                        report.records_recovered += view.ids.len() as u64;
+                        sink(&view);
                     }
-                    last_time = view.times.last().copied().unwrap_or(last_time);
-                    report.chunks_ok += 1;
-                    report.records_recovered += view.ids.len() as u64;
-                    sink(&view);
+                    true
                 }
                 Err(e) => {
                     absorb(policy, &mut report, e)?;
-                    if !decoder.can_continue() {
-                        break;
-                    }
+                    decoder.can_continue()
                 }
+            };
+            read(decoder.reach());
+            if !more {
+                break;
             }
         }
         let table = BranchTable::from_pcs(decoder.directory().iter().map(|&pc| Pc::new(pc)))?;
@@ -697,6 +707,8 @@ pub struct BlockDecoder<'a> {
     next_index: usize,
     /// Byte offset of the next block (footerless scan).
     offset: usize,
+    /// [`BlockDecoder::reach`].
+    reach: usize,
     /// id → pc directory: footer copy, or grown from new-pc columns.
     pcs: Vec<u64>,
     /// Whether the directory is complete up front (footer present).
@@ -722,6 +734,7 @@ impl<'a> BlockDecoder<'a> {
             index,
             next_index: 0,
             offset: file.body_start,
+            reach: file.body_start,
             pcs,
             blocks_seen: 0,
             stopped: false,
@@ -734,6 +747,13 @@ impl<'a> BlockDecoder<'a> {
     /// Number of blocks inspected so far (decoded or damaged).
     pub fn blocks_seen(&self) -> u64 {
         self.blocks_seen
+    }
+
+    /// The byte offset the blocks read so far reach: one past the last
+    /// decoded block's payload, or the start of a damaged block, and never
+    /// less than before. It stays within the file.
+    pub fn reach(&self) -> usize {
+        self.reach
     }
 
     /// The id → pc directory as currently known.
@@ -777,7 +797,9 @@ impl<'a> BlockDecoder<'a> {
         };
         let block_no = self.blocks_seen;
         self.blocks_seen += 1;
-        match self.decode_block(offset, block_no) {
+        let decoded = self.decode_block(offset, block_no);
+        self.reach = self.reach.max(*decoded.as_ref().unwrap_or(&offset));
+        match decoded {
             Ok(end) => {
                 if self.index.is_none() {
                     self.offset = end;
@@ -1067,6 +1089,41 @@ mod tests {
         assert!(report.first_error.unwrap().contains("checksum"));
         // Directory comes from the footer, so later blocks still decode.
         assert_eq!(back.static_branch_count(), trace.static_branch_count());
+    }
+
+    #[test]
+    fn the_walk_reports_increasing_offsets_within_the_file() {
+        let trace = sample_trace(100);
+        let clean = encode(&trace, 16);
+        let mut damaged = clean.clone();
+        let second_block = {
+            let file = ColumnarFile::parse(&clean).unwrap();
+            file.footer().unwrap().blocks[1].0 as usize
+        };
+        damaged[second_block + BLOCK_HEADER + 2] ^= 0x40;
+        let cut = second_block + BLOCK_HEADER + 5; // torn inside block 1
+        let cases: [(&[u8], usize); 4] = [
+            (&clean, 7),
+            (&damaged, 7), // the dropped block is reported too
+            (&clean[..cut], 2),
+            (&damaged[..cut], 2),
+        ];
+        for (case, (bytes, blocks)) in cases.into_iter().enumerate() {
+            let file = ColumnarFile::parse(bytes).unwrap();
+            let mut offsets = Vec::new();
+            let mut kept = 0;
+            file.walk(RecoveryPolicy::Salvage, |o| offsets.push(o), |_| kept += 1)
+                .unwrap();
+            assert_eq!(offsets.len(), blocks, "{offsets:?}");
+            assert!(kept <= blocks);
+            assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "{offsets:?}");
+            assert!(offsets.iter().all(|&o| o <= bytes.len()), "{offsets:?}");
+            if case == 0 {
+                // An intact block ends where the next begins.
+                assert!(offsets.windows(2).all(|w| w[0] < w[1]), "{offsets:?}");
+                assert_eq!(offsets[0], second_block);
+            }
+        }
     }
 
     #[test]

@@ -91,11 +91,22 @@ for stage in compile working_sets classify; do
 done
 grep -q '"core.graph_edges_kept": ' "$report_tmp/windowed.json" \
     || { echo "windowed report lacks core.graph_edges_kept"; exit 1; }
-# --jobs does not change a windowed run: stdout and sidecar are identical.
-"$bwsa" analyze "$report_tmp/pgp.bwst" --window 500 --jobs 2 \
-    --emit-windows "$report_tmp/windows-j2.json" > "$report_tmp/windowed-j2.out"
-cmp "$report_tmp/windowed.out" "$report_tmp/windowed-j2.out"
-cmp "$report_tmp/windows.json" "$report_tmp/windows-j2.json"
+# --jobs only picks the thread that re-colors the windows: inline at
+# --jobs 1, on a helper thread above. (Without --jobs, BWST runs on every
+# hardware thread, so --jobs 1 is named.) Stdout and sidecar are identical,
+# for the in-memory BWST run and the streamed BWSS3 one.
+"$bwsa" convert "$report_tmp/pgp.bwst" "$report_tmp/pgp.bws3" > /dev/null
+for f in bwst bws3; do
+    for jobs in 1 2 3; do
+        "$bwsa" analyze "$report_tmp/pgp.$f" --window 500 --jobs "$jobs" \
+            --emit-windows "$report_tmp/windows-$f-j$jobs.json" \
+            > "$report_tmp/windowed-$f-j$jobs.out"
+    done
+    for jobs in 2 3; do
+        cmp "$report_tmp/windowed-$f-j1.out" "$report_tmp/windowed-$f-j$jobs.out"
+        cmp "$report_tmp/windows-$f-j1.json" "$report_tmp/windows-$f-j$jobs.json"
+    done
+done
 # Malformed --window values are usage errors (exit 2) before any I/O.
 if "$bwsa" analyze /no/such.bwst --window 0 2> /dev/null; then
     echo "--window 0 unexpectedly succeeded"; exit 1
@@ -156,10 +167,11 @@ for run in bwss bws3 j2 j3 ck resumed salvage salvage-j2 window; do
     cmp "$convert_dir/gcc.out" "$convert_dir/gcc-$run.out"
 done
 # One trace in three formats answers alike: with no flag, --jobs 2 or
-# --window 4096, every format prints the same bytes and reports the same
-# digests and trace.* counters, and with the execution named, the same
-# config echo (with no flag, BWST alone runs on every hardware thread).
-for flags in "" "--jobs 2" "--window 4096"; do
+# --window 4096 --jobs 2, every format prints the same bytes and reports
+# the same digests and trace.* counters, and with the execution and jobs
+# named, the same config echo (with no --jobs, BWST alone runs on every
+# hardware thread).
+for flags in "" "--jobs 2" "--window 4096 --jobs 2"; do
     tag="fmt${flags// /}"
     for f in bwst bwss bws3; do
         "$bwsa" analyze "$convert_dir/gcc.$f" $flags > "$convert_dir/$tag.$f.out"
@@ -178,8 +190,8 @@ done
 # A windowed run streams BWSS3 blocks into the windowed engine and holds
 # no decoded trace, so it peaks below the BWST run, which decodes whole.
 peak() { grep '"peak_rss_bytes"' "$1" | tr -dc 0-9; }
-[ "$(peak "$convert_dir/fmt--window4096.bws3.json")" -lt \
-    "$(peak "$convert_dir/fmt--window4096.bwst.json")" ] \
+[ "$(peak "$convert_dir/fmt--window4096--jobs2.bws3.json")" -lt \
+    "$(peak "$convert_dir/fmt--window4096--jobs2.bwst.json")" ] \
     || { echo "windowed BWSS3 analyze does not peak below BWST"; exit 1; }
 # gcc at 0.5 runs past the detector's 4096 dense rows, so pairs with an
 # id above the cap are counted in the spill table and merged into the

@@ -171,7 +171,9 @@ analysis is sequential, so `analyze --checkpoint/--resume` rejects
 (Ni: N instructions), printing per-window working sets, conflict-graph
 deltas, phase-change signals, and incremental BHT re-coloring stability;
 the windows provably fold into the exact whole-trace answer, computed in
-one serial pass, so --jobs does not change a windowed run's work.
+one detection pass. With --jobs 2 or more each window is re-colored on a
+second thread while the next is detected; --jobs 1 re-colors inline, and
+the output is the same.
 --emit-windows writes the per-window summaries as JSON. A windowed run
 streams a BWSS or BWSS3 trace block by block, as a serial run does, and
 rejects --checkpoint/--resume.
@@ -1930,10 +1932,13 @@ mod tests {
                 .collect::<Vec<_>>(),
             other => panic!("counters missing: {other:?}"),
         };
+        // Without --jobs, BWST runs on every hardware thread and the
+        // streams on one, so each flag set names its jobs.
         for extra in [
             &["--jobs", "1"][..],
             &["--jobs", "2"],
-            &["--window", "2000"],
+            &["--window", "2000", "--jobs", "1"],
+            &["--window", "2000", "--jobs", "2"],
         ] {
             let docs: Vec<Json> = traces
                 .iter()

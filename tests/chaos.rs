@@ -11,8 +11,9 @@
 //!
 //! Never a raw panic escaping the API, never silently different output.
 //!
-//! [`failpoint::scoped`] arms only the test's own thread and its
-//! `parallel_map` workers. The two daemon tests arm the process-wide
+//! [`failpoint::scoped`] arms only the test's own thread and the threads
+//! it starts through `spawn_scoped`: `parallel_map` workers and a
+//! windowed run's colorer. The two daemon tests arm the process-wide
 //! registry instead, since their faults must reach the daemon's
 //! connection threads, and clear it when done; every test holds
 //! [`CHAOS_LOCK`] so none of them runs while that registry is armed.
@@ -24,7 +25,7 @@ use bwsa::obs::json::Json;
 use bwsa::obs::Obs;
 use bwsa::predictor::{simulate, sweep, Pag, SimCheckpoint, SweepCell};
 use bwsa::prelude::*;
-use bwsa::resilience::{failpoint, supervisor};
+use bwsa::resilience::{failpoint, supervisor, watchdog};
 use bwsa::server::frame::{read_frame, DEFAULT_MAX_FRAME_BYTES};
 use bwsa::server::server::ServerConfig;
 use bwsa::server::{
@@ -118,7 +119,7 @@ impl Harness {
             "predictor.sweep_cell" => self.drive_sweep(),
             "predictor.checkpoint_save" => self.drive_sim_checkpoint(),
             "core.checkpoint_save" | "core.checkpoint_restore" => self.drive_analysis_checkpoint(),
-            "core.window_flush" | "core.window_merge" | "core.recolor" => self.drive_windowed(),
+            "core.window_flush" | "core.window_merge" | "core.recolor" => self.drive_windowed(2),
             // These stages only exist on the serial path; a parallel
             // ladder would succeed on its first rung without ever
             // reaching them.
@@ -209,12 +210,16 @@ impl Harness {
     /// window-flush, window-merge, and recolor sites. The windowed
     /// replay is not under the supervisor's retry ladder, so a fault
     /// here must surface as the typed boundary's error.
-    fn drive_windowed(&self) -> Result<String, String> {
+    /// Windowed session at `jobs`: the colorer runs inline at 1 job and
+    /// on a helper thread at 2, so the sweep drives the helper.
+    fn drive_windowed(&self, jobs: usize) -> Result<String, String> {
         flatten(supervisor::catch(|| {
             let config = WindowConfig::branches(64)
                 .map_err(|e| e.to_string())?
                 .with_table_size(64);
-            let session = Session::new(&self.trace).with_windowing(config);
+            let session = Session::new(&self.trace)
+                .with_execution(Execution::Parallel(ParallelConfig::with_jobs(jobs)))
+                .with_windowing(config);
             let windowed = session.windowed().map_err(|e| e.to_string())?;
             Ok(format!("{windowed:?}"))
         }))
@@ -564,6 +569,56 @@ fn a_stalled_stage_is_cut_short_by_the_deadline() {
         "summary: {summary:?}"
     );
     assert_eq!(summary.attempts, 2, "no same-rung retry: {summary:?}");
+}
+
+#[test]
+fn a_windowed_fault_on_either_thread_ends_the_run_as_a_serial_run_reports_it() {
+    let _lock = lock();
+    failpoint::clear();
+    let harness = Harness::new();
+    // `core.window_flush` and `core.window_merge` fire on the walk's
+    // thread, `core.recolor` on the colorer's: inline at 1 job, on the
+    // helper at 2, which must have adopted the scoped registry for the
+    // site to fault and be counted.
+    for site in ["core.window_flush", "core.window_merge", "core.recolor"] {
+        for mode in ["error", "panic"] {
+            let spec = format!("{site}={mode}(chaos)");
+            let _guard = failpoint::scoped(&spec).unwrap();
+            let serial = harness.drive_windowed(1);
+            let serial_hits = failpoint::hits(site);
+            let helper = harness.drive_windowed(2);
+            assert!(serial.is_err(), "{spec}: {serial:?}");
+            assert_eq!(helper, serial, "{spec}: the typed error differs");
+            assert!(
+                failpoint::hits(site) > serial_hits,
+                "{spec}: the 2-job run never traversed the site"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_deadline_stops_a_windowed_run_whose_colorer_is_stalled() {
+    let _lock = lock();
+    failpoint::clear();
+    let harness = Harness::new();
+    // The colorer's thread sleeps at its first coloring for far longer
+    // than the budget; the walk fills the channel and waits to hand over
+    // the next window. Only the calling thread's deadline, which the
+    // helper inherits, ends the run.
+    let _stall = failpoint::scoped("graph.color=delay(20000)").unwrap();
+    let started = std::time::Instant::now();
+    let outcome = {
+        let _deadline = watchdog::arm(started + Duration::from_millis(50));
+        harness.drive_windowed(2)
+    };
+    let message = outcome.expect_err("the deadline ends the run");
+    assert!(message.contains("deadline exceeded"), "{message}");
+    assert!(failpoint::hits("graph.color") > 0);
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the run waited out the stall"
+    );
 }
 
 // ──────────────────────── server chaos sweep ────────────────────────

@@ -176,48 +176,61 @@ fn a_slow_window_flush_is_cut_short_by_max_seconds() {
 #[test]
 fn a_windowed_metrics_report_attributes_the_window_walk() {
     let path = fixture_trace("metrics", "bwss");
-    let report = path.parent().unwrap().join("metrics.json");
-    let out = bwsa(&[
-        "analyze",
-        path.to_str().unwrap(),
-        "--threshold",
-        "3",
-        "--window",
-        "100",
-        "--jobs",
-        "2",
-        "--metrics",
-        report.to_str().unwrap(),
-    ]);
-    assert_eq!(exit_code(&out), 0, "{out:?}");
-    let text = std::fs::read_to_string(&report).expect("report written");
-    let json = bwsa::obs::json::Json::parse(&text).expect("report parses");
-    // The windows replay serially whatever --jobs says, and the echo says so.
-    let config = json.get("config").expect("config echo");
-    let echo = |key: &str| config.get(key).cloned();
-    assert_eq!(echo("execution"), Some("windowed".into()), "{text}");
-    assert_eq!(echo("jobs"), Some(bwsa::obs::json::Json::UInt(1)), "{text}");
-    assert_eq!(echo("shards"), None, "{text}");
-    let windows = json
-        .get("counters")
-        .and_then(|c| c.get("core.windows_flushed"))
-        .and_then(bwsa::obs::json::Json::as_u64)
-        .expect("windows flushed");
-    let stage = |name: &str| match json.get("stages") {
-        Some(bwsa::obs::json::Json::Array(stages)) => stages
-            .iter()
-            .find(|s| s.get("name").and_then(bwsa::obs::json::Json::as_str) == Some(name))
-            .and_then(|s| s.get("count"))
-            .and_then(bwsa::obs::json::Json::as_u64),
-        other => panic!("stages is not an array: {other:?}"),
-    };
-    // One walk per flush, inside the flush.
-    assert_eq!(stage("window_diff"), Some(windows), "{text}");
-    assert_eq!(stage("window_flush"), Some(windows), "{text}");
-    let touched = json
-        .get("counters")
-        .and_then(|c| c.get("core.window_rows_touched"))
-        .and_then(bwsa::obs::json::Json::as_u64)
-        .expect("rows touched counted");
-    assert!(touched > 0, "{text}");
+    for jobs in [1, 2] {
+        let report = path.parent().unwrap().join(format!("metrics-{jobs}.json"));
+        let out = bwsa(&[
+            "analyze",
+            path.to_str().unwrap(),
+            "--threshold",
+            "3",
+            "--window",
+            "100",
+            "--jobs",
+            &jobs.to_string(),
+            "--metrics",
+            report.to_str().unwrap(),
+        ]);
+        assert_eq!(exit_code(&out), 0, "{out:?}");
+        let text = std::fs::read_to_string(&report).expect("report written");
+        let json = bwsa::obs::json::Json::parse(&text).expect("report parses");
+        // One thread detects; with --jobs 2 a second one re-colors, and
+        // the echo says so.
+        let config = json.get("config").expect("config echo");
+        let echo = |key: &str| config.get(key).cloned();
+        assert_eq!(echo("execution"), Some("windowed".into()), "{text}");
+        assert_eq!(
+            echo("jobs"),
+            Some(bwsa::obs::json::Json::UInt(jobs)),
+            "{text}"
+        );
+        assert_eq!(echo("shards"), None, "{text}");
+        let counter = |name: &str| {
+            json.get("counters")
+                .and_then(|c| c.get(name))
+                .and_then(bwsa::obs::json::Json::as_u64)
+        };
+        let windows = counter("core.windows_flushed").expect("windows flushed");
+        let recolors = counter("core.recolors").expect("recolors counted");
+        assert!(0 < recolors && recolors <= windows, "{text}");
+        let stage = |name: &str| match json.get("stages") {
+            Some(bwsa::obs::json::Json::Array(stages)) => stages
+                .iter()
+                .find(|s| s.get("name").and_then(bwsa::obs::json::Json::as_str) == Some(name))
+                .and_then(|s| s.get("count"))
+                .and_then(bwsa::obs::json::Json::as_u64),
+            other => panic!("stages is not an array: {other:?}"),
+        };
+        // One walk per flush, inside the flush, and one colorer pass per
+        // window, which builds and colors only when the kept graph moved.
+        assert_eq!(stage("window_diff"), Some(windows), "{text}");
+        assert_eq!(stage("window_flush"), Some(windows), "{text}");
+        assert_eq!(stage("recolor"), Some(windows), "{text}");
+        assert_eq!(stage("recolor_build"), Some(recolors), "{text}");
+        assert_eq!(stage("recolor_color"), Some(recolors), "{text}");
+        // The walk waits to hand a window over only to a helper thread.
+        let handoffs = (jobs == 2).then_some(windows);
+        assert_eq!(stage("window_handoff"), handoffs, "{text}");
+        let touched = counter("core.window_rows_touched").expect("rows touched counted");
+        assert!(touched > 0, "{text}");
+    }
 }

@@ -20,13 +20,20 @@
 //! profile, conflict graph, working sets and classes — is the in-memory
 //! serial answer over the records it read, which compiles the oracle's
 //! raw graph of those records, pruned, with its raw pair count and weight.
+//!
+//! A windowed session over each of the four sources, at each threshold,
+//! returns the same whole `WindowedResult` — every window, the
+//! assignment, the recolor count and the mean stability — with its
+//! colorer inline (1 job) and on a helper thread (2 and 3 jobs), whichever
+//! thread a failpoint delay holds back.
 
 use bwsa::core::pipeline::AnalysisPipeline;
 use bwsa::core::{
     interleave_counts_naive, Analysis, Checkpoints, ConflictConfig, Execution, ParallelConfig,
-    Session, Source, StreamingAnalysis, WindowConfig,
+    Session, Source, StreamingAnalysis, WindowConfig, WindowedResult,
 };
 use bwsa::graph::ConflictGraph;
+use bwsa::resilience::failpoint;
 use bwsa::trace::columnar::ColumnarWriter;
 use bwsa::trace::stream::RecoveryPolicy;
 use bwsa::trace::{Format, Trace, TraceBuilder};
@@ -133,13 +140,30 @@ fn run(source: Source<'_>, engine: &str, pipeline: AnalysisPipeline, records: us
     let session = Session::over(source).with_pipeline(pipeline);
     let session = match engine {
         "2 workers" => session.with_execution(Execution::Parallel(ParallelConfig::with_jobs(2))),
-        "windowed" => {
-            let windows = WindowConfig::branches(records as u64 / 5 + 1).unwrap();
-            session.with_windowing(windows.with_table_size(64))
-        }
+        "windowed" => session.with_windowing(windows(records)),
         _ => session,
     };
     session.run().unwrap().clone()
+}
+
+/// About five windows of a `records`-record trace, recolored into a
+/// 64-entry table.
+fn windows(records: usize) -> WindowConfig {
+    let windows = WindowConfig::branches(records as u64 / 5 + 1).unwrap();
+    windows.with_table_size(64)
+}
+
+/// `source`'s whole windowed result at `jobs`: the colorer runs inline at
+/// 1 job and on a helper thread above.
+fn windowed(source: Source<'_>, jobs: usize, threshold: u64, records: usize) -> WindowedResult {
+    let session = Session::over(source)
+        .with_pipeline(pipeline_at(threshold))
+        .with_windowing(windows(records));
+    let session = match jobs {
+        1 => session,
+        _ => session.with_execution(Execution::Parallel(ParallelConfig::with_jobs(jobs))),
+    };
+    session.windowed().unwrap().clone()
 }
 
 /// The in-memory serial answer over `records` at `threshold`, checked to
@@ -222,4 +246,40 @@ fn every_engine_compiles_the_pruned_oracle_graph() {
         }
     }
     std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn a_windowed_session_answers_alike_at_every_job_count() {
+    // With a helper thread, each run in turn stalls neither thread, the
+    // colorer (so the walk fills the channel and waits to hand over), or
+    // the walk (so the colorer waits for windows).
+    let stalls = ["", "core.recolor=delay(1)", "core.window_flush=delay(1)"];
+    let mut turn = 0;
+    for seed in 1..=4u64 {
+        let (trace, _) = hot_trace(seed, seed % 2 == 0, 2 + seed * 5 % 15);
+        let mut bwss = Vec::new();
+        Format::Bwss.write(&trace, &mut bwss).unwrap();
+        let bws3 = columnar(&trace, false);
+        let torn = columnar(&trace, true);
+        let sources = [
+            ("in memory", Source::Trace(&trace)),
+            ("bwss2", file(&bwss, RecoveryPolicy::Strict)),
+            ("bwss3", file(&bws3, RecoveryPolicy::Strict)),
+            ("torn bwss3", file(&torn, RecoveryPolicy::Salvage)),
+        ];
+        for threshold in THRESHOLDS {
+            for (name, source) in sources {
+                let serial = windowed(source, 1, threshold, trace.len());
+                assert!(serial.windows.len() >= 4, "seed {seed}, {name}");
+                for jobs in [2, 3] {
+                    let stall = stalls[turn % stalls.len()];
+                    turn += 1;
+                    let _stall = failpoint::scoped(stall).unwrap();
+                    let split = windowed(source, jobs, threshold, trace.len());
+                    let case = format!("seed {seed}, threshold {threshold}, {name}, {jobs} jobs");
+                    assert_eq!(split, serial, "{case}, stalling {stall:?}");
+                }
+            }
+        }
+    }
 }
