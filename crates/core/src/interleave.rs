@@ -306,6 +306,17 @@ impl Detector {
         }
     }
 
+    /// Every credit this detector has given: its rows' counts and its
+    /// spill weights.
+    pub(crate) fn credits(&self) -> u64 {
+        let rows = self
+            .allocated
+            .iter()
+            .map(|&a| &self.rows[a as usize].counts);
+        let dense: u64 = rows.flatten().map(|&count| u64::from(count)).sum();
+        dense + self.spill.edges().map(|(_, _, w)| w).sum::<u64>()
+    }
+
     /// Credits `node`'s re-execution to every branch executed since its
     /// previous instance.
     #[inline]
@@ -742,6 +753,19 @@ impl Accumulator {
         self.stats[i].record(stamp.into(), taken);
         self.records += 1;
         self.detector.push(id, stamp);
+    }
+
+    /// Consumes one record of branch `id` at `stamp` without crediting
+    /// it or entering it in the statistics, only counting it: a parallel
+    /// worker passes the records of the branches other workers own.
+    #[inline]
+    pub(crate) fn pass(&mut self, id: u32, stamp: u64) {
+        let i = id as usize;
+        if i >= self.stats.len() {
+            self.stats.resize(i + 1, BranchStats::default());
+        }
+        self.records += 1;
+        self.detector.pass(id, stamp);
     }
 
     /// The whole-trace [`Analysis`]: the observed assembly every engine

@@ -7,35 +7,39 @@
 //! record before it. But Figure 1 credits a re-execution to the branch
 //! that re-executed, so the credits partition by branch:
 //!
-//! 1. **Own** (serial): a profile pass gives each static branch one of
-//!    `min(jobs, static branches)` workers, the branch with the most
-//!    executions going to the least-loaded worker.
-//! 2. **Detect** (parallel): every worker walks the whole trace into its
-//!    own detector. It credits the re-executions of the branches it owns
-//!    and only stamps the others, so at every record it holds exactly the
-//!    latest-stamp state of the serial pass.
-//! 3. **Stitch** (serial): the workers' rows are disjoint, so they move
-//!    into one detector and their spill tables add; the thresholded
-//!    compile and assembly every engine shares finish the run.
+//! 1. **Detect** (parallel): every worker reads every record, from an
+//!    in-memory trace or from the blocks of a `BWSS2` or `BWSS3` file
+//!    decoded once for all the workers, into its own accumulator. Worker
+//!    `w` of `n`
+//!    owns the branches whose id is `w` modulo `n`: it credits their
+//!    re-executions and keeps their execution statistics, and only stamps
+//!    the others, so at every record it holds exactly the latest-stamp
+//!    state of the serial pass. A file's ids are numbered by first
+//!    appearance as they are read, so the workers agree on them with no
+//!    pass before the workers start.
+//! 2. **Stitch** (serial): the workers' rows and statistics are disjoint,
+//!    so they move into one accumulator and their spill tables add; the
+//!    thresholded compile and assembly every engine shares finish the
+//!    run.
 //!
 //! No worker needs another's state, so the output is **bit-identical**
 //! to [`AnalysisPipeline::run_observed`] for any worker count — a
 //! property the test suite checks against arbitrary traces
 //! (`crates/core/tests/parallel_prop.rs`) — and the rows take the serial
-//! engine's memory.
+//! engine's memory. A run has `jobs` workers; over an in-memory trace,
+//! whose static branches are known, at most one per branch.
 //!
 //! Workers are [`parallel_map`]'s scoped threads; results carry their
 //! index and are sorted after the scope joins, so scheduling order never
 //! leaks into the output.
 
-use crate::interleave::Detector;
+use crate::interleave::Accumulator;
 use crate::pipeline::{Analysis, AnalysisPipeline};
+use crate::source::{Block, Feed, Ingested, Pages, SharedStream};
 use bwsa_obs::Obs;
 use bwsa_resilience::supervisor::{catch, Backoff, ResilienceError};
-use bwsa_trace::profile::BranchProfile;
-use bwsa_trace::Trace;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use bwsa_trace::{Trace, TraceError};
+use std::convert::Infallible;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -46,7 +50,7 @@ pub use bwsa_resilience::parallel_map;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker threads to run (≥ 1); each owns a share of the static
-    /// branches and reads the whole trace.
+    /// branches and reads every record.
     pub jobs: NonZeroUsize,
 }
 
@@ -156,47 +160,171 @@ where
     }
 }
 
-/// Each static branch's worker, and how many workers there are:
-/// `min(jobs, static branches)`. Branches are dealt in descending order
-/// of execution count (ties by id), each to the worker with the fewest
-/// executions so far (ties by worker index).
-fn owners(profile: &BranchProfile, jobs: usize) -> (Vec<u32>, u32) {
-    let workers = jobs.min(profile.static_count()) as u32;
-    let mut load: BinaryHeap<Reverse<(u64, u32)>> =
-        (0..workers).map(|worker| Reverse((0, worker))).collect();
-    let mut owner = vec![0; profile.static_count()];
-    for id in profile.ids_by_frequency() {
-        let Reverse((executions, worker)) = load.pop().expect("a branch means a worker");
-        owner[id.index()] = worker;
-        load.push(Reverse((executions + profile.stats(id).executions, worker)));
-    }
-    (owner, workers)
+/// One worker's accumulator: every record moves its branch's stamp and
+/// counts toward the records, and only the records of the branches the
+/// worker owns (`id % workers == worker`) credit and enter statistics.
+struct Share {
+    acc: Accumulator,
+    /// `mine[id]`: whether the worker owns branch `id`, for every id seen.
+    mine: Vec<bool>,
+    worker: usize,
+    workers: usize,
 }
 
-/// One worker's detector: every record moves its branch's stamp, and only
-/// the re-executions of the branches `owner` gives to `worker` credit.
-fn detect_owned(trace: &Trace, owner: &[u32], worker: u32) -> Detector {
-    let mut detector = Detector::new(trace.static_branch_count());
-    for (id, record) in trace.indexed_records() {
-        let (node, stamp) = (id.as_u32(), record.time.get());
-        if owner[id.index()] == worker {
-            detector.push(node, stamp);
+impl Share {
+    /// Worker `worker` of `workers`, over `nodes` branches so far.
+    fn new(nodes: usize, worker: usize, workers: usize) -> Self {
+        let mut share = Share {
+            acc: Accumulator::new(nodes),
+            mine: Vec::new(),
+            worker,
+            workers,
+        };
+        share.cover(nodes);
+        share
+    }
+
+    /// Extends `mine` to the first `len` ids.
+    #[cold]
+    fn cover(&mut self, len: usize) {
+        let (worker, workers) = (self.worker, self.workers);
+        let seen = self.mine.len();
+        self.mine
+            .extend((seen..len).map(|id| id % workers == worker));
+    }
+
+    /// Consumes one record of branch `id` at `stamp`.
+    #[inline]
+    fn push(&mut self, id: u32, stamp: u64, taken: bool) {
+        let i = id as usize;
+        if i >= self.mine.len() {
+            self.cover(i + 1);
+        }
+        if self.mine[i] {
+            self.acc.push(id, stamp, taken);
         } else {
-            detector.pass(node, stamp);
+            self.acc.pass(id, stamp);
         }
     }
-    detector
 }
 
-/// The workers' detectors moved into one, which holds every credit of
-/// the serial pass. Only a trace without branches runs no worker.
-fn stitch(detectors: Vec<Detector>) -> Detector {
-    let mut detectors = detectors.into_iter();
-    let mut total = detectors.next().unwrap_or_else(|| Detector::new(0));
-    for detector in detectors {
-        total.absorb(detector);
+/// The workers' accumulators moved into one, which holds every credit and
+/// statistic of the serial pass; no workers stitch to an empty one. A
+/// recording `obs` gets the most credits one worker gave as
+/// `core.shard_credits_max`.
+fn stitch(shares: Vec<Accumulator>, obs: &Obs) -> Accumulator {
+    let workers = shares.len();
+    let mut shares = shares.into_iter();
+    let mut total = shares.next().unwrap_or_else(|| Accumulator::new(0));
+    let credits = |acc: &Accumulator| {
+        if obs.is_recording() {
+            obs.record_max("core.shard_credits_max", acc.detector.credits());
+        }
+    };
+    credits(&total);
+    for (worker, share) in (1..).zip(shares) {
+        credits(&share);
+        let owned = total.stats.iter_mut().zip(share.stats).skip(worker);
+        owned.step_by(workers).for_each(|(total, own)| *total = own);
+        total.detector.absorb(share.detector);
     }
     total
+}
+
+/// Runs the workers of one parallel pass, `walk` feeding each its
+/// records, and stitches their accumulators, with what worker 0's walk
+/// returned: each worker inside an unwind boundary and retried per the
+/// policy of `shards`, counting into its counter, when supervised, and
+/// unwinding the caller with a worker's own payload otherwise. Each
+/// worker's pass is timed as `shard_detect`, and `core.shards_merged`
+/// counts the workers. A walk starts by passing the `core.shard_detect`
+/// failpoint. The outer error is a worker's fault, the inner one the
+/// first worker's error from `walk`.
+fn detect<R: Send, E: Send>(
+    workers: usize,
+    nodes: usize,
+    obs: &Obs,
+    shards: Option<(&ShardRetryPolicy, &AtomicU64)>,
+    walk: impl Fn(&mut Share) -> Result<R, E> + Sync,
+) -> Result<Result<(Accumulator, Option<R>), E>, ResilienceError> {
+    let work = |_, worker| {
+        let _span = obs.span("shard_detect");
+        let mut share = Share::new(nodes, worker, workers);
+        walk(&mut share).map(|read| (share.acc, read))
+    };
+    let items = (0..workers).collect();
+    let shares = match shards {
+        Some((policy, retries)) => map_isolated(items, workers, policy, retries, work)?,
+        None => parallel_map(items, workers, work),
+    };
+    let shares = match shares.into_iter().collect::<Result<Vec<_>, E>>() {
+        Ok(shares) => shares,
+        Err(error) => return Ok(Err(error)),
+    };
+    let (shares, reads): (Vec<_>, Vec<_>) = shares.into_iter().unzip();
+    obs.add("core.shards_merged", workers as u64);
+    bwsa_resilience::failpoint!("core.shard_merge");
+    Ok(Ok((stitch(shares, obs), reads.into_iter().next())))
+}
+
+/// The parallel pass over a `BWSS3` or `BWSS2` file, on `config.jobs`
+/// workers. The file is decoded once into a [`SharedStream`] that every
+/// worker reads; a retried worker, or every worker once the shared read
+/// stops short under a fault, streams the file alone from its start.
+/// Errors as `detect`'s, the inner one a file that does not decode.
+pub(crate) fn detect_file(
+    feed: Feed<'_>,
+    config: &ParallelConfig,
+    obs: &Obs,
+    shards: Option<(&ShardRetryPolicy, &AtomicU64)>,
+) -> Result<Result<(Accumulator, Option<Ingested>), TraceError>, ResilienceError> {
+    let workers = config.jobs.get();
+    // Reader 0 is the shared stream; reader `1 + w` is worker `w` reading
+    // alone, idle until then.
+    let pages = Pages::new(feed.bytes(), 1 + workers);
+    (1..=workers).for_each(|reader| pages.done(reader));
+    let shared = match SharedStream::open(feed, &pages, workers) {
+        Ok(shared) => shared,
+        Err(error) => return Ok(Err(error)),
+    };
+    let walk = |share: &mut Share| {
+        let (worker, mut started) = (share.worker, false);
+        let start = || {
+            started = true;
+            bwsa_resilience::failpoint!("core.shard_detect");
+        };
+        let push = |block: Block<'_>| block.each(|id, stamp, taken| share.push(id, stamp, taken));
+        if let Some(read) = shared.replay(worker, start, push) {
+            return read;
+        }
+        if !started {
+            bwsa_resilience::failpoint!("core.shard_detect");
+        }
+        *share = Share::new(0, worker, workers);
+        let push = |block: Block<'_>| block.each(|id, stamp, taken| share.push(id, stamp, taken));
+        feed.replay(&pages, 1 + worker, push)
+    };
+    detect(workers, 0, obs, shards, walk)
+}
+
+/// The parallel pass over an in-memory trace, at most one worker per
+/// static branch.
+fn detect_trace(
+    trace: &Trace,
+    config: &ParallelConfig,
+    obs: &Obs,
+    shards: Option<(&ShardRetryPolicy, &AtomicU64)>,
+) -> Result<Accumulator, ResilienceError> {
+    let nodes = trace.static_branch_count();
+    let walk = |share: &mut Share| {
+        bwsa_resilience::failpoint!("core.shard_detect");
+        for (id, record) in trace.indexed_records() {
+            share.push(id.as_u32(), record.time.get(), record.is_taken());
+        }
+        Ok::<_, Infallible>(())
+    };
+    let Ok((acc, _)) = detect(config.jobs.get().min(nodes), nodes, obs, shards, walk)?;
+    Ok(acc)
 }
 
 /// Runs the full pipeline over `trace` on the ownership-split workers.
@@ -211,11 +339,11 @@ pub fn analyze_parallel(
     analyze_parallel_observed(pipeline, trace, config, &Obs::noop())
 }
 
-/// [`analyze_parallel`] with stage timings (`profile`, `shard_detect` for
-/// the workers and the stitch of their rows, then the shared tail from
-/// `compile` on) and counters reported into `obs`; `core.shards_merged`
-/// counts the workers that ran. A worker's fault unwinds the caller with
-/// its own payload.
+/// [`analyze_parallel`] with stage timings (`shard_detect` for each
+/// worker's pass, then the shared tail from `compile` on) and counters
+/// reported into `obs`: `core.shards_merged` counts the workers that
+/// ran, and `core.shard_credits_max` is the most Figure 1 credits one of
+/// them gave. A worker's fault unwinds the caller with its own payload.
 ///
 /// The observer never participates in the computation, so the result is
 /// bit-identical whether or not it records.
@@ -225,13 +353,10 @@ pub fn analyze_parallel_observed(
     config: &ParallelConfig,
     obs: &Obs,
 ) -> Analysis {
-    let policy = ShardRetryPolicy {
-        retries: 0,
-        backoff_base: Duration::ZERO,
-    };
-    let retries = AtomicU64::new(0);
-    analyze_parallel_supervised(pipeline, trace, config, obs, &policy, &retries)
-        .unwrap_or_else(|fault| fault.resume())
+    match detect_trace(trace, config, obs, None) {
+        Ok(acc) => acc.into_analysis(pipeline, obs),
+        Err(fault) => fault.resume(),
+    }
 }
 
 /// [`analyze_parallel_observed`] with per-worker fault isolation.
@@ -259,23 +384,8 @@ pub fn analyze_parallel_supervised(
     policy: &ShardRetryPolicy,
     retry_counter: &AtomicU64,
 ) -> Result<Analysis, ResilienceError> {
-    let profile = {
-        let _span = obs.span("profile");
-        BranchProfile::from_trace(trace)
-    };
-    let (owner, workers) = owners(&profile, config.jobs.get());
-    let detector = {
-        let _span = obs.span("shard_detect");
-        let items: Vec<u32> = (0..workers).collect();
-        let detectors = map_isolated(items, workers as usize, policy, retry_counter, |_, w| {
-            bwsa_resilience::failpoint!("core.shard_detect");
-            detect_owned(trace, &owner, w)
-        })?;
-        obs.add("core.shards_merged", detectors.len() as u64);
-        bwsa_resilience::failpoint!("core.shard_merge");
-        stitch(detectors)
-    };
-    Ok(pipeline.assemble(profile, detector, obs))
+    let acc = detect_trace(trace, config, obs, Some((policy, retry_counter)))?;
+    Ok(acc.into_analysis(pipeline, obs))
 }
 
 #[cfg(test)]
@@ -306,22 +416,30 @@ mod tests {
         }
     }
 
+    /// Worker `worker` of `workers` after every record of `trace`.
+    fn share_of(trace: &Trace, nodes: usize, worker: usize, workers: usize) -> Accumulator {
+        let mut share = Share::new(nodes, worker, workers);
+        for (id, record) in trace.indexed_records() {
+            share.push(id.as_u32(), record.time.get(), record.is_taken());
+        }
+        share.acc
+    }
+
     #[test]
-    fn owners_deal_the_heaviest_branch_to_the_least_loaded_worker() {
-        // Executions 5, 3, 3, 1, 1 (ids in first-appearance order).
-        let mut b = TraceBuilder::new("deal");
-        let mut t = 0;
-        for (pc, runs) in [(0x10, 5), (0x14, 3), (0x18, 3), (0x1c, 1), (0x20, 1)] {
-            for _ in 0..runs {
-                t += 1;
-                b.record(pc, true, t);
+    fn a_worker_credits_and_counts_only_the_ids_it_owns() {
+        let trace = busy_trace(300);
+        let profile = bwsa_trace::profile::BranchProfile::from_trace(&trace);
+        for worker in 0..3 {
+            let share = share_of(&trace, 0, worker, 3);
+            assert_eq!(share.records, 300, "every worker counts every record");
+            assert_eq!(share.stats.len(), trace.static_branch_count());
+            for (id, stats) in share.stats.iter().enumerate() {
+                let mine = id % 3 == worker;
+                let owned = *profile.stats(bwsa_trace::BranchId::new(id as u32));
+                let expected = if mine { owned } else { Default::default() };
+                assert_eq!(stats, &expected, "worker {worker}, branch {id}");
             }
         }
-        let profile = BranchProfile::from_trace(&b.finish());
-        // Loads after each deal: (5, 0) (5, 3) (5, 6) (6, 6) (7, 6).
-        assert_eq!(owners(&profile, 2), (vec![0, 1, 1, 0, 0], 2));
-        assert_eq!(owners(&profile, 8), (vec![0, 1, 2, 3, 4], 5));
-        assert_eq!(owners(&profile, 1), (vec![0; 5], 1));
     }
 
     /// A trace over 16 hot branches. A wide one first runs
@@ -351,34 +469,28 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn any_owner_map_stitches_to_the_serial_graph(
+        fn any_worker_count_stitches_to_the_serial_pass(
             steps in proptest::collection::vec((0u8..16, 0u64..3), 1..300),
             wide in proptest::arbitrary::any::<bool>(),
-            workers in 1u32..5,
-            split in 0u8..4,
-            seed in proptest::arbitrary::any::<u64>(),
+            workers in 1usize..5,
+            grown in proptest::arbitrary::any::<bool>(),
         ) {
             let trace = hot_trace(&steps, wide);
-            let n = trace.static_branch_count();
-            let owner: Vec<u32> = (0..n as u64)
-                .map(|b| {
-                    let mixed = (b ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
-                    match split {
-                        0 => (mixed % u64::from(workers)) as u32,
-                        1 => workers - 1,
-                        2 => (b % u64::from(workers)) as u32,
-                        // Only even workers own branches.
-                        _ => (mixed % u64::from(workers.div_ceil(2))) as u32 * 2,
-                    }
-                })
+            // A file's workers start from no branches, a trace's from all.
+            let nodes = if grown { 0 } else { trace.static_branch_count() };
+            let shares = (0..workers)
+                .map(|worker| share_of(&trace, nodes, worker, workers))
                 .collect();
-            let detectors = (0..workers)
-                .map(|worker| detect_owned(&trace, &owner, worker))
-                .collect();
+            let stitched = stitch(shares, &Obs::noop());
+            let profile = bwsa_trace::profile::BranchProfile::from_trace(&trace);
+            proptest::prop_assert_eq!(
+                bwsa_trace::profile::BranchProfile::from_parts(stitched.stats, stitched.records),
+                profile
+            );
             // Threshold 1 keeps every pair: the compiles are the raw graphs.
             let keep_all = crate::ConflictConfig { threshold: 1 };
             proptest::prop_assert_eq!(
-                stitch(detectors).compile(keep_all),
+                stitched.detector.compile(keep_all),
                 crate::interleave::detect(&trace).compile(keep_all)
             );
         }

@@ -6,11 +6,12 @@
 //! A session runs over an in-memory trace ([`Session::new`]) or over the
 //! bytes of a trace file in any format ([`Session::over`]). [`Execution`]
 //! picks serial or ownership-parallel execution and [`Classified`] plain
-//! §5.1 or classified §5.2 allocation. A serial or windowed run streams a
-//! `BWSS2` or `BWSS3` file block by block and builds no trace; a `BWST`
-//! file, and any file under a parallel run, is decoded once and held. The
-//! analysis is computed once on first use and cached, so interleaved
-//! `allocate`/`required_bht_size` calls never re-run the pipeline.
+//! §5.1 or classified §5.2 allocation. Every run streams a `BWSS2` or
+//! `BWSS3` file block by block and builds no trace; a parallel run
+//! decodes each block once for all its workers. A `BWST` file is decoded
+//! once and held. The analysis is computed once on first use and cached, so
+//! interleaved `allocate`/`required_bht_size` calls never re-run the
+//! pipeline.
 //!
 //! ```
 //! use bwsa_core::{Classified, Execution, Session};
@@ -42,10 +43,10 @@ use crate::checkpoint::{write_checkpoint, StreamingAnalysis};
 use crate::error::{CoreError, Error};
 use crate::interleave::Accumulator;
 use crate::parallel::{
-    analyze_parallel_observed, analyze_parallel_supervised, ParallelConfig, ShardRetryPolicy,
+    self, analyze_parallel_observed, analyze_parallel_supervised, ParallelConfig, ShardRetryPolicy,
 };
 use crate::pipeline::{Analysis, AnalysisPipeline};
-use crate::source::{self, Batches, Block, Ingested, Source, BLOCK};
+use crate::source::{Batches, Block, Feed, Ingested, Pages, Source, BLOCK};
 use crate::supervise::{self, ResilienceSummary, Rung, SupervisorConfig};
 use crate::window::{self, WindowConfig, WindowedAnalysis, WindowedResult};
 use bwsa_obs::json::Json;
@@ -107,7 +108,8 @@ pub struct Session<'t> {
     /// The state to resume from, until the first attempt takes it.
     resume: Mutex<Option<StreamingAnalysis>>,
     obs: Obs,
-    /// A file source decoded whole: for parallel runs and `BWST` files.
+    /// A file source decoded whole: a `BWST` file, or any file for the
+    /// required-size search.
     decoded: OnceLock<(Trace, Ingested)>,
     ingested: OnceLock<Ingested>,
     analysis: OnceLock<Analysis>,
@@ -456,7 +458,8 @@ impl<'t> Session<'t> {
 
     /// The source as one in-memory trace, and what reading it found: a
     /// file is decoded on first use, under `ingest`, and held, and the
-    /// file's mapped pages leave memory.
+    /// file's mapped pages leave memory. Runs take this only for a
+    /// `BWST` file; the required-size search takes it for any file.
     fn whole(&self) -> Result<(&Trace, Option<&Ingested>), TraceError> {
         let (bytes, policy) = match self.source {
             Source::Trace(trace) => return Ok((trace, None)),
@@ -477,21 +480,32 @@ impl<'t> Session<'t> {
     }
 
     /// One attempt at the analysis on `rung` (with a supervised parallel
-    /// rung's worker retries), and what it read: a serial rung streams a
-    /// `BWSS2` or `BWSS3` file, and the rest run over [`Session::whole`].
+    /// rung's worker retries), and what it read: either rung streams a
+    /// `BWSS2` or `BWSS3` file, a parallel one in every worker, and runs
+    /// over [`Session::whole`] otherwise.
     fn attempt(
         &self,
         rung: Rung,
         shards: Option<(&ShardRetryPolicy, &AtomicU64)>,
     ) -> Result<(Analysis, Option<Ingested>), Error> {
         let (pipeline, obs) = (&self.pipeline, &self.obs);
-        let detect = |acc: &mut Accumulator, block: Block<'_>| {
-            let _detect = obs.span("detect");
-            block.each(|id, stamp, taken| acc.push(id, stamp, taken));
-        };
-        if rung == Rung::Serial {
-            if let Some((acc, ingested)) = self.stream(detect)? {
-                return Ok((acc.into_analysis(pipeline, obs), Some(ingested)));
+        match rung {
+            Rung::Serial => {
+                let detect = |acc: &mut Accumulator, block: Block<'_>| {
+                    let _detect = obs.span("detect");
+                    block.each(|id, stamp, taken| acc.push(id, stamp, taken));
+                };
+                if let Some((acc, ingested)) = self.stream(detect)? {
+                    return Ok((acc.into_analysis(pipeline, obs), Some(ingested)));
+                }
+            }
+            Rung::Parallel(c) => {
+                if let Some(feed) = Feed::of(self.source)? {
+                    let ingest = obs.span("ingest");
+                    let (acc, ingested) = parallel::detect_file(feed, &c, obs, shards)??;
+                    ingest.finish();
+                    return Ok((acc.into_analysis(pipeline, obs), ingested));
+                }
             }
         }
         let (trace, ingested) = self.whole()?;
@@ -515,20 +529,20 @@ impl<'t> Session<'t> {
         &self,
         mut push: impl FnMut(&mut Accumulator, Block<'_>),
     ) -> Result<Option<(Accumulator, Ingested)>, Error> {
-        let Source::File { bytes, policy } = self.source else {
+        let Some(feed) = Feed::of(self.source)? else {
             return Ok(None);
         };
-        let format = Format::sniff(bytes)?;
-        if format == Format::Bwst {
-            return Ok(None);
-        }
         let _ingest = self.obs.span("ingest");
-        if format == Format::Bwss3 {
-            let mut acc = Accumulator::new(0);
-            let ingested = source::replay_columnar(bytes, policy, |block| push(&mut acc, block))?;
-            return Ok(Some((acc, ingested)));
-        }
-        let mut batches = Batches::open(bytes, policy)?;
+        let pages = Pages::new(feed.bytes(), 1);
+        let policy = match feed {
+            Feed::Columnar(..) => {
+                let mut acc = Accumulator::new(0);
+                let ingested = feed.replay(&pages, 0, |block| push(&mut acc, block))?;
+                return Ok(Some((acc, ingested)));
+            }
+            Feed::Stream(_, policy) => policy,
+        };
+        let mut batches = Batches::open(&pages, 0, policy)?;
         let save = self.checkpoints.as_ref().and_then(|c| c.save.as_ref());
         let mut state = match self.resume.lock().ok().and_then(|mut state| state.take()) {
             Some(state) if state.trace_name() != batches.name() => {

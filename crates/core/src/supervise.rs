@@ -3,8 +3,10 @@
 //!
 //! A supervised run walks a **degradation ladder**: the parallel rung
 //! (only when the session asked for it; per-worker isolation and retry,
-//! [`crate::parallel::analyze_parallel_supervised`]), then the serial
-//! rung (whole-run attempts with exponential backoff between retries,
+//! as [`crate::parallel::analyze_parallel_supervised`] runs it, each
+//! worker streaming a `BWSS2` or `BWSS3` file itself and a retried
+//! worker reading it again from its start), then the serial rung
+//! (whole-run attempts with exponential backoff between retries,
 //! streaming a `BWSS2` or `BWSS3` file as an unsupervised serial run
 //! does). Both rungs produce a bit-identical answer when they
 //! succeed, so downgrading trades only throughput. A rung is abandoned

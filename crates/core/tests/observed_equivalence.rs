@@ -72,7 +72,8 @@ proptest! {
         prop_assert_eq!(&observed, &pipeline.run_observed(&trace, &Obs::noop()));
 
         let metrics = obs.snapshot().unwrap();
-        for stage in ["profile", "shard_detect", "compile", "working_sets", "classify"] {
+        // The workers count the profile as they detect: no profile pass.
+        for stage in ["shard_detect", "compile", "working_sets", "classify"] {
             prop_assert!(metrics.stage(stage).is_some(), "missing span {}", stage);
         }
         let workers = jobs.min(trace.static_branch_count());

@@ -39,11 +39,12 @@ where
     })
 }
 
-/// Applies `f` to every item on `jobs` worker threads, returning results
-/// in item order regardless of how the work was scheduled.
+/// Applies `f` to every item on `jobs` workers, returning results in item
+/// order regardless of how the work was scheduled.
 ///
-/// Workers start through [`spawn_scoped`], so a run's faults and
-/// cancellation reach every thread that does its work.
+/// The calling thread is one of the workers, and the others start
+/// through [`spawn_scoped`], so a run's faults and cancellation reach
+/// every thread that does its work.
 ///
 /// Items are pulled from a shared queue, so uneven per-item cost balances
 /// across workers; each worker keeps its `(index, result)` pairs and the
@@ -87,11 +88,16 @@ where
         }
     };
     let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers).map(|_| spawn_scoped(scope, worker)).collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+        let handles: Vec<_> = (1..workers).map(|_| spawn_scoped(scope, worker)).collect();
+        let mut results = worker();
+        for handle in handles {
+            results.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        results
     });
     results.sort_unstable_by_key(|&(i, _)| i);
     results.into_iter().map(|(_, r)| r).collect()

@@ -570,50 +570,114 @@ impl<'a> ColumnarFile<'a> {
         mut read: impl FnMut(usize),
         mut sink: impl FnMut(&BlockView<'_>),
     ) -> Result<(SalvageReport, BranchTable), TraceError> {
+        let mut walk = self.blocks(policy)?;
+        while let Some(view) = walk.next(&mut read)? {
+            sink(&view);
+        }
+        walk.finish()
+    }
+
+    /// [`ColumnarFile::walk`] a block at a time: the blocks that survive
+    /// `policy`, pulled from the returned [`Walk`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Format`] for a torn file under a strict
+    /// policy.
+    pub fn blocks(&self, policy: RecoveryPolicy) -> Result<Walk<'a>, TraceError> {
         if policy == RecoveryPolicy::Strict && self.footer.is_none() {
             return Err(TraceError::format(
                 "torn columnar file: footer missing or corrupt (retry with salvage)",
             ));
         }
-        let mut report = SalvageReport::default();
-        let mut decoder = BlockDecoder::new(self);
-        let mut last_time = 0u64;
+        Ok(Walk {
+            policy,
+            records: self.footer.as_ref().map(|f| f.record_count),
+            decoder: BlockDecoder::new(self),
+            report: SalvageReport::default(),
+            last_time: 0,
+        })
+    }
+}
+
+/// A [`ColumnarFile::walk`] pulled a block at a time, from
+/// [`ColumnarFile::blocks`].
+#[derive(Debug)]
+pub struct Walk<'a> {
+    policy: RecoveryPolicy,
+    /// The footer's record count, when intact.
+    records: Option<u64>,
+    decoder: BlockDecoder<'a>,
+    report: SalvageReport,
+    last_time: u64,
+}
+
+impl<'a> Walk<'a> {
+    /// The next block that survives, or `None` at the end. `read` is told
+    /// the decoder's byte offset ([`BlockDecoder::reach`]) after each
+    /// block, kept or dropped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Corrupt`] (strict) on a damaged block.
+    pub fn next(
+        &mut self,
+        mut read: impl FnMut(usize),
+    ) -> Result<Option<BlockView<'_>>, TraceError> {
         loop {
-            let block_no = decoder.blocks_seen();
-            let more = match decoder.next_block() {
-                Ok(None) => break,
+            let block_no = self.decoder.blocks_seen();
+            let (kept, more) = match self.decoder.next_block() {
+                Ok(None) => return Ok(None),
                 Ok(Some(view)) => {
-                    if view.times.first().is_some_and(|&first| first < last_time) {
+                    if view
+                        .times
+                        .first()
+                        .is_some_and(|&first| first < self.last_time)
+                    {
                         let e = block_corrupt(block_no, "out-of-order block");
-                        absorb(policy, &mut report, e)?;
+                        absorb(self.policy, &mut self.report, e)?;
+                        (false, true)
                     } else {
-                        last_time = view.times.last().copied().unwrap_or(last_time);
-                        report.chunks_ok += 1;
-                        report.records_recovered += view.ids.len() as u64;
-                        sink(&view);
+                        self.last_time = view.times.last().copied().unwrap_or(self.last_time);
+                        self.report.chunks_ok += 1;
+                        self.report.records_recovered += view.ids.len() as u64;
+                        (true, true)
                     }
-                    true
                 }
                 Err(e) => {
-                    absorb(policy, &mut report, e)?;
-                    decoder.can_continue()
+                    absorb(self.policy, &mut self.report, e)?;
+                    (false, self.decoder.can_continue())
                 }
             };
-            read(decoder.reach());
+            read(self.decoder.reach());
+            if kept {
+                return Ok(Some(self.decoder.view()));
+            }
             if !more {
-                break;
+                return Ok(None);
             }
         }
-        let table = BranchTable::from_pcs(decoder.directory().iter().map(|&pc| Pc::new(pc)))?;
-        if let Some(f) = &self.footer {
-            if policy == RecoveryPolicy::Strict && report.records_recovered != f.record_count {
+    }
+
+    /// What the walk found, and the id → pc directory, once
+    /// [`Walk::next`] has returned `None`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Format`] for a duplicated directory pc, or
+    /// (strict) when the blocks held fewer records than the footer says.
+    pub fn finish(&self) -> Result<(SalvageReport, BranchTable), TraceError> {
+        let pcs = self.decoder.directory().iter();
+        let table = BranchTable::from_pcs(pcs.map(|&pc| Pc::new(pc)))?;
+        if let Some(records) = self.records {
+            if self.policy == RecoveryPolicy::Strict && self.report.records_recovered != records {
                 return Err(TraceError::format(format!(
-                    "footer promises {} records, blocks held {}",
-                    f.record_count, report.records_recovered
+                    "footer promises {records} records, blocks held {}",
+                    self.report.records_recovered
                 )));
             }
         }
-        Ok((report, table))
+        Ok((self.report.clone(), table))
     }
 }
 
@@ -804,12 +868,7 @@ impl<'a> BlockDecoder<'a> {
                 if self.index.is_none() {
                     self.offset = end;
                 }
-                Ok(Some(BlockView {
-                    ids: &self.ids,
-                    taken: &self.taken,
-                    times: &self.times,
-                    pcs: &self.pcs,
-                }))
+                Ok(Some(self.view()))
             }
             Err(e) => {
                 if self.index.is_none() {
@@ -817,6 +876,16 @@ impl<'a> BlockDecoder<'a> {
                 }
                 Err(e)
             }
+        }
+    }
+
+    /// The last block [`BlockDecoder::next_block`] decoded.
+    fn view(&self) -> BlockView<'_> {
+        BlockView {
+            ids: &self.ids,
+            taken: &self.taken,
+            times: &self.times,
+            pcs: &self.pcs,
         }
     }
 

@@ -92,7 +92,7 @@ done
 grep -q '"core.graph_edges_kept": ' "$report_tmp/windowed.json" \
     || { echo "windowed report lacks core.graph_edges_kept"; exit 1; }
 # --jobs only picks the thread that re-colors the windows: inline at
-# --jobs 1, on a helper thread above. (Without --jobs, BWST runs on every
+# --jobs 1, on a helper thread above. (Without --jobs, a run takes every
 # hardware thread, so --jobs 1 is named.) Stdout and sidecar are identical,
 # for the in-memory BWST run and the streamed BWSS3 one.
 "$bwsa" convert "$report_tmp/pgp.bwst" "$report_tmp/pgp.bws3" > /dev/null
@@ -133,15 +133,19 @@ cmp "$convert_dir/bwst.out" "$convert_dir/bws3.out"
     --emit-windows "$convert_dir/bws3-windows.json" > /dev/null
 cmp "$convert_dir/bwst-windows.json" "$convert_dir/bws3-windows.json"
 # gcc at 0.1 (1026 static branches): BWST in memory, BWSS2 and BWSS3
-# streaming and runs splitting the static branches among 2 and 3 workers
-# (an uneven split) print the same bytes, and so does a checkpointed
-# BWSS2 run and a run resumed from its rotated checkpoint.
+# streamed serially and at the default (every hardware thread, each
+# worker streaming the file), and runs splitting the static branches
+# among 2 and 3 workers (an uneven split) print the same bytes, and so
+# does a checkpointed BWSS2 run and a run resumed from its rotated
+# checkpoint.
 "$bwsa" generate gcc --scale 0.1 -o "$convert_dir/gcc.bwst" > /dev/null
 "$bwsa" convert "$convert_dir/gcc.bwst" "$convert_dir/gcc.bwss" > /dev/null
 "$bwsa" convert "$convert_dir/gcc.bwst" "$convert_dir/gcc.bws3" > /dev/null
 "$bwsa" analyze "$convert_dir/gcc.bwst" --jobs 1 > "$convert_dir/gcc.out"
 "$bwsa" analyze "$convert_dir/gcc.bwss" > "$convert_dir/gcc-bwss.out"
 "$bwsa" analyze "$convert_dir/gcc.bws3" > "$convert_dir/gcc-bws3.out"
+"$bwsa" analyze "$convert_dir/gcc.bwss" --jobs 1 > "$convert_dir/gcc-bwss-j1.out"
+"$bwsa" analyze "$convert_dir/gcc.bws3" --jobs 1 > "$convert_dir/gcc-bws3-j1.out"
 "$bwsa" analyze "$convert_dir/gcc.bwst" --jobs 2 > "$convert_dir/gcc-j2.out"
 "$bwsa" analyze "$convert_dir/gcc.bwst" --jobs 3 > "$convert_dir/gcc-j3.out"
 "$bwsa" analyze "$convert_dir/gcc.bwss" --checkpoint "$convert_dir/gcc.ck" \
@@ -149,9 +153,11 @@ cmp "$convert_dir/bwst-windows.json" "$convert_dir/bws3-windows.json"
 [ -f "$convert_dir/gcc.ck.prev" ] || { echo "no rotated checkpoint"; exit 1; }
 "$bwsa" analyze "$convert_dir/gcc.bwss" --resume "$convert_dir/gcc.ck.prev" \
     > "$convert_dir/gcc-resumed.out"
-# --salvage on the undamaged file changes nothing, streamed or decoded
-# whole for a 2-worker run.
+# --salvage on the undamaged file changes nothing, streamed serially or
+# by each of 2 workers.
 "$bwsa" analyze "$convert_dir/gcc.bws3" --salvage > "$convert_dir/gcc-salvage.out"
+"$bwsa" analyze "$convert_dir/gcc.bws3" --salvage --jobs 1 \
+    > "$convert_dir/gcc-salvage-j1.out"
 "$bwsa" analyze "$convert_dir/gcc.bws3" --salvage --jobs 2 \
     > "$convert_dir/gcc-salvage-j2.out"
 # A windowed run folds its windows into the streaming answer: without
@@ -163,14 +169,17 @@ cmp "$convert_dir/bwst-windows.json" "$convert_dir/bws3-windows.json"
 "$bwsa" analyze "$convert_dir/gcc.bws3" --window 4096 --jobs 2 \
     --emit-windows "$convert_dir/gcc-windows-j2.json" > /dev/null
 cmp "$convert_dir/gcc-windows.json" "$convert_dir/gcc-windows-j2.json"
-for run in bwss bws3 j2 j3 ck resumed salvage salvage-j2 window; do
+for run in bwss bws3 bwss-j1 bws3-j1 j2 j3 ck resumed salvage salvage-j1 salvage-j2 window; do
     cmp "$convert_dir/gcc.out" "$convert_dir/gcc-$run.out"
 done
+# allocate detects on every hardware thread by default: it prints what
+# its serial run prints.
+"$bwsa" allocate "$convert_dir/gcc.bwst" --classify > "$convert_dir/gcc-alloc.out"
+"$bwsa" allocate "$convert_dir/gcc.bwst" --classify --jobs 1 > "$convert_dir/gcc-alloc-j1.out"
+cmp "$convert_dir/gcc-alloc-j1.out" "$convert_dir/gcc-alloc.out"
 # One trace in three formats answers alike: with no flag, --jobs 2 or
 # --window 4096 --jobs 2, every format prints the same bytes and reports
-# the same digests and trace.* counters, and with the execution and jobs
-# named, the same config echo (with no --jobs, BWST alone runs on every
-# hardware thread).
+# the same digests, trace.* counters and config echo.
 for flags in "" "--jobs 2" "--window 4096 --jobs 2"; do
     tag="fmt${flags// /}"
     for f in bwst bwss bws3; do
@@ -179,7 +188,7 @@ for flags in "" "--jobs 2" "--window 4096 --jobs 2"; do
         {
             sed -n '/^  "digests": {/,/^  }/p' "$convert_dir/$tag.$f.json"
             grep -o '"trace\.[a-z_]*"' "$convert_dir/$tag.$f.json"
-            [ -z "$flags" ] || sed -n '/^  "config": {/,/^  }/p' "$convert_dir/$tag.$f.json"
+            sed -n '/^  "config": {/,/^  }/p' "$convert_dir/$tag.$f.json"
         } > "$convert_dir/$tag.$f.echo"
     done
     for f in bwss bws3; do
@@ -195,8 +204,10 @@ peak() { grep '"peak_rss_bytes"' "$1" | tr -dc 0-9; }
     || { echo "windowed BWSS3 analyze does not peak below BWST"; exit 1; }
 # gcc at 0.5 runs past the detector's 4096 dense rows, so pairs with an
 # id above the cap are counted in the spill table and merged into the
-# thresholded compile: in memory serially and on 2 workers, streamed from BWSS3,
-# and streamed from BWSS2 with checkpoints (whose stamps are read from the
+# thresholded compile: in memory serially and on 2 workers, streamed from
+# BWSS3 serially and at the default, streamed from BWSS2 and BWSS3 by each
+# of 2 and of 3 workers, whose spill tables add at the stitch, and
+# streamed from BWSS2 with checkpoints (whose stamps are read from the
 # recency ring) and resumed from the rotated one, analyze prints the same
 # bytes.
 "$bwsa" generate gcc --scale 0.5 -o "$convert_dir/wide.bwst" > /dev/null
@@ -208,25 +219,31 @@ static=$(sed -n 's/.* over \([0-9]*\) static sites.*/\1/p' "$convert_dir/wide.ou
     || { echo "gcc@0.5 has ${static:-no} static branches, not past the dense rows"; exit 1; }
 "$bwsa" analyze "$convert_dir/wide.bwst" --jobs 2 > "$convert_dir/wide-j2.out"
 "$bwsa" analyze "$convert_dir/wide.bws3" > "$convert_dir/wide-bws3.out"
+"$bwsa" analyze "$convert_dir/wide.bws3" --jobs 1 > "$convert_dir/wide-bws3-j1.out"
+for f in bwss bws3; do
+    for jobs in 2 3; do
+        "$bwsa" analyze "$convert_dir/wide.$f" --jobs "$jobs" > "$convert_dir/wide-$f-j$jobs.out"
+    done
+done
 "$bwsa" analyze "$convert_dir/wide.bwss" --checkpoint "$convert_dir/wide.ck" \
     --checkpoint-every 4 > "$convert_dir/wide-ck.out"
 [ -f "$convert_dir/wide.ck.prev" ] || { echo "no rotated gcc@0.5 checkpoint"; exit 1; }
 "$bwsa" analyze "$convert_dir/wide.bwss" --resume "$convert_dir/wide.ck.prev" \
     > "$convert_dir/wide-resumed.out"
-for run in j2 bws3 ck resumed; do
+for run in j2 bws3 bws3-j1 bwss-j2 bwss-j3 bws3-j2 bws3-j3 ck resumed; do
     cmp "$convert_dir/wide.out" "$convert_dir/wide-$run.out"
 done
-# A torn file has no instruction total: streamed, decoded for 2 workers
-# or windowed, --salvage counts up to the last record it recovered and
-# prints the same bytes. The BWSS2 stream loses its 40-byte end frame,
-# the BWSS3 file its footer and last third.
+# A torn file has no instruction total: streamed serially, by each of 2
+# workers or windowed, --salvage counts up to the last record it
+# recovered and prints the same bytes. The BWSS2 stream loses its
+# 40-byte end frame, the BWSS3 file its footer and last third.
 "$bwsa" convert "$convert_dir/li.bwst" "$convert_dir/li.bwss" > /dev/null
 bwss_len=$(wc -c < "$convert_dir/li.bwss")
 head -c $((bwss_len - 40)) "$convert_dir/li.bwss" > "$convert_dir/torn.bwss"
 bws3_len=$(wc -c < "$convert_dir/li.bws3")
 head -c $((bws3_len * 2 / 3)) "$convert_dir/li.bws3" > "$convert_dir/torn.bws3"
 for torn in torn.bwss torn.bws3; do
-    "$bwsa" analyze "$convert_dir/$torn" --salvage 2> /dev/null > "$convert_dir/$torn.out"
+    "$bwsa" analyze "$convert_dir/$torn" --salvage --jobs 1 2> /dev/null > "$convert_dir/$torn.out"
     "$bwsa" analyze "$convert_dir/$torn" --salvage --jobs 2 2> /dev/null \
         > "$convert_dir/$torn-j2.out"
     "$bwsa" analyze "$convert_dir/$torn" --salvage --window 4096 2> /dev/null \

@@ -123,7 +123,7 @@ subcommands:
            [--window N[i] [--emit-windows FILE]]
            [--checkpoint FILE [--checkpoint-every N]] [--resume FILE]
            [--retries N] [--max-seconds S] [--report json|text] [--metrics FILE]
-  allocate <trace> [--table N] [--threshold N] [--classify] [--salvage]
+  allocate <trace> [--table N] [--threshold N] [--classify] [--jobs N] [--salvage]
            [--retries N] [--max-seconds S] [--report json|text] [--metrics FILE]
   simulate <trace> [--predictor pag|free|bimodal|gshare|gag|hybrid|agree|bimode|profile]
            [--jobs N] [--salvage] [--checkpoint FILE [--checkpoint-every N]] [--resume FILE]
@@ -158,14 +158,15 @@ result over the converted file is byte-identical to the original. BWSS3
 files memory-map on ingest and decode column blocks straight into the
 analysis engines — the recommended format for large cold corpora.
 
---jobs N splits analyze's static branches among N worker threads, each
-reading the whole decoded trace, or runs simulation grid cells on N
-worker threads; --jobs 1 is serial, and results are bit-identical to a
-serial run. analyze defaults to all hardware threads for a BWST trace,
-which is decoded whole anyway, and streams BWSS and BWSS3 serially;
-simulate defaults to all hardware threads. Checkpointed streaming
-analysis is sequential, so `analyze --checkpoint/--resume` rejects
---jobs above 1.
+--jobs N splits the static branches of analyze's and allocate's
+detection among N worker threads, each reading every record: the
+blocks of a BWSS or BWSS3 trace, each decoded once for all of them, or
+the decoded BWST trace. simulate runs its grid cells on N worker
+threads. --jobs 1 is serial, and results are bit-identical to a serial
+run. All three default to every hardware thread, and analyze and
+allocate take at most 256 (a larger --jobs is a usage error).
+Checkpointed streaming analysis is sequential: `analyze
+--checkpoint/--resume` defaults to --jobs 1 and rejects --jobs above 1.
 
 --window N analyzes the trace in online windows of N dynamic branches
 (Ni: N instructions), printing per-window working sets, conflict-graph
@@ -658,6 +659,35 @@ fn cmd_convert(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The most detection workers `analyze` and `allocate` start: each one
+/// is a thread that reads every record.
+const MAX_JOBS: usize = 256;
+
+/// `analyze`'s and `allocate`'s `--jobs`, at most [`MAX_JOBS`]: `None`
+/// when the flag is absent.
+fn jobs_of(p: &Parsed) -> Result<Option<usize>, CliError> {
+    match p.positive("jobs")? {
+        Some(jobs) if jobs > MAX_JOBS => Err(usage_err(format!(
+            "--jobs {jobs} is above the bound of {MAX_JOBS}"
+        ))),
+        jobs => Ok(jobs),
+    }
+}
+
+/// The detection workers of a run without `--jobs`: one per hardware
+/// thread, at most [`MAX_JOBS`].
+fn default_jobs() -> usize {
+    ParallelConfig::available().jobs.get().min(MAX_JOBS)
+}
+
+/// Runs `session` on `jobs` detection workers, serially at one.
+fn with_jobs(session: Session<'_>, jobs: usize) -> Session<'_> {
+    match jobs {
+        1 => session,
+        jobs => session.with_execution(Execution::Parallel(ParallelConfig::with_jobs(jobs))),
+    }
+}
+
 fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     let p = parse(
         args,
@@ -687,7 +717,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     let cadence = checkpoint_cadence(&p)?;
     let spec = report_spec(&p)?;
     let obs = spec.observer();
-    let jobs: Option<usize> = p.positive("jobs")?;
+    let jobs = jobs_of(&p)?;
     let supervisor = supervisor_of(&p)?;
     let windowing = window_spec(&p)?;
     let wants_checkpointing = cadence.is_some() || p.value("resume").is_some();
@@ -703,21 +733,18 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
             "--checkpoint/--resume need a BWSS stream trace (see `bwsa convert`)",
         ));
     }
-    // A BWST file is decoded whole anyway, so it defaults to every
-    // hardware thread; BWSS and BWSS3 default to serial streaming.
-    let jobs = jobs.unwrap_or_else(|| match format {
-        Format::Bwst => ParallelConfig::available().jobs.get(),
-        _ => 1,
-    });
-    let mut session = Session::over(Source::File {
+    let jobs = match jobs {
+        Some(jobs) => jobs,
+        None if wants_checkpointing => 1,
+        None => default_jobs(),
+    };
+    let session = Session::over(Source::File {
         bytes: &bytes,
         policy: recovery_policy(&p),
     })
     .with_pipeline(pipeline)
     .with_observer(obs.clone());
-    if jobs > 1 {
-        session = session.with_execution(Execution::Parallel(ParallelConfig::with_jobs(jobs)));
-    }
+    let mut session = with_jobs(session, jobs);
     if let Some(config) = supervisor {
         session = session.with_supervisor(config);
     }
@@ -828,6 +855,7 @@ fn cmd_allocate(args: &[String]) -> Result<(), CliError> {
         &[
             "table",
             "threshold",
+            "jobs",
             "retries",
             "max-seconds",
             "report",
@@ -840,19 +868,21 @@ fn cmd_allocate(args: &[String]) -> Result<(), CliError> {
         .first()
         .ok_or_else(|| usage_err("allocate needs a trace file"))?;
     let table: usize = p.number("table")?.unwrap_or(1024);
+    let jobs = jobs_of(&p)?.unwrap_or_else(default_jobs);
     let supervisor = supervisor_of(&p)?;
     let spec = report_spec(&p)?;
-    let obs = spec.observer();
-    let (trace, report) = load_trace(path, recovery_policy(&p), &obs)?;
-    warn_salvage(path, &report);
     let pipeline = AnalysisPipeline {
         conflict: threshold_of(&p)?.unwrap_or_default(),
         ..AnalysisPipeline::new()
     };
+    let obs = spec.observer();
+    let (trace, report) = load_trace(path, recovery_policy(&p), &obs)?;
+    warn_salvage(path, &report);
     let classified = Classified(p.has("classify"));
-    let mut session = Session::new(&trace)
+    let session = Session::new(&trace)
         .with_pipeline(pipeline)
         .with_observer(obs.clone());
+    let mut session = with_jobs(session, jobs);
     if let Some(config) = supervisor {
         session = session.with_supervisor(config);
     }
@@ -1589,10 +1619,15 @@ mod tests {
 
     #[test]
     fn bad_flag_values_are_usage_errors() {
-        assert!(matches!(
-            run(&strs(&["analyze", "x.bwst", "--threshold", "many"])),
-            Err(CliError::Usage(_))
-        ));
+        for command in ["analyze", "allocate"] {
+            assert!(
+                matches!(
+                    run(&strs(&[command, "/no/such.bwst", "--threshold", "many"])),
+                    Err(CliError::Usage(_))
+                ),
+                "{command}: the threshold is checked before the trace is read"
+            );
+        }
         assert!(matches!(
             run(&strs(&["generate", "pgp", "--format", "xml"])),
             Err(CliError::Usage(_))
@@ -1891,14 +1926,24 @@ mod tests {
     fn analyze_report_times_every_pipeline_stage() {
         let dir = std::env::temp_dir().join("bwsa_cli_stage_test");
         let traces = pgp_in_every_format(&dir);
-        // BWST runs the parallel engine over the decoded trace; BWSS2 and
-        // BWSS3 stream their blocks into the detector inside `ingest`,
-        // each block's pushes timed as `detect`, and a windowed BWSS3 run
-        // streams them into the windowed engine.
-        let cases: [(&str, &[&str], &[&str]); 4] = [
-            (&traces[0], &["--jobs", "2"], &["profile", "shard_detect"]),
-            (&traces[1], &[], &["detect"]),
-            (&traces[2], &[], &["detect"]),
+        // Parallel runs time each worker's pass as `shard_detect`: over the
+        // decoded BWST trace, or streaming BWSS2 and BWSS3 blocks inside
+        // `ingest`. Serial BWSS2 and BWSS3 runs stream their blocks into the
+        // detector inside `ingest`, each block's pushes timed as `detect`,
+        // and a windowed BWSS3 run streams them into the windowed engine.
+        // Without --jobs, a run takes every hardware thread.
+        let default: &[&str] = match default_jobs() {
+            1 => &["detect"],
+            _ => &["shard_detect"],
+        };
+        let cases: [(&str, &[&str], &[&str]); 8] = [
+            (&traces[0], &["--jobs", "2"], &["shard_detect"]),
+            (&traces[0], &["--jobs", "1"], &["profile", "interleave"]),
+            (&traces[1], &[], default),
+            (&traces[1], &["--jobs", "1"], &["detect"]),
+            (&traces[1], &["--jobs", "2"], &["shard_detect"]),
+            (&traces[2], &[], default),
+            (&traces[2], &["--jobs", "1"], &["detect"]),
             (
                 &traces[2],
                 &["--window", "2000"],
@@ -1906,13 +1951,26 @@ mod tests {
             ),
         ];
         for (trace, extra, engine) in cases {
-            let stages = stage_names(&analyze_metrics(trace, extra, &dir.join("m.json")));
+            let doc = analyze_metrics(trace, extra, &dir.join("m.json"));
+            let stages = stage_names(&doc);
             let shared = ["ingest", "compile", "working_sets", "classify"];
             for required in shared.iter().chain(engine) {
                 assert!(
                     stages.iter().any(|s| s == required),
                     "{trace} {extra:?}: missing {required} in {stages:?}"
                 );
+            }
+            // Two workers split the Figure 1 credits: the busier one gave
+            // at least half of them.
+            if extra == ["--jobs", "2"] {
+                let counter = |name| doc.get("counters").and_then(|c| c.get(name)?.as_u64());
+                let weight = counter("core.interleave_weight").unwrap();
+                let most = counter("core.shard_credits_max").unwrap();
+                assert!(
+                    weight / 2 <= most && most <= weight,
+                    "{trace}: {most} of {weight}"
+                );
+                assert_eq!(counter("core.shards_merged"), Some(2), "{trace}");
             }
         }
         for trace in traces {
@@ -1932,10 +1990,10 @@ mod tests {
                 .collect::<Vec<_>>(),
             other => panic!("counters missing: {other:?}"),
         };
-        // Without --jobs, BWST runs on every hardware thread and the
-        // streams on one, so each flag set names its jobs.
+        // Every format takes the same --jobs default.
         for extra in [
-            &["--jobs", "1"][..],
+            &[][..],
+            &["--jobs", "1"],
             &["--jobs", "2"],
             &["--window", "2000", "--jobs", "1"],
             &["--window", "2000", "--jobs", "2"],

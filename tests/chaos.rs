@@ -489,57 +489,75 @@ fn a_poisoned_columnar_block_degrades_one_entry_and_never_the_batch() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The harness trace as a session source three ways: in memory, and as
+/// the bytes of its `BWSS2` stream and of `bws3`, its `BWSS3` file, which
+/// a parallel run's workers each stream.
+fn sources<'a>(harness: &'a Harness, bws3: &'a [u8]) -> [(&'static str, Source<'a>); 3] {
+    let file = |bytes| Source::File {
+        bytes,
+        policy: RecoveryPolicy::Strict,
+    };
+    [
+        ("in memory", Source::Trace(&harness.trace)),
+        ("bwss2", file(&harness.bwss)),
+        ("bwss3", file(bws3)),
+    ]
+}
+
 #[test]
 fn degraded_runs_record_downgrades_and_retries_in_the_run_report() {
     let _lock = lock();
     failpoint::clear();
-    let trace = Harness::new().trace;
-    let plain = Session::new(&trace);
-    let baseline = plain.run().unwrap();
+    let harness = Harness::new();
+    let mut bws3 = Vec::new();
+    bwsa::trace::columnar::write_columnar(&harness.trace, &mut bws3).unwrap();
+    let baseline = Session::new(&harness.trace).run().unwrap().clone();
 
     // A fault that only exists in the parallel workers: the supervised
     // parallel session must degrade to the serial rung and still match.
-    let _guard = failpoint::scoped("core.shard_detect=error(stage exploded)").unwrap();
-    let session = Session::new(&trace)
-        .with_execution(Execution::Parallel(ParallelConfig::with_jobs(2)))
-        .with_supervisor(SupervisorConfig {
-            backoff_base: Duration::from_millis(1),
-            ..SupervisorConfig::default()
-        })
-        .with_observer(Obs::recording());
-    assert_eq!(session.run().unwrap(), baseline);
+    for (name, source) in sources(&harness, &bws3) {
+        let _guard = failpoint::scoped("core.shard_detect=error(stage exploded)").unwrap();
+        let session = Session::over(source)
+            .with_execution(Execution::Parallel(ParallelConfig::with_jobs(2)))
+            .with_supervisor(SupervisorConfig {
+                backoff_base: Duration::from_millis(1),
+                ..SupervisorConfig::default()
+            })
+            .with_observer(Obs::recording());
+        assert_eq!(session.run().unwrap(), &baseline, "{name}");
 
-    let summary = session.resilience_summary().unwrap();
-    assert!(summary.attempts >= 2, "summary: {summary:?}");
-    assert!(summary.retries >= 1, "summary: {summary:?}");
-    assert!(
-        summary
-            .downgrades
-            .iter()
-            .any(|d| d.reason.contains("core.shard_detect")),
-        "downgrade reason must name the fault: {summary:?}"
-    );
-    assert!(!summary.faults.is_empty());
+        let summary = session.resilience_summary().unwrap();
+        assert!(summary.attempts >= 2, "{name}: {summary:?}");
+        assert!(summary.retries >= 1, "{name}: {summary:?}");
+        assert!(
+            summary
+                .downgrades
+                .iter()
+                .any(|d| d.reason.contains("core.shard_detect")),
+            "{name}: downgrade reason must name the fault: {summary:?}"
+        );
+        assert!(!summary.faults.is_empty());
 
-    // And the run report carries the same story for offline consumers.
-    let report = session.run_report("chaos").unwrap();
-    let doc = Json::parse(&report.to_json_string()).unwrap();
-    let resilience = doc.get("resilience").unwrap();
-    assert!(matches!(
-        resilience.get("supervised"),
-        Some(Json::Bool(true))
-    ));
-    assert!(resilience.get("attempts").and_then(Json::as_u64).unwrap() >= 2);
-    assert!(resilience.get("retries").and_then(Json::as_u64).unwrap() >= 1);
-    match resilience.get("downgrades") {
-        Some(Json::Array(downgrades)) => {
-            assert!(downgrades.iter().any(|d| {
-                d.get("reason")
-                    .and_then(Json::as_str)
-                    .is_some_and(|r| r.contains("core.shard_detect"))
-            }));
+        // And the run report carries the same story for offline consumers.
+        let report = session.run_report("chaos").unwrap();
+        let doc = Json::parse(&report.to_json_string()).unwrap();
+        let resilience = doc.get("resilience").unwrap();
+        assert!(matches!(
+            resilience.get("supervised"),
+            Some(Json::Bool(true))
+        ));
+        assert!(resilience.get("attempts").and_then(Json::as_u64).unwrap() >= 2);
+        assert!(resilience.get("retries").and_then(Json::as_u64).unwrap() >= 1);
+        match resilience.get("downgrades") {
+            Some(Json::Array(downgrades)) => {
+                assert!(downgrades.iter().any(|d| {
+                    d.get("reason")
+                        .and_then(Json::as_str)
+                        .is_some_and(|r| r.contains("core.shard_detect"))
+                }));
+            }
+            other => panic!("{name}: downgrades missing: {other:?}"),
         }
-        other => panic!("downgrades missing: {other:?}"),
     }
 }
 
@@ -547,28 +565,34 @@ fn degraded_runs_record_downgrades_and_retries_in_the_run_report() {
 fn a_stalled_stage_is_cut_short_by_the_deadline() {
     let _lock = lock();
     failpoint::clear();
-    let trace = Harness::new().trace;
-    let plain = Session::new(&trace);
-    let baseline = plain.run().unwrap();
+    let harness = Harness::new();
+    let mut bws3 = Vec::new();
+    bwsa::trace::columnar::write_columnar(&harness.trace, &mut bws3).unwrap();
+    let baseline = Session::new(&harness.trace).run().unwrap().clone();
 
     // Stall a parallel-only stage far beyond the budget; the serial rung
     // is fault-free, so the run still completes — without waiting out
     // the stall on retry after retry.
-    let _guard = failpoint::scoped("core.shard_detect=delay(40)").unwrap();
-    let session = Session::new(&trace)
-        .with_execution(Execution::Parallel(ParallelConfig::with_jobs(2)))
-        .with_supervisor(SupervisorConfig {
-            backoff_base: Duration::from_millis(1),
-            max_wall: Some(Duration::from_millis(10)),
-            ..SupervisorConfig::default()
-        });
-    assert_eq!(session.run().unwrap(), baseline);
-    let summary = session.resilience_summary().unwrap();
-    assert!(
-        summary.faults.iter().any(|f| f.contains("deadline")),
-        "summary: {summary:?}"
-    );
-    assert_eq!(summary.attempts, 2, "no same-rung retry: {summary:?}");
+    for (name, source) in sources(&harness, &bws3) {
+        let _guard = failpoint::scoped("core.shard_detect=delay(40)").unwrap();
+        let session = Session::over(source)
+            .with_execution(Execution::Parallel(ParallelConfig::with_jobs(2)))
+            .with_supervisor(SupervisorConfig {
+                backoff_base: Duration::from_millis(1),
+                max_wall: Some(Duration::from_millis(10)),
+                ..SupervisorConfig::default()
+            });
+        assert_eq!(session.run().unwrap(), &baseline, "{name}");
+        let summary = session.resilience_summary().unwrap();
+        assert!(
+            summary.faults.iter().any(|f| f.contains("deadline")),
+            "{name}: {summary:?}"
+        );
+        assert_eq!(
+            summary.attempts, 2,
+            "{name}: no same-rung retry: {summary:?}"
+        );
+    }
 }
 
 #[test]

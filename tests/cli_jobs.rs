@@ -1,6 +1,7 @@
 //! Exit-code contract for `--jobs`, exercised against the real binary:
 //! 0 on success, 1 on runtime (I/O/data) failures, 2 on usage errors —
-//! and byte-identical stdout between serial and parallel runs.
+//! and byte-identical stdout between serial and parallel runs, and at
+//! the default, which is every hardware thread.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -47,6 +48,12 @@ fn jobs_misuse_exits_2_before_touching_files() {
         ["analyze", "/no/such.bwst", "--jobs", "lots"],
         ["simulate", "/no/such.bwst", "--jobs", "0"],
         ["simulate", "/no/such.bwst", "--jobs", "2.5"],
+        ["allocate", "/no/such.bwst", "--jobs", "0"],
+        // Each detection worker is a thread: above the bound of 256, none
+        // starts and no file is opened.
+        ["analyze", "/no/such.bwst", "--jobs", "257"],
+        ["analyze", "/no/such.bwss", "--jobs", "100000"],
+        ["allocate", "/no/such.bwst", "--jobs", "257"],
     ] {
         let out = bwsa(&args);
         assert_eq!(exit_code(&out), 2, "{args:?}: {out:?}");
@@ -107,6 +114,45 @@ fn parallel_analyze_stdout_is_byte_identical_to_serial() {
             "{format}: parallel analyze output diverged"
         );
     }
+}
+
+#[test]
+fn analyze_and_allocate_print_the_same_at_the_default_and_any_jobs() {
+    for format in ["bwst", "bwss", "bwss3"] {
+        let path = fixture_trace("defaults", format);
+        let path = path.to_str().unwrap();
+        let stdout = |args: &[&str]| {
+            let out = bwsa(args);
+            assert_eq!(exit_code(&out), 0, "{args:?}: {out:?}");
+            String::from_utf8(out.stdout).unwrap()
+        };
+        let serial = stdout(&["analyze", path, "--threshold", "3", "--jobs", "1"]);
+        let default = stdout(&["analyze", path, "--threshold", "3"]);
+        assert_eq!(default, serial, "{format}: analyze at the default");
+        let allocate = ["allocate", path, "--threshold", "3", "--classify"];
+        let serial = stdout(&[&allocate[..], &["--jobs", "1"]].concat());
+        for jobs in [&[][..], &["--jobs", "3"]] {
+            let parallel = stdout(&[&allocate[..], jobs].concat());
+            assert_eq!(parallel, serial, "{format}: allocate {jobs:?}");
+        }
+    }
+}
+
+#[test]
+fn checkpointed_analyze_without_jobs_streams_serially() {
+    let path = fixture_trace_scaled("ck_default", "bwss", "0.05");
+    let ck = path.parent().unwrap().join("default.bwck");
+    let _ = std::fs::remove_file(&ck);
+    let out = bwsa(&[
+        "analyze",
+        path.to_str().unwrap(),
+        "--checkpoint",
+        ck.to_str().unwrap(),
+        "--checkpoint-every",
+        "1",
+    ]);
+    assert_eq!(exit_code(&out), 0, "{out:?}");
+    assert!(ck.exists(), "checkpoint file was not written");
 }
 
 #[test]

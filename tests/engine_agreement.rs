@@ -12,14 +12,16 @@
 //! Each trace is a [`Session`] source four ways: in memory, as `BWSS2`
 //! bytes, as `BWSS3` bytes, and as a torn `BWSS3` file read under salvage
 //! (its footer and partial last block lost). The first three run serially
-//! and on 2 ownership-parallel workers at each of the thresholds 1, 2 and
-//! 100, and as a windowed fold at one of them in turn; the torn file runs
-//! through each of the three engines at one threshold in turn, and the
+//! and on 2 and 3 ownership-parallel workers at each of the thresholds 1,
+//! 2 and 100, and as a windowed fold at one of them in turn; the torn file
+//! runs through each of the four engines at one threshold in turn, and the
 //! `BWSS2` bytes also run serially at all three, resumed from the
 //! checkpoint a checkpointing session saved partway. Each run's answer —
 //! profile, conflict graph, working sets and classes — is the in-memory
 //! serial answer over the records it read, which compiles the oracle's
 //! raw graph of those records, pruned, with its raw pair count and weight.
+//! One trace runs two branches, so a file's third worker owns none (an
+//! in-memory trace runs at most one worker per branch).
 //!
 //! A windowed session over each of the four sources, at each threshold,
 //! returns the same whole `WindowedResult` — every window, the
@@ -129,17 +131,18 @@ fn saved_state(head: &Trace, path: &std::path::Path) -> StreamingAnalysis {
 }
 
 /// The engines every source runs through.
-const ENGINES: [&str; 3] = ["serial", "2 workers", "windowed"];
+const ENGINES: [&str; 4] = ["serial", "2 workers", "3 workers", "windowed"];
 
 /// The conflict thresholds the runs take.
 const THRESHOLDS: [u64; 3] = [1, 2, 100];
 
-/// `source` run by `engine`: serially, on 2 workers, or as the fold of
-/// about five windows of a `records`-record trace.
+/// `source` run by `engine`: serially, on 2 or 3 workers, or as the fold
+/// of about five windows of a `records`-record trace.
 fn run(source: Source<'_>, engine: &str, pipeline: AnalysisPipeline, records: usize) -> Analysis {
     let session = Session::over(source).with_pipeline(pipeline);
     let session = match engine {
         "2 workers" => session.with_execution(Execution::Parallel(ParallelConfig::with_jobs(2))),
+        "3 workers" => session.with_execution(Execution::Parallel(ParallelConfig::with_jobs(3))),
         "windowed" => session.with_windowing(windows(records)),
         _ => session,
     };
@@ -182,11 +185,13 @@ fn expected(records: &Trace, raw: &ConflictGraph, threshold: u64, case: &str) ->
 fn every_engine_compiles_the_pruned_oracle_graph() {
     let dir = std::env::temp_dir().join(format!("bwsa-agreement-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    let mut narrowest = usize::MAX;
     for seed in 1..=6u64 {
         let wide = seed % 2 == 0;
         let spread = 2 + seed * 5 % 15;
         let (trace, cold) = hot_trace(seed, wide, spread);
         assert_eq!(trace.static_branch_count() > 4096, wide, "seed {seed}");
+        narrowest = narrowest.min(trace.static_branch_count());
         let raw = interleave_counts_naive(&trace).build();
         assert!(
             raw.edge_count() > 0,
@@ -211,7 +216,7 @@ fn every_engine_compiles_the_pruned_oracle_graph() {
             let expected = expected(&trace, &raw, threshold, &case);
             // `expected` is the first of these runs: the in-memory serial one.
             let runs = sources.into_iter().flat_map(|(name, source)| {
-                ["serial", "2 workers"].map(|engine| (name, source, engine))
+                ["serial", "2 workers", "3 workers"].map(|engine| (name, source, engine))
             });
             for (name, source, engine) in runs.skip(1) {
                 let analysis = run(source, engine, pipeline_at(threshold), trace.len());
@@ -245,6 +250,7 @@ fn every_engine_compiles_the_pruned_oracle_graph() {
             assert_eq!(analysis, expected, "{case}");
         }
     }
+    assert_eq!(narrowest, 2, "one trace leaves a third worker no branch");
     std::fs::remove_dir_all(dir).unwrap();
 }
 
