@@ -11,8 +11,9 @@
 //! Measures, per size (median of `--iters` runs, default 5):
 //!
 //! * `analysis_serial` — [`bwsa_core::interleave_counts`] + CSR build.
-//! * `analysis_streaming` — the whole pipeline through a record-by-record
-//!   [`bwsa_core::StreamingAnalysis`].
+//! * `analysis_streaming` — the whole pipeline through a serial
+//!   [`bwsa_core::Session`] over the trace's `BWSS2` encoding, streamed
+//!   block by block; the encoding is built once, outside the timing.
 //! * `analysis_parallel` — the full parallel pipeline at 2 workers.
 //! * `analysis_windowed` — the online [`bwsa_core::WindowedAnalysis`]
 //!   engine at a 4096-branch reset interval; its checksum is the final
@@ -30,11 +31,13 @@
 //! smoke step).
 
 use bwsa_core::{
-    analyze_parallel, AnalysisPipeline, ParallelConfig, StreamingAnalysis, WindowConfig,
+    analyze_parallel, AnalysisPipeline, ParallelConfig, Session, Source, WindowConfig,
     WindowedAnalysis,
 };
 use bwsa_obs::json::Json;
 use bwsa_predictor::{simulate, Pag};
+use bwsa_trace::stream::RecoveryPolicy;
+use bwsa_trace::Format;
 use bwsa_workload::suite::{Benchmark, InputSet};
 use std::time::Instant;
 
@@ -101,17 +104,21 @@ fn bench_size(name: &str, bench: Benchmark, scale: f64, args: &Args) -> Json {
         bench.name()
     );
     let iters = args.iters;
+    let mut bwss = Vec::new();
+    Format::Bwss
+        .write(&trace, &mut bwss)
+        .expect("a trace encodes in memory");
     let mut measurements = vec![
         measure("analysis_serial", iters, branches, || {
             let g = bwsa_core::interleave_counts(&trace).build();
             g.total_weight() ^ g.edge_count() as u64
         }),
         measure("analysis_streaming", iters, branches, || {
-            let mut engine = StreamingAnalysis::new(&trace.meta().name);
-            for rec in trace.records() {
-                engine.push(rec);
-            }
-            let analysis = engine.finish(&AnalysisPipeline::new());
+            let session = Session::over(Source::File {
+                bytes: &bwss,
+                policy: RecoveryPolicy::Strict,
+            });
+            let analysis = session.run().expect("an encoded trace decodes");
             analysis.conflict.graph.total_weight()
         }),
         measure("analysis_parallel", iters, branches, || {

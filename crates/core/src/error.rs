@@ -20,23 +20,11 @@ pub enum CoreError {
         /// Description of the offending value.
         reason: String,
     },
-    /// An analysis checkpoint could not be saved, parsed, or applied —
-    /// corrupt bytes, or state from a different trace.
-    Checkpoint {
-        /// What went wrong.
-        reason: String,
-    },
 }
 
 impl CoreError {
     pub(crate) fn config(reason: impl Into<String>) -> Self {
         CoreError::InvalidConfig {
-            reason: reason.into(),
-        }
-    }
-
-    pub(crate) fn checkpoint(reason: impl Into<String>) -> Self {
-        CoreError::Checkpoint {
             reason: reason.into(),
         }
     }
@@ -46,7 +34,6 @@ impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoreError::InvalidConfig { reason } => write!(f, "invalid analysis config: {reason}"),
-            CoreError::Checkpoint { reason } => write!(f, "analysis checkpoint error: {reason}"),
         }
     }
 }
@@ -62,7 +49,7 @@ impl std::error::Error for CoreError {}
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum Error {
-    /// Analysis configuration or checkpointing failed.
+    /// Analysis configuration failed.
     Core(CoreError),
     /// Trace ingestion, decoding, or streaming failed.
     Trace(TraceError),
@@ -138,9 +125,6 @@ mod tests {
         assert!(CoreError::config("bad threshold")
             .to_string()
             .contains("bad threshold"));
-        assert!(CoreError::checkpoint("bad crc")
-            .to_string()
-            .contains("bad crc"));
     }
 
     #[test]

@@ -10,32 +10,32 @@
 //! One kernel, `Detector`, runs the procedure for every engine. The
 //! serial pipeline and the ownership-parallel workers of
 //! [`crate::parallel`] drive it directly; every engine fed record blocks
-//! (serial BWSS2 and BWSS3 streaming, checkpoint/resume and the windowed
-//! engine) goes through `Accumulator`,
-//! which pairs it with the per-branch execution statistics of the same
-//! records. The detector finds the branches to credit with a recency
-//! index of `(latest timestamp, branch)` pairs (`RecencyRing`): a scan
-//! from just past the branch's own entry, `O(k)` per dynamic branch where
-//! `k` is the instantaneous working-set size, the very quantity the paper
-//! shows stays small. A superseded entry reads as `TOMB`, an id past the
-//! end of every row, so a credit is one id load and one increment.
+//! (serial BWSS2 and BWSS3 streaming and the windowed engine) goes
+//! through `Accumulator`, which pairs it with the per-branch execution
+//! statistics of the same records. The detector finds the branches to
+//! credit with a recency index of `(latest timestamp, branch)` pairs
+//! (`RecencyRing`): a scan from just past the branch's own entry, `O(k)`
+//! per dynamic branch where `k` is the instantaneous working-set size,
+//! the very quantity the paper shows stays small. A superseded entry
+//! reads as `TOMB`, an id past the end of every row, so a credit is one
+//! id load and one increment.
 //!
 //! The credits of one re-execution of branch `a` all land in `a`'s own
 //! dense row of `u32` counters, so the ~300 increments a record costs on
 //! a gcc-shaped trace stay within one row of at most 16 KiB instead of
 //! probing a hash table that has outgrown the cache. Rows cover ids below
-//! `DENSE_NODES` (4096); pairs with an endpoint above it, folded rows and
-//! edges restored from a checkpoint live in a [`GraphBuilder`], the spill
-//! table. Every engine compiles the thresholded conflict graph in one
-//! walk over rows and spill in increasing pair order: each pair adds to
-//! the raw pair count and weight, and only a pair whose whole weight
-//! reaches the threshold enters the CSR, so no raw graph is built. A
-//! parallel run first moves its workers' rows, which credit disjoint
-//! branches, into one detector. A windowed run keeps one detector for
-//! the whole trace and reads each window out of it: a row is copied at
-//! its first credit in the window, and the flush walks the touched rows'
-//! differences from those copies. [`interleave_counts_naive`] is an
-//! independent linear-scan oracle used by the tests.
+//! `DENSE_NODES` (4096); pairs with an endpoint above it and folded rows
+//! live in a [`GraphBuilder`], the spill table. Every engine compiles the
+//! thresholded conflict graph in one walk over rows and spill in
+//! increasing pair order: each pair adds to the raw pair count and
+//! weight, and only a pair whose whole weight reaches the threshold
+//! enters the CSR, so no raw graph is built. A parallel run first moves
+//! its workers' rows, which credit disjoint branches, into one detector.
+//! A windowed run keeps one detector for the whole trace and reads each
+//! window out of it: a row is copied at its first credit in the window,
+//! and the flush walks the touched rows' differences from those copies.
+//! [`interleave_counts_naive`] is an independent linear-scan oracle used
+//! by the tests.
 
 use crate::conflict::{ConflictAnalysis, ConflictConfig};
 use crate::pipeline::{Analysis, AnalysisPipeline};
@@ -191,8 +191,8 @@ pub(crate) struct Detector {
     /// Ids of the rows allocated so far, in allocation order: the only
     /// rows a fold or an edge walk reads.
     allocated: Vec<u32>,
-    /// Pairs with an endpoint at or above [`DENSE_NODES`], folded rows and
-    /// restored edges. Its node count is the detector's.
+    /// Pairs with an endpoint at or above [`DENSE_NODES`], and folded
+    /// rows. Its node count is the detector's.
     spill: GraphBuilder,
     /// Re-executions at which a row folds into `spill`, before any of its
     /// `u32` counters can overflow. Only unit tests lower it.
@@ -204,28 +204,14 @@ pub(crate) struct Detector {
 impl Detector {
     /// An empty detector over `nodes` branches.
     pub(crate) fn new(nodes: usize) -> Self {
-        Self::resume(vec![None; nodes], GraphBuilder::new(nodes as u32))
-    }
-
-    /// A detector that continues from per-branch latest stamps and
-    /// already-counted edges, as a checkpoint restores it. The recency
-    /// index is rebuilt from `last_stamp`, whose entries are exactly
-    /// `(last_stamp[b], b)` for every executed branch.
-    pub(crate) fn resume(last_stamp: Vec<Option<u64>>, mut edges: GraphBuilder) -> Self {
-        edges.ensure_nodes(last_stamp.len() as u32);
         Detector {
-            recency: RecencyRing::from_stamps(&last_stamp),
+            recency: RecencyRing::default(),
             rows: Vec::new(),
             allocated: Vec::new(),
-            spill: edges,
+            spill: GraphBuilder::new(nodes as u32),
             fold_at: u32::MAX,
             window: Window::default(),
         }
-    }
-
-    /// Per-branch latest stamps, indexed by branch id.
-    pub(crate) fn latest_stamps(&self) -> impl ExactSizeIterator<Item = Option<u64>> + '_ {
-        self.recency.latest_stamps()
     }
 
     /// Starts reading windows out of this detector: from here on each
@@ -703,10 +689,8 @@ pub fn interleave_counts_naive(trace: &Trace) -> GraphBuilder {
 /// at a time: the [`Detector`] for the Figure 1 credits, the per-branch
 /// [`BranchStats`] behind the §5.2 bias classes and Table 2's dynamic
 /// sizes, and the record count. A serial session over a BWSS2 or BWSS3
-/// file (through [`crate::StreamingAnalysis`] for BWSS2, whose pc table
-/// interns the records and whose checkpoints save the accumulator) and
-/// the windowed engine push pre-interned `(id, stamp, taken)` records
-/// into it.
+/// file, the parallel workers and the windowed engine push pre-interned
+/// `(id, stamp, taken)` records into it.
 ///
 /// Every id pushed grows the accumulator to cover it, so an accumulator
 /// started empty ends with exactly the branches it saw.
@@ -720,26 +704,10 @@ pub(crate) struct Accumulator {
 impl Accumulator {
     /// An empty accumulator over `nodes` branches.
     pub(crate) fn new(nodes: usize) -> Self {
-        Self::resume(
-            vec![None; nodes],
-            GraphBuilder::new(nodes as u32),
-            vec![BranchStats::default(); nodes],
-            0,
-        )
-    }
-
-    /// An accumulator that continues from a checkpoint's parts: per-branch
-    /// latest stamps, already-counted edges, stats and records.
-    pub(crate) fn resume(
-        last_stamp: Vec<Option<u64>>,
-        edges: GraphBuilder,
-        stats: Vec<BranchStats>,
-        records: u64,
-    ) -> Self {
         Accumulator {
-            detector: Detector::resume(last_stamp, edges),
-            stats,
-            records,
+            detector: Detector::new(nodes),
+            stats: vec![BranchStats::default(); nodes],
+            records: 0,
         }
     }
 
@@ -967,6 +935,25 @@ mod tests {
             assert_eq!(sorted, weights(&expected), "fold_at {fold_at}");
             assert_compiles_like(&detector, &expected, &format!("fold_at {fold_at}"));
         }
+    }
+
+    #[test]
+    fn accumulator_push_handles_max_stamp_reexecution() {
+        let mut acc = Accumulator::new(0);
+        for (id, t) in [(0, u64::MAX), (1, u64::MAX), (0, u64::MAX)] {
+            acc.push(id, t, true);
+        }
+        let keep_all = AnalysisPipeline {
+            conflict: ConflictConfig { threshold: 1 },
+            ..AnalysisPipeline::new()
+        };
+        let analysis = acc.into_analysis(&keep_all, &Obs::noop());
+        assert_eq!(
+            analysis.conflict.raw_edge_count, 0,
+            "equal stamps never interleave"
+        );
+        assert_eq!(analysis.profile.total_dynamic(), 3);
+        assert_eq!(analysis.profile.static_count(), 2);
     }
 
     #[test]

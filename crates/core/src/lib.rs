@@ -56,7 +56,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod allocation;
-pub mod checkpoint;
 pub mod classify;
 pub mod columnar;
 pub mod conflict;
@@ -92,10 +91,6 @@ pub mod failpoints {
     pub const SHARD_DETECT: &str = "core.shard_detect";
     /// Fires before the workers' rows are stitched into one detector.
     pub const SHARD_MERGE: &str = "core.shard_merge";
-    /// Fires when a [`crate::StreamingAnalysis`] checkpoint is saved.
-    pub const CHECKPOINT_SAVE: &str = "core.checkpoint_save";
-    /// Fires when a [`crate::StreamingAnalysis`] checkpoint is restored.
-    pub const CHECKPOINT_RESTORE: &str = "core.checkpoint_restore";
     /// Fires when a [`crate::WindowedAnalysis`] window flushes.
     pub const WINDOW_FLUSH: &str = "core.window_flush";
     /// Fires before the walk over a flushed window's pairs, which yields
@@ -114,8 +109,6 @@ pub mod failpoints {
         CLASSIFY,
         SHARD_DETECT,
         SHARD_MERGE,
-        CHECKPOINT_SAVE,
-        CHECKPOINT_RESTORE,
         WINDOW_FLUSH,
         WINDOW_MERGE,
         RECOLOR,
@@ -123,7 +116,6 @@ pub mod failpoints {
 }
 
 pub use allocation::{allocate, required_bht_size, Allocation, AllocationConfig};
-pub use checkpoint::{write_checkpoint, StreamingAnalysis};
 pub use classify::{classify, BiasClass, Classification};
 pub use conflict::{ConflictAnalysis, ConflictConfig};
 pub use error::{CoreError, Error};
@@ -133,7 +125,7 @@ pub use parallel::{
     ParallelConfig, ShardRetryPolicy,
 };
 pub use pipeline::{Analysis, AnalysisPipeline};
-pub use session::{Checkpoints, Classified, Execution, Session};
+pub use session::{Classified, Execution, Session};
 pub use source::{Ingested, Source};
 pub use supervise::{Downgrade, ResilienceSummary, SupervisorConfig};
 pub use window::{
@@ -151,7 +143,7 @@ pub use working_set::{working_sets, WorkingSetDefinition, WorkingSetReport, Work
 /// facade crate re-exports this module plus the corpus types.
 ///
 /// Anything *not* re-exported here (module internals like
-/// `interleave`, `merge`, `recency`, the checkpoint codec, …) is
+/// `interleave`, `merge`, `recency`, …) is
 /// considered an internal surface: public for tooling and tests, but
 /// free to churn between minor versions. See DESIGN.md §14.
 ///

@@ -7,11 +7,14 @@
 //! bytes of a trace file in any format ([`Session::over`]). [`Execution`]
 //! picks serial or ownership-parallel execution and [`Classified`] plain
 //! §5.1 or classified §5.2 allocation. Every run streams a `BWSS2` or
-//! `BWSS3` file block by block and builds no trace; a parallel run
-//! decodes each block once for all its workers. A `BWST` file is decoded
-//! once and held. The analysis is computed once on first use and cached, so
+//! `BWSS3` file block by block through the one block decoder of
+//! [`crate::source`] and builds no trace; a parallel run decodes each
+//! block once for all its workers. A `BWST` file is decoded once and
+//! held. The analysis is computed once on first use and cached, so
 //! interleaved `allocate`/`required_bht_size` calls never re-run the
-//! pipeline.
+//! pipeline. A run keeps no state to save or resume: it reads the
+//! whole source each time, which costs less than saving its pair counts
+//! would.
 //!
 //! ```
 //! use bwsa_core::{Classified, Execution, Session};
@@ -39,24 +42,22 @@
 //! ```
 
 use crate::allocation::{Allocation, RequiredSize};
-use crate::checkpoint::{write_checkpoint, StreamingAnalysis};
 use crate::error::{CoreError, Error};
 use crate::interleave::Accumulator;
 use crate::parallel::{
     self, analyze_parallel_observed, analyze_parallel_supervised, ParallelConfig, ShardRetryPolicy,
 };
 use crate::pipeline::{Analysis, AnalysisPipeline};
-use crate::source::{Batches, Block, Feed, Ingested, Pages, Source, BLOCK};
+use crate::source::{Block, Feed, Ingested, Pages, Source};
 use crate::supervise::{self, ResilienceSummary, Rung, SupervisorConfig};
 use crate::window::{self, WindowConfig, WindowedAnalysis, WindowedResult};
 use bwsa_obs::json::Json;
 use bwsa_obs::report::{DowngradeReport, ResilienceReport, WindowsReport};
 use bwsa_obs::{Metrics, Obs, RunReport};
 use bwsa_resilience::watchdog;
-use bwsa_trace::{Format, Trace, TraceError};
-use std::path::PathBuf;
+use bwsa_trace::{Trace, TraceError};
 use std::sync::atomic::AtomicU64;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Whether allocation uses branch classification (§5.2) or not (§5.1).
@@ -79,19 +80,6 @@ pub enum Execution {
     Parallel(ParallelConfig),
 }
 
-/// Checkpointing of a serial session over a `BWSS2` file.
-#[derive(Debug, Clone, Default)]
-pub struct Checkpoints {
-    /// Saves the running state to this file through [`write_checkpoint`]
-    /// each time this many more records have been consumed.
-    pub save: Option<(PathBuf, u64)>,
-    /// Resumes from this state of the file's trace, reading past the
-    /// records it consumed. The state moves into the run's first attempt;
-    /// a supervised retry reads the file from its first record instead,
-    /// which gives the same answer.
-    pub resume: Option<StreamingAnalysis>,
-}
-
 /// A configured analysis run over one record [`Source`], which it
 /// borrows.
 ///
@@ -104,9 +92,6 @@ pub struct Session<'t> {
     execution: Execution,
     supervisor: Option<SupervisorConfig>,
     windowing: Option<WindowConfig>,
-    checkpoints: Option<Checkpoints>,
-    /// The state to resume from, until the first attempt takes it.
-    resume: Mutex<Option<StreamingAnalysis>>,
     obs: Obs,
     /// A file source decoded whole: a `BWST` file, or any file for the
     /// required-size search.
@@ -133,8 +118,6 @@ impl<'t> Session<'t> {
             execution: Execution::Serial,
             supervisor: None,
             windowing: None,
-            checkpoints: None,
-            resume: Mutex::new(None),
             obs: Obs::noop(),
             decoded: OnceLock::new(),
             ingested: OnceLock::new(),
@@ -180,15 +163,6 @@ impl<'t> Session<'t> {
         self
     }
 
-    /// Checkpoints a serial, unwindowed run over a `BWSS2` file; any other
-    /// session's run fails with [`Error::Core`]. Saves land where an
-    /// uninterrupted run's would, so a resumed run is bit-identical to it.
-    pub fn with_checkpoints(mut self, mut checkpoints: Checkpoints) -> Self {
-        self.resume = Mutex::new(checkpoints.resume.take());
-        self.checkpoints = Some(checkpoints);
-        self
-    }
-
     /// Attaches an observer; pass [`Obs::recording`] to collect stage
     /// timings and counters, retrievable via [`Session::metrics`].
     pub fn with_observer(mut self, obs: Obs) -> Self {
@@ -202,10 +176,9 @@ impl<'t> Session<'t> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Core`] for a bad configuration or a checkpoint
-    /// that does not fit the file, [`Error::Trace`] when a file does not
-    /// decode, and, for a supervised session, [`Error::Resilience`] when
-    /// the whole degradation ladder fails.
+    /// Returns [`Error::Core`] for a bad configuration, [`Error::Trace`]
+    /// when a file does not decode, and, for a supervised session,
+    /// [`Error::Resilience`] when the whole degradation ladder fails.
     pub fn run(&self) -> Result<&Analysis, Error> {
         if self.windowing.is_some() {
             return self.windowed().map(|windowed| &windowed.analysis);
@@ -213,7 +186,7 @@ impl<'t> Session<'t> {
         if let Some(analysis) = self.analysis.get() {
             return Ok(analysis);
         }
-        self.validate()?;
+        self.pipeline.validate()?;
         let (analysis, ingested) = match &self.supervisor {
             Some(config) => {
                 let (result, summary) = supervise::run_supervised(
@@ -253,7 +226,7 @@ impl<'t> Session<'t> {
         let reason = "windowed() needs with_windowing(WindowConfig)";
         let unset = || Error::from(CoreError::config(reason));
         let config = self.windowing.ok_or_else(unset)?;
-        self.validate()?;
+        self.pipeline.validate()?;
         let _watchdog = self
             .supervisor
             .and_then(|c| c.max_wall)
@@ -425,11 +398,11 @@ impl<'t> Session<'t> {
     /// `BWSS3` file's blocks as they stream, else the whole trace.
     fn replay(&self, engine: &mut WindowedAnalysis) -> Result<Option<Ingested>, Error> {
         let obs = &self.obs;
-        let push = |_: &mut Accumulator, block: Block<'_>| {
+        let push = |block: Block<'_>| {
             let _span = obs.span("windowed_analysis");
             block.each(|id, stamp, taken| engine.push(id, stamp, taken));
         };
-        if let Some((_, ingested)) = self.stream(push)? {
+        if let Some(ingested) = self.stream(push)? {
             return Ok(Some(ingested));
         }
         let (trace, ingested) = self.whole()?;
@@ -438,22 +411,6 @@ impl<'t> Session<'t> {
             engine.push(id.as_u32(), record.time.get(), record.is_taken());
         }
         Ok(ingested.cloned())
-    }
-
-    /// The pipeline configuration, and checkpoints only on a serial,
-    /// unwindowed run over a `BWSS2` file.
-    fn validate(&self) -> Result<(), Error> {
-        self.pipeline.validate()?;
-        let bwss = match self.source {
-            Source::File { bytes, .. } => Format::sniff(bytes).ok() == Some(Format::Bwss),
-            Source::Trace(_) => false,
-        };
-        let serial = self.windowing.is_none() && self.execution == Execution::Serial;
-        if self.checkpoints.is_some() && !(serial && bwss) {
-            let reason = "checkpoints need a serial, unwindowed session over a BWSS2 file";
-            return Err(CoreError::config(reason).into());
-        }
-        Ok(())
     }
 
     /// The source as one in-memory trace, and what reading it found: a
@@ -491,11 +448,12 @@ impl<'t> Session<'t> {
         let (pipeline, obs) = (&self.pipeline, &self.obs);
         match rung {
             Rung::Serial => {
-                let detect = |acc: &mut Accumulator, block: Block<'_>| {
+                let mut acc = Accumulator::new(0);
+                let detect = |block: Block<'_>| {
                     let _detect = obs.span("detect");
                     block.each(|id, stamp, taken| acc.push(id, stamp, taken));
                 };
-                if let Some((acc, ingested)) = self.stream(detect)? {
+                if let Some(ingested) = self.stream(detect)? {
                     return Ok((acc.into_analysis(pipeline, obs), Some(ingested)));
                 }
             }
@@ -520,67 +478,16 @@ impl<'t> Session<'t> {
     }
 
     /// Hands a `BWSS2` or `BWSS3` file source's blocks, inside `ingest`,
-    /// to `push` with the run's accumulator; `None` for any other source.
-    /// A `BWSS2` stream is interned through the pc table of the resumed
-    /// (or a fresh) checkpoint state, whose accumulator is the run's, and
-    /// the state is saved at the configured cadence; no block runs past a
-    /// save point, so saves land where an uninterrupted run's do.
-    fn stream(
-        &self,
-        mut push: impl FnMut(&mut Accumulator, Block<'_>),
-    ) -> Result<Option<(Accumulator, Ingested)>, Error> {
+    /// to `sink` through [`Feed::replay`], as a retried parallel worker
+    /// reads them, and returns what the read found; `None` for any other
+    /// source.
+    fn stream(&self, sink: impl FnMut(Block<'_>)) -> Result<Option<Ingested>, Error> {
         let Some(feed) = Feed::of(self.source)? else {
             return Ok(None);
         };
         let _ingest = self.obs.span("ingest");
         let pages = Pages::new(feed.bytes(), 1);
-        let policy = match feed {
-            Feed::Columnar(..) => {
-                let mut acc = Accumulator::new(0);
-                let ingested = feed.replay(&pages, 0, |block| push(&mut acc, block))?;
-                return Ok(Some((acc, ingested)));
-            }
-            Feed::Stream(_, policy) => policy,
-        };
-        let mut batches = Batches::open(&pages, 0, policy)?;
-        let save = self.checkpoints.as_ref().and_then(|c| c.save.as_ref());
-        let mut state = match self.resume.lock().ok().and_then(|mut state| state.take()) {
-            Some(state) if state.trace_name() != batches.name() => {
-                return Err(CoreError::checkpoint(format!(
-                    "the checkpoint is of trace {:?}, not {:?}",
-                    state.trace_name(),
-                    batches.name()
-                ))
-                .into())
-            }
-            Some(state) => state,
-            None => StreamingAnalysis::new(batches.name()),
-        };
-        let resumed_at = state.records_consumed();
-        let skipped = batches.skip(resumed_at)?;
-        if skipped < resumed_at {
-            return Err(CoreError::checkpoint(format!(
-                "the checkpoint consumed {resumed_at} records but the trace holds only {skipped}"
-            ))
-            .into());
-        }
-        let mut next_save = save.map(|(_, every)| resumed_at + every);
-        loop {
-            let room = next_save.map_or(u64::MAX, |at| at - state.acc.records);
-            let limit = room.clamp(1, BLOCK as u64) as usize;
-            let Some(block) = batches.next(&mut state.table, limit)? else {
-                break;
-            };
-            push(&mut state.acc, block);
-            if let (Some((path, every)), Some(at)) = (save, next_save) {
-                if state.acc.records >= at {
-                    write_checkpoint(path, &state.save_observed(&self.obs))
-                        .map_err(|e| CoreError::checkpoint(e.to_string()))?;
-                    next_save = Some(state.acc.records + every);
-                }
-            }
-        }
-        Ok(Some((state.acc, batches.finish())))
+        Ok(Some(feed.replay(&pages, 0, sink)?))
     }
 
     /// Keeps what the answering run read, counted into `trace.*` once.

@@ -1,13 +1,15 @@
 //! What a [`Session`](crate::Session) reads: an in-memory [`Trace`], or
 //! the bytes of a trace file in any format. Every run streams a `BWSS2`
-//! or `BWSS3` file (`Feed`) in blocks of `(ids, stamps, taken)` columns:
-//! a `BWSS3` file's decoded blocks, renumbered by first appearance
-//! ([`FirstSeen`]) as a trace of the surviving records would be, or a
-//! `BWSS2` stream's 4096-record batches, interned through a pc table.
-//! The workers of a parallel run read a file decoded once for all of
-//! them (`SharedStream`); a retried worker reads it alone. So a file
-//! has one or more readers, and its mapped pages leave memory once every
-//! one of them has read past them (`Pages`).
+//! or `BWSS3` file (`Feed`) in blocks of `(ids, stamps, taken)` columns,
+//! through one block decoder (`Decoder`): a `BWSS3` file's decoded
+//! blocks, renumbered by first appearance ([`FirstSeen`]) as a trace of
+//! the surviving records would be, or a `BWSS2` stream's 4096-record
+//! batches, interned through the decoder's own pc table (`Batches`). A
+//! serial run reads the file alone (`Feed::replay`), as a retried
+//! parallel worker does; the workers of a parallel run read a file
+//! decoded once for all of them (`SharedStream`). So a file has one or
+//! more readers, and its mapped pages leave memory once every one of
+//! them has read past them (`Pages`).
 
 use bwsa_trace::columnar::{ColumnarFile, FirstSeen, Walk};
 use bwsa_trace::stream::{RecoveryPolicy, SalvageReport, StreamReader};
@@ -63,7 +65,7 @@ impl Block<'_> {
 
 /// Records per `BWSS2` block: the stream's chunk size, and the `BWSS3`
 /// writer's default block size.
-pub(crate) const BLOCK: usize = bwsa_trace::stream::DEFAULT_CHUNK_RECORDS;
+const BLOCK: usize = bwsa_trace::stream::DEFAULT_CHUNK_RECORDS;
 
 /// Bytes of a streamed file read past between releases of their pages.
 const RELEASE_STEP: usize = 256 << 10;
@@ -177,8 +179,8 @@ enum Decoder<'a> {
         last_time: u64,
         pages: (&'a Pages<'a>, usize),
     },
-    /// A `BWSS2` stream, interned through a fresh pc table.
-    Stream(Batches<'a>, BranchTable),
+    /// A `BWSS2` stream.
+    Stream(Batches<'a>),
 }
 
 impl<'a> Decoder<'a> {
@@ -198,9 +200,7 @@ impl<'a> Decoder<'a> {
                     pages,
                 }
             }
-            Feed::Stream(_, policy) => {
-                Decoder::Stream(Batches::open(pages, reader, policy)?, BranchTable::new())
-            }
+            Feed::Stream(_, policy) => Decoder::Stream(Batches::open(pages, reader, policy)?),
         })
     }
 
@@ -219,7 +219,7 @@ impl<'a> Decoder<'a> {
                     *last_time = view.times.last().copied().unwrap_or(*last_time);
                     Block(view.ids, view.times, view.taken, Some(first_seen))
                 })),
-            Decoder::Stream(batches, table) => batches.next(table, BLOCK),
+            Decoder::Stream(batches) => batches.next(),
         }
     }
 
@@ -239,26 +239,27 @@ impl<'a> Decoder<'a> {
                 let total = file.footer().map_or(*last_time, |f| f.total_instructions);
                 Ok(ingested(file.name(), total, salvage))
             }
-            Decoder::Stream(batches, _) => Ok(batches.finish()),
+            Decoder::Stream(batches) => Ok(batches.finish()),
         }
     }
 }
 
-/// A `BWSS2` stream's records in blocks, their pcs interned through the
-/// table each [`Batches::next`] call is given, read as one reader of the
-/// file's [`Pages`].
+/// A `BWSS2` stream's records in blocks of [`BLOCK`], their pcs interned
+/// through a pc table of its own, read as one reader of the file's
+/// [`Pages`].
 #[derive(Debug)]
-pub(crate) struct Batches<'a> {
+struct Batches<'a> {
     pages: &'a Pages<'a>,
     reader: usize,
     stream: StreamReader<&'a [u8]>,
+    table: BranchTable,
     columns: (Vec<u32>, Vec<u64>, Vec<bool>),
     last_time: u64,
 }
 
 impl<'a> Batches<'a> {
     /// Opens the stream of `pages`' bytes as reader `reader`.
-    pub(crate) fn open(
+    fn open(
         pages: &'a Pages<'a>,
         reader: usize,
         policy: RecoveryPolicy,
@@ -268,42 +269,23 @@ impl<'a> Batches<'a> {
             pages,
             reader,
             stream,
+            table: BranchTable::new(),
             columns: Default::default(),
             last_time: 0,
         })
     }
 
-    pub(crate) fn name(&self) -> &str {
-        self.stream.name()
-    }
-
-    /// Reads past up to `n` records; returns how many there were.
-    pub(crate) fn skip(&mut self, n: u64) -> Result<u64, TraceError> {
-        let (n, mut skipped) = (usize::try_from(n).unwrap_or(usize::MAX), 0);
-        for record in self.stream.by_ref().take(n) {
-            self.last_time = record?.time.get();
-            skipped += 1;
-        }
-        self.release();
-        Ok(skipped)
-    }
-
-    /// The next block of at most `limit` records, interned through
-    /// `table`; `None` at the end of the stream.
-    pub(crate) fn next(
-        &mut self,
-        table: &mut BranchTable,
-        limit: usize,
-    ) -> Result<Option<Block<'_>>, TraceError> {
+    /// The next block; `None` at the end of the stream.
+    fn next(&mut self) -> Result<Option<Block<'_>>, TraceError> {
         self.release();
         let (ids, stamps, taken) = &mut self.columns;
         ids.clear();
         stamps.clear();
         taken.clear();
-        for record in self.stream.by_ref().take(limit) {
+        for record in self.stream.by_ref().take(BLOCK) {
             let record = record?;
             self.last_time = record.time.get();
-            ids.push(table.intern(record.pc).as_u32());
+            ids.push(self.table.intern(record.pc).as_u32());
             stamps.push(self.last_time);
             taken.push(record.is_taken());
         }
@@ -318,7 +300,7 @@ impl<'a> Batches<'a> {
 
     /// What the read found, once [`Batches::next`] has returned `None`;
     /// this reader is done with the pages.
-    pub(crate) fn finish(&self) -> Ingested {
+    fn finish(&self) -> Ingested {
         self.pages.done(self.reader);
         let total = self.stream.total_instructions().unwrap_or(self.last_time);
         let salvage = self.stream.salvage_report().clone();

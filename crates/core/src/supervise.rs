@@ -301,28 +301,20 @@ mod tests {
     }
 
     #[test]
-    fn a_retry_after_a_resumed_attempt_reads_the_file_from_its_start() {
+    fn a_retry_reads_a_streamed_file_from_its_start() {
         let trace = busy_trace(300);
         let plain = AnalysisPipeline::new().run_observed(&trace, &Obs::noop());
         let mut bwss = Vec::new();
         bwsa_trace::Format::Bwss
             .write(&trace, &mut bwss)
             .expect("encodes");
-        let mut resume = crate::StreamingAnalysis::new("busy");
-        for record in &trace.records()[..100] {
-            resume.push(record);
-        }
-        // The first attempt spends the resumed state, then fails.
+        // The first attempt reads the whole file, then fails.
         let _fp = failpoint::scoped("core.working_sets=1*error(once)").expect("valid spec");
         let session = Session::over(crate::Source::File {
             bytes: &bwss,
             policy: bwsa_trace::stream::RecoveryPolicy::Strict,
         })
-        .with_supervisor(quick_config())
-        .with_checkpoints(crate::Checkpoints {
-            save: None,
-            resume: Some(resume),
-        });
+        .with_supervisor(quick_config());
         assert_eq!(session.run().expect("the retry recovers"), &plain);
         let summary = session.resilience_summary().unwrap();
         assert_eq!((summary.attempts, summary.retries), (2, 1));

@@ -1,10 +1,10 @@
 //! Property tests pinning the flat hot-path engine to its independent
 //! oracle: for arbitrary monotone-timestamp traces — including runs of
 //! equal stamps and stamps pressed against `u64::MAX` — the ring-indexed
-//! [`bwsa_core::interleave_counts`], the record-by-record
-//! [`bwsa_core::StreamingAnalysis`] (its graph at threshold 1), and the
-//! linear-scan [`bwsa_core::interleave_counts_naive`] must produce
-//! identical edge sets.
+//! [`bwsa_core::interleave_counts`], a [`bwsa_core::Session`] streaming
+//! the trace's `BWSS2` encoding block by block (its graph at threshold
+//! 1), and the linear-scan [`bwsa_core::interleave_counts_naive`] must
+//! produce identical edge sets.
 //!
 //! The naive oracle shares nothing with the fast engine but the paper's
 //! strictly-greater rule itself, so agreement here is evidence about the
@@ -20,23 +20,24 @@
 //! rows and spill that also counts the raw pairs and weight. A second
 //! property pins that compile to the oracle's raw graph pruned: on traces
 //! that are sometimes wider than the cap, at thresholds on both sides of
-//! the pair weights, serially, resumed from a checkpoint (whose restored
-//! edges sit in the spill while new credits go to rows) and stitched
-//! from ownership-parallel workers.
+//! the pair weights, serially and stitched from ownership-parallel
+//! workers.
 //!
-//! [`StreamingAnalysis::push`] is public and accepts stamps that go
+//! [`WindowedAnalysis::push`] is public and accepts stamps that go
 //! backwards, which no trace holds. A third property feeds it record
-//! lists with backward steps, ties and stamps at `u64::MAX`, and compares
-//! the graph with a linear scan over the same records.
+//! lists with backward steps, ties and stamps at `u64::MAX`, in one
+//! window that covers every record, and compares the folded graph with a
+//! linear scan over the same records.
 
 use bwsa_core::pipeline::AnalysisPipeline;
 use bwsa_core::{
     analyze_parallel, interleave_counts, interleave_counts_naive, Analysis, ConflictConfig,
-    ParallelConfig, StreamingAnalysis, WindowConfig, WindowedAnalysis,
+    ParallelConfig, Session, Source, WindowConfig, WindowedAnalysis,
 };
 use bwsa_graph::{ConflictGraph, GraphBuilder};
 use bwsa_obs::Obs;
-use bwsa_trace::{BranchRecord, Direction, InstrCount, Pc, Trace, TraceBuilder};
+use bwsa_trace::stream::RecoveryPolicy;
+use bwsa_trace::{BranchRecord, Direction, Format, InstrCount, Pc, Trace, TraceBuilder};
 use proptest::prelude::*;
 
 /// Sorted `(a, b, weight)` edges of a builder — the comparison key.
@@ -99,13 +100,12 @@ proptest! {
 /// The first id past the detector's dense rows.
 const DENSE_NODES: u64 = 4096;
 
-/// A trace over `spread` hot branches with nondecreasing stamps, and how
-/// many records precede them. A wide trace first runs `DENSE_NODES + 8`
-/// branches once each and then gives the even hot slots ids below the cap
-/// and the odd ones ids past it, so pairs below, across and above the cap
-/// all occur. A small `spread` concentrates the records on a few pairs,
-/// whose weights then pass 100.
-fn arb_hot_trace() -> impl Strategy<Value = (Trace, usize)> {
+/// A trace over `spread` hot branches with nondecreasing stamps. A wide
+/// trace first runs `DENSE_NODES + 8` branches once each and then gives
+/// the even hot slots ids below the cap and the odd ones ids past it, so
+/// pairs below, across and above the cap all occur. A small `spread`
+/// concentrates the records on a few pairs, whose weights then pass 100.
+fn arb_hot_trace() -> impl Strategy<Value = Trace> {
     (
         prop::collection::vec((0u8..16, any::<bool>(), 0u64..3), 1..400),
         any::<bool>(),
@@ -129,7 +129,7 @@ fn arb_hot_trace() -> impl Strategy<Value = (Trace, usize)> {
                 };
                 b.record(0x10_0000 + id * 4, taken, t);
             }
-            (b.finish(), cold as usize)
+            b.finish()
         })
 }
 
@@ -145,19 +145,15 @@ proptest! {
 
     #[test]
     fn every_engine_compiles_the_pruned_oracle_graph(
-        hot in arb_hot_trace(),
-        split_seed in any::<u64>(),
+        trace in arb_hot_trace(),
         jobs in 2usize..4,
     ) {
-        let (trace, cold) = hot;
         let raw = interleave_counts_naive(&trace).build();
-        let split = cold + (split_seed % (trace.len() - cold + 1) as u64) as usize;
         for threshold in [1, 2, 100, u64::MAX] {
             let pipeline = pipeline_at(threshold);
             let pruned = raw.pruned(threshold);
             for analysis in [
                 pipeline.run_observed(&trace, &Obs::noop()),
-                checkpointed(&trace, split, &pipeline),
                 analyze_parallel(&pipeline, &trace, &ParallelConfig::with_jobs(jobs)),
             ] {
                 let conflict = &analysis.conflict;
@@ -209,26 +205,17 @@ fn keep_all() -> AnalysisPipeline {
     pipeline_at(1)
 }
 
+/// `trace`'s analysis at threshold 1 by a session streaming its `BWSS2`
+/// encoding, which interns the pcs by first appearance as it reads.
 fn streaming(trace: &Trace) -> Analysis {
-    let mut engine = StreamingAnalysis::new("sweep");
-    for rec in trace.records() {
-        engine.push(rec);
-    }
-    engine.finish(&keep_all())
-}
-
-/// `trace`'s analysis resumed from a checkpoint taken after `split`
-/// records.
-fn checkpointed(trace: &Trace, split: usize, pipeline: &AnalysisPipeline) -> Analysis {
-    let mut first = StreamingAnalysis::new("sweep");
-    for rec in &trace.records()[..split] {
-        first.push(rec);
-    }
-    let mut resumed = StreamingAnalysis::load(&first.save()).unwrap();
-    for rec in &trace.records()[split..] {
-        resumed.push(rec);
-    }
-    resumed.finish(pipeline)
+    let mut bytes = Vec::new();
+    Format::Bwss.write(trace, &mut bytes).unwrap();
+    let source = Source::File {
+        bytes: &bytes,
+        policy: RecoveryPolicy::Strict,
+    };
+    let session = Session::over(source).with_pipeline(keep_all());
+    session.run().unwrap().clone()
 }
 
 fn windowed(trace: &Trace, interval: u64) -> Analysis {
@@ -260,11 +247,6 @@ fn every_engine_agrees_with_the_oracle_above_the_dense_cap() {
 
     assert_eq!(streaming(&trace), serial, "streaming");
 
-    assert_eq!(
-        checkpointed(&trace, trace.len() * 3 / 5, &keep_all()),
-        serial,
-        "resumed"
-    );
     for jobs in [2, 3] {
         let parallel = analyze_parallel(&keep_all(), &trace, &ParallelConfig::with_jobs(jobs));
         assert_eq!(parallel, serial, "{jobs} jobs");
@@ -302,7 +284,7 @@ fn arb_unordered_records() -> impl Strategy<Value = Vec<BranchRecord>> {
 /// strictly greater than its own previous one. It is
 /// [`interleave_counts_naive`]'s rule over a record list, because a
 /// [`Trace`] rejects records out of order; ids are assigned by first
-/// appearance, as the streaming engine interns them.
+/// appearance, as [`first_seen_ids`] assigns them.
 fn naive_over_records(records: &[BranchRecord]) -> ConflictGraph {
     let mut pcs: Vec<Pc> = Vec::new();
     let mut latest: Vec<u64> = Vec::new();
@@ -326,34 +308,29 @@ fn naive_over_records(records: &[BranchRecord]) -> ConflictGraph {
     builder.build()
 }
 
+/// Each record's branch id, by first appearance of its pc.
+fn first_seen_ids(records: &[BranchRecord]) -> Vec<u32> {
+    let mut pcs: Vec<Pc> = Vec::new();
+    let mut id = |pc| match pcs.iter().position(|&seen| seen == pc) {
+        Some(id) => id as u32,
+        None => {
+            pcs.push(pc);
+            pcs.len() as u32 - 1
+        }
+    };
+    records.iter().map(|rec| id(rec.pc)).collect()
+}
+
 proptest! {
     #[test]
     fn out_of_order_stamps_match_the_linear_scan(records in arb_unordered_records()) {
-        let mut engine = StreamingAnalysis::new("unordered");
-        for rec in &records {
-            engine.push(rec);
+        let config = WindowConfig::branches(records.len() as u64).unwrap();
+        let mut engine = WindowedAnalysis::new(config, keep_all());
+        for (rec, id) in records.iter().zip(first_seen_ids(&records)) {
+            engine.push(id, rec.time.get(), rec.is_taken());
         }
-        let streamed = engine.finish(&keep_all());
-        prop_assert_eq!(streamed.conflict.graph, naive_over_records(&records));
-    }
-
-    /// The same records with a checkpoint saved and loaded after the
-    /// first `split`: latest stamps of `u64::MAX` survive the round trip.
-    #[test]
-    fn out_of_order_stamps_match_the_linear_scan_across_a_checkpoint(
-        records in arb_unordered_records(),
-        split in 0usize..300,
-    ) {
-        let split = split.min(records.len());
-        let mut first = StreamingAnalysis::new("unordered");
-        for rec in &records[..split] {
-            first.push(rec);
-        }
-        let mut engine = StreamingAnalysis::load(&first.save()).unwrap();
-        for rec in &records[split..] {
-            engine.push(rec);
-        }
-        let resumed = engine.finish(&keep_all());
-        prop_assert_eq!(resumed.conflict.graph, naive_over_records(&records));
+        let result = engine.finish();
+        prop_assert_eq!(result.windows.len(), 1);
+        prop_assert_eq!(result.analysis.conflict.graph, naive_over_records(&records));
     }
 }

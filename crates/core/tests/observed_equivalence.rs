@@ -7,10 +7,11 @@
 use bwsa_core::pipeline::AnalysisPipeline;
 use bwsa_core::{
     analyze_parallel_observed, Classified, ConflictConfig, Execution, ParallelConfig, Session,
-    StreamingAnalysis, SupervisorConfig,
+    Source, SupervisorConfig,
 };
 use bwsa_obs::Obs;
-use bwsa_trace::{Trace, TraceBuilder};
+use bwsa_trace::stream::RecoveryPolicy;
+use bwsa_trace::{Format, Trace, TraceBuilder};
 use proptest::prelude::*;
 
 fn arb_trace() -> impl Strategy<Value = Trace> {
@@ -99,30 +100,28 @@ proptest! {
     }
 
     #[test]
-    fn streaming_finish_is_identical_with_and_without_observer(
+    fn streamed_session_is_identical_with_and_without_observer(
         trace in arb_trace(),
-        split_seed in any::<u64>(),
+        pipeline in arb_pipeline(),
     ) {
-        let split = (split_seed % (trace.len() as u64 + 1)) as usize;
-        let pipeline = AnalysisPipeline::new();
-        let obs = Obs::recording();
+        let mut bwss = Vec::new();
+        Format::Bwss.write(&trace, &mut bwss).unwrap();
+        let source = Source::File {
+            bytes: &bwss,
+            policy: RecoveryPolicy::Strict,
+        };
+        let observed = Session::over(source)
+            .with_pipeline(pipeline)
+            .with_observer(Obs::recording());
+        let plain = Session::over(source).with_pipeline(pipeline);
+        prop_assert_eq!(observed.run().unwrap(), plain.run().unwrap());
+        prop_assert_eq!(plain.run().unwrap(), &pipeline.run_observed(&trace, &Obs::noop()));
 
-        let mut observed = StreamingAnalysis::new("prop");
-        for r in &trace.records()[..split] {
-            observed.push(r);
+        // A serial session streams the file's blocks inside `ingest`.
+        let metrics = observed.metrics().unwrap();
+        for stage in ["ingest", "detect", "compile", "working_sets", "classify"] {
+            prop_assert!(metrics.stage(stage).is_some(), "missing span {}", stage);
         }
-        let blob = observed.save_observed(&obs);
-        let mut observed = StreamingAnalysis::load_observed(&blob, &obs).unwrap();
-        for r in &trace.records()[split..] {
-            observed.push(r);
-        }
-        let observed = observed.finish_observed(&pipeline, &obs);
-
-        prop_assert_eq!(&observed, &pipeline.run_observed(&trace, &Obs::noop()));
-        let metrics = obs.snapshot().unwrap();
-        prop_assert!(metrics.stage("checkpoint_save").is_some());
-        prop_assert!(metrics.stage("checkpoint_restore").is_some());
-        prop_assert!(metrics.stage("compile").is_some());
     }
 
     #[test]

@@ -197,9 +197,8 @@ impl GraphBuilder {
     }
 
     /// Iterates the accumulated edges as `(a, b, weight)` with `a < b`, in
-    /// arbitrary order. Checkpointing code sorts the result to get a
-    /// deterministic serialisation; casual consumers should usually
-    /// [`GraphBuilder::build`] instead.
+    /// arbitrary order. Sort the result for a deterministic order; casual
+    /// consumers should usually [`GraphBuilder::build`] instead.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32, u64)> + Clone + '_ {
         self.keys
             .iter()

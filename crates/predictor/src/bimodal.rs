@@ -1,7 +1,6 @@
 //! The Smith bimodal predictor: a pc-indexed table of two-bit counters.
 
-use crate::{checkpoint, BranchPredictor, Checkpointable, PatternHistoryTable, PredictorError};
-use bwsa_trace::codec::Cursor;
+use crate::{BranchPredictor, PatternHistoryTable};
 use bwsa_trace::{BranchId, Direction, Pc};
 
 /// Bimodal (Smith 1981) predictor: `(pc >> 2) mod size` indexes a table of
@@ -60,23 +59,6 @@ impl BranchPredictor for Bimodal {
 
     fn observe(&mut self, pc: Pc, _id: BranchId, outcome: Direction) -> Direction {
         self.table.observe(pc.word_index(), outcome)
-    }
-}
-
-impl Checkpointable for Bimodal {
-    fn save_state(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        checkpoint::put_str(&mut buf, &self.name());
-        checkpoint::put_bytes(&mut buf, &self.table.snapshot());
-        buf
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), PredictorError> {
-        let mut cur = Cursor::new(bytes);
-        checkpoint::check_name(&mut cur, &self.name())?;
-        let counters = checkpoint::get_bytes(&mut cur)?;
-        self.table.restore(&counters)?;
-        checkpoint::ensure_empty(&cur)
     }
 }
 

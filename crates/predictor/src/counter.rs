@@ -68,12 +68,6 @@ impl SaturatingCounter {
         self.max
     }
 
-    /// Overwrites the counter value, clamping to the saturation maximum —
-    /// the restore half of checkpointing.
-    pub fn set_value(&mut self, value: u8) {
-        self.value = value.min(self.max);
-    }
-
     /// The predicted direction: taken iff the value is in the top half.
     pub fn predict(&self) -> Direction {
         Direction::from_taken(u16::from(self.value) * 2 > u16::from(self.max))

@@ -26,12 +26,6 @@ pub enum PredictorError {
         /// The table size.
         size: usize,
     },
-    /// A predictor checkpoint could not be saved, parsed, or applied —
-    /// corrupt bytes, or state from a differently configured predictor.
-    Checkpoint {
-        /// What went wrong.
-        reason: String,
-    },
     /// A sweep cell's simulation unwound (a panic or an injected fault);
     /// the sweep's containment boundary isolated it from the other cells.
     CellFailed {
@@ -43,12 +37,6 @@ pub enum PredictorError {
 }
 
 impl PredictorError {
-    pub(crate) fn checkpoint(reason: impl Into<String>) -> Self {
-        PredictorError::Checkpoint {
-            reason: reason.into(),
-        }
-    }
-
     pub(crate) fn cell_failed(label: impl Into<String>, reason: impl Into<String>) -> Self {
         PredictorError::CellFailed {
             label: label.into(),
@@ -68,9 +56,6 @@ impl fmt::Display for PredictorError {
             }
             PredictorError::EntryOutOfRange { entry, size } => {
                 write!(f, "allocated entry {entry} outside table of size {size}")
-            }
-            PredictorError::Checkpoint { reason } => {
-                write!(f, "predictor checkpoint error: {reason}")
             }
             PredictorError::CellFailed { label, reason } => {
                 write!(f, "sweep cell '{label}' failed: {reason}")
@@ -99,8 +84,8 @@ mod tests {
         assert!(PredictorError::EntryOutOfRange { entry: 5, size: 4 }
             .to_string()
             .contains('5'));
-        assert!(PredictorError::checkpoint("size mismatch")
+        assert!(PredictorError::cell_failed("pag@t", "cell blew up")
             .to_string()
-            .contains("size mismatch"));
+            .contains("cell blew up"));
     }
 }

@@ -1,10 +1,6 @@
 //! gshare: global history XOR pc indexes the pattern table.
 
-use crate::{
-    checkpoint, BranchPredictor, Checkpointable, HistoryRegister, PatternHistoryTable,
-    PredictorError,
-};
-use bwsa_trace::codec::{self, Cursor};
+use crate::{BranchPredictor, HistoryRegister, PatternHistoryTable};
 use bwsa_trace::{BranchId, Direction, Pc};
 
 /// gshare (McFarling): the global history is XORed with low pc bits to
@@ -72,26 +68,6 @@ impl BranchPredictor for Gshare {
         let predicted = self.pht.observe(self.index(pc), outcome);
         self.history.push(outcome);
         predicted
-    }
-}
-
-impl Checkpointable for Gshare {
-    fn save_state(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        checkpoint::put_str(&mut buf, &self.name());
-        codec::put_varint(&mut buf, self.history.value());
-        checkpoint::put_bytes(&mut buf, &self.pht.snapshot());
-        buf
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), PredictorError> {
-        let mut cur = Cursor::new(bytes);
-        checkpoint::check_name(&mut cur, &self.name())?;
-        let history = cur.get_varint().map_err(checkpoint::malformed)?;
-        let counters = checkpoint::get_bytes(&mut cur)?;
-        self.pht.restore(&counters)?;
-        self.history.set_value(history);
-        checkpoint::ensure_empty(&cur)
     }
 }
 

@@ -49,12 +49,6 @@ impl HistoryRegister {
         self.value
     }
 
-    /// Overwrites the history value, masking to the register width — the
-    /// restore half of checkpointing.
-    pub fn set_value(&mut self, value: u64) {
-        self.value = value & ((1u64 << self.width) - 1);
-    }
-
     /// Shifts in an outcome.
     pub fn push(&mut self, outcome: Direction) {
         self.value = ((self.value << 1) | outcome.as_bit()) & ((1u64 << self.width) - 1);

@@ -39,7 +39,6 @@
 mod agree;
 mod bimodal;
 mod bimode;
-mod checkpoint;
 pub mod clustering;
 mod counter;
 mod error;
@@ -65,16 +64,13 @@ pub mod failpoints {
     pub const SIMULATE: &str = "predictor.simulate";
     /// Fires inside each sweep cell's containment boundary.
     pub const SWEEP_CELL: &str = "predictor.sweep_cell";
-    /// Fires when a [`crate::SimCheckpoint`] is serialised.
-    pub const CHECKPOINT_SAVE: &str = "predictor.checkpoint_save";
     /// Every site in this crate, for chaos-sweep enumeration.
-    pub const SITES: &[&str] = &[SIMULATE, SWEEP_CELL, CHECKPOINT_SAVE];
+    pub const SITES: &[&str] = &[SIMULATE, SWEEP_CELL];
 }
 
 pub use agree::Agree;
 pub use bimodal::Bimodal;
 pub use bimode::BiMode;
-pub use checkpoint::Checkpointable;
 pub use counter::SaturatingCounter;
 pub use error::PredictorError;
 pub use gag::Gag;
@@ -88,10 +84,7 @@ pub use indexer::{AllocatedIndex, BhtIndexer};
 pub use pag::Pag;
 pub use pap::Pap;
 pub use predictor::BranchPredictor;
-pub use sim::{
-    simulate, simulate_detailed, simulate_observed, simulate_resumable, DetailedSimResult,
-    SimCheckpoint, SimResult, CHECKPOINT_KIND_SIM, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-};
+pub use sim::{simulate, simulate_detailed, simulate_observed, DetailedSimResult, SimResult};
 pub use staticpred::StaticPredictor;
 pub use sweep::{sweep, sweep_observed, SweepCell};
 pub use tables::{BranchHistoryTable, PatternHistoryTable};

@@ -1,11 +1,7 @@
 //! PAg: per-address (first level) histories, global pattern table — the
 //! paper's evaluation vehicle.
 
-use crate::{
-    checkpoint, BhtIndexer, BranchHistoryTable, BranchPredictor, Checkpointable,
-    PatternHistoryTable, PredictorError,
-};
-use bwsa_trace::codec::{self, Cursor};
+use crate::{BhtIndexer, BranchHistoryTable, BranchPredictor, PatternHistoryTable};
 use bwsa_trace::{BranchId, Direction, Pc};
 
 /// PAg two-level predictor (Yeh & Patt): a branch history table of
@@ -151,40 +147,6 @@ impl BranchPredictor for Pag {
 
     fn interference_events(&self) -> Option<u64> {
         Some(self.interference_events)
-    }
-}
-
-impl Checkpointable for Pag {
-    fn save_state(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        checkpoint::put_str(&mut buf, &self.name());
-        checkpoint::put_u64_list(&mut buf, &self.bht.snapshot());
-        checkpoint::put_bytes(&mut buf, &self.pht.snapshot());
-        let users: Vec<u64> = self.last_user.iter().map(|&u| u64::from(u)).collect();
-        checkpoint::put_u64_list(&mut buf, &users);
-        codec::put_varint(&mut buf, self.interference_events);
-        buf
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), PredictorError> {
-        let mut cur = Cursor::new(bytes);
-        checkpoint::check_name(&mut cur, &self.name())?;
-        let histories = checkpoint::get_u64_list(&mut cur)?;
-        let counters = checkpoint::get_bytes(&mut cur)?;
-        let users = checkpoint::get_u64_list(&mut cur)?;
-        let events = cur.get_varint().map_err(checkpoint::malformed)?;
-        checkpoint::ensure_empty(&cur)?;
-        let mut last_user = Vec::with_capacity(users.len());
-        for u in users {
-            last_user.push(u32::try_from(u).map_err(|_| {
-                PredictorError::checkpoint(format!("last-user id {u} exceeds u32"))
-            })?);
-        }
-        self.bht.restore(&histories)?;
-        self.pht.restore(&counters)?;
-        self.last_user = last_user;
-        self.interference_events = events;
-        Ok(())
     }
 }
 

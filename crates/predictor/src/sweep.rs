@@ -13,16 +13,12 @@
 //! lowest-index error, no matter which worker hit it first.
 //!
 //! [`SweepCell`] is a deferred simulation: a label plus a boxed `FnOnce`
-//! producing a [`SimResult`]. The two constructors cover the workspace's
-//! simulation entry points — [`SweepCell::plain`] wraps [`simulate`] for
-//! any predictor, [`SweepCell::resumable`] wraps [`simulate_resumable`]
-//! for [`Checkpointable`] predictors so checkpointed sweeps keep working
-//! when fanned out.
+//! producing a [`SimResult`]. [`SweepCell::plain`] wraps [`simulate`] for
+//! any predictor; [`SweepCell::new`] takes any closure.
 
-use crate::checkpoint::Checkpointable;
 use crate::error::PredictorError;
 use crate::predictor::BranchPredictor;
-use crate::sim::{simulate, simulate_resumable, SimCheckpoint, SimResult};
+use crate::sim::{simulate, SimResult};
 use bwsa_obs::Obs;
 use bwsa_trace::Trace;
 
@@ -52,7 +48,7 @@ impl<'a> SweepCell<'a> {
         }
     }
 
-    /// A cell running [`simulate`] — any predictor, no checkpointing.
+    /// A cell running [`simulate`] on any predictor.
     pub fn plain<P>(predictor: P, trace: &'a Trace) -> Self
     where
         P: BranchPredictor + Send + 'a,
@@ -60,35 +56,6 @@ impl<'a> SweepCell<'a> {
         let label = format!("{}@{}", predictor.name(), trace.meta().name);
         let mut predictor = predictor;
         Self::new(label, move || Ok(simulate(&mut predictor, trace)))
-    }
-
-    /// A cell running [`simulate_resumable`] — resumes from an optional
-    /// checkpoint and emits new checkpoints through `on_checkpoint`, so a
-    /// fanned-out sweep keeps the same durability contract as a serial
-    /// checkpointed run.
-    pub fn resumable<P, F>(
-        predictor: P,
-        trace: &'a Trace,
-        resume: Option<SimCheckpoint>,
-        checkpoint_every: Option<u64>,
-        on_checkpoint: F,
-    ) -> Self
-    where
-        P: Checkpointable + Send + 'a,
-        F: FnMut(&SimCheckpoint) -> Result<(), PredictorError> + Send + 'a,
-    {
-        let label = format!("{}@{}", predictor.name(), trace.meta().name);
-        let mut predictor = predictor;
-        let mut on_checkpoint = on_checkpoint;
-        Self::new(label, move || {
-            simulate_resumable(
-                &mut predictor,
-                trace,
-                resume.as_ref(),
-                checkpoint_every,
-                &mut on_checkpoint,
-            )
-        })
     }
 
     /// The cell's display label, `predictor@trace` for the built-in
@@ -188,30 +155,16 @@ mod tests {
     }
 
     #[test]
-    fn resumable_cells_match_plain_simulation() {
-        let trace = looped_trace("t", 5, 2000);
-        let expected = simulate(&mut Bimodal::new(64), &trace);
-        let cells = vec![SweepCell::resumable(
-            Bimodal::new(64),
-            &trace,
-            None,
-            Some(500),
-            |_| Ok(()),
-        )];
-        assert_eq!(sweep(cells, 2).unwrap(), vec![expected]);
-    }
-
-    #[test]
     fn lowest_index_error_wins_deterministically() {
         let trace = looped_trace("t", 3, 100);
         for jobs in [1, 4] {
             let cells = vec![
                 SweepCell::plain(Bimodal::new(64), &trace),
                 SweepCell::new("boom-1", || {
-                    Err(PredictorError::checkpoint("cell 1 failed"))
+                    Err(PredictorError::cell_failed("boom-1", "cell 1 failed"))
                 }),
                 SweepCell::new("boom-2", || {
-                    Err(PredictorError::checkpoint("cell 2 failed"))
+                    Err(PredictorError::cell_failed("boom-2", "cell 2 failed"))
                 }),
             ];
             let err = sweep(cells, jobs).unwrap_err();

@@ -1,7 +1,7 @@
 //! The two tables of a two-level predictor: the branch history table
 //! (first level) and the pattern history table (second level).
 
-use crate::{HistoryRegister, PredictorError, SaturatingCounter};
+use crate::{HistoryRegister, SaturatingCounter};
 use bwsa_trace::Direction;
 
 /// First-level table: one [`HistoryRegister`] per entry.
@@ -107,38 +107,6 @@ impl BranchHistoryTable {
         entry.push(outcome);
         history
     }
-
-    /// The current history value of every entry, in index order — the save
-    /// half of checkpointing.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.entries.iter().map(HistoryRegister::value).collect()
-    }
-
-    /// Overwrites every entry from a [`BranchHistoryTable::snapshot`].
-    ///
-    /// A growable table resizes to the snapshot's length; a fixed table
-    /// requires an exact length match.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PredictorError::Checkpoint`] when a fixed table's size
-    /// differs from the snapshot's.
-    pub fn restore(&mut self, values: &[u64]) -> Result<(), PredictorError> {
-        if self.growable {
-            self.entries
-                .resize(values.len(), HistoryRegister::new(self.width));
-        } else if values.len() != self.entries.len() {
-            return Err(PredictorError::checkpoint(format!(
-                "BHT snapshot holds {} entries, table has {}",
-                values.len(),
-                self.entries.len()
-            )));
-        }
-        for (entry, &v) in self.entries.iter_mut().zip(values) {
-            entry.set_value(v);
-        }
-        Ok(())
-    }
 }
 
 /// Second-level table: saturating counters indexed by a pattern (history
@@ -230,33 +198,6 @@ impl PatternHistoryTable {
     pub fn counter(&self, pattern: u64) -> &SaturatingCounter {
         &self.counters[self.slot(pattern)]
     }
-
-    /// The raw value of every counter, in index order — the save half of
-    /// checkpointing.
-    pub fn snapshot(&self) -> Vec<u8> {
-        self.counters.iter().map(SaturatingCounter::value).collect()
-    }
-
-    /// Overwrites every counter from a [`PatternHistoryTable::snapshot`];
-    /// values above the counter maximum clamp.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PredictorError::Checkpoint`] when the snapshot's length
-    /// differs from the table's.
-    pub fn restore(&mut self, values: &[u8]) -> Result<(), PredictorError> {
-        if values.len() != self.counters.len() {
-            return Err(PredictorError::checkpoint(format!(
-                "PHT snapshot holds {} counters, table has {}",
-                values.len(),
-                self.counters.len()
-            )));
-        }
-        for (counter, &v) in self.counters.iter_mut().zip(values) {
-            counter.set_value(v);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -307,44 +248,6 @@ mod tests {
         pht.update(5, Direction::Taken);
         pht.update(5, Direction::Taken);
         assert!(pht.predict(1).is_taken(), "5 mod 4 == 1");
-    }
-
-    #[test]
-    fn bht_snapshot_restore_roundtrips() {
-        let mut bht = BranchHistoryTable::new(3, 4);
-        bht.record(0, Direction::Taken);
-        bht.record(2, Direction::Taken);
-        bht.record(2, Direction::NotTaken);
-        let snap = bht.snapshot();
-        let mut fresh = BranchHistoryTable::new(3, 4);
-        fresh.restore(&snap).unwrap();
-        assert_eq!(fresh, bht);
-        assert!(fresh.restore(&[0; 2]).is_err(), "fixed size must match");
-    }
-
-    #[test]
-    fn growable_bht_restore_resizes() {
-        let mut bht = BranchHistoryTable::growable(4);
-        bht.record(5, Direction::Taken);
-        let snap = bht.snapshot();
-        let mut fresh = BranchHistoryTable::growable(4);
-        fresh.restore(&snap).unwrap();
-        assert_eq!(fresh, bht);
-        assert_eq!(fresh.len(), 6);
-    }
-
-    #[test]
-    fn pht_snapshot_restore_roundtrips_and_clamps() {
-        let mut pht = PatternHistoryTable::new(4);
-        pht.update(1, Direction::Taken);
-        pht.update(3, Direction::NotTaken);
-        let snap = pht.snapshot();
-        let mut fresh = PatternHistoryTable::new(4);
-        fresh.restore(&snap).unwrap();
-        assert_eq!(fresh, pht);
-        assert!(fresh.restore(&[0; 3]).is_err(), "length must match");
-        fresh.restore(&[200, 0, 1, 2]).unwrap();
-        assert_eq!(fresh.counter(0).value(), 3, "clamped to the maximum");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Both the whole-buffer [`crate::io`] (`BWST1`) and streaming
 //! [`crate::stream`] (`BWSS1`/`BWSS2`) formats delta-encode records with
-//! these primitives; the checkpoint files written by downstream crates
+//! these primitives; the corpus result cache and the daemon's frames
 //! reuse them too, so corruption detection behaves identically everywhere.
 //!
 //! # Example

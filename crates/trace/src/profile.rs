@@ -86,9 +86,9 @@ impl BranchProfile {
     /// Reassembles a profile from externally accumulated per-branch stats
     /// (indexed by [`BranchId`]) and the total dynamic branch count.
     ///
-    /// This is the constructor used by streaming/checkpointed analyses,
-    /// which accumulate [`BranchStats`] incrementally instead of holding
-    /// the trace in memory. Feeding it the [`BranchStats::record`] updates
+    /// This is the constructor used by streaming analyses, which
+    /// accumulate [`BranchStats`] incrementally instead of holding the
+    /// trace in memory. Feeding it the [`BranchStats::record`] updates
     /// that [`BranchProfile::from_trace`] performs yields an identical
     /// profile.
     pub fn from_parts(stats: Vec<BranchStats>, total_dynamic: u64) -> Self {

@@ -98,9 +98,8 @@ const VERSION_2: u16 = 2;
 const SYNC: [u8; 4] = [0x5A, 0xB5, 0x1E, 0xC7];
 /// Bytes in a v2 frame header: sync + count + payload_len + anchors + crc.
 const FRAME_HEADER: usize = 4 + 4 + 4 + 8 + 8 + 4;
-/// Records per chunk by default. Public so downstream tooling (e.g. the
-/// CLI's `--checkpoint-every <chunks>` flag) can convert between chunk and
-/// record counts.
+/// Records per chunk by default. Public so downstream readers can block
+/// their records by the stream's chunks.
 pub const DEFAULT_CHUNK_RECORDS: usize = 4096;
 /// A writer flushes early rather than exceed this payload size.
 const MAX_WRITER_PAYLOAD: usize = 1 << 22;
@@ -657,9 +656,12 @@ impl<R: Read> StreamReader<R> {
             }
             // The frame is internally consistent. Reject replays: an exact
             // duplicate of the previous chunk, or a chunk anchored before
-            // data we already yielded.
+            // data we already yielded. A chunk whose records all share its
+            // anchor stamp may repeat as data — the writer emits the same
+            // bytes for the next block of the same simultaneous records —
+            // so only a duplicate of a chunk that spanned time is a replay.
             let sig = (count, payload_len, anchor_pc, anchor_time, crc);
-            if self.last_sig == Some(sig) {
+            if self.last_sig == Some(sig) && self.last_time_seen > anchor_time {
                 if !self.salvaging() {
                     self.failed = true;
                     return Err(TraceError::Corrupt {
@@ -1067,6 +1069,23 @@ mod tests {
             .as_deref()
             .unwrap()
             .contains("duplicated"));
+    }
+
+    #[test]
+    fn identical_chunks_of_simultaneous_records_are_data() {
+        // Two chunks of the same records at one stamp encode to the same
+        // bytes, and the second is data, not a replay of the first.
+        let recs: Vec<BranchRecord> = (0..128)
+            .map(|i| BranchRecord::from_raw(0x40 + (i % 64) * 4, i % 64 % 3 == 0, 7))
+            .collect();
+        let buf = encode(&recs, 64);
+        let starts = sync_positions(&buf);
+        assert_eq!(buf[starts[0]..starts[1]], buf[starts[1]..starts[2]]);
+        let read: Vec<BranchRecord> = StreamReader::new(&buf[..])
+            .unwrap()
+            .map(|r| r.unwrap())
+            .collect();
+        assert_eq!(read, recs);
     }
 
     #[test]

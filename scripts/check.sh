@@ -114,8 +114,22 @@ else
     rc=$?
     [ "$rc" -eq 2 ] || { echo "--window 0: expected exit 2, got $rc"; exit 1; }
 fi
+# No run saves or resumes state: on analyze and simulate each checkpoint
+# flag is an unknown flag, a usage error (exit 2) before any I/O.
+for cmd in analyze simulate; do
+    for flag in "--checkpoint c.bwck" "--checkpoint-every 4" "--resume c.bwck"; do
+        # shellcheck disable=SC2086 # the flag and its value are two words
+        if "$bwsa" "$cmd" /no/such.bwss $flag 2> "$report_tmp/flag.err"; then
+            echo "$cmd $flag unexpectedly succeeded"; exit 1
+        else
+            rc=$?
+            [ "$rc" -eq 2 ] && grep -q "unknown flag" "$report_tmp/flag.err" \
+                || { echo "$cmd $flag: expected exit 2 for an unknown flag, got $rc"; exit 1; }
+        fi
+    done
+done
 
-echo "==> convert smoke (BWSS3 round-trip; analysis byte-identical across formats, jobs, resume)"
+echo "==> convert smoke (BWSS3 round-trip; analysis byte-identical across formats and jobs)"
 convert_dir="$report_tmp/convert"
 mkdir -p "$convert_dir"
 "$bwsa" generate li --scale 0.01 -o "$convert_dir/li.bwst" > /dev/null
@@ -135,9 +149,7 @@ cmp "$convert_dir/bwst-windows.json" "$convert_dir/bws3-windows.json"
 # gcc at 0.1 (1026 static branches): BWST in memory, BWSS2 and BWSS3
 # streamed serially and at the default (every hardware thread, each
 # worker streaming the file), and runs splitting the static branches
-# among 2 and 3 workers (an uneven split) print the same bytes, and so
-# does a checkpointed BWSS2 run and a run resumed from its rotated
-# checkpoint.
+# among 2 and 3 workers (an uneven split) print the same bytes.
 "$bwsa" generate gcc --scale 0.1 -o "$convert_dir/gcc.bwst" > /dev/null
 "$bwsa" convert "$convert_dir/gcc.bwst" "$convert_dir/gcc.bwss" > /dev/null
 "$bwsa" convert "$convert_dir/gcc.bwst" "$convert_dir/gcc.bws3" > /dev/null
@@ -148,11 +160,6 @@ cmp "$convert_dir/bwst-windows.json" "$convert_dir/bws3-windows.json"
 "$bwsa" analyze "$convert_dir/gcc.bws3" --jobs 1 > "$convert_dir/gcc-bws3-j1.out"
 "$bwsa" analyze "$convert_dir/gcc.bwst" --jobs 2 > "$convert_dir/gcc-j2.out"
 "$bwsa" analyze "$convert_dir/gcc.bwst" --jobs 3 > "$convert_dir/gcc-j3.out"
-"$bwsa" analyze "$convert_dir/gcc.bwss" --checkpoint "$convert_dir/gcc.ck" \
-    --checkpoint-every 4 > "$convert_dir/gcc-ck.out"
-[ -f "$convert_dir/gcc.ck.prev" ] || { echo "no rotated checkpoint"; exit 1; }
-"$bwsa" analyze "$convert_dir/gcc.bwss" --resume "$convert_dir/gcc.ck.prev" \
-    > "$convert_dir/gcc-resumed.out"
 # --salvage on the undamaged file changes nothing, streamed serially or
 # by each of 2 workers.
 "$bwsa" analyze "$convert_dir/gcc.bws3" --salvage > "$convert_dir/gcc-salvage.out"
@@ -169,7 +176,7 @@ cmp "$convert_dir/bwst-windows.json" "$convert_dir/bws3-windows.json"
 "$bwsa" analyze "$convert_dir/gcc.bws3" --window 4096 --jobs 2 \
     --emit-windows "$convert_dir/gcc-windows-j2.json" > /dev/null
 cmp "$convert_dir/gcc-windows.json" "$convert_dir/gcc-windows-j2.json"
-for run in bwss bws3 bwss-j1 bws3-j1 j2 j3 ck resumed salvage salvage-j1 salvage-j2 window; do
+for run in bwss bws3 bwss-j1 bws3-j1 j2 j3 salvage salvage-j1 salvage-j2 window; do
     cmp "$convert_dir/gcc.out" "$convert_dir/gcc-$run.out"
 done
 # allocate detects on every hardware thread by default: it prints what
@@ -205,11 +212,9 @@ peak() { grep '"peak_rss_bytes"' "$1" | tr -dc 0-9; }
 # gcc at 0.5 runs past the detector's 4096 dense rows, so pairs with an
 # id above the cap are counted in the spill table and merged into the
 # thresholded compile: in memory serially and on 2 workers, streamed from
-# BWSS3 serially and at the default, streamed from BWSS2 and BWSS3 by each
-# of 2 and of 3 workers, whose spill tables add at the stitch, and
-# streamed from BWSS2 with checkpoints (whose stamps are read from the
-# recency ring) and resumed from the rotated one, analyze prints the same
-# bytes.
+# BWSS3 serially and at the default, streamed from BWSS2 serially, and
+# streamed from BWSS2 and BWSS3 by each of 2 and of 3 workers, whose
+# spill tables add at the stitch, analyze prints the same bytes.
 "$bwsa" generate gcc --scale 0.5 -o "$convert_dir/wide.bwst" > /dev/null
 "$bwsa" convert "$convert_dir/wide.bwst" "$convert_dir/wide.bws3" > /dev/null
 "$bwsa" convert "$convert_dir/wide.bwst" "$convert_dir/wide.bwss" > /dev/null
@@ -220,17 +225,13 @@ static=$(sed -n 's/.* over \([0-9]*\) static sites.*/\1/p' "$convert_dir/wide.ou
 "$bwsa" analyze "$convert_dir/wide.bwst" --jobs 2 > "$convert_dir/wide-j2.out"
 "$bwsa" analyze "$convert_dir/wide.bws3" > "$convert_dir/wide-bws3.out"
 "$bwsa" analyze "$convert_dir/wide.bws3" --jobs 1 > "$convert_dir/wide-bws3-j1.out"
+"$bwsa" analyze "$convert_dir/wide.bwss" --jobs 1 > "$convert_dir/wide-bwss-j1.out"
 for f in bwss bws3; do
     for jobs in 2 3; do
         "$bwsa" analyze "$convert_dir/wide.$f" --jobs "$jobs" > "$convert_dir/wide-$f-j$jobs.out"
     done
 done
-"$bwsa" analyze "$convert_dir/wide.bwss" --checkpoint "$convert_dir/wide.ck" \
-    --checkpoint-every 4 > "$convert_dir/wide-ck.out"
-[ -f "$convert_dir/wide.ck.prev" ] || { echo "no rotated gcc@0.5 checkpoint"; exit 1; }
-"$bwsa" analyze "$convert_dir/wide.bwss" --resume "$convert_dir/wide.ck.prev" \
-    > "$convert_dir/wide-resumed.out"
-for run in j2 bws3 bws3-j1 bwss-j2 bwss-j3 bws3-j2 bws3-j3 ck resumed; do
+for run in j2 bws3 bws3-j1 bwss-j1 bwss-j2 bwss-j3 bws3-j2 bws3-j3; do
     cmp "$convert_dir/wide.out" "$convert_dir/wide-$run.out"
 done
 # A torn file has no instruction total: streamed serially, by each of 2

@@ -18,12 +18,11 @@
 //! connection threads, and clear it when done; every test holds
 //! [`CHAOS_LOCK`] so none of them runs while that registry is armed.
 
-use bwsa::core::StreamingAnalysis;
 use bwsa::graph::coloring::{try_color_graph, ColoringOptions};
 use bwsa::graph::GraphBuilder;
 use bwsa::obs::json::Json;
 use bwsa::obs::Obs;
-use bwsa::predictor::{simulate, sweep, Pag, SimCheckpoint, SweepCell};
+use bwsa::predictor::{simulate, sweep, Pag, SweepCell};
 use bwsa::prelude::*;
 use bwsa::resilience::{failpoint, supervisor, watchdog};
 use bwsa::server::frame::{read_frame, DEFAULT_MAX_FRAME_BYTES};
@@ -117,8 +116,6 @@ impl Harness {
             "graph.color" => self.drive_coloring(),
             "predictor.simulate" => self.drive_simulate(),
             "predictor.sweep_cell" => self.drive_sweep(),
-            "predictor.checkpoint_save" => self.drive_sim_checkpoint(),
-            "core.checkpoint_save" | "core.checkpoint_restore" => self.drive_analysis_checkpoint(),
             "core.window_flush" | "core.window_merge" | "core.recolor" => self.drive_windowed(2),
             // These stages only exist on the serial path; a parallel
             // ladder would succeed on its first rung without ever
@@ -185,25 +182,6 @@ impl Harness {
             return Err(message);
         }
         Ok(summary.to_json().to_pretty_string())
-    }
-
-    /// Streaming analysis save/load roundtrip; covers the analysis
-    /// checkpoint sites.
-    fn drive_analysis_checkpoint(&self) -> Result<String, String> {
-        flatten(supervisor::catch(|| {
-            let records = self.trace.records();
-            let mut streaming = StreamingAnalysis::new("chaos");
-            for r in &records[..records.len() / 2] {
-                streaming.push(r);
-            }
-            let blob = streaming.save();
-            let mut streaming = StreamingAnalysis::load(&blob).map_err(|e| e.to_string())?;
-            for r in &records[records.len() / 2..] {
-                streaming.push(r);
-            }
-            let analysis = streaming.finish_observed(&AnalysisPipeline::new(), &Obs::noop());
-            Ok(format!("{analysis:?}"))
-        }))
     }
 
     /// Windowed analysis over the session entry point; covers the
@@ -279,21 +257,6 @@ impl Harness {
             Ok(results) => Ok(format!("{results:?}")),
             Err(e) => Err(e.to_string()),
         }
-    }
-
-    fn drive_sim_checkpoint(&self) -> Result<String, String> {
-        flatten(supervisor::catch(|| {
-            let checkpoint = SimCheckpoint {
-                predictor: "pag".into(),
-                trace: "chaos".into(),
-                records_consumed: 120,
-                mispredictions: 17,
-                predictor_state: vec![1, 2, 3, 4],
-            };
-            let bytes = checkpoint.to_bytes();
-            let back = SimCheckpoint::from_bytes(&bytes).map_err(|e| e.to_string())?;
-            Ok(format!("{back:?}"))
-        }))
     }
 }
 
@@ -409,10 +372,7 @@ fn transient_faults_are_absorbed_by_retry_and_degradation() {
     // recovers by worker retry, rung retry, or downgrade, the output must
     // be the fault-free output.
     for site in bwsa::core::failpoints::SITES {
-        if site.starts_with("core.checkpoint")
-            || site.starts_with("core.window")
-            || *site == "core.recolor"
-        {
+        if site.starts_with("core.window") || *site == "core.recolor" {
             continue; // not on the supervised session path
         }
         let baseline = harness.drive(site).unwrap();

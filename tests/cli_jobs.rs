@@ -19,7 +19,7 @@ fn exit_code(out: &Output) -> i32 {
 
 /// Generates a small deterministic trace for the given format, returning
 /// its path inside a per-test temp directory.
-fn fixture_trace_scaled(dir_tag: &str, format: &str, scale: &str) -> PathBuf {
+fn fixture_trace(dir_tag: &str, format: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bwsa_cli_jobs_{dir_tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("t.{format}"));
@@ -27,7 +27,7 @@ fn fixture_trace_scaled(dir_tag: &str, format: &str, scale: &str) -> PathBuf {
         "generate",
         "pgp",
         "--scale",
-        scale,
+        "0.01",
         "--format",
         format,
         "-o",
@@ -35,10 +35,6 @@ fn fixture_trace_scaled(dir_tag: &str, format: &str, scale: &str) -> PathBuf {
     ]);
     assert_eq!(exit_code(&out), 0, "generate failed: {out:?}");
     path
-}
-
-fn fixture_trace(dir_tag: &str, format: &str) -> PathBuf {
-    fixture_trace_scaled(dir_tag, format, "0.01")
 }
 
 #[test]
@@ -61,36 +57,38 @@ fn jobs_misuse_exits_2_before_touching_files() {
 }
 
 #[test]
+fn checkpoint_flags_are_unknown_to_analyze_and_simulate() {
+    // Nothing saves or resumes a run, so these are unknown flags, met
+    // before the trace is opened.
+    for command in ["analyze", "simulate"] {
+        for flag in [
+            &["--checkpoint", "c.bwck"][..],
+            &["--checkpoint-every", "4"],
+            &["--resume", "c.bwck"],
+        ] {
+            let out = bwsa(&[&[command, "/no/such.bwss"][..], flag].concat());
+            assert_eq!(exit_code(&out), 2, "{command} {flag:?}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("unknown flag"),
+                "{command} {flag:?}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn checkpointed_analyze_with_parallel_jobs_exits_2() {
-    // The usage gate fires before I/O, so no real files are needed.
-    let out = bwsa(&[
-        "analyze",
-        "/no/such.bwss",
-        "--checkpoint",
-        "c.bwck",
-        "--jobs",
-        "2",
-    ]);
-    assert_eq!(exit_code(&out), 2, "{out:?}");
-    let out = bwsa(&[
-        "analyze",
-        "/no/such.bwss",
-        "--resume",
-        "c.bwck",
-        "--jobs",
-        "4",
-    ]);
-    assert_eq!(exit_code(&out), 2, "{out:?}");
-    // --jobs 1 passes the usage gate; the missing file is then exit 1.
-    let out = bwsa(&[
-        "analyze",
-        "/no/such.bwss",
-        "--checkpoint",
-        "c.bwck",
-        "--jobs",
-        "1",
-    ]);
-    assert_eq!(exit_code(&out), 1, "{out:?}");
+    // The usage gate fires before I/O, so no real files are needed. The
+    // checkpoint flags are unknown at every --jobs, --jobs 1 included.
+    for (flag, jobs) in [
+        ("--checkpoint", "2"),
+        ("--resume", "4"),
+        ("--checkpoint", "1"),
+    ] {
+        let out = bwsa(&["analyze", "/no/such.bwss", flag, "c.bwck", "--jobs", jobs]);
+        assert_eq!(exit_code(&out), 2, "{flag} --jobs {jobs}: {out:?}");
+    }
 }
 
 #[test]
@@ -139,23 +137,6 @@ fn analyze_and_allocate_print_the_same_at_the_default_and_any_jobs() {
 }
 
 #[test]
-fn checkpointed_analyze_without_jobs_streams_serially() {
-    let path = fixture_trace_scaled("ck_default", "bwss", "0.05");
-    let ck = path.parent().unwrap().join("default.bwck");
-    let _ = std::fs::remove_file(&ck);
-    let out = bwsa(&[
-        "analyze",
-        path.to_str().unwrap(),
-        "--checkpoint",
-        ck.to_str().unwrap(),
-        "--checkpoint-every",
-        "1",
-    ]);
-    assert_eq!(exit_code(&out), 0, "{out:?}");
-    assert!(ck.exists(), "checkpoint file was not written");
-}
-
-#[test]
 fn parallel_simulate_stdout_is_byte_identical_to_serial() {
     let path = fixture_trace("simulate", "bwst");
     let path = path.to_str().unwrap();
@@ -167,45 +148,5 @@ fn parallel_simulate_stdout_is_byte_identical_to_serial() {
         String::from_utf8_lossy(&serial.stdout),
         String::from_utf8_lossy(&parallel.stdout),
         "parallel simulate output diverged"
-    );
-}
-
-#[test]
-fn checkpointed_simulate_still_works_with_jobs_flag() {
-    // simulate's checkpoint path is a single sweep cell, so any --jobs
-    // value is accepted and the checkpoint file is still produced. The
-    // trace must span more than one 4096-record stream chunk for the
-    // every-1-chunk cadence to fire at all.
-    let path = fixture_trace_scaled("sim_ck", "bwst", "0.2");
-    let dir = path.parent().unwrap();
-    let ck = dir.join("sim.bwck");
-    let ck_s = ck.to_str().unwrap();
-    let out = bwsa(&[
-        "simulate",
-        path.to_str().unwrap(),
-        "--predictor",
-        "bimodal",
-        "--checkpoint",
-        ck_s,
-        "--checkpoint-every",
-        "1",
-        "--jobs",
-        "2",
-    ]);
-    assert_eq!(exit_code(&out), 0, "{out:?}");
-    assert!(ck.exists(), "checkpoint file was not written");
-    // And resuming from it completes with the same final line.
-    let resumed = bwsa(&[
-        "simulate",
-        path.to_str().unwrap(),
-        "--predictor",
-        "bimodal",
-        "--resume",
-        ck_s,
-    ]);
-    assert_eq!(exit_code(&resumed), 0, "{resumed:?}");
-    assert_eq!(
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&resumed.stdout)
     );
 }

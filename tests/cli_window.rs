@@ -75,6 +75,10 @@ fn window_with_checkpointing_exits_2() {
             "c.bwck",
         ]);
         assert_eq!(exit_code(&out), 2, "{flag}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown flag"),
+            "{flag}: {out:?}"
+        );
     }
 }
 

@@ -1,9 +1,8 @@
 //! Integration: durable ingestion end to end — corrupted streams salvage
-//! to the same analysis minus the damaged chunk, interrupted runs resume
-//! bit-identically, and the `bwsa` binary honours its exit-code contract.
+//! to the same analysis minus the damaged chunk, torn files print the
+//! same analysis on every path, and the `bwsa` binary honours its
+//! exit-code contract.
 
-use bwsa::core::StreamingAnalysis;
-use bwsa::predictor::{simulate_resumable, Gshare, SimCheckpoint};
 use bwsa::prelude::*;
 use bwsa::trace::stream::{frame_spans, RecoveryPolicy, StreamReader, StreamWriter};
 use std::path::PathBuf;
@@ -52,52 +51,28 @@ fn salvaged_analysis_equals_clean_analysis_minus_the_dropped_chunk() {
     expect.drain(start..start + victim.records as usize);
     assert_eq!(recovered, expect);
 
-    let pipeline = AnalysisPipeline::new();
-    let mut salvaged = StreamingAnalysis::new(&trace.meta().name);
-    for r in &recovered {
-        salvaged.push(r);
+    // The damaged file read through a session under salvage analyses
+    // exactly as the excised trace does in memory.
+    let salvaged = Session::over(Source::File {
+        bytes: &bad,
+        policy: RecoveryPolicy::Salvage,
+    });
+    let a = salvaged.run().unwrap();
+    let dropped = salvaged.ingested().unwrap().salvage.chunks_dropped;
+    assert_eq!(dropped, 1, "the session reads past the victim chunk");
+    let mut excised = Trace::new(trace.meta().name.clone());
+    for r in expect {
+        excised.push(r).unwrap();
     }
-    let mut reference = StreamingAnalysis::new(&trace.meta().name);
-    for r in &expect {
-        reference.push(r);
-    }
-    let a = salvaged.finish(&pipeline);
-    let b = reference.finish(&pipeline);
+    let reference = Session::new(&excised);
+    let b = reference.run().unwrap();
     assert_eq!(a.profile, b.profile);
     assert_eq!(a.working_sets, b.working_sets);
     assert_eq!(a.classification, b.classification);
 }
 
-/// A simulation checkpointed, serialised to disk bytes, and resumed in a
-/// fresh process-like predictor matches the uninterrupted run exactly.
-#[test]
-fn interrupted_simulation_resumes_bit_identically() {
-    let trace = Benchmark::Pgp.generate_scaled(InputSet::A, 0.02);
-    let full = simulate(&mut Gshare::new(12), &trace);
-
-    let mut checkpoints: Vec<Vec<u8>> = Vec::new();
-    let interrupted = simulate_resumable(&mut Gshare::new(12), &trace, None, Some(1000), |ck| {
-        checkpoints.push(ck.to_bytes());
-        Ok(())
-    })
-    .unwrap();
-    assert_eq!(interrupted, full);
-    assert!(!checkpoints.is_empty());
-
-    for bytes in &checkpoints {
-        let ck = SimCheckpoint::from_bytes(bytes).unwrap();
-        let mut fresh = Gshare::new(12);
-        let resumed = simulate_resumable(&mut fresh, &trace, Some(&ck), None, |_| Ok(())).unwrap();
-        assert_eq!(
-            resumed, full,
-            "resume from record {} diverged",
-            ck.records_consumed
-        );
-    }
-}
-
 // ---------------------------------------------------------------------
-// The real binary: exit codes, salvage warnings, checkpoint files.
+// The real binary: exit codes and salvage warnings.
 // ---------------------------------------------------------------------
 
 fn bwsa() -> Command {
@@ -127,11 +102,8 @@ fn usage_errors_exit_2_and_runtime_errors_exit_1() {
         .args(["analyze", "x.bwss", "--checkpoint-every", "4"])
         .output()
         .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "cadence without --checkpoint is misuse"
-    );
+    assert_eq!(out.status.code(), Some(2), "a flag analyze has not");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
 }
 
 #[test]
@@ -300,198 +272,4 @@ fn torn_traces_print_the_same_analysis_on_every_path() {
         assert_eq!(run(&["--window", "4096"]), streamed, "{name} --window");
         std::fs::remove_file(path).ok();
     }
-}
-
-#[test]
-fn simulation_killed_after_a_checkpoint_resumes_to_the_same_result() {
-    // Compress at 0.05 ≈ 20k records: checkpoints at each 4096-record
-    // chunk boundary with --checkpoint-every 1.
-    let trace = Benchmark::Compress.generate_scaled(InputSet::A, 0.05);
-    let trace_path = temp_path("resume.bwss");
-    std::fs::write(&trace_path, stream_bytes(&trace)).unwrap();
-    let ck_path = temp_path("resume.bwck");
-    std::fs::remove_file(&ck_path).ok();
-
-    // Uninterrupted baseline.
-    let baseline = bwsa()
-        .args(["simulate"])
-        .arg(&trace_path)
-        .args(["--predictor", "gshare"])
-        .output()
-        .unwrap();
-    assert_eq!(baseline.status.code(), Some(0));
-
-    // A run that writes checkpoints; the file left behind is the last
-    // interior checkpoint — exactly what a killed run would have.
-    let out = bwsa()
-        .args(["simulate"])
-        .arg(&trace_path)
-        .args([
-            "--predictor",
-            "gshare",
-            "--checkpoint-every",
-            "1",
-            "--checkpoint",
-        ])
-        .arg(&ck_path)
-        .output()
-        .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(out.stdout, baseline.stdout);
-    assert!(ck_path.exists(), "no checkpoint was written");
-
-    // "Restart" from the surviving checkpoint.
-    let resumed = bwsa()
-        .args(["simulate"])
-        .arg(&trace_path)
-        .args(["--predictor", "gshare", "--resume"])
-        .arg(&ck_path)
-        .output()
-        .unwrap();
-    assert_eq!(
-        resumed.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
-    assert_eq!(
-        resumed.stdout, baseline.stdout,
-        "resumed run differs from uninterrupted run"
-    );
-
-    // Resuming with the wrong predictor is a data error, not a crash.
-    let wrong = bwsa()
-        .args(["simulate"])
-        .arg(&trace_path)
-        .args(["--predictor", "bimodal", "--resume"])
-        .arg(&ck_path)
-        .output()
-        .unwrap();
-    assert_eq!(wrong.status.code(), Some(1));
-
-    std::fs::remove_file(trace_path).ok();
-    std::fs::remove_file(ck_path).ok();
-}
-
-#[test]
-fn analysis_checkpoint_resumes_to_the_same_report() {
-    let trace = Benchmark::Compress.generate_scaled(InputSet::A, 0.05);
-    let trace_path = temp_path("aresume.bwss");
-    std::fs::write(&trace_path, stream_bytes(&trace)).unwrap();
-    let ck_path = temp_path("aresume.bwck");
-    std::fs::remove_file(&ck_path).ok();
-
-    let baseline = bwsa().arg("analyze").arg(&trace_path).output().unwrap();
-    assert_eq!(baseline.status.code(), Some(0));
-
-    let out = bwsa()
-        .args(["analyze"])
-        .arg(&trace_path)
-        .args(["--checkpoint-every", "1", "--checkpoint"])
-        .arg(&ck_path)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0));
-    assert_eq!(out.stdout, baseline.stdout);
-    assert!(ck_path.exists(), "no analysis checkpoint was written");
-
-    let resumed = bwsa()
-        .args(["analyze"])
-        .arg(&trace_path)
-        .args(["--resume"])
-        .arg(&ck_path)
-        .output()
-        .unwrap();
-    assert_eq!(
-        resumed.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&resumed.stderr)
-    );
-    assert_eq!(
-        resumed.stdout, baseline.stdout,
-        "resumed analysis differs from uninterrupted analysis"
-    );
-
-    std::fs::remove_file(trace_path).ok();
-    std::fs::remove_file(ck_path).ok();
-}
-
-/// A checkpoint on disk survives bit rot checks: flipping a byte makes the
-/// loader fall back to the rotated `.prev` ancestor with a warning, and once
-/// no valid ancestor exists the resume is rejected with exit 1 rather than
-/// resuming silently wrong.
-#[test]
-fn tampered_checkpoint_files_are_rejected_by_the_binary() {
-    let trace = Benchmark::Compress.generate_scaled(InputSet::A, 0.05);
-    let trace_path = temp_path("tamper.bwss");
-    std::fs::write(&trace_path, stream_bytes(&trace)).unwrap();
-    let ck_path = temp_path("tamper.bwck");
-    std::fs::remove_file(&ck_path).ok();
-
-    let out = bwsa()
-        .args(["simulate"])
-        .arg(&trace_path)
-        .args([
-            "--predictor",
-            "gshare",
-            "--checkpoint-every",
-            "1",
-            "--checkpoint",
-        ])
-        .arg(&ck_path)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0));
-
-    let mut bytes = std::fs::read(&ck_path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x20;
-    std::fs::write(&ck_path, &bytes).unwrap();
-
-    // With the rotated ancestor still on disk, the loader warns and resumes
-    // from `.prev` instead of trusting the tampered file.
-    let prev_path = format!("{}.prev", ck_path.display());
-    assert!(
-        std::path::Path::new(&prev_path).exists(),
-        "checkpoint rotation should have produced {prev_path}"
-    );
-    let fallback = bwsa()
-        .args(["simulate"])
-        .arg(&trace_path)
-        .args(["--predictor", "gshare", "--resume"])
-        .arg(&ck_path)
-        .output()
-        .unwrap();
-    assert_eq!(
-        fallback.status.code(),
-        Some(0),
-        "resume should fall back to the rotated checkpoint: {}",
-        String::from_utf8_lossy(&fallback.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&fallback.stderr).contains(".prev"),
-        "fallback must be announced on stderr"
-    );
-
-    // Remove the ancestor: now only the tampered file remains and the resume
-    // must be rejected rather than silently wrong.
-    std::fs::remove_file(&prev_path).unwrap();
-    let resumed = bwsa()
-        .args(["simulate"])
-        .arg(&trace_path)
-        .args(["--predictor", "gshare", "--resume"])
-        .arg(&ck_path)
-        .output()
-        .unwrap();
-    assert_eq!(resumed.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&resumed.stderr).contains("error:"));
-
-    std::fs::remove_file(trace_path).ok();
-    std::fs::remove_file(ck_path).ok();
 }

@@ -14,9 +14,8 @@
 //! (its footer and partial last block lost). The first three run serially
 //! and on 2 and 3 ownership-parallel workers at each of the thresholds 1,
 //! 2 and 100, and as a windowed fold at one of them in turn; the torn file
-//! runs through each of the four engines at one threshold in turn, and the
-//! `BWSS2` bytes also run serially at all three, resumed from the
-//! checkpoint a checkpointing session saved partway. Each run's answer —
+//! runs through each of the four engines at one threshold in turn. Each
+//! run's answer —
 //! profile, conflict graph, working sets and classes — is the in-memory
 //! serial answer over the records it read, which compiles the oracle's
 //! raw graph of those records, pruned, with its raw pair count and weight.
@@ -31,8 +30,8 @@
 
 use bwsa::core::pipeline::AnalysisPipeline;
 use bwsa::core::{
-    interleave_counts_naive, Analysis, Checkpoints, ConflictConfig, Execution, ParallelConfig,
-    Session, Source, StreamingAnalysis, WindowConfig, WindowedResult,
+    interleave_counts_naive, Analysis, ConflictConfig, Execution, ParallelConfig, Session, Source,
+    WindowConfig, WindowedResult,
 };
 use bwsa::graph::ConflictGraph;
 use bwsa::resilience::failpoint;
@@ -46,9 +45,8 @@ const DENSE_NODES: u64 = 4096;
 /// Records per block of the `BWSS3` encodings.
 const BLOCK: usize = 256;
 
-/// A seeded trace of 400 records over `spread` hot branches, and how many
-/// records of a wide trace's sweep precede them.
-fn hot_trace(seed: u64, wide: bool, spread: u64) -> (Trace, usize) {
+/// A seeded trace of 400 records over `spread` hot branches.
+fn hot_trace(seed: u64, wide: bool, spread: u64) -> Trace {
     let mut lcg = seed;
     let mut next = move || {
         lcg = lcg
@@ -74,7 +72,7 @@ fn hot_trace(seed: u64, wide: bool, spread: u64) -> (Trace, usize) {
         };
         b.record(0x10_0000 + id * 4, r & 64 == 0, t);
     }
-    (b.finish(), cold as usize)
+    b.finish()
 }
 
 fn pipeline_at(threshold: u64) -> AnalysisPipeline {
@@ -111,23 +109,6 @@ fn prefix(trace: &Trace, n: usize) -> Trace {
 
 fn file(bytes: &[u8], policy: RecoveryPolicy) -> Source<'_> {
     Source::File { bytes, policy }
-}
-
-/// The state a checkpointing session saves once it has read all of
-/// `head`, a trace's first records, as `BWSS2` bytes.
-fn saved_state(head: &Trace, path: &std::path::Path) -> StreamingAnalysis {
-    let mut bwss = Vec::new();
-    Format::Bwss.write(head, &mut bwss).unwrap();
-    let every = head.len() as u64;
-    let session =
-        Session::over(file(&bwss, RecoveryPolicy::Strict)).with_checkpoints(Checkpoints {
-            save: Some((path.to_owned(), every)),
-            resume: None,
-        });
-    session.run().unwrap();
-    let state = StreamingAnalysis::load(&std::fs::read(path).unwrap()).unwrap();
-    assert_eq!(state.records_consumed(), every);
-    state
 }
 
 /// The engines every source runs through.
@@ -183,13 +164,11 @@ fn expected(records: &Trace, raw: &ConflictGraph, threshold: u64, case: &str) ->
 
 #[test]
 fn every_engine_compiles_the_pruned_oracle_graph() {
-    let dir = std::env::temp_dir().join(format!("bwsa-agreement-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
     let mut narrowest = usize::MAX;
     for seed in 1..=6u64 {
         let wide = seed % 2 == 0;
         let spread = 2 + seed * 5 % 15;
-        let (trace, cold) = hot_trace(seed, wide, spread);
+        let trace = hot_trace(seed, wide, spread);
         assert_eq!(trace.static_branch_count() > 4096, wide, "seed {seed}");
         narrowest = narrowest.min(trace.static_branch_count());
         let raw = interleave_counts_naive(&trace).build();
@@ -203,8 +182,6 @@ fn every_engine_compiles_the_pruned_oracle_graph() {
         let torn = columnar(&trace, true);
         let survivors = prefix(&trace, trace.len() / BLOCK * BLOCK);
         let torn_raw = interleave_counts_naive(&survivors).build();
-        let split = cold + (trace.len() - cold) * seed as usize / 7;
-        let resume = saved_state(&prefix(&trace, split), &dir.join(format!("{seed}.bwck")));
         let sources = [
             ("in memory", Source::Trace(&trace)),
             ("bwss2", file(&bwss, RecoveryPolicy::Strict)),
@@ -222,14 +199,6 @@ fn every_engine_compiles_the_pruned_oracle_graph() {
                 let analysis = run(source, engine, pipeline_at(threshold), trace.len());
                 assert_eq!(analysis, expected, "{case}, {name}, {engine}");
             }
-            let resumed = Session::over(file(&bwss, RecoveryPolicy::Strict))
-                .with_pipeline(pipeline_at(threshold))
-                .with_checkpoints(Checkpoints {
-                    save: None,
-                    resume: Some(resume.clone()),
-                });
-            let resumed = resumed.run().unwrap();
-            assert_eq!(resumed, &expected, "{case}, bwss2 resumed at {split}");
             answers.push(expected);
         }
         // The windowed fold and the torn file take one threshold per run
@@ -251,7 +220,6 @@ fn every_engine_compiles_the_pruned_oracle_graph() {
         }
     }
     assert_eq!(narrowest, 2, "one trace leaves a third worker no branch");
-    std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
@@ -262,7 +230,7 @@ fn a_windowed_session_answers_alike_at_every_job_count() {
     let stalls = ["", "core.recolor=delay(1)", "core.window_flush=delay(1)"];
     let mut turn = 0;
     for seed in 1..=4u64 {
-        let (trace, _) = hot_trace(seed, seed % 2 == 0, 2 + seed * 5 % 15);
+        let trace = hot_trace(seed, seed % 2 == 0, 2 + seed * 5 % 15);
         let mut bwss = Vec::new();
         Format::Bwss.write(&trace, &mut bwss).unwrap();
         let bws3 = columnar(&trace, false);

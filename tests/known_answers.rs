@@ -15,13 +15,13 @@
 //! * records that share one stamp are simultaneous and give no edge;
 //! * two phases that never revisit each other give no cross edge.
 //!
-//! The engines are the serial pipeline, the BWSS3 block stream, the
-//! parallel pass on 2 and 3 workers and the windowed fold. Each trace has
-//! `k` static
-//! branches, with `k` on both sides of 4096, where the detector's dense
-//! rows end and its spill table begins. The loops run over the highest
-//! ids, after a prefix of branches that run once, so a loop straddles the
-//! cap while its graph stays small enough for a debug build.
+//! The engines are the serial pipeline, the BWSS2 and BWSS3 block
+//! streams, the parallel pass on 2 and 3 workers and the windowed fold.
+//! Each trace has `k` static branches, with `k` on both sides of 4096,
+//! where the detector's dense rows end and its spill table begins. The
+//! loops run over the highest ids, after a prefix of branches that run
+//! once, so a loop straddles the cap while its graph stays small enough
+//! for a debug build.
 //!
 //! A windowed run is also checked window by window, on two disjoint loops
 //! that alternate in phases: what each record credits follows from its
@@ -30,10 +30,13 @@
 //! the one before it, and the whole-trace weights have a closed form on
 //! every engine.
 //!
-//! Allocation has a known answer too: a table with an entry for every
+//! Allocation has known answers too. A table with an entry for every
 //! static branch gives each branch its own entry, so PAg over it keeps
 //! one history per branch and mispredicts exactly as the
-//! interference-free PAg does.
+//! interference-free PAg does. Loops that run one after another and
+//! never revisit make a conflict graph of disjoint cliques, one per
+//! loop: the largest loop's size is the smallest table that holds them
+//! with no conflict.
 
 use bwsa::core::pipeline::AnalysisPipeline;
 use bwsa::core::{
@@ -44,7 +47,7 @@ use bwsa::obs::Obs;
 use bwsa::predictor::{simulate, BhtIndexer, Pag};
 use bwsa::trace::columnar::ColumnarWriter;
 use bwsa::trace::stream::RecoveryPolicy;
-use bwsa::trace::{BranchId, Trace, TraceBuilder};
+use bwsa::trace::{BranchId, Format, Trace, TraceBuilder};
 use bwsa::workload::suite::{Benchmark, InputSet};
 use std::collections::BTreeSet;
 
@@ -97,6 +100,17 @@ impl Shape {
     }
 }
 
+/// The serial analysis of a trace file's `bytes`, streamed block by
+/// block.
+fn streamed(bytes: &[u8], pipeline: &AnalysisPipeline) -> Analysis {
+    let source = Source::File {
+        bytes,
+        policy: RecoveryPolicy::Strict,
+    };
+    let session = Session::over(source).with_pipeline(*pipeline);
+    session.run().unwrap().clone()
+}
+
 /// The analysis of `trace` from each engine, labelled. Windows are
 /// `split` records long, so a boundary can fall inside a loop.
 fn every_engine(
@@ -106,22 +120,16 @@ fn every_engine(
 ) -> Vec<(&'static str, Analysis)> {
     let serial = pipeline.run_observed(trace, &Obs::noop());
 
-    let mut bytes = Vec::new();
-    let mut writer = ColumnarWriter::new(&mut bytes, "known")
+    let mut bwss = Vec::new();
+    Format::Bwss.write(trace, &mut bwss).unwrap();
+    let mut bws3 = Vec::new();
+    let mut writer = ColumnarWriter::new(&mut bws3, "known")
         .unwrap()
         .with_block_records(1000);
     for rec in trace.records() {
         writer.push(*rec).unwrap();
     }
     writer.finish(trace.meta().total_instructions).unwrap();
-    let streamed = Session::over(Source::File {
-        bytes: &bytes,
-        policy: RecoveryPolicy::Strict,
-    })
-    .with_pipeline(*pipeline)
-    .run()
-    .unwrap()
-    .clone();
 
     let config = WindowConfig::branches(split).unwrap();
     let mut windowed = WindowedAnalysis::new(config, *pipeline);
@@ -130,7 +138,8 @@ fn every_engine(
     }
     vec![
         ("serial", serial),
-        ("bwss3 stream", streamed),
+        ("bwss2 stream", streamed(&bwss, pipeline)),
+        ("bwss3 stream", streamed(&bws3, pipeline)),
         (
             "2 workers",
             analyze_parallel(pipeline, trace, &ParallelConfig::with_jobs(2)),
@@ -487,4 +496,34 @@ fn an_entry_per_branch_mispredicts_exactly_as_interference_free() {
             "table {table}"
         );
     }
+}
+
+#[test]
+fn disjoint_loops_fit_a_table_as_large_as_the_largest_loop() {
+    // Loops of these sizes run one after another, 3 rounds each, and
+    // never return: every pair inside a loop weighs 2(3 − 1) = 4, which
+    // the threshold keeps, and no pair crosses two loops.
+    let sizes = [3, 7, 5, 2, 6];
+    let (rounds, threshold) = (3, 4);
+    let mut shape = Shape::after_cold(0);
+    let mut first = 0;
+    for &size in &sizes {
+        shape.round_robin(first, size, rounds);
+        first += size;
+    }
+    let trace = shape.trace.finish();
+    let session = Session::new(&trace).with_pipeline(pipeline(threshold));
+    let conflict = &session.run().unwrap().conflict;
+    let pairs: u64 = sizes.iter().map(|s| s * (s - 1) / 2).sum();
+    assert_eq!(
+        conflict.graph.edge_count() as u64,
+        pairs,
+        "one clique per loop"
+    );
+    let largest = *sizes.iter().max().unwrap() as usize;
+    let fits = session.allocate(Classified(false), largest).unwrap();
+    assert_eq!(fits.conflict_mass, 0, "{largest} entries");
+    assert_eq!(fits.conflicting_pairs, 0, "{largest} entries");
+    let short = session.allocate(Classified(false), largest - 1).unwrap();
+    assert!(short.conflict_mass > 0, "{} entries", largest - 1);
 }
