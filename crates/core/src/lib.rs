@@ -81,7 +81,8 @@ pub mod failpoints {
     pub const INTERLEAVE: &str = "core.interleave";
     /// Fires at the start of the `compile` stage, where every engine
     /// walks the detector's rows once and keeps the pairs that reach the
-    /// conflict threshold.
+    /// conflict threshold, and a windowed run hands over the kept graph
+    /// its colorer holds.
     pub const CONFLICT_PRUNE: &str = "core.conflict_prune";
     /// Fires at the start of the working-set extraction stage.
     pub const WORKING_SETS: &str = "core.working_sets";

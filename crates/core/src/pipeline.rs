@@ -135,23 +135,36 @@ impl AnalysisPipeline {
         self.assemble(profile, detector, obs)
     }
 
-    /// The observed tail every engine shares after detection: the
-    /// thresholded compile of `detector`'s rows (one walk that counts the
-    /// raw pairs and weight and builds the CSR of the kept pairs only),
-    /// working sets and classify, with their spans, the `core.interleave_*`
-    /// and `core.graph_edges_*` counters, and a peak-RSS sample. The
-    /// `core.conflict_prune` failpoint fires at the start of the `compile`
-    /// span.
+    /// The observed assembly every detecting engine runs: the thresholded
+    /// compile of `detector`'s rows (one walk that counts the raw pairs
+    /// and weight and builds the CSR of the kept pairs only), then
+    /// [`AnalysisPipeline::conclude`].
     pub(crate) fn assemble(
         &self,
         profile: BranchProfile,
         detector: Detector,
         obs: &Obs,
     ) -> Analysis {
+        self.conclude(profile, obs, || detector.compile(self.conflict))
+    }
+
+    /// The observed tail every engine shares: the conflict analysis
+    /// `conflict` hands over (the detector's compile, or the kept graph a
+    /// windowed run's colorer already holds) under the `compile` span,
+    /// then working sets and classify, with their spans, the
+    /// `core.interleave_*` and `core.graph_edges_*` counters, and a
+    /// peak-RSS sample. The `core.conflict_prune` failpoint fires at the
+    /// start of the `compile` span.
+    pub(crate) fn conclude(
+        &self,
+        profile: BranchProfile,
+        obs: &Obs,
+        conflict: impl FnOnce() -> ConflictAnalysis,
+    ) -> Analysis {
         let conflict = {
             let _span = obs.span("compile");
             bwsa_resilience::failpoint!("core.conflict_prune");
-            detector.compile(self.conflict)
+            conflict()
         };
         obs.add("core.interleave_pairs", conflict.raw_edge_count as u64);
         obs.add("core.interleave_weight", conflict.raw_total_weight);

@@ -19,26 +19,31 @@
 //! in sorted order. That walk yields the window's own pairs and weights
 //! plus each pair's cumulative weight before and after the window, and
 //! costs what the window touched. The windows therefore partition the
-//! serial pass's credits, and [`WindowedAnalysis::finish`] is the
-//! streaming engines' own tail, so `fold(windows) == whole_trace`
-//! *bit-for-bit* — interleave counts, graph edges, working sets,
-//! classification, and the final coloring all match a from-scratch
-//! serial (or parallel) run. The property suite
-//! `crates/core/tests/windowed_equiv.rs` pins this across arbitrary
-//! traces, window sizes, and `--jobs` values.
+//! serial pass's credits: summed over the windows, the pairs each first
+//! credited and their weights are the raw graph's pair count and weight,
+//! and the kept moves (below) build the thresholded graph. So
+//! [`WindowedAnalysis::finish`] reads no detector row: the fold's
+//! conflict graph is the colorer's kept graph, and the engines' shared
+//! tail runs over it, so `fold(windows) == whole_trace` *bit-for-bit* —
+//! interleave counts, graph edges, working sets, classification, and the
+//! final coloring all match a from-scratch serial (or parallel) run. The
+//! property suite `crates/core/tests/windowed_equiv.rs` pins this across
+//! arbitrary traces, window sizes, and `--jobs` values.
 //!
 //! **Incremental re-coloring.** Edge weights only ever grow, so an edge
 //! crosses the threshold at most once. Each flush hands the window's
 //! *kept moves* — the pairs it credited whose cumulative weight reaches
 //! the threshold, with that weight, in `(a, b)` order — to a colorer,
-//! which owns the cumulative pruned graph as one list sorted by pair and
-//! keeps its `(nodes, kept edges, kept weight)` signature current. An
-//! unchanged signature proves the pruned graph identical, so the previous
+//! which owns the cumulative pruned graph as one CSR and keeps its
+//! `(nodes, kept edges, kept weight)` signature current. An unchanged
+//! signature proves the pruned graph identical, so the previous
 //! assignment is still *the* coloring (the skip is exact); a moved one
-//! merges the moves into the list, compiles the CSR from it and
-//! re-colors it. No recolor reads the detector. Each re-coloring reports
-//! a **stability** metric: the fraction of previously assigned branches
-//! that kept their BHT entry.
+//! applies the moves to the CSR in place
+//! ([`ConflictGraph::update_sorted_edges`]: new weights where the pairs
+//! are, one back-to-front pass for the new pairs) and re-colors it. No
+//! recolor allocates a CSR of every kept pair, and none reads the
+//! detector. Each re-coloring reports a **stability** metric: the
+//! fraction of previously assigned branches that kept their BHT entry.
 //!
 //! **The colorer's thread.** A recolor needs nothing the walk still
 //! changes, so a windowed [`Session`](crate::Session) with two or more
@@ -48,6 +53,7 @@
 //! [`WindowedAnalysis::new`] makes, the same colorer runs inline after
 //! each flush. The windows and the assignment are the same either way.
 
+use crate::conflict::ConflictAnalysis;
 use crate::error::{CoreError, Error};
 use crate::interleave::Accumulator;
 use crate::pipeline::{Analysis, AnalysisPipeline};
@@ -66,6 +72,10 @@ const PHASE_JACCARD: f64 = 0.5;
 /// Default BHT size the incremental re-colorer targets (the paper's
 /// conventional baseline table).
 const DEFAULT_TABLE_SIZE: usize = 1024;
+
+/// A branch's entry in [`WindowedAnalysis`]'s map to window-graph nodes
+/// while the flush has not given it one.
+const UNTOUCHED: u32 = u32::MAX;
 
 /// Windows that may wait for a colorer on a helper thread while it colors
 /// another: the walk goes on detecting, and the waiting move lists stay
@@ -276,6 +286,16 @@ struct Handoff {
     moves: Vec<Move>,
 }
 
+/// The raw conflict graph's pair count and weight, summed over the
+/// windows flushed so far: a pair counts once, in the window that first
+/// credited it (its cumulative weight is its window weight there), and
+/// every window adds its weight.
+#[derive(Debug, Clone, Copy, Default)]
+struct RawTotals {
+    pairs: usize,
+    weight: u64,
+}
+
 /// Signature-gated incremental re-coloring of the cumulative kept graph,
 /// and the windows it has colored.
 #[derive(Debug)]
@@ -284,9 +304,10 @@ struct Colorer {
     options: ColoringOptions,
     obs: Obs,
     assignment: Vec<u32>,
-    /// The cumulative pruned graph, every pair at or above the threshold,
-    /// as `(a, b, weight)` sorted by pair.
-    kept: Vec<Move>,
+    /// The cumulative pruned graph, every pair at or above the threshold
+    /// at its latest weight, updated in place by each recolor. After the
+    /// last window it is the run's conflict graph.
+    kept: ConflictGraph,
     kept_weight: u64,
     /// `(nodes, kept edges, kept weight)` of the last colored graph.
     /// Cumulative edge weights grow monotonically, so an unchanged
@@ -305,7 +326,7 @@ impl Colorer {
             options: pipeline.allocation.coloring,
             obs,
             assignment: Vec::new(),
-            kept: Vec::new(),
+            kept: ConflictGraph::from_sorted_edges(0, std::iter::empty()),
             kept_weight: 0,
             signature: None,
             recolors: 0,
@@ -324,37 +345,39 @@ impl Colorer {
         } = handoff;
         let recolor = {
             let _span = self.obs.span("recolor");
-            self.recolor(nodes, &mut moves)
+            self.recolor(nodes, &moves)
         };
         if recolor.recolored {
             self.obs.add("core.recolors", 1);
         }
-        summary.cumulative_edges_kept = self.kept.len();
+        summary.cumulative_edges_kept = self.kept.edge_count();
         summary.recolor = recolor;
         self.windows.push(summary);
         moves.clear();
         moves
     }
 
-    /// Merges `moves` into the kept graph over `nodes` branches and
+    /// Applies `moves` to the kept graph over `nodes` branches and
     /// re-colors it, unless it is unchanged since the last coloring.
-    fn recolor(&mut self, nodes: u32, moves: &mut Vec<Move>) -> RecolorStats {
+    fn recolor(&mut self, nodes: u32, moves: &[Move]) -> RecolorStats {
         // Each move raises the kept weight, so with any move the
         // signature has moved.
-        let unchanged = Some((nodes, self.kept.len(), self.kept_weight));
+        let unchanged = Some((nodes, self.kept.edge_count(), self.kept_weight));
         if moves.is_empty() && self.signature == unchanged {
             return RecolorStats {
                 recolored: false,
                 stability: 1.0,
             };
         }
-        let kept = {
+        {
             let _span = self.obs.span("recolor_build");
-            self.merge(moves);
-            ConflictGraph::from_sorted_edges(nodes, self.kept.iter().copied())
-        };
+            let (added, inserted) = self.kept.update_sorted_edges(nodes, moves);
+            self.kept_weight += added;
+            self.obs.add("core.recolor_moves", moves.len() as u64);
+            self.obs.add("core.recolor_new_pairs", inserted as u64);
+        }
         let _span = self.obs.span("recolor_color");
-        let next = assign_colors(&kept, self.table_size, &self.options);
+        let next = assign_colors(&self.kept, self.table_size, &self.options);
         let unchanged = self
             .assignment
             .iter()
@@ -367,51 +390,11 @@ impl Colorer {
             unchanged as f64 / self.assignment.len() as f64
         };
         self.assignment = next;
-        self.signature = Some((nodes, self.kept.len(), self.kept_weight));
+        self.signature = Some((nodes, self.kept.edge_count(), self.kept_weight));
         self.recolors += 1;
         RecolorStats {
             recolored: true,
             stability,
-        }
-    }
-
-    /// Merges `moves`, sorted by pair, into the kept list in place: a kept
-    /// pair takes its new weight, and a new one is inserted in order.
-    /// `moves` is left holding the new pairs.
-    fn merge(&mut self, moves: &mut Vec<Move>) {
-        let Colorer {
-            kept, kept_weight, ..
-        } = self;
-        let key = |&(a, b, _): &Move| u64::from(a) << 32 | u64::from(b);
-        let mut at = 0;
-        moves.retain(|new| {
-            // A window's moves are dense in the kept list, so a forward
-            // scan finds each sooner than a search would.
-            while kept.get(at).is_some_and(|old| key(old) < key(new)) {
-                at += 1;
-            }
-            match kept.get_mut(at) {
-                Some(old) if key(old) == key(new) => {
-                    *kept_weight += new.2 - old.2;
-                    old.2 = new.2;
-                    false
-                }
-                _ => {
-                    *kept_weight += new.2;
-                    true
-                }
-            }
-        });
-        // From the back: each new pair lands after the old pairs below it
-        // and the new pairs before it, and the old pairs above it move up
-        // past it once.
-        let mut end = kept.len();
-        kept.resize(end + moves.len(), (0, 0, 0));
-        for (i, new) in moves.iter().enumerate().rev() {
-            let start = kept[..end].partition_point(|old| key(old) < key(new));
-            kept.copy_within(start..end, start + i + 1);
-            kept[start + i] = *new;
-            end = start;
         }
     }
 }
@@ -512,6 +495,9 @@ pub struct WindowedAnalysis {
     acc: Accumulator,
     /// Per-branch statistics of the open window's records, indexed by id.
     stats: Vec<BranchStats>,
+    /// `local[id]`: branch `id`'s node in the window graph a flush builds,
+    /// [`UNTOUCHED`] for every branch outside a flush.
+    local: Vec<u32>,
     /// Ids the open window executed, in first-execution order.
     executed: Vec<u32>,
     /// Records in the open window.
@@ -531,6 +517,8 @@ pub struct WindowedAnalysis {
     threshold: u64,
     /// The list the next flush fills with its kept moves.
     moves: Vec<Move>,
+    /// The raw pairs and weight of the windows flushed so far.
+    raw: RawTotals,
     colorist: Colorist,
 }
 
@@ -552,6 +540,7 @@ impl WindowedAnalysis {
             obs: Obs::noop(),
             acc,
             stats: Vec::new(),
+            local: Vec::new(),
             executed: Vec::new(),
             records: 0,
             first_time: 0,
@@ -560,6 +549,7 @@ impl WindowedAnalysis {
             prev_executed: None,
             flushed: 0,
             moves: Vec::new(),
+            raw: RawTotals::default(),
             colorist,
         }
     }
@@ -653,15 +643,20 @@ impl WindowedAnalysis {
         let threshold = self.threshold;
 
         bwsa_resilience::failpoint!(crate::failpoints::WINDOW_MERGE);
+        let mut executed = std::mem::take(&mut self.executed);
+        executed.sort_unstable();
         let mut interleave_pairs = 0;
         let mut interleave_weight = 0;
         let mut moves = std::mem::take(&mut self.moves);
         let (window_sets, rows_touched) = {
             let _span = self.obs.span("window_diff");
             let mut kept = Vec::new();
+            let raw = &mut self.raw;
             let rows_touched = self.acc.detector.flush_window(|a, b, w, after| {
                 interleave_pairs += 1;
                 interleave_weight += w;
+                // First credited in this window: nothing came before it.
+                raw.pairs += usize::from(w == after);
                 if w >= threshold {
                     kept.push((a, b, w));
                 }
@@ -669,14 +664,10 @@ impl WindowedAnalysis {
                     moves.push((a, b, after));
                 }
             });
-            let pruned_window = ConflictGraph::from_sorted_edges(nodes, kept.iter().copied());
-            let profile = BranchProfile::from_parts(self.stats.clone(), self.records);
-            let sets = working_sets(&pruned_window, &profile, self.pipeline.definition);
-            (sets, rows_touched)
+            raw.weight += interleave_weight;
+            (self.window_sets(nodes, &executed, &kept), rows_touched)
         };
 
-        let mut executed = std::mem::take(&mut self.executed);
-        executed.sort_unstable();
         let new_branches = executed
             .iter()
             .filter(|&&id| {
@@ -712,7 +703,7 @@ impl WindowedAnalysis {
             interleave_weight,
             // The colorer's to fill in.
             cumulative_edges_kept: 0,
-            working_sets: window_sets.report,
+            working_sets: window_sets,
             jaccard,
             phase_change,
             recolor: RecolorStats {
@@ -727,6 +718,56 @@ impl WindowedAnalysis {
             nodes,
             moves,
         });
+    }
+
+    /// The working-set report of the open window's own pruned graph:
+    /// `kept`, its pairs whose window weight reaches the threshold, in
+    /// `(a, b)` order, over the `nodes` branches seen so far. Only the ids
+    /// the window touched are built: `executed` and the endpoints of
+    /// `kept`, since a pair also credits a branch that ran only in an
+    /// earlier window. They are relabeled in increasing order through
+    /// `local`, one lookup per endpoint, so the partition's tie-breaks and
+    /// the dynamic size's sum come out as over every node. Every other
+    /// branch seen is an isolated node with no
+    /// execution in the window, a singleton set the report counts by
+    /// arithmetic. (A capped maximal-clique enumeration that stops early
+    /// may stop at other cliques, since those singletons no longer take
+    /// part in it.)
+    fn window_sets(&mut self, nodes: u32, executed: &[u32], kept: &[Move]) -> WorkingSetReport {
+        let local = &mut self.local;
+        local.resize(nodes as usize, UNTOUCHED);
+        let mut touched = Vec::with_capacity(executed.len());
+        let endpoints = kept.iter().flat_map(|&(a, b, _)| [a, b]);
+        for id in executed.iter().copied().chain(endpoints) {
+            if local[id as usize] == UNTOUCHED {
+                local[id as usize] = 0;
+                touched.push(id);
+            }
+        }
+        touched.sort_unstable();
+        for (node, &id) in touched.iter().enumerate() {
+            local[id as usize] = node as u32;
+        }
+        let map = &*local;
+        let edges = kept
+            .iter()
+            .map(|&(a, b, w)| (map[a as usize], map[b as usize], w));
+        let graph = ConflictGraph::from_sorted_edges(touched.len() as u32, edges);
+        for &id in &touched {
+            local[id as usize] = UNTOUCHED;
+        }
+        let stats = touched.iter().map(|&id| self.stats[id as usize]).collect();
+        let profile = BranchProfile::from_parts(stats, self.records);
+        let sets = working_sets(&graph, &profile, self.pipeline.definition);
+        let mut report = sets.report;
+        let untouched = nodes as usize - touched.len();
+        if untouched > 0 {
+            let size_sum: usize = sets.sets.iter().map(Vec::len).sum();
+            report.total_sets += untouched;
+            report.avg_static_size = (size_sum + untouched) as f64 / report.total_sets as f64;
+            report.max_size = report.max_size.max(1);
+        }
+        report
     }
 
     /// Has the colorer color `handoff`, and takes back a move list to
@@ -748,10 +789,10 @@ impl WindowedAnalysis {
     }
 
     /// Flushes the trailing partial window and folds everything into the
-    /// whole-trace [`Analysis`] — the streaming engines' own tail over
-    /// the one accumulator every window was read from, so bit-identical
-    /// to a from-scratch run over the same records (pinned by
-    /// `crates/core/tests/windowed_equiv.rs`).
+    /// whole-trace [`Analysis`]: the colorer's kept graph is its conflict
+    /// graph, and the engines' shared tail runs over it, so it is
+    /// bit-identical to a from-scratch run over the same records (pinned
+    /// by `crates/core/tests/windowed_equiv.rs`).
     pub fn finish(mut self) -> WindowedResult {
         self.flush();
         let WindowedAnalysis {
@@ -759,6 +800,7 @@ impl WindowedAnalysis {
             pipeline,
             obs,
             acc,
+            raw,
             colorist,
             ..
         } = self;
@@ -767,24 +809,28 @@ impl WindowedAnalysis {
                 "only `run` makes engines that color on a helper, and it folds them itself"
             )
         };
-        fold(config, &pipeline, &obs, acc, colorer)
+        fold(config, &pipeline, &obs, acc, raw, colorer)
     }
 }
 
 /// A finished run: the colorer's windows and assignment, and the
-/// whole-trace fold of `acc`, compiled once the colorer's kept list is
-/// gone.
+/// whole-trace analysis. Its conflict graph is the colorer's kept graph,
+/// its raw pair count and weight are the windows' totals, and the
+/// detector is dropped before the engines' shared tail runs over them; no
+/// detector row is read again.
 fn fold(
     config: WindowConfig,
     pipeline: &AnalysisPipeline,
     obs: &Obs,
     acc: Accumulator,
+    raw: RawTotals,
     colorer: Colorer,
 ) -> WindowedResult {
     let Colorer {
         windows,
         assignment,
         recolors,
+        kept,
         ..
     } = colorer;
     let phase_changes = windows.iter().filter(|w| w.phase_change).count() as u64;
@@ -793,8 +839,19 @@ fn fold(
     } else {
         windows.iter().map(|w| w.recolor.stability).sum::<f64>() / windows.len() as f64
     };
-    let records = acc.records;
-    let analysis = acc.into_analysis(pipeline, obs);
+    let Accumulator {
+        detector,
+        stats,
+        records,
+    } = acc;
+    drop(detector);
+    let profile = BranchProfile::from_parts(stats, records);
+    let analysis = pipeline.conclude(profile, obs, || ConflictAnalysis {
+        graph: kept,
+        raw_edge_count: raw.pairs,
+        raw_total_weight: raw.weight,
+        config: pipeline.conflict,
+    });
     WindowedResult {
         config,
         windows,
@@ -846,15 +903,15 @@ pub(crate) fn run<R>(
             let mut engine = engine.with_observer(obs.clone());
             let fed = feed(&mut engine)?;
             engine.flush();
-            let WindowedAnalysis { acc, .. } = engine;
-            Ok((acc, fed))
+            let WindowedAnalysis { acc, raw, .. } = engine;
+            Ok((acc, raw, fed))
         }));
         // The channel closed with the engine, so the helper has colored
         // every window handed over, or unwound.
         let colored = helper.join();
         match (walked, colored) {
-            (Ok(Ok((acc, fed))), Ok(colorer)) => {
-                Ok((fold(config, &pipeline, obs, acc, colorer), fed))
+            (Ok(Ok((acc, raw, fed))), Ok(colorer)) => {
+                Ok((fold(config, &pipeline, obs, acc, raw, colorer), fed))
             }
             (Ok(Err(e)), _) => Err(e),
             (Err(gone), Err(fault)) if gone.is::<ColorerGone>() => panic::resume_unwind(fault),
@@ -1135,11 +1192,14 @@ mod tests {
     }
 
     #[test]
-    fn merged_moves_keep_the_kept_list_sorted_at_the_latest_weights() {
-        let mut colorer = Colorer::new(8, &AnalysisPipeline::default(), Obs::noop());
+    fn moves_keep_the_kept_graph_at_the_latest_weights() {
+        let obs = Obs::recording();
+        let mut colorer = Colorer::new(8, &AnalysisPipeline::default(), obs.clone());
         let mut reference = std::collections::BTreeMap::new();
         let mut lcg: u64 = 3;
         for window in 0..60u64 {
+            // Every 11th window brings a new branch and no move.
+            let nodes = 14 + window as u32 / 11;
             // Pairs below, between and above the kept ones, some kept
             // already, each at a weight above its last.
             let mut moves = std::collections::BTreeMap::new();
@@ -1147,25 +1207,25 @@ mod tests {
                 lcg = lcg
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                let (a, b) = ((lcg >> 40) as u32 % 14, (lcg >> 20) as u32 % 14);
+                let (a, b) = ((lcg >> 40) as u32 % nodes, (lcg >> 20) as u32 % nodes);
                 if a < b {
                     let last = reference.get(&(a, b)).copied().unwrap_or(99);
                     moves.insert((a, b), last + 1 + lcg % 5);
                 }
             }
-            let mut list: Vec<Move> = moves.iter().map(|(&(a, b), &w)| (a, b, w)).collect();
-            let fresh: Vec<Move> = list
-                .iter()
-                .copied()
-                .filter(|&(a, b, _)| !reference.contains_key(&(a, b)))
-                .collect();
-            colorer.merge(&mut list);
-            assert_eq!(list, fresh, "window {window}");
+            let list: Vec<Move> = moves.iter().map(|(&(a, b), &w)| (a, b, w)).collect();
+            let recolor = colorer.recolor(nodes, &list);
+            assert!(recolor.recolored || list.is_empty(), "window {window}");
             reference.extend(moves);
-            let want: Vec<Move> = reference.iter().map(|(&(a, b), &w)| (a, b, w)).collect();
+            let kept = reference.iter().map(|(&(a, b), &w)| (a, b, w));
+            let want = ConflictGraph::from_sorted_edges(nodes, kept);
             assert_eq!(colorer.kept, want, "window {window}");
             assert_eq!(colorer.kept_weight, reference.values().sum::<u64>());
         }
+        let metrics = obs.snapshot().unwrap();
+        let new_pairs = metrics.counter("core.recolor_new_pairs");
+        assert_eq!(new_pairs, reference.len() as u64);
+        assert!(metrics.counter("core.recolor_moves") > new_pairs);
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Immutable CSR conflict graph.
+//! CSR conflict graph.
 
 use std::fmt;
 
-/// An immutable weighted undirected simple graph in compressed sparse row
-/// form.
+/// A weighted undirected simple graph in compressed sparse row form.
 ///
 /// Per-node adjacency lists are sorted, so `has_edge`/`edge_weight` are
 /// binary searches and neighbor iteration is cache-friendly — the analysis
 /// repeatedly scans adjacency during clique extraction and coloring.
 ///
-/// Build one with [`crate::GraphBuilder`].
+/// Build one with [`crate::GraphBuilder`]. The one change a graph takes in
+/// place is [`ConflictGraph::update_sorted_edges`]: new weights and new
+/// edges in pair order, as a growing graph of cumulative counts receives
+/// them.
 ///
 /// # Example
 ///
@@ -131,6 +133,137 @@ impl ConflictGraph {
             offsets,
             neighbors,
             weights,
+        }
+    }
+
+    /// Applies a batch of `(a, b, weight)` edges with `a < b`, in strictly
+    /// increasing `(a, b)` order, to this graph in place, after growing it
+    /// to `nodes` nodes (even for an empty batch). An edge already in the
+    /// graph takes its new weight in both endpoints' slices; a new edge is
+    /// inserted. Returns the weight the batch added to the graph's total
+    /// and the number of edges it inserted.
+    ///
+    /// The batch is walked once. Each endpoint keeps a forward cursor into
+    /// its own slice, so an edge's two entries are found without a search:
+    /// the edges of `a` as the smaller endpoint arrive in increasing `b`,
+    /// and those of `b` as the larger one in increasing `a`. The new edges
+    /// then go in with one pass from the back that merges each node's new
+    /// neighbors into its slice and moves every old entry up at most once,
+    /// reusing the arrays' capacity.
+    ///
+    /// A weight must not fall below the edge's current one: the graph of
+    /// cumulative interleave counts this is for only grows. Order and
+    /// weights are checked in debug builds only;
+    /// [`ConflictGraph::from_sorted_edges`] checks its input in every
+    /// build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is below the current node count or an endpoint is
+    /// not below `nodes`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use bwsa_graph::ConflictGraph;
+    ///
+    /// let mut g = ConflictGraph::from_sorted_edges(3, [(0u32, 2u32, 5u64)].into_iter());
+    /// let (added, inserted) = g.update_sorted_edges(4, &[(0, 1, 2), (0, 2, 7), (2, 3, 1)]);
+    /// assert_eq!((added, inserted), (5, 2));
+    /// assert_eq!(g.neighbors(2), &[0, 3]);
+    /// assert_eq!(g.edge_weight(2, 0), Some(7));
+    /// let edges = [(0, 1, 2), (0, 2, 7), (2, 3, 1)];
+    /// assert_eq!(g, ConflictGraph::from_sorted_edges(4, edges.into_iter()));
+    /// ```
+    pub fn update_sorted_edges(&mut self, nodes: u32, edges: &[(u32, u32, u64)]) -> (u64, usize) {
+        let n = nodes as usize;
+        assert!(
+            n >= self.node_count(),
+            "a graph of {} nodes cannot shrink to {n}",
+            self.node_count()
+        );
+        let end = self.neighbors.len();
+        self.offsets.resize(n + 1, end);
+        // `cursor[x]`: the first entry of x's slice not yet passed.
+        let mut cursor = self.offsets[..n].to_vec();
+        let mut fresh = Vec::new();
+        let mut added = 0;
+        let mut last = None;
+        for &(a, b, w) in edges {
+            debug_assert!(a < b && last < Some((a, b)), "({a}, {b}) out of order");
+            last = Some((a, b));
+            match self.advance(&mut cursor, a, b) {
+                Some(at) => {
+                    debug_assert!(w >= self.weights[at], "({a}, {b}) lost weight");
+                    added += w - self.weights[at];
+                    self.weights[at] = w;
+                    let back = self.advance(&mut cursor, b, a);
+                    self.weights[back.expect("an edge is in both endpoints' slices")] = w;
+                }
+                None => {
+                    added += w;
+                    fresh.push((a, b, w));
+                }
+            }
+        }
+        if !fresh.is_empty() {
+            self.insert_sorted(&fresh);
+        }
+        (added, fresh.len())
+    }
+
+    /// Moves `cursor[x]` past x's neighbors below `y` and returns the
+    /// entry of `y` there, if `y` is a neighbor.
+    fn advance(&self, cursor: &mut [usize], x: u32, y: u32) -> Option<usize> {
+        let at = &mut cursor[x as usize];
+        let end = self.offsets[x as usize + 1];
+        while *at < end && self.neighbors[*at] < y {
+            *at += 1;
+        }
+        (*at < end && self.neighbors[*at] == y).then_some(*at)
+    }
+
+    /// Inserts `fresh`, edges absent from the graph in increasing `(a, b)`
+    /// order, in one pass from the back. Node `x`'s new neighbors come
+    /// sorted from the fill of `fresh`, and its slice moves up by the new
+    /// entries of the nodes below it, so each write lands at or above the
+    /// entry it reads and no entry is overwritten before it has moved.
+    fn insert_sorted(&mut self, fresh: &[(u32, u32, u64)]) {
+        let nodes = self.node_count() as u32;
+        let new = Self::fill(nodes, fresh.iter().copied());
+        let len = self.neighbors.len();
+        self.neighbors.resize(len + new.neighbors.len(), 0);
+        self.weights.resize(len + new.weights.len(), 0);
+        // Old entries in `..unmoved` have not moved yet.
+        let mut unmoved = len;
+        for x in (0..nodes as usize).rev() {
+            let (below, upto) = (new.offsets[x], new.offsets[x + 1]);
+            if below == upto {
+                continue;
+            }
+            // Everything after x's slice moves up past x's new entries and
+            // those below it.
+            let (start, end) = (self.offsets[x], self.offsets[x + 1]);
+            self.neighbors.copy_within(end..unmoved, end + upto);
+            self.weights.copy_within(end..unmoved, end + upto);
+            let (mut old, mut add, mut write) = (end, upto, end + upto);
+            while add > below {
+                write -= 1;
+                if old > start && self.neighbors[old - 1] > new.neighbors[add - 1] {
+                    old -= 1;
+                    self.neighbors[write] = self.neighbors[old];
+                    self.weights[write] = self.weights[old];
+                } else {
+                    add -= 1;
+                    self.neighbors[write] = new.neighbors[add];
+                    self.weights[write] = new.weights[add];
+                }
+            }
+            // x's entries below its new ones move with the next span.
+            unmoved = old;
+        }
+        for (offset, shift) in self.offsets.iter_mut().zip(&new.offsets) {
+            *offset += shift;
         }
     }
 
@@ -414,6 +547,91 @@ mod tests {
     fn unsorted_edges_are_rejected() {
         let edges = [(1u32, 2u32, 1u64), (0, 2, 1)];
         ConflictGraph::from_sorted_edges(3, edges.iter().copied());
+    }
+
+    type Reference = std::collections::BTreeMap<(u32, u32), u64>;
+
+    /// Applies `batch` to `g` and to `reference`, then checks `g` against
+    /// a fresh build of the reference and the returned weight and count.
+    fn apply(
+        g: &mut ConflictGraph,
+        reference: &mut Reference,
+        nodes: u32,
+        batch: &[(u32, u32, u64)],
+    ) {
+        let total = g.total_weight();
+        let before = reference.len();
+        let (added, inserted) = g.update_sorted_edges(nodes, batch);
+        reference.extend(batch.iter().map(|&(a, b, w)| ((a, b), w)));
+        let edges = reference.iter().map(|(&(a, b), &w)| (a, b, w));
+        assert_eq!(
+            *g,
+            ConflictGraph::from_sorted_edges(nodes, edges),
+            "{batch:?}"
+        );
+        assert_eq!(inserted, reference.len() - before, "{batch:?}");
+        assert_eq!(total + added, g.total_weight(), "{batch:?}");
+    }
+
+    #[test]
+    fn updates_land_in_place_at_every_slice_position() {
+        let mut g = ConflictGraph::from_sorted_edges(0, std::iter::empty());
+        let mut r = Reference::new();
+        // Node growth through an empty batch, then every node's first edge.
+        apply(&mut g, &mut r, 3, &[]);
+        assert_eq!(g.node_count(), 3);
+        apply(&mut g, &mut r, 6, &[(1, 3, 4), (2, 4, 4)]);
+        // Weights only: both endpoints' entries move, nothing is inserted.
+        apply(&mut g, &mut r, 6, &[(1, 3, 9), (2, 4, 5)]);
+        // New pairs at the front, middle and back of node 3's slice.
+        apply(&mut g, &mut r, 6, &[(0, 3, 1), (3, 5, 2)]);
+        apply(&mut g, &mut r, 6, &[(2, 3, 7)]);
+        assert_eq!(g.neighbors(3), &[0, 1, 2, 5]);
+        // One batch that raises and inserts pairs around the same node.
+        apply(
+            &mut g,
+            &mut r,
+            7,
+            &[(0, 2, 3), (1, 2, 1), (2, 3, 8), (2, 4, 6), (2, 6, 1)],
+        );
+        assert_eq!(g.neighbors(2), &[0, 1, 3, 4, 6]);
+        apply(&mut g, &mut r, 9, &[]);
+        assert_eq!(g.degree(8), 0);
+    }
+
+    #[test]
+    fn seeded_batches_match_a_fresh_build_after_every_batch() {
+        let mut lcg: u64 = 7;
+        let mut next = |bound: u64| {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (lcg >> 33) % bound
+        };
+        let mut g = ConflictGraph::from_sorted_edges(0, std::iter::empty());
+        let mut r = Reference::new();
+        let mut nodes = 0u32;
+        for _ in 0..300 {
+            nodes = (nodes + next(3) as u32).min(40);
+            let mut batch = Reference::new();
+            for _ in 0..next(25) {
+                let (a, b) = (next(40) as u32, next(40) as u32);
+                if a < b && b < nodes {
+                    let last = r.get(&(a, b)).copied().unwrap_or(0);
+                    batch.insert((a, b), last + next(4));
+                }
+            }
+            let batch: Vec<_> = batch.into_iter().map(|((a, b), w)| (a, b, w)).collect();
+            apply(&mut g, &mut r, nodes, &batch);
+        }
+        assert!(r.len() > 300, "the batches filled the graph: {}", r.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot shrink")]
+    fn updates_never_drop_nodes() {
+        let mut g = ConflictGraph::from_sorted_edges(3, std::iter::empty());
+        g.update_sorted_edges(2, &[]);
     }
 
     #[test]

@@ -231,7 +231,18 @@ for f in bwss bws3; do
         "$bwsa" analyze "$convert_dir/wide.$f" --jobs "$jobs" > "$convert_dir/wide-$f-j$jobs.out"
     done
 done
-for run in j2 bws3 bws3-j1 bwss-j1 bwss-j2 bwss-j3 bws3-j2 bws3-j3; do
+# Windowed, whose final conflict graph is the colorer's kept graph with
+# pairs above the cap in it: at --jobs 1, 2 and 3 the run prints the
+# serial bytes without its windows line, and the sidecars are identical.
+for jobs in 1 2 3; do
+    "$bwsa" analyze "$convert_dir/wide.bws3" --window 4096 --jobs "$jobs" \
+        --emit-windows "$convert_dir/wide-windows-j$jobs.json" \
+        | grep -v '^windows: ' > "$convert_dir/wide-window-j$jobs.out"
+done
+cmp "$convert_dir/wide-windows-j1.json" "$convert_dir/wide-windows-j2.json"
+cmp "$convert_dir/wide-windows-j1.json" "$convert_dir/wide-windows-j3.json"
+for run in j2 bws3 bws3-j1 bwss-j1 bwss-j2 bwss-j3 bws3-j2 bws3-j3 \
+    window-j1 window-j2 window-j3; do
     cmp "$convert_dir/wide.out" "$convert_dir/wide-$run.out"
 done
 # A torn file has no instruction total: streamed serially, by each of 2

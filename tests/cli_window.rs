@@ -236,5 +236,11 @@ fn a_windowed_metrics_report_attributes_the_window_walk() {
         assert_eq!(stage("window_handoff"), handoffs, "{text}");
         let touched = counter("core.window_rows_touched").expect("rows touched counted");
         assert!(touched > 0, "{text}");
+        // Every kept pair enters the colorer's graph once, as a new pair
+        // among its moves, and the run's conflict graph is that graph.
+        let new_pairs = counter("core.recolor_new_pairs").expect("new pairs counted");
+        let moves = counter("core.recolor_moves").expect("moves counted");
+        assert_eq!(Some(new_pairs), counter("core.graph_edges_kept"), "{text}");
+        assert!(new_pairs > 0 && moves >= new_pairs, "{text}");
     }
 }
