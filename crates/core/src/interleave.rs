@@ -17,25 +17,34 @@
 //! (`RecencyRing`): a scan from just past the branch's own entry, `O(k)`
 //! per dynamic branch where `k` is the instantaneous working-set size,
 //! the very quantity the paper shows stays small. A superseded entry
-//! reads as `TOMB`, an id past the end of every row, so a credit is one
+//! reads as `TOMB`, an id past every row's counters, so a credit is one
 //! id load and one increment.
 //!
 //! The credits of one re-execution of branch `a` all land in `a`'s own
-//! dense row of `u32` counters, so the ~300 increments a record costs on
-//! a gcc-shaped trace stay within one row of at most 16 KiB instead of
-//! probing a hash table that has outgrown the cache. Rows cover ids below
-//! `DENSE_NODES` (4096); pairs with an endpoint above it and folded rows
-//! live in a [`GraphBuilder`], the spill table. Every engine compiles the
-//! thresholded conflict graph in one walk over rows and spill in
-//! increasing pair order: each pair adds to the raw pair count and
-//! weight, and only a pair whose whole weight reaches the threshold
-//! enters the CSR, so no raw graph is built. A parallel run first moves
-//! its workers' rows, which credit disjoint branches, into one detector.
-//! A windowed run keeps one detector for the whole trace and reads each
-//! window out of it: a row is copied at its first credit in the window,
-//! and the flush walks the touched rows' differences from those copies.
-//! [`interleave_counts_naive`] is an independent linear-scan oracle used
-//! by the tests.
+//! row of `u32` counters, and every branch has a row in one store. A row
+//! of a branch below `HEAD_NODES` (4096) starts with a dense head over
+//! the ids seen so far, at most 16 KiB, so the ~300 increments a record
+//! costs on a gcc-shaped trace stay within one small row. Every other id
+//! a row credits is counted in a page of `PAGE` (256) consecutive ids,
+//! appended to the row at its first credit there; the rows of branches
+//! at or above 4096 hold only pages. Since a branch interleaves with a
+//! small, phase-local working set, a row holds few pages: on a trace
+//! whose phases never revisit, only its own phase's. A row about to
+//! overflow a `u32` folds its counts into `u64` counters of the same
+//! layout.
+//!
+//! Every engine compiles the thresholded conflict graph in one walk over
+//! the rows in increasing pair order, which costs what the rows hold:
+//! for each `a`, row `a`'s own counters merged with column `a`, read from
+//! the rows whose head or a page covers `a`. Each pair adds to the raw
+//! pair count and weight, and only a pair whose whole weight reaches the
+//! threshold enters the CSR, so no raw graph is built. A parallel run
+//! first moves its workers' rows, which credit disjoint branches, into
+//! one detector. A windowed run keeps one detector for the whole trace
+//! and reads each window out of it: a row is copied at its first credit
+//! in the window, and the flush walks the touched rows' differences from
+//! those copies. [`interleave_counts_naive`] is an independent
+//! linear-scan oracle used by the tests.
 
 use crate::conflict::{ConflictAnalysis, ConflictConfig};
 use crate::pipeline::{Analysis, AnalysisPipeline};
@@ -44,19 +53,24 @@ use bwsa_graph::{ConflictGraph, GraphBuilder};
 use bwsa_obs::Obs;
 use bwsa_trace::profile::{BranchProfile, BranchStats};
 use bwsa_trace::Trace;
-use std::cmp::Ordering;
-use std::iter::Peekable;
+use std::ops::Range;
 
-/// Node ids below this get a dense counter row; a pair with an endpoint
-/// at or above it is counted in the spill table. At 4096 a full row is
-/// 16 KiB, and 88.7% of gcc@1's increments (5762 static branches) fall
-/// below it; benchmark-sized traces fall below it entirely.
-pub(crate) const DENSE_NODES: usize = 4096;
+/// The rows of branch ids below this start with a dense head over the
+/// ids below it. At 4096 a full head is 16 KiB, below glibc's mmap
+/// threshold, and benchmark-sized traces fall below it entirely.
+pub(crate) const HEAD_NODES: usize = 4096;
 
-/// Rows grow in steps of this many counters, so a row whose branch keeps
-/// re-executing while new branches appear is copied at most
-/// `DENSE_NODES / ROW_STEP` times.
+/// Ids per page: a row counts every id past its head in the page of
+/// `PAGE` consecutive ids that holds it.
+pub(crate) const PAGE: usize = 256;
+
+/// Heads grow in steps of this many counters, so a head whose branch
+/// keeps re-executing while new branches appear is copied at most
+/// `HEAD_NODES / ROW_STEP` times.
 const ROW_STEP: usize = 128;
+
+/// The page-table entry of a page a row does not hold.
+const NO_PAGE: u32 = u32::MAX;
 
 /// Computes pairwise interleave counts for every branch pair in the trace.
 ///
@@ -86,10 +100,9 @@ const ROW_STEP: usize = 128;
 /// ```
 pub fn interleave_counts(trace: &Trace) -> GraphBuilder {
     let detector = detect(trace);
-    let spill = detector.sorted_spill();
-    let edges = detector.sorted_edges(&spill);
-    let mut builder =
-        GraphBuilder::with_capacity(detector.spill.node_count(), edges.clone().count());
+    let mut edges = Vec::new();
+    detector.edges(|a, b, w| edges.push((a, b, w)));
+    let mut builder = GraphBuilder::with_capacity(detector.nodes, edges.len());
     for (a, b, w) in edges {
         builder.add_edge(a, b, w);
     }
@@ -106,29 +119,37 @@ pub(crate) fn detect(trace: &Trace) -> Detector {
     detector
 }
 
-/// One dense row: `counts[b]` is how many of this branch's re-executions
-/// saw `b` since the row was last folded.
+/// One branch's row: how many of its re-executions saw each other branch.
+/// The head counts ids `0..head` at their own index in `counts`; each page
+/// follows it, in the order the row allocated them.
 #[derive(Debug, Clone, Default)]
 struct Row {
     counts: Vec<u32>,
+    /// The ids the head counts, `counts[..head]`.
+    head: u32,
+    /// `pages[p]`: where the counters of ids `p·PAGE..(p + 1)·PAGE` start
+    /// in `counts`, or [`NO_PAGE`]. Pages are only ever appended, and only
+    /// to a head that has stopped growing, so a prefix of `counts` is the
+    /// row as it stood earlier.
+    pages: Vec<u32>,
+    /// What folds moved out of `counts`, in the same layout; empty until
+    /// the row first folds.
+    folded: Vec<u64>,
     /// Re-executions counted into `counts`, which bounds every counter.
     reexecs: u32,
-    /// The row's entry in [`Window::copies`], valid while `epoch` is the
-    /// open window's.
-    copy: u32,
     /// The window epoch of the row's last copy; 0 for never copied.
     epoch: u64,
 }
 
-/// A row's counts as they stood at its first credit in the open window:
-/// `Window::counts[start..start + len]`. A copy shorter than its row
-/// reads as zeros past its end, so an empty copy stands for a row's
-/// whole count.
+/// A row as it stood at its first credit in the open window:
+/// `Window::counts[counts]` and `Window::folded[folded]`. A copy shorter
+/// than its row reads as zeros past its end, so an empty copy stands for
+/// a row's whole count.
 #[derive(Debug, Clone)]
 struct RowCopy {
     row: u32,
-    start: usize,
-    len: usize,
+    counts: Range<usize>,
+    folded: Range<usize>,
 }
 
 /// What a windowed run needs to read one window out of the detector.
@@ -141,9 +162,8 @@ struct Window {
     copies: Vec<RowCopy>,
     /// The copied counts, back to back.
     counts: Vec<u32>,
-    /// The open window's credits to pairs outside the dense rows, plus
-    /// the window's part of any row folded during it.
-    spill: GraphBuilder,
+    /// The copied folds of rows that had folded, back to back.
+    folded: Vec<u64>,
 }
 
 impl Window {
@@ -155,50 +175,53 @@ impl Window {
             return;
         }
         row.epoch = self.epoch;
-        row.copy = self.copies.len() as u32;
+        let (counts, folded) = (self.counts.len(), self.folded.len());
+        self.counts.extend_from_slice(&row.counts);
+        self.folded.extend_from_slice(&row.folded);
         self.copies.push(RowCopy {
             row: id,
-            start: self.counts.len(),
-            len: row.counts.len(),
+            counts: counts..self.counts.len(),
+            folded: folded..self.folded.len(),
         });
-        self.counts.extend_from_slice(&row.counts);
     }
 
-    /// Starts the next window over `nodes` branches.
-    fn open(&mut self, nodes: u32) {
+    /// Starts the next window.
+    fn open(&mut self) {
         self.epoch += 1;
         self.copies.clear();
         self.counts.clear();
-        self.spill = GraphBuilder::new(nodes);
+        self.folded.clear();
     }
 }
 
 /// The Figure 1 detection kernel over pre-interned `(branch, stamp)`
-/// pairs. See the module docs for the row and spill representation.
+/// pairs. See the module docs for the row store.
 ///
-/// The weight of edge `{a, b}` is `row[a][b] + row[b][a]` plus its spill
-/// entry. A row is allocated at its branch's first re-execution that has
-/// a credit to give, sized to the branch count seen so far (rounded up to
-/// [`ROW_STEP`], capped at [`DENSE_NODES`]), and grows as later
-/// re-executions see newer branches.
+/// The weight of edge `{a, b}` is row `a`'s count of `b` plus row `b`'s
+/// count of `a`. A row gets counters at its branch's first re-execution
+/// that has a credit to give. A head is sized to the branch count seen so
+/// far (rounded up to [`ROW_STEP`], capped at [`HEAD_NODES`]) and grows as
+/// later re-executions see newer branches; a page is allocated at the
+/// row's first credit to an id in it.
 #[derive(Debug, Clone)]
 pub(crate) struct Detector {
     /// One live (latest stamp, branch) entry per executed branch: the
     /// only per-branch stamp state.
     recency: RecencyRing,
-    /// Dense rows, indexed by branch id below [`DENSE_NODES`].
+    /// One row per branch id credited so far.
     rows: Vec<Row>,
-    /// Ids of the rows allocated so far, in allocation order: the only
-    /// rows a fold or an edge walk reads.
+    /// Ids of the rows holding counters, in allocation order: the only
+    /// rows a walk reads.
     allocated: Vec<u32>,
-    /// Pairs with an endpoint at or above [`DENSE_NODES`], and folded
-    /// rows. Its node count is the detector's.
-    spill: GraphBuilder,
-    /// Re-executions at which a row folds into `spill`, before any of its
-    /// `u32` counters can overflow. Only unit tests lower it.
+    /// Branches seen: every id pushed or passed is below it.
+    nodes: u32,
+    /// Re-executions at which a row folds, before any of its `u32`
+    /// counters can overflow. Only unit tests lower it.
     fold_at: u32,
-    /// The open window's row copies and spill credits, when tracked.
+    /// The open window's row copies, when tracked.
     window: Window,
+    /// The ids of one credit whose page the row did not hold yet.
+    missed: Vec<u32>,
 }
 
 impl Detector {
@@ -208,48 +231,47 @@ impl Detector {
             recency: RecencyRing::default(),
             rows: Vec::new(),
             allocated: Vec::new(),
-            spill: GraphBuilder::new(nodes as u32),
+            nodes: nodes as u32,
             fold_at: u32::MAX,
             window: Window::default(),
+            missed: Vec::new(),
         }
     }
 
     /// Starts reading windows out of this detector: from here on each
-    /// row is copied at its first credit in a window, and spill credits
-    /// are also counted per window. Every other engine leaves this off.
+    /// row is copied at its first credit in a window. Every other engine
+    /// leaves this off.
     pub(crate) fn track_windows(&mut self) {
-        self.window.open(self.spill.node_count());
+        self.window.open();
     }
 
     /// Calls `f(a, b, window weight, cumulative weight)` once per pair the
     /// open window credited, with `a < b`, in increasing `(a, b)` order,
     /// then opens the next window. Only the touched rows' differences
-    /// from their copies and the window's spill credits are read. Returns
-    /// how many rows the window touched.
+    /// from their copies are read. Returns how many rows the window
+    /// touched.
     pub(crate) fn flush_window(&mut self, mut f: impl FnMut(u32, u32, u64, u64)) -> usize {
         debug_assert!(self.window.epoch != 0, "windows are not tracked");
         self.window.copies.sort_unstable_by_key(|copy| copy.row);
-        let mut spill: Vec<_> = self.window.spill.edges().collect();
-        spill.sort_unstable();
-        let width = (self.spill.node_count() as usize).min(DENSE_NODES);
-        let pairs = MergeSorted {
-            left: RowPairs::new(&self.rows, &self.window.copies, &self.window.counts, width)
-                .peekable(),
-            right: spill.into_iter().peekable(),
+        let listed = Listed {
+            rows: &self.rows,
+            copies: &self.window.copies,
+            counts: &self.window.counts,
+            folded: &self.window.folded,
         };
-        for (a, b, w) in pairs {
-            f(a, b, w, self.pair_weight(a, b));
-        }
+        listed.walk(self.nodes, |a, b, w| f(a, b, w, self.pair_weight(a, b)));
         let touched = self.window.copies.len();
-        self.window.open(self.spill.node_count());
+        self.window.open();
         touched
     }
 
     /// The weight pair `{a, b}` has accumulated so far, `a < b`.
     pub(crate) fn pair_weight(&self, a: u32, b: u32) -> u64 {
-        u64::from(row_count(&self.rows, a as usize, b as usize))
-            + u64::from(row_count(&self.rows, b as usize, a as usize))
-            + self.spill.edge_weight(a, b).unwrap_or(0)
+        let count = |a: u32, b: u32| {
+            let row = self.rows.get(a as usize)?;
+            Some(row.at(row.offset(b as usize)?))
+        };
+        count(a, b).unwrap_or(0) + count(b, a).unwrap_or(0)
     }
 
     /// Consumes one record: when `node` re-executes, every branch whose
@@ -267,20 +289,16 @@ impl Detector {
     #[inline]
     pub(crate) fn pass(&mut self, node: u32, t: u64) {
         debug_assert_ne!(node, TOMB, "branch id {node} is the recency tombstone");
-        if node >= self.spill.node_count() {
-            self.spill.ensure_nodes(node + 1);
-            self.window.spill.ensure_nodes(node + 1);
-        }
+        self.nodes = self.nodes.max(node + 1);
         self.recency.record(node, t);
     }
 
-    /// Moves `other`'s rows and spill credits into this detector. Both
-    /// walked the same records and credited disjoint sets of branches, as
-    /// the workers of a parallel run do, so each of `other`'s rows moves
-    /// whole into an empty slot and the spill entries of a pair whose two
-    /// branches have different owners add.
+    /// Moves `other`'s rows into this detector. Both walked the same
+    /// records and credited disjoint sets of branches, as the workers of a
+    /// parallel run do, so each of `other`'s rows moves whole into an
+    /// empty slot.
     pub(crate) fn absorb(&mut self, mut other: Detector) {
-        self.spill.merge(&other.spill);
+        self.nodes = self.nodes.max(other.nodes);
         for a in other.allocated {
             let i = a as usize;
             if i >= self.rows.len() {
@@ -292,15 +310,32 @@ impl Detector {
         }
     }
 
-    /// Every credit this detector has given: its rows' counts and its
-    /// spill weights.
+    /// Every credit this detector has given.
     pub(crate) fn credits(&self) -> u64 {
-        let rows = self
-            .allocated
-            .iter()
-            .map(|&a| &self.rows[a as usize].counts);
-        let dense: u64 = rows.flatten().map(|&count| u64::from(count)).sum();
-        dense + self.spill.edges().map(|(_, _, w)| w).sum::<u64>()
+        self.allocated_rows().map(Row::credits).sum()
+    }
+
+    /// The rows holding counters, in allocation order.
+    fn allocated_rows(&self) -> impl Iterator<Item = &Row> + Clone {
+        self.allocated.iter().map(|&a| &self.rows[a as usize])
+    }
+
+    /// Reports the row store into a recording `obs`: the rows holding
+    /// counters as `core.rows_allocated`, the pages they hold past their
+    /// heads as `core.row_pages`, and the increments they hold as
+    /// `core.edge_increments`. Each is read from the rows once, so a
+    /// run that is not observed pays nothing.
+    pub(crate) fn observe(&self, obs: &Obs) {
+        if !obs.is_recording() {
+            return;
+        }
+        let pages = self.allocated_rows().flat_map(|row| &row.pages);
+        obs.add("core.rows_allocated", self.allocated.len() as u64);
+        obs.add(
+            "core.row_pages",
+            pages.filter(|&&at| at != NO_PAGE).count() as u64,
+        );
+        obs.add("core.edge_increments", self.credits());
     }
 
     /// Credits `node`'s re-execution to every branch executed since its
@@ -311,75 +346,67 @@ impl Detector {
             recency,
             rows,
             allocated,
-            spill,
+            nodes,
             fold_at,
             window,
+            missed,
         } = self;
         let since = recency.since_last(node);
         if since.is_empty() {
             return; // first run, or nothing ran since: no credits, no row
         }
-        let tracked = window.epoch != 0;
         let i = node as usize;
-        let counts: &mut [u32] = if i < DENSE_NODES {
-            if i >= rows.len() {
-                rows.resize_with(i + 1, Row::default);
+        if i >= rows.len() {
+            rows.resize_with(i + 1, Row::default);
+        }
+        let row = &mut rows[i];
+        window.copy(node, row); // as the open window, if any, found it
+        if row.reexecs == *fold_at {
+            row.fold();
+        }
+        let width = (*nodes as usize).min(HEAD_NODES);
+        if i < HEAD_NODES && (row.head as usize) < width {
+            if row.counts.is_empty() {
+                allocated.push(node);
             }
-            let row = &mut rows[i];
-            window.copy(node, row); // as the open window, if any, found it
-            if row.reexecs == *fold_at {
-                fold_row(spill, node, row, window);
-            }
-            let width = (spill.node_count() as usize).min(DENSE_NODES);
-            if row.counts.len() < width {
-                if row.counts.is_empty() {
-                    allocated.push(node);
+            row.grow_head(width);
+        }
+        row.reexecs += 1;
+        let head = row.head as usize;
+        let (dense, paged) = row.counts.split_at_mut(head);
+        let pages = &row.pages;
+        increment(dense, since, |b| {
+            if b != TOMB {
+                match pages.get(b as usize / PAGE) {
+                    Some(&at) if at != NO_PAGE => {
+                        paged[at as usize - head + b as usize % PAGE] += 1
+                    }
+                    _ => missed.push(b),
                 }
-                let len = width.next_multiple_of(ROW_STEP).min(DENSE_NODES);
-                row.counts.reserve_exact(len - row.counts.len());
-                row.counts.resize(len, 0);
-            }
-            row.reexecs += 1;
-            &mut row.counts
-        } else {
-            &mut [] // no row above the cap: every pair spills
-        };
-        let mut local = tracked.then_some(&mut window.spill);
-        increment(counts, since, |b| {
-            spill.add_edge(node, b, 1);
-            if let Some(local) = &mut local {
-                local.add_edge(node, b, 1);
             }
         });
+        if !missed.is_empty() {
+            credit_pages(node, row, missed, allocated);
+        }
     }
 
-    /// The thresholded conflict analysis, compiled in one walk over rows
-    /// and spill: every pair [`Detector::sorted_edges`] yields adds to the
-    /// raw pair count and weight, and only a pair whose whole weight
-    /// (both rows plus the spill entry) reaches `config.threshold` is kept
-    /// for the CSR. No raw graph is built.
+    /// The thresholded conflict analysis, compiled in one walk over the
+    /// rows: every pair [`Detector::edges`] yields adds to the raw pair
+    /// count and weight, and only a pair whose whole weight (both rows)
+    /// reaches `config.threshold` is kept for the CSR. No raw graph is
+    /// built.
     pub(crate) fn compile(self, config: ConflictConfig) -> ConflictAnalysis {
-        let Detector {
-            rows,
-            allocated,
-            spill: table,
-            ..
-        } = self;
-        let nodes = table.node_count();
-        let mut spill = Vec::with_capacity(table.edge_count());
-        spill.extend(table.edges());
-        drop(table); // before the sort and the kept pairs
-        spill.sort_unstable();
         let (mut raw_edge_count, mut raw_total_weight) = (0, 0);
         let mut kept = Vec::new();
-        for (a, b, w) in sorted_edges(&rows, &allocated, nodes, &spill) {
+        self.edges(|a, b, w| {
             raw_edge_count += 1;
             raw_total_weight += w;
             if w >= config.threshold {
                 kept.push((a, b, w));
             }
-        }
-        drop((rows, spill)); // before the CSR arrays are allocated
+        });
+        let nodes = self.nodes;
+        drop(self); // before the CSR arrays are allocated
         ConflictAnalysis {
             graph: ConflictGraph::from_sorted_edges(nodes, kept.iter().copied()),
             raw_edge_count,
@@ -388,22 +415,27 @@ impl Detector {
         }
     }
 
-    /// The spill table's edges in increasing `(a, b)` order, for
-    /// [`Detector::sorted_edges`], in a `Vec` sized exactly (not doubled).
-    pub(crate) fn sorted_spill(&self) -> Vec<(u32, u32, u64)> {
-        let mut edges = Vec::with_capacity(self.spill.edge_count());
-        edges.extend(self.spill.edges());
-        edges.sort_unstable();
-        edges
-    }
-
-    /// Every accumulated edge `(a, b, weight)`, `a < b`, in increasing
-    /// `(a, b)` order, given [`Detector::sorted_spill`]'s result.
-    pub(crate) fn sorted_edges<'a>(
-        &'a self,
-        spill: &'a [(u32, u32, u64)],
-    ) -> impl Iterator<Item = (u32, u32, u64)> + Clone + 'a {
-        sorted_edges(&self.rows, &self.allocated, self.spill.node_count(), spill)
+    /// Calls `f(a, b, weight)` once per accumulated pair, `a < b`, in
+    /// increasing `(a, b)` order.
+    pub(crate) fn edges(&self, f: impl FnMut(u32, u32, u64)) {
+        // Every allocated row, each with an empty copy: whole counts.
+        let mut listed: Vec<RowCopy> = (self.allocated.iter())
+            .map(|&row| RowCopy {
+                row,
+                counts: 0..0,
+                folded: 0..0,
+            })
+            .collect();
+        listed.sort_unstable_by_key(|copy| copy.row);
+        let (rows, copies) = (&self.rows[..], &listed[..]);
+        let (counts, folded) = (&[][..], &[][..]);
+        Listed {
+            rows,
+            copies,
+            counts,
+            folded,
+        }
+        .walk(self.nodes, f);
     }
 
     /// Lowers the fold point so tests can drive rows through it.
@@ -412,18 +444,117 @@ impl Detector {
         self.fold_at = reexecs;
         self
     }
+
+    /// The rows that have folded and hold a page past their heads.
+    #[cfg(test)]
+    pub(crate) fn paged_rows_folded(&self) -> usize {
+        let paged = |row: &&Row| row.pages.iter().any(|&at| at != NO_PAGE);
+        self.allocated_rows()
+            .filter(paged)
+            .filter(|row| !row.folded.is_empty())
+            .count()
+    }
 }
 
-/// Credits one re-execution: `counts[b] += 1` for every `b` in `since`.
-/// A tombstone falls out of the row's bounds check and is skipped there,
-/// and any other id past the row's end is a pair for `spill`. Four ids
-/// inside the row, the common case, take one branch for all four.
+impl Row {
+    /// Where the row counts id `b` in `counts`, if it does.
+    #[inline]
+    fn offset(&self, b: usize) -> Option<usize> {
+        if b < self.head as usize {
+            return Some(b);
+        }
+        match self.pages.get(b / PAGE) {
+            Some(&at) if at != NO_PAGE => Some(at as usize + b % PAGE),
+            _ => None,
+        }
+    }
+
+    /// The whole count at `offset`, folds included; zero past the row.
+    #[inline]
+    fn at(&self, offset: usize) -> u64 {
+        let count = self.counts.get(offset).copied().unwrap_or(0);
+        u64::from(count) + self.folded.get(offset).copied().unwrap_or(0)
+    }
+
+    /// Each page the row covers, its head's included, in increasing order:
+    /// the page, where its counters start in `counts` and how many it has.
+    fn covered(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let head = self.head as usize;
+        let heads = (0..head.div_ceil(PAGE)).map(move |page| {
+            let at = page * PAGE;
+            (page, at, PAGE.min(head - at))
+        });
+        let pages = self.pages.iter().enumerate();
+        heads.chain(
+            pages.filter_map(|(page, &at)| (at != NO_PAGE).then_some((page, at as usize, PAGE))),
+        )
+    }
+
+    /// Grows the head to cover the first `width` ids; the row holds no
+    /// page yet.
+    fn grow_head(&mut self, width: usize) {
+        debug_assert_eq!(self.counts.len(), self.head as usize);
+        let len = width.next_multiple_of(ROW_STEP).min(HEAD_NODES);
+        self.counts.reserve_exact(len - self.counts.len());
+        self.counts.resize(len, 0);
+        self.head = len as u32;
+    }
+
+    /// `b`'s counter, appending its page first if the row has none.
+    fn page_in(&mut self, b: u32) -> &mut u32 {
+        let (page, b) = (b as usize / PAGE, b as usize);
+        if page >= self.pages.len() {
+            self.pages.resize(page + 1, NO_PAGE);
+        }
+        if self.pages[page] == NO_PAGE {
+            self.pages[page] = self.counts.len() as u32;
+            if self.counts.len() == self.counts.capacity() {
+                // A quarter more, not twice: a row holds what it credits.
+                self.counts.reserve_exact((self.counts.len() / 4).max(PAGE));
+            }
+            self.counts.resize(self.counts.len() + PAGE, 0);
+        }
+        &mut self.counts[self.pages[page] as usize + b % PAGE]
+    }
+
+    /// Moves every count into `folded` and zeroes it.
+    #[cold]
+    fn fold(&mut self) {
+        self.folded.resize(self.counts.len(), 0);
+        for (folded, count) in self.folded.iter_mut().zip(&mut self.counts) {
+            *folded += u64::from(std::mem::take(count));
+        }
+        self.reexecs = 0;
+    }
+
+    /// Every credit the row holds.
+    fn credits(&self) -> u64 {
+        let counts: u64 = self.counts.iter().map(|&count| u64::from(count)).sum();
+        counts + self.folded.iter().sum::<u64>()
+    }
+}
+
+/// Credits row `node` once for each of the `missed` ids, appending their
+/// pages, and lists the row if it held no counter before.
+#[cold]
+fn credit_pages(node: u32, row: &mut Row, missed: &mut Vec<u32>, allocated: &mut Vec<u32>) {
+    if row.counts.is_empty() {
+        allocated.push(node);
+    }
+    for b in missed.drain(..) {
+        *row.page_in(b) += 1;
+    }
+}
+
+/// Credits one re-execution: `counts[b] += 1` for every `b` in `since`
+/// that the head counts. Any other id, a tombstone included, goes to
+/// `past`. Four ids inside the head, the common case, take one branch
+/// for all four.
 #[inline]
-fn increment(counts: &mut [u32], since: &[u32], mut spill: impl FnMut(u32)) {
+fn increment(counts: &mut [u32], since: &[u32], mut past: impl FnMut(u32)) {
     let mut one = |counts: &mut [u32], b: u32| match counts.get_mut(b as usize) {
         Some(count) => *count += 1,
-        None if b == TOMB => {}
-        None => spill(b),
+        None => past(b),
     };
     let mut quads = since.chunks_exact(4);
     for quad in &mut quads {
@@ -436,224 +567,153 @@ fn increment(counts: &mut [u32], since: &[u32], mut spill: impl FnMut(u32)) {
     quads.remainder().iter().for_each(|&b| one(counts, b));
 }
 
-/// Moves a row's counts into the spill table and zeroes it. When the open
-/// window copied the row, the window's part of each count (count minus
-/// copy) moves into the window's spill and the copy is zeroed, so the
-/// row's difference from its copy stays exactly the window's credits.
-#[cold]
-fn fold_row(spill: &mut GraphBuilder, a: u32, row: &mut Row, window: &mut Window) {
-    let Window {
-        epoch,
-        copies,
-        counts: copied,
-        spill: local,
-    } = window;
-    let mut copy = (*epoch != 0 && row.epoch == *epoch).then(|| {
-        let copy = &copies[row.copy as usize];
-        &mut copied[copy.start..copy.start + copy.len]
-    });
-    for (b, count) in row.counts.iter_mut().enumerate() {
-        if *count > 0 {
-            spill.add_edge(a, b as u32, u64::from(*count));
-            if let Some(copy) = &mut copy {
-                let before = copy.get_mut(b).map_or(0, std::mem::take);
-                if *count > before {
-                    local.add_edge(a, b as u32, u64::from(*count - before));
-                }
-            }
-            *count = 0;
-        }
-    }
-    row.reexecs = 0;
-}
-
-/// `row[a][b]`, zero where that row or counter does not exist.
-fn row_count(rows: &[Row], a: usize, b: usize) -> u32 {
-    rows.get(a)
-        .and_then(|row| row.counts.get(b))
-        .copied()
-        .unwrap_or(0)
-}
-
-/// The dense pairs over `nodes` branches merged with the sorted spill
-/// edges, in increasing `(a, b)` order.
-fn sorted_edges<'a>(
+/// What a walk reads: the rows, and the listed rows' copies with the
+/// counts and folds they index.
+#[derive(Clone, Copy)]
+struct Listed<'a> {
     rows: &'a [Row],
-    allocated: &'a [u32],
-    nodes: u32,
-    spill: &'a [(u32, u32, u64)],
-) -> impl Iterator<Item = (u32, u32, u64)> + Clone + 'a {
-    let width = (nodes as usize).min(DENSE_NODES);
-    // Every allocated row, each with an empty copy: whole counts.
-    let mut listed: Vec<RowCopy> = allocated
-        .iter()
-        .map(|&row| RowCopy {
-            row,
-            start: 0,
-            len: 0,
-        })
-        .collect();
-    listed.sort_unstable_by_key(|copy| copy.row);
-    MergeSorted {
-        left: RowPairs::new(rows, listed, &[], width).peekable(),
-        right: spill.iter().copied().peekable(),
-    }
+    copies: &'a [RowCopy],
+    counts: &'a [u32],
+    folded: &'a [u64],
 }
 
-/// The dense pairs `(a, b, weight)` with `a < b < width` and a nonzero
-/// weight, in increasing `(a, b)` order, read from the listed rows only.
-/// A pair's weight is what rows `a` and `b` counted since their copies,
-/// `row[a][b] − copy[a][b] + row[b][a] − copy[b][a]`, and an unlisted row
-/// counts nothing. The whole-trace compile lists every allocated row with
-/// an empty copy; a window flush lists the rows the window touched.
-///
-/// Row `a` is read in place; column `a` of the listed rows after it is
-/// gathered once per `a`, and an `a` with neither a listed row nor a
-/// column entry is skipped.
-#[derive(Clone)]
-struct RowPairs<'a, C> {
-    rows: &'a [Row],
-    /// The listed rows' copies, in increasing row order, all below
-    /// `width`.
-    copies: C,
-    /// The counts the copies index.
+/// A listed row's counters over one page of ids, `first..first +
+/// counts.len()`: what the row credited since its copy.
+#[derive(Clone, Copy, Default)]
+struct Page<'a> {
+    row: u32,
+    first: u32,
+    counts: &'a [u32],
+    /// The copy's counters over the page, shorter where the copy ends.
     copied: &'a [u32],
-    width: usize,
-    a: usize,
-    b: usize,
-    /// The first copy of a row at or above `a`.
-    next: usize,
-    /// Row `a` and its copy, when row `a` is listed.
-    own: Option<(&'a [u32], &'a [u32])>,
-    /// `column[b]` = row `b`'s count of `a` since its copy, for every
-    /// listed `b > a`; other entries are never read.
-    column: Vec<u32>,
-    /// Whether `column` holds a nonzero entry.
-    column_live: bool,
-    /// The next copy whose column entry an unlisted `a` reads.
-    cursor: usize,
+    /// The row's index among the listed rows when it or its copy holds a
+    /// fold, else [`NO_PAGE`].
+    folded: u32,
 }
 
-impl<'a, C: AsRef<[RowCopy]>> RowPairs<'a, C> {
-    fn new(rows: &'a [Row], copies: C, copied: &'a [u32], width: usize) -> Self {
-        let mut pairs = RowPairs {
-            rows,
-            copies,
-            copied,
-            width,
-            a: 0,
-            b: 1,
-            next: 0,
-            own: None,
-            column: vec![0; width],
-            column_live: false,
-            cursor: 0,
+impl<'a> Listed<'a> {
+    /// The pages the `i`th listed row covers, in increasing order.
+    fn pages(self, i: usize) -> impl Iterator<Item = Page<'a>> {
+        let copy = &self.copies[i];
+        let (id, row) = (copy.row, &self.rows[copy.row as usize]);
+        let copied = &self.counts[copy.counts.clone()];
+        let folded = !row.folded.is_empty() || !copy.folded.is_empty();
+        (row.covered()).map(move |(page, at, len)| Page {
+            row: id,
+            first: (page * PAGE) as u32,
+            counts: &row.counts[at..at + len],
+            copied: &copied[at.min(copied.len())..(at + len).min(copied.len())],
+            folded: if folded { i as u32 } else { NO_PAGE },
+        })
+    }
+
+    /// The credits to the `i`th id of `page` since the copy.
+    #[inline]
+    fn at(self, page: &Page<'_>, i: usize) -> u64 {
+        let now = u64::from(page.counts.get(i).copied().unwrap_or(0));
+        let then = u64::from(page.copied.get(i).copied().unwrap_or(0));
+        if page.folded == NO_PAGE {
+            return now - then;
+        }
+        self.folded_at(page, i, now, then)
+    }
+
+    /// [`Listed::at`] for a row that holds a fold, or whose copy does.
+    #[cold]
+    fn folded_at(self, page: &Page<'_>, i: usize, now: u64, then: u64) -> u64 {
+        let copy = &self.copies[page.folded as usize];
+        let row = &self.rows[copy.row as usize];
+        let copied = &self.folded[copy.folded.clone()];
+        let Some(offset) = row.offset(page.first as usize + i) else {
+            return 0;
         };
-        pairs.gather();
-        pairs
+        let fold = |folded: &[u64]| folded.get(offset).copied().unwrap_or(0);
+        now + fold(&row.folded) - then - fold(copied)
     }
 
-    fn gather(&mut self) {
-        let a = self.a;
-        let copies = self.copies.as_ref();
-        while copies.get(self.next).is_some_and(|c| (c.row as usize) < a) {
-            self.next += 1;
+    /// Calls `f(a, b, weight)` for every pair `a < b < nodes` with a
+    /// nonzero weight, in increasing `(a, b)` order, reading the listed
+    /// rows only, in increasing row order. A pair's weight is what rows
+    /// `a` and `b` counted since their copies, and an unlisted row counts
+    /// nothing. The whole-trace compile lists every allocated row with an
+    /// empty copy; a window flush lists the rows the window touched.
+    ///
+    /// Row `a` is read in place, merged with column `a`: the count of `a`
+    /// in each listed row after `a` whose head or a page covers `a`, found
+    /// through an index of the listed rows' pages by page. So the walk
+    /// reads each counter the listed rows hold once, and an `a` that no
+    /// listed row covers costs one step.
+    fn walk(self, nodes: u32, mut f: impl FnMut(u32, u32, u64)) {
+        // `covers[starts[p]..starts[p + 1]]`: the listed rows' pages `p`,
+        // in increasing row order.
+        let pages = (nodes as usize).div_ceil(PAGE);
+        let mut starts = vec![0; pages + 1];
+        for copy in self.copies {
+            let row = &self.rows[copy.row as usize];
+            row.covered().for_each(|(page, ..)| starts[page + 1] += 1);
         }
-        let mut above = self.next;
-        self.own = None;
-        if copies.get(above).is_some_and(|c| c.row as usize == a) {
-            self.own = Some(sides(self.rows, self.copied, &copies[above]));
-            above += 1;
+        for page in 0..pages {
+            starts[page + 1] += starts[page];
         }
-        self.cursor = above;
-        self.column_live = false;
-        for copy in &copies[above..] {
-            let (counts, copied) = sides(self.rows, self.copied, copy);
-            let count = difference(counts, copied, a);
-            self.column[copy.row as usize] = count;
-            self.column_live |= count > 0;
-        }
-    }
-}
-
-/// Row `copy.row` and its copy.
-fn sides<'a>(rows: &'a [Row], copied: &'a [u32], copy: &RowCopy) -> (&'a [u32], &'a [u32]) {
-    (
-        &rows[copy.row as usize].counts,
-        &copied[copy.start..copy.start + copy.len],
-    )
-}
-
-/// `counts[b] - copied[b]`, either side zero past its end.
-#[inline]
-fn difference(counts: &[u32], copied: &[u32], b: usize) -> u32 {
-    counts.get(b).copied().unwrap_or(0) - copied.get(b).copied().unwrap_or(0)
-}
-
-impl<C: AsRef<[RowCopy]>> Iterator for RowPairs<'_, C> {
-    type Item = (u32, u32, u64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.a < self.width {
-            if let Some((counts, copied)) = self.own {
-                while self.b < self.width {
-                    let b = self.b;
-                    self.b += 1;
-                    let w = u64::from(difference(counts, copied, b)) + u64::from(self.column[b]);
-                    if w > 0 {
-                        return Some((self.a as u32, b as u32, w));
-                    }
-                }
-            } else if self.column_live {
-                // Only the listed rows after `a` can pair with it.
-                while let Some(copy) = self.copies.as_ref().get(self.cursor) {
-                    self.cursor += 1;
-                    let w = self.column[copy.row as usize];
-                    if w > 0 {
-                        return Some((self.a as u32, copy.row, u64::from(w)));
-                    }
-                }
+        let mut covers = vec![Page::default(); starts[pages]];
+        let mut fill = starts.clone();
+        for i in 0..self.copies.len() {
+            for page in self.pages(i) {
+                let p = page.first as usize / PAGE;
+                covers[fill[p]] = page;
+                fill[p] += 1;
             }
-            self.a += 1;
-            self.b = self.a + 1;
-            self.gather();
         }
-        None
-    }
-}
-
-/// Two `(a, b, weight)` streams, each increasing in `(a, b)`, merged into
-/// one, summing the weights of a pair present in both.
-#[derive(Clone)]
-struct MergeSorted<L, R>
-where
-    L: Iterator<Item = (u32, u32, u64)>,
-    R: Iterator<Item = (u32, u32, u64)>,
-{
-    left: Peekable<L>,
-    right: Peekable<R>,
-}
-
-impl<L, R> Iterator for MergeSorted<L, R>
-where
-    L: Iterator<Item = (u32, u32, u64)>,
-    R: Iterator<Item = (u32, u32, u64)>,
-{
-    type Item = (u32, u32, u64);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let order = match (self.left.peek(), self.right.peek()) {
-            (Some(&(a, b, _)), Some(&(c, d, _))) => (a, b).cmp(&(c, d)),
-            (Some(_), None) => Ordering::Less,
-            (None, _) => Ordering::Greater,
-        };
-        match order {
-            Ordering::Less => self.left.next(),
-            Ordering::Greater => self.right.next(),
-            Ordering::Equal => {
-                let (a, b, w) = self.left.next()?;
-                let (_, _, v) = self.right.next()?;
-                Some((a, b, w + v))
+        drop(fill);
+        let mut column: Vec<(u32, u64)> = Vec::new();
+        let mut next = 0; // the first listed row at or above `a`
+        for page in 0..pages {
+            let cover = &covers[starts[page]..starts[page + 1]];
+            let mut above = 0; // the first row of `cover` above `a`
+            for a in page * PAGE..((page + 1) * PAGE).min(nodes as usize) {
+                while cover.get(above).is_some_and(|c| c.row as usize <= a) {
+                    above += 1;
+                }
+                column.clear();
+                for c in &cover[above..] {
+                    let w = self.at(c, a % PAGE);
+                    if w > 0 {
+                        column.push((c.row, w));
+                    }
+                }
+                let copies = self.copies;
+                while copies.get(next).is_some_and(|copy| (copy.row as usize) < a) {
+                    next += 1;
+                }
+                let own = copies.get(next).is_some_and(|copy| copy.row as usize == a);
+                if !own && column.is_empty() {
+                    continue;
+                }
+                // Column entries go out before row `a`'s first credit at or
+                // past them, and add to its credit of the same id.
+                let (a, mut col) = (a as u32, 0);
+                let mut due = column.first().map_or(u32::MAX, |&(b, _)| b);
+                for page in own.then(|| self.pages(next)).into_iter().flatten() {
+                    let first = page.first as usize;
+                    for i in (a as usize + 1).saturating_sub(first)..page.counts.len() {
+                        let (b, mut w) = ((first + i) as u32, self.at(&page, i));
+                        if w == 0 {
+                            continue;
+                        }
+                        while due <= b {
+                            let (c, v) = column[col];
+                            if c < b {
+                                f(a, c, v);
+                            } else {
+                                w += v;
+                            }
+                            col += 1;
+                            due = column.get(col).map_or(u32::MAX, |&(b, _)| b);
+                        }
+                        f(a, b, w);
+                    }
+                }
+                column[col..].iter().for_each(|&(b, w)| f(a, b, w));
             }
         }
     }
@@ -885,11 +945,18 @@ mod tests {
         );
     }
 
+    /// Every pair `detector` holds, in walk order.
+    fn walked(detector: &Detector) -> Vec<(u32, u32, u64)> {
+        let mut edges = Vec::new();
+        detector.edges(|a, b, w| edges.push((a, b, w)));
+        edges
+    }
+
     #[test]
-    fn pairs_above_the_dense_cap_spill_and_still_count() {
+    fn pairs_past_the_head_count_in_pages() {
         // 4100 branches once each, then re-executions on both sides of
-        // the cap: branch 0's row takes its hits below 4096 and the spill
-        // table the rest; branch 4098 has no row at all.
+        // the heads' end: branch 0's head takes its credits below 4096 and
+        // a page the rest; branch 4098's row holds pages only.
         let mut t = TraceBuilder::new("cap");
         for i in 0..4100u64 {
             t.record(0x10_0000 + i * 4, true, i + 1);
@@ -899,8 +966,12 @@ mod tests {
             .record(0x10_0000 + 4 * 4, true, 5002);
         let trace = t.finish();
         let detector = detect(&trace);
-        assert!(detector.spill.edge_count() > 0, "pairs above the cap spill");
-        assert!(detector.rows.iter().all(|r| r.counts.len() <= DENSE_NODES));
+        let paged = |row: &Row| row.pages.iter().filter(|&&at| at != NO_PAGE).count();
+        let (low, high) = (&detector.rows[0], &detector.rows[4098]);
+        assert_eq!((low.head as usize, paged(low)), (HEAD_NODES, 1));
+        // Branch 4098 saw 4099 and then branch 0: pages 0 and 16.
+        assert_eq!((high.head, paged(high)), (0, 2));
+        assert!(detector.rows.iter().all(|r| r.head as usize <= HEAD_NODES));
         let naive = interleave_counts_naive(&trace);
         assert_eq!(weights(&interleave_counts(&trace)), weights(&naive));
         assert_compiles_like(&detector, &naive, "cap");
@@ -926,13 +997,11 @@ mod tests {
                 detector.push(id.as_u32(), rec.time.get());
             }
             assert!(
-                detector.spill.edge_count() > 0,
+                detector.rows.iter().any(|r| !r.folded.is_empty()),
                 "fold_at {fold_at}: rows folded"
             );
             assert!(detector.rows.iter().all(|r| r.reexecs <= fold_at));
-            let spill = detector.sorted_spill();
-            let sorted: Vec<_> = detector.sorted_edges(&spill).collect();
-            assert_eq!(sorted, weights(&expected), "fold_at {fold_at}");
+            assert_eq!(walked(&detector), weights(&expected), "fold_at {fold_at}");
             assert_compiles_like(&detector, &expected, &format!("fold_at {fold_at}"));
         }
     }

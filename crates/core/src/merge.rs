@@ -81,12 +81,10 @@ impl CumulativeProfile {
             })
             .collect();
         self.builder.ensure_nodes(self.table.len() as u32);
-        let detector = detect(trace);
-        let spill = detector.sorted_spill();
-        for (a, b, w) in detector.sorted_edges(&spill) {
+        detect(trace).edges(|a, b, w| {
             self.builder
                 .add_edge(remap[a as usize], remap[b as usize], w);
-        }
+        });
         self.traces_merged += 1;
         self.total_dynamic += trace.len() as u64;
         self

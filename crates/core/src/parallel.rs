@@ -18,9 +18,9 @@
 //!    appearance as they are read, so the workers agree on them with no
 //!    pass before the workers start.
 //! 2. **Stitch** (serial): the workers' rows and statistics are disjoint,
-//!    so they move into one accumulator and their spill tables add; the
-//!    thresholded compile and assembly every engine shares finish the
-//!    run.
+//!    so each row moves whole into one accumulator, and no counter is
+//!    added or copied; the thresholded compile and assembly every engine
+//!    shares finish the run.
 //!
 //! No worker needs another's state, so the output is **bit-identical**
 //! to [`AnalysisPipeline::run_observed`] for any worker count — a
@@ -443,15 +443,17 @@ mod tests {
     }
 
     /// A trace over 16 hot branches. A wide one first runs
-    /// `DENSE_NODES + 8` branches once each and keeps eight hot branches
-    /// on each side of the dense cap, so pairs across it take spill
-    /// credits from both of their owners.
+    /// `HEAD_NODES + PAGE + 8` branches once each and keeps eight hot
+    /// branches inside the heads and four on each side of the page
+    /// boundary above them, so pairs across the heads' end and across
+    /// pages take credits from both of their owners, in heads and pages.
     fn hot_trace(steps: &[(u8, u64)], wide: bool) -> Trace {
-        let dense = crate::interleave::DENSE_NODES as u64;
+        let head = crate::interleave::HEAD_NODES as u64;
+        let page = crate::interleave::PAGE as u64;
         let mut b = TraceBuilder::new("owned");
         let mut t = 1;
         if wide {
-            for id in 0..dense + 8 {
+            for id in 0..head + page + 8 {
                 b.record(0x10_0000 + id * 4, true, t);
                 t += 1;
             }
@@ -460,7 +462,8 @@ mod tests {
             t += dt; // dt = 0 repeats a stamp: equal stamps never interleave
             let id = match u64::from(slot) {
                 low if low < 8 || !wide => low,
-                high => dense + high - 8,
+                high if high < 12 => head + high - 8,
+                high => head + page + high - 12,
             };
             b.record(0x10_0000 + id * 4, slot % 3 == 0, t);
         }

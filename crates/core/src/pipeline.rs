@@ -135,16 +135,17 @@ impl AnalysisPipeline {
         self.assemble(profile, detector, obs)
     }
 
-    /// The observed assembly every detecting engine runs: the thresholded
-    /// compile of `detector`'s rows (one walk that counts the raw pairs
-    /// and weight and builds the CSR of the kept pairs only), then
-    /// [`AnalysisPipeline::conclude`].
+    /// The observed assembly every detecting engine runs: the row store's
+    /// counters, the thresholded compile of `detector`'s rows (one walk
+    /// that counts the raw pairs and weight and builds the CSR of the kept
+    /// pairs only), then [`AnalysisPipeline::conclude`].
     pub(crate) fn assemble(
         &self,
         profile: BranchProfile,
         detector: Detector,
         obs: &Obs,
     ) -> Analysis {
+        detector.observe(obs);
         self.conclude(profile, obs, || detector.compile(self.conflict))
     }
 

@@ -844,6 +844,7 @@ fn fold(
         stats,
         records,
     } = acc;
+    detector.observe(obs);
     drop(detector);
     let profile = BranchProfile::from_parts(stats, records);
     let analysis = pipeline.conclude(profile, obs, || ConflictAnalysis {
@@ -1133,61 +1134,108 @@ mod tests {
         graph.iter_edges().map(|(a, b, w)| ((a, b), w)).collect()
     }
 
-    #[test]
-    fn folded_rows_keep_every_window_exact() {
-        // A fold point of a few re-executions folds rows mid-window, after
-        // the window copied them. Every window's pairs must still be the
-        // naive oracle's weights up to its end minus those up to its
-        // start, and each cumulative weight the oracle's up to its end.
-        let mut lcg: u64 = 11;
-        let records: Vec<(u64, u64)> = (0..900u64)
-            .map(|i| {
-                lcg = lcg
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (0x4000 + (lcg >> 40) % 19 * 4, i + 1 + i / 7)
-            })
-            .collect();
+    /// Pushes `records` through a detector folding at each of a few
+    /// re-executions, flushing a window at each of `ends`: every window's
+    /// pairs must be the naive oracle's weights up to its end minus those
+    /// up to its start, and each cumulative weight the oracle's up to its
+    /// end. Returns, per fold point, the rows that folded while holding a
+    /// page.
+    fn check_folded_windows(records: &[(u64, u64)], ends: &[usize], case: &str) -> Vec<usize> {
         let trace = {
             let mut b = TraceBuilder::new("fold");
-            for &(pc, t) in &records {
+            for &(pc, t) in records {
                 b.record(pc, true, t);
             }
             b.finish()
         };
         let ids: Vec<u32> = trace.indexed_records().map(|(id, _)| id.as_u32()).collect();
-        for window in [3, 40, 300] {
-            let ends: Vec<usize> = (window..records.len())
-                .step_by(window)
-                .chain([records.len()])
-                .collect();
-            let prefixes: Vec<_> = ends
-                .iter()
-                .map(|&end| naive_weights(&records[..end]))
-                .collect();
-            for fold_at in [1, 2, 3, 7] {
-                let mut detector = Detector::new(0).with_fold_at(fold_at);
-                detector.track_windows();
-                let mut start = 0;
-                let empty = std::collections::BTreeMap::new();
-                for (index, (&end, after)) in ends.iter().zip(&prefixes).enumerate() {
-                    for i in start..end {
-                        detector.push(ids[i], records[i].1);
-                    }
-                    let before = index.checked_sub(1).map_or(&empty, |i| &prefixes[i]);
-                    let mut got = Vec::new();
-                    detector.flush_window(|a, b, w, cumulative| got.push((a, b, w, cumulative)));
-                    let want: Vec<_> = after
-                        .iter()
-                        .filter_map(|(&(a, b), &w)| {
-                            let gained = w - before.get(&(a, b)).copied().unwrap_or(0);
-                            (gained > 0).then_some((a, b, gained, w))
-                        })
-                        .collect();
-                    assert_eq!(got, want, "fold_at {fold_at}, window {window} at {start}");
-                    start = end;
+        let prefixes: Vec<_> = ends
+            .iter()
+            .map(|&end| naive_weights(&records[..end]))
+            .collect();
+        let mut paged = Vec::new();
+        for fold_at in [1, 2, 3, 7] {
+            let mut detector = Detector::new(0).with_fold_at(fold_at);
+            detector.track_windows();
+            let mut start = 0;
+            let empty = std::collections::BTreeMap::new();
+            for (index, (&end, after)) in ends.iter().zip(&prefixes).enumerate() {
+                for i in start..end {
+                    detector.push(ids[i], records[i].1);
                 }
+                let before = index.checked_sub(1).map_or(&empty, |i| &prefixes[i]);
+                let mut got = Vec::new();
+                detector.flush_window(|a, b, w, cumulative| got.push((a, b, w, cumulative)));
+                let want: Vec<_> = after
+                    .iter()
+                    .filter_map(|(&(a, b), &w)| {
+                        let gained = w - before.get(&(a, b)).copied().unwrap_or(0);
+                        (gained > 0).then_some((a, b, gained, w))
+                    })
+                    .collect();
+                assert_eq!(got, want, "{case}, fold_at {fold_at}, window at {start}");
+                start = end;
             }
+            paged.push(detector.paged_rows_folded());
+        }
+        paged
+    }
+
+    /// Seeded `(pc, stamp)` records over `spread` hot pcs, several per
+    /// stamp now and then.
+    fn hot_records(seed: u64, n: u64, pc: impl Fn(u64) -> u64) -> Vec<(u64, u64)> {
+        let mut lcg = seed;
+        (0..n)
+            .map(|i| {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (pc(lcg >> 40), i + 1 + i / 7)
+            })
+            .collect()
+    }
+
+    /// Ends of `window`-record windows from `first` to past `len`.
+    fn window_ends(first: usize, window: usize, len: usize) -> Vec<usize> {
+        (first + window..len).step_by(window).chain([len]).collect()
+    }
+
+    #[test]
+    fn folded_rows_keep_every_window_exact() {
+        // A fold point of a few re-executions folds rows mid-window, after
+        // the window copied them.
+        let records = hot_records(11, 900, |r| 0x4000 + r % 19 * 4);
+        for window in [3, 40, 300] {
+            let ends = window_ends(0, window, records.len());
+            check_folded_windows(&records, &ends, &format!("window {window}"));
+        }
+    }
+
+    #[test]
+    fn folded_rows_with_pages_keep_every_window_exact() {
+        // 4360 branches run once, then hot ones inside the rows' heads,
+        // which end at 4096, and on both sides of the page boundary at
+        // 4352: rows hold pages, and a row past the heads holds nothing
+        // else, when it folds inside an open window.
+        let (head, page) = (crate::interleave::HEAD_NODES, crate::interleave::PAGE);
+        let cold = (head + page + 8) as u64;
+        let pc = |id: u64| 0x10_0000 + id * 4;
+        let hot = |r: u64| match r % 4 {
+            0 => pc(r % 5),
+            1 | 2 => pc(head as u64 + r % 5),
+            _ => pc((head + page) as u64 + r % 5),
+        };
+        let mut records: Vec<(u64, u64)> = (0..cold).map(|id| (pc(id), id + 1)).collect();
+        let stamps = hot_records(13, 500, hot).into_iter();
+        records.extend(stamps.map(|(pc, t)| (pc, cold + t)));
+        for window in [40, 300] {
+            // The once-run prefix as one window, then the hot records.
+            let ends = window_ends(cold as usize - window, window, records.len());
+            let paged = check_folded_windows(&records, &ends, &format!("window {window}"));
+            assert!(
+                paged.iter().all(|&rows| rows > 0),
+                "window {window}: {paged:?}"
+            );
         }
     }
 

@@ -10,18 +10,18 @@
 //! strictly-greater rule itself, so agreement here is evidence about the
 //! rule, not about a shared bug.
 //!
-//! The detector counts pairs of branch ids below 4096 in dense per-branch
-//! rows and every other pair in a spill table. The property traces stay
-//! far below that cap, so a seeded trace with more than 4096 static
-//! branches drives the spill path, row growth and the merge of rows with
-//! spill through every engine built on the detector.
+//! The detector's rows of branch ids below 4096 count the ids below 4096
+//! in a dense head, and every row counts the other ids in pages of 256.
+//! The property traces stay far below 4096, so a seeded trace with more
+//! than 4096 static branches drives row growth, page allocation and the
+//! walk over heads and pages through every engine built on the detector.
 //!
 //! Every engine compiles only the thresholded graph, in one walk over
-//! rows and spill that also counts the raw pairs and weight. A second
-//! property pins that compile to the oracle's raw graph pruned: on traces
-//! that are sometimes wider than the cap, at thresholds on both sides of
-//! the pair weights, serially and stitched from ownership-parallel
-//! workers.
+//! the rows that also counts the raw pairs and weight. A second property
+//! pins that compile to the oracle's raw graph pruned: on traces that are
+//! sometimes wider than the heads and a page past them, at thresholds on
+//! both sides of the pair weights, serially and stitched from
+//! ownership-parallel workers.
 //!
 //! [`WindowedAnalysis::push`] is public and accepts stamps that go
 //! backwards, which no trace holds. A third property feeds it record
@@ -97,13 +97,18 @@ proptest! {
     }
 }
 
-/// The first id past the detector's dense rows.
-const DENSE_NODES: u64 = 4096;
+/// The first id past the detector's row heads.
+const HEAD: u64 = 4096;
+
+/// Ids per page of a detector row past its head.
+const PAGE: u64 = 256;
 
 /// A trace over `spread` hot branches with nondecreasing stamps. A wide
-/// trace first runs `DENSE_NODES + 8` branches once each and then gives
-/// the even hot slots ids below the cap and the odd ones ids past it, so
-/// pairs below, across and above the cap all occur. A small `spread`
+/// trace first runs `HEAD + PAGE + 8` branches once each and then gives
+/// the even hot slots ids inside the heads and the odd ones ids on both
+/// sides of the page boundary past them, so pairs inside the heads,
+/// across their end, within a page and across two pages all occur. A
+/// small `spread`
 /// concentrates the records on a few pairs, whose weights then pass 100.
 fn arb_hot_trace() -> impl Strategy<Value = Trace> {
     (
@@ -114,7 +119,7 @@ fn arb_hot_trace() -> impl Strategy<Value = Trace> {
         .prop_map(|(steps, wide, spread)| {
             let mut b = TraceBuilder::new("compile-prop");
             let mut t = 1;
-            let cold = if wide { DENSE_NODES + 8 } else { 0 };
+            let cold = if wide { HEAD + PAGE + 8 } else { 0 };
             for id in 0..cold {
                 b.record(0x10_0000 + id * 4, true, t);
                 t += 1;
@@ -122,8 +127,9 @@ fn arb_hot_trace() -> impl Strategy<Value = Trace> {
             for (slot, taken, dt) in steps {
                 t += dt; // dt = 0 repeats a stamp: equal stamps never interleave
                 let slot = u64::from(slot % spread);
-                let id = match (wide, slot % 2) {
-                    (true, 1) => DENSE_NODES + slot / 2,
+                let id = match (wide, slot % 4) {
+                    (true, 1) => HEAD + slot / 4,
+                    (true, 3) => HEAD + PAGE + slot / 4,
                     (true, _) => slot / 2,
                     (false, _) => slot,
                 };
@@ -168,8 +174,9 @@ proptest! {
 /// A trace that sweeps once through `sweep` cold branches while three
 /// anchor branches keep running, and every `revisit`-th swept branch runs
 /// again 8 and 16 records later. Ids pass 4096 partway through: the
-/// anchors' rows grow with the sweep and pair low ids with high ones, and
-/// a revisited branch above 4096 is counted in the spill table only.
+/// anchors' heads grow with the sweep, then their pages pair low ids
+/// with high ones, and a revisited branch above 4096 counts in pages
+/// only.
 /// Stamps advance by 0..=2, so ties occur.
 fn sweep_trace(seed: u64, sweep: u64, revisit: u64) -> Trace {
     let mut lcg = seed;
@@ -233,7 +240,8 @@ fn every_engine_agrees_with_the_oracle_above_the_dense_cap() {
     assert!(trace.static_branch_count() > 4096);
     let naive = interleave_counts_naive(&trace);
     let expected: ConflictGraph = naive.build();
-    // Pairs below, across and above the cap are all present.
+    // Pairs inside the heads, across their end and past it are all
+    // present.
     assert!(expected.iter_edges().any(|(_, b, _)| b < 4096));
     assert!(expected.iter_edges().any(|(a, b, _)| a < 4096 && b >= 4096));
     assert!(expected.iter_edges().any(|(a, _, _)| a >= 4096));

@@ -14,9 +14,9 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// immutable CSR [`ConflictGraph`].
 ///
 /// Adding the same edge repeatedly sums the weights. The interleave
-/// detector counts most pairs in dense per-branch rows and keeps only the
-/// rest here, its spill table; [`GraphBuilder::merge`] adds the spill
-/// tables of parallel workers and the graphs of cumulative profiles.
+/// detector counts every pair in its own per-branch rows, so this table
+/// holds only graphs built edge by edge: the naive oracle's and the
+/// merged graph of a cumulative profile.
 ///
 /// Internally the edge map is an open-addressed flat table keyed by the
 /// packed canonical pair `(min << 32) | max`, with Fibonacci hashing,
@@ -95,23 +95,6 @@ impl GraphBuilder {
     pub fn ensure_nodes(&mut self, nodes: u32) -> &mut Self {
         self.nodes = self.nodes.max(nodes);
         self
-    }
-
-    /// The weight accumulated on the undirected edge `{a, b}`, if any.
-    pub fn edge_weight(&self, a: u32, b: u32) -> Option<u64> {
-        if self.len == 0 || a == b {
-            return None;
-        }
-        let key = pack(a.min(b), a.max(b));
-        let mask = self.keys.len() - 1;
-        let mut i = (key.wrapping_mul(FIB) >> self.shift) as usize;
-        loop {
-            match self.keys[i] {
-                k if k == key => return Some(self.weights[i]),
-                EMPTY => return None,
-                _ => i = (i + 1) & mask,
-            }
-        }
     }
 
     /// Adds `weight` to the undirected edge `{a, b}`.
@@ -210,28 +193,6 @@ impl GraphBuilder {
             })
     }
 
-    /// Merges every edge of another builder into this one, summing weights.
-    ///
-    /// This is the graph-level primitive behind the paper's §5.2 cumulative
-    /// profiles: conflict graphs from several profiling runs are merged
-    /// "until the resulting graph indicates that most part of the program
-    /// has been exercised". It also adds the parallel workers' spill
-    /// tables, so it takes the fast path: packed keys move straight
-    /// between tables with no unpack/repack or validation.
-    pub fn merge(&mut self, other: &GraphBuilder) -> &mut Self {
-        self.nodes = self.nodes.max(other.nodes);
-        let combined = self.len + other.len;
-        if combined > 0 && self.keys.len() * 7 < combined * 8 {
-            self.rehash((combined * 8 / 7 + 1).next_power_of_two().max(16));
-        }
-        for (&key, &weight) in other.keys.iter().zip(&other.weights) {
-            if key != EMPTY {
-                self.accumulate(key, weight);
-            }
-        }
-        self
-    }
-
     /// Compiles the accumulated edges into an immutable CSR graph.
     pub fn build(&self) -> ConflictGraph {
         ConflictGraph::from_edge_iter(self.nodes, self.edges())
@@ -275,19 +236,6 @@ mod tests {
         assert_eq!(b.node_count(), 5);
         b.ensure_nodes(1);
         assert_eq!(b.node_count(), 5);
-    }
-
-    #[test]
-    fn merge_sums_weights_and_grows() {
-        let mut a = GraphBuilder::new(2);
-        a.add_edge(0, 1, 10);
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1, 5).add_edge(2, 3, 1);
-        a.merge(&b);
-        let g = a.build();
-        assert_eq!(g.node_count(), 4);
-        assert_eq!(g.edge_weight(0, 1), Some(15));
-        assert_eq!(g.edge_weight(2, 3), Some(1));
     }
 
     #[test]

@@ -209,19 +209,19 @@ peak() { grep '"peak_rss_bytes"' "$1" | tr -dc 0-9; }
 [ "$(peak "$convert_dir/fmt--window4096--jobs2.bws3.json")" -lt \
     "$(peak "$convert_dir/fmt--window4096--jobs2.bwst.json")" ] \
     || { echo "windowed BWSS3 analyze does not peak below BWST"; exit 1; }
-# gcc at 0.5 runs past the detector's 4096 dense rows, so pairs with an
-# id above the cap are counted in the spill table and merged into the
-# thresholded compile: in memory serially and on 2 workers, streamed from
-# BWSS3 serially and at the default, streamed from BWSS2 serially, and
-# streamed from BWSS2 and BWSS3 by each of 2 and of 3 workers, whose
-# spill tables add at the stitch, analyze prints the same bytes.
+# gcc at 0.5 runs past the rows' 4096-id dense heads, so pairs with an
+# id past them are counted in pages and read by the thresholded compile:
+# in memory serially and on 2 workers, streamed from BWSS3 serially and
+# at the default, streamed from BWSS2 serially, and streamed from BWSS2
+# and BWSS3 by each of 2 and of 3 workers, whose rows move whole at the
+# stitch, analyze prints the same bytes.
 "$bwsa" generate gcc --scale 0.5 -o "$convert_dir/wide.bwst" > /dev/null
 "$bwsa" convert "$convert_dir/wide.bwst" "$convert_dir/wide.bws3" > /dev/null
 "$bwsa" convert "$convert_dir/wide.bwst" "$convert_dir/wide.bwss" > /dev/null
 "$bwsa" analyze "$convert_dir/wide.bwst" --jobs 1 > "$convert_dir/wide.out"
 static=$(sed -n 's/.* over \([0-9]*\) static sites.*/\1/p' "$convert_dir/wide.out")
 [ "${static:-0}" -gt 4096 ] \
-    || { echo "gcc@0.5 has ${static:-no} static branches, not past the dense rows"; exit 1; }
+    || { echo "gcc@0.5 has ${static:-no} static branches, not past the dense heads"; exit 1; }
 "$bwsa" analyze "$convert_dir/wide.bwst" --jobs 2 > "$convert_dir/wide-j2.out"
 "$bwsa" analyze "$convert_dir/wide.bws3" > "$convert_dir/wide-bws3.out"
 "$bwsa" analyze "$convert_dir/wide.bws3" --jobs 1 > "$convert_dir/wide-bws3-j1.out"
@@ -232,7 +232,7 @@ for f in bwss bws3; do
     done
 done
 # Windowed, whose final conflict graph is the colorer's kept graph with
-# pairs above the cap in it: at --jobs 1, 2 and 3 the run prints the
+# pairs past the heads in it: at --jobs 1, 2 and 3 the run prints the
 # serial bytes without its windows line, and the sidecars are identical.
 for jobs in 1 2 3; do
     "$bwsa" analyze "$convert_dir/wide.bws3" --window 4096 --jobs "$jobs" \
@@ -245,6 +245,20 @@ for run in j2 bws3 bws3-j1 bwss-j1 bwss-j2 bwss-j3 bws3-j2 bws3-j3 \
     window-j1 window-j2 window-j3; do
     cmp "$convert_dir/wide.out" "$convert_dir/wide-$run.out"
 done
+# gcc at 1 (5762 static branches) counts most of its pairs past the
+# rows' dense heads. Each worker of a --jobs 2 run credits only its own
+# rows, and the stitch moves them whole, so the run prints the serial
+# bytes and peaks within 10% of the serial run.
+"$bwsa" generate gcc --scale 1 --format bwss3 -o "$convert_dir/gcc1.bws3" > /dev/null
+for jobs in 1 2; do
+    "$bwsa" analyze "$convert_dir/gcc1.bws3" --jobs "$jobs" \
+        --metrics "$convert_dir/gcc1-j$jobs.json" > "$convert_dir/gcc1-j$jobs.out"
+done
+cmp "$convert_dir/gcc1-j1.out" "$convert_dir/gcc1-j2.out"
+serial_peak=$(peak "$convert_dir/gcc1-j1.json")
+parallel_peak=$(peak "$convert_dir/gcc1-j2.json")
+[ "$parallel_peak" -le $((serial_peak + serial_peak / 10)) ] \
+    || { echo "gcc@1 --jobs 2 peaks at $parallel_peak bytes, over 10% past --jobs 1's $serial_peak"; exit 1; }
 # A torn file has no instruction total: streamed serially, by each of 2
 # workers or windowed, --salvage counts up to the last record it
 # recovered and prints the same bytes. The BWSS2 stream loses its

@@ -1798,6 +1798,17 @@ mod tests {
                 .collect::<Vec<_>>(),
             other => panic!("counters missing: {other:?}"),
         };
+        // The row store's counters, which every engine reads from the
+        // same rows: serial, streamed, stitched from workers or windowed.
+        let store = |doc: &Json| {
+            [
+                "core.rows_allocated",
+                "core.row_pages",
+                "core.edge_increments",
+            ]
+            .map(|name| doc.get("counters").and_then(|c| c.get(name)?.as_u64()))
+        };
+        let mut stores = Vec::new();
         // Every format takes the same --jobs default.
         for extra in [
             &[][..],
@@ -1825,6 +1836,26 @@ mod tests {
                     "trace.records_read"
                 ]
             );
+            stores.extend(
+                traces
+                    .iter()
+                    .zip(&docs)
+                    .map(|(trace, doc)| (format!("{trace} {extra:?}"), store(doc))),
+            );
+        }
+        let (_, first) = &stores[0];
+        assert!(first.iter().all(Option::is_some), "{first:?}");
+        let weight = analyze_metrics(&traces[0], &[], &dir.join("m.json"));
+        let weight = weight
+            .get("counters")
+            .and_then(|c| c.get("core.interleave_weight"));
+        assert_eq!(
+            first[2],
+            weight.and_then(Json::as_u64),
+            "one increment per credit"
+        );
+        for (case, store) in &stores {
+            assert_eq!(store, first, "{case}");
         }
         for trace in traces {
             std::fs::remove_file(trace).unwrap();

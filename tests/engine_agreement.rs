@@ -4,10 +4,11 @@
 //!
 //! The traces are seeded runs over a few hot branches whose stamps advance
 //! by 0 to 2, so ties occur and re-executions leave superseded entries in
-//! the recency ring. Every other trace first runs 4104 branches once
-//! each, then gives the even hot slots ids below the detector's 4096
-//! dense rows and the odd ones ids past them, so pairs below, across and
-//! above the cap all occur.
+//! the recency ring. Every other trace first runs 4360 branches once
+//! each, then gives the even hot slots ids inside the detector's row
+//! heads, which end at 4096, and the odd ones ids on both sides of the
+//! page boundary at 4352 past them, so pairs inside the heads, across
+//! their end, within a page and across two pages all occur.
 //!
 //! Each trace is a [`Session`] source four ways: in memory, as `BWSS2`
 //! bytes, as `BWSS3` bytes, and as a torn `BWSS3` file read under salvage
@@ -39,8 +40,11 @@ use bwsa::trace::columnar::ColumnarWriter;
 use bwsa::trace::stream::RecoveryPolicy;
 use bwsa::trace::{Format, Trace, TraceBuilder};
 
-/// The first id past the detector's dense rows.
-const DENSE_NODES: u64 = 4096;
+/// The first id past the detector's row heads.
+const HEAD: u64 = 4096;
+
+/// Ids per page of a detector row past its head.
+const PAGE: u64 = 256;
 
 /// Records per block of the `BWSS3` encodings.
 const BLOCK: usize = 256;
@@ -56,7 +60,7 @@ fn hot_trace(seed: u64, wide: bool, spread: u64) -> Trace {
     };
     let mut b = TraceBuilder::new("agreement");
     let mut t = 1;
-    let cold = if wide { DENSE_NODES + 8 } else { 0 };
+    let cold = if wide { HEAD + PAGE + 8 } else { 0 };
     for id in 0..cold {
         b.record(0x10_0000 + id * 4, true, t);
         t += 1;
@@ -65,8 +69,9 @@ fn hot_trace(seed: u64, wide: bool, spread: u64) -> Trace {
         let r = next();
         t += r % 3; // 0 repeats a stamp: equal stamps never interleave
         let slot = r / 3 % spread;
-        let id = match (wide, slot % 2) {
-            (true, 1) => DENSE_NODES + slot / 2,
+        let id = match (wide, slot % 4) {
+            (true, 1) => HEAD + slot / 4,
+            (true, 3) => HEAD + PAGE + slot / 4,
             (true, _) => slot / 2,
             (false, _) => slot,
         };

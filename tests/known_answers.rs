@@ -18,10 +18,17 @@
 //! The engines are the serial pipeline, the BWSS2 and BWSS3 block
 //! streams, the parallel pass on 2 and 3 workers and the windowed fold.
 //! Each trace has `k` static branches, with `k` on both sides of 4096,
-//! where the detector's dense rows end and its spill table begins. The
-//! loops run over the highest ids, after a prefix of branches that run
-//! once, so a loop straddles the cap while its graph stays small enough
-//! for a debug build.
+//! where the detector's dense row heads end and rows count in pages of
+//! 256 ids, and at the end of the first page past it. The loops run over
+//! the highest ids, after a prefix of branches that run once, so a loop
+//! straddles the heads' end while its graph stays small enough for a
+//! debug build.
+//!
+//! Phases that never revisit, each a round-robin of fresh branches with
+//! a few hot branches run before every round, have a closed form too:
+//! each phase's own pairs, the hot branches' pairs with every phase and
+//! with each other, and no pair across two phases (see [`HotPhases`]).
+//! Their ids straddle the heads' end and a page boundary above it.
 //!
 //! A windowed run is also checked window by window, on two disjoint loops
 //! that alternate in phases: what each record credits follows from its
@@ -51,10 +58,14 @@ use bwsa::trace::{BranchId, Format, Trace, TraceBuilder};
 use bwsa::workload::suite::{Benchmark, InputSet};
 use std::collections::BTreeSet;
 
-/// Static branch counts on both sides of the dense-row cap. At 4096 +
-/// `LOOP / 2` half of a top loop sits past the cap, so pairs with one or
-/// both ids past it credit through the spill table.
-const SIZES: [u64; 5] = [2, 4095, 4096, 4097, 4096 + LOOP / 2];
+/// Static branch counts on both sides of the end of the rows' dense
+/// heads, and at the end of the first page past it. At 4096 + `LOOP / 2`
+/// half of a top loop sits past the heads, so pairs with one or both ids
+/// past them credit through pages.
+const SIZES: [u64; 6] = [2, 4095, 4096, 4097, 4096 + LOOP / 2, 4096 + PAGE];
+
+/// Ids per page of a detector row past its dense head.
+const PAGE: u64 = 256;
 
 /// Branches per loop, at most.
 const LOOP: u64 = 48;
@@ -242,6 +253,105 @@ fn phases_that_never_revisit_share_no_edge() {
             let phase = |id: u32| u64::from(id) >= k - m;
             for (a, b, _) in c.graph.iter_edges() {
                 assert_eq!(phase(a), phase(b), "{case}: cross edge ({a}, {b})");
+            }
+        }
+    }
+}
+
+/// `phases` phases of `m` fresh branches each, after `cold` branches that
+/// run once: phase `p` runs its branches round-robin for `rounds` rounds
+/// and is never revisited, and the `hot` branches run once, in order,
+/// before every round of every phase. Ids follow first appearance: the
+/// cold ones, then the hot ones, then each phase's.
+///
+/// By Figure 1 (each branch credits what ran since its previous record):
+///
+/// * a hot branch's record credits the other `hot − 1` hot branches and
+///   the `m` branches of the round before it, except the first;
+/// * a phase branch's record in round `r ≥ 1` credits the other `m − 1`
+///   branches of its phase and the `hot` branches, and in round 0 it runs
+///   for the first time;
+/// * nothing credits a cold branch, whose stamps precede every re-run.
+///
+/// So two hot branches weigh `2(phases · rounds − 1)`, two branches of one
+/// phase `2(rounds − 1)`, and a hot branch with a branch of phase `q`
+/// `2(rounds − 1)` plus 1 if a phase follows `q`, whose first round comes
+/// right after `q`'s last. No other pair has a weight.
+struct HotPhases {
+    cold: u64,
+    hot: u64,
+    m: u64,
+    rounds: u64,
+    phases: u64,
+}
+
+impl HotPhases {
+    fn trace(&self) -> Trace {
+        let mut shape = Shape::after_cold(self.cold);
+        for p in 0..self.phases {
+            for _ in 0..self.rounds {
+                shape.round_robin(self.cold, self.hot, 1);
+                shape.round_robin(self.first(p), self.m, 1);
+            }
+        }
+        shape.trace.finish()
+    }
+
+    /// The first id of phase `p`'s branches.
+    fn first(&self, p: u64) -> u64 {
+        self.cold + self.hot + p * self.m
+    }
+
+    /// The pair `(a, b)`'s weight, `a < b`, from the rule alone.
+    fn weight(&self, a: u64, b: u64) -> u64 {
+        let (cold, hot) = (self.cold, self.cold + self.hot);
+        let phase = |id: u64| (id - hot) / self.m;
+        match (a, b) {
+            _ if a < cold => 0,
+            _ if b < hot => 2 * (self.phases * self.rounds - 1),
+            _ if a < hot => 2 * (self.rounds - 1) + u64::from(phase(b) + 1 < self.phases),
+            _ if phase(a) == phase(b) => 2 * (self.rounds - 1),
+            _ => 0,
+        }
+    }
+}
+
+#[test]
+fn hot_branches_across_phases_that_never_revisit_give_the_closed_form() {
+    // Six phases of 64 branches from id 4064, after 4060 once-run ones
+    // and 4 hot ones: phase 0 straddles the heads' end at 4096 and phase
+    // 4 the page boundary at 4352. Rows of ids past 4096 hold pages only,
+    // and the hot ones credit every phase.
+    let hp = HotPhases {
+        cold: 4060,
+        hot: 4,
+        m: 64,
+        rounds: 2,
+        phases: 6,
+    };
+    let trace = hp.trace();
+    let k = hp.first(hp.phases);
+    assert_eq!(trace.static_branch_count() as u64, k);
+    let (h, m, r, p) = (hp.hot, hp.m, hp.rounds, hp.phases);
+    let pairs = h * (h - 1) / 2 + p * m * (m - 1) / 2 + h * p * m;
+    let total =
+        h * (h - 1) * (p * r - 1) + p * m * (m - 1) * (r - 1) + h * m * (2 * p * (r - 1) + p - 1);
+    // Threshold 2(r − 1) + 1 keeps the hot pairs, but only with the
+    // phases that another follows.
+    let above = 2 * (r - 1) + 1;
+    let kept_above = h * (h - 1) / 2 + h * (p - 1) * m;
+    // Windows of 2250 records: boundaries in the once-run prefix and in
+    // the middle of phase 3.
+    for (threshold, kept) in [(1, pairs), (above, kept_above)] {
+        for (engine, analysis) in every_engine(&trace, &pipeline(threshold), 2250) {
+            let c = &analysis.conflict;
+            let case = format!("threshold {threshold}, {engine}");
+            assert_eq!(c.raw_edge_count as u64, pairs, "{case}: pairs");
+            assert_eq!(c.raw_total_weight, total, "{case}: total");
+            assert_eq!(c.graph.edge_count() as u64, kept, "{case}: kept");
+            for (a, b, w) in c.graph.iter_edges() {
+                let expected = hp.weight(a.into(), b.into());
+                assert_eq!(w, expected, "{case}: ({a}, {b})");
             }
         }
     }
@@ -456,10 +566,11 @@ fn alternating_loops_give_each_window_its_closed_form() {
 #[test]
 fn alternating_loops_above_the_dense_cap_give_each_window_its_closed_form() {
     // The same phases after 4110 once-run branches (137 phases' worth),
-    // so both loops sit above 4096: every credit goes through the spill
-    // path, and each window's pairs come from its own spill credits. A
-    // prefix of 4090 puts loop A below the cap and loop B above it, so
-    // the cross-loop pairs spill from both sides.
+    // so both loops sit past the rows' heads at 4096: every credit goes
+    // to a page, and each window's pairs come from its rows' pages. A
+    // prefix of 4090 puts loop A inside the heads and loop B past them,
+    // so the cross-loop pairs count in heads on one side and pages on
+    // the other.
     for (cold, windows) in [(4110, &[30, 45][..]), (4090, &[45])] {
         let alt = Alternating {
             cold,

@@ -11,8 +11,9 @@
 //! the records so far, pruned at the threshold, and the window's
 //! `cumulative_edges_kept` is that graph's edge count. The fold is the
 //! in-memory serial answer, raw pair count and weight included. One trace
-//! first runs 4104 branches once each, so its hot pairs fall below,
-//! across and above the detector's 4096 dense rows.
+//! first runs 4360 branches once each, so its hot pairs fall inside the
+//! detector's row heads, which end at 4096, across their end, and on
+//! both sides of the page boundary at 4352 past them.
 
 use bwsa::core::pipeline::AnalysisPipeline;
 use bwsa::core::{
@@ -23,12 +24,16 @@ use bwsa::graph::ConflictGraph;
 use bwsa::trace::{Trace, TraceBuilder};
 use std::collections::HashMap;
 
-/// The first id past the detector's dense rows.
-const DENSE_NODES: u64 = 4096;
+/// The first id past the detector's row heads.
+const HEAD: u64 = 4096;
+
+/// Ids per page of a detector row past its head.
+const PAGE: u64 = 256;
 
 /// A seeded trace of `hot` records over `spread` hot branches, after
-/// `cold` branches that run once each. With `cold` past the dense rows,
-/// the odd hot slots take ids past them too.
+/// `cold` branches that run once each. With `cold` past the first page
+/// past the row heads, the odd hot slots take ids on both sides of that
+/// page's end.
 fn seeded_trace(seed: u64, cold: u64, hot: usize, spread: u64) -> Trace {
     let mut lcg = seed;
     let mut next = move || {
@@ -43,13 +48,14 @@ fn seeded_trace(seed: u64, cold: u64, hot: usize, spread: u64) -> Trace {
         b.record(0x10_0000 + id * 4, true, t);
         t += 1;
     }
-    let wide = cold > DENSE_NODES;
+    let wide = cold > HEAD + PAGE;
     for _ in 0..hot {
         let r = next();
         t += r % 3; // 0 repeats a stamp: equal stamps never interleave
         let slot = r / 3 % spread;
-        let id = match (wide, slot % 2) {
-            (true, 1) => DENSE_NODES + slot / 2,
+        let id = match (wide, slot % 4) {
+            (true, 1) => HEAD + slot / 4,
+            (true, 3) => HEAD + PAGE + slot / 4,
             (true, _) => slot / 2,
             (false, _) => slot,
         };
@@ -138,13 +144,17 @@ fn incremental_recoloring_equals_a_scratch_coloring_at_every_flush() {
 
 #[test]
 fn recoloring_stays_exact_across_the_dense_rows() {
-    let trace = seeded_trace(4, DENSE_NODES + 8, 360, 14);
+    let trace = seeded_trace(4, HEAD + PAGE + 8, 360, 14);
     assert!(trace.static_branch_count() > 4096);
     let raw = interleave_counts_naive(&trace).build();
-    let above = raw
-        .iter_edges()
-        .filter(|&(_, b, _)| u64::from(b) >= DENSE_NODES);
-    assert!(above.count() > 0, "hot pairs above the dense rows");
+    let above = |page: u64| {
+        let mut pairs = raw
+            .iter_edges()
+            .map(|(a, b, _)| (u64::from(a), u64::from(b)));
+        pairs.any(|(a, b)| a < HEAD + page && b >= HEAD + page)
+    };
+    assert!(above(0), "hot pairs across the heads' end");
+    assert!(above(PAGE), "hot pairs across the page boundary past it");
     // Windows of 90 records: the last five hold the hot ones.
     let checked = check_every_flush(&trace, 90, "wide");
     assert_eq!(checked, 4 * trace.len().div_ceil(90));
