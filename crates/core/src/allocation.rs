@@ -76,12 +76,12 @@ impl Allocation {
     /// assert_eq!(occ.max_per_entry, 1);
     /// ```
     pub fn occupancy(&self) -> Occupancy {
-        let mut counts = vec![0usize; self.index.table_size()];
-        for (_, entry) in self.index.iter() {
-            counts[entry as usize] += 1;
-        }
-        let used: Vec<usize> = counts.into_iter().filter(|&c| c > 0).collect();
-        let total: usize = used.iter().sum();
+        // Counted over the assigned branches, so the cost follows them and
+        // not the table size.
+        let mut entries: Vec<u32> = self.index.iter().map(|(_, entry)| entry).collect();
+        entries.sort_unstable();
+        let used: Vec<usize> = entries.chunk_by(|a, b| a == b).map(<[u32]>::len).collect();
+        let total = entries.len();
         Occupancy {
             used_entries: used.len(),
             max_per_entry: used.iter().copied().max().unwrap_or(0),
@@ -129,7 +129,7 @@ pub fn allocate_classified(
         table_size >= 3,
         "classified allocation needs 2 reserved entries plus at least 1"
     );
-    let mixed_only = mixed_graph(&classification.refine_graph(graph), classification);
+    let mixed_only = mixed_graph(graph, classification);
     let coloring = color_graph(&mixed_only, table_size - 2, &config.coloring);
     let entries = (0..graph.node_count())
         .map(|i| {
@@ -160,6 +160,17 @@ pub fn conventional_conflict_mass(
     table: &BranchTable,
     table_size: usize,
 ) -> u64 {
+    pc_collision_mass(graph, table, table_size, |_, _| true)
+}
+
+/// The weight of the `counted` pairs of `graph` whose pcs map to the same
+/// entry of a `table_size`-entry pc-indexed BHT.
+fn pc_collision_mass(
+    graph: &ConflictGraph,
+    table: &BranchTable,
+    table_size: usize,
+    counted: impl Fn(u32, u32) -> bool,
+) -> u64 {
     assert!(
         graph.node_count() <= table.len(),
         "graph nodes must be interned branches"
@@ -167,8 +178,9 @@ pub fn conventional_conflict_mass(
     graph
         .iter_edges()
         .filter(|&(a, b, _)| {
-            table.pc_of(BranchId::new(a)).table_index(table_size)
-                == table.pc_of(BranchId::new(b)).table_index(table_size)
+            counted(a, b)
+                && table.pc_of(BranchId::new(a)).table_index(table_size)
+                    == table.pc_of(BranchId::new(b)).table_index(table_size)
         })
         .map(|(_, _, w)| w)
         .sum()
@@ -275,22 +287,31 @@ pub fn required_bht_size_classified(
     baseline_size: usize,
     config: &AllocationConfig,
 ) -> RequiredSize {
-    let refined = classification.refine_graph(graph);
-    let target = conventional_conflict_mass(&refined, table, baseline_size);
     // The graph `allocate_classified` colors; the table size does not
     // change it.
-    let mixed_only = mixed_graph(&refined, classification);
-    drop(refined);
+    let mixed_only = mixed_graph(graph, classification);
+    // The refined graph's conventional mass, read off `graph` without
+    // copying it refined.
+    let target = pc_collision_mass(graph, table, baseline_size, |a, b| {
+        !classification.is_harmless_pair(a, b)
+    });
     let n = graph.node_count().max(1);
     search_required(3, n + 3, target, |k| {
         color_graph(&mixed_only, k - 2, &config.coloring).conflict_mass
     })
 }
 
-/// The refined graph's mixed branches: the only ones classified
-/// allocation colors.
-fn mixed_graph(refined: &ConflictGraph, classification: &Classification) -> ConflictGraph {
-    refined.induced(|n| classification.class(BranchId::new(n)) == BiasClass::Mixed)
+/// The conflicts among the mixed branches, the only ones classified
+/// allocation colors. The §5.2 refinement drops only pairs of two biased
+/// branches, so this is the refined graph's subgraph too, built without
+/// copying the refined graph.
+fn mixed_graph(graph: &ConflictGraph, classification: &Classification) -> ConflictGraph {
+    assert_eq!(
+        graph.node_count(),
+        classification.len(),
+        "graph/classification mismatch"
+    );
+    graph.induced(|n| classification.class(BranchId::new(n)) == BiasClass::Mixed)
 }
 
 #[cfg(test)]
@@ -535,5 +556,30 @@ mod tests {
         // Entries 0 and 1 hold 2 branches each; 3 mixed spread out.
         assert_eq!(occ.max_per_entry, 2);
         assert_eq!(occ.used_entries, 5);
+    }
+
+    #[test]
+    fn a_table_past_the_branch_count_costs_what_the_branch_count_does() {
+        // A table of 2^40 entries allocates as one of an entry per branch
+        // (two more under classification), apart from its size. Coloring
+        // or occupancy sized by the table would fail at once here.
+        let (g, c, _) = classified_fixture();
+        let n = g.node_count();
+        let cfg = AllocationConfig::default();
+        let huge = 1usize << 40;
+        for (at_n, at_huge) in [
+            (allocate(&g, n, &cfg), allocate(&g, huge, &cfg)),
+            (
+                allocate_classified(&g, &c, n + 2, &cfg),
+                allocate_classified(&g, &c, huge, &cfg),
+            ),
+        ] {
+            assert_eq!(at_huge.table_size(), huge);
+            let entries = |a: &Allocation| a.index.iter().collect::<Vec<_>>();
+            assert_eq!(entries(&at_huge), entries(&at_n));
+            assert_eq!(at_huge.conflict_mass, at_n.conflict_mass);
+            assert_eq!(at_huge.conflicting_pairs, at_n.conflicting_pairs);
+            assert_eq!(at_huge.occupancy(), at_n.occupancy());
+        }
     }
 }

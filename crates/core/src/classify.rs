@@ -144,11 +144,14 @@ impl Classification {
             self.classes.len(),
             "graph/classification mismatch"
         );
-        graph.without_edges(|a, b| {
-            let ca = self.classes[a as usize];
-            let cb = self.classes[b as usize];
-            ca != BiasClass::Mixed && ca == cb
-        })
+        graph.without_edges(|a, b| self.is_harmless_pair(a, b))
+    }
+
+    /// Whether a conflict between branches `a` and `b` is one the
+    /// refinement drops: both are in the same biased class.
+    pub(crate) fn is_harmless_pair(&self, a: u32, b: u32) -> bool {
+        let ca = self.classes[a as usize];
+        ca != BiasClass::Mixed && ca == self.classes[b as usize]
     }
 
     /// The thresholds used: `(taken, not_taken)`.

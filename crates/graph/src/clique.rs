@@ -44,6 +44,10 @@ pub fn greedy_clique_partition(graph: &ConflictGraph) -> Vec<Vec<u32>> {
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.sort_unstable_by_key(|&v| (std::cmp::Reverse(graph.weighted_degree(v)), v));
     let mut assigned = vec![false; n];
+    // The newest member's edge weights by neighbor, `None` off its
+    // adjacency (a zero-weight edge is still an edge): filled from its
+    // row before the candidates are filtered, cleared after.
+    let mut row: Vec<Option<u64>> = vec![None; n];
     let mut sets = Vec::new();
     for &seed in &order {
         if assigned[seed as usize] {
@@ -68,13 +72,19 @@ pub fn greedy_clique_partition(graph: &ConflictGraph) -> Vec<Vec<u32>> {
             clique.push(chosen);
             // Keep only candidates adjacent to the new member; fold in the
             // connecting edge weight so scores stay "weight into clique".
-            candidates.retain_mut(|(v, w)| match graph.edge_weight(chosen, *v) {
+            for (v, w) in graph.neighbor_weights(chosen) {
+                row[v as usize] = Some(w);
+            }
+            candidates.retain_mut(|(v, w)| match row[*v as usize] {
                 Some(extra) if !assigned[*v as usize] => {
                     *w += extra;
                     true
                 }
                 _ => false,
             });
+            for &v in graph.neighbors(chosen) {
+                row[v as usize] = None;
+            }
         }
         clique.sort_unstable();
         sets.push(clique);

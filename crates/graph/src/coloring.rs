@@ -60,13 +60,13 @@ impl Coloring {
         self.assignment[node as usize]
     }
 
-    /// Number of distinct colors actually used.
+    /// Number of distinct colors actually used, counted over the
+    /// assignment: its cost follows the nodes, not [`Coloring::colors`].
     pub fn used_colors(&self) -> usize {
-        let mut seen = vec![false; self.colors];
-        for &c in &self.assignment {
-            seen[c as usize] = true;
-        }
-        seen.iter().filter(|&&s| s).count()
+        let mut used = self.assignment.clone();
+        used.sort_unstable();
+        used.dedup();
+        used.len()
     }
 
     /// Returns `true` if no edge joins two same-colored nodes.
@@ -190,6 +190,11 @@ fn try_assign_colors(
     if k == 0 {
         return Err(crate::GraphError::ZeroColors { nodes: n });
     }
+    // With at least as many colors as nodes, every node is trivially
+    // colorable and select only ever opens the lowest color not yet used,
+    // so colors past `n` are never reached: coloring with `n` gives the
+    // same assignment, at a cost that follows the graph, not `k`.
+    let k = k.min(n);
 
     // --- Simplify phase -------------------------------------------------
     let mut cur_deg: Vec<usize> = (0..n as u32).map(|v| graph.degree(v)).collect();

@@ -271,3 +271,82 @@ proptest! {
         }
     }
 }
+
+/// The reference partition: the greedy growth of
+/// [`clique::greedy_clique_partition`], reading each candidate's edge to
+/// the newest member by binary search of that member's neighbors.
+fn partition_by_search(graph: &ConflictGraph) -> Vec<Vec<u32>> {
+    let n = graph.node_count();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_unstable_by_key(|&v| (Reverse(graph.weighted_degree(v)), v));
+    let mut assigned = vec![false; n];
+    let mut sets = Vec::new();
+    for &seed in &order {
+        if assigned[seed as usize] {
+            continue;
+        }
+        assigned[seed as usize] = true;
+        let mut clique = vec![seed];
+        let mut candidates: Vec<(u32, u64)> = graph
+            .neighbor_weights(seed)
+            .filter(|&(v, _)| !assigned[v as usize])
+            .collect();
+        while let Some(best) = candidates
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, &(v, w))| (w, Reverse(v)))
+            .map(|(i, _)| i)
+        {
+            let (chosen, _) = candidates.swap_remove(best);
+            assigned[chosen as usize] = true;
+            clique.push(chosen);
+            candidates.retain_mut(|(v, w)| match graph.edge_weight(chosen, *v) {
+                Some(extra) if !assigned[*v as usize] => {
+                    *w += extra;
+                    true
+                }
+                _ => false,
+            });
+        }
+        clique.sort_unstable();
+        sets.push(clique);
+    }
+    sets.sort_unstable();
+    sets
+}
+
+proptest! {
+    /// Reading the newest member's weights from a scratch row partitions
+    /// exactly as searching its neighbors does, zero-weight edges
+    /// included: such an edge still keeps its candidate.
+    #[test]
+    fn partition_matches_the_binary_search_growth(g in arb_graph_with_zero_weights()) {
+        prop_assert_eq!(clique::greedy_clique_partition(&g), partition_by_search(&g));
+    }
+
+    /// With at least as many colors as nodes, the coloring is the one at
+    /// exactly `n` colors, for every merge order; only the colors asked
+    /// for differ. A table of 2^40 colors costs what `n` does, so a
+    /// coloring sized by its colors fails here at once.
+    #[test]
+    fn colors_past_the_node_count_color_as_the_node_count(g in arb_graph_with_zero_weights()) {
+        let n = g.node_count();
+        for merge_order in [
+            MergeOrder::MinWeightedDegree,
+            MergeOrder::MinDegree,
+            MergeOrder::MaxWeightedDegree,
+        ] {
+            let options = ColoringOptions { merge_order };
+            let at_n = coloring::color_graph(&g, n, &options);
+            for k in [n + 1, 2 * n, 1000 * n, 1 << 40] {
+                let c = coloring::color_graph(&g, k, &options);
+                prop_assert_eq!(c.colors, k);
+                prop_assert_eq!((merge_order, k, &c.assignment), (merge_order, k, &at_n.assignment));
+                prop_assert_eq!(
+                    (c.conflict_mass, c.conflicting_edges, c.used_colors()),
+                    (at_n.conflict_mass, at_n.conflicting_edges, at_n.used_colors())
+                );
+            }
+        }
+    }
+}

@@ -69,7 +69,7 @@ pub struct StageTiming {
 /// A point-in-time copy of everything an [`Obs`] handle has recorded.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
-    /// Stage timings in first-start order.
+    /// Stage timings in the order each name's first span ended.
     pub stages: Vec<StageTiming>,
     /// Monotonic counters by name.
     pub counters: BTreeMap<String, u64>,
@@ -119,7 +119,8 @@ impl Metrics {
 
 #[derive(Debug, Default)]
 struct RecorderState {
-    /// Stage name → index into `stages`, preserving first-start order.
+    /// Stage name → index into `stages`, in the order each name's first
+    /// span ended.
     stage_index: BTreeMap<String, usize>,
     stages: Vec<StageTiming>,
     counters: BTreeMap<String, u64>,

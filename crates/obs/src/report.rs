@@ -130,7 +130,7 @@ pub struct RunReport {
     /// Echo of the effective configuration (threshold, execution mode,
     /// jobs, classification, ...), as an ordered JSON object.
     pub config: Json,
-    /// Per-stage wall times, in first-start order.
+    /// Per-stage wall times, in the order each stage's first span ended.
     pub stages: Vec<StageReport>,
     /// All recorded counters, sorted by name.
     pub counters: Vec<(String, u64)>,

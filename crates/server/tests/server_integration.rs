@@ -94,6 +94,36 @@ fn served_analysis_is_bit_identical_to_a_direct_session_run() {
 }
 
 #[test]
+fn a_served_table_past_the_branch_count_answers_as_the_branch_count() {
+    // The wire table is a u64. One of 2^40 entries costs what an entry
+    // per branch (two more under classification) does, and answers the
+    // same allocation apart from its size; one sized by the table would
+    // fail at once.
+    let handle = spawn_server("huge-table", |_| {});
+    let bytes = trace_bytes("huge-table", 900);
+    let n = trace_of(&bytes).static_branch_count() as u64;
+    let mut client = Client::connect(handle.socket(), "acme").unwrap();
+    for (classified, fits) in [(false, n), (true, n + 2)] {
+        let mut answer = |table: u64| {
+            let json = expect_ok(
+                client
+                    .allocate(bytes.clone(), None, table, classified)
+                    .unwrap(),
+            );
+            let doc = Json::parse(&json).unwrap();
+            assert_eq!(doc.get("table_size").and_then(Json::as_u64), Some(table));
+            ["conflict_mass", "conflicting_pairs", "occupancy"].map(|key| doc.get(key).cloned())
+        };
+        let huge = answer(1 << 40);
+        assert_eq!(huge, answer(fits), "classified {classified}");
+        assert!(huge.iter().all(Option::is_some));
+    }
+
+    handle.begin_shutdown();
+    handle.join().unwrap();
+}
+
+#[test]
 fn every_trace_format_uploads_as_is_and_answers_byte_identically() {
     let handle = spawn_server("formats", |_| {});
     let bwss = trace_bytes("formats", 900);

@@ -179,11 +179,22 @@ cmp "$convert_dir/gcc-windows.json" "$convert_dir/gcc-windows-j2.json"
 for run in bwss bws3 bwss-j1 bws3-j1 j2 j3 salvage salvage-j1 salvage-j2 window; do
     cmp "$convert_dir/gcc.out" "$convert_dir/gcc-$run.out"
 done
-# allocate detects on every hardware thread by default: it prints what
-# its serial run prints.
+# allocate detects, then runs its four products, on every hardware
+# thread by default and on 2 workers at --jobs 2: each prints what its
+# serial run prints.
 "$bwsa" allocate "$convert_dir/gcc.bwst" --classify > "$convert_dir/gcc-alloc.out"
 "$bwsa" allocate "$convert_dir/gcc.bwst" --classify --jobs 1 > "$convert_dir/gcc-alloc-j1.out"
+"$bwsa" allocate "$convert_dir/gcc.bwst" --classify --jobs 2 > "$convert_dir/gcc-alloc-j2.out"
 cmp "$convert_dir/gcc-alloc-j1.out" "$convert_dir/gcc-alloc.out"
+cmp "$convert_dir/gcc-alloc-j1.out" "$convert_dir/gcc-alloc-j2.out"
+# A --table of 0, one below --classify's 3 entries, or one past 2^20 is
+# a usage error (exit 2), met before the trace is read.
+for table_flags in "--table 0" "--classify --table 2" "--table 1048577"; do
+    status=0
+    "$bwsa" allocate "$convert_dir/no-such.bwst" $table_flags 2> /dev/null || status=$?
+    [ "$status" -eq 2 ] \
+        || { echo "allocate $table_flags exited $status, not 2"; exit 1; }
+done
 # One trace in three formats answers alike: with no flag, --jobs 2 or
 # --window 4096 --jobs 2, every format prints the same bytes and reports
 # the same digests, trace.* counters and config echo.

@@ -13,10 +13,12 @@
 //! and resilience errors — every fault exits typed, never as a raw
 //! panic — 2 on usage errors.
 
+use bwsa::core::allocation::RequiredSize;
 use bwsa::core::conflict::ConflictConfig;
 use bwsa::core::pipeline::{Analysis, AnalysisPipeline};
 use bwsa::core::{
-    Classified, Execution, ParallelConfig, Session, Source, SupervisorConfig, WindowConfig,
+    Allocation, Classified, Execution, ParallelConfig, Session, Source, SupervisorConfig,
+    WindowConfig,
 };
 use bwsa::corpus::{Corpus, EntryStatus, FleetSummary, FLEET_SUMMARY_VERSION};
 use bwsa::graph::dot::{to_dot, DotOptions};
@@ -27,7 +29,7 @@ use bwsa::predictor::{
     simulate_observed, sweep_observed, Agree, BhtIndexer, BiMode, Bimodal, BranchPredictor, Gag,
     Gshare, Hybrid, Pag, StaticPredictor, SweepCell,
 };
-use bwsa::resilience::{failpoint, supervisor, DetRng};
+use bwsa::resilience::{failpoint, parallel_map, supervisor, DetRng};
 use bwsa::server::server::ServerConfig;
 use bwsa::server::{signal, AdmissionConfig, Client, Response, Server, TenantQuotas};
 use bwsa::trace::codec::crc32;
@@ -155,10 +157,16 @@ analysis engines — the recommended format for large cold corpora.
 --jobs N splits the static branches of analyze's and allocate's
 detection among N worker threads, each reading every record: the
 blocks of a BWSS or BWSS3 trace, each decoded once for all of them, or
-the decoded BWST trace. simulate runs its grid cells on N worker
+the decoded BWST trace. Once detection ends, allocate runs its four
+products side by side on the same workers: the required-size search,
+the allocation and its PAg run, and the conventional and
+interference-free PAg runs. simulate runs its grid cells on N worker
 threads. --jobs 1 is serial, and results are bit-identical to a serial
 run. All three default to every hardware thread, and analyze and
 allocate take at most 256 (a larger --jobs is a usage error).
+allocate's --table is 1 to 2^20 entries (1048576), and at least 3 with
+--classify, which reserves two; any other is a usage error, met before
+the trace is read.
 
 --window N analyzes the trace in online windows of N dynamic branches
 (Ni: N instructions), printing per-window working sets, conflict-graph
@@ -763,6 +771,53 @@ fn print_analysis(meta: &TraceMeta, analysis: &Analysis, pipeline: &AnalysisPipe
     println!("classification: {t} biased-taken, {n} biased-not-taken, {m} mixed");
 }
 
+/// The largest `--table` `allocate` takes: the allocated PAg keeps one
+/// history per entry of its table.
+const MAX_TABLE: usize = 1 << 20;
+
+/// `allocate`'s `--table`, 1024 without the flag: nonzero, at least 3
+/// under `--classify` (two entries are reserved for the biased
+/// branches), and at most [`MAX_TABLE`].
+fn table_of(p: &Parsed, classified: Classified) -> Result<usize, CliError> {
+    let table = p.positive("table")?.unwrap_or(1024);
+    if classified.0 && table < 3 {
+        return Err(usage_err(format!(
+            "--table {table} is below the 3 entries --classify needs"
+        )));
+    }
+    if table > MAX_TABLE {
+        return Err(usage_err(format!(
+            "--table {table} is above the bound of {MAX_TABLE}"
+        )));
+    }
+    Ok(table)
+}
+
+/// One of `allocate`'s four products. None reads another's result, so
+/// once the analysis is cached they run as items of one worker pool,
+/// longest first.
+#[derive(Debug, Clone, Copy)]
+enum Product {
+    /// The required-size search: one coloring per probed size.
+    RequiredSize,
+    /// The allocation, then PAg over its assignment.
+    Allocated,
+    /// PAg over the conventional 1024-entry pc-indexed table.
+    Conventional,
+    /// PAg with a history per branch.
+    InterferenceFree,
+}
+
+/// What a [`Product`] computed.
+enum Answer {
+    /// The required-size search's answer.
+    RequiredSize(Result<RequiredSize, bwsa::core::Error>),
+    /// The allocation and its PAg's misprediction rate.
+    Allocated(Result<(Allocation, f64), bwsa::core::Error>),
+    /// A baseline PAg's misprediction rate.
+    Rate(f64),
+}
+
 fn cmd_allocate(args: &[String]) -> Result<(), CliError> {
     let p = parse(
         args,
@@ -781,7 +836,8 @@ fn cmd_allocate(args: &[String]) -> Result<(), CliError> {
         .positionals
         .first()
         .ok_or_else(|| usage_err("allocate needs a trace file"))?;
-    let table: usize = p.number("table")?.unwrap_or(1024);
+    let classified = Classified(p.has("classify"));
+    let table = table_of(&p, classified)?;
     let jobs = jobs_of(&p)?;
     let supervisor = supervisor_of(&p)?;
     let spec = report_spec(&p)?;
@@ -792,7 +848,6 @@ fn cmd_allocate(args: &[String]) -> Result<(), CliError> {
     let obs = spec.observer();
     let (trace, report) = load_trace(path, recovery_policy(&p), &obs)?;
     warn_salvage(path, &report);
-    let classified = Classified(p.has("classify"));
     let session = Session::new(&trace)
         .with_pipeline(pipeline)
         .with_observer(obs.clone());
@@ -800,9 +855,32 @@ fn cmd_allocate(args: &[String]) -> Result<(), CliError> {
     if let Some(config) = supervisor {
         session = session.with_supervisor(config);
     }
-    let allocation = session
-        .allocate(classified, table)
-        .map_err(|e| runtime_err(e.to_string()))?;
+    // Detection runs once, here: every product reads the cached analysis.
+    session.run().map_err(|e| runtime_err(e.to_string()))?;
+    let products = vec![
+        Product::RequiredSize,
+        Product::Allocated,
+        Product::Conventional,
+        Product::InterferenceFree,
+    ];
+    let rate = |mut pag: Pag| simulate_observed(&mut pag, &trace, &obs).misprediction_rate();
+    let answers = parallel_map(products, jobs, |_, product| match product {
+        Product::RequiredSize => Answer::RequiredSize(session.required_bht_size(classified, 1024)),
+        Product::Allocated => Answer::Allocated(session.allocate(classified, table).map(|a| {
+            let indexer = BhtIndexer::Allocated(a.index.clone());
+            let allocated = rate(Pag::paper_with_indexer(indexer));
+            (a, allocated)
+        })),
+        Product::Conventional => Answer::Rate(rate(Pag::paper_baseline())),
+        Product::InterferenceFree => Answer::Rate(rate(Pag::interference_free())),
+    });
+    let Ok(
+        [Answer::RequiredSize(required), Answer::Allocated(allocated), Answer::Rate(conv), Answer::Rate(free)],
+    ) = <[Answer; 4]>::try_from(answers)
+    else {
+        unreachable!("one answer per product, in item order")
+    };
+    let (allocation, alloc_rate) = allocated.map_err(|e| runtime_err(e.to_string()))?;
     let occ = allocation.occupancy();
     if !spec.json_only() {
         println!(
@@ -816,22 +894,12 @@ fn cmd_allocate(args: &[String]) -> Result<(), CliError> {
             occ.used_entries, occ.max_per_entry, occ.mean_per_used_entry
         );
     }
-    let required = session
-        .required_bht_size(classified, 1024)
-        .map_err(|e| runtime_err(e.to_string()))?;
+    let required = required.map_err(|e| runtime_err(e.to_string()))?;
     if !spec.json_only() {
         println!(
             "required size to beat conventional 1024-entry BHT: {} (target mass {}, achieved {})",
             required.size, required.target_mass, required.achieved_mass
         );
-    }
-    let alloc_mass = allocation.conflict_mass;
-    let alloc_pairs = allocation.conflicting_pairs;
-    let mut pag = Pag::paper_with_indexer(BhtIndexer::Allocated(allocation.index));
-    let alloc_rate = simulate_observed(&mut pag, &trace, &obs).misprediction_rate();
-    let conv = simulate_observed(&mut Pag::paper_baseline(), &trace, &obs).misprediction_rate();
-    let free = simulate_observed(&mut Pag::interference_free(), &trace, &obs).misprediction_rate();
-    if !spec.json_only() {
         println!(
             "\nmisprediction: allocated {:.2}% | conventional-1024 {:.2}% | interference-free {:.2}%",
             alloc_rate * 100.0,
@@ -839,6 +907,7 @@ fn cmd_allocate(args: &[String]) -> Result<(), CliError> {
             free * 100.0
         );
     }
+    obs.sample_peak_rss();
     if let Some(mut run_report) = session.run_report("allocate") {
         push_analysis_digests(
             &mut run_report,
@@ -846,7 +915,10 @@ fn cmd_allocate(args: &[String]) -> Result<(), CliError> {
         );
         run_report.push_digest(
             "allocation",
-            digest_of(&format!("{table} {alloc_mass} {alloc_pairs}")),
+            digest_of(&format!(
+                "{table} {} {}",
+                allocation.conflict_mass, allocation.conflicting_pairs
+            )),
         );
         run_report.push_digest(
             "required_size",

@@ -3,6 +3,7 @@
 //! and byte-identical stdout between serial and parallel runs, and at
 //! the default, which is every hardware thread.
 
+use bwsa::obs::json::Json;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -53,6 +54,31 @@ fn jobs_misuse_exits_2_before_touching_files() {
     ] {
         let out = bwsa(&args);
         assert_eq!(exit_code(&out), 2, "{args:?}: {out:?}");
+    }
+}
+
+#[test]
+fn table_misuse_exits_2_before_touching_files() {
+    // A table of no entries, one without room for --classify's two
+    // reserved entries and the mixed branches, or one past the bound of
+    // 2^20 is refused before the trace is opened.
+    for args in [
+        &["allocate", "/no/such.bwst", "--table", "0"][..],
+        &["allocate", "/no/such.bwst", "--classify", "--table", "2"],
+        &["allocate", "/no/such.bwst", "--table", "1048577"],
+    ] {
+        let out = bwsa(args);
+        assert_eq!(exit_code(&out), 2, "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--table"), "{args:?}: {stderr}");
+    }
+    // The bounds themselves are tables: those runs reach the missing file.
+    for args in [
+        &["allocate", "/no/such.bwst", "--classify", "--table", "3"][..],
+        &["allocate", "/no/such.bwst", "--table", "1048576"],
+    ] {
+        let out = bwsa(args);
+        assert_eq!(exit_code(&out), 1, "{args:?}: {out:?}");
     }
 }
 
@@ -149,4 +175,89 @@ fn parallel_simulate_stdout_is_byte_identical_to_serial() {
         String::from_utf8_lossy(&parallel.stdout),
         "parallel simulate output diverged"
     );
+}
+
+/// The parts of `allocate --report json`'s report that do not depend on
+/// the workers: its digests and its counters, less the `core.shard*`
+/// ones that count how detection split among them.
+fn allocate_report(path: &str, jobs: &str) -> (Json, Vec<(String, Json)>) {
+    let out = bwsa(&[
+        "allocate",
+        path,
+        "--threshold",
+        "3",
+        "--classify",
+        "--report",
+        "json",
+        "--jobs",
+        jobs,
+    ]);
+    assert_eq!(exit_code(&out), 0, "--jobs {jobs}: {out:?}");
+    let doc = Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap();
+    let Some(Json::Object(counters)) = doc.get("counters") else {
+        panic!("--jobs {jobs}: no counters");
+    };
+    let counters = counters
+        .iter()
+        .filter(|(name, _)| !name.starts_with("core.shard"))
+        .cloned()
+        .collect();
+    (doc.get("digests").unwrap().clone(), counters)
+}
+
+#[test]
+fn allocate_reports_the_same_products_at_any_jobs() {
+    // Once detection ends, allocate's four products run on the --jobs
+    // workers: the same allocation, search and three PAg runs, counted
+    // the same, on one worker or three.
+    let path = fixture_trace("allocate_report", "bwst");
+    let path = path.to_str().unwrap();
+    let (digests, counters) = allocate_report(path, "1");
+    for name in ["allocation", "required_size", "working_sets"] {
+        assert!(digests.get(name).is_some(), "no {name} digest");
+    }
+    let count = |name: &str| counters.iter().find(|(n, _)| n == name).map(|(_, v)| v);
+    assert_eq!(count("core.allocations"), Some(&Json::UInt(1)));
+    assert!(count("predictor.lookups").is_some());
+    for jobs in ["2", "3"] {
+        assert_eq!(
+            allocate_report(path, jobs),
+            (digests.clone(), counters.clone()),
+            "--jobs {jobs}"
+        );
+    }
+}
+
+#[test]
+fn a_fault_in_any_product_ends_allocate_alike_at_any_jobs() {
+    // A fault in the coloring (the allocation and the search) or in a PAg
+    // run unwinds out of whichever worker meets it, and the run ends as
+    // a serial run does: exit 1 and the same final error line.
+    let path = fixture_trace("allocate_fault", "bwst");
+    let path = path.to_str().unwrap();
+    for site in ["graph.color", "predictor.simulate"] {
+        let last_error = |jobs: &str| {
+            let out = Command::new(env!("CARGO_BIN_EXE_bwsa"))
+                .args([
+                    "allocate",
+                    path,
+                    "--threshold",
+                    "3",
+                    "--classify",
+                    "--jobs",
+                    jobs,
+                ])
+                .env("BWSA_FAILPOINTS", format!("{site}=error(boom)"))
+                .output()
+                .expect("bwsa binary runs");
+            assert_eq!(exit_code(&out), 1, "{site} --jobs {jobs}: {out:?}");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            let last = stderr.lines().rfind(|l| l.starts_with("error:"));
+            last.unwrap_or_else(|| panic!("{site} --jobs {jobs}: {stderr}"))
+                .to_owned()
+        };
+        let serial = last_error("1");
+        assert!(serial.contains(site) && serial.contains("boom"), "{serial}");
+        assert_eq!(last_error("2"), serial, "{site}");
+    }
 }

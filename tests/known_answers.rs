@@ -44,7 +44,18 @@
 //! never revisit make a conflict graph of disjoint cliques, one per
 //! loop: the largest loop's size is the smallest table that holds them
 //! with no conflict.
+//!
+//! Classification has one too. A loop of `t` always-taken, `n`
+//! never-taken and `m ≥ 2` mixed branches, with every pair kept and every
+//! pc on its own entry of a 1024-entry table, is one clique. Classified
+//! allocation sends the biased branches to its two reserved entries,
+//! where a same-class pair does no harm, and colors the `m` mixed ones
+//! into the rest: `m + 2` entries hold the loop with no harmful conflict
+//! and `m + 1` do not. Plain allocation needs an entry per branch,
+//! `t + n + m`. The conventional table has no conflict to beat, so the
+//! required-size search answers exactly those sizes.
 
+use bwsa::core::allocation::{AllocationConfig, RequiredSize};
 use bwsa::core::pipeline::AnalysisPipeline;
 use bwsa::core::{
     analyze_parallel, Analysis, Classified, ConflictConfig, ParallelConfig, Session, Source,
@@ -637,4 +648,116 @@ fn disjoint_loops_fit_a_table_as_large_as_the_largest_loop() {
     assert_eq!(fits.conflicting_pairs, 0, "{largest} entries");
     let short = session.allocate(Classified(false), largest - 1).unwrap();
     assert!(short.conflict_mass > 0, "{} entries", largest - 1);
+}
+
+/// A loop of `t` always-taken, `n` never-taken and `m` mixed branches,
+/// run round-robin `r` times; a mixed branch is taken in even rounds.
+/// The pcs are consecutive words, so each has its own entry of a
+/// 1024-entry pc-indexed table.
+fn biased_loop(t: u64, n: u64, m: u64, r: u64) -> Trace {
+    let size = t + n + m;
+    let mut trace = TraceBuilder::new("classes");
+    for i in 0..size * r {
+        let (slot, round) = (i % size, i / size);
+        let taken = slot < t || (slot >= t + n && round % 2 == 0);
+        trace.record(0x1_0000 + slot * 4, taken, i + 1);
+    }
+    trace.finish()
+}
+
+/// `bwsa allocate`'s stdout for `trace_path` at `table`, `jobs` and a
+/// threshold of `threshold`, classified or not.
+fn allocate_stdout(
+    trace_path: &str,
+    threshold: u64,
+    classified: bool,
+    table: u64,
+    jobs: u64,
+) -> String {
+    let mut args = vec![
+        "allocate".to_owned(),
+        trace_path.to_owned(),
+        "--threshold".to_owned(),
+        threshold.to_string(),
+        "--table".to_owned(),
+        table.to_string(),
+        "--jobs".to_owned(),
+        jobs.to_string(),
+    ];
+    if classified {
+        args.push("--classify".to_owned());
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bwsa"))
+        .args(&args)
+        .output()
+        .expect("bwsa binary runs");
+    assert!(out.status.success(), "{args:?}: {out:?}");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+#[test]
+fn classified_allocation_fits_a_loop_in_two_entries_past_its_mixed_branches() {
+    let r = 6;
+    let weight = 2 * (r - 1);
+    let config = AllocationConfig::default();
+    let dir = std::env::temp_dir().join(format!("bwsa_known_classes_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (t, n, m) in [(1, 1, 2), (3, 2, 5), (4, 6, 3)] {
+        let size = t + n + m;
+        let trace = biased_loop(t, n, m, r);
+        for (engine, analysis) in every_engine(&trace, &pipeline(weight), size * 2 + 1) {
+            let case = format!("t {t}, n {n}, m {m}, {engine}");
+            let counts = analysis.classification.counts();
+            assert_eq!(counts, (t as usize, n as usize, m as usize), "{case}");
+            let edges = analysis.conflict.graph.edge_count() as u64;
+            assert_eq!(edges, size * (size - 1) / 2, "{case}: one clique");
+            for (classified, fits) in [(Classified(true), m + 2), (Classified(false), size)] {
+                let mass = |table: u64| {
+                    let allocation = analysis.allocation(classified, table as usize, &config);
+                    allocation.unwrap().conflict_mass
+                };
+                assert_eq!(mass(fits), 0, "{case}, {classified:?}: {fits} entries");
+                assert!(
+                    mass(fits - 1) > 0,
+                    "{case}, {classified:?}: {} entries",
+                    fits - 1
+                );
+                let required = analysis.required_size(classified, &trace, 1024, &config);
+                let exactly = RequiredSize {
+                    size: fits as usize,
+                    target_mass: 0,
+                    achieved_mass: 0,
+                };
+                assert_eq!(required.unwrap(), exactly, "{case}, {classified:?}");
+            }
+        }
+        // The same answers through `bwsa allocate`, whose products run
+        // side by side at --jobs 2.
+        let path = dir.join(format!("classes_{t}_{n}_{m}.bwst"));
+        let mut bytes = Vec::new();
+        Format::Bwst.write(&trace, &mut bytes).unwrap();
+        std::fs::write(&path, bytes).unwrap();
+        let path = path.to_str().unwrap();
+        for (classified, label, fits) in [(true, "classified", m + 2), (false, "plain", size)] {
+            for jobs in [1, 2] {
+                let case = format!("t {t}, n {n}, m {m}, {label}, --jobs {jobs}");
+                let fitted = allocate_stdout(path, weight, classified, fits, jobs);
+                let expected = [
+                    format!("allocation into {fits} entries ({label}): conflict mass 0, 0 conflicting pairs"),
+                    format!("required size to beat conventional 1024-entry BHT: {fits} (target mass 0, achieved 0)"),
+                ];
+                for line in expected {
+                    assert!(fitted.lines().any(|l| l == line), "{case}: {fitted}");
+                }
+                let short = allocate_stdout(path, weight, classified, fits - 1, jobs);
+                let clean = format!("entries ({label}): conflict mass 0,");
+                assert!(
+                    !short.contains(&clean),
+                    "{case}, {} entries: {short}",
+                    fits - 1
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
